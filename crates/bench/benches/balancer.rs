@@ -1,10 +1,12 @@
 //! Ablation: per-frame decision cost of each load-balancing policy
-//! (paper §3.3), frame-based and flow-based.
+//! (paper §3.3), frame-based and flow-based, in the form burst ingress
+//! calls them — the frame parsed and hashed beforehand — plus the
+//! parse-and-pick wrapper for one flow-based policy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lvrm_core::balance::{BalanceCtx, FlowBased, Jsq, LoadBalancer, RandomBalancer, RoundRobin};
 use lvrm_core::VriId;
-use lvrm_net::FrameBuilder;
+use lvrm_net::{FlowKey, FrameBuilder, HashedKey};
 use std::net::Ipv4Addr;
 
 fn frames() -> Vec<lvrm_net::Frame> {
@@ -17,6 +19,8 @@ fn bench_policy(c: &mut Criterion) {
     let loads = [3.0, 1.0, 4.0, 1.0, 5.0, 2.0];
     let valid = [true; 6];
     let frames = frames();
+    let flows: Vec<Option<HashedKey>> =
+        frames.iter().map(|f| FlowKey::from_frame(f).map(HashedKey::new)).collect();
     let mut g = c.benchmark_group("balancer/pick");
     g.throughput(Throughput::Elements(1));
 
@@ -26,9 +30,9 @@ fn bench_policy(c: &mut Criterion) {
             b.iter(|| {
                 let ctx =
                     BalanceCtx { vris: &vris, loads: &loads, valid: &valid, now_ns: i as u64 };
-                let f = &frames[i % frames.len()];
+                let flow = flows[i % flows.len()];
                 i += 1;
-                std::hint::black_box(bal.pick(f, &ctx))
+                std::hint::black_box(bal.pick_keyed(flow, &ctx))
             });
         });
     };
@@ -37,6 +41,17 @@ fn bench_policy(c: &mut Criterion) {
     run("random", &mut RandomBalancer::new(7));
     run("flow-jsq", &mut FlowBased::new(Jsq, 4096, u64::MAX));
     run("flow-rr", &mut FlowBased::new(RoundRobin::default(), 4096, u64::MAX));
+
+    let mut bal = FlowBased::new(Jsq, 4096, u64::MAX);
+    let mut i = 0usize;
+    g.bench_with_input(BenchmarkId::from_parameter("flow-jsq/from_frame"), &(), |b, _| {
+        b.iter(|| {
+            let ctx = BalanceCtx { vris: &vris, loads: &loads, valid: &valid, now_ns: i as u64 };
+            let f = &frames[i % frames.len()];
+            i += 1;
+            std::hint::black_box(bal.pick(f, &ctx))
+        });
+    });
     g.finish();
 }
 

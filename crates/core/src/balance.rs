@@ -6,7 +6,7 @@
 //! it via the connection-tracking [`FlowTable`], avoiding intra-flow
 //! reordering).
 
-use lvrm_net::{FlowKey, Frame};
+use lvrm_net::{FlowKey, Frame, HashedKey, IngressHeaders};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,9 +30,28 @@ impl BalanceCtx<'_> {
     }
 }
 
-/// A load-balancing policy. `pick` returns the slot index to dispatch to.
+/// A load-balancing policy. A pick returns the slot index to dispatch to.
 pub trait LoadBalancer: Send {
-    fn pick(&mut self, frame: &Frame, ctx: &BalanceCtx<'_>) -> Option<usize>;
+    /// Pick a slot for a frame staged earlier: `flow` is what
+    /// [`LoadBalancer::stage`] returned for it.
+    fn pick_keyed(&mut self, flow: Option<HashedKey>, ctx: &BalanceCtx<'_>) -> Option<usize>;
+
+    /// Stage a frame ahead of its pick, from its parsed headers. A policy
+    /// that tracks flows reads the 5-tuple, hashes it once, asks for the
+    /// cache line the pick will probe, and returns the hashed key for
+    /// [`LoadBalancer::pick_keyed`]; `None` for a frame with no 5-tuple.
+    /// Stateless policies need none of that and return `None`, so a
+    /// frame-based VR pays for no transport parse and no hash. Burst ingress
+    /// stages a whole burst, then picks.
+    fn stage(&self, _headers: &IngressHeaders<'_>) -> Option<HashedKey> {
+        None
+    }
+
+    /// Pick a slot for `frame` on its own: parse, stage, pick.
+    fn pick(&mut self, frame: &Frame, ctx: &BalanceCtx<'_>) -> Option<usize> {
+        let flow = IngressHeaders::parse(frame.bytes()).and_then(|h| self.stage(&h));
+        self.pick_keyed(flow, ctx)
+    }
 
     /// Forget any affinity to a VRI that was destroyed.
     fn purge_vri(&mut self, _vri: VriId) {}
@@ -80,7 +99,7 @@ fn first_valid(ctx: &BalanceCtx<'_>) -> Option<usize> {
 pub struct Jsq;
 
 impl LoadBalancer for Jsq {
-    fn pick(&mut self, _frame: &Frame, ctx: &BalanceCtx<'_>) -> Option<usize> {
+    fn pick_keyed(&mut self, _flow: Option<HashedKey>, ctx: &BalanceCtx<'_>) -> Option<usize> {
         let mut best: Option<usize> = None;
         for i in 0..ctx.loads.len() {
             if !ctx.valid[i] {
@@ -107,7 +126,7 @@ pub struct RoundRobin {
 }
 
 impl LoadBalancer for RoundRobin {
-    fn pick(&mut self, _frame: &Frame, ctx: &BalanceCtx<'_>) -> Option<usize> {
+    fn pick_keyed(&mut self, _flow: Option<HashedKey>, ctx: &BalanceCtx<'_>) -> Option<usize> {
         let n = ctx.valid.len();
         if n == 0 {
             return None;
@@ -140,7 +159,7 @@ impl RandomBalancer {
 }
 
 impl LoadBalancer for RandomBalancer {
-    fn pick(&mut self, _frame: &Frame, ctx: &BalanceCtx<'_>) -> Option<usize> {
+    fn pick_keyed(&mut self, _flow: Option<HashedKey>, ctx: &BalanceCtx<'_>) -> Option<usize> {
         let n_valid = ctx.valid.iter().filter(|v| **v).count();
         if n_valid == 0 {
             return None;
@@ -183,23 +202,29 @@ impl<B: LoadBalancer> FlowBased<B> {
 }
 
 impl<B: LoadBalancer> LoadBalancer for FlowBased<B> {
-    fn pick(&mut self, frame: &Frame, ctx: &BalanceCtx<'_>) -> Option<usize> {
-        if let Some(key) = FlowKey::from_frame(frame) {
-            if let Some(vri) = self.table.find_and_touch(&key, ctx.now_ns) {
-                // "if the entry is found and the VRI of the entry is valid"
-                if let Some(slot) = ctx.slot_of(vri) {
-                    self.sticky_hits += 1;
-                    return Some(slot);
-                }
-            }
-            let slot = self.inner.pick(frame, ctx)?;
-            self.table.insert(key, ctx.vris[slot], ctx.now_ns);
+    fn pick_keyed(&mut self, flow: Option<HashedKey>, ctx: &BalanceCtx<'_>) -> Option<usize> {
+        let Some(flow) = flow else {
+            // Non-IP frames cannot be flow-classified; balance per frame.
             self.fresh_picks += 1;
-            return Some(slot);
+            return self.inner.pick_keyed(None, ctx);
+        };
+        if let Some(vri) = self.table.find_and_touch_hashed(&flow, ctx.now_ns) {
+            // "if the entry is found and the VRI of the entry is valid"
+            if let Some(slot) = ctx.slot_of(vri) {
+                self.sticky_hits += 1;
+                return Some(slot);
+            }
         }
-        // Non-IP frames cannot be flow-classified; balance per frame.
+        let slot = self.inner.pick_keyed(Some(flow), ctx)?;
+        self.table.insert_hashed(flow, ctx.vris[slot], ctx.now_ns);
         self.fresh_picks += 1;
-        self.inner.pick(frame, ctx)
+        Some(slot)
+    }
+
+    fn stage(&self, headers: &IngressHeaders<'_>) -> Option<HashedKey> {
+        let flow = HashedKey::new(headers.flow_key()?);
+        self.table.prefetch(flow.hash());
+        Some(flow)
     }
 
     fn purge_vri(&mut self, vri: VriId) {

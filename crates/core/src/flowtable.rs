@@ -7,9 +7,11 @@
 //! it and intra-flow reordering is avoided.
 //!
 //! Implementation: open addressing with linear probing over a power-of-two
-//! slot array, keyed by the flow's FNV hash. Every hit refreshes the entry's
+//! slot array, keyed by [`FlowKey::hash64`]. Every hit refreshes the entry's
 //! timestamp (the paper updates flow timestamps via `times()`); expired and
-//! dead-VRI entries are reclaimed lazily during probes.
+//! dead-VRI entries are reclaimed lazily during probes. The hot-path
+//! operations take a [`HashedKey`], so burst ingress hashes a frame once,
+//! [prefetches](FlowTable::prefetch) the slot's line, and probes it later.
 //!
 //! At million-flow scale, lazy probe-time reclamation alone lets dead flows
 //! silt the table up: an expired entry is only noticed when a probe happens
@@ -21,7 +23,7 @@
 //! matter how large the table is; a full sweep completes across
 //! `capacity / budget` consecutive ticks.
 
-use lvrm_net::FlowKey;
+use lvrm_net::{prefetch_read, FlowKey, HashedKey};
 
 use crate::VriId;
 
@@ -75,6 +77,9 @@ pub struct FlowTable {
     evictions: u64,
     /// Total slots the aging sweep has visited.
     age_sweep_slots: u64,
+    /// The expired keys of one [`FlowTable::age_step`] window, kept between
+    /// calls so the sweep allocates nothing per tick.
+    age_expired: Vec<FlowKey>,
 }
 
 impl FlowTable {
@@ -91,6 +96,7 @@ impl FlowTable {
             age_cursor: 0,
             evictions: 0,
             age_sweep_slots: 0,
+            age_expired: Vec::new(),
         }
     }
 
@@ -126,17 +132,27 @@ impl FlowTable {
     /// VRI ("hash table find the entry with current timestamp and add flag",
     /// Fig. 3.3). Expired entries encountered on the probe path are removed.
     pub fn find_and_touch(&mut self, key: &FlowKey, now_ns: u64) -> Option<VriId> {
-        let mut i = key.hash64() as usize & self.mask;
+        self.find_and_touch_hashed(&HashedKey::new(*key), now_ns)
+    }
+
+    /// Ask for the cache line of `hash`'s home slot ahead of a probe.
+    #[inline]
+    pub fn prefetch(&self, hash: u64) {
+        prefetch_read(&self.slots[hash as usize & self.mask]);
+    }
+
+    /// [`FlowTable::find_and_touch`] for a key hashed earlier.
+    pub fn find_and_touch_hashed(&mut self, flow: &HashedKey, now_ns: u64) -> Option<VriId> {
+        let mut i = flow.hash() as usize & self.mask;
         for _ in 0..self.slots.len() {
             match &mut self.slots[i] {
                 None => return None,
-                Some(e) if e.key == *key => {
-                    if self.expired(&self.slots[i].unwrap(), now_ns) {
+                Some(e) if e.key == *flow.key() => {
+                    if now_ns.saturating_sub(e.last_seen_ns) > self.timeout_ns {
                         self.remove_at(i);
                         self.evictions += 1;
                         return None;
                     }
-                    let e = self.slots[i].as_mut().expect("just matched");
                     e.last_seen_ns = now_ns;
                     return Some(e.vri);
                 }
@@ -148,7 +164,13 @@ impl FlowTable {
 
     /// Insert or update `key -> vri`.
     pub fn insert(&mut self, key: FlowKey, vri: VriId, now_ns: u64) -> bool {
-        let mut i = key.hash64() as usize & self.mask;
+        self.insert_hashed(HashedKey::new(key), vri, now_ns)
+    }
+
+    /// [`FlowTable::insert`] for a key hashed earlier.
+    pub fn insert_hashed(&mut self, flow: HashedKey, vri: VriId, now_ns: u64) -> bool {
+        let key = *flow.key();
+        let mut i = flow.hash() as usize & self.mask;
         for _ in 0..self.slots.len() {
             match &mut self.slots[i] {
                 slot @ None => {
@@ -194,7 +216,7 @@ impl FlowTable {
         let cap = self.slots.len();
         let budget = budget.min(cap);
         let mut i = self.age_cursor & self.mask;
-        let mut expired_keys: Vec<FlowKey> = Vec::new();
+        let mut expired_keys = std::mem::take(&mut self.age_expired);
         for _ in 0..budget {
             if let Some(e) = &self.slots[i] {
                 if self.expired(e, now_ns) {
@@ -210,6 +232,8 @@ impl FlowTable {
             self.remove_key(k);
         }
         let evicted = expired_keys.len();
+        expired_keys.clear();
+        self.age_expired = expired_keys;
         self.evictions += evicted as u64;
         self.age_sweep_slots += (budget + evicted) as u64;
         evicted

@@ -25,7 +25,7 @@ use lvrm_ipc::PressureLevel;
 use lvrm_metrics::{
     Counter, LatencyHistogram, MetricsRegistry, MetricsSnapshot, RateEstimator, SharedHistogram,
 };
-use lvrm_net::{FlowKey, Frame};
+use lvrm_net::{prefetch_read, FlowKey, Frame, HashedKey, IngressHeaders};
 use lvrm_router::{RouteTable, VirtualRouter};
 
 use crate::alloc::{AllocDecision, CoreAllocator, VrLoadView};
@@ -457,6 +457,41 @@ struct DrainingVri {
     deadline_ns: u64,
 }
 
+/// One VR's share of an ingress burst: the frames classified to it and, in
+/// step, the key its balancer staged for each. Frames and keys enter and
+/// leave together, so a bucket that is shortened or skipped can never pair a
+/// frame with its neighbour's key.
+#[derive(Default)]
+struct VrBucket {
+    frames: Vec<Frame>,
+    flows: Vec<Option<HashedKey>>,
+}
+
+impl VrBucket {
+    fn push(&mut self, frame: Frame, flow: Option<HashedKey>) {
+        self.frames.push(frame);
+        self.flows.push(flow);
+    }
+
+    fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.frames.truncate(len);
+        self.flows.truncate(len);
+    }
+
+    fn clear(&mut self) {
+        self.frames.clear();
+        self.flows.clear();
+    }
+}
+
 /// Which counter is charged for frames that cannot be rehomed after a VRI
 /// departs (see [`Lvrm::rehome`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -559,6 +594,9 @@ pub struct Lvrm<C: Clock> {
     /// Maps source subnets to VR indices (route "iface" = VR index).
     classifier: RouteTable,
     vrs: Vec<VrState>,
+    /// Σ of the VRs' admission weights, re-summed whenever one changes (the
+    /// shedding quota divides by it on every dispatched bucket).
+    total_weight: f64,
     next_vri: u32,
     last_alloc_ns: Option<u64>,
     /// Reallocation history for the reaction-time experiment.
@@ -609,8 +647,8 @@ pub struct Lvrm<C: Clock> {
     scratch_ctrl: Vec<ControlEvent>,
     /// Single-frame burst buffer backing [`Lvrm::ingress`].
     scratch_single: Vec<Frame>,
-    /// Per-VR frame buckets for [`Lvrm::ingress_batch`], indexed by VR.
-    scratch_vr_buckets: Vec<Vec<Frame>>,
+    /// Per-VR buckets for [`Lvrm::ingress_batch`], indexed by VR.
+    scratch_vr_buckets: Vec<VrBucket>,
     /// Per-VRI-slot frame buckets within one VR's burst.
     scratch_slot_buckets: Vec<Vec<Frame>>,
     /// A VR's current core set, for NUMA-aware placement in `grow_vr`.
@@ -639,6 +677,7 @@ impl<C: Clock> Lvrm<C> {
             cores,
             classifier: RouteTable::new(),
             vrs: Vec::new(),
+            total_weight: 0.0,
             next_vri: 0,
             last_alloc_ns: None,
             realloc_log: Vec::new(),
@@ -772,6 +811,7 @@ impl<C: Clock> Lvrm<C> {
             owned: true,
             subnets: subnets.to_vec(),
         });
+        self.set_weight(id.0 as usize, self.config.shed_weight);
         let now = self.clock.now_ns();
         self.grow_vr(id.0 as usize, now, host);
         // "The VR monitor pre-assigns a fixed set of cores to a VR when the
@@ -806,7 +846,13 @@ impl<C: Clock> Lvrm<C> {
     /// quota is `batch_size × weight / Σ weights`.
     pub fn set_vr_weight(&mut self, vr: VrId, weight: f64) {
         assert!(weight.is_finite() && weight > 0.0, "shed weight must be positive and finite");
-        self.vrs[vr.0 as usize].weight = weight;
+        self.set_weight(vr.0 as usize, weight);
+    }
+
+    /// The one place a VR's weight changes, so `total_weight` stays the sum.
+    fn set_weight(&mut self, vr_idx: usize, weight: f64) {
+        self.vrs[vr_idx].weight = weight;
+        self.total_weight = self.vrs.iter().map(|v| v.weight).sum();
     }
 
     /// Switch `vr` between flow-pinned and replicated dispatch (DESIGN.md
@@ -862,13 +908,24 @@ impl<C: Clock> Lvrm<C> {
         self.scratch_single = single;
     }
 
-    /// Step 2 of the workflow, batched: classify a whole burst, bucket the
-    /// frames per VR, refresh each VR's load view **once**, balance frame by
-    /// frame against that view, and push each VRI's share with one bulk
-    /// enqueue (one queue-index publication per VRI per burst). The lazy
-    /// reallocation check runs once per burst; since every frame in the
-    /// burst shares one clock reading, that is exactly what the per-frame
-    /// path would have done (the pass is rate-limited per §3.2's period).
+    /// Step 2 of the workflow, batched, as three passes over the burst:
+    ///
+    /// 1. ask for every frame's header line (the frames of a burst are
+    ///    independent, so their cache misses can overlap);
+    /// 2. parse each frame's headers **once**, classify its source to a VR,
+    ///    let that VR's balancer stage it (a flow-tracking one hashes the
+    ///    5-tuple and asks for the line the hash selects in its flow table),
+    ///    and bucket the frame with its key;
+    /// 3. per VR: refresh the load view once, balance frame by frame against
+    ///    it with the stored keys, and push each VRI's share with one bulk
+    ///    enqueue (one queue-index publication per VRI per burst).
+    ///
+    /// A serial classify → track → balance chain per frame pays each miss in
+    /// turn; cut into stages over a batch, the misses of one stage are all
+    /// in flight together (DESIGN.md §5). The lazy reallocation check runs
+    /// once per burst; since every frame in the burst shares one clock
+    /// reading, that is exactly what the per-frame path would have done (the
+    /// pass is rate-limited per §3.2's period).
     ///
     /// `frames` is drained. Frames that fail classification, balancing, or
     /// dispatch are counted in [`Lvrm::stats`] exactly as on the per-frame
@@ -889,23 +946,26 @@ impl<C: Clock> Lvrm<C> {
             return;
         }
 
+        for frame in frames.iter() {
+            if let Some(first) = frame.bytes().first() {
+                prefetch_read(first);
+            }
+        }
+
         // Classify by source address ("LVRM inspects the source IP address
         // of the data frame, and determines the VR", §2.1), bucketing the
         // burst per VR.
-        while self.scratch_vr_buckets.len() < self.vrs.len() {
-            self.scratch_vr_buckets.push(Vec::new());
-        }
+        self.scratch_vr_buckets.resize_with(self.vrs.len(), VrBucket::default);
         let mut buckets = std::mem::take(&mut self.scratch_vr_buckets);
         let mut any_classified = false;
         for frame in frames.drain(..) {
-            match frame
-                .src_ip()
-                .ok()
-                .and_then(|src| self.classifier.lookup(src))
-                .map(|r| r.iface as usize)
-            {
-                Some(vr_idx) => {
-                    buckets[vr_idx].push(frame);
+            let headers = IngressHeaders::parse(frame.bytes());
+            let owner = headers
+                .and_then(|h| Some((usize::from(self.classifier.lookup(h.src())?.iface), h)));
+            match owner {
+                Some((vr_idx, h)) => {
+                    let flow = self.vrs[vr_idx].balancer.stage(&h);
+                    buckets[vr_idx].push(frame, flow);
                     any_classified = true;
                 }
                 None => self.stats.unclassified.inc(),
@@ -938,14 +998,13 @@ impl<C: Clock> Lvrm<C> {
         }
     }
 
-    /// Balance and dispatch one VR's share of a burst. The load view is
-    /// refreshed once; within the burst, each pick adds a synthetic +1 to
-    /// the chosen slot's load so JSQ keeps spreading frames the estimator
-    /// has not observed yet (instead of sending the whole burst to the
-    /// momentarily-shortest queue).
-    fn dispatch_bucket(&mut self, vr_idx: usize, bucket: &mut Vec<Frame>, now: u64) {
+    /// Balance and dispatch one VR's share of a burst, leaving `bucket`
+    /// empty. The load view is refreshed once; within the burst, each pick
+    /// adds a synthetic +1 to the chosen slot's load so JSQ keeps spreading
+    /// frames the estimator has not observed yet (instead of sending the
+    /// whole burst to the momentarily-shortest queue).
+    fn dispatch_bucket(&mut self, vr_idx: usize, bucket: &mut VrBucket, now: u64) {
         let wm = self.config.watermarks();
-        let total_weight: f64 = self.vrs.iter().map(|v| v.weight).sum();
         let vr = &mut self.vrs[vr_idx];
         // Fleet ownership gate (DESIGN.md §15): frames classified to a VR
         // another shard owns are shed whole, before admission control. They
@@ -964,9 +1023,7 @@ impl<C: Clock> Lvrm<C> {
         // Arrivals are recorded before admission control: the allocator must
         // see true offered load, or an overloaded VR could never earn the
         // cores that would relieve the overload.
-        for _ in 0..bucket.len() {
-            vr.arrival.record(now);
-        }
+        vr.arrival.record_n(now, bucket.len() as u64);
 
         self.scratch_loads.clear();
         self.scratch_valid.clear();
@@ -999,7 +1056,7 @@ impl<C: Clock> Lvrm<C> {
         // Excess is shed here, before any balance or dispatch work is spent
         // on frames that would tail-drop anyway.
         if self.config.overload_shedding && vr.pressure.level() == PressureLevel::Overloaded {
-            let quantum = self.config.batch_size as f64 * vr.weight / total_weight;
+            let quantum = self.config.batch_size as f64 * vr.weight / self.total_weight;
             vr.shed_credit = (vr.shed_credit + quantum).min(quantum.max(1.0));
             let allowed = vr.shed_credit as usize;
             if bucket.len() > allowed {
@@ -1024,35 +1081,33 @@ impl<C: Clock> Lvrm<C> {
         if let Some(ring) = vr.ring.as_mut() {
             let has_target = self.scratch_valid.iter().any(|&ok| ok);
             if has_target {
-                let sent = ring.tx.try_send_batch(bucket) as u64;
+                let sent = ring.tx.try_send_batch(&mut bucket.frames) as u64;
                 ring.enqueued += sent;
                 let leftover = bucket.len() as u64;
                 if leftover > 0 {
                     ring.drops += leftover;
                     self.stats.dispatch_drops.add(leftover);
-                    bucket.clear();
                 }
             } else if vr.quarantined {
                 self.stats.quarantined_drops.add(bucket.len() as u64);
-                bucket.clear();
             } else {
                 self.stats.no_vri_drops.add(bucket.len() as u64);
-                bucket.clear();
             }
+            bucket.clear();
             return;
         }
 
         while self.scratch_slot_buckets.len() < vr.vris.len() {
             self.scratch_slot_buckets.push(Vec::new());
         }
-        for frame in bucket.drain(..) {
+        for (frame, flow) in bucket.frames.drain(..).zip(bucket.flows.drain(..)) {
             let ctx = BalanceCtx {
                 vris: &self.scratch_vris,
                 loads: &self.scratch_loads,
                 valid: &self.scratch_valid,
                 now_ns: now,
             };
-            match vr.balancer.pick(&frame, &ctx) {
+            match vr.balancer.pick_keyed(flow, &ctx) {
                 Some(slot) => {
                     self.scratch_slot_buckets[slot].push(frame);
                     self.scratch_loads[slot] += 1.0;
@@ -2343,7 +2398,6 @@ impl<C: Clock> Lvrm<C> {
                 vr.frames_out = vrck.frames_out;
                 vr.admitted = vrck.admitted;
                 vr.shed = vrck.shed;
-                vr.weight = vrck.weight;
                 vr.shed_credit = vrck.shed_credit;
                 vr.crash_streak = vrck.crash_streak;
                 vr.last_crash_ns = vrck.last_crash_ns;
@@ -2355,6 +2409,7 @@ impl<C: Clock> Lvrm<C> {
                     _ => PressureLevel::Overloaded,
                 });
             }
+            self.set_weight(idx, vrck.weight);
             if !self.vrs[idx].quarantined {
                 while self.vrs[idx].vris.len() < vrck.vri_slots as usize {
                     if !self.grow_vr(idx, now_ns, host) {
@@ -2541,7 +2596,6 @@ impl<C: Clock> Lvrm<C> {
                 vr.frames_out += vrck.frames_out;
                 vr.admitted += vrck.admitted;
                 vr.shed += vrck.shed;
-                vr.weight = vrck.weight;
                 vr.shed_credit = vrck.shed_credit;
                 vr.crash_streak = vrck.crash_streak;
                 vr.last_crash_ns = vrck.last_crash_ns;
@@ -2553,6 +2607,7 @@ impl<C: Clock> Lvrm<C> {
                     _ => PressureLevel::Overloaded,
                 });
             }
+            self.set_weight(idx, vrck.weight);
             if !self.vrs[idx].quarantined {
                 while self.vrs[idx].vris.len() < vrck.vri_slots as usize {
                     if !self.grow_vr(idx, now_ns, host) {

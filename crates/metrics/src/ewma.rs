@@ -79,8 +79,14 @@ impl RateEstimator {
 
     /// Record one event at `now_ns`.
     pub fn record(&mut self, now_ns: u64) {
+        self.record_n(now_ns, 1);
+    }
+
+    /// Record `n` events that share the timestamp `now_ns` (a burst): the
+    /// same as `n` calls of [`RateEstimator::record`], in one step.
+    pub fn record_n(&mut self, now_ns: u64, n: u64) {
         self.advance(now_ns);
-        self.count_in_window += 1;
+        self.count_in_window += n;
     }
 
     /// Close any windows that have fully elapsed by `now_ns`, feeding their
@@ -230,6 +236,24 @@ mod tests {
         }
         r.advance(t);
         assert!((r.rate_per_sec() - 1000.0).abs() / 1000.0 < 0.05, "{}", r.rate_per_sec());
+    }
+
+    #[test]
+    fn record_n_equals_n_records_at_one_timestamp() {
+        // Bursts that open a window, land mid-window and cross several.
+        let (mut each, mut bulk) =
+            (RateEstimator::new(1_000_000, 3.0), RateEstimator::new(1_000_000, 3.0));
+        for (t, n) in [(0u64, 32u64), (400_000, 7), (1_000_000, 1), (5_500_000, 32), (5_400_000, 3)]
+        {
+            for _ in 0..n {
+                each.record(t);
+            }
+            bulk.record_n(t, n);
+            assert_eq!(bulk.rate_per_sec(), each.rate_per_sec());
+        }
+        each.advance(9_000_000);
+        bulk.advance(9_000_000);
+        assert_eq!(bulk.rate_per_sec(), each.rate_per_sec());
     }
 
     #[test]

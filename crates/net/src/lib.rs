@@ -9,7 +9,9 @@
 //! * zero-copy header views ([`EthernetView`], [`Ipv4View`], [`UdpView`],
 //!   [`TcpView`]) plus a [`FrameBuilder`] that assembles valid frames with
 //!   correct checksums;
-//! * [`FlowKey`] — the 5-tuple used by flow-based load balancing (paper §3.3);
+//! * [`FlowKey`] — the 5-tuple used by flow-based load balancing (paper §3.3),
+//!   and [`IngressHeaders`], the single-pass header parse burst ingress runs
+//!   once per frame;
 //! * [`wire`] — on-the-wire arithmetic (preamble/IFG accounting, serialization
 //!   delay) matching the paper's definition of frame size (84 B minimum frame
 //!   *including* preamble, payload and check sequence, §4.1);
@@ -23,14 +25,16 @@ pub mod frame;
 pub mod headers;
 pub mod pcap;
 pub mod pool;
+pub mod prefetch;
 pub mod trace;
 pub mod wire;
 
 pub use arp::{ArpMessage, ArpOp, NeighborTable};
-pub use flow::{FlowKey, Protocol};
+pub use flow::{FlowKey, HashedKey, IngressHeaders, Protocol};
 pub use frame::{Frame, FrameBuilder, FrameError};
 pub use headers::{EtherType, EthernetView, Ipv4View, MacAddr, TcpView, UdpView};
 pub use pcap::{read_pcap, write_pcap, PcapError};
 pub use pool::{FramePool, PooledBuf};
+pub use prefetch::prefetch_read;
 pub use trace::{Trace, TraceSpec};
 pub use wire::{serialization_ns, wire_bytes, GIGABIT, MAX_FRAME_WIRE, MIN_FRAME_WIRE};

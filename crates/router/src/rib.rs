@@ -1,10 +1,17 @@
 //! Longest-prefix-match IPv4 route table.
 //!
-//! A path-compressed binary trie keyed on address bits. Routers hold few,
-//! summarized routes (the paper: "routers use the memory usually for the
-//! summarized routes", §3.2), so a simple trie beats fancier structures while
-//! staying obviously correct; the `route_lookup` ablation bench compares it
-//! against a linear scan to justify the choice.
+//! A stride-8 multibit trie: one node per address byte, 256 slots a node, so
+//! a lookup is at most four dependent slot loads (plus one for the route it
+//! returns) whatever the prefix length — the source-subnet classifier and
+//! every VR's forwarding table walk it once per frame. A prefix whose length
+//! is not a multiple of eight is expanded over the slots it covers inside
+//! its node (controlled prefix expansion), and each slot is one packed
+//! `u32` — empty, a route, or a child node — so a node is 1 KiB.
+//!
+//! Routers hold few, summarized routes (the paper: "routers use the memory
+//! usually for the summarized routes", §3.2), so the table never compresses
+//! paths or frees emptied nodes; the `route_lookup` bench compares it with a
+//! linear scan.
 
 use std::net::Ipv4Addr;
 
@@ -21,22 +28,40 @@ pub struct Route {
     pub next_hop: Option<Ipv4Addr>,
 }
 
-#[derive(Default)]
+/// An empty slot, or the end of a shadow chain.
+const NONE: u32 = 0;
+/// Slot tag: the low 31 bits index `nodes`. Untagged non-zero slots index
+/// `routes`.
+const CHILD: u32 = 1 << 31;
+
+/// One trie level: the slots for one address byte.
 struct Node {
-    children: [Option<Box<Node>>; 2],
-    /// Route terminating at this depth, if any.
-    route: Option<Route>,
+    /// The chain head the parent's slot held when it became a pointer to
+    /// this node: the best match for an address that falls through this
+    /// node without meeting anything longer.
+    inherited: u32,
+    slots: [u32; 256],
+}
+
+/// A route plus the link that makes replacement and removal local to a
+/// node. Every slot heads a chain of the routes *of its node* that cover
+/// it, longest first; `shadowed` is the next link, and it is a property of
+/// the route (nested prefixes: whatever the next-shorter cover is at one
+/// slot, it is at all of them).
+struct Stored {
+    route: Route,
+    shadowed: u32,
 }
 
 /// Longest-prefix-match route table.
-#[derive(Default)]
 pub struct RouteTable {
-    root: Node,
+    /// `nodes[0]` is the root.
+    nodes: Vec<Node>,
+    /// Slab of routes; index 0 is never used, so [`NONE`] can be 0.
+    routes: Vec<Option<Stored>>,
+    /// Vacated slab indices, reused by later inserts.
+    free: Vec<u32>,
     len: usize,
-}
-
-fn bit(addr: u32, depth: u8) -> usize {
-    ((addr >> (31 - depth)) & 1) as usize
 }
 
 fn mask(len: u8) -> u32 {
@@ -47,9 +72,33 @@ fn mask(len: u8) -> u32 {
     }
 }
 
+/// Where `prefix/len` lives: the depth of its node (0 = root), its first
+/// slot there and how many slots it is expanded over. The default route is
+/// a root route covering all 256 slots.
+fn placement(canon: u32, len: u8) -> (usize, usize, usize) {
+    let depth = usize::from(len.max(1) - 1) / 8;
+    let bits_in_node = usize::from(len) - 8 * depth;
+    (depth, byte_at(canon, depth), 1 << (8 - bits_in_node))
+}
+
+fn byte_at(addr: u32, depth: usize) -> usize {
+    (addr >> (24 - 8 * depth)) as usize & 0xff
+}
+
+impl Default for RouteTable {
+    fn default() -> RouteTable {
+        RouteTable::new()
+    }
+}
+
 impl RouteTable {
     pub fn new() -> RouteTable {
-        RouteTable::default()
+        RouteTable {
+            nodes: vec![Node { inherited: NONE, slots: [NONE; 256] }],
+            routes: vec![None],
+            free: Vec::new(),
+            len: 0,
+        }
     }
 
     /// Number of routes installed.
@@ -61,73 +110,172 @@ impl RouteTable {
         self.len == 0
     }
 
+    fn stored(&self, idx: u32) -> &Stored {
+        self.routes[idx as usize].as_ref().expect("chains link live routes only")
+    }
+
+    fn stored_mut(&mut self, idx: u32) -> &mut Stored {
+        self.routes[idx as usize].as_mut().expect("chains link live routes only")
+    }
+
+    /// The head of the chain of `node`'s routes covering `slot`. It sits in
+    /// the slot itself until the slot points at a child, then in the child.
+    fn head(&self, node: usize, slot: usize) -> u32 {
+        match self.nodes[node].slots[slot] {
+            s if s & CHILD != 0 => self.nodes[(s & !CHILD) as usize].inherited,
+            s => s,
+        }
+    }
+
+    fn set_head(&mut self, node: usize, slot: usize, head: u32) {
+        match self.nodes[node].slots[slot] {
+            s if s & CHILD != 0 => self.nodes[(s & !CHILD) as usize].inherited = head,
+            _ => self.nodes[node].slots[slot] = head,
+        }
+    }
+
+    /// The node `depth` levels down the path of `canon`, if it exists.
+    fn descend(&self, canon: u32, depth: usize) -> Option<usize> {
+        let mut node = 0;
+        for d in 0..depth {
+            let s = self.nodes[node].slots[byte_at(canon, d)];
+            if s & CHILD == 0 {
+                return None;
+            }
+            node = (s & !CHILD) as usize;
+        }
+        Some(node)
+    }
+
+    /// As [`Self::descend`], turning slots on the way into child pointers.
+    fn descend_or_create(&mut self, canon: u32, depth: usize) -> usize {
+        let mut node = 0;
+        for d in 0..depth {
+            let b = byte_at(canon, d);
+            let s = self.nodes[node].slots[b];
+            node = if s & CHILD != 0 {
+                (s & !CHILD) as usize
+            } else {
+                let child = self.nodes.len();
+                assert!(child < CHILD as usize, "route table node index overflows its tag bit");
+                self.nodes.push(Node { inherited: s, slots: [NONE; 256] });
+                self.nodes[node].slots[b] = CHILD | child as u32;
+                child
+            };
+        }
+        node
+    }
+
+    /// Walk the chain headed at `(node, slot)` past every route longer than
+    /// `len`, stopping early on reaching `stop`. Returns the last route
+    /// passed ([`NONE`] if the walk ended at the head) and where it ended.
+    fn descend_chain(&self, node: usize, slot: usize, len: u8, stop: u32) -> (u32, u32) {
+        let (mut longer, mut cur) = (NONE, self.head(node, slot));
+        while cur != NONE && cur != stop && self.stored(cur).route.len > len {
+            longer = cur;
+            cur = self.stored(cur).shadowed;
+        }
+        (longer, cur)
+    }
+
+    /// The route of exactly `len` bits in the chain headed at
+    /// `(node, slot)`, where `slot` is the route's first.
+    fn find_exact(&self, node: usize, slot: usize, len: u8) -> Option<u32> {
+        let (_, cur) = self.descend_chain(node, slot, len, NONE);
+        (cur != NONE && self.stored(cur).route.len == len).then_some(cur)
+    }
+
     /// Insert (or replace) a route. Host bits beyond the prefix length are
     /// zeroed. Returns the previous route for the same prefix, if any.
     pub fn insert(&mut self, mut route: Route) -> Option<Route> {
         assert!(route.len <= 32, "prefix length out of range");
         let canon = u32::from(route.prefix) & mask(route.len);
         route.prefix = Ipv4Addr::from(canon);
-        let mut node = &mut self.root;
-        for depth in 0..route.len {
-            let b = bit(canon, depth);
-            node = node.children[b].get_or_insert_with(Box::default);
+        let (depth, base, span) = placement(canon, route.len);
+        let node = self.descend_or_create(canon, depth);
+        if let Some(idx) = self.find_exact(node, base, route.len) {
+            return Some(std::mem::replace(&mut self.stored_mut(idx).route, route));
         }
-        let prev = node.route.replace(route);
-        if prev.is_none() {
-            self.len += 1;
+        let idx = match self.free.pop() {
+            Some(idx) => idx,
+            None => {
+                assert!(self.routes.len() < CHILD as usize, "route index overflows its tag bit");
+                self.routes.push(None);
+                (self.routes.len() - 1) as u32
+            }
+        };
+        self.routes[idx as usize] = Some(Stored { route, shadowed: NONE });
+        // Splice the route into the chain of every slot it covers, below
+        // the longer routes already there and above the shorter.
+        for slot in base..base + span {
+            let (longer, cur) = self.descend_chain(node, slot, route.len, idx);
+            if cur == idx {
+                continue; // reached through a longer route an earlier slot relinked
+            }
+            self.stored_mut(idx).shadowed = cur;
+            if longer == NONE {
+                self.set_head(node, slot, idx);
+            } else {
+                self.stored_mut(longer).shadowed = idx;
+            }
         }
-        prev
+        self.len += 1;
+        None
     }
 
     /// Remove the route exactly matching `prefix/len`.
     pub fn remove(&mut self, prefix: Ipv4Addr, len: u8) -> Option<Route> {
+        if len > 32 {
+            return None;
+        }
         let canon = u32::from(prefix) & mask(len);
-        let mut node = &mut self.root;
-        for depth in 0..len {
-            let b = bit(canon, depth);
-            node = node.children[b].as_deref_mut()?;
+        let (depth, base, span) = placement(canon, len);
+        let node = self.descend(canon, depth)?;
+        let idx = self.find_exact(node, base, len)?;
+        let below = self.stored(idx).shadowed;
+        // Unlink it from every covered slot's chain; what it shadowed takes
+        // its place.
+        for slot in base..base + span {
+            let (longer, cur) = self.descend_chain(node, slot, len, idx);
+            if cur != idx {
+                continue; // already unlinked through a longer route shared with an earlier slot
+            }
+            if longer == NONE {
+                self.set_head(node, slot, below);
+            } else {
+                self.stored_mut(longer).shadowed = below;
+            }
         }
-        let removed = node.route.take();
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
+        self.free.push(idx);
+        self.len -= 1;
+        self.routes[idx as usize].take().map(|s| s.route)
     }
 
     /// Longest-prefix-match lookup.
     #[inline]
     pub fn lookup(&self, dst: Ipv4Addr) -> Option<&Route> {
         let addr = u32::from(dst);
-        let mut best = self.root.route.as_ref();
-        let mut node = &self.root;
-        for depth in 0..32 {
-            match node.children[bit(addr, depth)].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if node.route.is_some() {
-                        best = node.route.as_ref();
-                    }
+        let mut node = &self.nodes[0];
+        let mut best = NONE;
+        for depth in 0..4 {
+            let slot = node.slots[byte_at(addr, depth)];
+            if slot & CHILD == 0 {
+                if slot != NONE {
+                    best = slot;
                 }
-                None => break,
+                break;
+            }
+            node = &self.nodes[(slot & !CHILD) as usize];
+            if node.inherited != NONE {
+                best = node.inherited;
             }
         }
-        best
+        self.routes[best as usize].as_ref().map(|s| &s.route)
     }
 
     /// Iterate all installed routes (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = &Route> {
-        let mut stack = vec![&self.root];
-        std::iter::from_fn(move || {
-            while let Some(n) = stack.pop() {
-                for c in n.children.iter().flatten() {
-                    stack.push(c);
-                }
-                if let Some(r) = n.route.as_ref() {
-                    return Some(r);
-                }
-            }
-            None
-        })
+        self.routes.iter().flatten().map(|s| &s.route)
     }
 }
 
