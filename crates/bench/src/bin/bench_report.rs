@@ -65,8 +65,8 @@ use lvrm_bench::trajectory::{rows_to_json, validate_rows, Row};
 use lvrm_core::clock::Clock as _;
 use lvrm_core::{
     rendezvous_owner, AffinityMode, AllocatorKind, ChannelLink, CoreId, CoreMap, CoreTopology,
-    DispatchMode, HaConfig, Lvrm, LvrmConfig, ManualClock, MonotonicClock, PeerLink, RecordingHost,
-    ShardConfig, VriHost, VriSpec,
+    DispatchMode, HaConfig, Ledger, Lvrm, LvrmConfig, ManualClock, MonotonicClock, PeerLink,
+    RecordingHost, ShardConfig, VriHost, VriSpec,
 };
 use lvrm_ipc::channels::Work;
 use lvrm_ipc::{queue, Full, QueueKind, VriEndpoint};
@@ -518,27 +518,11 @@ fn fleet_vr_name(i: u32) -> String {
     format!("dept{}", i + 1)
 }
 
-/// Global + replication conservation on every survivor, and the fleet
-/// identity: every declared VR owned by exactly one shard.
+/// Every survivor's ledger settled (identities A–E, nothing queued or
+/// unreturned), and the fleet identity (F) across them.
 fn fleet_conservation_ok(nodes: &[&ShardBenchNode]) -> bool {
-    let mut ok = true;
-    for n in nodes {
-        let s = n.lvrm.stats();
-        ok &= s.frames_in
-            == s.frames_out
-                + s.unclassified
-                + s.dispatch_drops
-                + s.no_vri_drops
-                + s.shrink_lost
-                + s.crash_lost
-                + s.quarantined_drops
-                + s.shed_early;
-        ok &= s.updates_emitted == s.updates_folded + s.updates_lost;
-    }
-    for vr in 0..FLEET_VRS {
-        ok &= nodes.iter().filter(|n| n.owns(vr)).count() == 1;
-    }
-    ok
+    let ledgers: Vec<Ledger> = nodes.iter().map(|n| n.lvrm.ledger()).collect();
+    ledgers.iter().all(|l| l.check_settled().is_ok()) && Ledger::check_fleet(&ledgers).is_ok()
 }
 
 /// Deterministic simulated shard takeover on the manual clock (DESIGN.md
@@ -675,17 +659,13 @@ fn repl_scaling_threads(kind: QueueKind, frames: u64) -> (f64, f64, bool) {
             egress.clear();
             lvrm.poll_egress(&mut egress);
             out += egress.len() as u64;
-            let s = lvrm.stats();
-            let lost = s.dispatch_drops + s.no_vri_drops + s.queue_lost;
-            if sent == frames && out + lost >= frames {
+            if sent == frames && out + lvrm.stats().loss() >= frames {
                 break;
             }
             std::thread::yield_now();
         }
         let elapsed_ns = clock.now_ns() - t0;
-        let s = lvrm.stats();
-        conservation_ok &= s.frames_in
-            == s.frames_out + s.dispatch_drops + s.no_vri_drops + s.unclassified + s.shed_early;
+        conservation_ok &= lvrm.ledger().check_settled().is_ok();
         host.shutdown();
         out as f64 / (elapsed_ns as f64 / 1e9) / 1e3
     };
@@ -712,7 +692,7 @@ fn scenario_rows(smoke: bool, rows: &mut Vec<Row>) {
         let tracked = report.tracked_flows();
         let tracked_pct = 100.0 * tracked as f64 / flows as f64;
         let goodput_pct = 100.0 * report.tenants[0].goodput();
-        let ok = report.conservation.all_hold();
+        let ok = report.conserved();
         println!(
             "scenario       {:>11} million_flows: {tracked} tracked ({tracked_pct:5.1}%), \
              goodput {goodput_pct:5.1}%, conservation {}",
@@ -749,7 +729,7 @@ fn scenario_rows(smoke: bool, rows: &mut Vec<Row>) {
             spec.queue_kind = kind;
             let report = spec.run();
             let goodput_pct = 100.0 * report.tenants[0].goodput();
-            let ok = report.conservation.all_hold();
+            let ok = report.conserved();
             println!(
                 "scenario       {:>11} {}: protected goodput {goodput_pct:5.1}%, \
                  shed {} frames, conservation {}",
@@ -780,7 +760,7 @@ fn repl_scaling_rows(rows: &mut Vec<Row>) {
             let mut spec = elephant_flow(cores, replicated, SEED);
             spec.queue_kind = kind;
             let report = spec.run();
-            ok &= report.conservation.all_hold();
+            ok &= report.conserved();
             report.tcp_mbps()
         };
         let base = run(2, false);

@@ -35,16 +35,14 @@ use std::path::Path;
 use lvrm_net::flow::Protocol;
 use lvrm_net::FlowKey;
 
-use crate::monitor::LvrmStats;
+use crate::ledger::{LvrmStats, COUNTERS};
 
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LVCK";
+/// Version 2 appended the three `lvrm_repl_*` replication counters to the
+/// stats vector, so identity (E) survives warm restart and the HA delta
+/// stream like the others. The vector's length and order are the counter
+/// schema's (`ledger.rs`).
 pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// Number of [`LvrmStats`] counters on the wire (`stats_fields` order).
-/// Version 2 appended the three `lvrm_repl_*` replication counters, so the
-/// fifth conservation identity survives warm restart and the HA delta
-/// stream exactly like the first four.
-pub const STATS_FIELDS: usize = 22;
 
 /// Why a checkpoint blob was rejected (or could not be produced).
 #[derive(Debug)]
@@ -159,6 +157,62 @@ pub struct Checkpoint {
 
 // ---- encoding ----------------------------------------------------------
 
+/// The format version as it sits on the wire: the checkpoint formats spend
+/// four bytes on it, the message formats one.
+#[derive(Clone, Copy)]
+pub(crate) enum Version {
+    U32(u32),
+    U8(u8),
+}
+
+/// Frame one message of the wire family: `magic | version | body | crc32`,
+/// the CRC-32 covering every byte before it.
+pub(crate) fn seal(magic: [u8; 4], version: Version, body: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc { buf: Vec::with_capacity(256) };
+    e.buf.extend_from_slice(&magic);
+    match version {
+        Version::U32(v) => e.u32(v),
+        Version::U8(v) => e.u8(v),
+    }
+    body(&mut e);
+    let crc = crc32(&e.buf);
+    e.u32(crc);
+    e.buf
+}
+
+/// Undo [`seal`]: length, magic, CRC over everything before the trailer,
+/// then version — in that order, so no field is trusted before the checksum
+/// has vouched for it. Returns a reader over the body; the caller parses it
+/// and ends with [`Dec::finish`].
+pub(crate) fn open(
+    buf: &[u8],
+    magic: [u8; 4],
+    version: Version,
+) -> Result<Dec<'_>, CheckpointError> {
+    // magic + the shortest version + crc
+    if buf.len() < 4 + 1 + 4 {
+        return Err(CheckpointError::TooShort);
+    }
+    if buf[..4] != magic {
+        return Err(CheckpointError::BadMagic);
+    }
+    let body = &buf[..buf.len() - 4];
+    let found = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
+    let expected = crc32(body);
+    if found != expected {
+        return Err(CheckpointError::BadChecksum { expected, found });
+    }
+    let mut d = Dec { buf: body, pos: 4 };
+    let (want, got) = match version {
+        Version::U32(v) => (v, d.u32()?),
+        Version::U8(v) => (u32::from(v), u32::from(d.u8()?)),
+    };
+    if got != want {
+        return Err(CheckpointError::BadVersion(got));
+    }
+    Ok(d)
+}
+
 pub(crate) struct Enc {
     pub(crate) buf: Vec<u8>,
 }
@@ -182,6 +236,21 @@ impl Enc {
     pub(crate) fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+    /// A `u32` length prefix and the bytes.
+    pub(crate) fn bytes(&mut self, b: &[u8]) {
+        self.u32(b.len() as u32);
+        self.buf.extend_from_slice(b);
+    }
+    fn stats(&mut self, wire: [u64; COUNTERS]) {
+        for v in wire {
+            self.u64(v);
+        }
+    }
+    fn flow_record(&mut self, f: &FlowRecord) {
+        self.flow_key(&f.key);
+        self.u32(f.slot);
+        self.u64(f.last_seen_ns);
     }
     pub(crate) fn flow_key(&mut self, k: &FlowKey) {
         self.buf.extend_from_slice(&k.src.octets());
@@ -238,6 +307,37 @@ impl<'a> Dec<'a> {
         String::from_utf8(bytes.to_vec())
             .map_err(|_| CheckpointError::Malformed("string not utf-8"))
     }
+    /// Inverse of [`Enc::bytes`].
+    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, CheckpointError> {
+        let len = self.u32()? as usize;
+        Ok(self.take(len)?.to_vec())
+    }
+    /// A `u32` element count, refused above `max` before anything is
+    /// allocated for it.
+    fn count(&mut self, max: usize, what: &'static str) -> Result<usize, CheckpointError> {
+        let n = self.u32()? as usize;
+        if n > max {
+            return Err(CheckpointError::Malformed(what));
+        }
+        Ok(n)
+    }
+    fn stats(&mut self) -> Result<[u64; COUNTERS], CheckpointError> {
+        let mut wire = [0u64; COUNTERS];
+        for v in wire.iter_mut() {
+            *v = self.u64()?;
+        }
+        Ok(wire)
+    }
+    fn flow_record(&mut self) -> Result<FlowRecord, CheckpointError> {
+        Ok(FlowRecord { key: self.flow_key()?, slot: self.u32()?, last_seen_ns: self.u64()? })
+    }
+    /// Exact consumption: a body with bytes left over is malformed.
+    pub(crate) fn finish(self) -> Result<(), CheckpointError> {
+        if self.pos != self.buf.len() {
+            return Err(CheckpointError::Malformed("trailing bytes after payload"));
+        }
+        Ok(())
+    }
     pub(crate) fn flow_key(&mut self) -> Result<FlowKey, CheckpointError> {
         let src: [u8; 4] = self.take(4)?.try_into().expect("4 bytes");
         let dst: [u8; 4] = self.take(4)?.try_into().expect("4 bytes");
@@ -248,186 +348,91 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// `LvrmStats` fields in wire order. One place to keep encode/decode and
-/// the field count in sync.
-fn stats_fields(s: &LvrmStats) -> [u64; STATS_FIELDS] {
-    [
-        s.frames_in,
-        s.frames_out,
-        s.unclassified,
-        s.dispatch_drops,
-        s.no_vri_drops,
-        s.shrink_lost,
-        s.control_relayed,
-        s.control_drops,
-        s.redispatched,
-        s.crash_lost,
-        s.quarantined_drops,
-        s.vri_deaths,
-        s.respawns,
-        s.retired_dispatch_drops,
-        s.shed_early,
-        s.reclaimed,
-        s.queue_lost,
-        s.retired_dispatched,
-        s.retired_returned,
-        s.updates_emitted,
-        s.updates_folded,
-        s.updates_lost,
-    ]
-}
+impl VrCheckpoint {
+    /// The scalar per-VR record, shared by `LVCK` and `LVCD` (the flow
+    /// sections differ and follow it).
+    fn enc(&self, e: &mut Enc) {
+        e.str(&self.name);
+        e.u64(self.frames_in);
+        e.u64(self.frames_out);
+        e.u64(self.admitted);
+        e.u64(self.shed);
+        e.f64(self.weight);
+        e.f64(self.shed_credit);
+        e.u32(self.crash_streak);
+        e.u64(self.last_crash_ns);
+        e.u64(self.backoff_until_ns);
+        e.u32(self.respawn_deficit);
+        e.u8(self.quarantined as u8);
+        e.u8(self.pressure);
+        e.u32(self.vri_slots);
+    }
 
-fn stats_from_fields(f: [u64; STATS_FIELDS]) -> LvrmStats {
-    LvrmStats {
-        frames_in: f[0],
-        frames_out: f[1],
-        unclassified: f[2],
-        dispatch_drops: f[3],
-        no_vri_drops: f[4],
-        shrink_lost: f[5],
-        control_relayed: f[6],
-        control_drops: f[7],
-        redispatched: f[8],
-        crash_lost: f[9],
-        quarantined_drops: f[10],
-        vri_deaths: f[11],
-        respawns: f[12],
-        retired_dispatch_drops: f[13],
-        shed_early: f[14],
-        reclaimed: f[15],
-        queue_lost: f[16],
-        retired_dispatched: f[17],
-        retired_returned: f[18],
-        updates_emitted: f[19],
-        updates_folded: f[20],
-        updates_lost: f[21],
+    /// Inverse of [`VrCheckpoint::enc`]; `flows` is left empty.
+    fn dec(d: &mut Dec<'_>) -> Result<VrCheckpoint, CheckpointError> {
+        let vr = VrCheckpoint {
+            name: d.str()?,
+            frames_in: d.u64()?,
+            frames_out: d.u64()?,
+            admitted: d.u64()?,
+            shed: d.u64()?,
+            weight: d.f64()?,
+            shed_credit: d.f64()?,
+            crash_streak: d.u32()?,
+            last_crash_ns: d.u64()?,
+            backoff_until_ns: d.u64()?,
+            respawn_deficit: d.u32()?,
+            quarantined: d.bool()?,
+            pressure: d.u8()?,
+            vri_slots: d.u32()?,
+            flows: Vec::new(),
+        };
+        if vr.pressure > 2 {
+            return Err(CheckpointError::Malformed("pressure level out of range"));
+        }
+        Ok(vr)
     }
 }
 
 impl Checkpoint {
     /// Serialize to the versioned, CRC-trailed wire format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc { buf: Vec::with_capacity(256) };
-        e.buf.extend_from_slice(&CHECKPOINT_MAGIC);
-        e.u32(CHECKPOINT_VERSION);
-        e.u32(self.epoch);
-        e.u64(self.ts_ns);
-        for v in stats_fields(&self.stats) {
-            e.u64(v);
-        }
-        e.u32(self.next_vri);
-        e.u32(self.vrs.len() as u32);
-        for vr in &self.vrs {
-            e.str(&vr.name);
-            e.u64(vr.frames_in);
-            e.u64(vr.frames_out);
-            e.u64(vr.admitted);
-            e.u64(vr.shed);
-            e.f64(vr.weight);
-            e.f64(vr.shed_credit);
-            e.u32(vr.crash_streak);
-            e.u64(vr.last_crash_ns);
-            e.u64(vr.backoff_until_ns);
-            e.u32(vr.respawn_deficit);
-            e.u8(vr.quarantined as u8);
-            e.u8(vr.pressure);
-            e.u32(vr.vri_slots);
-            e.u32(vr.flows.len() as u32);
-            for f in &vr.flows {
-                e.flow_key(&f.key);
-                e.u32(f.slot);
-                e.u64(f.last_seen_ns);
+        seal(CHECKPOINT_MAGIC, Version::U32(CHECKPOINT_VERSION), |e| {
+            e.u32(self.epoch);
+            e.u64(self.ts_ns);
+            e.stats(self.stats.to_wire());
+            e.u32(self.next_vri);
+            e.u32(self.vrs.len() as u32);
+            for vr in &self.vrs {
+                vr.enc(e);
+                e.u32(vr.flows.len() as u32);
+                for f in &vr.flows {
+                    e.flow_record(f);
+                }
             }
-        }
-        let crc = crc32(&e.buf);
-        e.u32(crc);
-        e.buf
+        })
     }
 
     /// Parse and verify a blob. Never panics; every malformation maps to a
     /// [`CheckpointError`].
     pub fn decode(buf: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        // magic + version + epoch + ts + stats + next_vri + vr count + crc
-        if buf.len() < 4 + 4 + 4 + 8 + STATS_FIELDS * 8 + 4 + 4 + 4 {
-            return Err(CheckpointError::TooShort);
-        }
-        if buf[..4] != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let body = &buf[..buf.len() - 4];
-        let found = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-        let expected = crc32(body);
-        if found != expected {
-            return Err(CheckpointError::BadChecksum { expected, found });
-        }
-        let mut d = Dec { buf: body, pos: 4 };
-        let version = d.u32()?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
+        let mut d = open(buf, CHECKPOINT_MAGIC, Version::U32(CHECKPOINT_VERSION))?;
         let epoch = d.u32()?;
         let ts_ns = d.u64()?;
-        let mut fields = [0u64; STATS_FIELDS];
-        for f in fields.iter_mut() {
-            *f = d.u64()?;
-        }
-        let stats = stats_from_fields(fields);
+        let stats = LvrmStats::from_wire(d.stats()?);
         let next_vri = d.u32()?;
-        let n_vrs = d.u32()? as usize;
-        if n_vrs > 1 << 16 {
-            return Err(CheckpointError::Malformed("implausible vr count"));
-        }
+        let n_vrs = d.count(1 << 16, "implausible vr count")?;
         let mut vrs = Vec::with_capacity(n_vrs.min(1024));
         for _ in 0..n_vrs {
-            let name = d.str()?;
-            let frames_in = d.u64()?;
-            let frames_out = d.u64()?;
-            let admitted = d.u64()?;
-            let shed = d.u64()?;
-            let weight = d.f64()?;
-            let shed_credit = d.f64()?;
-            let crash_streak = d.u32()?;
-            let last_crash_ns = d.u64()?;
-            let backoff_until_ns = d.u64()?;
-            let respawn_deficit = d.u32()?;
-            let quarantined = d.bool()?;
-            let pressure = d.u8()?;
-            if pressure > 2 {
-                return Err(CheckpointError::Malformed("pressure level out of range"));
-            }
-            let vri_slots = d.u32()?;
-            let n_flows = d.u32()? as usize;
-            if n_flows > 1 << 24 {
-                return Err(CheckpointError::Malformed("implausible flow count"));
-            }
-            let mut flows = Vec::with_capacity(n_flows.min(65536));
+            let mut vr = VrCheckpoint::dec(&mut d)?;
+            let n_flows = d.count(1 << 24, "implausible flow count")?;
+            vr.flows.reserve(n_flows.min(65536));
             for _ in 0..n_flows {
-                let key = d.flow_key()?;
-                let slot = d.u32()?;
-                let last_seen_ns = d.u64()?;
-                flows.push(FlowRecord { key, slot, last_seen_ns });
+                vr.flows.push(d.flow_record()?);
             }
-            vrs.push(VrCheckpoint {
-                name,
-                frames_in,
-                frames_out,
-                admitted,
-                shed,
-                weight,
-                shed_credit,
-                crash_streak,
-                last_crash_ns,
-                backoff_until_ns,
-                respawn_deficit,
-                quarantined,
-                pressure,
-                vri_slots,
-                flows,
-            });
+            vrs.push(vr);
         }
-        if d.pos != body.len() {
-            return Err(CheckpointError::Malformed("trailing bytes after payload"));
-        }
+        d.finish()?;
         Ok(Checkpoint { epoch, ts_ns, stats, next_vri, vrs })
     }
 
@@ -485,12 +490,7 @@ impl Checkpoint {
     pub fn fold(&mut self, d: &CheckpointDelta) {
         self.epoch = d.epoch;
         self.ts_ns = d.ts_ns;
-        let old = stats_fields(&self.stats);
-        let mut folded = [0u64; STATS_FIELDS];
-        for (i, f) in folded.iter_mut().enumerate() {
-            *f = old[i].wrapping_add(d.stats_delta[i]);
-        }
-        self.stats = stats_from_fields(folded);
+        self.stats = self.stats.wrapping_fold(&d.stats_delta);
         self.next_vri = d.next_vri;
         // Rebuild the VR vector in the delta's (master's) order; flows of
         // surviving VRs carry over by name, then evictions and upserts apply.
@@ -559,7 +559,7 @@ pub struct VrDelta {
 ///
 /// ```text
 /// "LVCD" | version u32 | epoch u32 | seq u64 | ts_ns u64
-///        | stats_delta[19] u64 | next_vri u32 | vr sections | crc32 u32
+///        | stats_delta u64 × counters | next_vri u32 | vr sections | crc32 u32
 /// ```
 ///
 /// Stat counters travel as **wrapping increments** so the fold is exact
@@ -571,7 +571,7 @@ pub struct CheckpointDelta {
     pub epoch: u32,
     pub seq: u64,
     pub ts_ns: u64,
-    pub stats_delta: [u64; STATS_FIELDS],
+    pub stats_delta: [u64; COUNTERS],
     pub next_vri: u32,
     pub vrs: Vec<VrDelta>,
 }
@@ -580,12 +580,6 @@ impl CheckpointDelta {
     /// Compute the delta that advances `prev` to `next`:
     /// `prev.fold(&diff(prev, next)) == next.canonical()`.
     pub fn diff(prev: &Checkpoint, next: &Checkpoint, seq: u64) -> CheckpointDelta {
-        let p = stats_fields(&prev.stats);
-        let n = stats_fields(&next.stats);
-        let mut stats_delta = [0u64; STATS_FIELDS];
-        for (i, d) in stats_delta.iter_mut().enumerate() {
-            *d = n[i].wrapping_sub(p[i]);
-        }
         let mut vrs = Vec::with_capacity(next.vrs.len());
         for nv in &next.vrs {
             let mut meta = nv.clone();
@@ -618,7 +612,7 @@ impl CheckpointDelta {
             epoch: next.epoch,
             seq,
             ts_ns: next.ts_ns,
-            stats_delta,
+            stats_delta: next.stats.wrapping_delta(&prev.stats),
             next_vri: next.next_vri,
             vrs,
         }
@@ -626,142 +620,53 @@ impl CheckpointDelta {
 
     /// Serialize to the versioned, CRC-trailed wire format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc { buf: Vec::with_capacity(256) };
-        e.buf.extend_from_slice(&DELTA_MAGIC);
-        e.u32(DELTA_VERSION);
-        e.u32(self.epoch);
-        e.u64(self.seq);
-        e.u64(self.ts_ns);
-        for v in self.stats_delta {
-            e.u64(v);
-        }
-        e.u32(self.next_vri);
-        e.u32(self.vrs.len() as u32);
-        for dv in &self.vrs {
-            let m = &dv.meta;
-            e.str(&m.name);
-            e.u64(m.frames_in);
-            e.u64(m.frames_out);
-            e.u64(m.admitted);
-            e.u64(m.shed);
-            e.f64(m.weight);
-            e.f64(m.shed_credit);
-            e.u32(m.crash_streak);
-            e.u64(m.last_crash_ns);
-            e.u64(m.backoff_until_ns);
-            e.u32(m.respawn_deficit);
-            e.u8(m.quarantined as u8);
-            e.u8(m.pressure);
-            e.u32(m.vri_slots);
-            e.u32(dv.evictions.len() as u32);
-            for k in &dv.evictions {
-                e.flow_key(k);
+        seal(DELTA_MAGIC, Version::U32(DELTA_VERSION), |e| {
+            e.u32(self.epoch);
+            e.u64(self.seq);
+            e.u64(self.ts_ns);
+            e.stats(self.stats_delta);
+            e.u32(self.next_vri);
+            e.u32(self.vrs.len() as u32);
+            for dv in &self.vrs {
+                dv.meta.enc(e);
+                e.u32(dv.evictions.len() as u32);
+                for k in &dv.evictions {
+                    e.flow_key(k);
+                }
+                e.u32(dv.upserts.len() as u32);
+                for f in &dv.upserts {
+                    e.flow_record(f);
+                }
             }
-            e.u32(dv.upserts.len() as u32);
-            for f in &dv.upserts {
-                e.flow_key(&f.key);
-                e.u32(f.slot);
-                e.u64(f.last_seen_ns);
-            }
-        }
-        let crc = crc32(&e.buf);
-        e.u32(crc);
-        e.buf
+        })
     }
 
     /// Parse and verify a blob. Never panics; every malformation maps to a
     /// [`CheckpointError`].
     pub fn decode(buf: &[u8]) -> Result<CheckpointDelta, CheckpointError> {
-        // magic + version + epoch + seq + ts + stats + next_vri + vr count + crc
-        if buf.len() < 4 + 4 + 4 + 8 + 8 + STATS_FIELDS * 8 + 4 + 4 + 4 {
-            return Err(CheckpointError::TooShort);
-        }
-        if buf[..4] != DELTA_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let body = &buf[..buf.len() - 4];
-        let found = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-        let expected = crc32(body);
-        if found != expected {
-            return Err(CheckpointError::BadChecksum { expected, found });
-        }
-        let mut d = Dec { buf: body, pos: 4 };
-        let version = d.u32()?;
-        if version != DELTA_VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
+        let mut d = open(buf, DELTA_MAGIC, Version::U32(DELTA_VERSION))?;
         let epoch = d.u32()?;
         let seq = d.u64()?;
         let ts_ns = d.u64()?;
-        let mut stats_delta = [0u64; STATS_FIELDS];
-        for f in stats_delta.iter_mut() {
-            *f = d.u64()?;
-        }
+        let stats_delta = d.stats()?;
         let next_vri = d.u32()?;
-        let n_vrs = d.u32()? as usize;
-        if n_vrs > 1 << 16 {
-            return Err(CheckpointError::Malformed("implausible vr count"));
-        }
+        let n_vrs = d.count(1 << 16, "implausible vr count")?;
         let mut vrs = Vec::with_capacity(n_vrs.min(1024));
         for _ in 0..n_vrs {
-            let name = d.str()?;
-            let frames_in = d.u64()?;
-            let frames_out = d.u64()?;
-            let admitted = d.u64()?;
-            let shed = d.u64()?;
-            let weight = d.f64()?;
-            let shed_credit = d.f64()?;
-            let crash_streak = d.u32()?;
-            let last_crash_ns = d.u64()?;
-            let backoff_until_ns = d.u64()?;
-            let respawn_deficit = d.u32()?;
-            let quarantined = d.bool()?;
-            let pressure = d.u8()?;
-            if pressure > 2 {
-                return Err(CheckpointError::Malformed("pressure level out of range"));
-            }
-            let vri_slots = d.u32()?;
-            let n_evict = d.u32()? as usize;
-            if n_evict > 1 << 24 {
-                return Err(CheckpointError::Malformed("implausible eviction count"));
-            }
+            let meta = VrCheckpoint::dec(&mut d)?;
+            let n_evict = d.count(1 << 24, "implausible eviction count")?;
             let mut evictions = Vec::with_capacity(n_evict.min(65536));
             for _ in 0..n_evict {
                 evictions.push(d.flow_key()?);
             }
-            let n_upsert = d.u32()? as usize;
-            if n_upsert > 1 << 24 {
-                return Err(CheckpointError::Malformed("implausible upsert count"));
-            }
+            let n_upsert = d.count(1 << 24, "implausible upsert count")?;
             let mut upserts = Vec::with_capacity(n_upsert.min(65536));
             for _ in 0..n_upsert {
-                let key = d.flow_key()?;
-                let slot = d.u32()?;
-                let last_seen_ns = d.u64()?;
-                upserts.push(FlowRecord { key, slot, last_seen_ns });
+                upserts.push(d.flow_record()?);
             }
-            let meta = VrCheckpoint {
-                name,
-                frames_in,
-                frames_out,
-                admitted,
-                shed,
-                weight,
-                shed_credit,
-                crash_streak,
-                last_crash_ns,
-                backoff_until_ns,
-                respawn_deficit,
-                quarantined,
-                pressure,
-                vri_slots,
-                flows: Vec::new(),
-            };
             vrs.push(VrDelta { meta, evictions, upserts });
         }
-        if d.pos != body.len() {
-            return Err(CheckpointError::Malformed("trailing bytes after payload"));
-        }
+        d.finish()?;
         Ok(CheckpointDelta { epoch, seq, ts_ns, stats_delta, next_vri, vrs })
     }
 }

@@ -52,7 +52,7 @@
 
 use lvrm_metrics::{Counter, Gauge, MetricsRegistry};
 
-use crate::checkpoint::{crc32, Checkpoint, CheckpointDelta, CheckpointError, Dec, Enc};
+use crate::checkpoint::{open, seal, Checkpoint, CheckpointDelta, CheckpointError, Version};
 use crate::clock::Clock;
 use crate::config::HaConfig;
 use crate::fault::jittered_backoff;
@@ -63,6 +63,12 @@ use crate::monitor::Lvrm;
 pub const HA_MAGIC: [u8; 4] = *b"LVHA";
 /// HA wire protocol version.
 pub const HA_VERSION: u8 = 1;
+
+const KIND_ADVERT: u8 = 0;
+const KIND_ACK: u8 = 1;
+const KIND_DELTA: u8 = 2;
+const KIND_SNAPSHOT: u8 = 3;
+const KIND_SYNC_REQ: u8 = 4;
 
 /// Election role of one monitor in the active/standby pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,12 +125,9 @@ pub enum HaMsg {
 
 impl HaMsg {
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc { buf: Vec::with_capacity(64) };
-        e.buf.extend_from_slice(&HA_MAGIC);
-        e.u8(HA_VERSION);
-        match self {
+        seal(HA_MAGIC, Version::U8(HA_VERSION), |e| match self {
             HaMsg::Advert { term, node_id, priority, epoch, seq } => {
-                e.u8(0);
+                e.u8(KIND_ADVERT);
                 e.u64(*term);
                 e.u64(*node_id);
                 e.u8(*priority);
@@ -132,87 +135,48 @@ impl HaMsg {
                 e.u64(*seq);
             }
             HaMsg::Ack { term, acked_seq, shadow_epoch } => {
-                e.u8(1);
+                e.u8(KIND_ACK);
                 e.u64(*term);
                 e.u64(*acked_seq);
                 e.u32(*shadow_epoch);
             }
             HaMsg::Delta { bytes } => {
-                e.u8(2);
-                e.u32(bytes.len() as u32);
-                e.buf.extend_from_slice(bytes);
+                e.u8(KIND_DELTA);
+                e.bytes(bytes);
             }
             HaMsg::Snapshot { seq, bytes } => {
-                e.u8(3);
+                e.u8(KIND_SNAPSHOT);
                 e.u64(*seq);
-                e.u32(bytes.len() as u32);
-                e.buf.extend_from_slice(bytes);
+                e.bytes(bytes);
             }
             HaMsg::SyncReq { have_seq } => {
-                e.u8(4);
+                e.u8(KIND_SYNC_REQ);
                 e.u64(*have_seq);
             }
-        }
-        let crc = crc32(&e.buf);
-        e.u32(crc);
-        e.buf
+        })
     }
 
     /// Parse and verify one wire message. Total: malformed input is an
     /// error, never a panic.
     pub fn decode(buf: &[u8]) -> Result<HaMsg, CheckpointError> {
-        // magic + version + kind + crc
-        if buf.len() < 4 + 1 + 1 + 4 {
-            return Err(CheckpointError::TooShort);
-        }
-        if buf[..4] != HA_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let body = &buf[..buf.len() - 4];
-        let found = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-        let expected = crc32(body);
-        if found != expected {
-            return Err(CheckpointError::BadChecksum { expected, found });
-        }
-        let mut d = Dec { buf: body, pos: 4 };
-        let version = d.u8()?;
-        if version != HA_VERSION {
-            return Err(CheckpointError::BadVersion(version as u32));
-        }
+        let mut d = open(buf, HA_MAGIC, Version::U8(HA_VERSION))?;
         let msg = match d.u8()? {
-            0 => {
-                let term = d.u64()?;
-                let node_id = d.u64()?;
-                let priority = d.u8()?;
-                let epoch = d.u32()?;
-                let seq = d.u64()?;
-                HaMsg::Advert { term, node_id, priority, epoch, seq }
-            }
-            1 => {
-                let term = d.u64()?;
-                let acked_seq = d.u64()?;
-                let shadow_epoch = d.u32()?;
-                HaMsg::Ack { term, acked_seq, shadow_epoch }
-            }
-            2 => {
-                let len = d.u32()? as usize;
-                let bytes = d.take(len)?.to_vec();
-                HaMsg::Delta { bytes }
-            }
-            3 => {
-                let seq = d.u64()?;
-                let len = d.u32()? as usize;
-                let bytes = d.take(len)?.to_vec();
-                HaMsg::Snapshot { seq, bytes }
-            }
-            _ => {
-                let have_seq = d.u64()?;
-                HaMsg::SyncReq { have_seq }
-            }
+            KIND_ADVERT => HaMsg::Advert {
+                term: d.u64()?,
+                node_id: d.u64()?,
+                priority: d.u8()?,
+                epoch: d.u32()?,
+                seq: d.u64()?,
+            },
+            KIND_ACK => HaMsg::Ack { term: d.u64()?, acked_seq: d.u64()?, shadow_epoch: d.u32()? },
+            KIND_DELTA => HaMsg::Delta { bytes: d.bytes()? },
+            KIND_SNAPSHOT => HaMsg::Snapshot { seq: d.u64()?, bytes: d.bytes()? },
+            KIND_SYNC_REQ => HaMsg::SyncReq { have_seq: d.u64()? },
+            // An unknown kind must not pass for a `SyncReq`: that would make
+            // a master re-baseline with a full snapshot on any stray byte.
+            _ => return Err(CheckpointError::Malformed("unknown ha message kind")),
         };
-        if d.pos != body.len() {
-            return Err(CheckpointError::Malformed("trailing bytes after payload"));
-        }
+        d.finish()?;
         Ok(msg)
     }
 }

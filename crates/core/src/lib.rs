@@ -39,6 +39,7 @@ pub mod fault;
 pub mod flowtable;
 pub mod ha;
 pub mod host;
+pub mod ledger;
 pub mod monitor;
 pub mod repl;
 pub mod shard;
@@ -66,7 +67,8 @@ pub use fault::{
 pub use flowtable::{FlowTable, FlowTableStats};
 pub use ha::{ChannelLink, HaMsg, HaNode, PeerLink, Role};
 pub use host::{RecordingHost, VriHost, VriSpec};
-pub use monitor::{Lvrm, LvrmStats};
+pub use ledger::{Ledger, LvrmStats, Violation, VrBooks, VriBooks};
+pub use monitor::Lvrm;
 pub use repl::{
     decode_batch, encode_batch, is_state_update, FlowBook, ReplicaLedger, StateUpdate,
     STATE_UPDATE_MAGIC,

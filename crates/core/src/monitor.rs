@@ -36,6 +36,10 @@ use crate::config::{DispatchMode, LvrmConfig};
 use crate::estimate::PressureTracker;
 use crate::ha::{HaNode, PeerLink, Role};
 use crate::host::{VriHost, VriSpec};
+use crate::ledger::{
+    Ledger, LvrmStats, StatCounters, VrBooks, VriBooks, M_DATA_QUEUED, M_EGRESS_QUEUED,
+    M_VRI_DISPATCHED, M_VRI_DROPS, M_VRI_RETURNED, M_VR_ADMITTED, M_VR_FRAMES_IN, M_VR_SHED,
+};
 use crate::shard::{FleetNode, ShardMap};
 use crate::topology::CoreMap;
 use crate::vri::{decode_heartbeat, decode_service_rate, VriAdapter, VriHealth};
@@ -77,93 +81,10 @@ pub struct SupervisionEvent {
     pub action: SupervisionAction,
 }
 
-/// Aggregate counters across the monitor.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LvrmStats {
-    /// Frames accepted by `ingress`.
-    pub frames_in: u64,
-    /// Frames collected from VRIs by `poll_egress`.
-    pub frames_out: u64,
-    /// Frames whose source matched no VR subnet.
-    pub unclassified: u64,
-    /// Frames discarded because the chosen VRI's queue was full. This equals
-    /// the sum of live adapters' `dispatch_drops` plus
-    /// [`retired_dispatch_drops`] exactly — each discard is recorded once in
-    /// the refusing adapter (via `note_discarded`) and once here, never
-    /// counted for frames that were refused but then retried elsewhere.
-    ///
-    /// [`retired_dispatch_drops`]: LvrmStats::retired_dispatch_drops
-    pub dispatch_drops: u64,
-    /// Frames dropped because the VR had no usable VRI.
-    pub no_vri_drops: u64,
-    /// Frames abandoned in a killed VRI's queues.
-    pub shrink_lost: u64,
-    /// Control events relayed between VRIs.
-    pub control_relayed: u64,
-    /// Control events dropped (unknown destination or full queue).
-    pub control_drops: u64,
-    /// Frames reclaimed from dead VRIs' queues and re-balanced to survivors.
-    pub redispatched: u64,
-    /// Frames lost in a dead VRI's queues because the host could not hand
-    /// the endpoint back for draining.
-    pub crash_lost: u64,
-    /// Frames dropped because their VR was quarantined with no live VRI.
-    pub quarantined_drops: u64,
-    /// VRIs the supervisor declared dead.
-    pub vri_deaths: u64,
-    /// VRIs the supervisor respawned.
-    pub respawns: u64,
-    /// `dispatch_drops` carried by adapters since retired (shrunk or
-    /// reaped), so the [`dispatch_drops`] identity holds across kills.
-    ///
-    /// [`dispatch_drops`]: LvrmStats::dispatch_drops
-    pub retired_dispatch_drops: u64,
-    /// Frames shed at ingress-classification time: over an overloaded VR's
-    /// weighted admission quota (overload shedding on), or arriving after
-    /// shutdown quiesced ingress. Part of the conservation identity.
-    pub shed_early: u64,
-    /// Frames drained back out of departed VRIs' incoming queues (crash reap
-    /// or shrink retirement) before re-homing.
-    pub reclaimed: u64,
-    /// Frames unrecoverable from departed VRIs' incoming queues: all of
-    /// `crash_lost` plus the queued component of `shrink_lost` (re-home
-    /// refusals are excluded). With [`reclaimed`] this closes the per-VRI
-    /// dispatch identity at every instant:
-    /// `Σ dispatched == Σ returned + Σ queue_len + Σ egress_len + reclaimed
-    /// + queue_lost` (sums over live, draining, and retired VRIs).
-    ///
-    /// [`reclaimed`]: LvrmStats::reclaimed
-    pub queue_lost: u64,
-    /// `dispatched` folded from since-retired adapters, so live sums plus
-    /// this equal the all-time per-VRI totals.
-    pub retired_dispatched: u64,
-    /// `returned` folded from since-retired adapters.
-    pub retired_returned: u64,
-    /// State-update records accepted for replica fan-out: when the sub-tick
-    /// decodes an `LVSU` batch of `k` records from a VRI with `m` live
-    /// sibling replicas, this grows by `k × m` — one expected fold per
-    /// record per sibling. The fifth conservation identity holds by
-    /// construction at every snapshot:
-    /// `updates_emitted == updates_folded + updates_lost`.
-    pub updates_emitted: u64,
-    /// State-update records relayed onto a sibling replica's control queue
-    /// (the sibling folds them into its local books).
-    pub updates_folded: u64,
-    /// State-update records a sibling's full control queue refused — that
-    /// replica will reconverge from later updates, but these records are
-    /// gone and the identity charges them here.
-    pub updates_lost: u64,
-}
-
 /// (name, help) pairs for the per-VRI metric families, shared between the
 /// live refresh and the retirement freeze so retired series land in the same
-/// families with the same help text.
-const M_VRI_DISPATCHED: (&str, &str) =
-    ("lvrm_vri_dispatched_total", "Frames accepted into the VRI's incoming data queue.");
-const M_VRI_RETURNED: (&str, &str) =
-    ("lvrm_vri_returned_total", "Frames collected from the VRI's outgoing data queue.");
-const M_VRI_DROPS: (&str, &str) =
-    ("lvrm_vri_dispatch_drops_total", "Frames discarded after this VRI refused them.");
+/// families with the same help text. (The three the ledger reads back —
+/// dispatched, returned, drops — are declared beside it.)
 const M_VRI_QUEUE_LEN: (&str, &str) =
     ("lvrm_vri_queue_len", "Instantaneous incoming data-queue depth.");
 const M_VRI_QUEUE_WM: (&str, &str) =
@@ -175,168 +96,19 @@ const M_VRI_HEALTH: (&str, &str) =
 const M_VRI_DRAINING: (&str, &str) =
     ("lvrm_vri_draining", "1 while the VRI is in the drain state, else 0.");
 
-/// The monitor's aggregate counters, held as shared registry handles so
-/// every increment is immediately visible to concurrent scrapes. The field
-/// set mirrors [`LvrmStats`]; [`StatCounters::read`] materializes one.
-struct StatCounters {
-    frames_in: Counter,
-    frames_out: Counter,
-    unclassified: Counter,
-    dispatch_drops: Counter,
-    no_vri_drops: Counter,
-    shrink_lost: Counter,
-    control_relayed: Counter,
-    control_drops: Counter,
-    redispatched: Counter,
-    crash_lost: Counter,
-    quarantined_drops: Counter,
-    vri_deaths: Counter,
-    respawns: Counter,
-    retired_dispatch_drops: Counter,
-    shed_early: Counter,
-    reclaimed: Counter,
-    queue_lost: Counter,
-    retired_dispatched: Counter,
-    retired_returned: Counter,
-    updates_emitted: Counter,
-    updates_folded: Counter,
-    updates_lost: Counter,
-    /// Robustness counters outside [`LvrmStats`] (no conservation identity
-    /// involves them), incremented by the checkpoint paths.
-    checkpoint_writes: Counter,
-    checkpoint_rejected: Counter,
-}
-
-impl StatCounters {
-    fn register(reg: &MetricsRegistry) -> StatCounters {
-        let c = |name: &str, help: &str| reg.counter(name, help, &[]);
-        StatCounters {
-            frames_in: c("lvrm_frames_in_total", "Frames accepted by ingress."),
-            frames_out: c(
-                "lvrm_frames_out_total",
-                "Frames collected by poll_egress (including rescued egress).",
-            ),
-            unclassified: c("lvrm_unclassified_total", "Frames whose source matched no VR subnet."),
-            dispatch_drops: c(
-                "lvrm_dispatch_drops_total",
-                "Frames discarded because the chosen VRI's queue was full.",
-            ),
-            no_vri_drops: c(
-                "lvrm_no_vri_drops_total",
-                "Frames dropped because the VR had no usable VRI.",
-            ),
-            shrink_lost: c("lvrm_shrink_lost_total", "Frames lost to voluntary VRI retirement."),
-            control_relayed: c(
-                "lvrm_control_relayed_total",
-                "Control events relayed between VRIs.",
-            ),
-            control_drops: c(
-                "lvrm_control_drops_total",
-                "Control events dropped (unknown destination or full queue).",
-            ),
-            redispatched: c(
-                "lvrm_redispatched_total",
-                "Reclaimed frames re-balanced to surviving VRIs.",
-            ),
-            crash_lost: c("lvrm_crash_lost_total", "Frames lost in dead VRIs' queues."),
-            quarantined_drops: c(
-                "lvrm_quarantined_drops_total",
-                "Frames dropped because their VR was quarantined with no live VRI.",
-            ),
-            vri_deaths: c("lvrm_vri_deaths_total", "VRIs declared dead by the supervisor."),
-            respawns: c("lvrm_respawns_total", "VRIs respawned by the supervisor."),
-            retired_dispatch_drops: c(
-                "lvrm_retired_dispatch_drops_total",
-                "Dispatch drops carried by adapters since retired.",
-            ),
-            shed_early: c(
-                "lvrm_shed_early_total",
-                "Frames shed at ingress classification (overload quota or shutdown).",
-            ),
-            reclaimed: c(
-                "lvrm_reclaimed_total",
-                "Frames drained back from departed VRIs' incoming queues.",
-            ),
-            queue_lost: c(
-                "lvrm_queue_lost_total",
-                "Frames unrecoverable from departed VRIs' incoming queues.",
-            ),
-            retired_dispatched: c(
-                "lvrm_retired_dispatched_total",
-                "Dispatched counters folded from retired adapters.",
-            ),
-            retired_returned: c(
-                "lvrm_retired_returned_total",
-                "Returned counters folded from retired adapters.",
-            ),
-            updates_emitted: c(
-                "lvrm_repl_updates_emitted_total",
-                "State-update records accepted for replica fan-out (records × siblings).",
-            ),
-            updates_folded: c(
-                "lvrm_repl_updates_folded_total",
-                "State-update records relayed onto sibling replicas' control queues.",
-            ),
-            updates_lost: c(
-                "lvrm_repl_updates_lost_total",
-                "State-update records refused by a sibling's full control queue.",
-            ),
-            checkpoint_writes: c(
-                "lvrm_checkpoint_writes_total",
-                "Control-plane checkpoints written successfully.",
-            ),
-            checkpoint_rejected: c(
-                "lvrm_checkpoint_rejected_total",
-                "Checkpoints rejected at restore time (corrupt, truncated, or unreadable).",
-            ),
-        }
-    }
-
-    /// Pre-register the adapter-supervision families (at zero) so they exist
-    /// from the first scrape whether or not a
-    /// [`crate::adapter::SupervisedAdapter`] is wired in. Same names and
-    /// help as `SupervisedAdapter::publish` — registry dedup by name makes
-    /// these the very counters it stores into.
-    fn register_adapter_families(reg: &MetricsRegistry) {
-        reg.counter(
-            "lvrm_adapter_reopens_total",
-            "Successful reopens of a dead socket adapter.",
-            &[],
-        );
-        reg.counter("lvrm_adapter_failovers_total", "Failovers to a standby socket adapter.", &[]);
-        reg.counter(
-            "lvrm_egress_retries_total",
-            "Refused egress frames later delivered from the retry queue.",
-            &[],
-        );
-    }
-
-    fn read(&self) -> LvrmStats {
-        LvrmStats {
-            frames_in: self.frames_in.get(),
-            frames_out: self.frames_out.get(),
-            unclassified: self.unclassified.get(),
-            dispatch_drops: self.dispatch_drops.get(),
-            no_vri_drops: self.no_vri_drops.get(),
-            shrink_lost: self.shrink_lost.get(),
-            control_relayed: self.control_relayed.get(),
-            control_drops: self.control_drops.get(),
-            redispatched: self.redispatched.get(),
-            crash_lost: self.crash_lost.get(),
-            quarantined_drops: self.quarantined_drops.get(),
-            vri_deaths: self.vri_deaths.get(),
-            respawns: self.respawns.get(),
-            retired_dispatch_drops: self.retired_dispatch_drops.get(),
-            shed_early: self.shed_early.get(),
-            reclaimed: self.reclaimed.get(),
-            queue_lost: self.queue_lost.get(),
-            retired_dispatched: self.retired_dispatched.get(),
-            retired_returned: self.retired_returned.get(),
-            updates_emitted: self.updates_emitted.get(),
-            updates_folded: self.updates_folded.get(),
-            updates_lost: self.updates_lost.get(),
-        }
-    }
+/// Pre-register the adapter-supervision families (at zero) so they exist
+/// from the first scrape whether or not a
+/// [`crate::adapter::SupervisedAdapter`] is wired in. Same names and help as
+/// `SupervisedAdapter::publish` — registry dedup by name makes these the very
+/// counters it stores into.
+fn register_adapter_families(reg: &MetricsRegistry) {
+    reg.counter("lvrm_adapter_reopens_total", "Successful reopens of a dead socket adapter.", &[]);
+    reg.counter("lvrm_adapter_failovers_total", "Failovers to a standby socket adapter.", &[]);
+    reg.counter(
+        "lvrm_egress_retries_total",
+        "Refused egress frames later delivered from the retry queue.",
+        &[],
+    );
 }
 
 /// Freeze a departing VRI's per-instance series at their final values. The
@@ -609,6 +381,10 @@ pub struct Lvrm<C: Clock> {
     /// Aggregate counters, as live registry handles ([`Lvrm::stats`] reads
     /// them into an [`LvrmStats`]).
     stats: StatCounters,
+    /// Robustness counters outside [`LvrmStats`] (no conservation identity
+    /// involves them), incremented by the checkpoint paths.
+    checkpoint_writes: Counter,
+    checkpoint_rejected: Counter,
     /// One-line structured summary built by each reallocation pass, consumed
     /// via [`Lvrm::take_tick_line`].
     tick_line: Option<String>,
@@ -659,7 +435,17 @@ impl<C: Clock> Lvrm<C> {
     pub fn new(config: LvrmConfig, cores: CoreMap, clock: C) -> Lvrm<C> {
         let registry = MetricsRegistry::new();
         let stats = StatCounters::register(&registry);
-        StatCounters::register_adapter_families(&registry);
+        let checkpoint_writes = registry.counter(
+            "lvrm_checkpoint_writes_total",
+            "Control-plane checkpoints written successfully.",
+            &[],
+        );
+        let checkpoint_rejected = registry.counter(
+            "lvrm_checkpoint_rejected_total",
+            "Checkpoints rejected at restore time (corrupt, truncated, or unreadable).",
+            &[],
+        );
+        register_adapter_families(&registry);
         registry
             .gauge(
                 "lvrm_info",
@@ -684,6 +470,8 @@ impl<C: Clock> Lvrm<C> {
             supervision_log: Vec::new(),
             registry,
             stats,
+            checkpoint_writes,
+            checkpoint_rejected,
             tick_line: None,
             rescued_egress: Vec::new(),
             draining_count: 0,
@@ -1410,8 +1198,6 @@ impl<C: Clock> Lvrm<C> {
         // (see `take_tick_line`). Built here so it rides the existing 1 s
         // cadence instead of adding a timer.
         let s = self.stats.read();
-        let drops =
-            s.dispatch_drops + s.no_vri_drops + s.crash_lost + s.shrink_lost + s.quarantined_drops;
         self.tick_line = Some(format!(
             "lvrm-tick ts_ns={} vrs={} vris={} draining={} frames_in={} frames_out={} \
              drops={} shed={} redispatched={} deaths={} respawns={} \
@@ -1422,7 +1208,7 @@ impl<C: Clock> Lvrm<C> {
             self.draining_count,
             s.frames_in,
             s.frames_out,
-            drops,
+            s.loss(),
             s.shed_early,
             s.redispatched,
             s.vri_deaths,
@@ -1430,6 +1216,9 @@ impl<C: Clock> Lvrm<C> {
             self.repl_last_fanout_records,
             self.repl_lag_ns(now_ns),
         ));
+
+        // Every tick of every debug build is an identity test.
+        debug_assert_eq!(self.ledger().check(), Ok(()), "tick {now_ns}: {}", self.ledger());
 
         // Periodic checkpoint rides the same lazy tick: zero hot-path cost,
         // one serialize + atomic rename per interval.
@@ -1523,8 +1312,11 @@ impl<C: Clock> Lvrm<C> {
         reclaimed: &mut Vec<Frame>,
     ) {
         let vri = adapter.id;
-        let queued = adapter.queue_len() as u64;
+        // Kill first: a vehicle on its own thread keeps servicing until it is
+        // joined, and frames it takes after the depth is read would be
+        // charged as lost *and* rescued from its egress queue below.
         host.kill_vri(self.vrs[idx].id, vri);
+        let queued = adapter.queue_len() as u64;
 
         // Frames the instance already forwarded reach egress normally.
         let mut rescued = Vec::new();
@@ -1871,8 +1663,9 @@ impl<C: Clock> Lvrm<C> {
         host: &mut dyn VriHost,
     ) {
         let vri = adapter.id;
-        let queued = adapter.queue_len() as u64;
+        // Kill before reading the depth, as in `reap_dead_vri`.
         host.kill_vri(self.vrs[idx].id, vri);
+        let queued = adapter.queue_len() as u64;
 
         let mut rescued = Vec::new();
         adapter.drain_egress(&mut rescued);
@@ -1998,6 +1791,55 @@ impl<C: Clock> Lvrm<C> {
         self.stats.read()
     }
 
+    /// The per-VRI dispatch books: live and draining adapters, each VR's
+    /// shared ring, and the totals folded from retired instances.
+    ///
+    /// Queue depths are read downstream first — egress, then data, then the
+    /// ring — so a frame a VRI thread moves along mid-read is counted once
+    /// or not at all (it shows as `unreturned`), never twice. The sums wrap
+    /// because FastForward's depth is a Relaxed counter that can read one
+    /// below zero for an instant.
+    fn vri_books(&self) -> VriBooks {
+        let mut b = VriBooks {
+            dispatched: self.stats.retired_dispatched.get(),
+            returned: self.stats.retired_returned.get(),
+            dispatch_drops: self.stats.retired_dispatch_drops.get(),
+            ..VriBooks::default()
+        };
+        for vr in &self.vrs {
+            for v in vr.vris.iter().chain(vr.draining.iter().map(|d| &d.adapter)) {
+                b.dispatched += v.dispatched;
+                b.returned += v.returned;
+                b.dispatch_drops += v.dispatch_drops;
+                b.egress_queued = b.egress_queued.wrapping_add(v.egress_len() as u64);
+                b.data_queued = b.data_queued.wrapping_add(v.queue_len() as u64);
+            }
+            if let Some(ring) = &vr.ring {
+                b.dispatched += ring.enqueued;
+                b.dispatch_drops += ring.drops;
+                b.data_queued = b.data_queued.wrapping_add(ring.rx.len() as u64);
+            }
+        }
+        b
+    }
+
+    /// The monitor's books, from live state (see [`Ledger`]).
+    pub fn ledger(&self) -> Ledger {
+        let mut vrs: Vec<VrBooks> = self
+            .vrs
+            .iter()
+            .map(|vr| VrBooks {
+                name: vr.name.clone(),
+                frames_in: vr.frames_in,
+                admitted: vr.admitted,
+                shed: vr.shed,
+                owned: vr.owned,
+            })
+            .collect();
+        vrs.sort_by(|a, b| a.name.cmp(&b.name));
+        Ledger { stats: self.stats.read(), vrs, vris: self.vri_books() }
+    }
+
     /// The metrics registry every monitor counter publishes into. Clone the
     /// handle to share it with scrape endpoints or log shippers.
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -2010,24 +1852,14 @@ impl<C: Clock> Lvrm<C> {
     /// (via [`Lvrm::metrics_snapshot`]).
     pub fn refresh_registry(&self) {
         let reg = &self.registry;
-        let mut data_queued = 0u64;
-        let mut egress_queued = 0u64;
         for vr in &self.vrs {
             let name = vr.name.as_str();
             let labels = [("vr", name)];
             let c = |n: &str, h: &str, v: u64| reg.counter(n, h, &labels).store(v);
-            c("lvrm_vr_frames_in_total", "Frames classified to the VR.", vr.frames_in);
+            c(M_VR_FRAMES_IN.0, M_VR_FRAMES_IN.1, vr.frames_in);
             c("lvrm_vr_frames_out_total", "Frames the VR's VRIs forwarded.", vr.frames_out);
-            c(
-                "lvrm_vr_admitted_total",
-                "Frames admitted past ingress classification.",
-                vr.admitted,
-            );
-            c(
-                "lvrm_vr_shed_total",
-                "Frames shed at ingress classification (over admission quota).",
-                vr.shed,
-            );
+            c(M_VR_ADMITTED.0, M_VR_ADMITTED.1, vr.admitted);
+            c(M_VR_SHED.0, M_VR_SHED.1, vr.shed);
             let (sticky, fresh) = vr.balancer.flow_stats();
             c(
                 "lvrm_vr_flow_sticky_total",
@@ -2089,10 +1921,8 @@ impl<C: Clock> Lvrm<C> {
             {
                 let vri = v.id.to_string();
                 let labels = [("vr", name), ("vri", vri.as_str())];
-                let qlen = v.queue_len() as u64;
                 let elen = v.egress_len() as u64;
-                data_queued += qlen;
-                egress_queued += elen;
+                let qlen = v.queue_len() as u64;
                 reg.counter(M_VRI_DISPATCHED.0, M_VRI_DISPATCHED.1, &labels).store(v.dispatched);
                 reg.counter(M_VRI_RETURNED.0, M_VRI_RETURNED.1, &labels).store(v.returned);
                 reg.counter(M_VRI_DROPS.0, M_VRI_DROPS.1, &labels).store(v.dispatch_drops);
@@ -2115,7 +1945,6 @@ impl<C: Clock> Lvrm<C> {
             // (B), (C) and (D) hold without special-casing the fabric.
             if let Some(ring) = &vr.ring {
                 let ring_len = ring.rx.len() as u64;
-                data_queued += ring_len;
                 let labels = [("vr", name), ("vri", "ring")];
                 reg.counter(M_VRI_DISPATCHED.0, M_VRI_DISPATCHED.1, &labels).store(ring.enqueued);
                 reg.counter(M_VRI_RETURNED.0, M_VRI_RETURNED.1, &labels).store(0);
@@ -2130,16 +1959,9 @@ impl<C: Clock> Lvrm<C> {
             }
         }
         let g = |n: &str, h: &str, v: f64| reg.gauge(n, h, &[]).set(v);
-        g(
-            "lvrm_data_queued",
-            "Frames queued toward VRIs (all incoming data queues).",
-            data_queued as f64,
-        );
-        g(
-            "lvrm_egress_queued",
-            "Forwarded frames not yet collected (all outgoing data queues).",
-            egress_queued as f64,
-        );
+        let queued = self.vri_books();
+        g(M_DATA_QUEUED.0, M_DATA_QUEUED.1, queued.data_queued as f64);
+        g(M_EGRESS_QUEUED.0, M_EGRESS_QUEUED.1, queued.egress_queued as f64);
         g(
             "lvrm_rescued_pending",
             "Rescued egress frames awaiting the next poll (already in frames_out).",
@@ -2248,7 +2070,7 @@ impl<C: Clock> Lvrm<C> {
         let ck = self.build_checkpoint(now_ns);
         match ck.write_atomic(path) {
             Ok(()) => {
-                self.stats.checkpoint_writes.inc();
+                self.checkpoint_writes.inc();
                 true
             }
             Err(e) => {
@@ -2271,7 +2093,16 @@ impl<C: Clock> Lvrm<C> {
     /// conservation identities by construction — the frames a restart
     /// genuinely loses are accounted, not wished away.
     pub fn build_checkpoint(&self, now_ns: u64) -> Checkpoint {
+        // Every instance (and each shared ring, which folds like one more:
+        // a restore starts with a fresh, empty ring) moves into the retired
+        // aggregates, its parked frames charged as restart loss.
         let mut stats = self.stats.read();
+        let books = self.vri_books();
+        stats.retired_dispatched = books.dispatched;
+        stats.retired_returned = books.returned;
+        stats.retired_dispatch_drops = books.dispatch_drops;
+        stats.crash_lost += books.queued();
+        stats.queue_lost += books.queued();
         let mut flows_scratch: Vec<(FlowKey, VriId, u64)> = Vec::new();
         let mut vrs = Vec::with_capacity(self.vrs.len());
         for vr in &self.vrs {
@@ -2285,24 +2116,6 @@ impl<C: Clock> Lvrm<C> {
                 if let Some(slot) = vr.vris.iter().position(|v| v.id == vri) {
                     flows.push(FlowRecord { key, slot: slot as u32, last_seen_ns });
                 }
-            }
-            for v in vr.vris.iter().chain(vr.draining.iter().map(|d| &d.adapter)) {
-                stats.retired_dispatched += v.dispatched;
-                stats.retired_returned += v.returned;
-                stats.retired_dispatch_drops += v.dispatch_drops;
-                let in_flight = (v.queue_len() + v.egress_len()) as u64;
-                stats.crash_lost += in_flight;
-                stats.queue_lost += in_flight;
-            }
-            // The shared ring folds like one more instance: its series moves
-            // into the retired aggregates and its parked frames are charged
-            // as restart loss — a restore starts with a fresh, empty ring.
-            if let Some(ring) = &vr.ring {
-                stats.retired_dispatched += ring.enqueued;
-                stats.retired_dispatch_drops += ring.drops;
-                let in_flight = ring.rx.len() as u64;
-                stats.crash_lost += in_flight;
-                stats.queue_lost += in_flight;
             }
             vrs.push(VrCheckpoint {
                 name: vr.name.clone(),
@@ -2340,12 +2153,65 @@ impl<C: Clock> Lvrm<C> {
         match Checkpoint::load(path) {
             Ok(ck) => Ok(self.apply_checkpoint(&ck, now_ns, host)),
             Err(e) => {
-                self.stats.checkpoint_rejected.inc();
+                self.checkpoint_rejected.inc();
                 self.registry.push_event(
                     now_ns,
                     format!("checkpoint_rejected path={} err={e}", path.display()),
                 );
                 Err(e)
+            }
+        }
+    }
+
+    /// Bring VR `idx` back from its checkpointed state: frame books,
+    /// supervisor and pressure state, VRI population, flow affinity. A
+    /// restart (`takeover == false`) makes the VR's books the checkpoint's; a
+    /// takeover adds them to this shard's own history with the VR (which shed
+    /// the VR's frames while unowned — that stays on the ledger) and takes
+    /// ownership.
+    fn restore_vr(
+        &mut self,
+        idx: usize,
+        vrck: &VrCheckpoint,
+        takeover: bool,
+        now_ns: u64,
+        host: &mut dyn VriHost,
+    ) {
+        let vr = &mut self.vrs[idx];
+        if takeover {
+            vr.owned = true;
+        } else {
+            (vr.frames_in, vr.frames_out, vr.admitted, vr.shed) = (0, 0, 0, 0);
+        }
+        vr.frames_in += vrck.frames_in;
+        vr.frames_out += vrck.frames_out;
+        vr.admitted += vrck.admitted;
+        vr.shed += vrck.shed;
+        vr.shed_credit = vrck.shed_credit;
+        vr.crash_streak = vrck.crash_streak;
+        vr.last_crash_ns = vrck.last_crash_ns;
+        vr.backoff_until_ns = vrck.backoff_until_ns;
+        vr.quarantined = vrck.quarantined;
+        vr.pressure = PressureTracker::restore(match vrck.pressure {
+            0 => PressureLevel::Normal,
+            1 => PressureLevel::Pressured,
+            _ => PressureLevel::Overloaded,
+        });
+        self.set_weight(idx, vrck.weight);
+        if !self.vrs[idx].quarantined {
+            while self.vrs[idx].vris.len() < vrck.vri_slots as usize {
+                if !self.grow_vr(idx, now_ns, host) {
+                    break; // fewer cores or less memory than the checkpoint had
+                }
+            }
+        }
+        // Restored *after* the population grows back, so the refills above
+        // do not absorb the deficit as phantom respawns.
+        self.vrs[idx].respawn_deficit = vrck.respawn_deficit as usize;
+        for f in &vrck.flows {
+            if let Some(v) = self.vrs[idx].vris.get(f.slot as usize) {
+                let vri = v.id;
+                self.vrs[idx].balancer.import_flow(f.key, vri, f.last_seen_ns);
             }
         }
     }
@@ -2361,29 +2227,7 @@ impl<C: Clock> Lvrm<C> {
         now_ns: u64,
         host: &mut dyn VriHost,
     ) -> u32 {
-        let s = &ck.stats;
-        self.stats.frames_in.store(s.frames_in);
-        self.stats.frames_out.store(s.frames_out);
-        self.stats.unclassified.store(s.unclassified);
-        self.stats.dispatch_drops.store(s.dispatch_drops);
-        self.stats.no_vri_drops.store(s.no_vri_drops);
-        self.stats.shrink_lost.store(s.shrink_lost);
-        self.stats.control_relayed.store(s.control_relayed);
-        self.stats.control_drops.store(s.control_drops);
-        self.stats.redispatched.store(s.redispatched);
-        self.stats.crash_lost.store(s.crash_lost);
-        self.stats.quarantined_drops.store(s.quarantined_drops);
-        self.stats.vri_deaths.store(s.vri_deaths);
-        self.stats.respawns.store(s.respawns);
-        self.stats.retired_dispatch_drops.store(s.retired_dispatch_drops);
-        self.stats.shed_early.store(s.shed_early);
-        self.stats.reclaimed.store(s.reclaimed);
-        self.stats.queue_lost.store(s.queue_lost);
-        self.stats.retired_dispatched.store(s.retired_dispatched);
-        self.stats.retired_returned.store(s.retired_returned);
-        self.stats.updates_emitted.store(s.updates_emitted);
-        self.stats.updates_folded.store(s.updates_folded);
-        self.stats.updates_lost.store(s.updates_lost);
+        self.stats.store(&ck.stats);
         self.next_vri = self.next_vri.max(ck.next_vri);
         self.epoch = ck.epoch.wrapping_add(1);
         for vrck in &ck.vrs {
@@ -2392,40 +2236,7 @@ impl<C: Clock> Lvrm<C> {
                     .push_event(now_ns, format!("checkpoint-vr-unmatched vr={}", vrck.name));
                 continue;
             };
-            {
-                let vr = &mut self.vrs[idx];
-                vr.frames_in = vrck.frames_in;
-                vr.frames_out = vrck.frames_out;
-                vr.admitted = vrck.admitted;
-                vr.shed = vrck.shed;
-                vr.shed_credit = vrck.shed_credit;
-                vr.crash_streak = vrck.crash_streak;
-                vr.last_crash_ns = vrck.last_crash_ns;
-                vr.backoff_until_ns = vrck.backoff_until_ns;
-                vr.quarantined = vrck.quarantined;
-                vr.pressure = PressureTracker::restore(match vrck.pressure {
-                    0 => PressureLevel::Normal,
-                    1 => PressureLevel::Pressured,
-                    _ => PressureLevel::Overloaded,
-                });
-            }
-            self.set_weight(idx, vrck.weight);
-            if !self.vrs[idx].quarantined {
-                while self.vrs[idx].vris.len() < vrck.vri_slots as usize {
-                    if !self.grow_vr(idx, now_ns, host) {
-                        break; // cores/memory shrank across the restart
-                    }
-                }
-            }
-            // Restored *after* the population grows back, so the refills
-            // above do not absorb the deficit as phantom respawns.
-            self.vrs[idx].respawn_deficit = vrck.respawn_deficit as usize;
-            for f in &vrck.flows {
-                if let Some(v) = self.vrs[idx].vris.get(f.slot as usize) {
-                    let vri = v.id;
-                    self.vrs[idx].balancer.import_flow(f.key, vri, f.last_seen_ns);
-                }
-            }
+            self.restore_vr(idx, vrck, false, now_ns, host);
         }
         self.registry.push_event(
             now_ns,
@@ -2553,29 +2364,7 @@ impl<C: Clock> Lvrm<C> {
         host: &mut dyn VriHost,
     ) -> usize {
         if fold_global {
-            let s = &ck.stats;
-            self.stats.frames_in.add(s.frames_in);
-            self.stats.frames_out.add(s.frames_out);
-            self.stats.unclassified.add(s.unclassified);
-            self.stats.dispatch_drops.add(s.dispatch_drops);
-            self.stats.no_vri_drops.add(s.no_vri_drops);
-            self.stats.shrink_lost.add(s.shrink_lost);
-            self.stats.control_relayed.add(s.control_relayed);
-            self.stats.control_drops.add(s.control_drops);
-            self.stats.redispatched.add(s.redispatched);
-            self.stats.crash_lost.add(s.crash_lost);
-            self.stats.quarantined_drops.add(s.quarantined_drops);
-            self.stats.vri_deaths.add(s.vri_deaths);
-            self.stats.respawns.add(s.respawns);
-            self.stats.retired_dispatch_drops.add(s.retired_dispatch_drops);
-            self.stats.shed_early.add(s.shed_early);
-            self.stats.reclaimed.add(s.reclaimed);
-            self.stats.queue_lost.add(s.queue_lost);
-            self.stats.retired_dispatched.add(s.retired_dispatched);
-            self.stats.retired_returned.add(s.retired_returned);
-            self.stats.updates_emitted.add(s.updates_emitted);
-            self.stats.updates_folded.add(s.updates_folded);
-            self.stats.updates_lost.add(s.updates_lost);
+            self.stats.add(&ck.stats);
         }
         let mut warm = 0usize;
         for vrck in &ck.vrs {
@@ -2586,42 +2375,7 @@ impl<C: Clock> Lvrm<C> {
                 self.registry.push_event(now_ns, format!("takeover-vr-unmatched vr={}", vrck.name));
                 continue;
             };
-            {
-                let vr = &mut self.vrs[idx];
-                vr.owned = true;
-                // Frame books add (this shard shed the VR's frames while
-                // unowned — that history stays on the ledger); supervisor
-                // and pressure state transfer wholesale from the corpse.
-                vr.frames_in += vrck.frames_in;
-                vr.frames_out += vrck.frames_out;
-                vr.admitted += vrck.admitted;
-                vr.shed += vrck.shed;
-                vr.shed_credit = vrck.shed_credit;
-                vr.crash_streak = vrck.crash_streak;
-                vr.last_crash_ns = vrck.last_crash_ns;
-                vr.backoff_until_ns = vrck.backoff_until_ns;
-                vr.quarantined = vrck.quarantined;
-                vr.pressure = PressureTracker::restore(match vrck.pressure {
-                    0 => PressureLevel::Normal,
-                    1 => PressureLevel::Pressured,
-                    _ => PressureLevel::Overloaded,
-                });
-            }
-            self.set_weight(idx, vrck.weight);
-            if !self.vrs[idx].quarantined {
-                while self.vrs[idx].vris.len() < vrck.vri_slots as usize {
-                    if !self.grow_vr(idx, now_ns, host) {
-                        break; // not enough cores to match the corpse
-                    }
-                }
-            }
-            self.vrs[idx].respawn_deficit = vrck.respawn_deficit as usize;
-            for f in &vrck.flows {
-                if let Some(v) = self.vrs[idx].vris.get(f.slot as usize) {
-                    let vri = v.id;
-                    self.vrs[idx].balancer.import_flow(f.key, vri, f.last_seen_ns);
-                }
-            }
+            self.restore_vr(idx, vrck, true, now_ns, host);
             warm += 1;
         }
         self.registry.push_event(

@@ -43,7 +43,7 @@ use std::collections::HashMap;
 
 use lvrm_net::FlowKey;
 
-use crate::checkpoint::{crc32, CheckpointError, Dec, Enc};
+use crate::checkpoint::{open, seal, CheckpointError, Version};
 
 /// Leading magic of a state-update batch — disjoint from `LVCK`
 /// (checkpoints), `LVCD` (HA deltas), and `LVHA` (HA adverts) so a record
@@ -81,56 +81,37 @@ pub struct FlowBook {
 /// Encode a batch of updates from `origin` into the `LVSU` wire format.
 pub fn encode_batch(origin: u32, updates: &[StateUpdate]) -> Vec<u8> {
     assert!(updates.len() <= u16::MAX as usize, "batch larger than u16 count");
-    let mut e = Enc { buf: Vec::with_capacity(BATCH_OVERHEAD + updates.len() * RECORD_BYTES) };
-    e.buf.extend_from_slice(&STATE_UPDATE_MAGIC);
-    e.u8(STATE_UPDATE_VERSION);
-    e.u32(origin);
-    e.u16(updates.len() as u16);
-    for u in updates {
-        e.flow_key(&u.key);
-        e.u64(u.seq);
-        e.u64(u.d_frames);
-        e.u64(u.d_bytes);
-        e.u64(u.last_seen_ns);
-    }
-    let crc = crc32(&e.buf);
-    e.u32(crc);
-    e.buf
+    seal(STATE_UPDATE_MAGIC, Version::U8(STATE_UPDATE_VERSION), |e| {
+        // VRIs flush a batch per service burst: size the buffer once.
+        e.buf.reserve(BATCH_OVERHEAD + updates.len() * RECORD_BYTES);
+        e.u32(origin);
+        e.u16(updates.len() as u16);
+        for u in updates {
+            e.flow_key(&u.key);
+            e.u64(u.seq);
+            e.u64(u.d_frames);
+            e.u64(u.d_bytes);
+            e.u64(u.last_seen_ns);
+        }
+    })
 }
 
 /// Parse and verify an `LVSU` batch into `(origin, updates)`. Never panics.
 pub fn decode_batch(buf: &[u8]) -> Result<(u32, Vec<StateUpdate>), CheckpointError> {
-    if buf.len() < BATCH_OVERHEAD {
-        return Err(CheckpointError::TooShort);
-    }
-    if buf[..4] != STATE_UPDATE_MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let body = &buf[..buf.len() - 4];
-    let found = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-    let expected = crc32(body);
-    if found != expected {
-        return Err(CheckpointError::BadChecksum { expected, found });
-    }
-    let mut d = Dec { buf: body, pos: 4 };
-    let version = d.u8()?;
-    if version != STATE_UPDATE_VERSION {
-        return Err(CheckpointError::BadVersion(version as u32));
-    }
+    let mut d = open(buf, STATE_UPDATE_MAGIC, Version::U8(STATE_UPDATE_VERSION))?;
     let origin = d.u32()?;
     let count = d.u16()? as usize;
     let mut updates = Vec::with_capacity(count);
     for _ in 0..count {
-        let key = d.flow_key()?;
-        let seq = d.u64()?;
-        let d_frames = d.u64()?;
-        let d_bytes = d.u64()?;
-        let last_seen_ns = d.u64()?;
-        updates.push(StateUpdate { key, seq, d_frames, d_bytes, last_seen_ns });
+        updates.push(StateUpdate {
+            key: d.flow_key()?,
+            seq: d.u64()?,
+            d_frames: d.u64()?,
+            d_bytes: d.u64()?,
+            last_seen_ns: d.u64()?,
+        });
     }
-    if d.pos != body.len() {
-        return Err(CheckpointError::Malformed("trailing bytes after records"));
-    }
+    d.finish()?;
     Ok((origin, updates))
 }
 

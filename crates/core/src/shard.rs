@@ -39,7 +39,7 @@ use std::net::Ipv4Addr;
 
 use lvrm_metrics::{Counter, Gauge, MetricsRegistry};
 
-use crate::checkpoint::{crc32, Checkpoint, CheckpointError, Dec, Enc};
+use crate::checkpoint::{open, seal, Checkpoint, CheckpointError, Dec, Enc, Version};
 use crate::clock::Clock;
 use crate::config::ShardConfig;
 use crate::fault::{jittered_backoff, splitmix64};
@@ -222,10 +222,7 @@ const KIND_CLAIM_ACK: u8 = 4;
 
 impl FleetMsg {
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc { buf: Vec::with_capacity(64) };
-        e.buf.extend_from_slice(&SHARD_MAP_MAGIC);
-        e.u8(SHARD_MAP_VERSION);
-        match self {
+        seal(SHARD_MAP_MAGIC, Version::U8(SHARD_MAP_VERSION), |e| match self {
             FleetMsg::Advert { term, shard_id, epoch, map_version } => {
                 e.u8(KIND_ADVERT);
                 e.u64(*term);
@@ -236,14 +233,13 @@ impl FleetMsg {
             FleetMsg::Map { from, map } => {
                 e.u8(KIND_MAP);
                 e.u32(*from);
-                map.enc_body(&mut e);
+                map.enc_body(e);
             }
             FleetMsg::Snapshot { shard_id, seq, bytes } => {
                 e.u8(KIND_SNAPSHOT);
                 e.u32(*shard_id);
                 e.u64(*seq);
-                e.u32(bytes.len() as u32);
-                e.buf.extend_from_slice(bytes);
+                e.bytes(bytes);
             }
             FleetMsg::Claim { dead, epoch, from } => {
                 e.u8(KIND_CLAIM);
@@ -257,49 +253,21 @@ impl FleetMsg {
                 e.u32(*epoch);
                 e.u32(*from);
             }
-        }
-        let crc = crc32(&e.buf);
-        e.u32(crc);
-        e.buf
+        })
     }
 
     pub fn decode(buf: &[u8]) -> Result<FleetMsg, CheckpointError> {
-        if buf.len() < 4 + 1 + 1 + 4 {
-            return Err(CheckpointError::TooShort);
-        }
-        if buf[..4] != SHARD_MAP_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let body = &buf[..buf.len() - 4];
-        let found = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-        let expected = crc32(body);
-        if found != expected {
-            return Err(CheckpointError::BadChecksum { expected, found });
-        }
-        let mut d = Dec { buf: body, pos: 4 };
-        let version = d.u8()?;
-        if version != SHARD_MAP_VERSION {
-            return Err(CheckpointError::BadVersion(version as u32));
-        }
-        let kind = d.u8()?;
-        let msg = match kind {
+        let mut d = open(buf, SHARD_MAP_MAGIC, Version::U8(SHARD_MAP_VERSION))?;
+        let msg = match d.u8()? {
             KIND_ADVERT => FleetMsg::Advert {
                 term: d.u64()?,
                 shard_id: d.u32()?,
                 epoch: d.u32()?,
                 map_version: d.u32()?,
             },
-            KIND_MAP => {
-                let from = d.u32()?;
-                let map = ShardMap::dec_body(&mut d)?;
-                FleetMsg::Map { from, map }
-            }
+            KIND_MAP => FleetMsg::Map { from: d.u32()?, map: ShardMap::dec_body(&mut d)? },
             KIND_SNAPSHOT => {
-                let shard_id = d.u32()?;
-                let seq = d.u64()?;
-                let len = d.u32()? as usize;
-                let bytes = d.take(len)?.to_vec();
-                FleetMsg::Snapshot { shard_id, seq, bytes }
+                FleetMsg::Snapshot { shard_id: d.u32()?, seq: d.u64()?, bytes: d.bytes()? }
             }
             KIND_CLAIM => FleetMsg::Claim { dead: d.u32()?, epoch: d.u32()?, from: d.u32()? },
             KIND_CLAIM_ACK => {
@@ -307,9 +275,7 @@ impl FleetMsg {
             }
             _ => return Err(CheckpointError::Malformed("unknown fleet message kind")),
         };
-        if d.pos != body.len() {
-            return Err(CheckpointError::Malformed("trailing bytes after payload"));
-        }
+        d.finish()?;
         Ok(msg)
     }
 }

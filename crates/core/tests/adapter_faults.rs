@@ -13,8 +13,8 @@ use std::net::Ipv4Addr;
 
 use lvrm_core::{
     AdapterError, AdapterState, AdapterSupervisorConfig, AffinityMode, AllocatorKind, CoreId,
-    CoreMap, CoreTopology, FaultPlan, FaultySocket, Lvrm, LvrmConfig, LvrmStats, ManualClock,
-    MemTraceAdapter, RecordingHost, SendRejected, SocketAdapter, SocketKind, SupervisedAdapter,
+    CoreMap, CoreTopology, FaultPlan, FaultySocket, Lvrm, LvrmConfig, ManualClock, MemTraceAdapter,
+    RecordingHost, SendRejected, SocketAdapter, SocketKind, SupervisedAdapter,
 };
 use lvrm_ipc::QueueKind;
 use lvrm_net::{Frame, Trace, TraceSpec};
@@ -68,21 +68,6 @@ fn sup_cfg() -> AdapterSupervisorConfig {
         reopen_backoff_max_ns: 1_000_000_000,
         egress_retry_deadline_ns: 3_600_000_000_000,
     }
-}
-
-fn assert_conserved(s: &LvrmStats) {
-    assert_eq!(
-        s.frames_in,
-        s.frames_out
-            + s.unclassified
-            + s.dispatch_drops
-            + s.no_vri_drops
-            + s.shrink_lost
-            + s.crash_lost
-            + s.quarantined_drops
-            + s.shed_early,
-        "conservation identity violated: {s:?}"
-    );
 }
 
 /// One 100 ms simulation step: advance the supervisor clock (firing due
@@ -147,7 +132,8 @@ fn assert_no_unaccounted(lvrm: &Lvrm<ManualClock>, nic: &SupervisedAdapter, ctx:
     assert_eq!(nic.tx_count(), s.frames_out, "{ctx}: every egress frame must reach the wire");
     assert_eq!(nic.tx_drops, 0, "{ctx}: no egress frame may be lost");
     assert_eq!(nic.retry_pending(), 0, "{ctx}: retry queue must be drained");
-    assert_conserved(&s);
+    let ledger = lvrm.ledger();
+    assert_eq!(ledger.check_settled(), Ok(()), "{ctx}: {ledger}");
 }
 
 fn subnet() -> [(Ipv4Addr, u8); 1] {

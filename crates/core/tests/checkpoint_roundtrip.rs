@@ -1,17 +1,21 @@
-//! Property tests for the checkpoint wire format (DESIGN.md §10): any
-//! checkpoint the monitor can build must round-trip bit-exactly through
-//! encode/decode, and *no* byte stream — corrupted, truncated, or outright
-//! garbage — may ever panic the decoder or be silently accepted. The final
-//! tests close the loop at the monitor level: a rejected checkpoint must
-//! leave the monitor cold-started but fully functional, with the rejection
-//! visible in `lvrm_checkpoint_rejected_total` and the event stream.
+//! Property tests for the wire family (DESIGN.md §10, §13–§15): `LVCK`
+//! checkpoints, `LVCD` deltas, `LVHA` pair messages, `LVSU` state-update
+//! batches and `LVSM` fleet messages share one framing (`checkpoint.rs`
+//! `seal`/`open`), so one table-driven set of properties covers all five:
+//! anything a format can encode round-trips bit-exactly, and *no* byte
+//! stream — corrupted, truncated, another format's, or outright garbage —
+//! may ever panic a decoder or be silently accepted. The final tests close
+//! the loop at the monitor level: a rejected checkpoint must leave the
+//! monitor cold-started but fully functional, with the rejection visible in
+//! `lvrm_checkpoint_rejected_total` and the event stream.
 
 use std::net::Ipv4Addr;
 
+use lvrm_core::checkpoint::crc32;
 use lvrm_core::{
-    decode_batch, encode_batch, AffinityMode, Checkpoint, CheckpointDelta, CoreId, CoreMap,
-    CoreTopology, FlowRecord, HaMsg, Lvrm, LvrmConfig, LvrmStats, ManualClock, RecordingHost,
-    ReplicaLedger, ShardEntry, ShardMap, StateUpdate, VrCheckpoint, SHARD_MAP_MAGIC,
+    decode_batch, encode_batch, AffinityMode, Checkpoint, CheckpointDelta, CheckpointError, CoreId,
+    CoreMap, CoreTopology, FleetMsg, FlowRecord, HaMsg, Lvrm, LvrmConfig, LvrmStats, ManualClock,
+    RecordingHost, ReplicaLedger, ShardEntry, ShardMap, StateUpdate, VrCheckpoint, SHARD_MAP_MAGIC,
 };
 use lvrm_net::flow::Protocol;
 use lvrm_net::{FlowKey, FrameBuilder};
@@ -22,30 +26,8 @@ const CASES: u32 = if cfg!(miri) { 8 } else { 128 };
 // ---- strategies --------------------------------------------------------
 
 fn arb_stats() -> impl Strategy<Value = LvrmStats> {
-    prop::collection::vec(any::<u64>(), 22..23).prop_map(|v| LvrmStats {
-        frames_in: v[0],
-        frames_out: v[1],
-        unclassified: v[2],
-        dispatch_drops: v[3],
-        no_vri_drops: v[4],
-        shrink_lost: v[5],
-        control_relayed: v[6],
-        control_drops: v[7],
-        redispatched: v[8],
-        crash_lost: v[9],
-        quarantined_drops: v[10],
-        vri_deaths: v[11],
-        respawns: v[12],
-        retired_dispatch_drops: v[13],
-        shed_early: v[14],
-        reclaimed: v[15],
-        queue_lost: v[16],
-        retired_dispatched: v[17],
-        retired_returned: v[18],
-        updates_emitted: v[19],
-        updates_folded: v[20],
-        updates_lost: v[21],
-    })
+    prop::collection::vec(any::<u64>(), 22..23)
+        .prop_map(|v| LvrmStats::from_wire(v.try_into().expect("22 counters")))
 }
 
 fn arb_flow() -> impl Strategy<Value = FlowRecord> {
@@ -182,164 +164,7 @@ fn mutate(ck: &Checkpoint, seed: u64) -> Checkpoint {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(CASES))]
-
-    /// Delta encode → decode is the identity for every diff the stream
-    /// can produce.
-    #[test]
-    fn delta_encode_decode_is_identity(
-        prev in arb_clean_checkpoint(),
-        seed in any::<u64>(),
-        seq in any::<u64>(),
-    ) {
-        let next = mutate(&prev, seed);
-        let delta = CheckpointDelta::diff(&prev, &next, seq);
-        let bytes = delta.encode();
-        let back = CheckpointDelta::decode(&bytes).expect("well-formed delta must decode");
-        prop_assert_eq!(back, delta);
-    }
-
-    /// Any single-byte corruption of a delta is rejected — the replication
-    /// stream can never fold a flipped bit into the shadow.
-    #[test]
-    fn delta_single_byte_corruption_is_always_rejected(
-        prev in arb_clean_checkpoint(),
-        seed in any::<u64>(),
-        pos in any::<u32>(),
-        mask in 1u8..=255,
-    ) {
-        let next = mutate(&prev, seed);
-        let mut bytes = CheckpointDelta::diff(&prev, &next, 1).encode();
-        let idx = pos as usize % bytes.len();
-        bytes[idx] ^= mask;
-        prop_assert!(
-            CheckpointDelta::decode(&bytes).is_err(),
-            "flipping delta byte {} with mask {:#04x} was accepted", idx, mask
-        );
-    }
-
-    /// Every delta truncation point errors — never panics, never yields a
-    /// partial delta.
-    #[test]
-    fn delta_truncation_is_always_rejected(
-        prev in arb_clean_checkpoint(),
-        seed in any::<u64>(),
-        cut in any::<u32>(),
-    ) {
-        let next = mutate(&prev, seed);
-        let bytes = CheckpointDelta::diff(&prev, &next, 1).encode();
-        let len = cut as usize % bytes.len();
-        prop_assert!(
-            CheckpointDelta::decode(&bytes[..len]).is_err(),
-            "delta truncation to {} bytes was accepted", len
-        );
-    }
-
-    /// The delta decoder is total over arbitrary byte soup.
-    #[test]
-    fn delta_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = CheckpointDelta::decode(&bytes);
-    }
-
-    /// The two wire formats cannot be confused for one another: a delta
-    /// never decodes as a checkpoint and vice versa (distinct magics).
-    #[test]
-    fn delta_and_checkpoint_magics_are_disjoint(
-        ck in arb_clean_checkpoint(),
-        seed in any::<u64>(),
-    ) {
-        let next = mutate(&ck, seed);
-        let delta_bytes = CheckpointDelta::diff(&ck, &next, 1).encode();
-        prop_assert!(Checkpoint::decode(&delta_bytes).is_err());
-        prop_assert!(CheckpointDelta::decode(&ck.encode()).is_err());
-    }
-
-    /// The differential identity the whole replication stream rests on:
-    /// folding the chain of diffs over any number of generations
-    /// reconstructs the final checkpoint exactly (canonical form).
-    #[test]
-    fn differential_fold_chain_reconstructs_exactly(
-        base in arb_clean_checkpoint(),
-        seeds in prop::collection::vec(any::<u64>(), 1..6),
-    ) {
-        let mut shadow = base.canonical();
-        let mut current = base;
-        for (i, &seed) in seeds.iter().enumerate() {
-            let next = mutate(&current, seed);
-            let delta = CheckpointDelta::diff(&current, &next, i as u64 + 1);
-            shadow.fold(&delta);
-            prop_assert_eq!(
-                &shadow,
-                &next.canonical(),
-                "fold diverged at generation {}", i
-            );
-            current = next;
-        }
-    }
-
-    /// Encode → decode is the identity for every well-formed checkpoint.
-    #[test]
-    fn encode_decode_is_identity(ck in arb_checkpoint()) {
-        let bytes = ck.encode();
-        let back = Checkpoint::decode(&bytes).expect("well-formed checkpoint must decode");
-        prop_assert_eq!(back, ck);
-    }
-
-    /// Any single-byte corruption is caught by the trailing CRC (or an
-    /// earlier structural check) — never accepted, never a panic.
-    #[test]
-    fn single_byte_corruption_is_always_rejected(
-        ck in arb_checkpoint(),
-        pos in any::<u32>(),
-        mask in 1u8..=255,
-    ) {
-        let mut bytes = ck.encode();
-        let idx = pos as usize % bytes.len();
-        bytes[idx] ^= mask;
-        prop_assert!(
-            Checkpoint::decode(&bytes).is_err(),
-            "flipping byte {} with mask {:#04x} was accepted", idx, mask
-        );
-    }
-
-    /// Every truncation point yields an error, not a panic or a partial
-    /// checkpoint.
-    #[test]
-    fn truncation_is_always_rejected(ck in arb_checkpoint(), cut in any::<u32>()) {
-        let bytes = ck.encode();
-        let len = cut as usize % bytes.len();
-        prop_assert!(
-            Checkpoint::decode(&bytes[..len]).is_err(),
-            "truncation to {} bytes was accepted", len
-        );
-    }
-
-    /// The decoder is total: arbitrary byte soup returns a `Result`, it
-    /// does not panic, overflow, or allocate unboundedly.
-    #[test]
-    fn garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = Checkpoint::decode(&bytes);
-    }
-
-    /// Garbage that keeps the magic and a valid trailing CRC still cannot
-    /// smuggle a malformed payload past the structural checks.
-    #[test]
-    fn crc_blessed_garbage_is_still_structurally_checked(
-        payload in prop::collection::vec(any::<u8>(), 0..512)
-    ) {
-        let mut bytes = Vec::with_capacity(payload.len() + 8);
-        bytes.extend_from_slice(b"LVCK");
-        bytes.extend_from_slice(&payload);
-        let crc = lvrm_core::checkpoint::crc32(&bytes).to_le_bytes();
-        bytes.extend_from_slice(&crc);
-        // Either rejected (nearly always) or a genuinely well-formed
-        // payload; the only forbidden outcome is a panic.
-        let _ = Checkpoint::decode(&bytes);
-    }
-}
-
-// ---- LVSU state-update batches (DESIGN.md §14) -------------------------
+// ---- LVSU, LVHA and LVSM payloads ---------------------------------------
 
 fn arb_update_key() -> impl Strategy<Value = FlowKey> {
     (any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>(), any::<u8>()).prop_map(
@@ -370,84 +195,282 @@ fn arb_update_batch() -> impl Strategy<Value = Vec<StateUpdate>> {
         })
 }
 
+fn arb_shard_entry() -> impl Strategy<Value = ShardEntry> {
+    (0u32..10_000, any::<u32>(), 0u8..=32, 0u32..64).prop_map(|(n, net, prefix, shard)| {
+        ShardEntry { vr: format!("vr{n}"), net: Ipv4Addr::from(net), prefix, shard }
+    })
+}
+
+fn arb_shard_map() -> impl Strategy<Value = ShardMap> {
+    (any::<u32>(), prop::collection::vec(arb_shard_entry(), 0..32))
+        .prop_map(|(version, entries)| ShardMap { version, entries })
+}
+
+/// Any pair message, every kind.
+fn arb_ha_msg() -> impl Strategy<Value = HaMsg> {
+    let blob = || prop::collection::vec(any::<u8>(), 0..64);
+    prop_oneof![
+        (any::<u64>(), any::<u64>(), any::<u8>(), any::<u32>(), any::<u64>()).prop_map(
+            |(term, node_id, priority, epoch, seq)| HaMsg::Advert {
+                term,
+                node_id,
+                priority,
+                epoch,
+                seq
+            }
+        ),
+        (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(term, acked_seq, shadow_epoch)| {
+            HaMsg::Ack { term, acked_seq, shadow_epoch }
+        }),
+        blob().prop_map(|bytes| HaMsg::Delta { bytes }),
+        (any::<u64>(), blob()).prop_map(|(seq, bytes)| HaMsg::Snapshot { seq, bytes }),
+        any::<u64>().prop_map(|have_seq| HaMsg::SyncReq { have_seq }),
+    ]
+}
+
+/// Any fleet message, every kind.
+fn arb_fleet_msg() -> impl Strategy<Value = FleetMsg> {
+    let claim = || (any::<u32>(), any::<u32>(), any::<u32>());
+    prop_oneof![
+        (any::<u64>(), any::<u32>(), any::<u32>(), any::<u32>()).prop_map(
+            |(term, shard_id, epoch, map_version)| FleetMsg::Advert {
+                term,
+                shard_id,
+                epoch,
+                map_version
+            }
+        ),
+        (any::<u32>(), arb_shard_map()).prop_map(|(from, map)| FleetMsg::Map { from, map }),
+        (any::<u32>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..64))
+            .prop_map(|(shard_id, seq, bytes)| FleetMsg::Snapshot { shard_id, seq, bytes }),
+        claim().prop_map(|(dead, epoch, from)| FleetMsg::Claim { dead, epoch, from }),
+        claim().prop_map(|(dead, epoch, from)| FleetMsg::ClaimAck { dead, epoch, from }),
+    ]
+}
+
+// ---- the wire family as one table --------------------------------------
+
+/// One well-formed message of any of the five formats.
+#[derive(Clone, Debug, PartialEq)]
+enum Wire {
+    Checkpoint(Checkpoint),
+    Delta(CheckpointDelta),
+    Ha(HaMsg),
+    Updates(u32, Vec<StateUpdate>),
+    Fleet(FleetMsg),
+}
+
+/// The family's magics, indexed like [`Wire::format`].
+const MAGICS: [&[u8; 4]; 5] = [b"LVCK", b"LVCD", b"LVHA", b"LVSU", b"LVSM"];
+
+impl Wire {
+    /// Index into the format table.
+    fn format(&self) -> usize {
+        match self {
+            Wire::Checkpoint(_) => 0,
+            Wire::Delta(_) => 1,
+            Wire::Ha(_) => 2,
+            Wire::Updates(..) => 3,
+            Wire::Fleet(_) => 4,
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        match self {
+            Wire::Checkpoint(ck) => ck.encode(),
+            Wire::Delta(d) => d.encode(),
+            Wire::Ha(m) => m.encode(),
+            Wire::Updates(origin, updates) => encode_batch(*origin, updates),
+            Wire::Fleet(m) => m.encode(),
+        }
+    }
+
+    /// Run format `format`'s decoder over `bytes`.
+    fn decode(format: usize, bytes: &[u8]) -> Result<Wire, CheckpointError> {
+        Ok(match format {
+            0 => Wire::Checkpoint(Checkpoint::decode(bytes)?),
+            1 => Wire::Delta(CheckpointDelta::decode(bytes)?),
+            2 => Wire::Ha(HaMsg::decode(bytes)?),
+            3 => {
+                let (origin, updates) = decode_batch(bytes)?;
+                Wire::Updates(origin, updates)
+            }
+            _ => Wire::Fleet(FleetMsg::decode(bytes)?),
+        })
+    }
+}
+
+/// One message of each format per case, so every property below runs
+/// against all five.
+fn arb_family() -> impl Strategy<Value = [Wire; 5]> {
+    (
+        (arb_checkpoint(), arb_clean_checkpoint(), any::<u64>(), any::<u64>()),
+        arb_ha_msg(),
+        (any::<u32>(), arb_update_batch()),
+        arb_fleet_msg(),
+    )
+        .prop_map(|((ck, prev, seed, seq), ha, (origin, updates), fleet)| {
+            let delta = CheckpointDelta::diff(&prev, &mutate(&prev, seed), seq);
+            [
+                Wire::Checkpoint(ck),
+                Wire::Delta(delta),
+                Wire::Ha(ha),
+                Wire::Updates(origin, updates),
+                Wire::Fleet(fleet),
+            ]
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// LVSU encode → decode is the identity, and the wire length is exactly
-    /// the documented fixed-size framing (no hidden variability to desync
-    /// a reader on).
+    /// Encode → decode is the identity for every well-formed message of
+    /// every format, and each begins with its own magic. An LVSU batch's
+    /// length is exactly the documented fixed-size framing (no hidden
+    /// variability to desync a reader on); a fleet map also survives the
+    /// standalone `ShardMap` entry points.
     #[test]
-    fn state_update_encode_decode_is_identity(
-        origin in any::<u32>(),
-        updates in arb_update_batch(),
-    ) {
-        let bytes = encode_batch(origin, &updates);
-        prop_assert_eq!(bytes.len(), 15 + 45 * updates.len());
-        let (back_origin, back) = decode_batch(&bytes).expect("well-formed batch must decode");
-        prop_assert_eq!(back_origin, origin);
-        prop_assert_eq!(back, updates);
+    fn encode_decode_is_identity(family in arb_family()) {
+        for msg in family {
+            let bytes = msg.encode();
+            prop_assert_eq!(&bytes[..4], MAGICS[msg.format()].as_slice());
+            let back = Wire::decode(msg.format(), &bytes).expect("well-formed message must decode");
+            prop_assert_eq!(&back, &msg);
+            match &msg {
+                Wire::Updates(_, updates) => {
+                    prop_assert_eq!(bytes.len(), 15 + 45 * updates.len())
+                }
+                Wire::Fleet(FleetMsg::Map { map, .. }) => {
+                    prop_assert_eq!(&map.encode()[..4], SHARD_MAP_MAGIC.as_slice());
+                    prop_assert_eq!(&ShardMap::decode(&map.encode()).expect("map frame"), map);
+                }
+                _ => {}
+            }
+        }
     }
 
-    /// Any single-byte corruption of a batch is rejected — a sibling
-    /// replica can never fold a flipped bit into its books.
+    /// Any single-byte corruption is caught by the trailing CRC (or an
+    /// earlier structural check) — never accepted, never a panic: a flipped
+    /// bit can neither restore a monitor, fold into a shadow or a sibling's
+    /// books, nor re-partition the fleet.
     #[test]
-    fn state_update_single_byte_corruption_is_always_rejected(
-        origin in any::<u32>(),
-        updates in arb_update_batch(),
+    fn single_byte_corruption_is_always_rejected(
+        family in arb_family(),
         pos in any::<u32>(),
         mask in 1u8..=255,
     ) {
-        let mut bytes = encode_batch(origin, &updates);
-        let idx = pos as usize % bytes.len();
-        bytes[idx] ^= mask;
-        prop_assert!(
-            decode_batch(&bytes).is_err(),
-            "flipping LVSU byte {} with mask {:#04x} was accepted", idx, mask
-        );
+        for msg in family {
+            let mut bytes = msg.encode();
+            let idx = pos as usize % bytes.len();
+            bytes[idx] ^= mask;
+            prop_assert!(
+                Wire::decode(msg.format(), &bytes).is_err(),
+                "flipping byte {} of {:?} with mask {:#04x} was accepted", idx, msg, mask
+            );
+        }
     }
 
-    /// Every truncation point errors — never panics, never yields a
-    /// partial batch.
+    /// Every truncation point yields an error, not a panic or a partial
+    /// message.
     #[test]
-    fn state_update_truncation_is_always_rejected(
-        origin in any::<u32>(),
-        updates in arb_update_batch(),
-        cut in any::<u32>(),
+    fn truncation_is_always_rejected(family in arb_family(), cut in any::<u32>()) {
+        for msg in family {
+            let bytes = msg.encode();
+            let len = cut as usize % bytes.len();
+            prop_assert!(
+                Wire::decode(msg.format(), &bytes[..len]).is_err(),
+                "truncating {:?} to {} bytes was accepted", msg, len
+            );
+        }
+    }
+
+    /// Every decoder is total: arbitrary byte soup returns a `Result`, it
+    /// does not panic, overflow, or allocate unboundedly.
+    #[test]
+    fn garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
+        for format in 0..MAGICS.len() {
+            let _ = Wire::decode(format, &bytes);
+        }
+    }
+
+    /// Garbage that keeps a magic and a valid trailing CRC still cannot
+    /// smuggle a malformed payload past the structural checks.
+    #[test]
+    fn crc_blessed_garbage_is_still_structurally_checked(
+        payload in prop::collection::vec(any::<u8>(), 0..512)
     ) {
-        let bytes = encode_batch(origin, &updates);
-        let len = cut as usize % bytes.len();
-        prop_assert!(
-            decode_batch(&bytes[..len]).is_err(),
-            "LVSU truncation to {} bytes was accepted", len
-        );
+        for (format, magic) in MAGICS.iter().enumerate() {
+            let mut bytes = Vec::with_capacity(payload.len() + 8);
+            bytes.extend_from_slice(*magic);
+            bytes.extend_from_slice(&payload);
+            let crc = crc32(&bytes).to_le_bytes();
+            bytes.extend_from_slice(&crc);
+            // Either rejected (nearly always) or a genuinely well-formed
+            // payload; the only forbidden outcome is a panic.
+            let _ = Wire::decode(format, &bytes);
+        }
     }
 
-    /// The LVSU decoder is total over arbitrary byte soup.
+    /// The five magics are mutually disjoint: no format's well-formed bytes
+    /// decode as any other, so a mis-routed payload can never be restored,
+    /// folded or gossiped as the wrong kind.
     #[test]
-    fn state_update_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = decode_batch(&bytes);
+    fn magics_are_disjoint(family in arb_family()) {
+        for msg in family {
+            let bytes = msg.encode();
+            for other in (0..MAGICS.len()).filter(|f| *f != msg.format()) {
+                prop_assert!(
+                    Wire::decode(other, &bytes).is_err(),
+                    "{} decoded as {}",
+                    String::from_utf8_lossy(MAGICS[msg.format()]),
+                    String::from_utf8_lossy(MAGICS[other])
+                );
+            }
+        }
     }
 
-    /// The four wire magics — LVCK, LVCD, LVHA, LVSU — are mutually
-    /// disjoint: no format's well-formed bytes decode as any other, so a
-    /// mis-routed control payload can never be folded as the wrong kind.
+    /// A CRC-valid pair or fleet frame of a kind the protocol does not
+    /// define is rejected — in particular it is not taken for a `SyncReq`,
+    /// which would make a master re-baseline with a full snapshot.
     #[test]
-    fn state_update_magic_is_disjoint_from_other_formats(
-        ck in arb_clean_checkpoint(),
-        seed in any::<u64>(),
-        origin in any::<u32>(),
-        updates in arb_update_batch(),
+    fn unknown_message_kinds_are_rejected(kind in 5u8..=255, payload in any::<u64>()) {
+        for (format, magic) in [(2, b"LVHA"), (4, b"LVSM")] {
+            let mut bytes = magic.to_vec();
+            bytes.push(1); // version
+            bytes.push(kind);
+            bytes.extend_from_slice(&payload.to_le_bytes());
+            let crc = crc32(&bytes).to_le_bytes();
+            bytes.extend_from_slice(&crc);
+            prop_assert!(
+                matches!(Wire::decode(format, &bytes), Err(CheckpointError::Malformed(_))),
+                "kind {} accepted as a {} message", kind, String::from_utf8_lossy(magic)
+            );
+        }
+    }
+
+    /// The differential identity the whole replication stream rests on:
+    /// folding the chain of diffs over any number of generations
+    /// reconstructs the final checkpoint exactly (canonical form).
+    #[test]
+    fn differential_fold_chain_reconstructs_exactly(
+        base in arb_clean_checkpoint(),
+        seeds in prop::collection::vec(any::<u64>(), 1..6),
     ) {
-        let lvsu = encode_batch(origin, &updates);
-        prop_assert!(Checkpoint::decode(&lvsu).is_err());
-        prop_assert!(CheckpointDelta::decode(&lvsu).is_err());
-        prop_assert!(HaMsg::decode(&lvsu).is_err());
-
-        let next = mutate(&ck, seed);
-        prop_assert!(decode_batch(&ck.encode()).is_err());
-        prop_assert!(decode_batch(&CheckpointDelta::diff(&ck, &next, 1).encode()).is_err());
-        prop_assert!(decode_batch(&HaMsg::SyncReq { have_seq: seed }.encode()).is_err());
+        let mut shadow = base.canonical();
+        let mut current = base;
+        for (i, &seed) in seeds.iter().enumerate() {
+            let next = mutate(&current, seed);
+            let delta = CheckpointDelta::diff(&current, &next, i as u64 + 1);
+            shadow.fold(&delta);
+            prop_assert_eq!(
+                &shadow,
+                &next.canonical(),
+                "fold diverged at generation {}", i
+            );
+            current = next;
+        }
     }
+
 
     /// Folding is idempotent per (origin, seq): after a batch sequence has
     /// been folded in order, re-folding any replayed/reordered selection of
@@ -476,6 +499,62 @@ proptest! {
         prop_assert_eq!(ledger.folded, folded, "replays never recount");
         for (u, before) in updates.iter().zip(books) {
             prop_assert_eq!(ledger.book(&u.key), Some(before));
+        }
+    }
+}
+
+/// Bytes encoded at the parent of the commit that introduced the shared
+/// framing (`seal`/`open`, `VrCheckpoint::{enc, dec}`) and the counter
+/// schema: one message per format, the checkpoint's 22 counters the first
+/// 22 primes so a transposed pair would show. Each must decode and
+/// re-encode to the same bytes — the refactor moved no byte.
+#[test]
+fn parent_commit_bytes_decode_and_reencode_identically() {
+    const FIXTURES: [&str; 5] = [
+        "4c56434b020000000300000015cd5b070000000002000000000000000300000000000000050000000000\
+         000007000000000000000b000000000000000d0000000000000011000000000000001300000000000000\
+         17000000000000001d000000000000001f00000000000000250000000000000029000000000000002b00\
+         0000000000002f0000000000000035000000000000003b000000000000003d0000000000000043000000\
+         00000000470000000000000049000000000000004f000000000000000900000002000000050000006465\
+         70744190010000000000008b010000000000008e01000000000000020000000000000000000000000004\
+         40000000000000e83f010000004d00000000000000630000000000000001000000000203000000020000\
+         000a0001050a000209a50f50000601000000d2040000000000000a0001060a000209a60f500011000000\
+         006300000000000000050000006465707442000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         00000000000001000000000000000000657436c8",
+        "4c56434402000000040000000700000000000000ffc99a3b000000003200000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000001000000000000000b0000000200\
+         0000050000006465707441c2010000000000008b010000000000008e0100000000000002000000000000\
+         000000000000000440000000000000e83f010000004d0000000000000063000000000000000100000000\
+         0203000000010000000a0001050a000209a50f500006010000000a0001070a000209a70f500006020000\
+         002e16000000000000050000006465707442000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000100000000000000000000000000bddef403",
+        "4c5648410103120000000000000003000000090807ab4b8be8",
+        "4c565355010700000002000a0001010a000209a10f50000601000000000000000300000000000000c000\
+         000000000000e8030000000000000a0001020a000209a20f500011020000000000000001000000000000\
+         004000000000000000d00700000000000055cdd352",
+        "4c56534d01010100000003000000010000000001000a180200000005000000646570743176ca726f",
+    ];
+    for (format, hex) in FIXTURES.iter().enumerate() {
+        let hex: String = hex.split_whitespace().collect();
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
+            .collect();
+        let msg = Wire::decode(format, &bytes)
+            .unwrap_or_else(|e| panic!("parent-commit bytes of format {format} rejected: {e}"));
+        assert_eq!(msg.encode(), bytes, "format {format} re-encodes differently");
+        if let Wire::Checkpoint(ck) = &msg {
+            let primes = [
+                2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79,
+            ];
+            assert_eq!(ck.stats.to_wire(), primes, "counter wire order moved");
+            assert_eq!((ck.stats.frames_in, ck.stats.updates_lost), (2, 79));
+            assert_eq!((ck.stats.quarantined_drops, ck.stats.shed_early), (31, 47));
         }
     }
 }
@@ -575,89 +654,4 @@ fn unwritable_checkpoint_path_is_nonfatal() {
         Some(0),
         "failed writes are not counted as writes"
     );
-}
-
-// ---- shard-map (LVSM) wire format --------------------------------------
-
-fn arb_shard_entry() -> impl Strategy<Value = ShardEntry> {
-    (0u32..10_000, any::<u32>(), 0u8..=32, 0u32..64).prop_map(|(n, net, prefix, shard)| {
-        ShardEntry { vr: format!("vr{n}"), net: Ipv4Addr::from(net), prefix, shard }
-    })
-}
-
-fn arb_shard_map() -> impl Strategy<Value = ShardMap> {
-    (any::<u32>(), prop::collection::vec(arb_shard_entry(), 0..32))
-        .prop_map(|(version, entries)| ShardMap { version, entries })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(CASES))]
-
-    /// The fleet directory's wire format (LVSM) round-trips bit-exactly:
-    /// any map the partitioner can build survives encode → decode.
-    #[test]
-    fn shard_map_encode_decode_is_identity(map in arb_shard_map()) {
-        let bytes = map.encode();
-        prop_assert_eq!(&bytes[..4], SHARD_MAP_MAGIC.as_slice());
-        let back = ShardMap::decode(&bytes).expect("well-formed map must decode");
-        prop_assert_eq!(back, map);
-    }
-
-    /// Any single-byte corruption of an LVSM frame is rejected — a
-    /// flipped bit on the gossip wire can never re-partition the fleet.
-    #[test]
-    fn shard_map_single_byte_corruption_is_always_rejected(
-        map in arb_shard_map(),
-        pos in any::<u32>(),
-        mask in 1u8..=255,
-    ) {
-        let mut bytes = map.encode();
-        let idx = pos as usize % bytes.len();
-        bytes[idx] ^= mask;
-        prop_assert!(
-            ShardMap::decode(&bytes).is_err(),
-            "flipping LVSM byte {} with mask {:#04x} was accepted", idx, mask
-        );
-    }
-
-    /// Every LVSM truncation point errors — never panics, never yields a
-    /// partial directory.
-    #[test]
-    fn shard_map_truncation_is_always_rejected(map in arb_shard_map(), cut in any::<u32>()) {
-        let bytes = map.encode();
-        let len = cut as usize % bytes.len();
-        prop_assert!(
-            ShardMap::decode(&bytes[..len]).is_err(),
-            "LVSM truncation to {} bytes was accepted", len
-        );
-    }
-
-    /// The LVSM decoder is total over arbitrary byte soup.
-    #[test]
-    fn shard_map_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = ShardMap::decode(&bytes);
-    }
-
-    /// LVSM is magic-disjoint from every other wire format in the family
-    /// (LVCK checkpoints, LVCD deltas, LVHA pair messages, LVSU state
-    /// updates) — no frame of one kind ever decodes as another.
-    #[test]
-    fn shard_map_magic_is_disjoint_from_the_wire_family(
-        map in arb_shard_map(),
-        ck in arb_clean_checkpoint(),
-        seed in any::<u64>(),
-    ) {
-        let lvsm = map.encode();
-        prop_assert!(Checkpoint::decode(&lvsm).is_err(), "LVSM decoded as LVCK");
-        prop_assert!(CheckpointDelta::decode(&lvsm).is_err(), "LVSM decoded as LVCD");
-        prop_assert!(HaMsg::decode(&lvsm).is_err(), "LVSM decoded as LVHA");
-        prop_assert!(decode_batch(&lvsm).is_err(), "LVSM decoded as LVSU");
-
-        let next = mutate(&ck, seed);
-        prop_assert!(ShardMap::decode(&ck.encode()).is_err(), "LVCK decoded as LVSM");
-        let delta = CheckpointDelta::diff(&ck, &next, 1).encode();
-        prop_assert!(ShardMap::decode(&delta).is_err(), "LVCD decoded as LVSM");
-        let advert = HaMsg::Advert { term: 1, node_id: 2, priority: 3, epoch: 4, seq: 5 };
-        prop_assert!(ShardMap::decode(&advert.encode()).is_err(), "LVHA decoded as LVSM");
-    }
 }

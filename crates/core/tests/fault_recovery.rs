@@ -7,19 +7,10 @@
 //! Set `LVRM_CHAOS_QUEUE` to one of `lamport` / `fastforward` / `mutex` / `vlink` to
 //! restrict the sweep (the CI matrix does this); unset runs all four.
 //!
-//! The conservation identity checked throughout, after every queue has been
-//! drained:
-//!
-//! ```text
-//! frames_in == frames_out + unclassified + dispatch_drops + no_vri_drops
-//!              + shrink_lost + crash_lost + quarantined_drops + shed_early
-//! ```
-//!
-//! plus the drop identity (the double-counting regression guard):
-//!
-//! ```text
-//! dispatch_drops == Σ lvrm_vri_dispatch_drops_total   (live + retired + ring)
-//! ```
+//! Checked throughout, after every queue has been drained: the monitor's
+//! ledger settles (`Ledger::check_settled`, DESIGN.md §9) — global
+//! conservation to the frame, and identity (D), the double-counting
+//! regression guard, over live, retired and ring series.
 
 use std::net::Ipv4Addr;
 
@@ -72,32 +63,12 @@ fn subnet() -> [(Ipv4Addr, u8); 1] {
     [(Ipv4Addr::new(10, 0, 1, 0), 24)]
 }
 
-fn assert_conserved(s: &LvrmStats) {
-    assert_eq!(
-        s.frames_in,
-        s.frames_out
-            + s.unclassified
-            + s.dispatch_drops
-            + s.no_vri_drops
-            + s.shrink_lost
-            + s.crash_lost
-            + s.quarantined_drops
-            + s.shed_early,
-        "conservation identity violated: {s:?}"
-    );
-}
-
-fn assert_drop_identity(lvrm: &Lvrm<ManualClock>) {
-    // The aggregate must equal the per-VRI drop family's sum — live series,
-    // retired series frozen at their final values, and (under the VLink
-    // fabric) the VR's synthetic `vri="ring"` series for ring refusals.
-    let snap = lvrm.metrics_snapshot();
-    assert_eq!(
-        lvrm.stats().dispatch_drops,
-        snap.counter_sum("lvrm_vri_dispatch_drops_total"),
-        "dispatch_drops must equal the per-VRI drop family sum: {:?}",
-        lvrm.stats()
-    );
+/// A drained monitor's ledger (`lvrm_core::ledger`, DESIGN.md §9): every
+/// identity, nothing queued, and — every VR here forwards every frame —
+/// nothing unreturned.
+fn assert_settled(lvrm: &Lvrm<ManualClock>) {
+    let ledger = lvrm.ledger();
+    assert_eq!(ledger.check_settled(), Ok(()), "{ledger}");
 }
 
 /// Frames parked VR-wide and visible to the monitor: the `lvrm_data_queued`
@@ -211,8 +182,7 @@ fn crash_with_frames_in_flight_recovers_within_one_tick() {
         // nothing still queued, because the ring outlives the instance and
         // the survivors steal the backlog.
         assert_eq!(s.frames_in, s.frames_out, "{kind:?}: a reapable crash loses nothing");
-        assert_conserved(s);
-        assert_drop_identity(&lvrm);
+        assert_settled(&lvrm);
     }
 }
 
@@ -273,8 +243,7 @@ fn stalled_vri_goes_suspect_then_dead_and_queues_are_reclaimed() {
         assert_eq!(s.respawns, 1, "{kind:?}");
         assert_eq!(s.crash_lost, 0, "{kind:?}: attached endpoint is reapable");
         assert_eq!(s.frames_in, s.frames_out, "{kind:?}: nothing lost to the stall");
-        assert_conserved(s);
-        assert_drop_identity(&lvrm);
+        assert_settled(&lvrm);
     }
 }
 
@@ -388,8 +357,7 @@ fn crash_loop_quarantines_vr_and_counts_its_drops() {
 
         // Nothing was ever pumped, so everything sits in drop counters.
         assert_eq!(lvrm.stats().frames_out, 0, "{kind:?}");
-        assert_conserved(&lvrm.stats());
-        assert_drop_identity(&lvrm);
+        assert_settled(&lvrm);
     }
 }
 
@@ -468,8 +436,7 @@ fn unreapable_crash_loss_is_bounded_and_named() {
             lvrm.stats().frames_out + lvrm.stats().crash_lost,
             "{kind:?}: survivors' frames all delivered"
         );
-        assert_conserved(&lvrm.stats());
-        assert_drop_identity(&lvrm);
+        assert_settled(&lvrm);
     }
 }
 
@@ -497,7 +464,7 @@ fn dispatch_drop_identity_survives_overflow_and_crash() {
         let mut burst: Vec<Frame> = (0..100).map(|i| frame((i % 200) as u8)).collect();
         lvrm.ingress_batch(&mut burst, &mut host);
         assert!(lvrm.stats().dispatch_drops > 0, "{kind:?}: the burst must overflow");
-        assert_drop_identity(&lvrm);
+        assert_eq!(lvrm.ledger().check(), Ok(()));
 
         // Crash the victim while it carries both queued frames and recorded
         // drops: its drops move to the retired bucket, the identity holds.
@@ -515,15 +482,14 @@ fn dispatch_drop_identity_survives_overflow_and_crash() {
                 "{kind:?}: victim's drops are carried"
             );
         }
-        assert_drop_identity(&lvrm);
+        assert_eq!(lvrm.ledger().check(), Ok(()));
 
         let mut out = Vec::new();
         drain(&mut lvrm, &mut host, &mut out);
         // Re-dispatch may have overflowed the survivors' tiny queues; that
         // too must stay inside the identity and the conservation total.
         assert!(lvrm.stats().dispatch_drops >= drops_before, "{kind:?}");
-        assert_conserved(&lvrm.stats());
-        assert_drop_identity(&lvrm);
+        assert_settled(&lvrm);
 
         // Per-frame path: full queues invalidate the target before dispatch,
         // so refusals surface as no_vri_drops and never double-count.
@@ -544,8 +510,7 @@ fn dispatch_drop_identity_survives_overflow_and_crash() {
             assert_eq!(lvrm.stats().no_vri_drops, 24, "{kind:?}: 2 x 8 fit, the rest are refused");
         }
         drain(&mut lvrm, &mut host, &mut out);
-        assert_conserved(&lvrm.stats());
-        assert_drop_identity(&lvrm);
+        assert_settled(&lvrm);
     }
 }
 
@@ -595,8 +560,7 @@ fn run_crash_script(kind: QueueKind, batched: bool) -> (LvrmStats, Vec<String>, 
         .iter()
         .map(|e| format!("{} {:?} {:?} {:?}", e.ts_ns, e.vr, e.vri, e.action))
         .collect();
-    assert_conserved(&lvrm.stats());
-    assert_drop_identity(&lvrm);
+    assert_settled(&lvrm);
     (lvrm.stats(), log, out.len())
 }
 
@@ -669,8 +633,7 @@ fn randomized_fault_storms_preserve_conservation() {
                 .filter(|e| matches!(e.action, SupervisionAction::Died { .. }))
                 .count() as u64;
             assert_eq!(deaths, s.vri_deaths, "{kind:?} seed {seed}: every death is logged");
-            assert_conserved(s);
-            assert_drop_identity(&lvrm);
+            assert_settled(&lvrm);
         }
     }
 }

@@ -15,8 +15,8 @@ use std::net::Ipv4Addr;
 
 use lvrm_core::{
     randomized_fleet_storm, rendezvous_owner, AffinityMode, AllocatorKind, ChannelLink, CoreId,
-    CoreMap, CoreTopology, FaultyLink, HaConfig, LinkFaultWindow, Lvrm, LvrmConfig, ManualClock,
-    PeerLink, RecordingHost, Role, ShardConfig,
+    CoreMap, CoreTopology, FaultyLink, HaConfig, Ledger, LinkFaultWindow, Lvrm, LvrmConfig,
+    ManualClock, PeerLink, RecordingHost, Role, ShardConfig, Violation,
 };
 use lvrm_ipc::QueueKind;
 use lvrm_net::{Frame, FrameBuilder};
@@ -128,79 +128,33 @@ impl Shard {
     }
 }
 
-/// All five conservation identities, from the public stats/snapshot
-/// surface. Call on a drained monitor.
+/// A drained monitor's ledger (`lvrm_core::ledger`, DESIGN.md §9): every
+/// identity, nothing queued, and — every VR here forwards every frame —
+/// nothing unreturned.
 fn assert_identities(lvrm: &Lvrm<ManualClock>, ctx: &str) {
-    let s = lvrm.stats();
-    assert_eq!(
-        s.frames_in,
-        s.frames_out
-            + s.unclassified
-            + s.dispatch_drops
-            + s.no_vri_drops
-            + s.shrink_lost
-            + s.crash_lost
-            + s.quarantined_drops
-            + s.shed_early,
-        "(1) global conservation violated {ctx}: {s:?}"
-    );
-    let snap = lvrm.snapshot();
-    for vr in &snap {
-        assert_eq!(
-            vr.frames_in,
-            vr.admitted + vr.shed,
-            "(2) admission identity violated for {} {ctx}",
-            vr.name
-        );
-    }
-    let live_dispatched: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.dispatched).sum();
-    let live_returned: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.returned).sum();
-    let queued: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.queue_len as u64).sum();
-    assert_eq!(
-        live_dispatched + s.retired_dispatched,
-        live_returned + s.retired_returned + queued + s.reclaimed + s.queue_lost,
-        "(3) dispatch identity violated {ctx}: {s:?}"
-    );
-    let live_drops: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.dispatch_drops).sum();
-    assert_eq!(
-        s.dispatch_drops,
-        live_drops + s.retired_dispatch_drops,
-        "(4) drop identity violated {ctx}: {s:?}"
-    );
-    assert_eq!(
-        s.updates_emitted,
-        s.updates_folded + s.updates_lost,
-        "(5) replication identity violated {ctx}: {s:?}"
-    );
+    let ledger = lvrm.ledger();
+    assert_eq!(ledger.check_settled(), Ok(()), "{ctx}: {ledger}");
 }
 
-/// The sixth (fleet) identity over the surviving members: every declared
-/// VR owned by exactly one shard.
+fn ledgers(shards: &[&Shard]) -> Vec<Ledger> {
+    shards.iter().map(|s| s.lvrm.ledger()).collect()
+}
+
+/// Identity (F) over the surviving members: every declared VR owned by
+/// exactly one shard.
 fn assert_fleet_identity(shards: &[&Shard], ctx: &str) {
-    for vr in 0..VRS {
-        let owners: Vec<u32> = shards.iter().filter(|s| s.owns(vr)).map(|s| s.id).collect();
-        assert_eq!(
-            owners.len(),
-            1,
-            "{ctx}: {} must have exactly one owner, got {owners:?}",
-            vr_name(vr)
-        );
-    }
+    assert_eq!(Ledger::check_fleet(&ledgers(shards)), Ok(()), "{ctx}");
     let total: usize = shards.iter().map(|s| s.lvrm.owned_vrs()).sum();
     assert_eq!(total as u32, VRS, "{ctx}: vrs_owned_total != vrs_declared");
 }
 
 /// No VR accepted by more than one shard — the storm-safe half of the
 /// fleet identity (a VR may be transiently unowned mid-takeover, never
-/// multiply owned).
+/// multiply owned; `check_fleet` reports a doubly-owned VR first).
 fn assert_one_owner_at_most(shards: &[&Shard], ctx: &str) {
-    for vr in 0..VRS {
-        let owners: Vec<u32> = shards.iter().filter(|s| s.owns(vr)).map(|s| s.id).collect();
-        assert!(
-            owners.len() <= 1,
-            "{ctx}: {} accepted by multiple shards: {owners:?}",
-            vr_name(vr)
-        );
+    match Ledger::check_fleet(&ledgers(shards)) {
+        Ok(()) | Err(Violation::Ownership { owners: 0, .. }) => {}
+        Err(v) => panic!("{ctx}: {v}"),
     }
 }
 

@@ -1,29 +1,17 @@
 //! Invariant suite for the observability layer: every [`MetricsSnapshot`]
 //! taken at any instant — mid-burst, mid-fault, mid-drain — must satisfy the
-//! frame-conservation identities exactly, for every `QueueKind`, under
-//! randomized fault chaos. The registry is the *only* source read here: if a
-//! counter moved off the hot path and lost an increment, these identities
-//! break.
+//! conservation identities exactly, for every `QueueKind`, under randomized
+//! fault chaos. The identities are stated once, in `lvrm_core::ledger`
+//! (DESIGN.md §9); this suite reads a [`Ledger`] back out of the scrape
+//! alone, so a counter that moved off the hot path and lost an increment
+//! breaks [`Ledger::check`] here, and holds the scrape's ledger equal to the
+//! one the monitor builds from live state.
 //!
-//! Identities checked on every snapshot:
-//!
-//! ```text
-//! (A) per VR:     frames_in == admitted + shed
-//! (B) global:     frames_in == frames_out + unclassified + shed_early
-//!                 + dispatch_drops + no_vri_drops + shrink_lost
-//!                 + crash_lost + quarantined_drops
-//!                 + data_queued + egress_queued
-//! (C) per VRI:    Σ dispatched == Σ returned + data_queued + egress_queued
-//!                 + reclaimed + queue_lost      (sums include retired series)
-//! (D) drops:      dispatch_drops == Σ vri_dispatch_drops (incl. retired)
-//! (E) replication: updates_emitted == updates_folded + updates_lost
-//! ```
-//!
-//! (B) holds at every instant because in-flight frames are visible as the
-//! `lvrm_data_queued` / `lvrm_egress_queued` gauges; rescued egress is
-//! excluded by design (counted in `frames_out` at rescue time, mirrored by
-//! the `lvrm_rescued_pending` gauge). (C) counts a reclaimed-then-rehomed
-//! frame once in `reclaimed` and once more in the survivor's `dispatched`.
+//! Every VR below forwards every frame on an inline host, so on top of
+//! `check()` nothing may ever be `unreturned`: in-flight frames are visible
+//! as the `lvrm_data_queued` / `lvrm_egress_queued` gauges at every instant.
+//! Rescued egress is excluded by design (counted in `frames_out` at rescue
+//! time, mirrored by the `lvrm_rescued_pending` gauge).
 //!
 //! Set `LVRM_CHAOS_QUEUE` to one of `lamport` / `fastforward` / `mutex` / `vlink` to
 //! restrict the sweep (the CI matrix does this); unset runs all three.
@@ -32,7 +20,7 @@ use std::net::Ipv4Addr;
 
 use lvrm_core::{
     AffinityMode, AllocatorKind, CoreId, CoreMap, CoreTopology, DispatchMode, FaultPlan,
-    FaultyHost, Lvrm, LvrmConfig, ManualClock, RecordingHost,
+    FaultyHost, Ledger, Lvrm, LvrmConfig, ManualClock, RecordingHost,
 };
 use lvrm_ipc::QueueKind;
 use lvrm_metrics::MetricsSnapshot;
@@ -78,73 +66,15 @@ fn frame(subnet_c: u8, last: u8) -> Frame {
     )
 }
 
-/// Counter with no labels, defaulting to 0 so a never-touched family still
-/// participates in the identity.
-fn c(snap: &MetricsSnapshot, name: &str) -> u64 {
-    snap.counter(name, &[]).unwrap_or(0)
-}
-
-fn g(snap: &MetricsSnapshot, name: &str) -> u64 {
-    snap.gauge(name, &[]).unwrap_or(0.0).round() as u64
-}
-
-/// Assert identities (A)–(D) on one snapshot.
-fn assert_snapshot_invariants(snap: &MetricsSnapshot, ctx: &str) {
-    // (B) global conservation, instantaneous.
-    let frames_in = c(snap, "lvrm_frames_in_total");
-    let accounted = c(snap, "lvrm_frames_out_total")
-        + c(snap, "lvrm_unclassified_total")
-        + c(snap, "lvrm_shed_early_total")
-        + c(snap, "lvrm_dispatch_drops_total")
-        + c(snap, "lvrm_no_vri_drops_total")
-        + c(snap, "lvrm_shrink_lost_total")
-        + c(snap, "lvrm_crash_lost_total")
-        + c(snap, "lvrm_quarantined_drops_total")
-        + g(snap, "lvrm_data_queued")
-        + g(snap, "lvrm_egress_queued");
-    assert_eq!(frames_in, accounted, "(B) global conservation violated {ctx}");
-
-    // (A) per-VR admission, series by series.
-    if let Some(fam) = snap.family("lvrm_vr_frames_in_total") {
-        for series in &fam.series {
-            let labels: Vec<(&str, &str)> =
-                series.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-            let vr_in = series.as_counter().expect("counter family");
-            let admitted = snap.counter("lvrm_vr_admitted_total", &labels).unwrap_or(0);
-            let shed = snap.counter("lvrm_vr_shed_total", &labels).unwrap_or(0);
-            assert_eq!(vr_in, admitted + shed, "(A) admission identity for {labels:?} {ctx}");
-        }
-    }
-
-    // (C) per-VRI dispatch identity over live + draining + retired series.
-    let dispatched = snap.counter_sum("lvrm_vri_dispatched_total");
-    let returned = snap.counter_sum("lvrm_vri_returned_total");
-    assert_eq!(
-        dispatched,
-        returned
-            + g(snap, "lvrm_data_queued")
-            + g(snap, "lvrm_egress_queued")
-            + c(snap, "lvrm_reclaimed_total")
-            + c(snap, "lvrm_queue_lost_total"),
-        "(C) dispatch identity violated {ctx}"
-    );
-
-    // (D) dispatch drops: aggregate equals the per-VRI family sum (retired
-    // series stay frozen in the family, so no drop ever leaves the sum).
-    assert_eq!(
-        c(snap, "lvrm_dispatch_drops_total"),
-        snap.counter_sum("lvrm_vri_dispatch_drops_total"),
-        "(D) drop identity violated {ctx}"
-    );
-
-    // (E) replication: every state-update record accepted for fan-out is
-    // either folded into a sibling replica or lost to a full/defunct queue.
-    // Exact even when no VR runs replicated (all three stay at zero).
-    assert_eq!(
-        c(snap, "lvrm_repl_updates_emitted_total"),
-        c(snap, "lvrm_repl_updates_folded_total") + c(snap, "lvrm_repl_updates_lost_total"),
-        "(E) replication identity violated {ctx}"
-    );
+/// The scrape's ledger checks out with nothing unreturned, and is the
+/// ledger the monitor builds from live state. Returns the snapshot.
+fn assert_ledger(lvrm: &Lvrm<ManualClock>, ctx: &str) -> MetricsSnapshot {
+    let snap = lvrm.metrics_snapshot();
+    let ledger = Ledger::from_snapshot(&snap);
+    assert_eq!(ledger.check(), Ok(()), "{ctx}: {ledger}");
+    assert_eq!(ledger.unreturned(), 0, "{ctx}: {ledger}");
+    assert_eq!(ledger, lvrm.ledger(), "scrape and live ledgers differ {ctx}");
+    snap
 }
 
 /// Drive one randomized fault storm against one queue kind, snapshotting
@@ -189,7 +119,7 @@ fn storm(kind: QueueKind, seed: u64) {
             .collect();
         lvrm.ingress_batch(&mut burst, &mut host);
         // Mid-step: dispatched frames sit in data queues, visible as gauges.
-        assert_snapshot_invariants(&lvrm.metrics_snapshot(), &format!("after ingress {ctx}"));
+        assert_ledger(&lvrm, &format!("after ingress {ctx}"));
 
         host.apply(t);
         host.inner.pump();
@@ -199,7 +129,7 @@ fn storm(kind: QueueKind, seed: u64) {
         // queues never overflow (a full egress queue drops silently in the
         // vehicle, which no monitor-side counter can see).
         lvrm.poll_egress(&mut out);
-        assert_snapshot_invariants(&lvrm.metrics_snapshot(), &format!("after step {ctx}"));
+        assert_ledger(&lvrm, &format!("after step {ctx}"));
     }
 
     // Settle: pump/relay/collect until nothing moves, then the queues must
@@ -212,10 +142,9 @@ fn storm(kind: QueueKind, seed: u64) {
             break;
         }
     }
-    let snap = lvrm.metrics_snapshot();
     let ctx = format!("(kind {kind:?}, seed {seed}, settled)");
-    assert_snapshot_invariants(&snap, &ctx);
-    assert_eq!(g(&snap, "lvrm_egress_queued"), 0, "egress drained {ctx}");
+    let snap = assert_ledger(&lvrm, &ctx);
+    assert_eq!(lvrm.ledger().vris.egress_queued, 0, "egress drained {ctx}");
 
     // The snapshot's per-VR counters agree with the monitor's own view.
     let (a_in, a_out) = lvrm.vr_frame_counts(a);
@@ -224,21 +153,13 @@ fn storm(kind: QueueKind, seed: u64) {
     assert_eq!(snap.counter("lvrm_vr_frames_out_total", &[("vr", "deptA")]), Some(a_out), "{ctx}");
     assert_eq!(snap.counter("lvrm_vr_frames_in_total", &[("vr", "deptB")]), Some(b_in), "{ctx}");
     assert_eq!(snap.counter("lvrm_vr_frames_out_total", &[("vr", "deptB")]), Some(b_out), "{ctx}");
-
-    // The stats() view and the snapshot must be the same numbers: both read
-    // the same registry handles.
-    let s = lvrm.stats();
-    assert_eq!(s.frames_in, c(&snap, "lvrm_frames_in_total"), "{ctx}");
-    assert_eq!(s.frames_out, c(&snap, "lvrm_frames_out_total"), "{ctx}");
-    assert_eq!(s.vri_deaths, c(&snap, "lvrm_vri_deaths_total"), "{ctx}");
-    assert_eq!(s.respawns, c(&snap, "lvrm_respawns_total"), "{ctx}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Randomized chaos storms: every snapshot at every instant satisfies
-    /// (A)–(D), for every queue kind in the sweep.
+    /// the ledger, for every queue kind in the sweep.
     #[test]
     fn snapshot_invariants_hold_under_chaos(seed in any::<u64>()) {
         for kind in queue_kinds() {

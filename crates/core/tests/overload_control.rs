@@ -2,13 +2,8 @@
 //! weighted shedding, the control-plane starvation guard, hitless drain on
 //! shrink, and clean shutdown — all against the manual clock, no sleeps.
 //!
-//! Every test that finishes with drained queues asserts the conservation
-//! identity:
-//!
-//! ```text
-//! frames_in == frames_out + unclassified + dispatch_drops + no_vri_drops
-//!              + shrink_lost + crash_lost + quarantined_drops + shed_early
-//! ```
+//! Every test that finishes with drained queues asserts that the monitor's
+//! ledger settles (`Ledger::check_settled`, DESIGN.md §9).
 //!
 //! The `overload_soak` storm (release CI soak leg; `-- --ignored`) sweeps
 //! every `QueueKind` — set `LVRM_CHAOS_QUEUE` to one of `lamport` /
@@ -18,7 +13,7 @@ use std::net::Ipv4Addr;
 
 use lvrm_core::alloc::AllocDecision;
 use lvrm_core::{
-    AffinityMode, AllocatorKind, Clock, CoreId, CoreMap, CoreTopology, Lvrm, LvrmConfig, LvrmStats,
+    AffinityMode, AllocatorKind, Clock, CoreId, CoreMap, CoreTopology, Lvrm, LvrmConfig,
     ManualClock, RecordingHost, VriId,
 };
 use lvrm_ipc::channels::ControlEvent;
@@ -54,31 +49,12 @@ fn burst_from(subnet_third: u8, n: usize) -> Vec<Frame> {
     (0..n).map(|i| frame_from([10, 0, subnet_third, (i % 250) as u8 + 1])).collect()
 }
 
-fn assert_conserved(s: &LvrmStats) {
-    assert_eq!(
-        s.frames_in,
-        s.frames_out
-            + s.unclassified
-            + s.dispatch_drops
-            + s.no_vri_drops
-            + s.shrink_lost
-            + s.crash_lost
-            + s.quarantined_drops
-            + s.shed_early,
-        "conservation identity violated: {s:?}"
-    );
-}
-
-fn assert_drop_identity(lvrm: &Lvrm<ManualClock>) {
-    let adapters: u64 =
-        lvrm.snapshot().iter().flat_map(|vr| vr.vris.clone()).map(|v| v.dispatch_drops).sum();
-    assert_eq!(
-        lvrm.stats().dispatch_drops,
-        adapters + lvrm.stats().retired_dispatch_drops,
-        "dispatch_drops must equal adapter sum ({adapters}) + retired ({}): {:?}",
-        lvrm.stats().retired_dispatch_drops,
-        lvrm.stats()
-    );
+/// A drained monitor's ledger (`lvrm_core::ledger`, DESIGN.md §9): every
+/// identity, nothing queued, and — every VR here forwards every frame —
+/// nothing unreturned.
+fn assert_settled(lvrm: &Lvrm<ManualClock>) {
+    let ledger = lvrm.ledger();
+    assert_eq!(ledger.check_settled(), Ok(()), "{ledger}");
 }
 
 /// Pump/relay/collect until nothing moves (no simulated time advances).
@@ -162,8 +138,7 @@ fn overloaded_vrs_are_held_to_their_weighted_quota() {
     lvrm.ingress_batch(&mut burst_from(1, 1), &mut host);
     assert_eq!(lvrm.vr_pressure(a), PressureLevel::Normal, "drained VR recovers");
     drain(&mut lvrm, &mut host, &mut out);
-    assert_conserved(&lvrm.stats());
-    assert_drop_identity(&lvrm);
+    assert_settled(&lvrm);
 }
 
 /// With shedding off (the default), the same overload degrades to pure
@@ -195,7 +170,7 @@ fn shedding_off_degrades_to_tail_drop() {
     assert!(tail_dropped > 0, "overload tail-drops: {:?}", lvrm.stats());
     let mut out = Vec::new();
     drain(&mut lvrm, &mut host, &mut out);
-    assert_conserved(&lvrm.stats());
+    assert_settled(&lvrm);
 }
 
 // ---------------------------------------------------------------------------
@@ -336,8 +311,7 @@ fn shrink_drains_hitlessly_with_zero_loss() {
     assert_eq!(lvrm.stats().shrink_lost, 0, "happy-path drain loses nothing: {:?}", lvrm.stats());
 
     drain(&mut lvrm, &mut host, &mut out);
-    assert_conserved(&lvrm.stats());
-    assert_drop_identity(&lvrm);
+    assert_settled(&lvrm);
     assert_eq!(lvrm.stats().frames_in, lvrm.stats().frames_out, "every frame forwarded");
 }
 
@@ -415,8 +389,7 @@ fn stalled_drain_is_bounded_by_the_deadline_and_rehomes() {
     );
 
     drain(&mut lvrm, &mut host, &mut out);
-    assert_conserved(&lvrm.stats());
-    assert_drop_identity(&lvrm);
+    assert_settled(&lvrm);
 }
 
 // ---------------------------------------------------------------------------
@@ -459,8 +432,7 @@ fn shutdown_drains_everything_and_conserves() {
     // Late arrivals are quiesced, counted, and conserved.
     lvrm.ingress_batch(&mut burst_from(1, 3), &mut host);
     assert_eq!(lvrm.stats().shed_early, 3, "post-shutdown ingress is shed, not lost");
-    assert_conserved(&lvrm.stats());
-    assert_drop_identity(&lvrm);
+    assert_settled(&lvrm);
 
     // Idempotent: a second call is a completed no-op.
     assert!(lvrm.shutdown(deadline, &mut host));
@@ -549,8 +521,7 @@ fn storm(kind: QueueKind, seed: u64) -> u64 {
     }
     drain(&mut lvrm, &mut host, &mut out);
 
-    assert_conserved(&lvrm.stats());
-    assert_drop_identity(&lvrm);
+    assert_settled(&lvrm);
     for v in &lvrm.snapshot() {
         assert_eq!(v.frames_in, v.admitted + v.shed, "per-VR admission identity: {v}");
         assert!(v.vris.is_empty(), "no VRI survives shutdown: {v}");

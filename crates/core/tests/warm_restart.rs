@@ -132,49 +132,12 @@ fn probe_slot(
     hits[0]
 }
 
-/// All four conservation identities, from the public stats/snapshot
-/// surface. Call on a drained monitor (queues and egress rings empty).
+/// A drained monitor's ledger (`lvrm_core::ledger`, DESIGN.md §9): every
+/// identity, nothing queued, and — every VR here forwards every frame —
+/// nothing unreturned.
 fn assert_identities(lvrm: &Lvrm<ManualClock>, ctx: &str) {
-    let s = lvrm.stats();
-    // (1) global frame conservation.
-    assert_eq!(
-        s.frames_in,
-        s.frames_out
-            + s.unclassified
-            + s.dispatch_drops
-            + s.no_vri_drops
-            + s.shrink_lost
-            + s.crash_lost
-            + s.quarantined_drops
-            + s.shed_early,
-        "(1) global conservation violated {ctx}: {s:?}"
-    );
-    let snap = lvrm.snapshot();
-    // (2) per-VR admission.
-    for vr in &snap {
-        assert_eq!(
-            vr.frames_in,
-            vr.admitted + vr.shed,
-            "(2) admission identity violated for {} {ctx}",
-            vr.name
-        );
-    }
-    // (3) dispatch identity over live + draining + retired series.
-    let live_dispatched: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.dispatched).sum();
-    let live_returned: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.returned).sum();
-    let queued: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.queue_len as u64).sum();
-    assert_eq!(
-        live_dispatched + s.retired_dispatched,
-        live_returned + s.retired_returned + queued + s.reclaimed + s.queue_lost,
-        "(3) dispatch identity violated {ctx}: {s:?}"
-    );
-    // (4) drop identity.
-    let live_drops: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.dispatch_drops).sum();
-    assert_eq!(
-        s.dispatch_drops,
-        live_drops + s.retired_dispatch_drops,
-        "(4) drop identity violated {ctx}: {s:?}"
-    );
+    let ledger = lvrm.ledger();
+    assert_eq!(ledger.check_settled(), Ok(()), "{ctx}: {ledger}");
 }
 
 /// The acceptance scenario: warm up, checkpoint, kill, restore — flow

@@ -26,8 +26,8 @@
 //!   throughput search under the paper's 2 % loss criterion, time series;
 //! * [`scenarios`] — a declarative scenario DSL on top of [`scenario`]:
 //!   multi-tenant specs composing heavy-tailed flow mixes, diurnal ramps,
-//!   flash crowds and SYN/UDP floods, reporting the four conservation
-//!   identities and per-tenant goodput as structured results.
+//!   flash crowds and SYN/UDP floods, reporting the monitor's ledger
+//!   and per-tenant goodput as structured results.
 //!
 //! Everything is seeded and deterministic: the same scenario produces the
 //! same figures bit-for-bit.
@@ -48,7 +48,5 @@ pub use engine::EventQueue;
 pub use gateway::{ForwardingMech, HypervisorKind};
 pub use gateway::{VrSpec, VrType};
 pub use scenario::{Scenario, ScenarioResult};
-pub use scenarios::{
-    shard_split, ConservationReport, ScenarioReport, ScenarioSpec, TenantSpec, WorkloadSpec,
-};
+pub use scenarios::{shard_split, ScenarioReport, ScenarioSpec, TenantSpec, WorkloadSpec};
 pub use traffic::RateSchedule;

@@ -6,9 +6,8 @@
 //! VRs) with [`WorkloadSpec`] traffic shapes — constant-rate, seeded
 //! heavy-tailed flow mixes, diurnal ramps, flash crowds, SYN/UDP floods —
 //! and lowers to a runnable `Scenario`. Every run returns a structured
-//! [`ScenarioReport`]: the five conservation identities evaluated on
-//! the final metrics snapshot, per-tenant goodput, and flow-table
-//! occupancy. "Benchmarking NFV Software Dataplanes" (arXiv 1605.05843)
+//! [`ScenarioReport`]: the [`Ledger`] read from the final metrics snapshot,
+//! per-tenant goodput, and flow-table occupancy. "Benchmarking NFV Software Dataplanes" (arXiv 1605.05843)
 //! shows dataplane rankings invert with the traffic *profile*, not just the
 //! rate — this is the profile knob.
 //!
@@ -17,9 +16,8 @@
 //! seed, so two runs of the same spec produce identical flow traces and
 //! identical reports (property-tested in `scenario_determinism.rs`).
 
-use lvrm_core::{DispatchMode, SocketKind};
+use lvrm_core::{DispatchMode, Ledger, SocketKind};
 use lvrm_ipc::QueueKind;
-use lvrm_metrics::MetricsSnapshot;
 
 use crate::cost::StageCost;
 use crate::gateway::{ForwardingMech, VrSpec, VrType};
@@ -319,135 +317,6 @@ impl ScenarioSpec {
 // ---------------------------------------------------------------------------
 // Structured results
 
-/// One conservation identity: `lhs` must equal `rhs` exactly.
-#[derive(Clone, Debug)]
-pub struct Identity {
-    pub label: String,
-    pub lhs: u64,
-    pub rhs: u64,
-}
-
-impl Identity {
-    pub fn holds(&self) -> bool {
-        self.lhs == self.rhs
-    }
-}
-
-/// The five conservation identities (DESIGN.md §9 and §14,
-/// `metrics_invariants` suite) evaluated on one metrics snapshot.
-#[derive(Clone, Debug)]
-pub struct ConservationReport {
-    /// (A) per VR: `frames_in == admitted + shed`.
-    pub admission: Vec<Identity>,
-    /// (B) global: `frames_in` fully accounted by outputs, drops, and
-    /// queued gauges.
-    pub global: Identity,
-    /// (C) per VRI: `Σ dispatched == Σ returned + queued + reclaimed +
-    /// queue_lost` (sums include retired series).
-    pub dispatch: Identity,
-    /// (D) `dispatch_drops == Σ vri_dispatch_drops`.
-    pub drops: Identity,
-    /// (E) replication: `updates_emitted == updates_folded + updates_lost`.
-    pub replication: Identity,
-    /// Sibling-book staleness at snapshot time (not an identity):
-    /// records carried by the most recent state-update fan-out.
-    pub repl_lag_updates: u64,
-    /// Age of that fan-out in nanoseconds (0 = fanned out this tick or
-    /// never fanned out).
-    pub repl_lag_ns: u64,
-}
-
-impl ConservationReport {
-    pub fn from_snapshot(snap: &MetricsSnapshot) -> ConservationReport {
-        let c = |name: &str| snap.counter(name, &[]).unwrap_or(0);
-        let g = |name: &str| snap.gauge(name, &[]).unwrap_or(0.0).round() as u64;
-
-        let global = Identity {
-            label: "global".to_string(),
-            lhs: c("lvrm_frames_in_total"),
-            rhs: c("lvrm_frames_out_total")
-                + c("lvrm_unclassified_total")
-                + c("lvrm_shed_early_total")
-                + c("lvrm_dispatch_drops_total")
-                + c("lvrm_no_vri_drops_total")
-                + c("lvrm_shrink_lost_total")
-                + c("lvrm_crash_lost_total")
-                + c("lvrm_quarantined_drops_total")
-                + g("lvrm_data_queued")
-                + g("lvrm_egress_queued"),
-        };
-
-        let mut admission = Vec::new();
-        if let Some(fam) = snap.family("lvrm_vr_frames_in_total") {
-            for series in &fam.series {
-                let labels: Vec<(&str, &str)> =
-                    series.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-                let vr = labels
-                    .iter()
-                    .find(|(k, _)| *k == "vr")
-                    .map(|(_, v)| (*v).to_string())
-                    .unwrap_or_default();
-                admission.push(Identity {
-                    label: format!("admission[{vr}]"),
-                    lhs: series.as_counter().unwrap_or(0),
-                    rhs: snap.counter("lvrm_vr_admitted_total", &labels).unwrap_or(0)
-                        + snap.counter("lvrm_vr_shed_total", &labels).unwrap_or(0),
-                });
-            }
-        }
-
-        let dispatch = Identity {
-            label: "dispatch".to_string(),
-            lhs: snap.counter_sum("lvrm_vri_dispatched_total"),
-            rhs: snap.counter_sum("lvrm_vri_returned_total")
-                + g("lvrm_data_queued")
-                + g("lvrm_egress_queued")
-                + c("lvrm_reclaimed_total")
-                + c("lvrm_queue_lost_total"),
-        };
-
-        let drops = Identity {
-            label: "drops".to_string(),
-            lhs: c("lvrm_dispatch_drops_total"),
-            rhs: snap.counter_sum("lvrm_vri_dispatch_drops_total"),
-        };
-
-        let replication = Identity {
-            label: "replication".to_string(),
-            lhs: c("lvrm_repl_updates_emitted_total"),
-            rhs: c("lvrm_repl_updates_folded_total") + c("lvrm_repl_updates_lost_total"),
-        };
-
-        ConservationReport {
-            admission,
-            global,
-            dispatch,
-            drops,
-            replication,
-            repl_lag_updates: g("lvrm_repl_lag_updates"),
-            repl_lag_ns: g("lvrm_repl_lag_ns"),
-        }
-    }
-
-    /// Every identity, admission ones included.
-    pub fn all(&self) -> impl Iterator<Item = &Identity> {
-        [&self.global, &self.dispatch, &self.drops, &self.replication]
-            .into_iter()
-            .chain(self.admission.iter())
-    }
-
-    pub fn all_hold(&self) -> bool {
-        self.all().all(Identity::holds)
-    }
-
-    /// Panic with a precise message on the first violated identity.
-    pub fn assert_all(&self, ctx: &str) {
-        for id in self.all() {
-            assert_eq!(id.lhs, id.rhs, "conservation identity '{}' violated {ctx}", id.label);
-        }
-    }
-}
-
 /// Per-tenant delivery summary.
 #[derive(Clone, Debug)]
 pub struct TenantReport {
@@ -472,7 +341,8 @@ impl TenantReport {
 pub struct ScenarioReport {
     pub name: String,
     pub seed: u64,
-    pub conservation: ConservationReport,
+    /// The monitor's books at the end of the run, read from the scrape.
+    pub conservation: Ledger,
     pub tenants: Vec<TenantReport>,
     /// The raw low-level result, for deep inspection.
     pub result: ScenarioResult,
@@ -481,7 +351,7 @@ pub struct ScenarioReport {
 impl ScenarioReport {
     fn from_result(spec: &ScenarioSpec, result: ScenarioResult) -> ScenarioReport {
         let snap = result.metrics.as_ref().expect("declarative scenarios run the LVRM mechanism");
-        let conservation = ConservationReport::from_snapshot(snap);
+        let conservation = Ledger::from_snapshot(snap);
         let tenants = spec
             .tenants
             .iter()
@@ -494,6 +364,19 @@ impl ScenarioReport {
             })
             .collect();
         ScenarioReport { name: spec.name.clone(), seed: spec.seed, conservation, tenants, result }
+    }
+
+    /// Whether the final ledger checks out with nothing unreturned: the
+    /// scenario tenants forward every frame on an inline host, so (B) and
+    /// (C) must be exact.
+    pub fn conserved(&self) -> bool {
+        self.conservation.check().is_ok() && self.conservation.unreturned() == 0
+    }
+
+    /// Panic with the ledger (its last word names a violated identity)
+    /// unless [`ScenarioReport::conserved`].
+    pub fn assert_conserved(&self, ctx: &str) {
+        assert!(self.conserved(), "{ctx}: {}", self.conservation);
     }
 
     /// Concurrently tracked flows at end of run (pre-drain), summed over
@@ -804,7 +687,7 @@ mod tests {
             alpha: 1.3,
         })];
         let report = spec.run();
-        report.conservation.assert_all("(smoke spec)");
+        report.assert_conserved("(smoke spec)");
         assert_eq!(report.tenants.len(), 1);
         assert!(report.tenants[0].sent > 0);
         assert!(report.tenants[0].goodput() > 0.9, "goodput {}", report.tenants[0].goodput());

@@ -27,12 +27,7 @@ fn overload_loses_frames_loudly_not_silently() {
     let r = sc.run();
     assert!(r.delivery_ratio() < 0.5, "overload must lose frames: {}", r.delivery_ratio());
     let s = r.lvrm_stats.unwrap();
-    let accounted = r.udp_received
-        + s.dispatch_drops
-        + s.no_vri_drops
-        + s.shrink_lost
-        + s.shed_early
-        + r.ring_drops;
+    let accounted = r.udp_received + s.loss() + r.ring_drops;
     // Everything sent in the window is either delivered or in a drop
     // counter (modulo frames still in flight at the end and the warmup
     // boundary). Allow a small in-flight slack.
@@ -130,14 +125,7 @@ fn crashed_vri_is_respawned_and_traffic_recovers() {
 
     // Every frame is delivered or sits in a named counter (small in-flight
     // slack at run end, as in the overload test above).
-    let accounted = r.udp_received
-        + s.dispatch_drops
-        + s.no_vri_drops
-        + s.shrink_lost
-        + s.crash_lost
-        + s.quarantined_drops
-        + s.shed_early
-        + r.ring_drops;
+    let accounted = r.udp_received + s.loss() + r.ring_drops;
     assert!(
         accounted + 5_000 >= r.udp_sent,
         "unaccounted loss: sent {} vs accounted {accounted} ({s:?}, ring {})",

@@ -4,7 +4,7 @@
 //! single VRI and caps at one core's service rate; replicated dispatch
 //! spreads the same flow over every VRI and goodput scales with the VRI
 //! count. The suite asserts the headline ratios (≥1.7× at 2 VRIs, ≥3× at
-//! 4) and that all five conservation identities stay exact in every run.
+//! 4) and that the ledger stays exact in every run.
 
 use lvrm_testbed::scenarios::elephant_flow;
 
@@ -17,7 +17,7 @@ fn elephant_scales_with_replicated_dispatch() {
     let repl4 = elephant_flow(4, true, SEED).run();
 
     for (name, r) in [("pinned", &pinned), ("repl2", &repl2), ("repl4", &repl4)] {
-        r.conservation.assert_all(&format!("(elephant {name})"));
+        r.assert_conserved(&format!("(elephant {name})"));
     }
     assert_eq!(pinned.updates_emitted(), 0, "pinned dispatch replicates nothing");
     assert!(repl2.updates_emitted() > 0, "replicated dispatch must emit state updates");
@@ -144,23 +144,17 @@ fn elephant_spreads_on_real_vri_threads() {
             egress.clear();
             lvrm.poll_egress(&mut egress);
             out += egress.len() as u64;
-            let s = lvrm.stats();
-            let lost = s.dispatch_drops + s.no_vri_drops + s.queue_lost;
-            if sent == FRAMES && out + lost >= FRAMES {
+            if sent == FRAMES && out + lvrm.stats().loss() >= FRAMES {
                 break;
             }
             std::thread::yield_now();
         }
         let elapsed_ns = clock.now_ns() - t0;
         let dispatches = lvrm.vri_dispatch_counts(vr);
-        let s = lvrm.stats();
-        assert_eq!(
-            s.frames_in,
-            s.frames_out + s.dispatch_drops + s.no_vri_drops + s.unclassified + s.shed_early,
-            "global conservation violated on real threads ({mode:?}): {s:?}"
-        );
+        let ledger = lvrm.ledger();
+        assert_eq!(ledger.check_settled(), Ok(()), "on real threads ({mode:?}): {ledger}");
         host.shutdown();
-        (dispatches, out as f64 / (elapsed_ns as f64 / 1e9), s.updates_emitted)
+        (dispatches, out as f64 / (elapsed_ns as f64 / 1e9), ledger.stats.updates_emitted)
     };
 
     let (pinned, pinned_fps, pinned_updates) = run(DispatchMode::Pinned);

@@ -10,18 +10,18 @@
 
 use std::collections::BTreeMap;
 
+use lvrm_core::Ledger;
 use lvrm_testbed::scenarios::{diurnal, elephant_flow, ScenarioReport};
 
 /// Project a run onto everything workload-observable: per-flow delivery
-/// maps, tenant books, identity values, flow-table occupancy.
-type Fingerprint = (BTreeMap<u64, (u64, u64)>, Vec<(u64, u64)>, Vec<(u64, u64)>, u64);
+/// maps, tenant books, the monitor's ledger, flow-table occupancy.
+type Fingerprint = (BTreeMap<u64, (u64, u64)>, Vec<(u64, u64)>, Ledger, u64);
 
 fn fingerprint(r: &ScenarioReport) -> Fingerprint {
     let flows: BTreeMap<u64, (u64, u64)> =
         r.result.udp_flows.iter().map(|(k, v)| (*k, *v)).collect();
     let tenants = r.tenants.iter().map(|t| (t.sent, t.received)).collect();
-    let identities = r.conservation.all().map(|id| (id.lhs, id.rhs)).collect();
-    (flows, tenants, identities, r.tracked_flows())
+    (flows, tenants, r.conservation.clone(), r.tracked_flows())
 }
 
 #[test]
@@ -29,8 +29,8 @@ fn same_spec_and_seed_reproduce_the_run_exactly() {
     let a = diurnal(0xD1CE).run();
     let b = diurnal(0xD1CE).run();
 
-    a.conservation.assert_all("(diurnal, run A)");
-    b.conservation.assert_all("(diurnal, run B)");
+    a.assert_conserved("(diurnal, run A)");
+    b.assert_conserved("(diurnal, run B)");
 
     let fa = fingerprint(&a);
     let fb = fingerprint(&b);
@@ -46,8 +46,8 @@ fn same_spec_and_seed_reproduce_the_run_exactly() {
 fn different_seed_changes_the_flow_trace() {
     let a = diurnal(1).run();
     let b = diurnal(2).run();
-    a.conservation.assert_all("(diurnal, seed 1)");
-    b.conservation.assert_all("(diurnal, seed 2)");
+    a.assert_conserved("(diurnal, seed 1)");
+    b.assert_conserved("(diurnal, seed 2)");
     assert_ne!(
         fingerprint(&a).0,
         fingerprint(&b).0,
@@ -62,8 +62,8 @@ fn different_seed_changes_the_flow_trace() {
 fn elephant_replication_trace_is_deterministic() {
     let a = elephant_flow(2, true, 0xE1E).run();
     let b = elephant_flow(2, true, 0xE1E).run();
-    a.conservation.assert_all("(elephant, run A)");
-    b.conservation.assert_all("(elephant, run B)");
+    a.assert_conserved("(elephant, run A)");
+    b.assert_conserved("(elephant, run B)");
     assert!(!a.result.repl_trace.is_empty(), "replicated run must emit state updates");
     assert_eq!(a.result.repl_trace, b.result.repl_trace, "replicated-update traces diverged");
     assert_eq!(fingerprint(&a), fingerprint(&b), "elephant fingerprints diverged");
@@ -77,8 +77,8 @@ fn elephant_replication_trace_is_deterministic() {
 fn elephant_replication_trace_consumes_the_seed() {
     let a = elephant_flow(2, true, 3).run();
     let b = elephant_flow(2, true, 4).run();
-    a.conservation.assert_all("(elephant, seed 3)");
-    b.conservation.assert_all("(elephant, seed 4)");
+    a.assert_conserved("(elephant, seed 3)");
+    b.assert_conserved("(elephant, seed 4)");
     assert_ne!(
         a.result.repl_trace, b.result.repl_trace,
         "seeds 3 and 4 produced identical replicated-update traces"

@@ -4,7 +4,7 @@
 //! half of the fixed bench set) on the full simulated testbed with the
 //! real LVRM monitor, and asserts:
 //!
-//! * all four frame-conservation identities hold exactly on the final
+//! * the ledger (`lvrm_core::Ledger`, identities A–E) is exact on the final
 //!   metrics snapshot (post-drain, so the queued gauges are zero and the
 //!   books must close to the frame);
 //! * the weighted-tenant goodput floors: the weight-9 tenant rides out the
@@ -34,7 +34,7 @@ fn flash_crowd_sheds_surge_and_preserves_weighted_goodput() {
         let report = spec.run();
         let ctx = format!("(flash crowd, {qk:?})");
 
-        report.conservation.assert_all(&ctx);
+        report.assert_conserved(&ctx);
         assert!(report.shed_early() > 0, "surge never engaged shedding {ctx}");
 
         let steady = &report.tenants[0];
@@ -62,7 +62,7 @@ fn syn_flood_is_shed_and_victim_goodput_holds() {
         let report = spec.run();
         let ctx = format!("(syn flood, {qk:?})");
 
-        report.conservation.assert_all(&ctx);
+        report.assert_conserved(&ctx);
         assert!(report.shed_early() > 0, "flood never engaged shedding {ctx}");
         assert!(report.result.flood_sent > 0, "attacker emitted nothing {ctx}");
 
@@ -93,7 +93,7 @@ fn million_flow_census_tracks_and_conserves() {
         spec.queue_kind = qk;
         let report = spec.run();
         let ctx = format!("(million flows, {qk:?})");
-        report.conservation.assert_all(&ctx);
+        report.assert_conserved(&ctx);
         assert!(
             report.tracked_flows() >= 1_000_000,
             "expected >=1M concurrently tracked flows, got {} {ctx}",

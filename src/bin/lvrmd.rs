@@ -501,7 +501,7 @@ fn run(
                 }
                 None => println!("SIGHUP: no --checkpoint-path configured"),
             }
-            print_conservation(&lvrm.stats());
+            println!("{}", lvrm.ledger());
         }
         // The 1 s reallocation tick leaves a structured one-line summary.
         if let Some(line) = lvrm.take_tick_line() {
@@ -547,7 +547,7 @@ fn run(
     for vr in lvrm.snapshot() {
         println!("{vr}");
     }
-    print_conservation(&lvrm.stats());
+    println!("{}", lvrm.ledger());
     if nic.reopens + nic.failovers + nic.egress_retries + nic.tx_drops > 0 {
         println!(
             "adapter: reopens {}, failovers {}, egress retries {}, retry-deadline drops {}",
@@ -558,45 +558,6 @@ fn run(
         "\nself-test done: generated {generated}, forwarded {}, echoed back to peer {echoed}",
         lvrm.stats().frames_out
     );
-}
-
-/// The aggregate frame-conservation identity, as one printed line.
-fn print_conservation(s: &LvrmStats) {
-    let accounted = s.frames_out
-        + s.unclassified
-        + s.dispatch_drops
-        + s.no_vri_drops
-        + s.shrink_lost
-        + s.crash_lost
-        + s.quarantined_drops
-        + s.shed_early;
-    println!(
-        "conservation: frames_in {} == out {} + unclassified {} + dispatch_drops {} \
-         + no_vri {} + shrink_lost {} + crash_lost {} + quarantined {} + shed_early {} = {} [{}]",
-        s.frames_in,
-        s.frames_out,
-        s.unclassified,
-        s.dispatch_drops,
-        s.no_vri_drops,
-        s.shrink_lost,
-        s.crash_lost,
-        s.quarantined_drops,
-        s.shed_early,
-        accounted,
-        if s.frames_in == accounted { "exact" } else { "DELTA" },
-    );
-    // Identity (E) only materialises under replicated dispatch; keep the
-    // pinned-mode report one line.
-    if s.updates_emitted + s.updates_folded + s.updates_lost > 0 {
-        println!(
-            "replication: updates_emitted {} == folded {} + lost {} = {} [{}]",
-            s.updates_emitted,
-            s.updates_folded,
-            s.updates_lost,
-            s.updates_folded + s.updates_lost,
-            if s.updates_emitted == s.updates_folded + s.updates_lost { "exact" } else { "DELTA" },
-        );
-    }
 }
 
 fn main() {

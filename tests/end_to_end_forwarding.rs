@@ -69,8 +69,9 @@ fn threaded_runtime_forwards_and_reports_service_rate() {
     }
     host.shutdown();
     lvrm.poll_egress(&mut out);
-    let drops = lvrm.stats().dispatch_drops + lvrm.stats().no_vri_drops;
-    assert_eq!(out.len() as u64 + drops, sent, "conservation across threads");
+    let ledger = lvrm.ledger();
+    assert_eq!(ledger.check_settled(), Ok(()), "across threads: {ledger}");
+    assert_eq!(out.len() as u64 + ledger.stats.loss(), sent, "conservation across threads");
     assert!(out.len() > 1_000, "most frames should flow: {}", out.len());
 }
 
