@@ -66,8 +66,11 @@ impl VirtualRouter for ClickVr {
     }
 
     fn process(&mut self, frame: &mut Frame) -> RouterAction {
-        // The graph consumes the frame; run on a clone of the shared bytes
-        // (cheap) and copy the egress decision back.
+        // The graph consumes the frame, so it runs on a clone and only the
+        // egress decision is copied back. The clone shares the bytes, but an
+        // element that rewrites a header (`DecIPTTL`) then copies all of
+        // them — 1518 for a full-size frame — and that copy is dropped with
+        // the clone: the frame the VR returns is relayed unchanged.
         let fate = self.graph.run(frame.clone());
         match fate {
             PacketFate::Forwarded { iface } => {

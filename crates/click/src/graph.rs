@@ -29,6 +29,11 @@ pub struct ElementGraph {
     entries: HashMap<u16, usize>,
     /// Total element traversals (for cost accounting / statistics).
     traversals: u64,
+    /// [`ElementGraph::run`]'s work list of (element, in_port, frame) and the
+    /// frames one element emitted: both empty between calls, kept for their
+    /// capacity so a frame costs no allocation here.
+    work: Vec<(usize, usize, Frame)>,
+    emitted: Vec<(usize, Frame)>,
 }
 
 impl ElementGraph {
@@ -88,7 +93,15 @@ impl ElementGraph {
             }
             edges[from][link.out_port] = Some((to, link.in_port));
         }
-        Ok(ElementGraph { elements, names, edges, entries, traversals: 0 })
+        Ok(ElementGraph {
+            elements,
+            names,
+            edges,
+            entries,
+            traversals: 0,
+            work: Vec::new(),
+            emitted: Vec::new(),
+        })
     }
 
     /// Interfaces with a `FromDevice` entry point.
@@ -127,12 +140,11 @@ impl ElementGraph {
             .or_else(|| self.entries.values().next())
             .copied()
             .expect("compile() guarantees an entry point");
-        // Work list of (element, in_port, frame). Depth-first order like
-        // Click's push path; Tee fan-out queues siblings.
-        let mut work: Vec<(usize, usize, Frame)> = vec![(entry, 0, frame)];
+        // Depth-first order like Click's push path; Tee fan-out queues
+        // siblings.
+        self.work.push((entry, 0, frame));
         let mut fate = PacketFate::Dropped;
-        let mut emitted: Vec<(usize, Frame)> = Vec::new();
-        while let Some((idx, port, f)) = work.pop() {
+        while let Some((idx, port, f)) = self.work.pop() {
             self.traversals += 1;
             if let Some(t) = self.elements[idx].terminal() {
                 // Run the terminal for its statistics, then record the fate.
@@ -147,18 +159,19 @@ impl ElementGraph {
                 }
                 continue;
             }
-            emitted.clear();
+            self.emitted.clear();
+            let emitted = &mut self.emitted;
             self.elements[idx].push(port, f, &mut |out_port, out_frame| {
                 emitted.push((out_port, out_frame));
             });
-            for (out_port, mut out_frame) in emitted.drain(..) {
+            for (out_port, mut out_frame) in self.emitted.drain(..) {
                 match self.edges[idx].get(out_port).copied().flatten() {
                     Some((next, in_port)) => {
                         // Stamp egress early so ToDevice sees it.
                         if let Some(Terminal::ToDevice(iface)) = self.elements[next].terminal() {
                             out_frame.egress_if = iface;
                         }
-                        work.push((next, in_port, out_frame));
+                        self.work.push((next, in_port, out_frame));
                     }
                     None => {
                         // Unconnected port: frame dropped (Click warns once).
@@ -197,6 +210,8 @@ impl ElementGraph {
             edges: self.edges.clone(),
             entries: self.entries.clone(),
             traversals: 0,
+            work: Vec::new(),
+            emitted: Vec::new(),
         }
     }
 }

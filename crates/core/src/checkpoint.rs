@@ -30,6 +30,7 @@
 
 use std::fmt;
 use std::io;
+use std::net::Ipv4Addr;
 use std::path::Path;
 
 use lvrm_net::flow::Protocol;
@@ -87,9 +88,13 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-// CRC-32 (IEEE 802.3 polynomial, reflected), table built at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: `CRC_TABLES[0]`
+// is the classic byte-at-a-time table, and `CRC_TABLES[k][b]` is the CRC of
+// byte `b` followed by `k` zero bytes, so eight input bytes fold into the
+// running value with eight independent loads instead of eight dependent
+// ones. Built at compile time.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -98,19 +103,44 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32/IEEE over `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    // The last 0..=7 bytes.
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -166,9 +196,16 @@ pub(crate) enum Version {
 }
 
 /// Frame one message of the wire family: `magic | version | body | crc32`,
-/// the CRC-32 covering every byte before it.
-pub(crate) fn seal(magic: [u8; 4], version: Version, body: impl FnOnce(&mut Enc)) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::with_capacity(256) };
+/// the CRC-32 covering every byte before it. `len` sizes the buffer: the
+/// whole message's length, trailer included, where the caller can say (the
+/// buffer is then allocated once), else a start.
+pub(crate) fn seal(
+    magic: [u8; 4],
+    version: Version,
+    len: usize,
+    body: impl FnOnce(&mut Enc),
+) -> Vec<u8> {
+    let mut e = Enc { buf: Vec::with_capacity(len) };
     e.buf.extend_from_slice(&magic);
     match version {
         Version::U32(v) => e.u32(v),
@@ -214,7 +251,31 @@ pub(crate) fn open(
 }
 
 pub(crate) struct Enc {
-    pub(crate) buf: Vec<u8>,
+    buf: Vec<u8>,
+}
+
+/// Bytes of a flow key and of a flow record on the wire.
+const FLOW_KEY_WIRE: usize = 13;
+const FLOW_RECORD_WIRE: usize = FLOW_KEY_WIRE + 4 + 8;
+
+fn flow_key_wire(k: &FlowKey) -> [u8; FLOW_KEY_WIRE] {
+    let mut b = [0u8; FLOW_KEY_WIRE];
+    b[..4].copy_from_slice(&k.src.octets());
+    b[4..8].copy_from_slice(&k.dst.octets());
+    b[8..10].copy_from_slice(&k.src_port.to_le_bytes());
+    b[10..12].copy_from_slice(&k.dst_port.to_le_bytes());
+    b[12] = k.proto.to_ip_proto();
+    b
+}
+
+fn flow_key_from_wire(b: &[u8; FLOW_KEY_WIRE]) -> FlowKey {
+    FlowKey {
+        src: Ipv4Addr::new(b[0], b[1], b[2], b[3]),
+        dst: Ipv4Addr::new(b[4], b[5], b[6], b[7]),
+        src_port: u16::from_le_bytes([b[8], b[9]]),
+        dst_port: u16::from_le_bytes([b[10], b[11]]),
+        proto: Protocol::from_ip_proto(b[12]),
+    }
 }
 
 impl Enc {
@@ -247,17 +308,17 @@ impl Enc {
             self.u64(v);
         }
     }
+    /// One append per record: a checkpoint is nearly all flow records, and
+    /// field-by-field appends cost a capacity check each.
     fn flow_record(&mut self, f: &FlowRecord) {
-        self.flow_key(&f.key);
-        self.u32(f.slot);
-        self.u64(f.last_seen_ns);
+        let mut b = [0u8; FLOW_RECORD_WIRE];
+        b[..FLOW_KEY_WIRE].copy_from_slice(&flow_key_wire(&f.key));
+        b[FLOW_KEY_WIRE..FLOW_KEY_WIRE + 4].copy_from_slice(&f.slot.to_le_bytes());
+        b[FLOW_KEY_WIRE + 4..].copy_from_slice(&f.last_seen_ns.to_le_bytes());
+        self.buf.extend_from_slice(&b);
     }
     pub(crate) fn flow_key(&mut self, k: &FlowKey) {
-        self.buf.extend_from_slice(&k.src.octets());
-        self.buf.extend_from_slice(&k.dst.octets());
-        self.u16(k.src_port);
-        self.u16(k.dst_port);
-        self.u8(k.proto.to_ip_proto());
+        self.buf.extend_from_slice(&flow_key_wire(k));
     }
 }
 
@@ -312,14 +373,15 @@ impl<'a> Dec<'a> {
         let len = self.u32()? as usize;
         Ok(self.take(len)?.to_vec())
     }
-    /// A `u32` element count, refused above `max` before anything is
-    /// allocated for it.
-    fn count(&mut self, max: usize, what: &'static str) -> Result<usize, CheckpointError> {
+    /// A `u32` element count, refused before anything is allocated for it
+    /// unless that many records of at least `record` bytes each can still
+    /// follow: a decoder never reserves more than the message could fill.
+    fn count(&mut self, record: usize, what: &'static str) -> Result<usize, CheckpointError> {
         let n = self.u32()? as usize;
-        if n > max {
-            return Err(CheckpointError::Malformed(what));
+        match n.checked_mul(record) {
+            Some(bytes) if bytes <= self.buf.len() - self.pos => Ok(n),
+            _ => Err(CheckpointError::Malformed(what)),
         }
-        Ok(n)
     }
     fn stats(&mut self) -> Result<[u64; COUNTERS], CheckpointError> {
         let mut wire = [0u64; COUNTERS];
@@ -329,7 +391,13 @@ impl<'a> Dec<'a> {
         Ok(wire)
     }
     fn flow_record(&mut self) -> Result<FlowRecord, CheckpointError> {
-        Ok(FlowRecord { key: self.flow_key()?, slot: self.u32()?, last_seen_ns: self.u64()? })
+        let b = self.take(FLOW_RECORD_WIRE)?;
+        let (key, rest) = b.split_at(FLOW_KEY_WIRE);
+        Ok(FlowRecord {
+            key: flow_key_from_wire(key.try_into().expect("13 bytes")),
+            slot: u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")),
+            last_seen_ns: u64::from_le_bytes(rest[4..].try_into().expect("8 bytes")),
+        })
     }
     /// Exact consumption: a body with bytes left over is malformed.
     pub(crate) fn finish(self) -> Result<(), CheckpointError> {
@@ -339,16 +407,15 @@ impl<'a> Dec<'a> {
         Ok(())
     }
     pub(crate) fn flow_key(&mut self) -> Result<FlowKey, CheckpointError> {
-        let src: [u8; 4] = self.take(4)?.try_into().expect("4 bytes");
-        let dst: [u8; 4] = self.take(4)?.try_into().expect("4 bytes");
-        let src_port = self.u16()?;
-        let dst_port = self.u16()?;
-        let proto = Protocol::from_ip_proto(self.u8()?);
-        Ok(FlowKey { src: src.into(), dst: dst.into(), src_port, dst_port, proto })
+        Ok(flow_key_from_wire(self.take(FLOW_KEY_WIRE)?.try_into().expect("13 bytes")))
     }
 }
 
 impl VrCheckpoint {
+    /// Bytes [`VrCheckpoint::enc`] writes for a VR with an empty name, and so
+    /// the least a VR section can take.
+    const SCALARS_WIRE: usize = 4 + 4 * 8 + 2 * 8 + 4 + 8 + 8 + 4 + 1 + 1 + 4;
+
     /// The scalar per-VR record, shared by `LVCK` and `LVCD` (the flow
     /// sections differ and follow it).
     fn enc(&self, e: &mut Enc) {
@@ -397,7 +464,12 @@ impl VrCheckpoint {
 impl Checkpoint {
     /// Serialize to the versioned, CRC-trailed wire format.
     pub fn encode(&self) -> Vec<u8> {
-        seal(CHECKPOINT_MAGIC, Version::U32(CHECKPOINT_VERSION), |e| {
+        // magic, version, epoch, ts_ns, stats, next_vri, vr count, crc
+        let len = 4 + 4 + 4 + 8 + 8 * COUNTERS + 4 + 4 + 4;
+        let vrs = self.vrs.iter().map(|vr| {
+            VrCheckpoint::SCALARS_WIRE + vr.name.len() + 4 + vr.flows.len() * FLOW_RECORD_WIRE
+        });
+        seal(CHECKPOINT_MAGIC, Version::U32(CHECKPOINT_VERSION), len + vrs.sum::<usize>(), |e| {
             e.u32(self.epoch);
             e.u64(self.ts_ns);
             e.stats(self.stats.to_wire());
@@ -421,12 +493,12 @@ impl Checkpoint {
         let ts_ns = d.u64()?;
         let stats = LvrmStats::from_wire(d.stats()?);
         let next_vri = d.u32()?;
-        let n_vrs = d.count(1 << 16, "implausible vr count")?;
-        let mut vrs = Vec::with_capacity(n_vrs.min(1024));
+        let n_vrs = d.count(VrCheckpoint::SCALARS_WIRE + 4, "implausible vr count")?;
+        let mut vrs = Vec::with_capacity(n_vrs);
         for _ in 0..n_vrs {
             let mut vr = VrCheckpoint::dec(&mut d)?;
-            let n_flows = d.count(1 << 24, "implausible flow count")?;
-            vr.flows.reserve(n_flows.min(65536));
+            let n_flows = d.count(FLOW_RECORD_WIRE, "implausible flow count")?;
+            vr.flows.reserve_exact(n_flows);
             for _ in 0..n_flows {
                 vr.flows.push(d.flow_record()?);
             }
@@ -479,7 +551,7 @@ impl Checkpoint {
     pub fn canonical(&self) -> Checkpoint {
         let mut ck = self.clone();
         for vr in &mut ck.vrs {
-            vr.flows.sort_by_key(|f| flow_key_bytes(&f.key));
+            vr.flows.sort_by_key(|f| canonical_order(&f.key));
         }
         ck
     }
@@ -501,35 +573,129 @@ impl Checkpoint {
                 .find(|v| v.name == dv.meta.name)
                 .map(|v| std::mem::take(&mut v.flows))
                 .unwrap_or_default();
-            if !dv.evictions.is_empty() {
-                let evict: std::collections::HashSet<[u8; 13]> =
-                    dv.evictions.iter().map(flow_key_bytes).collect();
-                flows.retain(|f| !evict.contains(&flow_key_bytes(&f.key)));
-            }
-            if !dv.upserts.is_empty() {
-                let upsert: std::collections::HashSet<[u8; 13]> =
-                    dv.upserts.iter().map(|f| flow_key_bytes(&f.key)).collect();
-                flows.retain(|f| !upsert.contains(&flow_key_bytes(&f.key)));
-                flows.extend_from_slice(&dv.upserts);
-            }
-            flows.sort_by_key(|f| flow_key_bytes(&f.key));
+            // A shadow is canonical from its first fold on, and sorting a
+            // sorted list is one pass of compares; one baselined from a
+            // snapshot arrives in the master's table order, once.
+            flows.sort_unstable_by_key(|f| canonical_order(&f.key));
             let mut vr = dv.meta.clone();
-            vr.flows = flows;
+            vr.flows = merge_flows(flows, &dv.evictions, &dv.upserts);
             self.vrs.push(vr);
         }
     }
 }
 
-/// A flow key as its 13 wire bytes — a total order for canonical sorting
-/// and set membership, shared by `fold` and `CheckpointDelta::diff`.
-fn flow_key_bytes(k: &FlowKey) -> [u8; 13] {
-    let mut b = [0u8; 13];
-    b[..4].copy_from_slice(&k.src.octets());
-    b[4..8].copy_from_slice(&k.dst.octets());
-    b[8..10].copy_from_slice(&k.src_port.to_be_bytes());
-    b[10..12].copy_from_slice(&k.dst_port.to_be_bytes());
-    b[12] = k.proto.to_ip_proto();
-    b
+/// The canonical flow order: a key's addresses, ports and protocol compared
+/// in that order — the order of its 13 bytes with the ports big-endian.
+fn canonical_order(k: &FlowKey) -> (u32, u32, u16, u16, u8) {
+    (u32::from(k.src), u32::from(k.dst), k.src_port, k.dst_port, k.proto.to_ip_proto())
+}
+
+/// One pass over a canonical flow list: drop the evicted keys, replace or
+/// insert the upserts (an upsert wins over an eviction of the same key), keep
+/// the order. A delta is small beside the list, so sorting its two sections
+/// is cheap (the evictions come sorted unless a peer sent them otherwise).
+fn merge_flows(
+    flows: Vec<FlowRecord>,
+    evictions: &[FlowKey],
+    upserts: &[FlowRecord],
+) -> Vec<FlowRecord> {
+    if evictions.is_empty() && upserts.is_empty() {
+        return flows;
+    }
+    let mut evictions: Vec<_> = evictions.iter().map(canonical_order).collect();
+    evictions.sort_unstable();
+    let mut upserts = upserts.to_vec();
+    upserts.sort_by_key(|f| canonical_order(&f.key));
+    let mut out = Vec::with_capacity(flows.len() + upserts.len());
+    let (mut evicted, mut upserts) = (evictions.iter().peekable(), upserts.iter().peekable());
+    for f in flows {
+        let k = canonical_order(&f.key);
+        while let Some(u) = upserts.next_if(|u| canonical_order(&u.key) < k) {
+            out.push(*u);
+        }
+        while evicted.next_if(|e| **e < k).is_some() {}
+        let replaced = upserts.peek().is_some_and(|u| canonical_order(&u.key) == k);
+        if !replaced && evicted.peek() != Some(&&k) {
+            out.push(f);
+        }
+    }
+    out.extend(upserts);
+    out
+}
+
+/// Positions in a flow list by key: a flat open-addressed table of `u32`s
+/// under the flow table's own hash ([`FlowKey::hash64`]), built only when
+/// [`join_flows`]' hint misses. Like the flow table it indexes, it does not
+/// resist keys crafted to collide; it holds no more keys than that table did.
+struct KeyIndex {
+    /// Position + 1, or 0 for an empty slot.
+    slots: Vec<u32>,
+    mask: usize,
+}
+
+impl KeyIndex {
+    fn new(flows: &[FlowRecord]) -> KeyIndex {
+        let mask = (flows.len() * 2).next_power_of_two() - 1;
+        let mut slots = vec![0u32; mask + 1];
+        for (i, f) in flows.iter().enumerate() {
+            let mut s = f.key.hash64() as usize & mask;
+            while slots[s] != 0 {
+                s = (s + 1) & mask;
+            }
+            slots[s] = i as u32 + 1;
+        }
+        KeyIndex { slots, mask }
+    }
+
+    fn find(&self, flows: &[FlowRecord], key: &FlowKey) -> Option<usize> {
+        let mut s = key.hash64() as usize & self.mask;
+        while self.slots[s] != 0 {
+            let i = self.slots[s] as usize - 1;
+            if flows[i].key == *key {
+                return Some(i);
+            }
+            s = (s + 1) & self.mask;
+        }
+        None
+    }
+}
+
+/// What advances one VR's flow list from `old` to `new`: the keys only
+/// `old` holds, canonically sorted so the encoded delta is reproducible, and
+/// the records of `new` that `old` lacks or holds differently, in `new`'s
+/// order. Keys are unique within a list (a flow table holds one entry per
+/// key).
+///
+/// A hinted join. Both lists left the same open-addressed table in slot
+/// order, and between them only the few records of a probe chain an eviction
+/// closed up have changed places, so the record after the last match is
+/// nearly always the next match: compare there first, and index `old` only
+/// once that fails.
+fn join_flows(old: &[FlowRecord], new: &[FlowRecord]) -> (Vec<FlowKey>, Vec<FlowRecord>) {
+    let mut upserts = Vec::new();
+    let mut matched = vec![false; old.len()];
+    let mut index = None;
+    let mut hint = 0;
+    for f in new {
+        let at = match old.get(hint) {
+            Some(o) if o.key == f.key => Some(hint),
+            _ => index.get_or_insert_with(|| KeyIndex::new(old)).find(old, &f.key),
+        };
+        match at {
+            Some(i) => {
+                hint = i + 1;
+                matched[i] = true;
+                if old[i] != *f {
+                    upserts.push(*f);
+                }
+            }
+            None => upserts.push(*f),
+        }
+    }
+    let unmatched = old.iter().zip(&matched).filter(|(_, m)| !**m);
+    let mut evictions: Vec<FlowKey> = unmatched.map(|(o, _)| o.key).collect();
+    evictions.sort_unstable_by_key(canonical_order);
+    (evictions, upserts)
 }
 
 // ---- checkpoint deltas (HA replication stream, DESIGN.md §13) ----------
@@ -582,30 +748,9 @@ impl CheckpointDelta {
     pub fn diff(prev: &Checkpoint, next: &Checkpoint, seq: u64) -> CheckpointDelta {
         let mut vrs = Vec::with_capacity(next.vrs.len());
         for nv in &next.vrs {
-            let mut meta = nv.clone();
-            meta.flows = Vec::new();
-            let old_flows: std::collections::HashMap<[u8; 13], &FlowRecord> = prev
-                .vrs
-                .iter()
-                .find(|v| v.name == nv.name)
-                .map(|v| v.flows.iter().map(|f| (flow_key_bytes(&f.key), f)).collect())
-                .unwrap_or_default();
-            let new_keys: std::collections::HashSet<[u8; 13]> =
-                nv.flows.iter().map(|f| flow_key_bytes(&f.key)).collect();
-            // Sorted so the encoded delta is byte-reproducible (HashMap
-            // iteration order is seeded per process).
-            let mut evictions: Vec<FlowKey> = old_flows
-                .iter()
-                .filter(|(k, _)| !new_keys.contains(*k))
-                .map(|(_, f)| f.key)
-                .collect();
-            evictions.sort_by_key(flow_key_bytes);
-            let upserts = nv
-                .flows
-                .iter()
-                .filter(|f| old_flows.get(&flow_key_bytes(&f.key)).is_none_or(|old| *old != *f))
-                .copied()
-                .collect();
+            let old = prev.vrs.iter().find(|v| v.name == nv.name).map_or(&[][..], |v| &v.flows);
+            let (evictions, upserts) = join_flows(old, &nv.flows);
+            let meta = VrCheckpoint { flows: Vec::new(), name: nv.name.clone(), ..*nv };
             vrs.push(VrDelta { meta, evictions, upserts });
         }
         CheckpointDelta {
@@ -620,7 +765,17 @@ impl CheckpointDelta {
 
     /// Serialize to the versioned, CRC-trailed wire format.
     pub fn encode(&self) -> Vec<u8> {
-        seal(DELTA_MAGIC, Version::U32(DELTA_VERSION), |e| {
+        // magic, version, epoch, seq, ts_ns, stats, next_vri, vr count, crc
+        let len = 4 + 4 + 4 + 8 + 8 + 8 * COUNTERS + 4 + 4 + 4;
+        let vrs = self.vrs.iter().map(|dv| {
+            VrCheckpoint::SCALARS_WIRE
+                + dv.meta.name.len()
+                + 4
+                + dv.evictions.len() * FLOW_KEY_WIRE
+                + 4
+                + dv.upserts.len() * FLOW_RECORD_WIRE
+        });
+        seal(DELTA_MAGIC, Version::U32(DELTA_VERSION), len + vrs.sum::<usize>(), |e| {
             e.u32(self.epoch);
             e.u64(self.seq);
             e.u64(self.ts_ns);
@@ -650,17 +805,17 @@ impl CheckpointDelta {
         let ts_ns = d.u64()?;
         let stats_delta = d.stats()?;
         let next_vri = d.u32()?;
-        let n_vrs = d.count(1 << 16, "implausible vr count")?;
-        let mut vrs = Vec::with_capacity(n_vrs.min(1024));
+        let n_vrs = d.count(VrCheckpoint::SCALARS_WIRE + 4 + 4, "implausible vr count")?;
+        let mut vrs = Vec::with_capacity(n_vrs);
         for _ in 0..n_vrs {
             let meta = VrCheckpoint::dec(&mut d)?;
-            let n_evict = d.count(1 << 24, "implausible eviction count")?;
-            let mut evictions = Vec::with_capacity(n_evict.min(65536));
+            let n_evict = d.count(FLOW_KEY_WIRE, "implausible eviction count")?;
+            let mut evictions = Vec::with_capacity(n_evict);
             for _ in 0..n_evict {
                 evictions.push(d.flow_key()?);
             }
-            let n_upsert = d.count(1 << 24, "implausible upsert count")?;
-            let mut upserts = Vec::with_capacity(n_upsert.min(65536));
+            let n_upsert = d.count(FLOW_RECORD_WIRE, "implausible upsert count")?;
+            let mut upserts = Vec::with_capacity(n_upsert);
             for _ in 0..n_upsert {
                 upserts.push(d.flow_record()?);
             }
@@ -724,6 +879,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         let ck = sample();
         let bytes = ck.encode();
+        assert_eq!(bytes.capacity(), bytes.len(), "the buffer is sized once, exactly");
         let back = Checkpoint::decode(&bytes).expect("decodes");
         assert_eq!(back, ck);
     }
@@ -817,7 +973,9 @@ mod tests {
         shadow.fold(&d);
         assert_eq!(shadow, b.canonical());
         // Wire roundtrip of the same delta.
-        let back = CheckpointDelta::decode(&d.encode()).expect("decodes");
+        let bytes = d.encode();
+        assert_eq!(bytes.capacity(), bytes.len(), "the buffer is sized once, exactly");
+        let back = CheckpointDelta::decode(&bytes).expect("decodes");
         assert_eq!(back, d);
     }
 

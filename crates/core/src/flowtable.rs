@@ -242,8 +242,8 @@ impl FlowTable {
     /// Iterate live entries as `(key, vri, last_seen_ns)` — the checkpoint
     /// export surface. Entries already past `timeout_ns` may still appear
     /// (they are reclaimed lazily); importers re-apply the timeout anyway.
-    pub fn entries(&self) -> impl Iterator<Item = (FlowKey, VriId, u64)> + '_ {
-        self.slots.iter().flatten().map(|e| (e.key, e.vri, e.last_seen_ns))
+    pub fn entries(&self) -> impl Iterator<Item = (&FlowKey, VriId, u64)> + '_ {
+        self.slots.iter().flatten().map(|e| (&e.key, e.vri, e.last_seen_ns))
     }
 
     /// Remove every entry pointing at `vri` (called when a VRI is killed so
@@ -529,7 +529,7 @@ mod tests {
             evicted += t.age_step(200, 2);
         }
         assert!(
-            t.entries().all(|(key, _, _)| key != x),
+            t.entries().all(|(key, _, _)| *key != x),
             "expired entry escaped the sweep via backshift relocation"
         );
         // B and X both expired mid-lap; each evicted exactly once.

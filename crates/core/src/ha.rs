@@ -125,7 +125,7 @@ pub enum HaMsg {
 
 impl HaMsg {
     pub fn encode(&self) -> Vec<u8> {
-        seal(HA_MAGIC, Version::U8(HA_VERSION), |e| match self {
+        seal(HA_MAGIC, Version::U8(HA_VERSION), 64, |e| match self {
             HaMsg::Advert { term, node_id, priority, epoch, seq } => {
                 e.u8(KIND_ADVERT);
                 e.u64(*term);

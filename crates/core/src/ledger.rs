@@ -60,10 +60,38 @@ pub(crate) const M_VRI_RETURNED: (&str, &str) =
     ("lvrm_vri_returned_total", "Frames collected from the VRI's outgoing data queue.");
 pub(crate) const M_VRI_DROPS: (&str, &str) =
     ("lvrm_vri_dispatch_drops_total", "Frames discarded after this VRI refused them.");
+pub(crate) const M_VRI_QUEUE_LEN: (&str, &str) =
+    ("lvrm_vri_queue_len", "Instantaneous incoming data-queue depth.");
 pub(crate) const M_DATA_QUEUED: (&str, &str) =
     ("lvrm_data_queued", "Frames queued toward VRIs (all incoming data queues).");
 pub(crate) const M_EGRESS_QUEUED: (&str, &str) =
     ("lvrm_egress_queued", "Forwarded frames not yet collected (all outgoing data queues).");
+
+/// A struct of registry handles and the `register` that looks them all up
+/// under one label set, from one table of `field: kind = (name, help)`. A
+/// publisher that keeps the struct stores through it at every scrape without
+/// taking the registry's lock or naming a family again.
+macro_rules! series {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($field:ident: $kind:ident = $metric:expr,)*
+    }) => {
+        $(#[$meta])*
+        $vis struct $name { $($field: series!(@handle $kind),)* }
+
+        impl $name {
+            $vis fn register(
+                reg: &lvrm_metrics::MetricsRegistry,
+                labels: &[(&str, &str)],
+            ) -> $name {
+                $name { $($field: reg.$kind($metric.0, $metric.1, labels),)* }
+            }
+        }
+    };
+    (@handle counter) => { lvrm_metrics::Counter };
+    (@handle gauge) => { lvrm_metrics::Gauge };
+    (@handle summary) => { lvrm_metrics::SharedHistogram };
+}
+pub(crate) use series;
 
 /// Which side of identity (B) a counter sits on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

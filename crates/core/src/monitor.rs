@@ -23,26 +23,27 @@ use lvrm_ipc::channels::{shared_ring, vri_channels_with_ring, ControlEvent};
 use lvrm_ipc::vlink::{VLinkReceiver, VLinkSender};
 use lvrm_ipc::PressureLevel;
 use lvrm_metrics::{
-    Counter, LatencyHistogram, MetricsRegistry, MetricsSnapshot, RateEstimator, SharedHistogram,
+    Counter, Gauge, LatencyHistogram, MetricsRegistry, MetricsSnapshot, RateEstimator,
 };
-use lvrm_net::{prefetch_read, FlowKey, Frame, HashedKey, IngressHeaders};
+use lvrm_net::{prefetch_read, Frame, HashedKey, IngressHeaders};
 use lvrm_router::{RouteTable, VirtualRouter};
 
 use crate::alloc::{AllocDecision, CoreAllocator, VrLoadView};
 use crate::balance::{BalanceCtx, LoadBalancer};
-use crate::checkpoint::{Checkpoint, CheckpointError, FlowRecord, VrCheckpoint};
+use crate::checkpoint::{Checkpoint, CheckpointError, VrCheckpoint};
 use crate::clock::Clock;
 use crate::config::{DispatchMode, LvrmConfig};
 use crate::estimate::PressureTracker;
 use crate::ha::{HaNode, PeerLink, Role};
 use crate::host::{VriHost, VriSpec};
 use crate::ledger::{
-    Ledger, LvrmStats, StatCounters, VrBooks, VriBooks, M_DATA_QUEUED, M_EGRESS_QUEUED,
-    M_VRI_DISPATCHED, M_VRI_DROPS, M_VRI_RETURNED, M_VR_ADMITTED, M_VR_FRAMES_IN, M_VR_SHED,
+    series, Ledger, LvrmStats, StatCounters, VrBooks, VriBooks, M_DATA_QUEUED, M_EGRESS_QUEUED,
+    M_VRI_DISPATCHED, M_VRI_DROPS, M_VRI_QUEUE_LEN, M_VRI_RETURNED, M_VR_ADMITTED, M_VR_FRAMES_IN,
+    M_VR_SHED,
 };
 use crate::shard::{FleetNode, ShardMap};
 use crate::topology::CoreMap;
-use crate::vri::{decode_heartbeat, decode_service_rate, VriAdapter, VriHealth};
+use crate::vri::{decode_heartbeat, decode_service_rate, VriAdapter, VriHealth, VriSeries};
 use crate::{VrId, VriId};
 
 /// A grow/shrink event, kept for the reaction-time analysis (Fig. 4.11).
@@ -81,21 +82,6 @@ pub struct SupervisionEvent {
     pub action: SupervisionAction,
 }
 
-/// (name, help) pairs for the per-VRI metric families, shared between the
-/// live refresh and the retirement freeze so retired series land in the same
-/// families with the same help text. (The three the ledger reads back —
-/// dispatched, returned, drops — are declared beside it.)
-const M_VRI_QUEUE_LEN: (&str, &str) =
-    ("lvrm_vri_queue_len", "Instantaneous incoming data-queue depth.");
-const M_VRI_QUEUE_WM: (&str, &str) =
-    ("lvrm_vri_queue_watermark", "Deepest incoming-queue depth observed at dispatch time.");
-const M_VRI_EGRESS_LEN: (&str, &str) =
-    ("lvrm_vri_egress_len", "Forwarded frames not yet collected from the outgoing queue.");
-const M_VRI_HEALTH: (&str, &str) =
-    ("lvrm_vri_health", "Supervisor health classification (0 live, 1 suspect, 2 dead).");
-const M_VRI_DRAINING: (&str, &str) =
-    ("lvrm_vri_draining", "1 while the VRI is in the drain state, else 0.");
-
 /// Pre-register the adapter-supervision families (at zero) so they exist
 /// from the first scrape whether or not a
 /// [`crate::adapter::SupervisedAdapter`] is wired in. Same names and help as
@@ -111,20 +97,79 @@ fn register_adapter_families(reg: &MetricsRegistry) {
     );
 }
 
-/// Freeze a departing VRI's per-instance series at their final values. The
-/// series stay in the registry, so family-wide sums keep satisfying the
-/// dispatch identity after the instance is gone.
-fn publish_vri_final(reg: &MetricsRegistry, vr_name: &str, v: &VriAdapter) {
-    let vri = v.id.to_string();
-    let labels = [("vr", vr_name), ("vri", vri.as_str())];
-    reg.counter(M_VRI_DISPATCHED.0, M_VRI_DISPATCHED.1, &labels).store(v.dispatched);
-    reg.counter(M_VRI_RETURNED.0, M_VRI_RETURNED.1, &labels).store(v.returned);
-    reg.counter(M_VRI_DROPS.0, M_VRI_DROPS.1, &labels).store(v.dispatch_drops);
-    reg.gauge(M_VRI_QUEUE_LEN.0, M_VRI_QUEUE_LEN.1, &labels).set(0.0);
-    reg.gauge(M_VRI_QUEUE_WM.0, M_VRI_QUEUE_WM.1, &labels).set(v.queue_watermark as f64);
-    reg.gauge(M_VRI_EGRESS_LEN.0, M_VRI_EGRESS_LEN.1, &labels).set(0.0);
-    reg.gauge(M_VRI_HEALTH.0, M_VRI_HEALTH.1, &labels).set(v.health.as_gauge());
-    reg.gauge(M_VRI_DRAINING.0, M_VRI_DRAINING.1, &labels).set(0.0);
+series! {
+    /// One VR's series in the metrics registry, looked up once at `add_vr`:
+    /// [`Lvrm::refresh_registry`] stores through them, so a scrape takes no
+    /// registry lock, allocates no label and searches no family by name.
+    struct VrSeries {
+        frames_in: counter = M_VR_FRAMES_IN,
+        frames_out: counter = ("lvrm_vr_frames_out_total", "Frames the VR's VRIs forwarded."),
+        admitted: counter = M_VR_ADMITTED,
+        shed: counter = M_VR_SHED,
+        flow_sticky: counter = (
+            "lvrm_vr_flow_sticky_total",
+            "Flow-based balancer: frames that hit a live flow entry.",
+        ),
+        flow_fresh: counter =
+            ("lvrm_vr_flow_fresh_total", "Flow-based balancer: frames that picked a VRI afresh."),
+        pressure: gauge =
+            ("lvrm_vr_pressure", "Watermark pressure state (0 normal, 1 pressured, 2 overloaded)."),
+        vris: gauge = ("lvrm_vr_vris", "Live (balanced-to) VRIs."),
+        draining: gauge = ("lvrm_vr_draining", "VRIs of this VR in the drain state."),
+        arrival_fps: gauge = ("lvrm_vr_arrival_fps", "Smoothed arrival rate, frames per second."),
+        quarantined: gauge = ("lvrm_vr_quarantined", "1 while the VR is quarantined, else 0."),
+        // Mirrored from `VrState::latency`, never written on the hot path
+        // (`SharedHistogram::record` is five locked RMWs per frame).
+        latency: summary = (
+            "lvrm_vr_latency_ns",
+            "Dispatch-to-departure latency in nanoseconds (quantiles approximate).",
+        ),
+    }
+}
+
+series! {
+    /// The flow-table families of a VR whose balancer keeps a flow table.
+    struct FlowSeries {
+        evictions: counter = (
+            "lvrm_vr_flow_evictions_total",
+            "Expired flow entries evicted (lazy probe hits + aging sweeps).",
+        ),
+        overflows: counter =
+            ("lvrm_vr_flow_overflows_total", "Flow insertions refused because the table was full."),
+        age_sweep_slots: counter = (
+            "lvrm_vr_flow_age_sweep_slots_total",
+            "Slots visited by the incremental aging sweep (bounded per tick).",
+        ),
+        entries: gauge = ("lvrm_vr_flow_entries", "Tracked flows in the flow table."),
+        occupancy: gauge =
+            ("lvrm_vr_flow_occupancy", "Flow-table fill fraction (entries / capacity)."),
+    }
+}
+
+series! {
+    /// The monitor-wide sampled gauges, looked up once in [`Lvrm::new`].
+    struct MonitorGauges {
+        data_queued: gauge = M_DATA_QUEUED,
+        egress_queued: gauge = M_EGRESS_QUEUED,
+        rescued_pending: gauge = (
+            "lvrm_rescued_pending",
+            "Rescued egress frames awaiting the next poll (already in frames_out).",
+        ),
+        draining_vris: gauge = ("lvrm_draining_vris", "VRIs in the drain state across all VRs."),
+        vrs: gauge = ("lvrm_vrs", "Registered VRs."),
+        restore_epoch: gauge = (
+            "lvrm_restore_epoch",
+            "Restart epoch (0 cold start; checkpoint epoch + 1 after restore).",
+        ),
+        repl_lag_updates: gauge = (
+            "lvrm_repl_lag_updates",
+            "Records carried by the most recent state-update fan-out (sibling-book staleness).",
+        ),
+        repl_lag_ns: gauge = (
+            "lvrm_repl_lag_ns",
+            "Age of the most recent state-update fan-out, vs the replica flush interval.",
+        ),
+    }
 }
 
 /// Per-VR state: the VRI monitor plus the VR monitor's estimators.
@@ -177,12 +222,13 @@ struct VrState {
     /// Dispatch→departure latency histogram, recorded in `poll_egress` when
     /// `config.latency_histograms` is on and frames carry an ingress stamp.
     /// Plain (non-atomic) because the monitor is its only writer; published
-    /// to `latency_pub` at refresh time.
+    /// to `series.latency` at refresh time.
     latency: LatencyHistogram,
-    /// Registry series `lvrm_vr_latency_ns{vr=...}` — mirrored from
-    /// `latency` by `refresh_registry`, never written on the hot path
-    /// (`SharedHistogram::record` is five locked RMWs per frame).
-    latency_pub: SharedHistogram,
+    /// This VR's registry series; the flow-table ones from when its balancer
+    /// first keeps a table (they then outlive a switch to one without, at
+    /// their last values).
+    series: VrSeries,
+    flow_series: Option<FlowSeries>,
     /// Shared per-VR ingress ring (VLink work-stealing fabric). `Some` only
     /// under `config.vlink_fabric()`; every VRI endpoint of this VR holds a
     /// consumer clone and steals bursts from it instead of being balanced to.
@@ -203,7 +249,10 @@ struct VrState {
 /// is published to the registry as a synthetic `vri="ring"` series in the
 /// per-VRI dispatch families, so identity (C)
 /// (`Σ dispatched == Σ returned + queued + reclaimed + lost`) and identity
-/// (D) (aggregate drops == per-series drop sum) hold unchanged.
+/// (D) (aggregate drops == per-series drop sum) hold unchanged: frames the
+/// monitor bulk-enqueued count as dispatched there (the stealing VRI's own
+/// series later records the `returned`), ring occupancy joins
+/// `lvrm_data_queued`, and ring refusals join the dispatch-drop family.
 struct VrRing {
     /// Producer: `dispatch_bucket` bulk-publishes a VR's burst here.
     tx: VLinkSender<Frame>,
@@ -214,9 +263,34 @@ struct VrRing {
     enqueued: u64,
     /// Frames a full ring refused (the ring series' `dispatch_drops`).
     drops: u64,
+    m_dispatched: Counter,
+    m_drops: Counter,
+    m_queue_len: Gauge,
+    m_occupancy: Gauge,
 }
 
 impl VrRing {
+    fn new(capacity: usize, reg: &MetricsRegistry, vr: &str) -> VrRing {
+        let (tx, rx) = shared_ring(capacity);
+        let labels = [("vr", vr), ("vri", "ring")];
+        // The ring returns nothing itself; its series stays at zero.
+        reg.counter(M_VRI_RETURNED.0, M_VRI_RETURNED.1, &labels);
+        VrRing {
+            tx,
+            rx,
+            enqueued: 0,
+            drops: 0,
+            m_dispatched: reg.counter(M_VRI_DISPATCHED.0, M_VRI_DISPATCHED.1, &labels),
+            m_drops: reg.counter(M_VRI_DROPS.0, M_VRI_DROPS.1, &labels),
+            m_queue_len: reg.gauge(M_VRI_QUEUE_LEN.0, M_VRI_QUEUE_LEN.1, &labels),
+            m_occupancy: reg.gauge(
+                "lvrm_vr_ring_occupancy",
+                "Shared-ring fill fraction (VLink fabric only).",
+                &[("vr", vr)],
+            ),
+        }
+    }
+
     fn occupancy(&self) -> f64 {
         self.rx.len() as f64 / self.rx.capacity().max(1) as f64
     }
@@ -385,6 +459,8 @@ pub struct Lvrm<C: Clock> {
     /// involves them), incremented by the checkpoint paths.
     checkpoint_writes: Counter,
     checkpoint_rejected: Counter,
+    /// The sampled monitor-wide gauges `refresh_registry` sets.
+    gauges: MonitorGauges,
     /// One-line structured summary built by each reallocation pass, consumed
     /// via [`Lvrm::take_tick_line`].
     tick_line: Option<String>,
@@ -446,6 +522,7 @@ impl<C: Clock> Lvrm<C> {
             &[],
         );
         register_adapter_families(&registry);
+        let gauges = MonitorGauges::register(&registry, &[]);
         registry
             .gauge(
                 "lvrm_info",
@@ -472,6 +549,7 @@ impl<C: Clock> Lvrm<C> {
             stats,
             checkpoint_writes,
             checkpoint_rejected,
+            gauges,
             tick_line: None,
             rescued_egress: Vec::new(),
             draining_count: 0,
@@ -562,18 +640,20 @@ impl<C: Clock> Lvrm<C> {
             });
         }
         let name: String = name.into();
-        let latency_pub = self.registry.summary(
-            "lvrm_vr_latency_ns",
-            "Dispatch-to-departure latency in nanoseconds (quantiles approximate).",
-            &[("vr", name.as_str())],
-        );
+        let balancer = self.config.build_balancer();
+        let series = VrSeries::register(&self.registry, &[("vr", &name)]);
+        let flow_series = (balancer.flow_table_stats().is_some())
+            .then(|| FlowSeries::register(&self.registry, &[("vr", &name)]));
+        let ring = self.config.vlink_fabric().then(|| {
+            VrRing::new(self.config.effective_shared_ring_capacity(), &self.registry, &name)
+        });
         self.registry.push_event(self.clock.now_ns(), format!("vr-added vr={name} id={id}"));
         self.vrs.push(VrState {
             id,
             name,
             router_template: router,
             vris: Vec::new(),
-            balancer: self.config.build_balancer(),
+            balancer,
             dispatch: self.config.dispatch,
             allocator,
             arrival: RateEstimator::new(self.config.arrival_window_ns, self.config.arrival_weight),
@@ -591,11 +671,9 @@ impl<C: Clock> Lvrm<C> {
             shed_credit: 0.0,
             draining: Vec::new(),
             latency: LatencyHistogram::new(),
-            latency_pub,
-            ring: self.config.vlink_fabric().then(|| {
-                let (tx, rx) = shared_ring(self.config.effective_shared_ring_capacity());
-                VrRing { tx, rx, enqueued: 0, drops: 0 }
-            }),
+            series,
+            flow_series,
+            ring,
             owned: true,
             subnets: subnets.to_vec(),
         });
@@ -657,6 +735,9 @@ impl<C: Clock> Lvrm<C> {
         }
         state.dispatch = mode;
         state.balancer = self.config.build_balancer_for(mode);
+        if state.flow_series.is_none() && state.balancer.flow_table_stats().is_some() {
+            state.flow_series = Some(FlowSeries::register(&self.registry, &[("vr", &state.name)]));
+        }
         self.registry.push_event(
             self.clock.now_ns(),
             format!("vr-dispatch vr={} mode={}", state.name, mode.name()),
@@ -1344,7 +1425,7 @@ impl<C: Clock> Lvrm<C> {
         self.stats.vri_deaths.inc();
         // Both drains are done: freeze the per-instance series at their
         // final values (returned includes the rescued egress above).
-        publish_vri_final(&self.registry, &self.vrs[idx].name, &adapter);
+        adapter.publish_final();
         self.registry.push_event(
             now_ns,
             format!(
@@ -1556,6 +1637,8 @@ impl<C: Clock> Lvrm<C> {
             self.vrs[idx].ring.as_ref().map(|r| r.rx.clone()),
         );
         let mut adapter = VriAdapter::new(vri, core, channels, self.config.build_estimator());
+        let labels = [("vr", self.vrs[idx].name.as_str()), ("vri", &vri.to_string())];
+        adapter.series = VriSeries::register(&self.registry, &labels);
         // A newborn has not heartbeat yet; give it a full liveness window
         // before the supervisor may judge it.
         adapter.note_liveness(now_ns);
@@ -1686,7 +1769,7 @@ impl<C: Clock> Lvrm<C> {
         self.stats.retired_dispatched.add(adapter.dispatched);
         self.stats.retired_returned.add(adapter.returned);
         // Both drains are done: freeze the per-instance series.
-        publish_vri_final(&self.registry, &self.vrs[idx].name, &adapter);
+        adapter.publish_final();
         self.registry.push_event(
             now_ns,
             format!("vri-retired vr={} vri={vri} reclaimed={got} lost={lost}", self.vrs[idx].name),
@@ -1849,145 +1932,54 @@ impl<C: Clock> Lvrm<C> {
     /// Mirror the sampled (non-counter) state — queue depths, pressure,
     /// arrival rates, per-VRI series — into the registry. Counters update
     /// live; gauges only move when this runs, so scrapes call it first
-    /// (via [`Lvrm::metrics_snapshot`]).
+    /// (via [`Lvrm::metrics_snapshot`]). Every store goes through a handle
+    /// kept since the VR or VRI was added.
     pub fn refresh_registry(&self) {
-        let reg = &self.registry;
         for vr in &self.vrs {
-            let name = vr.name.as_str();
-            let labels = [("vr", name)];
-            let c = |n: &str, h: &str, v: u64| reg.counter(n, h, &labels).store(v);
-            c(M_VR_FRAMES_IN.0, M_VR_FRAMES_IN.1, vr.frames_in);
-            c("lvrm_vr_frames_out_total", "Frames the VR's VRIs forwarded.", vr.frames_out);
-            c(M_VR_ADMITTED.0, M_VR_ADMITTED.1, vr.admitted);
-            c(M_VR_SHED.0, M_VR_SHED.1, vr.shed);
+            let s = &vr.series;
+            s.frames_in.store(vr.frames_in);
+            s.frames_out.store(vr.frames_out);
+            s.admitted.store(vr.admitted);
+            s.shed.store(vr.shed);
             let (sticky, fresh) = vr.balancer.flow_stats();
-            c(
-                "lvrm_vr_flow_sticky_total",
-                "Flow-based balancer: frames that hit a live flow entry.",
-                sticky,
-            );
-            c(
-                "lvrm_vr_flow_fresh_total",
-                "Flow-based balancer: frames that picked a VRI afresh.",
-                fresh,
-            );
-            vr.latency_pub.store(&vr.latency);
-            let g = |n: &str, h: &str, v: f64| reg.gauge(n, h, &labels).set(v);
-            if let Some(fs) = vr.balancer.flow_table_stats() {
-                c(
-                    "lvrm_vr_flow_evictions_total",
-                    "Expired flow entries evicted (lazy probe hits + aging sweeps).",
-                    fs.evictions,
-                );
-                c(
-                    "lvrm_vr_flow_overflows_total",
-                    "Flow insertions refused because the table was full.",
-                    fs.overflows,
-                );
-                c(
-                    "lvrm_vr_flow_age_sweep_slots_total",
-                    "Slots visited by the incremental aging sweep (bounded per tick).",
-                    fs.age_sweep_slots,
-                );
-                g("lvrm_vr_flow_entries", "Tracked flows in the flow table.", fs.len as f64);
-                g(
-                    "lvrm_vr_flow_occupancy",
-                    "Flow-table fill fraction (entries / capacity).",
-                    fs.occupancy(),
-                );
+            s.flow_sticky.store(sticky);
+            s.flow_fresh.store(fresh);
+            s.latency.store(&vr.latency);
+            if let (Some(f), Some(fs)) = (&vr.flow_series, vr.balancer.flow_table_stats()) {
+                f.evictions.store(fs.evictions);
+                f.overflows.store(fs.overflows);
+                f.age_sweep_slots.store(fs.age_sweep_slots);
+                f.entries.set(fs.len as f64);
+                f.occupancy.set(fs.occupancy());
             }
-            g(
-                "lvrm_vr_pressure",
-                "Watermark pressure state (0 normal, 1 pressured, 2 overloaded).",
-                vr.pressure.level_gauge(),
-            );
-            g("lvrm_vr_vris", "Live (balanced-to) VRIs.", vr.vris.len() as f64);
-            g("lvrm_vr_draining", "VRIs of this VR in the drain state.", vr.draining.len() as f64);
-            g(
-                "lvrm_vr_arrival_fps",
-                "Smoothed arrival rate, frames per second.",
-                vr.arrival.rate_per_sec(),
-            );
-            g(
-                "lvrm_vr_quarantined",
-                "1 while the VR is quarantined, else 0.",
-                if vr.quarantined { 1.0 } else { 0.0 },
-            );
-            for (v, draining) in vr
-                .vris
-                .iter()
-                .map(|v| (v, false))
-                .chain(vr.draining.iter().map(|d| (&d.adapter, true)))
-            {
-                let vri = v.id.to_string();
-                let labels = [("vr", name), ("vri", vri.as_str())];
-                let elen = v.egress_len() as u64;
-                let qlen = v.queue_len() as u64;
-                reg.counter(M_VRI_DISPATCHED.0, M_VRI_DISPATCHED.1, &labels).store(v.dispatched);
-                reg.counter(M_VRI_RETURNED.0, M_VRI_RETURNED.1, &labels).store(v.returned);
-                reg.counter(M_VRI_DROPS.0, M_VRI_DROPS.1, &labels).store(v.dispatch_drops);
-                reg.gauge(M_VRI_QUEUE_LEN.0, M_VRI_QUEUE_LEN.1, &labels).set(qlen as f64);
-                reg.gauge(M_VRI_QUEUE_WM.0, M_VRI_QUEUE_WM.1, &labels)
-                    .set(v.queue_watermark as f64);
-                reg.gauge(M_VRI_EGRESS_LEN.0, M_VRI_EGRESS_LEN.1, &labels).set(elen as f64);
-                reg.gauge(M_VRI_HEALTH.0, M_VRI_HEALTH.1, &labels).set(v.health.as_gauge());
-                reg.gauge(M_VRI_DRAINING.0, M_VRI_DRAINING.1, &labels).set(if draining {
-                    1.0
-                } else {
-                    0.0
-                });
+            s.pressure.set(vr.pressure.level_gauge());
+            s.vris.set(vr.vris.len() as f64);
+            s.draining.set(vr.draining.len() as f64);
+            s.arrival_fps.set(vr.arrival.rate_per_sec());
+            s.quarantined.set(if vr.quarantined { 1.0 } else { 0.0 });
+            for v in &vr.vris {
+                v.publish(false);
             }
-            // The shared ring publishes as a synthetic `vri="ring"` series in
-            // the per-VRI dispatch families: frames the monitor bulk-enqueued
-            // count as dispatched there (the stealing VRI's own series later
-            // records the `returned`), ring occupancy joins `lvrm_data_queued`,
-            // and ring refusals join the dispatch-drop family — identities
-            // (B), (C) and (D) hold without special-casing the fabric.
+            for d in &vr.draining {
+                d.adapter.publish(true);
+            }
             if let Some(ring) = &vr.ring {
-                let ring_len = ring.rx.len() as u64;
-                let labels = [("vr", name), ("vri", "ring")];
-                reg.counter(M_VRI_DISPATCHED.0, M_VRI_DISPATCHED.1, &labels).store(ring.enqueued);
-                reg.counter(M_VRI_RETURNED.0, M_VRI_RETURNED.1, &labels).store(0);
-                reg.counter(M_VRI_DROPS.0, M_VRI_DROPS.1, &labels).store(ring.drops);
-                reg.gauge(M_VRI_QUEUE_LEN.0, M_VRI_QUEUE_LEN.1, &labels).set(ring_len as f64);
-                reg.gauge(
-                    "lvrm_vr_ring_occupancy",
-                    "Shared-ring fill fraction (VLink fabric only).",
-                    &[("vr", name)],
-                )
-                .set(ring.occupancy());
+                ring.m_dispatched.store(ring.enqueued);
+                ring.m_drops.store(ring.drops);
+                ring.m_queue_len.set(ring.rx.len() as f64);
+                ring.m_occupancy.set(ring.occupancy());
             }
         }
-        let g = |n: &str, h: &str, v: f64| reg.gauge(n, h, &[]).set(v);
+        let g = &self.gauges;
         let queued = self.vri_books();
-        g(M_DATA_QUEUED.0, M_DATA_QUEUED.1, queued.data_queued as f64);
-        g(M_EGRESS_QUEUED.0, M_EGRESS_QUEUED.1, queued.egress_queued as f64);
-        g(
-            "lvrm_rescued_pending",
-            "Rescued egress frames awaiting the next poll (already in frames_out).",
-            self.rescued_egress.len() as f64,
-        );
-        g(
-            "lvrm_draining_vris",
-            "VRIs in the drain state across all VRs.",
-            self.draining_count as f64,
-        );
-        g("lvrm_vrs", "Registered VRs.", self.vrs.len() as f64);
-        g(
-            "lvrm_restore_epoch",
-            "Restart epoch (0 cold start; checkpoint epoch + 1 after restore).",
-            self.epoch as f64,
-        );
-        g(
-            "lvrm_repl_lag_updates",
-            "Records carried by the most recent state-update fan-out (sibling-book staleness).",
-            self.repl_last_fanout_records as f64,
-        );
-        g(
-            "lvrm_repl_lag_ns",
-            "Age of the most recent state-update fan-out, vs the replica flush interval.",
-            self.repl_lag_ns(self.clock.now_ns()) as f64,
-        );
+        g.data_queued.set(queued.data_queued as f64);
+        g.egress_queued.set(queued.egress_queued as f64);
+        g.rescued_pending.set(self.rescued_egress.len() as f64);
+        g.draining_vris.set(self.draining_count as f64);
+        g.vrs.set(self.vrs.len() as f64);
+        g.restore_epoch.set(self.epoch as f64);
+        g.repl_lag_updates.set(self.repl_last_fanout_records as f64);
+        g.repl_lag_ns.set(self.repl_lag_ns(self.clock.now_ns()) as f64);
     }
 
     /// Refresh the sampled gauges and snapshot the whole registry.
@@ -1996,9 +1988,11 @@ impl<C: Clock> Lvrm<C> {
         self.registry.snapshot()
     }
 
-    /// Render the current metrics in Prometheus text exposition format.
+    /// Render the current metrics in Prometheus text exposition format,
+    /// straight from the registry (no snapshot in between).
     pub fn render_prometheus(&self) -> String {
-        self.metrics_snapshot().render_prometheus()
+        self.refresh_registry();
+        self.registry.render_prometheus()
     }
 
     /// Take (and clear) the structured one-line summary built by the last
@@ -2103,20 +2097,14 @@ impl<C: Clock> Lvrm<C> {
         stats.retired_dispatch_drops = books.dispatch_drops;
         stats.crash_lost += books.queued();
         stats.queue_lost += books.queued();
-        let mut flows_scratch: Vec<(FlowKey, VriId, u64)> = Vec::new();
+        // Affinity is checkpointed against the VRI's *slot* within the VR
+        // (ids are not stable across restarts); draining/dead VRIs have left
+        // the balance set and their flows are dropped here.
         let mut vrs = Vec::with_capacity(self.vrs.len());
         for vr in &self.vrs {
-            flows_scratch.clear();
-            vr.balancer.export_flows(&mut flows_scratch);
-            // Affinity is checkpointed against the VRI's *slot* within the
-            // VR (ids are not stable across restarts); draining/dead VRIs
-            // have left the balance set and are dropped here.
-            let mut flows = Vec::with_capacity(flows_scratch.len());
-            for &(key, vri, last_seen_ns) in &flows_scratch {
-                if let Some(slot) = vr.vris.iter().position(|v| v.id == vri) {
-                    flows.push(FlowRecord { key, slot: slot as u32, last_seen_ns });
-                }
-            }
+            let live: Vec<VriId> = vr.vris.iter().map(|v| v.id).collect();
+            let mut flows = Vec::new();
+            vr.balancer.export_flows(&live, &mut flows);
             vrs.push(VrCheckpoint {
                 name: vr.name.clone(),
                 frames_in: vr.frames_in,
@@ -2857,5 +2845,24 @@ mod tests {
         lvrm.process_control();
         let state = &lvrm.vrs[vr.0 as usize];
         assert_eq!(state.service_rate_per_vri(), Some(42_000.0));
+    }
+
+    /// The flow-table series are looked up when the VR's balancer first
+    /// keeps a table, which for a VR that starts replicated is not `add_vr`.
+    #[test]
+    fn flow_table_series_appear_when_a_vr_turns_flow_based() {
+        let config = LvrmConfig {
+            flow_based: true,
+            dispatch: DispatchMode::Replicated,
+            ..Default::default()
+        };
+        let mut lvrm = new_lvrm(ManualClock::new(), config);
+        let mut host = RecordingHost::default();
+        let vr = lvrm.add_vr("deptA", &[subnet(10, 0, 1)], routed_vr("a"), &mut host);
+        let labels = [("vr", "deptA")];
+        assert_eq!(lvrm.metrics_snapshot().gauge("lvrm_vr_flow_entries", &labels), None);
+        lvrm.set_vr_dispatch(vr, DispatchMode::Pinned);
+        lvrm.ingress(frame_from([10, 0, 1, 5]), &mut host);
+        assert_eq!(lvrm.metrics_snapshot().gauge("lvrm_vr_flow_entries", &labels), Some(1.0));
     }
 }

@@ -81,9 +81,9 @@ pub struct FlowBook {
 /// Encode a batch of updates from `origin` into the `LVSU` wire format.
 pub fn encode_batch(origin: u32, updates: &[StateUpdate]) -> Vec<u8> {
     assert!(updates.len() <= u16::MAX as usize, "batch larger than u16 count");
-    seal(STATE_UPDATE_MAGIC, Version::U8(STATE_UPDATE_VERSION), |e| {
-        // VRIs flush a batch per service burst: size the buffer once.
-        e.buf.reserve(BATCH_OVERHEAD + updates.len() * RECORD_BYTES);
+    // VRIs flush a batch per service burst: size the buffer once.
+    let len = BATCH_OVERHEAD + updates.len() * RECORD_BYTES;
+    seal(STATE_UPDATE_MAGIC, Version::U8(STATE_UPDATE_VERSION), len, |e| {
         e.u32(origin);
         e.u16(updates.len() as u16);
         for u in updates {

@@ -222,7 +222,7 @@ const KIND_CLAIM_ACK: u8 = 4;
 
 impl FleetMsg {
     pub fn encode(&self) -> Vec<u8> {
-        seal(SHARD_MAP_MAGIC, Version::U8(SHARD_MAP_VERSION), |e| match self {
+        seal(SHARD_MAP_MAGIC, Version::U8(SHARD_MAP_VERSION), 64, |e| match self {
             FleetMsg::Advert { term, shard_id, epoch, map_version } => {
                 e.u8(KIND_ADVERT);
                 e.u64(*term);

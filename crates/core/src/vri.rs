@@ -14,6 +14,7 @@ use lvrm_metrics::ServiceRateEstimator;
 use lvrm_net::Frame;
 
 use crate::estimate::LoadEstimator;
+use crate::ledger::{series, M_VRI_DISPATCHED, M_VRI_DROPS, M_VRI_QUEUE_LEN, M_VRI_RETURNED};
 use crate::topology::CoreId;
 use crate::VriId;
 
@@ -92,6 +93,30 @@ impl VriHealth {
     }
 }
 
+series! {
+    /// One VRI's series in the metrics registry. The monitor looks them up
+    /// once, when it spawns the instance; a scrape then costs eight stores.
+    /// An adapter built outside a monitor holds cells no registry lists.
+    #[derive(Default)]
+    pub(crate) struct VriSeries {
+        dispatched: counter = M_VRI_DISPATCHED,
+        returned: counter = M_VRI_RETURNED,
+        drops: counter = M_VRI_DROPS,
+        queue_len: gauge = M_VRI_QUEUE_LEN,
+        watermark: gauge = (
+            "lvrm_vri_queue_watermark",
+            "Deepest incoming-queue depth observed at dispatch time.",
+        ),
+        egress_len: gauge = (
+            "lvrm_vri_egress_len",
+            "Forwarded frames not yet collected from the outgoing queue.",
+        ),
+        health: gauge =
+            ("lvrm_vri_health", "Supervisor health classification (0 live, 1 suspect, 2 dead)."),
+        draining: gauge = ("lvrm_vri_draining", "1 while the VRI is in the drain state, else 0."),
+    }
+}
+
 /// LVRM's side of one VRI.
 pub struct VriAdapter {
     pub id: VriId,
@@ -115,6 +140,7 @@ pub struct VriAdapter {
     /// Deepest incoming-queue depth observed at dispatch time (occupancy
     /// watermark for the metrics surface).
     pub queue_watermark: u64,
+    pub(crate) series: VriSeries,
 }
 
 impl VriAdapter {
@@ -136,7 +162,35 @@ impl VriAdapter {
             health: VriHealth::Live,
             last_seen_ns: 0,
             queue_watermark: 0,
+            series: VriSeries::default(),
         }
+    }
+
+    /// Mirror this instance into its registry series, as a scrape finds it.
+    pub(crate) fn publish(&self, draining: bool) {
+        // Downstream first, like the ledger's walk.
+        let egress_len = self.egress_len();
+        self.store_series(self.queue_len(), egress_len, draining);
+    }
+
+    /// Freeze a departing instance's series at their final values, once both
+    /// its queues are drained. The series stay in the registry, so
+    /// family-wide sums keep satisfying the dispatch identity after the
+    /// instance is gone.
+    pub(crate) fn publish_final(&self) {
+        self.store_series(0, 0, false);
+    }
+
+    fn store_series(&self, queue_len: usize, egress_len: usize, draining: bool) {
+        let s = &self.series;
+        s.dispatched.store(self.dispatched);
+        s.returned.store(self.returned);
+        s.drops.store(self.dispatch_drops);
+        s.queue_len.set(queue_len as f64);
+        s.watermark.set(self.queue_watermark as f64);
+        s.egress_len.set(egress_len as f64);
+        s.health.set(self.health.as_gauge());
+        s.draining.set(if draining { 1.0 } else { 0.0 });
     }
 
     /// Record proof of life at `now_ns` (called by LVRM when any control

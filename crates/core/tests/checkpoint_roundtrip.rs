@@ -4,8 +4,11 @@
 //! `seal`/`open`), so one table-driven set of properties covers all five:
 //! anything a format can encode round-trips bit-exactly, and *no* byte
 //! stream — corrupted, truncated, another format's, or outright garbage —
-//! may ever panic a decoder or be silently accepted. The final tests close
-//! the loop at the monitor level: a rejected checkpoint must leave the
+//! may ever panic a decoder or be silently accepted. Two differential
+//! properties hold the fast paths to the slow ones they replaced, kept here
+//! as models: the hinted-join `CheckpointDelta::diff` against the hash-map
+//! diff, and the sliced `crc32` against the bit-at-a-time definition. The
+//! final tests close the loop at the monitor level: a rejected checkpoint must leave the
 //! monitor cold-started but fully functional, with the rejection visible in
 //! `lvrm_checkpoint_rejected_total` and the event stream.
 
@@ -15,7 +18,8 @@ use lvrm_core::checkpoint::crc32;
 use lvrm_core::{
     decode_batch, encode_batch, AffinityMode, Checkpoint, CheckpointDelta, CheckpointError, CoreId,
     CoreMap, CoreTopology, FleetMsg, FlowRecord, HaMsg, Lvrm, LvrmConfig, LvrmStats, ManualClock,
-    RecordingHost, ReplicaLedger, ShardEntry, ShardMap, StateUpdate, VrCheckpoint, SHARD_MAP_MAGIC,
+    RecordingHost, ReplicaLedger, ShardEntry, ShardMap, StateUpdate, VrCheckpoint, VrDelta,
+    SHARD_MAP_MAGIC,
 };
 use lvrm_net::flow::Protocol;
 use lvrm_net::{FlowKey, FrameBuilder};
@@ -162,6 +166,160 @@ fn mutate(ck: &Checkpoint, seed: u64) -> Checkpoint {
         }
     }
     out
+}
+
+// ---- models of the fast paths --------------------------------------------
+
+/// `CheckpointDelta::diff` as it was before the hinted join: a hash map of
+/// `prev`'s records and a hash set of `next`'s keys per VR.
+fn model_diff(prev: &Checkpoint, next: &Checkpoint, seq: u64) -> CheckpointDelta {
+    use std::collections::{HashMap, HashSet};
+    let vrs = next
+        .vrs
+        .iter()
+        .map(|nv| {
+            let old: HashMap<[u8; 13], &FlowRecord> = prev
+                .vrs
+                .iter()
+                .find(|v| v.name == nv.name)
+                .map(|v| v.flows.iter().map(|f| (key_bytes(&f.key), f)).collect())
+                .unwrap_or_default();
+            let new_keys: HashSet<[u8; 13]> = nv.flows.iter().map(|f| key_bytes(&f.key)).collect();
+            let mut evictions: Vec<FlowKey> =
+                old.iter().filter(|(k, _)| !new_keys.contains(*k)).map(|(_, f)| f.key).collect();
+            evictions.sort_by_key(key_bytes);
+            let upserts = nv
+                .flows
+                .iter()
+                .filter(|f| old.get(&key_bytes(&f.key)).is_none_or(|o| *o != *f))
+                .copied()
+                .collect();
+            VrDelta { meta: VrCheckpoint { flows: Vec::new(), ..nv.clone() }, evictions, upserts }
+        })
+        .collect();
+    CheckpointDelta {
+        epoch: next.epoch,
+        seq,
+        ts_ns: next.ts_ns,
+        stats_delta: next.stats.wrapping_delta(&prev.stats),
+        next_vri: next.next_vri,
+        vrs,
+    }
+}
+
+/// CRC-32/IEEE by its definition, a bit at a time.
+fn model_crc32(data: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+        }
+    }
+    !c
+}
+
+/// Flow lists long enough that the join's index has probe chains to follow.
+const LONG_LIST: u64 = if cfg!(miri) { 12 } else { 160 };
+
+/// What a monitor's table can do to a checkpoint between two rounds, and
+/// what only a different monitor could: records leave and arrive in the
+/// middle of a list, are re-stamped and re-pinned to another slot; a VR
+/// disappears, a new one appears, the VRs change places. With `shuffle`
+/// every list is permuted as well, so that no record is where the one
+/// before it points.
+fn perturb(ck: &Checkpoint, seed: u64, shuffle: bool) -> Checkpoint {
+    let mut rng = seed | 1;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    // Keys no strategy generates twice: the counter is the source address.
+    let mut minted = 0u32;
+    let mut fresh = |next: &mut dyn FnMut() -> u64| {
+        minted += 1;
+        FlowRecord {
+            key: FlowKey {
+                src: Ipv4Addr::from(0xF000_0000 | minted),
+                dst: Ipv4Addr::from(next() as u32),
+                src_port: next() as u16,
+                dst_port: next() as u16,
+                proto: Protocol::from_ip_proto(next() as u8),
+            },
+            slot: (next() % 8) as u32,
+            last_seen_ns: next(),
+        }
+    };
+    let mut out = mutate(ck, next());
+    for vr in &mut out.vrs {
+        let mut flows = Vec::new();
+        for f in vr.flows.drain(..) {
+            match next() % 8 {
+                0 => continue,
+                1 => flows.push(FlowRecord { slot: f.slot + 1, ..f }),
+                2 => flows.push(FlowRecord { last_seen_ns: next(), ..f }),
+                3 => flows.extend([fresh(&mut next), f]),
+                _ => flows.push(f),
+            }
+        }
+        vr.flows = flows;
+    }
+    if !out.vrs.is_empty() && next() % 4 == 0 {
+        out.vrs.remove(0);
+    }
+    if next() % 4 == 0 {
+        let flows = (0..next() % LONG_LIST).map(|_| fresh(&mut next)).collect();
+        out.vrs.push(VrCheckpoint { name: "added".into(), flows, ..Default::default() });
+    }
+    if next() % 4 == 0 {
+        out.vrs.reverse();
+    }
+    if shuffle {
+        for vr in &mut out.vrs {
+            for i in (1..vr.flows.len()).rev() {
+                vr.flows.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+        }
+    }
+    out
+}
+
+/// A clean checkpoint whose VRs hold up to [`LONG_LIST`] more flows each,
+/// in no particular order, as a table leaves them.
+fn arb_long_checkpoint() -> impl Strategy<Value = Checkpoint> {
+    (arb_clean_checkpoint(), any::<u64>()).prop_map(|(mut ck, seed)| {
+        for (i, vr) in ck.vrs.iter_mut().enumerate() {
+            let n = seed.rotate_left(i as u32 * 8) % LONG_LIST;
+            vr.flows.extend((0..n).map(|j| FlowRecord {
+                key: FlowKey {
+                    src: Ipv4Addr::from(0xE000_0000 | (j.wrapping_mul(seed | 1) as u32 >> 4)),
+                    dst: Ipv4Addr::from(j as u32),
+                    src_port: j as u16,
+                    dst_port: (seed >> 8) as u16,
+                    proto: Protocol::Udp,
+                },
+                slot: (j % 4) as u32,
+                last_seen_ns: seed ^ j,
+            }));
+            vr.flows.sort_by_key(|f| key_bytes(&f.key));
+            vr.flows.dedup_by_key(|f| key_bytes(&f.key));
+            vr.flows.sort_by_key(|f| f.key.hash64());
+        }
+        ck
+    })
+}
+
+/// `LVCK` or `LVCD` bytes of a message with no records, with the `u32` count
+/// that ends `back` bytes before the trailer set to `n` and the CRC redone: a
+/// message that promises `n` records and brings none.
+fn promising(mut bytes: Vec<u8>, back: usize, n: u32) -> Vec<u8> {
+    let body = bytes.len() - 4;
+    bytes[body - back - 4..body - back].copy_from_slice(&n.to_le_bytes());
+    let crc = crc32(&bytes[..body]).to_le_bytes();
+    bytes[body..].copy_from_slice(&crc);
+    bytes
 }
 
 // ---- LVSU, LVHA and LVSM payloads ---------------------------------------
@@ -448,6 +606,44 @@ proptest! {
         }
     }
 
+    /// The hinted join is the hash-map diff: for a successor the table
+    /// could have produced (order kept, the hint mostly right), the same
+    /// with every list shuffled (the hint always wrong), and for two
+    /// checkpoints that have nothing to do with each other, the two agree on
+    /// the delta and so on its bytes — and the standby's fold of it lands on
+    /// the successor.
+    #[test]
+    fn hinted_join_diff_matches_the_hash_map_model(
+        prev in arb_long_checkpoint(),
+        other in arb_long_checkpoint(),
+        seed in any::<u64>(),
+        seq in any::<u64>(),
+    ) {
+        let successors =
+            [perturb(&prev, seed, false), perturb(&prev, seed, true), prev.clone(), other];
+        for next in &successors {
+            let delta = CheckpointDelta::diff(&prev, next, seq);
+            let model = model_diff(&prev, next, seq);
+            prop_assert_eq!(&delta, &model);
+            prop_assert_eq!(delta.encode(), model.encode());
+            let mut shadow = prev.clone();
+            shadow.fold(&delta);
+            prop_assert_eq!(&shadow, &next.canonical());
+        }
+    }
+
+    /// The sliced CRC is the CRC: on random buffers of any length, read
+    /// from any offset into the buffer (the slicing loop takes eight bytes
+    /// at a time from wherever the slice starts).
+    #[test]
+    fn sliced_crc_matches_the_definition(
+        bytes in prop::collection::vec(any::<u8>(), 0..if cfg!(miri) { 96 } else { 2048 }),
+        skip in 0usize..8,
+    ) {
+        let data = &bytes[skip.min(bytes.len())..];
+        prop_assert_eq!(crc32(data), model_crc32(data));
+    }
+
     /// The differential identity the whole replication stream rests on:
     /// folding the chain of diffs over any number of generations
     /// reconstructs the final checkpoint exactly (canonical form).
@@ -555,6 +751,52 @@ fn parent_commit_bytes_decode_and_reencode_identically() {
             assert_eq!(ck.stats.to_wire(), primes, "counter wire order moved");
             assert_eq!((ck.stats.frames_in, ck.stats.updates_lost), (2, 79));
             assert_eq!((ck.stats.quarantined_drops, ck.stats.shed_early), (31, 47));
+        }
+    }
+}
+
+/// Every length the slicing loop's head and tail can split: 0..=64 bytes
+/// from each of eight offsets, and the known answer.
+#[test]
+fn sliced_crc_every_short_length_and_known_answer() {
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    let buf: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(197) >> 3) as u8 ^ 0x5A).collect();
+    for skip in 0..8 {
+        for len in 0..=64 {
+            let data = &buf[skip..skip + len];
+            assert_eq!(crc32(data), model_crc32(data), "{len} bytes from offset {skip}");
+        }
+    }
+}
+
+/// A count is checked against the bytes left before anything is reserved
+/// for it: a CRC-valid message that promises records it does not bring is
+/// refused at the count, by name, whether it promises one or four billion.
+#[test]
+fn counts_beyond_the_bytes_left_are_refused_before_allocation() {
+    let vr = VrCheckpoint { name: "vr0".into(), ..Default::default() };
+    let empty = Checkpoint::default();
+    let one_vr = Checkpoint { vrs: vec![vr], ..Default::default() };
+    let delta = CheckpointDelta::diff(&one_vr, &one_vr, 1);
+    for n in [1, 1 << 16, u32::MAX] {
+        for (bytes, what) in [
+            (promising(empty.encode(), 0, n), "implausible vr count"),
+            (promising(one_vr.encode(), 0, n), "implausible flow count"),
+        ] {
+            match Checkpoint::decode(&bytes) {
+                Err(CheckpointError::Malformed(why)) => assert_eq!(why, what, "count {n}"),
+                other => panic!("{what} {n}: {other:?}"),
+            }
+        }
+        for (bytes, what) in [
+            (promising(CheckpointDelta::default().encode(), 0, n), "implausible vr count"),
+            (promising(delta.encode(), 4, n), "implausible eviction count"),
+            (promising(delta.encode(), 0, n), "implausible upsert count"),
+        ] {
+            match CheckpointDelta::decode(&bytes) {
+                Err(CheckpointError::Malformed(why)) => assert_eq!(why, what, "count {n}"),
+                other => panic!("{what} {n}: {other:?}"),
+            }
         }
     }
 }

@@ -243,7 +243,7 @@ proptest! {
                     // aging cursor is NOT checkpointed state — a restored
                     // table restarts its sweep from slot 0 — so
                     // equivalence must hold regardless of cursor position.
-                    let dump: Vec<_> = table.entries().collect();
+                    let dump: Vec<_> = table.entries().map(|(k, vri, seen)| (*k, vri, seen)).collect();
                     let mut restored = FlowTable::new(CAPACITY, TIMEOUT);
                     for (k, vri, seen) in &dump {
                         prop_assert!(restored.insert(*k, *vri, *seen));
@@ -258,7 +258,7 @@ proptest! {
                             .collect::<HashMap<u8, VriId>>()
                     };
                     prop_assert_eq!(
-                        live_of(&mut restored.entries()),
+                        live_of(&mut restored.entries().map(|(k, vri, seen)| (*k, vri, seen))),
                         live_of(&mut dump.iter().copied()),
                         "restore lost live flows"
                     );

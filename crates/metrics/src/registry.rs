@@ -15,7 +15,9 @@
 //! are bare, histograms are exposed as summaries (fixed quantiles +
 //! `_sum`/`_count`) to keep scrape cardinality bounded.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
@@ -211,6 +213,16 @@ enum Handle {
     Summary(SharedHistogram),
 }
 
+impl Handle {
+    fn read(&self) -> SeriesValue {
+        match self {
+            Handle::Counter(c) => SeriesValue::Counter(c.get()),
+            Handle::Gauge(g) => SeriesValue::Gauge(g.get()),
+            Handle::Summary(h) => SeriesValue::Summary(h.snapshot()),
+        }
+    }
+}
+
 struct Series {
     /// Sorted by key at registration; lookup and rendering preserve this.
     labels: Vec<(String, String)>,
@@ -221,11 +233,14 @@ struct Family {
     name: String,
     help: String,
     kind: MetricKind,
+    /// Sorted by labels: a new series is inserted in place.
     series: Vec<Series>,
 }
 
 #[derive(Default)]
 struct Inner {
+    /// Sorted by name: a new family is inserted in place, so a scrape walks
+    /// the registry in exposition order without sorting anything.
     families: Vec<Family>,
     events: VecDeque<MetricEvent>,
 }
@@ -233,7 +248,8 @@ struct Inner {
 /// The registry. Cloning shares it; handles returned from the `counter` /
 /// `gauge` / `summary` registrars stay valid for the registry's lifetime.
 /// Registering the same (name, labels) twice returns the *same* underlying
-/// cell, so refresh-style publishers can re-look-up by name each pass.
+/// cell. A look-up takes the lock, allocates its labels and searches by
+/// name, so a publisher that stores every scrape keeps the handle.
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Mutex<Inner>>,
@@ -280,31 +296,33 @@ impl MetricsRegistry {
     fn series(&self, name: &str, help: &str, kind: MetricKind, labels: &[(&str, &str)]) -> Handle {
         let labels = sorted_labels(labels);
         let mut inner = self.inner.lock().unwrap();
-        let family = match inner.families.iter_mut().find(|f| f.name == name) {
-            Some(f) => {
-                assert_eq!(f.kind, kind, "metric {name:?} registered as {:?} and {kind:?}", f.kind);
-                f
-            }
-            None => {
-                inner.families.push(Family {
-                    name: name.to_string(),
-                    help: help.to_string(),
-                    kind,
-                    series: Vec::new(),
-                });
-                inner.families.last_mut().unwrap()
+        let at = match inner.families.binary_search_by(|f| f.name.as_str().cmp(name)) {
+            Ok(at) => at,
+            Err(at) => {
+                let family =
+                    Family { name: name.to_string(), help: help.to_string(), kind, series: vec![] };
+                inner.families.insert(at, family);
+                at
             }
         };
-        if let Some(s) = family.series.iter().find(|s| s.labels == labels) {
-            return s.handle.clone();
+        let family = &mut inner.families[at];
+        assert_eq!(
+            family.kind, kind,
+            "metric {name:?} registered as {:?} and {kind:?}",
+            family.kind
+        );
+        match family.series.binary_search_by(|s| s.labels.cmp(&labels)) {
+            Ok(at) => family.series[at].handle.clone(),
+            Err(at) => {
+                let handle = match kind {
+                    MetricKind::Counter => Handle::Counter(Counter::new()),
+                    MetricKind::Gauge => Handle::Gauge(Gauge::new()),
+                    MetricKind::Summary => Handle::Summary(SharedHistogram::new()),
+                };
+                family.series.insert(at, Series { labels, handle: handle.clone() });
+                handle
+            }
         }
-        let handle = match kind {
-            MetricKind::Counter => Handle::Counter(Counter::new()),
-            MetricKind::Gauge => Handle::Gauge(Gauge::new()),
-            MetricKind::Summary => Handle::Summary(SharedHistogram::new()),
-        };
-        family.series.push(Series { labels, handle: handle.clone() });
-        handle
     }
 
     /// Append to the bounded event log (oldest evicted past the cap).
@@ -326,28 +344,34 @@ impl MetricsRegistry {
     /// its rendering) is stable regardless of registration order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().unwrap();
-        let mut families: Vec<FamilySnapshot> = inner
+        let families = inner
             .families
             .iter()
-            .map(|f| {
-                let mut series: Vec<SeriesSnapshot> = f
+            .map(|f| FamilySnapshot {
+                name: f.name.clone(),
+                help: f.help.clone(),
+                kind: f.kind,
+                series: f
                     .series
                     .iter()
-                    .map(|s| SeriesSnapshot {
-                        labels: s.labels.clone(),
-                        value: match &s.handle {
-                            Handle::Counter(c) => SeriesValue::Counter(c.get()),
-                            Handle::Gauge(g) => SeriesValue::Gauge(g.get()),
-                            Handle::Summary(h) => SeriesValue::Summary(h.snapshot()),
-                        },
-                    })
-                    .collect();
-                series.sort_by(|a, b| a.labels.cmp(&b.labels));
-                FamilySnapshot { name: f.name.clone(), help: f.help.clone(), kind: f.kind, series }
+                    .map(|s| SeriesSnapshot { labels: s.labels.clone(), value: s.handle.read() })
+                    .collect(),
             })
             .collect();
-        families.sort_by(|a, b| a.name.cmp(&b.name));
         MetricsSnapshot { families, events: inner.events.iter().cloned().collect() }
+    }
+
+    /// Render in Prometheus text exposition format 0.0.4, straight from the
+    /// live series: what [`MetricsSnapshot::render_prometheus`] gives for a
+    /// snapshot taken now, without copying the registry first.
+    pub fn render_prometheus(&self) -> String {
+        let inner = self.inner.lock().unwrap();
+        let mut out = String::with_capacity(16 << 10);
+        for f in &inner.families {
+            let series = f.series.iter().map(|s| (s.labels.as_slice(), s.handle.read()));
+            write_family(&mut out, &f.name, &f.help, f.kind, series);
+        }
+        out
     }
 }
 
@@ -453,102 +477,100 @@ impl MetricsSnapshot {
     /// Render in Prometheus text exposition format 0.0.4. Deterministic:
     /// families by name, series by label values, labels by key.
     pub fn render_prometheus(&self) -> String {
-        let mut out = String::with_capacity(4096);
+        let mut out = String::with_capacity(16 << 10);
         for f in &self.families {
-            out.push_str("# HELP ");
-            out.push_str(&f.name);
-            out.push(' ');
-            out.push_str(&escape_help(&f.help));
-            out.push('\n');
-            out.push_str("# TYPE ");
-            out.push_str(&f.name);
-            out.push(' ');
-            out.push_str(f.kind.as_str());
-            out.push('\n');
-            for s in &f.series {
-                match &s.value {
-                    SeriesValue::Counter(v) => {
-                        render_sample(&mut out, &f.name, "", &s.labels, None, &v.to_string());
-                    }
-                    SeriesValue::Gauge(v) => {
-                        render_sample(&mut out, &f.name, "", &s.labels, None, &format_f64(*v));
-                    }
-                    SeriesValue::Summary(h) => {
-                        for (q, qs) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-                            let v = h.percentile_ns(q);
-                            render_sample(
-                                &mut out,
-                                &f.name,
-                                "",
-                                &s.labels,
-                                Some(qs),
-                                &v.to_string(),
-                            );
-                        }
-                        let sum = (h.mean_ns() * h.count() as f64).round() as u128;
-                        render_sample(&mut out, &f.name, "_sum", &s.labels, None, &sum.to_string());
-                        render_sample(
-                            &mut out,
-                            &f.name,
-                            "_count",
-                            &s.labels,
-                            None,
-                            &h.count().to_string(),
-                        );
-                    }
-                }
-            }
+            let series = f.series.iter().map(|s| (s.labels.as_slice(), &s.value));
+            write_family(&mut out, &f.name, &f.help, f.kind, series);
         }
         out
     }
 }
 
-fn render_sample(
+/// One family of the exposition: its `# HELP` and `# TYPE` lines, then every
+/// sample of every series, in the order given. The one writer behind both
+/// the registry's and a snapshot's rendering.
+fn write_family<'a, V: Borrow<SeriesValue>>(
     out: &mut String,
     name: &str,
-    suffix: &str,
-    labels: &[(String, String)],
-    quantile: Option<&str>,
-    value: &str,
+    help: &str,
+    kind: MetricKind,
+    series: impl Iterator<Item = (&'a [(String, String)], V)>,
 ) {
-    out.push_str(name);
-    out.push_str(suffix);
-    let extra = quantile.map(|q| ("quantile", q));
-    if !labels.is_empty() || extra.is_some() {
-        out.push('{');
-        let mut first = true;
-        for (k, v) in labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).chain(extra) {
-            if !first {
-                out.push(',');
+    let help = Escaped { text: help, quotes: false };
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {}", kind.as_str());
+    for (labels, value) in series {
+        let sample = |suffix, quantile| Sample { name, suffix, labels, quantile };
+        let _ = match value.borrow() {
+            SeriesValue::Counter(v) => writeln!(out, "{} {v}", sample("", None)),
+            // Integral gauges render without a fractional part (Prometheus
+            // accepts either; integral keeps golden files readable).
+            SeriesValue::Gauge(v) if v.fract() == 0.0 && v.abs() < 9.0e15 => {
+                writeln!(out, "{} {}", sample("", None), *v as i64)
             }
-            first = false;
-            out.push_str(k);
-            out.push_str("=\"");
-            out.push_str(&escape_label(v));
-            out.push('"');
-        }
-        out.push('}');
+            SeriesValue::Gauge(v) => writeln!(out, "{} {v}", sample("", None)),
+            SeriesValue::Summary(h) => {
+                for (q, qs) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
+                    let _ = writeln!(out, "{} {}", sample("", Some(qs)), h.percentile_ns(q));
+                }
+                let sum = (h.mean_ns() * h.count() as f64).round() as u128;
+                let _ = writeln!(out, "{} {sum}", sample("_sum", None));
+                writeln!(out, "{} {}", sample("_count", None), h.count())
+            }
+        };
     }
-    out.push(' ');
-    out.push_str(value);
-    out.push('\n');
 }
 
-fn escape_help(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n")
+/// A sample line up to its value: `name_suffix{label="v",quantile="q"}`.
+struct Sample<'a> {
+    name: &'a str,
+    suffix: &'a str,
+    labels: &'a [(String, String)],
+    quantile: Option<&'a str>,
 }
 
-fn escape_label(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+impl fmt::Display for Sample<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)?;
+        f.write_str(self.suffix)?;
+        let labels = self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let mut open = '{';
+        for (k, v) in labels.chain(self.quantile.map(|q| ("quantile", q))) {
+            f.write_char(open)?;
+            f.write_str(k)?;
+            f.write_str("=\"")?;
+            Escaped { text: v, quotes: true }.fmt(f)?;
+            f.write_char('"')?;
+            open = ',';
+        }
+        if open == ',' {
+            f.write_char('}')?;
+        }
+        Ok(())
+    }
 }
 
-/// Integral gauges render without a fractional part (Prometheus accepts
-/// either; integral keeps golden files readable).
-fn format_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
+/// `text` with backslashes and newlines escaped, and double quotes too in a
+/// label value (`quotes`); a `# HELP` text keeps them.
+struct Escaped<'a> {
+    text: &'a str,
+    quotes: bool,
+}
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let special = |c| c == '\\' || c == '\n' || (c == '"' && self.quotes);
+        let mut rest = self.text;
+        while let Some(at) = rest.find(special) {
+            f.write_str(&rest[..at])?;
+            f.write_str(match rest.as_bytes()[at] {
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                _ => "\\\"",
+            })?;
+            rest = &rest[at + 1..];
+        }
+        f.write_str(rest)
     }
 }
 
@@ -704,6 +726,36 @@ mod tests {
                       # TYPE b_total counter\n\
                       b_total{vr=\"a\"} 2\n";
         assert_eq!(text, expect);
+    }
+
+    /// The registry renders what a snapshot of it renders, whatever order
+    /// the series were registered in, and label values are escaped.
+    #[test]
+    fn registry_and_snapshot_render_alike_in_any_registration_order() {
+        let series: [(&str, &[(&str, &str)]); 5] = [
+            ("m_total", &[("vr", "b"), ("vri", "vri10")]),
+            ("m_total", &[("vr", "b"), ("vri", "vri2")]),
+            ("m_total", &[("vr", "a\\\"q\"\n")]),
+            ("a_total", &[]),
+            ("z_total", &[("vr", "a")]),
+        ];
+        let render = |order: &[usize]| {
+            let reg = MetricsRegistry::new();
+            for &i in order {
+                reg.counter(series[i].0, "h", series[i].1).store(i as u64 + 1);
+            }
+            reg.gauge("g", "h", &[]).set(0.25);
+            reg.summary("s_ns", "h", &[("vr", "a")]).record(7);
+            let text = reg.render_prometheus();
+            assert_eq!(text, reg.snapshot().render_prometheus());
+            text
+        };
+        let text = render(&[0, 1, 2, 3, 4]);
+        assert_eq!(text, render(&[4, 2, 0, 3, 1]));
+        assert!(text.contains("m_total{vr=\"a\\\\\\\"q\\\"\\n\"} 3\n"), "{text}");
+        let at = |needle: &str| text.find(needle).unwrap_or_else(|| panic!("{needle}: {text}"));
+        assert!(at("a_total 4") < at("g 0.25") && at("g 0.25") < at("m_total{vr=\"a"));
+        assert!(at("vri=\"vri10\"} 1") < at("vri=\"vri2\"} 2") && at("vri2") < at("s_ns{"));
     }
 
     #[test]
