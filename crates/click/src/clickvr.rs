@@ -67,10 +67,11 @@ impl VirtualRouter for ClickVr {
 
     fn process(&mut self, frame: &mut Frame) -> RouterAction {
         // The graph consumes the frame, so it runs on a clone and only the
-        // egress decision is copied back. The clone shares the bytes, but an
-        // element that rewrites a header (`DecIPTTL`) then copies all of
-        // them — 1518 for a full-size frame — and that copy is dropped with
-        // the clone: the frame the VR returns is relayed unchanged.
+        // egress decision is copied back. The clone shares the bytes, so an
+        // element that rewrites a header (`DecIPTTL`) first moves it to a
+        // private copy — one allocation and all 1518 bytes of a full-size
+        // frame — and that copy is dropped with the clone: the frame the VR
+        // returns is relayed unchanged.
         let fate = self.graph.run(frame.clone());
         match fate {
             PacketFate::Forwarded { iface } => {

@@ -204,6 +204,9 @@ impl Element for CheckIPHeader {
 
 /// Decrements the IPv4 TTL (fixing the checksum incrementally per RFC 1141).
 /// Expired frames (TTL would hit 0) exit port 1 when connected, else drop.
+/// The write is copy-on-write ([`Frame::modify_bytes`]): three bytes in place
+/// when the frame owns its buffer, one allocation and a copy of the whole
+/// frame when it shares it — as every frame `ClickVr` runs does.
 #[derive(Default)]
 pub struct DecIpTtl {
     pub expired: u64,
@@ -715,7 +718,7 @@ mod tests {
         let mut raw = vec![0u8; 60];
         raw[12] = 0x08;
         raw[13] = 0x06; // ARP
-        let f = Frame::new(bytes::Bytes::from(raw.clone()));
+        let f = Frame::new(&raw);
         let out = collect(&mut el, f);
         assert_eq!(out[0].1.bytes(), &raw[..]);
     }

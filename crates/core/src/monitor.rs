@@ -815,9 +815,13 @@ impl<C: Clock> Lvrm<C> {
             return;
         }
 
+        // Touch. Reading a frame's length already asks for the first line of
+        // its block; the headers the next pass parses usually reach into the
+        // line after it, so ask for the one their last byte is on.
         for frame in frames.iter() {
-            if let Some(first) = frame.bytes().first() {
-                prefetch_read(first);
+            let bytes = frame.bytes();
+            if let Some(headers_end) = bytes.get(IngressHeaders::SPAN - 1).or(bytes.last()) {
+                prefetch_read(headers_end);
             }
         }
 

@@ -457,10 +457,12 @@ impl LvrmAdapter {
     ///
     /// Unlike [`from_lvrm`], departures are NOT recorded here: frames in a
     /// burst are dequeued at one instant, so the dequeue gap measures
-    /// nothing. Call [`note_departure`] as each frame finishes processing.
+    /// nothing. The burst is in service until the caller next reads the
+    /// clock; hand that reading and the burst's size to [`note_departures`]
+    /// before pulling again.
     ///
     /// [`from_lvrm`]: LvrmAdapter::from_lvrm
-    /// [`note_departure`]: LvrmAdapter::note_departure
+    /// [`note_departures`]: LvrmAdapter::note_departures
     pub fn from_lvrm_batch(
         &mut self,
         ctrl: &mut Vec<ControlEvent>,
@@ -481,21 +483,30 @@ impl LvrmAdapter {
         n
     }
 
-    /// Feed the service-rate estimator one frame departure at `now_ns`, and
-    /// report the estimate upstream if the report period elapsed. Batch
-    /// consumers call this per processed frame (see
-    /// [`LvrmAdapter::from_lvrm_batch`]).
-    pub fn note_departure(&mut self, now_ns: u64) {
+    /// Feed the service-rate estimator the `n` frames that left service
+    /// between the previous call and `now_ns` — one sample of `gap / n`,
+    /// §3.6's service time between two calls of `fromLVRM()` — and report
+    /// the estimate upstream if the report period elapsed. A batch consumer
+    /// calls this once per loop iteration with the size of the burst it
+    /// pulled the iteration before (0 after an empty pull: that only marks
+    /// where the next burst's service starts), so its books cost one clock
+    /// reading per burst, not one per frame.
+    pub fn note_departures(&mut self, now_ns: u64, n: u64) {
         if !self.estimate_service_rate {
             return;
         }
-        self.svc_est.record_departure(now_ns);
-        if now_ns.saturating_sub(self.last_report_ns) >= self.report_period_ns {
+        self.svc_est.record_departures(now_ns, n);
+        if n > 0 && now_ns.saturating_sub(self.last_report_ns) >= self.report_period_ns {
             if let Some(rate) = self.svc_est.rate_per_sec() {
                 let _ = self.endpoint.ctrl_tx.try_send(encode_service_rate(self.id, rate));
                 self.last_report_ns = now_ns;
             }
         }
+    }
+
+    /// [`LvrmAdapter::note_departures`] for a consumer that times each frame.
+    pub fn note_departure(&mut self, now_ns: u64) {
+        self.note_departures(now_ns, 1);
     }
 
     /// The paper's `toLVRM()`: hand a processed frame back for egress.
@@ -692,6 +703,33 @@ mod tests {
         let (id, rate) = evs.iter().find_map(decode_service_rate).expect("a report");
         assert_eq!(id, VriId(7));
         assert!(rate > 0.0);
+    }
+
+    #[test]
+    fn a_vri_that_empties_its_queue_every_pull_still_reports() {
+        // One frame per pull at 20 us each, an empty pull after every one:
+        // the batch loop's books (previous burst closed at the next reading)
+        // must rate it, though no two departures are ever adjacent.
+        let (mut lvrm, mut vri) = pair(8);
+        let (mut ctrl, mut data) = (Vec::new(), Vec::new());
+        let (mut now, mut in_service) = (0u64, 0u64);
+        let mut evs = Vec::new();
+        for _ in 0..12_000 {
+            lvrm.dispatch(frame(), now).unwrap();
+            for _ in 0..2 {
+                vri.note_departures(now, in_service);
+                in_service = vri.from_lvrm_batch(&mut ctrl, &mut data, 32, now) as u64;
+                for f in data.drain(..) {
+                    vri.to_lvrm(f).unwrap();
+                }
+                now += 20_000;
+            }
+            lvrm.drain_egress(&mut Vec::new());
+            lvrm.drain_control(&mut evs);
+        }
+        let rates: Vec<f64> = evs.iter().filter_map(decode_service_rate).map(|r| r.1).collect();
+        assert!(rates.len() >= 4, "one report per 100 ms over 480 ms: {}", rates.len());
+        assert!(rates.iter().all(|r| (r - 50_000.0).abs() < 1.0), "{rates:?}");
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
 use lvrm_core::config::BalancerKind;
 use lvrm_core::{
     AffinityMode, AllocatorKind, CoreId, CoreMap, CoreTopology, Lvrm, LvrmConfig, ManualClock,
@@ -62,7 +61,7 @@ fn build(kind: Kind, seq: u64) -> Frame {
         Kind::Keyless { vr } => {
             let src = Ipv4Addr::new(10, 0, vr as u8 + 1, 77);
             let whole = FrameBuilder::new(src, Ipv4Addr::new(10, 9, 9, 9)).udp(1, 2, &[0; 8]);
-            Frame::new(Bytes::from(whole.bytes()[..38].to_vec()))
+            Frame::new(&whole.bytes()[..38])
         }
         Kind::Stranger => FrameBuilder::new(
             Ipv4Addr::new(192, 168, 0, 1),

@@ -126,20 +126,25 @@ impl RateEstimator {
 }
 
 /// Service-rate estimator: the average **departure rate** of a VRI's
-/// incoming data queue, measured from the gaps between consecutive
-/// dequeues while the VRI is busy (§3.6 — "it measures the service rate by
-/// observing the service time between the current call and the next call of
-/// the function fromLVRM()").
+/// incoming data queue, measured from the gaps between consecutive calls of
+/// `fromLVRM()` while the VRI is busy (§3.6 — "it measures the service rate
+/// by observing the service time between the current call and the next call
+/// of the function fromLVRM()"). A call that returned a burst of `n` frames
+/// is followed by a gap that served all `n`, so the gap is one sample of
+/// `gap / n`; the per-frame loop is the `n = 1` case.
 ///
 /// The paper prefers this over `getrusage()` CPU load because it is directly
 /// comparable with the arrival rate.
 #[derive(Clone, Debug)]
 pub struct ServiceRateEstimator {
+    /// Where the service interval now running began: the last
+    /// [`ServiceRateEstimator::record_departures`], unless the VRI has been
+    /// idle since.
     last_departure_ns: Option<u64>,
     /// EWMA over service *times* (ns); rate is its reciprocal.
     service_time: Ewma,
-    /// Gaps longer than this mean the VRI went idle, not slow; they are
-    /// discarded so idleness does not deflate the service-rate estimate.
+    /// Per-frame service times longer than this mean the VRI went idle, not
+    /// slow; they are discarded so idleness does not deflate the estimate.
     idle_cutoff_ns: u64,
 }
 
@@ -158,19 +163,21 @@ impl ServiceRateEstimator {
         self.last_departure_ns = None;
     }
 
-    /// Record that one frame departed the incoming queue at `now_ns`.
-    pub fn record_departure(&mut self, now_ns: u64) {
-        if let Some(prev) = self.last_departure_ns {
-            let gap = now_ns.saturating_sub(prev);
-            if gap > 0 && gap <= self.idle_cutoff_ns {
-                self.service_time.update(gap as f64);
+    /// Record that `n` frames left service between the previous call and
+    /// `now_ns`, which also starts the next interval. `n = 0` only does the
+    /// latter: it marks where a burst pulled at `now_ns` began.
+    pub fn record_departures(&mut self, now_ns: u64, n: u64) {
+        if let Some(prev) = self.last_departure_ns.filter(|_| n > 0) {
+            let per_frame = now_ns.saturating_sub(prev) as f64 / n as f64;
+            if per_frame > 0.0 && per_frame <= self.idle_cutoff_ns as f64 {
+                self.service_time.update(per_frame);
             }
         }
         self.last_departure_ns = Some(now_ns);
     }
 
-    /// Smoothed frames-per-second service rate (`None` until two departures
-    /// closer than the idle cutoff have been seen).
+    /// Smoothed frames-per-second service rate (`None` until an interval
+    /// shorter than the idle cutoff per frame has been recorded).
     pub fn rate_per_sec(&self) -> Option<f64> {
         self.service_time.value().map(|t| 1e9 / t)
     }
@@ -313,7 +320,7 @@ mod tests {
         let mut t = 0u64;
         for _ in 0..100 {
             t += 16_667;
-            s.record_departure(t);
+            s.record_departures(t, 1);
         }
         let rate = s.rate_per_sec().unwrap();
         assert!((rate - 60_000.0).abs() / 60_000.0 < 0.01, "{rate}");
@@ -322,9 +329,9 @@ mod tests {
     #[test]
     fn service_rate_skips_idle_gaps() {
         let mut s = ServiceRateEstimator::new(0.0, 1_000_000);
-        s.record_departure(0);
-        s.record_departure(10_000); // 10 us busy gap
-        s.record_departure(2_000_000_000); // 2 s idle gap: ignored
+        s.record_departures(0, 1);
+        s.record_departures(10_000, 1); // 10 us busy gap
+        s.record_departures(2_000_000_000, 1); // 2 s idle gap: ignored
         let rate = s.rate_per_sec().unwrap();
         assert!((rate - 100_000.0).abs() < 1.0, "{rate}");
     }
@@ -332,20 +339,74 @@ mod tests {
     #[test]
     fn note_idle_breaks_the_gap_chain() {
         let mut s = ServiceRateEstimator::new(0.0, u64::MAX);
-        s.record_departure(0);
-        s.record_departure(10_000); // 100 Kfps busy gap
+        s.record_departures(0, 1);
+        s.record_departures(10_000, 1); // 100 Kfps busy gap
         s.note_idle();
         // A long wait follows, but the gap after idleness is not counted.
-        s.record_departure(500_000_000);
+        s.record_departures(500_000_000, 1);
         let rate = s.rate_per_sec().unwrap();
         assert!((rate - 100_000.0).abs() < 1.0, "idle gap polluted the rate: {rate}");
+    }
+
+    #[test]
+    fn a_burst_at_even_spacing_rates_like_its_frames_one_by_one() {
+        for n in [1u64, 32, 256] {
+            let (mut each, mut burst) = (
+                ServiceRateEstimator::new(4.0, 1_000_000),
+                ServiceRateEstimator::new(4.0, 1_000_000),
+            );
+            let mut t = 5_000;
+            for _ in 0..3 {
+                // Both pull at `t`; one stamps every frame, one the burst.
+                each.record_departures(t, 0);
+                burst.record_departures(t, 0);
+                for i in 1..=n {
+                    each.record_departures(t + i * 16_667, 1);
+                }
+                t += n * 16_667;
+                burst.record_departures(t, n);
+            }
+            let (each, burst) = (each.rate_per_sec().unwrap(), burst.rate_per_sec().unwrap());
+            assert!((each - burst).abs() / each < 1e-9, "n={n}: {each} vs {burst}");
+        }
+    }
+
+    #[test]
+    fn a_vri_that_drains_its_queue_between_bursts_still_has_a_rate() {
+        // Every pull empties the queue, so every pull is followed by an empty
+        // one. Stamped per frame, a one-frame burst never closed a gap; the
+        // pull-to-pull interval is the service time whatever the burst size.
+        for n in [1u64, 32] {
+            let mut s = ServiceRateEstimator::new(4.0, 1_000_000);
+            let mut t = 0;
+            for _ in 0..50 {
+                s.record_departures(t, 0); // pulled n
+                t += n * 20_000;
+                s.record_departures(t, n); // next reading: they are done
+                s.note_idle(); // pulled nothing
+                t += 3_000_000; // starved for 3 ms
+            }
+            let rate = s.rate_per_sec().expect("a rate");
+            assert!((rate - 50_000.0).abs() < 1e-6, "n={n}: {rate}");
+        }
+    }
+
+    #[test]
+    fn idle_cutoff_is_per_frame() {
+        // 256 frames at 100 us each: 25.6 ms for the burst is not idleness.
+        let mut s = ServiceRateEstimator::new(0.0, 10_000_000);
+        s.record_departures(0, 0);
+        s.record_departures(25_600_000, 256);
+        assert!((s.rate_per_sec().unwrap() - 10_000.0).abs() < 1e-6);
+        s.record_departures(25_600_000 + 11_000_000, 1); // 11 ms for one: idle
+        assert!((s.rate_per_sec().unwrap() - 10_000.0).abs() < 1e-6);
     }
 
     #[test]
     fn service_rate_none_before_two_departures() {
         let mut s = ServiceRateEstimator::new(1.0, 1_000_000);
         assert!(s.rate_per_sec().is_none());
-        s.record_departure(100);
+        s.record_departures(100, 1);
         assert!(s.rate_per_sec().is_none());
     }
 }

@@ -81,7 +81,7 @@ impl ArpMessage {
         while buf.len() < 60 {
             buf.put_u8(0);
         }
-        Frame::new(buf.freeze())
+        Frame::new(&buf)
     }
 
     /// Parse an ARP message from a frame (None when it is not IPv4/Ethernet

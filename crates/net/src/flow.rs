@@ -71,6 +71,12 @@ pub struct IngressHeaders<'a> {
 }
 
 impl<'a> IngressHeaders<'a> {
+    /// How far into a frame [`IngressHeaders::parse`] and
+    /// [`IngressHeaders::flow_key`] read when the IPv4 header carries no
+    /// options: Ethernet, IPv4 and a TCP header's fixed part. Burst ingress
+    /// prefetches up to here.
+    pub const SPAN: usize = ETH_IPV4_MIN + TcpView::MIN_LEN;
+
     /// Parse captured frame bytes; `None` for anything that is not a
     /// well-formed IPv4 frame.
     pub fn parse(bytes: &'a [u8]) -> Option<IngressHeaders<'a>> {

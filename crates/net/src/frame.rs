@@ -3,8 +3,9 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
+use crate::buf::FrameBuf;
 use crate::headers::{
     internet_checksum, EtherType, EthernetView, Ipv4View, MacAddr, TcpView, UdpView, IPPROTO_TCP,
     IPPROTO_UDP,
@@ -41,9 +42,12 @@ impl std::error::Error for FrameError {}
 /// The byte buffer holds the *captured* representation (Ethernet header through
 /// payload, no preamble/FCS/IFG, exactly what a raw socket or PF_RING delivers).
 /// [`Frame::wire_len`] converts to the paper's wire-size accounting.
+///
+/// Cloning shares the buffer (a reference count, no allocation), which is
+/// how a replayed trace offers the same frame again and again.
 #[derive(Clone)]
 pub struct Frame {
-    bytes: Bytes,
+    buf: FrameBuf,
     /// Ingress timestamp in nanoseconds (simulation or monotonic clock).
     pub ts_ns: u64,
     /// Ingress interface index, set by the socket adapter.
@@ -53,32 +57,36 @@ pub struct Frame {
     pub egress_if: u16,
 }
 
+// The monitor moves frames by value through its staging buckets and queues:
+// the buffer handle stays one word (see `buf.rs`).
+const _: () = assert!(std::mem::size_of::<Frame>() == 24);
+
 impl Frame {
     /// No egress decision yet.
     pub const NO_IF: u16 = u16::MAX;
 
-    /// Wrap captured bytes as a frame.
-    pub fn new(bytes: Bytes) -> Frame {
-        Frame { bytes, ts_ns: 0, ingress_if: 0, egress_if: Frame::NO_IF }
+    /// Copy captured bytes into a frame of their own: one allocation.
+    pub fn new(bytes: &[u8]) -> Frame {
+        Frame::with_ingress(bytes, 0, 0)
     }
 
-    /// Wrap captured bytes with an ingress timestamp and interface.
-    pub fn with_ingress(bytes: Bytes, ts_ns: u64, ingress_if: u16) -> Frame {
-        Frame { bytes, ts_ns, ingress_if, egress_if: Frame::NO_IF }
+    /// [`Frame::new`] with an ingress timestamp and interface.
+    pub fn with_ingress(bytes: &[u8], ts_ns: u64, ingress_if: u16) -> Frame {
+        Frame { buf: FrameBuf::copy_from_slice(bytes), ts_ns, ingress_if, egress_if: Frame::NO_IF }
     }
 
     /// The captured bytes (Ethernet header onward).
     pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+        self.buf.as_slice()
     }
 
     /// Captured length in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.buf.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len() == 0
     }
 
     /// Wire footprint per the paper's accounting (preamble + FCS + IFG added,
@@ -89,7 +97,7 @@ impl Frame {
 
     /// Ethernet header view.
     pub fn ethernet(&self) -> Result<EthernetView<'_>, FrameError> {
-        EthernetView::new(&self.bytes).ok_or(FrameError::Truncated("ethernet"))
+        EthernetView::new(self.bytes()).ok_or(FrameError::Truncated("ethernet"))
     }
 
     /// IPv4 view (if this is an IPv4 frame).
@@ -130,19 +138,14 @@ impl Frame {
         TcpView::new(ip.payload()).ok_or(FrameError::Truncated("tcp"))
     }
 
-    /// Consume the frame and return its buffer.
-    pub fn into_bytes(self) -> Bytes {
-        self.bytes
-    }
-
-    /// Mutate the frame's bytes copy-on-write. The buffer may be shared with
-    /// a replayed trace (cheap `Bytes` clones), so mutation copies it once,
-    /// applies `f`, and re-freezes. Elements that rewrite headers (e.g. a
-    /// TTL decrement) pay this copy; pure forwarding never does.
-    pub fn modify_bytes(&mut self, f: impl FnOnce(&mut Vec<u8>)) {
-        let mut v = self.bytes.to_vec();
-        f(&mut v);
-        self.bytes = Bytes::from(v);
+    /// Mutate the frame's bytes copy-on-write. A frame that owns its buffer
+    /// alone is rewritten in place; one that shares it (a clone, e.g. of a
+    /// replayed trace's frame) first moves to a private copy — one
+    /// allocation, one copy — so no other holder ever sees the write. The
+    /// length is fixed. Elements that rewrite headers (a TTL decrement) pay
+    /// the copy only when the bytes are shared; pure forwarding never does.
+    pub fn modify_bytes(&mut self, f: impl FnOnce(&mut [u8])) {
+        f(self.buf.make_mut());
     }
 }
 
@@ -232,7 +235,7 @@ impl FrameBuilder {
         buf.put_u16(udp_len as u16);
         buf.put_u16(0); // UDP checksum optional over IPv4; 0 = not computed
         buf.put_slice(payload);
-        Frame::new(buf.freeze())
+        Frame::new(&buf)
     }
 
     /// Build a TCP frame with the given segment fields and `payload`.
@@ -259,7 +262,7 @@ impl FrameBuilder {
         buf.put_u16(0); // checksum left zero (pseudo-header sum not modeled)
         buf.put_u16(0); // urgent pointer
         buf.put_slice(payload);
-        Frame::new(buf.freeze())
+        Frame::new(&buf)
     }
 
     /// Emit Ethernet + IPv4 headers for an L4 payload of `l4_len` bytes and
@@ -360,7 +363,7 @@ mod tests {
         let mut raw = vec![0u8; 60];
         raw[12] = 0x08;
         raw[13] = 0x06;
-        let f = Frame::new(Bytes::from(raw));
+        let f = Frame::new(&raw);
         assert_eq!(f.ipv4().unwrap_err(), FrameError::NotIpv4);
     }
 }

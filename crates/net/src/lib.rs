@@ -20,6 +20,7 @@
 //!   socket-adapter variant, §3.1).
 
 pub mod arp;
+mod buf;
 pub mod flow;
 pub mod frame;
 pub mod headers;

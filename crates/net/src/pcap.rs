@@ -13,8 +13,6 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use bytes::Bytes;
-
 use crate::frame::Frame;
 
 const MAGIC: u32 = 0xa1b2c3d4;
@@ -130,7 +128,7 @@ pub fn read_pcap(path: &Path) -> Result<Vec<Frame>, PcapError> {
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break, // truncated tail
             Err(e) => return Err(e.into()),
         }
-        let mut f = Frame::new(Bytes::from(data));
+        let mut f = Frame::new(&data);
         f.ts_ns = ts_sec * 1_000_000_000 + ts_usec * 1_000;
         frames.push(f);
     }

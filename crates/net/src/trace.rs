@@ -3,8 +3,8 @@
 //! Experiment 1c loads "a trace file of 100M minimum-sized frames into main
 //! memory" and replays it as fast as possible through LVRM (§4.2). We build
 //! the equivalent: a compact set of distinct frames replayed cyclically, so a
-//! logical trace of any length costs constant memory (the frames are
-//! reference-counted [`bytes::Bytes`], cloning is cheap and allocation-free).
+//! logical trace of any length costs constant memory (a [`Frame`] clone shares
+//! its reference-counted buffer: cheap and allocation-free).
 
 use std::net::Ipv4Addr;
 

@@ -3,7 +3,6 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
 use lvrm_net::{wire, FlowKey, Frame, FrameBuilder, IngressHeaders, Protocol};
 use proptest::prelude::*;
 
@@ -33,7 +32,7 @@ fn composed_parse(f: &Frame) -> Option<(Ipv4Addr, Option<FlowKey>)> {
 }
 
 fn assert_single_pass_matches(bytes: Vec<u8>) {
-    let f = Frame::new(Bytes::from(bytes));
+    let f = Frame::new(&bytes);
     let want = composed_parse(&f);
     let got = IngressHeaders::parse(f.bytes());
     assert_eq!(got.map(|h| h.src()), want.map(|w| w.0));

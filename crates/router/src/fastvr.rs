@@ -152,7 +152,7 @@ mod tests {
         let mut raw = vec![0u8; 60];
         raw[12] = 0x08;
         raw[13] = 0x06; // ARP
-        let mut f = Frame::new(bytes::Bytes::from(raw));
+        let mut f = Frame::new(&raw);
         assert_eq!(vr.process(&mut f), RouterAction::Drop);
     }
 

@@ -25,7 +25,6 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use bytes::Bytes;
 use lvrm_net::Frame;
 
 /// Maximum frame bytes a slot can carry (jumbo-free Ethernet capture).
@@ -220,7 +219,7 @@ impl<'a> ShmFrameQueue<'a> {
             let len = (*(p as *const SlotHeader)).len as usize;
             let len = len.min(SLOT_BYTES);
             let bytes = std::slice::from_raw_parts(p.add(std::mem::size_of::<SlotHeader>()), len);
-            Frame::new(Bytes::copy_from_slice(bytes))
+            Frame::new(bytes)
         };
         self.head().store(((head + 1) % self.slots) as u32, Ordering::Release);
         Some(frame)

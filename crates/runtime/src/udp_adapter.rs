@@ -16,7 +16,6 @@
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 
-use bytes::Bytes;
 use lvrm_core::socket::{AdapterError, SendRejected, SocketAdapter, SocketKind};
 use lvrm_net::Frame;
 
@@ -74,7 +73,7 @@ impl SocketAdapter for UdpAdapter {
         match self.rx.recv_from(&mut self.buf) {
             Ok((n, _)) => {
                 self.rx_count += 1;
-                Ok(Frame::new(Bytes::copy_from_slice(&self.buf[..n])))
+                Ok(Frame::new(&self.buf[..n]))
             }
             Err(e) => Err(classify_io_error(e)),
         }

@@ -38,7 +38,7 @@ fn frames_cross_a_fork_boundary() {
                 let mut bytes = f.bytes().to_vec();
                 let payload_at = 14 + 20 + 8; // eth + ip + udp
                 bytes[payload_at] = bytes[payload_at].wrapping_add(1);
-                let f2 = Frame::new(bytes::Bytes::from(bytes));
+                let f2 = Frame::new(&bytes);
                 while !tx.try_send(&f2) {
                     std::hint::spin_loop();
                 }
