@@ -66,13 +66,13 @@ impl VirtualRouter for ClickVr {
     }
 
     fn process(&mut self, frame: &mut Frame) -> RouterAction {
-        // The graph consumes the frame, so it runs on a clone and only the
-        // egress decision is copied back. The clone shares the bytes, so an
-        // element that rewrites a header (`DecIPTTL`) first moves it to a
-        // private copy — one allocation and all 1518 bytes of a full-size
-        // frame — and that copy is dropped with the clone: the frame the VR
-        // returns is relayed unchanged.
-        let fate = self.graph.run(frame.clone());
+        // The graph runs on a clone and only the egress decision is copied
+        // back. The clone shares the bytes, so an element that rewrites a
+        // header (`DecIPTTL`) first moves it to a private copy — one
+        // allocation and all 1518 bytes of a full-size frame — and that copy
+        // is dropped with the clone: the frame the VR returns is relayed
+        // unchanged. ROADMAP 1c flips this to `run(frame)`.
+        let fate = self.graph.run(&mut frame.clone());
         match fate {
             PacketFate::Forwarded { iface } => {
                 frame.egress_if = iface;
@@ -161,5 +161,8 @@ mod tests {
     fn bad_config_is_reported() {
         assert!(ClickVr::from_config("x", "Frob(1) -> ToDevice(0);").is_err());
         assert!(ClickVr::from_config("x", "").is_err());
+        // A cycle is refused here, before there is a VR to spawn or hang.
+        let e = ClickVr::from_config("x", "c :: Counter; FromDevice(0) -> c -> c;").err().unwrap();
+        assert!(e.0.contains("cycle"), "{e}");
     }
 }

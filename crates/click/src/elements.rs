@@ -1,9 +1,10 @@
 //! The element library.
 //!
-//! Each element is a small packet processor with numbered input and output
-//! ports, mirroring Click's design (Kohler et al. 2000, the paper's \[21\]).
-//! Elements run in push mode: `push` receives a frame on an input port and
-//! emits zero or more frames on output ports via the `emit` callback.
+//! Each element is a small packet processor with numbered output ports,
+//! mirroring Click's design (Kohler et al. 2000, the paper's \[21\]).
+//! Elements run in push mode on the frame where it lies: `process` reads or
+//! rewrites the frame it is handed and says which output port it leaves on
+//! ([`Action`]); the graph owns the wiring and moves nothing.
 
 use std::net::Ipv4Addr;
 
@@ -21,6 +22,19 @@ pub enum Terminal {
     Discard,
 }
 
+/// What an element decided for the frame it was handed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Action {
+    /// The frame continues on this output port (dropped if it is unconnected).
+    Emit(usize),
+    /// A copy of the frame continues on every output port. Only `Tee` fans
+    /// out: it is the one element that emits twice.
+    FanOut,
+    /// The frame ends here: a terminal took it, or the element dropped it
+    /// (and counted why).
+    Drop,
+}
+
 /// A packet-processing element.
 pub trait Element: Send {
     /// Click class name (`Counter`, `ToDevice`, ...).
@@ -36,9 +50,10 @@ pub trait Element: Send {
         None
     }
 
-    /// Process a frame arriving on `port`, emitting results through `emit`.
-    /// Terminal elements need not emit.
-    fn push(&mut self, port: usize, frame: Frame, emit: &mut dyn FnMut(usize, Frame));
+    /// Process `frame` in place. Writes go through [`Frame::modify_bytes`],
+    /// so a buffer shared with another holder (a `Tee` sibling, a replayed
+    /// trace) is copied first and one held alone is rewritten where it lies.
+    fn process(&mut self, frame: &mut Frame) -> Action;
 
     /// Duplicate this element's *configuration* for a new VRI instance
     /// (statistics start fresh).
@@ -66,8 +81,8 @@ impl Element for FromDevice {
     fn class_name(&self) -> &'static str {
         "FromDevice"
     }
-    fn push(&mut self, _port: usize, frame: Frame, emit: &mut dyn FnMut(usize, Frame)) {
-        emit(0, frame);
+    fn process(&mut self, _frame: &mut Frame) -> Action {
+        Action::Emit(0)
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
         Box::new(FromDevice { iface: self.iface })
@@ -93,8 +108,9 @@ impl Element for ToDevice {
     fn terminal(&self) -> Option<Terminal> {
         Some(Terminal::ToDevice(self.iface))
     }
-    fn push(&mut self, _port: usize, _frame: Frame, _emit: &mut dyn FnMut(usize, Frame)) {
+    fn process(&mut self, _frame: &mut Frame) -> Action {
         self.sent += 1;
+        Action::Drop
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
         Box::new(ToDevice { iface: self.iface, sent: 0 })
@@ -123,8 +139,9 @@ impl Element for Discard {
     fn terminal(&self) -> Option<Terminal> {
         Some(Terminal::Discard)
     }
-    fn push(&mut self, _port: usize, _frame: Frame, _emit: &mut dyn FnMut(usize, Frame)) {
+    fn process(&mut self, _frame: &mut Frame) -> Action {
         self.dropped += 1;
+        Action::Drop
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
         Box::new(Discard::default())
@@ -148,10 +165,10 @@ impl Element for Counter {
     fn class_name(&self) -> &'static str {
         "Counter"
     }
-    fn push(&mut self, _port: usize, frame: Frame, emit: &mut dyn FnMut(usize, Frame)) {
+    fn process(&mut self, frame: &mut Frame) -> Action {
         self.frames += 1;
         self.bytes += frame.len() as u64;
-        emit(0, frame);
+        Action::Emit(0)
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
         Box::new(Counter::default())
@@ -185,13 +202,12 @@ impl Element for CheckIPHeader {
     fn n_outputs(&self) -> usize {
         2
     }
-    fn push(&mut self, _port: usize, frame: Frame, emit: &mut dyn FnMut(usize, Frame)) {
-        let ok = frame.ipv4().map(|ip| ip.checksum_ok()).unwrap_or(false);
-        if ok {
-            emit(0, frame);
+    fn process(&mut self, frame: &mut Frame) -> Action {
+        if frame.ipv4().is_ok_and(|ip| ip.checksum_ok()) {
+            Action::Emit(0)
         } else {
             self.bad += 1;
-            emit(1, frame);
+            Action::Emit(1)
         }
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
@@ -219,19 +235,10 @@ impl Element for DecIpTtl {
     fn n_outputs(&self) -> usize {
         2
     }
-    fn push(&mut self, _port: usize, mut frame: Frame, emit: &mut dyn FnMut(usize, Frame)) {
-        let ttl = match frame.ipv4() {
-            Ok(ip) => ip.ttl(),
-            Err(_) => {
-                self.expired += 1;
-                emit(1, frame);
-                return;
-            }
-        };
-        if ttl <= 1 {
+    fn process(&mut self, frame: &mut Frame) -> Action {
+        if !frame.ipv4().is_ok_and(|ip| ip.ttl() > 1) {
             self.expired += 1;
-            emit(1, frame);
-            return;
+            return Action::Emit(1);
         }
         frame.modify_bytes(|b| {
             // Ethernet header is 14 bytes; TTL at IP offset 8, checksum at 10.
@@ -246,7 +253,7 @@ impl Element for DecIpTtl {
             }
             b[14 + 10..14 + 12].copy_from_slice(&new.to_be_bytes());
         });
-        emit(0, frame);
+        Action::Emit(0)
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
         Box::new(DecIpTtl::default())
@@ -306,19 +313,14 @@ impl Element for Classifier {
     fn n_outputs(&self) -> usize {
         self.patterns.len()
     }
-    fn push(&mut self, _port: usize, frame: Frame, emit: &mut dyn FnMut(usize, Frame)) {
+    fn process(&mut self, frame: &mut Frame) -> Action {
         let proto = frame.ipv4().map(|ip| ip.protocol()).ok();
-        for (i, pat) in self.patterns.iter().enumerate() {
-            let hit = match pat {
-                Pattern::Any => true,
-                Pattern::Proto(p) => proto == Some(*p),
-            };
-            if hit {
-                emit(i, frame);
-                return;
-            }
-        }
+        let hit = self.patterns.iter().position(|pat| match pat {
+            Pattern::Any => true,
+            Pattern::Proto(p) => proto == Some(*p),
+        });
         // No match: frame is dropped silently (Click would warn once).
+        hit.map_or(Action::Drop, Action::Emit)
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
         Box::new(Classifier { patterns: self.patterns.clone() })
@@ -374,17 +376,13 @@ impl Element for LookupIpRoute {
     fn n_outputs(&self) -> usize {
         self.n_ports
     }
-    fn push(&mut self, _port: usize, frame: Frame, emit: &mut dyn FnMut(usize, Frame)) {
-        let dst = match frame.dst_ip() {
-            Ok(d) => d,
-            Err(_) => {
+    fn process(&mut self, frame: &mut Frame) -> Action {
+        match frame.dst_ip().ok().and_then(|dst| self.routes.lookup(dst)) {
+            Some(r) => Action::Emit(r.iface as usize),
+            None => {
                 self.misses += 1;
-                return;
+                Action::Drop
             }
-        };
-        match self.routes.lookup(dst) {
-            Some(r) => emit(r.iface as usize, frame),
-            None => self.misses += 1,
         }
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
@@ -423,9 +421,9 @@ impl Element for ClickQueue {
     fn class_name(&self) -> &'static str {
         "Queue"
     }
-    fn push(&mut self, _port: usize, frame: Frame, emit: &mut dyn FnMut(usize, Frame)) {
+    fn process(&mut self, _frame: &mut Frame) -> Action {
         self.passed += 1;
-        emit(0, frame);
+        Action::Emit(0)
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
         Box::new(ClickQueue { capacity: self.capacity, passed: 0 })
@@ -464,11 +462,13 @@ impl Element for Tee {
     fn n_outputs(&self) -> usize {
         self.n
     }
-    fn push(&mut self, _port: usize, frame: Frame, emit: &mut dyn FnMut(usize, Frame)) {
-        for i in 0..self.n.saturating_sub(1) {
-            emit(i, frame.clone());
+    fn process(&mut self, _frame: &mut Frame) -> Action {
+        // One output is a wire: nothing to copy.
+        if self.n == 1 {
+            Action::Emit(0)
+        } else {
+            Action::FanOut
         }
-        emit(self.n - 1, frame);
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
         Box::new(Tee { n: self.n })
@@ -504,12 +504,12 @@ impl Element for CheckLength {
     fn n_outputs(&self) -> usize {
         2
     }
-    fn push(&mut self, _port: usize, frame: Frame, emit: &mut dyn FnMut(usize, Frame)) {
+    fn process(&mut self, frame: &mut Frame) -> Action {
         if frame.len() <= self.max {
-            emit(0, frame);
+            Action::Emit(0)
         } else {
             self.oversized += 1;
-            emit(1, frame);
+            Action::Emit(1)
         }
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
@@ -541,7 +541,7 @@ impl Element for SetIpTtl {
     fn class_name(&self) -> &'static str {
         "SetIPTTL"
     }
-    fn push(&mut self, _port: usize, mut frame: Frame, emit: &mut dyn FnMut(usize, Frame)) {
+    fn process(&mut self, frame: &mut Frame) -> Action {
         if frame.ipv4().is_ok() {
             let ttl = self.ttl;
             frame.modify_bytes(|b| {
@@ -552,7 +552,7 @@ impl Element for SetIpTtl {
                 b[14 + 10..14 + 12].copy_from_slice(&csum.to_be_bytes());
             });
         }
-        emit(0, frame);
+        Action::Emit(0)
     }
     fn clone_fresh(&self) -> Box<dyn Element> {
         Box::new(SetIpTtl { ttl: self.ttl })
@@ -610,17 +610,10 @@ mod tests {
         )
     }
 
-    fn collect(el: &mut dyn Element, frame: Frame) -> Vec<(usize, Frame)> {
-        let mut out = Vec::new();
-        el.push(0, frame, &mut |p, f| out.push((p, f)));
-        out
-    }
-
     #[test]
     fn counter_counts_and_passes() {
         let mut c = Counter::default();
-        let out = collect(&mut c, udp_frame());
-        assert_eq!(out.len(), 1);
+        assert_eq!(c.process(&mut udp_frame()), Action::Emit(0));
         assert_eq!(c.count(), 1);
         assert!(c.bytes() > 0);
     }
@@ -628,44 +621,52 @@ mod tests {
     #[test]
     fn check_ip_header_splits_good_and_bad() {
         let mut c = CheckIPHeader::default();
-        assert_eq!(collect(&mut c, udp_frame())[0].0, 0);
+        assert_eq!(c.process(&mut udp_frame()), Action::Emit(0));
         // Corrupt the checksum.
         let mut bad = udp_frame();
         bad.modify_bytes(|b| b[14 + 10] ^= 0xff);
-        assert_eq!(collect(&mut c, bad)[0].0, 1);
+        assert_eq!(c.process(&mut bad), Action::Emit(1));
         assert_eq!(c.bad, 1);
     }
 
     #[test]
     fn dec_ip_ttl_decrements_and_fixes_checksum() {
         let mut d = DecIpTtl::default();
-        let f = udp_frame();
+        let mut f = udp_frame();
         let ttl_before = f.ipv4().unwrap().ttl();
-        let out = collect(&mut d, f);
-        let (port, f2) = &out[0];
-        assert_eq!(*port, 0);
-        let ip = f2.ipv4().unwrap();
+        assert_eq!(d.process(&mut f), Action::Emit(0));
+        let ip = f.ipv4().unwrap();
         assert_eq!(ip.ttl(), ttl_before - 1);
         assert!(ip.checksum_ok(), "incremental checksum update must stay valid");
     }
 
     #[test]
+    fn dec_ip_ttl_writes_a_private_copy_of_a_shared_frame() {
+        let mut d = DecIpTtl::default();
+        let original = udp_frame();
+        let mut shared = original.clone();
+        assert_eq!(d.process(&mut shared), Action::Emit(0));
+        assert_eq!(shared.ipv4().unwrap().ttl(), original.ipv4().unwrap().ttl() - 1);
+        assert_eq!(original.bytes(), udp_frame().bytes(), "the other holder sees no write");
+    }
+
+    #[test]
     fn dec_ip_ttl_expires_ttl_one() {
         let mut d = DecIpTtl::default();
-        let f = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 9))
+        let mut f = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 9))
             .ttl(1)
             .udp(1, 2, &[]);
-        let out = collect(&mut d, f);
-        assert_eq!(out[0].0, 1);
+        assert_eq!(d.process(&mut f), Action::Emit(1));
         assert_eq!(d.expired, 1);
     }
 
     #[test]
     fn classifier_matches_first_pattern() {
-        let args = vec!["ip proto tcp".into(), "ip proto udp".into(), "-".into()];
+        let args = vec!["ip proto tcp".into(), "ip proto udp".into()];
         let mut cl = Classifier::from_args(&args).unwrap();
-        assert_eq!(collect(&mut cl, tcp_frame())[0].0, 0);
-        assert_eq!(collect(&mut cl, udp_frame())[0].0, 1);
+        assert_eq!(cl.process(&mut tcp_frame()), Action::Emit(0));
+        assert_eq!(cl.process(&mut udp_frame()), Action::Emit(1));
+        assert_eq!(cl.process(&mut Frame::new(&[0u8; 60])), Action::Drop, "no pattern matches");
     }
 
     #[test]
@@ -676,38 +677,40 @@ mod tests {
 
     #[test]
     fn lookup_ip_route_lpm_to_ports() {
-        let args = vec!["10.0.2.0/24 1".into(), "0.0.0.0/0 0".into()];
+        let args = vec!["10.0.2.0/24 1".into(), "10.0.0.0/8 0".into()];
         let mut rt = LookupIpRoute::from_args(&args).unwrap();
         assert_eq!(rt.n_outputs(), 2);
-        assert_eq!(collect(&mut rt, udp_frame())[0].0, 1);
+        assert_eq!(rt.process(&mut udp_frame()), Action::Emit(1));
+        let mut elsewhere =
+            FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(8, 8, 8, 8)).udp(1, 2, &[]);
+        assert_eq!(rt.process(&mut elsewhere), Action::Drop);
+        assert_eq!(rt.misses, 1);
     }
 
     #[test]
-    fn tee_duplicates_to_all_ports() {
+    fn tee_fans_out_to_all_ports() {
         let mut t = Tee::from_args(&["3".into()]).unwrap();
-        let out = collect(&mut t, udp_frame());
-        assert_eq!(out.iter().map(|(p, _)| *p).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(t.process(&mut udp_frame()), Action::FanOut);
+        let mut wire = Tee::from_args(&["1".into()]).unwrap();
+        assert_eq!(wire.process(&mut udp_frame()), Action::Emit(0));
     }
 
     #[test]
     fn check_length_splits_by_size() {
         let mut cl = CheckLength::from_args(&["100".into()]).unwrap();
-        let small = udp_frame();
-        assert_eq!(collect(&mut cl, small)[0].0, 0);
-        let big = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 9)).udp(
-            1,
-            2,
-            &[0u8; 200],
-        );
-        assert_eq!(collect(&mut cl, big)[0].0, 1);
+        assert_eq!(cl.process(&mut udp_frame()), Action::Emit(0));
+        let mut big = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 9))
+            .udp(1, 2, &[0u8; 200]);
+        assert_eq!(cl.process(&mut big), Action::Emit(1));
         assert_eq!(cl.oversized, 1);
     }
 
     #[test]
     fn set_ip_ttl_rewrites_and_fixes_checksum() {
         let mut el = SetIpTtl::from_args(&["9".into()]).unwrap();
-        let out = collect(&mut el, udp_frame());
-        let ip = out[0].1.ipv4().unwrap();
+        let mut f = udp_frame();
+        assert_eq!(el.process(&mut f), Action::Emit(0));
+        let ip = f.ipv4().unwrap();
         assert_eq!(ip.ttl(), 9);
         assert!(ip.checksum_ok());
     }
@@ -718,9 +721,9 @@ mod tests {
         let mut raw = vec![0u8; 60];
         raw[12] = 0x08;
         raw[13] = 0x06; // ARP
-        let f = Frame::new(&raw);
-        let out = collect(&mut el, f);
-        assert_eq!(out[0].1.bytes(), &raw[..]);
+        let mut f = Frame::new(&raw);
+        assert_eq!(el.process(&mut f), Action::Emit(0));
+        assert_eq!(f.bytes(), &raw[..]);
     }
 
     #[test]

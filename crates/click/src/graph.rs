@@ -1,14 +1,25 @@
-//! The element graph: wiring plus push-mode execution.
+//! The element graph: wiring compiled to a successor table, and the
+//! push-mode walk that carries one frame along it in place.
 
 use std::collections::HashMap;
 
 use lvrm_net::Frame;
 
 use crate::config::{ConfigAst, ConfigError};
-use crate::elements::{build_element, Element, Terminal};
+use crate::elements::{build_element, Action, Element, Terminal};
 
-/// Out-edges of one element: `out_port -> (target_element, in_port)`.
-type OutEdges = Box<[Option<(usize, usize)>]>;
+/// Where one `(element, out_port)` leads. [`ElementGraph::compile`] resolves
+/// every link to this once, so the walk looks nothing up per frame: not a
+/// name, not the successor's kind.
+#[derive(Clone, Copy)]
+enum Hop {
+    /// Nothing connected: the frame is dropped (Click warns once).
+    Unconnected,
+    /// On to a processing element.
+    Element(usize),
+    /// Into a terminal element, where the walk ends.
+    Terminal(usize, Terminal),
+}
 
 /// What ultimately happened to a frame injected into the graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,21 +34,18 @@ pub enum PacketFate {
 pub struct ElementGraph {
     elements: Vec<Box<dyn Element>>,
     names: Vec<String>,
-    /// `edges[e][out_port] = Some((target_element, in_port))`.
-    edges: Vec<OutEdges>,
+    /// `hops[e][out_port]`: the successor table.
+    hops: Vec<Box<[Hop]>>,
     /// `FromDevice` elements by interface, the graph's entry points.
     entries: HashMap<u16, usize>,
     /// Total element traversals (for cost accounting / statistics).
     traversals: u64,
-    /// [`ElementGraph::run`]'s work list of (element, in_port, frame) and the
-    /// frames one element emitted: both empty between calls, kept for their
-    /// capacity so a frame costs no allocation here.
-    work: Vec<(usize, usize, Frame)>,
-    emitted: Vec<(usize, Frame)>,
 }
 
 impl ElementGraph {
-    /// Compile an AST into an executable graph.
+    /// Compile an AST into an executable graph. A configuration whose links
+    /// form a cycle is refused: every element pushes, so a frame that entered
+    /// the cycle would never leave [`ElementGraph::run`].
     pub fn compile(ast: &ConfigAst) -> Result<ElementGraph, ConfigError> {
         let mut elements = Vec::with_capacity(ast.decls.len());
         let mut names = Vec::with_capacity(ast.decls.len());
@@ -63,8 +71,10 @@ impl ElementGraph {
             return Err(ConfigError("configuration has no FromDevice entry point".into()));
         }
 
-        let mut edges: Vec<OutEdges> =
-            elements.iter().map(|e| vec![None; e.n_outputs()].into_boxed_slice()).collect();
+        let mut hops: Vec<Box<[Hop]>> = elements
+            .iter()
+            .map(|e| vec![Hop::Unconnected; e.n_outputs()].into_boxed_slice())
+            .collect();
         for link in &ast.links {
             let from = *index
                 .get(&link.from)
@@ -85,23 +95,24 @@ impl ElementGraph {
                     link.to, link.in_port
                 )));
             }
-            if edges[from][link.out_port].is_some() {
+            if !matches!(hops[from][link.out_port], Hop::Unconnected) {
                 return Err(ConfigError(format!(
                     "{}[{}] connected twice",
                     link.from, link.out_port
                 )));
             }
-            edges[from][link.out_port] = Some((to, link.in_port));
+            hops[from][link.out_port] = match elements[to].terminal() {
+                Some(t) => Hop::Terminal(to, t),
+                None => Hop::Element(to),
+            };
         }
-        Ok(ElementGraph {
-            elements,
-            names,
-            edges,
-            entries,
-            traversals: 0,
-            work: Vec::new(),
-            emitted: Vec::new(),
-        })
+        if let Some(on_cycle) = find_cycle(&hops) {
+            return Err(ConfigError(format!(
+                "{} is on a cycle: a push-only graph would never let a frame out of it",
+                names[on_cycle]
+            )));
+        }
+        Ok(ElementGraph { elements, names, hops, entries, traversals: 0 })
     }
 
     /// Interfaces with a `FromDevice` entry point.
@@ -131,54 +142,87 @@ impl ElementGraph {
 
     /// Inject `frame` at the `FromDevice` for its ingress interface (or the
     /// sole entry point if that interface has none) and run the pipeline to
-    /// quiescence. Returns the frame's fate; when forwarded, `egress_if` has
-    /// been stamped on the frame by the time the fate is determined.
-    pub fn run(&mut self, frame: Frame) -> PacketFate {
+    /// quiescence, the frame staying where it is. Returns its fate; when
+    /// forwarded, `frame` is what the `ToDevice` saw — rewritten by the
+    /// elements on the way, `egress_if` stamped.
+    pub fn run(&mut self, frame: &mut Frame) -> PacketFate {
+        self.run_tapped(frame, &mut |_, _| {})
+    }
+
+    /// [`ElementGraph::run`], showing `tap` every terminal a frame reaches, by
+    /// name, and the frame as it arrives there — under a `Tee` all of them,
+    /// not only the one whose frame is handed back.
+    pub fn run_tapped(
+        &mut self,
+        frame: &mut Frame,
+        tap: &mut impl FnMut(&str, &Frame),
+    ) -> PacketFate {
         let entry = self
             .entries
             .get(&frame.ingress_if)
             .or_else(|| self.entries.values().next())
             .copied()
             .expect("compile() guarantees an entry point");
-        // Depth-first order like Click's push path; Tee fan-out queues
-        // siblings.
-        self.work.push((entry, 0, frame));
-        let mut fate = PacketFate::Dropped;
-        while let Some((idx, port, f)) = self.work.pop() {
+        self.follow(Hop::Element(entry), frame, tap)
+    }
+
+    /// Carry `frame` across `hop` and on to wherever it ends: one `process`
+    /// call per element, one table read per hop.
+    fn follow(
+        &mut self,
+        mut hop: Hop,
+        frame: &mut Frame,
+        tap: &mut impl FnMut(&str, &Frame),
+    ) -> PacketFate {
+        loop {
+            let at = match hop {
+                Hop::Unconnected => return PacketFate::Dropped,
+                Hop::Element(at) => at,
+                Hop::Terminal(at, terminal) => {
+                    let fate = match terminal {
+                        // Stamped before the ToDevice runs, so it sees it.
+                        Terminal::ToDevice(iface) => {
+                            frame.egress_if = iface;
+                            PacketFate::Forwarded { iface }
+                        }
+                        Terminal::Discard => PacketFate::Dropped,
+                    };
+                    // The terminal runs for its statistics.
+                    self.traversals += 1;
+                    self.elements[at].process(frame);
+                    tap(&self.names[at], frame);
+                    return fate;
+                }
+            };
             self.traversals += 1;
-            if let Some(t) = self.elements[idx].terminal() {
-                // Run the terminal for its statistics, then record the fate.
-                self.elements[idx].push(port, f, &mut |_, _| {});
-                match t {
-                    Terminal::ToDevice(iface) => {
-                        if fate == PacketFate::Dropped {
-                            fate = PacketFate::Forwarded { iface };
-                        }
-                    }
-                    Terminal::Discard => {}
-                }
-                continue;
-            }
-            self.emitted.clear();
-            let emitted = &mut self.emitted;
-            self.elements[idx].push(port, f, &mut |out_port, out_frame| {
-                emitted.push((out_port, out_frame));
-            });
-            for (out_port, mut out_frame) in self.emitted.drain(..) {
-                match self.edges[idx].get(out_port).copied().flatten() {
-                    Some((next, in_port)) => {
-                        // Stamp egress early so ToDevice sees it.
-                        if let Some(Terminal::ToDevice(iface)) = self.elements[next].terminal() {
-                            out_frame.egress_if = iface;
-                        }
-                        self.work.push((next, in_port, out_frame));
-                    }
-                    None => {
-                        // Unconnected port: frame dropped (Click warns once).
-                    }
-                }
+            hop = match self.elements[at].process(frame) {
+                Action::Emit(port) => self.hops[at].get(port).copied().unwrap_or(Hop::Unconnected),
+                Action::Drop => return PacketFate::Dropped,
+                Action::FanOut => return self.fan_out(at, frame, tap),
+            };
+        }
+    }
+
+    /// A `Tee`: every branch runs on a clone — copy-on-write keeps one
+    /// branch's rewrite from its siblings — highest port first, depth first.
+    /// The first branch to reach a `ToDevice` decides the fate, and its frame
+    /// is the one handed back.
+    fn fan_out(
+        &mut self,
+        tee: usize,
+        frame: &mut Frame,
+        tap: &mut impl FnMut(&str, &Frame),
+    ) -> PacketFate {
+        let mut forwarded = None;
+        for port in (0..self.hops[tee].len()).rev() {
+            let mut copy = frame.clone();
+            let fate = self.follow(self.hops[tee][port], &mut copy, tap);
+            if forwarded.is_none() && fate != PacketFate::Dropped {
+                forwarded = Some((fate, copy));
             }
         }
+        let Some((fate, copy)) = forwarded else { return PacketFate::Dropped };
+        *frame = copy;
         fate
     }
 
@@ -190,9 +234,9 @@ impl ElementGraph {
         for (i, name) in self.names.iter().enumerate() {
             let _ = writeln!(out, "  n{i} [label=\"{name}\\n{}\"];", self.elements[i].class_name());
         }
-        for (i, outs) in self.edges.iter().enumerate() {
-            for (port, edge) in outs.iter().enumerate() {
-                if let Some((to, _)) = edge {
+        for (i, outs) in self.hops.iter().enumerate() {
+            for (port, hop) in outs.iter().enumerate() {
+                if let Hop::Element(to) | Hop::Terminal(to, _) = hop {
                     let _ = writeln!(out, "  n{i} -> n{to} [label=\"{port}\"];");
                 }
             }
@@ -207,13 +251,50 @@ impl ElementGraph {
         ElementGraph {
             elements: self.elements.iter().map(|e| e.clone_fresh()).collect(),
             names: self.names.clone(),
-            edges: self.edges.clone(),
+            hops: self.hops.clone(),
             entries: self.entries.clone(),
             traversals: 0,
-            work: Vec::new(),
-            emitted: Vec::new(),
         }
     }
+}
+
+/// An element on a cycle of the successor table, if there is one: one
+/// depth-first search with the path marked, on a stack of its own (a
+/// configuration may chain more elements than the thread's stack has frames).
+fn find_cycle(hops: &[Box<[Hop]>]) -> Option<usize> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mark {
+        Unseen,
+        OnPath,
+        Done,
+    }
+    let mut marks = vec![Mark::Unseen; hops.len()];
+    // (element, its next output port to follow)
+    let mut path = Vec::new();
+    for root in 0..hops.len() {
+        if marks[root] == Mark::Unseen {
+            marks[root] = Mark::OnPath;
+            path.push((root, 0));
+        }
+        while let Some((at, port)) = path.last_mut() {
+            let hop = hops[*at].get(*port);
+            *port += 1;
+            match hop {
+                None => {
+                    marks[*at] = Mark::Done;
+                    path.pop();
+                }
+                Some(&Hop::Element(next)) if marks[next] == Mark::OnPath => return Some(next),
+                Some(&Hop::Element(next)) if marks[next] == Mark::Unseen => {
+                    marks[next] = Mark::OnPath;
+                    path.push((next, 0));
+                }
+                // Done already, unconnected, or a terminal, which has no outputs.
+                Some(_) => {}
+            }
+        }
+    }
+    None
 }
 
 impl std::fmt::Debug for ElementGraph {
@@ -243,8 +324,8 @@ mod tests {
     #[test]
     fn minimal_forwarding_pipeline() {
         let mut g = compile("FromDevice(0) -> ToDevice(1);");
-        let f = udp([10, 0, 1, 5], [10, 0, 2, 9]);
-        assert_eq!(g.run(f), PacketFate::Forwarded { iface: 1 });
+        let mut f = udp([10, 0, 1, 5], [10, 0, 2, 9]);
+        assert_eq!(g.run(&mut f), PacketFate::Forwarded { iface: 1 });
     }
 
     #[test]
@@ -252,7 +333,8 @@ mod tests {
         let mut g = compile("FromDevice(0) -> cnt :: Counter -> ToDevice(3);");
         let mut f = udp([10, 0, 1, 5], [10, 0, 2, 9]);
         f.ingress_if = 0;
-        assert_eq!(g.run(f), PacketFate::Forwarded { iface: 3 });
+        assert_eq!(g.run(&mut f), PacketFate::Forwarded { iface: 3 });
+        assert_eq!(f.egress_if, 3);
         assert_eq!(g.element_count("cnt"), Some(1));
     }
 
@@ -263,9 +345,15 @@ mod tests {
              -> rt :: LookupIPRoute(10.0.2.0/24 0, 10.0.3.0/24 1);\n\
              rt[0] -> ToDevice(1); rt[1] -> ToDevice(2);",
         );
-        assert_eq!(g.run(udp([10, 0, 1, 5], [10, 0, 2, 9])), PacketFate::Forwarded { iface: 1 });
-        assert_eq!(g.run(udp([10, 0, 1, 5], [10, 0, 3, 9])), PacketFate::Forwarded { iface: 2 });
-        assert_eq!(g.run(udp([10, 0, 1, 5], [8, 8, 8, 8])), PacketFate::Dropped);
+        assert_eq!(
+            g.run(&mut udp([10, 0, 1, 5], [10, 0, 2, 9])),
+            PacketFate::Forwarded { iface: 1 }
+        );
+        assert_eq!(
+            g.run(&mut udp([10, 0, 1, 5], [10, 0, 3, 9])),
+            PacketFate::Forwarded { iface: 2 }
+        );
+        assert_eq!(g.run(&mut udp([10, 0, 1, 5], [8, 8, 8, 8])), PacketFate::Dropped);
     }
 
     #[test]
@@ -274,24 +362,20 @@ mod tests {
             "cl :: Classifier(ip proto udp, -);\n\
              FromDevice(0) -> cl; cl[0] -> ToDevice(1); cl[1] -> sink :: Discard;",
         );
-        assert_eq!(g.run(udp([10, 0, 1, 5], [10, 0, 2, 9])), PacketFate::Forwarded { iface: 1 });
-        let tcp = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 9)).tcp(
-            1,
-            2,
-            0,
-            0,
-            0x02,
-            100,
-            &[],
+        assert_eq!(
+            g.run(&mut udp([10, 0, 1, 5], [10, 0, 2, 9])),
+            PacketFate::Forwarded { iface: 1 }
         );
-        assert_eq!(g.run(tcp), PacketFate::Dropped);
+        let mut tcp = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 9))
+            .tcp(1, 2, 0, 0, 0x02, 100, &[]);
+        assert_eq!(g.run(&mut tcp), PacketFate::Dropped);
         assert_eq!(g.element_count("sink"), Some(1));
     }
 
     #[test]
     fn unconnected_output_drops() {
         let mut g = compile("FromDevice(0) -> Counter;");
-        assert_eq!(g.run(udp([10, 0, 1, 5], [10, 0, 2, 9])), PacketFate::Dropped);
+        assert_eq!(g.run(&mut udp([10, 0, 1, 5], [10, 0, 2, 9])), PacketFate::Dropped);
     }
 
     #[test]
@@ -299,7 +383,7 @@ mod tests {
         let mut g = compile("FromDevice(0) -> ToDevice(1); FromDevice(1) -> ToDevice(0);");
         let mut f = udp([10, 0, 1, 5], [10, 0, 2, 9]);
         f.ingress_if = 1;
-        assert_eq!(g.run(f), PacketFate::Forwarded { iface: 0 });
+        assert_eq!(g.run(&mut f), PacketFate::Forwarded { iface: 0 });
     }
 
     #[test]
@@ -338,7 +422,7 @@ mod tests {
     #[test]
     fn clone_fresh_resets_statistics() {
         let mut g = compile("FromDevice(0) -> c :: Counter -> ToDevice(1);");
-        g.run(udp([10, 0, 1, 5], [10, 0, 2, 9]));
+        g.run(&mut udp([10, 0, 1, 5], [10, 0, 2, 9]));
         assert_eq!(g.element_count("c"), Some(1));
         let g2 = g.clone_fresh();
         assert_eq!(g2.element_count("c"), Some(0));
@@ -360,12 +444,49 @@ mod tests {
     }
 
     #[test]
-    fn tee_forwards_first_todevice_fate() {
-        let mut g =
-            compile("FromDevice(0) -> t :: Tee(2); t[0] -> ToDevice(1); t[1] -> ToDevice(2);");
-        // Both copies are forwarded; the fate reports one interface, and both
-        // ToDevice counters tick.
-        let fate = g.run(udp([10, 0, 1, 5], [10, 0, 2, 9]));
-        assert!(matches!(fate, PacketFate::Forwarded { .. }));
+    fn tee_runs_its_highest_port_first_and_hands_back_that_branch() {
+        let mut g = compile(
+            "FromDevice(0) -> t :: Tee(2); t[0] -> a :: ToDevice(1);\n\
+             t[1] -> DecIPTTL -> b :: ToDevice(2);",
+        );
+        let mut f = udp([10, 0, 1, 5], [10, 0, 2, 9]);
+        let ttl = f.ipv4().unwrap().ttl();
+        // Both copies are forwarded and both ToDevice counters tick; the fate
+        // and the frame are those of the branch that ran first.
+        assert_eq!(g.run(&mut f), PacketFate::Forwarded { iface: 2 });
+        assert_eq!((g.element_count("a"), g.element_count("b")), (Some(1), Some(1)));
+        assert_eq!((f.egress_if, f.ipv4().unwrap().ttl()), (2, ttl - 1));
+        // The sibling saw the frame as the Tee did, not the rewrite.
+        let mut seen = Vec::new();
+        g.run_tapped(&mut udp([10, 0, 1, 5], [10, 0, 2, 9]), &mut |name, f| {
+            seen.push((name.to_string(), f.egress_if, f.ipv4().unwrap().ttl()));
+        });
+        assert_eq!(seen, [("b".to_string(), 2, ttl - 1), ("a".to_string(), 1, ttl)]);
+    }
+
+    fn compile_err(cfg: &str) -> String {
+        ElementGraph::compile(&parse_config(cfg).unwrap()).unwrap_err().0
+    }
+
+    #[test]
+    fn compile_rejects_cycles() {
+        // Each of these used to compile, and the first frame never left `run`.
+        let e = compile_err("c :: Counter; FromDevice(0) -> c; c -> c;");
+        assert!(e.contains("c is on a cycle"), "{e}");
+        let e = compile_err("a :: Counter; b :: Counter; FromDevice(0) -> a; a -> b; b -> a;");
+        assert!(e.contains("a is on a cycle") || e.contains("b is on a cycle"), "{e}");
+    }
+
+    #[test]
+    fn compile_rejects_a_cycle_behind_a_tee_branch_but_not_a_diamond() {
+        let e = compile_err(
+            "t :: Tee(2); q :: Queue; FromDevice(0) -> t; t[0] -> ToDevice(1);\n\
+             t[1] -> CheckIPHeader -> q -> t;",
+        );
+        assert!(e.contains("is on a cycle"), "{e}");
+        compile(
+            "t :: Tee(2); c :: Counter; FromDevice(0) -> t; t[0] -> c; t[1] -> c;\n\
+             c -> ToDevice(1);",
+        );
     }
 }

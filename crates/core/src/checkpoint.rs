@@ -88,11 +88,26 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: `CRC_TABLES[0]`
-// is the classic byte-at-a-time table, and `CRC_TABLES[k][b]` is the CRC of
-// byte `b` followed by `k` zero bytes, so eight input bytes fold into the
-// running value with eight independent loads instead of eight dependent
-// ones. Built at compile time.
+// CRC-32 (IEEE 802.3 polynomial, reflected), two ways to the same function.
+//
+// Portable, and the tail of every input: slicing-by-8. `CRC_TABLES[0]` is the
+// classic byte-at-a-time table, and `CRC_TABLES[k][b]` is the CRC of byte `b`
+// followed by `k` zero bytes, so eight input bytes fold into the running
+// value with eight independent loads instead of eight dependent ones. Built
+// at compile time.
+//
+// Where the CPU has a carry-less multiply (`PCLMULQDQ`, detected at run
+// time): folding, after Gopal et al., "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ Instruction" (Intel, 2009). A CRC is the
+// message, as a polynomial over GF(2), modulo P, so a 128-bit stretch of it
+// D bits from where it is needed may be replaced by its product with
+// x^D mod P: two 64×64 multiplies and an XOR carry 16 bytes over any
+// distance. Four registers leapfrog 64 bytes a step; no table, no dependent
+// load. The polynomial, and with it every sealed byte, is the same.
+
+/// The generator polynomial, bit-reflected (x^0 is the top bit).
+const CRC_POLY: u32 = 0xEDB8_8320;
+
 const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
     let mut i = 0;
@@ -100,7 +115,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         t[0][i] = c;
@@ -121,10 +136,10 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32/IEEE over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
+/// Run `data` through the CRC register `c` by table: the register before
+/// the first byte in, after the last byte out, no inversion at either end.
+fn crc32_sliced(mut c: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut words = data.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -142,7 +157,113 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in words.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// CRC-32 by carry-less multiplication, where the instruction exists.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    use super::{crc32_sliced, CRC_POLY};
+
+    /// Bytes one step of the folded loop consumes. A shorter input (a 15-byte
+    /// `LVSU`, an advert) has nothing to fold and goes through the tables.
+    pub(super) const FOLD_BLOCK: usize = 64;
+
+    /// The multiplier that carries 64 bits of the message `bits` places on:
+    /// x^bits mod P, bit-reflected. A carry-less product of two reflected
+    /// operands comes out one place low, hence the shift.
+    pub(super) const fn fold_by(bits: u32) -> i64 {
+        let mut c = 1u32 << 31; // x^0
+        let mut i = 0;
+        while i < bits {
+            c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
+            i += 1;
+        }
+        (c as i64) << 1
+    }
+
+    // The multipliers for a register's (high, low) half over a leap of 512
+    // bits and of 128. The low half holds the earlier bytes and has 64 bits
+    // further to go; ±32 lines the product up with the 32-bit CRC.
+    const LEAP_512: (i64, i64) = (fold_by(512 - 32), fold_by(512 + 32));
+    const LEAP_128: (i64, i64) = (fold_by(128 - 32), fold_by(128 + 32));
+
+    /// [`crc32_sliced`] by carry-less multiplication: the same register out
+    /// for the same register and bytes in. Folds whole 64-byte blocks, then
+    /// whole 16-byte lanes, and runs what is left — the 16 bytes of the last
+    /// register and the 0..=15 bytes after it — through the tables.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq` (and `sse2`, which x86-64 always has).
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    pub(super) unsafe fn crc32_folded(c: u32, data: &[u8]) -> u32 {
+        /// The 16 bytes of `$bytes` from lane `$i` on, in a register.
+        macro_rules! lane {
+            ($bytes:expr, $i:expr) => {{
+                let lane: &[u8] = &$bytes[16 * $i..16 * $i + 16];
+                // SAFETY: `lane` is 16 readable bytes (the slicing above
+                // checked it), and `loadu` asks for no alignment.
+                unsafe { _mm_loadu_si128(lane.as_ptr().cast()) }
+            }};
+        }
+        /// `$x` carried over the distance `$k` was made for, onto `$next`: the
+        /// low half by `$k`'s low multiplier, the high half by its high one.
+        macro_rules! fold {
+            ($x:expr, $k:expr, $next:expr) => {{
+                let lo = _mm_clmulepi64_si128::<0x00>($x, $k);
+                let hi = _mm_clmulepi64_si128::<0x11>($x, $k);
+                _mm_xor_si128(_mm_xor_si128(lo, hi), $next)
+            }};
+        }
+
+        let mut blocks = data.chunks_exact(FOLD_BLOCK);
+        let Some(first) = blocks.next() else { return crc32_sliced(c, data) };
+        // The register rides on the first four message bytes, as it does in
+        // the table loop (`c ^ word`).
+        let mut x = [
+            _mm_xor_si128(lane!(first, 0), _mm_cvtsi32_si128(c as i32)),
+            lane!(first, 1),
+            lane!(first, 2),
+            lane!(first, 3),
+        ];
+        // Each of the four registers leaps to its place in the next block.
+        let k = _mm_set_epi64x(LEAP_512.0, LEAP_512.1);
+        for block in &mut blocks {
+            for (i, x) in x.iter_mut().enumerate() {
+                *x = fold!(*x, k, lane!(block, i));
+            }
+        }
+        // Then one register walks the rest 128 bits at a time: over its three
+        // companions, then over the whole lanes of the last, partial block.
+        let k = _mm_set_epi64x(LEAP_128.0, LEAP_128.1);
+        let mut acc = x[0];
+        for next in &x[1..] {
+            acc = fold!(acc, k, *next);
+        }
+        let mut lanes = blocks.remainder().chunks_exact(16);
+        for lane in &mut lanes {
+            acc = fold!(acc, k, lane!(lane, 0));
+        }
+        // `acc` is now 16 message bytes that leave the same remainder as all
+        // the bytes folded into them did, register included: the tables take
+        // it from there, starting from 0.
+        let mut folded = [0u8; 16];
+        // SAFETY: `folded` is 16 writable bytes; `storeu` asks for no alignment.
+        unsafe { _mm_storeu_si128(folded.as_mut_ptr().cast(), acc) };
+        crc32_sliced(crc32_sliced(0, &folded), lanes.remainder())
+    }
+}
+
+/// CRC-32/IEEE over `data`.
+pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if data.len() >= clmul::FOLD_BLOCK && std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: the CPU was just asked, and has `pclmulqdq`.
+        return !unsafe { clmul::crc32_folded(!0, data) };
+    }
+    !crc32_sliced(!0, data)
 }
 
 /// One flow-affinity entry: `key` was pinned to slot `slot` of its VR.
@@ -376,8 +497,22 @@ impl<'a> Dec<'a> {
     /// A `u32` element count, refused before anything is allocated for it
     /// unless that many records of at least `record` bytes each can still
     /// follow: a decoder never reserves more than the message could fill.
-    fn count(&mut self, record: usize, what: &'static str) -> Result<usize, CheckpointError> {
+    pub(crate) fn count(
+        &mut self,
+        record: usize,
+        what: &'static str,
+    ) -> Result<usize, CheckpointError> {
         let n = self.u32()? as usize;
+        self.fits(n, record, what)
+    }
+    /// [`Dec::count`] for a count the caller has read already (`LVSU`'s is a
+    /// `u16`).
+    pub(crate) fn fits(
+        &self,
+        n: usize,
+        record: usize,
+        what: &'static str,
+    ) -> Result<usize, CheckpointError> {
         match n.checked_mul(record) {
             Some(bytes) if bytes <= self.buf.len() - self.pos => Ok(n),
             _ => Err(CheckpointError::Malformed(what)),
@@ -894,6 +1029,33 @@ mod tests {
             bad[i] ^= 0x40;
             let r = Checkpoint::decode(&bad);
             assert!(r.is_err(), "flip at byte {i} accepted");
+        }
+    }
+
+    /// The two ways through `crc32` meet in the same register, from any
+    /// starting register, for every way a length splits into 64-byte blocks,
+    /// 16-byte lanes and a tail, at every alignment of the first byte; and the
+    /// multipliers derived here are the ones the literature prints.
+    #[test]
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    fn folded_and_sliced_crc_agree() {
+        use clmul::{crc32_folded, fold_by};
+        assert_eq!(
+            [fold_by(512 + 32), fold_by(512 - 32), fold_by(128 + 32), fold_by(128 - 32)],
+            [0x1_5444_2bd4, 0x1_c6e4_1596, 0x1_7519_97d0, 0x0_ccaa_009e],
+        );
+        assert!(std::arch::is_x86_feature_detected!("pclmulqdq"), "runner lacks pclmulqdq");
+        let buf: Vec<u8> =
+            (0..1300u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8).collect();
+        for skip in 0..16 {
+            for len in 0..=1100 {
+                let data = &buf[skip..skip + len];
+                for c in [!0, 0, 0x1234_5678] {
+                    // SAFETY: `pclmulqdq` was asserted above.
+                    let folded = unsafe { crc32_folded(c, data) };
+                    assert_eq!(folded, crc32_sliced(c, data), "{len} bytes from offset {skip}");
+                }
+            }
         }
     }
 

@@ -101,6 +101,7 @@ pub fn decode_batch(buf: &[u8]) -> Result<(u32, Vec<StateUpdate>), CheckpointErr
     let mut d = open(buf, STATE_UPDATE_MAGIC, Version::U8(STATE_UPDATE_VERSION))?;
     let origin = d.u32()?;
     let count = d.u16()? as usize;
+    let count = d.fits(count, RECORD_BYTES, "implausible update count")?;
     let mut updates = Vec::with_capacity(count);
     for _ in 0..count {
         updates.push(StateUpdate {

@@ -178,8 +178,9 @@ impl ShardMap {
 
     fn dec_body(d: &mut Dec<'_>) -> Result<ShardMap, CheckpointError> {
         let version = d.u32()?;
-        let n = d.u32()? as usize;
-        let mut entries = Vec::with_capacity(n.min(4096));
+        // net, prefix, shard and an empty name's length prefix
+        let n = d.count(4 + 1 + 4 + 4, "implausible shard-map entry count")?;
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let net = Ipv4Addr::from(d.u32()?);
             let prefix = d.u8()?;

@@ -311,12 +311,12 @@ fn arb_long_checkpoint() -> impl Strategy<Value = Checkpoint> {
     })
 }
 
-/// `LVCK` or `LVCD` bytes of a message with no records, with the `u32` count
-/// that ends `back` bytes before the trailer set to `n` and the CRC redone: a
+/// Bytes of a message with no records, with the little-endian count that
+/// ends `back` bytes before the trailer set to `n` and the CRC redone: a
 /// message that promises `n` records and brings none.
-fn promising(mut bytes: Vec<u8>, back: usize, n: u32) -> Vec<u8> {
+fn promising(mut bytes: Vec<u8>, back: usize, n: &[u8]) -> Vec<u8> {
     let body = bytes.len() - 4;
-    bytes[body - back - 4..body - back].copy_from_slice(&n.to_le_bytes());
+    bytes[body - back - n.len()..body - back].copy_from_slice(n);
     let crc = crc32(&bytes[..body]).to_le_bytes();
     bytes[body..].copy_from_slice(&crc);
     bytes
@@ -632,18 +632,6 @@ proptest! {
         }
     }
 
-    /// The sliced CRC is the CRC: on random buffers of any length, read
-    /// from any offset into the buffer (the slicing loop takes eight bytes
-    /// at a time from wherever the slice starts).
-    #[test]
-    fn sliced_crc_matches_the_definition(
-        bytes in prop::collection::vec(any::<u8>(), 0..if cfg!(miri) { 96 } else { 2048 }),
-        skip in 0usize..8,
-    ) {
-        let data = &bytes[skip.min(bytes.len())..];
-        prop_assert_eq!(crc32(data), model_crc32(data));
-    }
-
     /// The differential identity the whole replication stream rests on:
     /// folding the chain of diffs over any number of generations
     /// reconstructs the final checkpoint exactly (canonical form).
@@ -696,6 +684,32 @@ proptest! {
         for (u, before) in updates.iter().zip(books) {
             prop_assert_eq!(ledger.book(&u.key), Some(before));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 48 }))]
+
+    /// The CRC is the CRC, by whichever path the length and the CPU select:
+    /// buffers up to 256 KiB — thousands of steps of the folded loop — read
+    /// from any offset within a 16-byte lane, against the definition.
+    #[test]
+    fn crc_matches_the_definition(
+        seed in any::<u64>(),
+        len in 0usize..=if cfg!(miri) { 200 } else { 256 * 1024 },
+        skip in 0usize..16,
+    ) {
+        let mut x = seed | 1;
+        let bytes: Vec<u8> = (0..skip + len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        let data = &bytes[skip..];
+        prop_assert_eq!(crc32(data), model_crc32(data));
     }
 }
 
@@ -755,14 +769,18 @@ fn parent_commit_bytes_decode_and_reencode_identically() {
     }
 }
 
-/// Every length the slicing loop's head and tail can split: 0..=64 bytes
-/// from each of eight offsets, and the known answer.
+/// Every way a length splits: the byte tail, the eight-byte table loop, and
+/// on a CPU that folds, the 64-byte entry block, the 4×16 main loop and the
+/// 16-byte drain — 0..=1100 bytes from every offset within a lane (the loads
+/// are unaligned), against the definition; and the known answer.
 #[test]
-fn sliced_crc_every_short_length_and_known_answer() {
+fn crc_every_short_length_from_every_offset_and_known_answer() {
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    let buf: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(197) >> 3) as u8 ^ 0x5A).collect();
-    for skip in 0..8 {
-        for len in 0..=64 {
+    const MAX: usize = if cfg!(miri) { 64 } else { 1100 };
+    let buf: Vec<u8> =
+        (0..MAX as u32 + 16).map(|i| (i.wrapping_mul(197) >> 3) as u8 ^ 0x5A).collect();
+    for skip in 0..16 {
+        for len in 0..=MAX {
             let data = &buf[skip..skip + len];
             assert_eq!(crc32(data), model_crc32(data), "{len} bytes from offset {skip}");
         }
@@ -770,34 +788,47 @@ fn sliced_crc_every_short_length_and_known_answer() {
 }
 
 /// A count is checked against the bytes left before anything is reserved
-/// for it: a CRC-valid message that promises records it does not bring is
-/// refused at the count, by name, whether it promises one or four billion.
+/// for it: a CRC-valid message of any of the four formats that carry one,
+/// promising records it does not bring, is refused at the count, by name,
+/// whether it promises one or four billion.
 #[test]
 fn counts_beyond_the_bytes_left_are_refused_before_allocation() {
+    fn refused<T: std::fmt::Debug>(r: Result<T, CheckpointError>, what: &str, n: u32) {
+        match r {
+            Err(CheckpointError::Malformed(why)) => assert_eq!(why, what, "count {n}"),
+            other => panic!("{what} {n}: {other:?}"),
+        }
+    }
     let vr = VrCheckpoint { name: "vr0".into(), ..Default::default() };
     let empty = Checkpoint::default();
     let one_vr = Checkpoint { vrs: vec![vr], ..Default::default() };
     let delta = CheckpointDelta::diff(&one_vr, &one_vr, 1);
     for n in [1, 1 << 16, u32::MAX] {
+        let le = &n.to_le_bytes();
         for (bytes, what) in [
-            (promising(empty.encode(), 0, n), "implausible vr count"),
-            (promising(one_vr.encode(), 0, n), "implausible flow count"),
+            (promising(empty.encode(), 0, le), "implausible vr count"),
+            (promising(one_vr.encode(), 0, le), "implausible flow count"),
         ] {
-            match Checkpoint::decode(&bytes) {
-                Err(CheckpointError::Malformed(why)) => assert_eq!(why, what, "count {n}"),
-                other => panic!("{what} {n}: {other:?}"),
-            }
+            refused(Checkpoint::decode(&bytes), what, n);
         }
         for (bytes, what) in [
-            (promising(CheckpointDelta::default().encode(), 0, n), "implausible vr count"),
-            (promising(delta.encode(), 4, n), "implausible eviction count"),
-            (promising(delta.encode(), 0, n), "implausible upsert count"),
+            (promising(CheckpointDelta::default().encode(), 0, le), "implausible vr count"),
+            (promising(delta.encode(), 4, le), "implausible eviction count"),
+            (promising(delta.encode(), 0, le), "implausible upsert count"),
         ] {
-            match CheckpointDelta::decode(&bytes) {
-                Err(CheckpointError::Malformed(why)) => assert_eq!(why, what, "count {n}"),
-                other => panic!("{what} {n}: {other:?}"),
-            }
+            refused(CheckpointDelta::decode(&bytes), what, n);
         }
+        // `LVSM`: a map of no entries, standalone and as the fleet message.
+        let map = promising(ShardMap { version: 1, entries: Vec::new() }.encode(), 0, le);
+        refused(ShardMap::decode(&map), "implausible shard-map entry count", n);
+        refused(FleetMsg::decode(&map), "implausible shard-map entry count", n);
+    }
+    // `LVSU` counts in a `u16`: 15 bytes that used to reserve room for 65 535
+    // updates.
+    for n in [1u16, 255, u16::MAX] {
+        let batch = promising(encode_batch(7, &[]), 0, &n.to_le_bytes());
+        assert_eq!(batch.len(), 15);
+        refused(decode_batch(&batch), "implausible update count", n.into());
     }
 }
 

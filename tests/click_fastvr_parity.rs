@@ -58,6 +58,44 @@ proptest! {
     }
 }
 
+/// The frames a router should refuse. Neither hosted type refuses them by
+/// itself — both route on the destination alone, so they still agree — and a
+/// Click tenant that checks says so in its configuration: the benchmark's
+/// five elements drop all three kinds, and relay what they forward unchanged.
+#[test]
+fn decisions_for_expired_corrupt_and_non_ip_frames() {
+    let checking = "FromDevice(0) -> CheckIPHeader -> DecIPTTL \
+                    -> rt :: LookupIPRoute(10.0.2.0/24 1, 10.0.0.0/16 2);\n\
+                    rt[1] -> ToDevice(1); rt[2] -> ToDevice(2);";
+    let mut checking = ClickVr::from_config("checking", checking).expect("config compiles");
+    let (mut fast, mut click) = (fast_vr(), click_vr());
+    let build = |ttl| {
+        FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 9))
+            .ttl(ttl)
+            .udp(1, 2, &[0u8; 26])
+    };
+    let mut corrupt = build(64);
+    corrupt.modify_bytes(|b| b[14 + 10] ^= 0xFF);
+    let mut arp = build(64);
+    arp.modify_bytes(|b| b[12..14].copy_from_slice(&[0x08, 0x06]));
+    let forward = RouterAction::Forward { iface: 1 };
+    for (frame, unchecked, checked) in [
+        (build(64), forward, forward),
+        (build(2), forward, forward),
+        (build(1), forward, RouterAction::Drop),
+        (build(0), forward, RouterAction::Drop),
+        (corrupt, forward, RouterAction::Drop),
+        (arp, RouterAction::Drop, RouterAction::Drop),
+    ] {
+        assert_eq!(fast.process(&mut frame.clone()), unchecked, "FastVr, {frame:?}");
+        assert_eq!(click.process(&mut frame.clone()), unchecked, "ClickVr, {frame:?}");
+        let mut relayed = frame.clone();
+        assert_eq!(checking.process(&mut relayed), checked, "checking ClickVr, {frame:?}");
+        assert_eq!(relayed.bytes(), frame.bytes(), "relayed unchanged");
+    }
+    assert_eq!(checking.dropped, 4);
+}
+
 #[test]
 fn both_types_host_identically_under_lvrm() {
     use lvrm::core::host::RecordingHost;
