@@ -1,12 +1,12 @@
 //! Experiment 1a (Fig. 4.2): achievable throughput in data forwarding.
 //!
-//! Achievable throughput (2 % loss criterion) versus frame size for native
+//! Achievable throughput (2 % loss rule) versus frame size for native
 //! Linux IP forwarding, four LVRM variants, and two hypervisors.
 
-use lvrm_bench::scenarios::{achievable, exp1_mechs, frame_sizes};
-use lvrm_bench::{kfps, Table};
+use crate::scenarios::{achievable, exp1_mechs, frame_sizes};
+use crate::{kfps, Table};
 
-fn main() {
+pub fn run() {
     let sizes = frame_sizes();
     let mut cols: Vec<String> = vec!["mechanism".into()];
     cols.extend(sizes.iter().map(|s| format!("{s}B (Kfps)")));

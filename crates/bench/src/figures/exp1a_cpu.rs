@@ -8,12 +8,12 @@
 //! variant shows more kernel (sy) time than PF_RING; user-space time is
 //! always the minority.
 
-use lvrm_bench::scenarios::{exp1_scenario, frame_sizes, probe_times};
-use lvrm_bench::Table;
+use crate::scenarios::{exp1_scenario, frame_sizes, probe_times};
+use crate::Table;
 use lvrm_core::SocketKind;
 use lvrm_testbed::{ForwardingMech, VrType};
 
-fn main() {
+pub fn run() {
     let (dur, warm, _) = probe_times();
     let _ = warm;
     let sizes = frame_sizes();

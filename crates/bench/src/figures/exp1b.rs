@@ -5,13 +5,13 @@
 //! (differences are measurement variance); the hypervisors are markedly
 //! higher.
 
-use lvrm_bench::scenarios::{exp1_mechs, frame_sizes, probe_times};
-use lvrm_bench::{us, Table};
+use crate::scenarios::{exp1_mechs, frame_sizes, probe_times};
+use crate::{us, Table};
 use lvrm_testbed::scenario::{Scenario, SourceSpec};
 use lvrm_testbed::traffic::{RateSchedule, SourceKind};
 use lvrm_testbed::VrSpec;
 
-fn main() {
+pub fn run() {
     let (dur, warm, _) = probe_times();
     let sizes = frame_sizes();
     let mut cols: Vec<String> = vec!["mechanism".into()];

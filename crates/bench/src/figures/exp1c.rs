@@ -6,15 +6,15 @@
 //! 2×quad-core Xeon: C++ VR reaches 3.7 Mfps at 84 B and 922 Kfps (11 Gbps)
 //! at 1538 B; Click VR is far lower.
 //!
-//! Absolute numbers scale with the host — this binary prints the measured
+//! Absolute numbers scale with the host — this figure prints the measured
 //! core count so EXPERIMENTS.md can contextualize (a single-core container
 //! time-slices LVRM and its VRIs and lands well below the paper).
 
-use lvrm_bench::{full_scale, kfps, Table};
+use crate::{full_scale, kfps, Table};
 use lvrm_runtime::pipeline::{run_lvrm_only, run_lvrm_only_inline, PipelineVr};
 
-fn main() {
-    let sizes = lvrm_bench::scenarios::frame_sizes();
+pub fn run() {
+    let sizes = crate::scenarios::frame_sizes();
     let frames: u64 = if full_scale() { 2_000_000 } else { 200_000 };
     let mut table = Table::new(
         "exp1c",

@@ -5,11 +5,11 @@
 //! for the C++ VR, 25–35 µs for Click — i.e. LVRM itself contributes little
 //! versus the ~70–120 µs network RTT of Experiment 1b.
 
-use lvrm_bench::{full_scale, us, Table};
+use crate::{full_scale, us, Table};
 use lvrm_runtime::pipeline::{run_lvrm_only, run_lvrm_only_inline, PipelineVr};
 
-fn main() {
-    let sizes = lvrm_bench::scenarios::frame_sizes();
+pub fn run() {
+    let sizes = crate::scenarios::frame_sizes();
     let frames: u64 = if full_scale() { 500_000 } else { 50_000 };
     let mut table = Table::new(
         "exp1d",

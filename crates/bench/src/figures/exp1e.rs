@@ -5,10 +5,10 @@
 //! 5–7 µs one-way with no load, 10–12 µs under full load (the receiving VRI
 //! is usually mid-frame when the event lands).
 
-use lvrm_bench::{full_scale, us, Table};
+use crate::{full_scale, us, Table};
 use lvrm_runtime::measure_control_latency;
 
-fn main() {
+pub fn run() {
     let payloads = [64usize, 128, 256, 512, 1024];
     let duration_ms = if full_scale() { 3_000 } else { 400 };
     let mut table = Table::new(

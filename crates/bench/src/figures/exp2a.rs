@@ -6,8 +6,8 @@
 //! processing dominates); default below non-sibling (migrations); same-core
 //! clearly worst.
 
-use lvrm_bench::scenarios::probe_times;
-use lvrm_bench::{kfps, Table};
+use crate::scenarios::probe_times;
+use crate::{kfps, Table};
 use lvrm_core::topology::AffinityMode;
 use lvrm_core::SocketKind;
 use lvrm_testbed::scenario::{search_achievable, Scenario};
@@ -34,7 +34,7 @@ fn achievable_with_affinity(vr_type: VrType, affinity: AffinityMode) -> f64 {
     )
 }
 
-fn main() {
+pub fn run() {
     let mut table = Table::new(
         "exp2a",
         "Fig 4.8",

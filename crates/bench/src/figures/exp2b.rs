@@ -6,14 +6,14 @@
 //! gateway can spare; allocating *more* VRIs than physical cores causes
 //! contention and the throughput drops.
 
-use lvrm_bench::scenarios::probe_times;
-use lvrm_bench::{kfps, Table};
+use crate::scenarios::probe_times;
+use crate::{kfps, Table};
 use lvrm_core::config::AllocatorKind;
 use lvrm_core::topology::AffinityMode;
 use lvrm_testbed::scenario::Scenario;
 use lvrm_testbed::{ForwardingMech, VrSpec, VrType};
 
-fn main() {
+pub fn run() {
     let (dur, _warm, _) = probe_times();
     let mut table = Table::new(
         "exp2b",

@@ -7,7 +7,7 @@
 //! modeled values inside the simulation, and REAL spawn/kill latencies
 //! measured by growing and shrinking thread-backed VRIs on this machine.
 
-use lvrm_bench::{full_scale, us, Table};
+use crate::{full_scale, us, Table};
 use lvrm_core::clock::{Clock, MonotonicClock};
 use lvrm_core::config::AllocatorKind;
 use lvrm_core::topology::{AffinityMode, CoreId, CoreMap, CoreTopology};
@@ -139,7 +139,7 @@ fn real_reaction_latency() {
     table.finish();
 }
 
-fn main() {
+pub fn run() {
     eprintln!("[exp2c] staircase simulation ...");
     staircase_run();
     eprintln!("[exp2c] real spawn/kill latency ...");

@@ -5,13 +5,13 @@
 //! condition as in 2c: one core per 60 Kfps. The paper: each VR is
 //! allocated cores in the expected manner, with small reaction time.
 
-use lvrm_bench::{full_scale, Table};
+use crate::{full_scale, Table};
 use lvrm_core::config::AllocatorKind;
 use lvrm_testbed::scenario::{Scenario, SourceSpec};
 use lvrm_testbed::traffic::{RateSchedule, SourceKind};
 use lvrm_testbed::{ForwardingMech, VrSpec, VrType};
 
-fn main() {
+pub fn run() {
     let dwell: u64 = if full_scale() { 5_000_000_000 } else { 2_000_000_000 };
     // 30 -> 180 -> 30 Kfps staircase per VR; VR1 starts two dwells later.
     let stair = RateSchedule::staircase(30_000.0, 180_000.0, dwell);

@@ -7,13 +7,13 @@
 //! departure rate (reported by the LVRM adapters, §3.6) and allocates
 //! "proportionally to the service times with a small error".
 
-use lvrm_bench::{full_scale, Table};
+use crate::{full_scale, Table};
 use lvrm_core::config::AllocatorKind;
 use lvrm_testbed::scenario::{Scenario, SourceSpec};
 use lvrm_testbed::traffic::{RateSchedule, SourceKind};
 use lvrm_testbed::{ForwardingMech, VrSpec, VrType};
 
-fn main() {
+pub fn run() {
     let dur: u64 = if full_scale() { 20_000_000_000 } else { 8_000_000_000 };
     let mut sc = Scenario::new(ForwardingMech::Lvrm);
     sc.duration_ns = dur;

@@ -5,14 +5,14 @@
 //! slightly best because it reacts to each VRI's current load; Click below
 //! C++ overall.
 
-use lvrm_bench::scenarios::probe_times;
-use lvrm_bench::{kfps, Table};
+use crate::scenarios::probe_times;
+use crate::{kfps, Table};
 use lvrm_core::config::{AllocatorKind, BalancerKind};
 use lvrm_metrics::jain_index;
 use lvrm_testbed::scenario::Scenario;
 use lvrm_testbed::{ForwardingMech, VrSpec, VrType};
 
-fn main() {
+pub fn run() {
     let (dur, _, _) = probe_times();
     let mut table = Table::new(
         "exp3a",

@@ -4,14 +4,14 @@
 //! achievable throughput T1, T2 and report T = 2·min(T1, T2) against the
 //! 360 Kfps ideal — close means both VRs got fair shares of processing.
 
-use lvrm_bench::scenarios::probe_times;
-use lvrm_bench::{kfps, Table};
+use crate::scenarios::probe_times;
+use crate::{kfps, Table};
 use lvrm_core::config::{AllocatorKind, BalancerKind};
 use lvrm_testbed::scenario::{Scenario, SourceSpec};
 use lvrm_testbed::traffic::{RateSchedule, SourceKind};
 use lvrm_testbed::{ForwardingMech, VrSpec, VrType};
 
-fn main() {
+pub fn run() {
     let (dur, _, _) = probe_times();
     let mut table = Table::new(
         "exp3b",

@@ -9,7 +9,7 @@
 //! frame-based (connection tracking costs; coarser granularity also dents
 //! max-min fairness).
 
-use lvrm_bench::{full_scale, mbps, Table};
+use crate::{full_scale, mbps, Table};
 use lvrm_core::config::{AllocatorKind, BalancerKind};
 use lvrm_metrics::{jain_index, max_min_fairness};
 use lvrm_testbed::scenario::{Scenario, TcpFlowSpec};
@@ -62,7 +62,7 @@ fn run_variant(
     (r.tcp_aggregate_mbps(), max_min_fairness(&rates), jain_index(&rates))
 }
 
-fn main() {
+pub fn run() {
     let pairs = if full_scale() { 100 } else { 30 };
     let duration: u64 = if full_scale() { 60_000_000_000 } else { 10_000_000_000 };
     let mut table = Table::new(

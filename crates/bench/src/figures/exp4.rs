@@ -7,7 +7,7 @@
 //! Jain > 0.99; the Fig. 4.22 timeline hovers around ~700 Mbps for 100
 //! pairs.
 
-use lvrm_bench::{full_scale, mbps, Table};
+use crate::{full_scale, mbps, Table};
 use lvrm_core::config::{AllocatorKind, BalancerKind};
 use lvrm_metrics::{jain_index, max_min_fairness};
 use lvrm_testbed::scenario::{Scenario, TcpFlowSpec};
@@ -37,7 +37,7 @@ fn scenario(mech: ForwardingMech, flow_based: bool, pairs: usize, duration: u64)
     sc
 }
 
-fn main() {
+pub fn run() {
     let duration: u64 = if full_scale() { 60_000_000_000 } else { 10_000_000_000 };
     let sweeps: &[usize] = if full_scale() { &[10, 25, 50, 75, 100] } else { &[10, 30, 60, 100] };
     let mut table = Table::new(

@@ -8,7 +8,7 @@
 //! ratio and **core-seconds** consumed (integrated live-VRI count), i.e.
 //! how much CPU reservation each policy needed for the service it gave.
 
-use lvrm_bench::{full_scale, Table};
+use crate::{full_scale, Table};
 use lvrm_core::config::AllocatorKind;
 use lvrm_testbed::scenario::{Scenario, SourceSpec, VriSample};
 use lvrm_testbed::traffic::{RateSchedule, SourceKind};
@@ -29,7 +29,7 @@ fn core_seconds(samples: &[VriSample], duration_ns: u64) -> f64 {
     total
 }
 
-fn main() {
+pub fn run() {
     let dur: u64 = if full_scale() { 60_000_000_000 } else { 24_000_000_000 };
     let policies: Vec<(&str, AllocatorKind)> = vec![
         ("fixed-peak (6)", AllocatorKind::Fixed { cores: 6 }),

@@ -2,7 +2,7 @@
 //!
 //! The observability layer rides the hot path — every dispatched frame
 //! bumps lock-free counters, and with `latency-histograms on` every departed
-//! frame lands in a per-VR histogram. This binary measures what that costs
+//! frame lands in a per-VR histogram. This figure measures what that costs
 //! against the batched inline pipeline at the dataplane's default burst of
 //! 32, in three configurations:
 //!
@@ -18,7 +18,7 @@
 
 use std::net::Ipv4Addr;
 
-use lvrm_bench::{full_scale, kfps, Table};
+use crate::{full_scale, kfps, Table};
 use lvrm_core::clock::{Clock, MonotonicClock};
 use lvrm_core::host::RecordingHost;
 use lvrm_core::topology::{AffinityMode, CoreId, CoreMap, CoreTopology};
@@ -37,7 +37,7 @@ fn routed_vr() -> Box<dyn lvrm_router::VirtualRouter> {
 }
 
 /// One inline-batched run; returns (fps, forwarded).
-fn run(total_frames: u64, histograms: bool, scrape: bool) -> (f64, u64) {
+fn run_once(total_frames: u64, histograms: bool, scrape: bool) -> (f64, u64) {
     let clock = MonotonicClock::new();
     let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
     let config =
@@ -79,10 +79,10 @@ fn run(total_frames: u64, histograms: bool, scrape: bool) -> (f64, u64) {
 }
 
 fn best_fps(total_frames: u64, histograms: bool, scrape: bool) -> f64 {
-    (0..TRIALS).map(|_| run(total_frames, histograms, scrape).0).fold(0.0, f64::max)
+    (0..TRIALS).map(|_| run_once(total_frames, histograms, scrape).0).fold(0.0, f64::max)
 }
 
-fn main() {
+pub fn run() {
     let frames: u64 = if full_scale() { 2_000_000 } else { 400_000 };
     let mut table = Table::new(
         "exp_metrics",

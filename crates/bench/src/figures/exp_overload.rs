@@ -9,7 +9,7 @@
 //! its no-contention baseline, the aggressor's goodput, and the frames
 //! shed at ingress classification.
 
-use lvrm_bench::{full_scale, Table};
+use crate::{full_scale, Table};
 use lvrm_core::config::AllocatorKind;
 use lvrm_core::SocketKind;
 use lvrm_testbed::cost::StageCost;
@@ -35,7 +35,7 @@ fn scenario(aggressor_fps: f64, shedding: bool, dur: u64) -> Scenario {
     sc
 }
 
-fn main() {
+pub fn run() {
     let dur: u64 = if full_scale() { 4_000_000_000 } else { 2_000_000_000 };
     // Tenant-alone baseline fixes the 100% goodput mark.
     let base = scenario(0.0, true, dur).run().per_vr_received[1] as f64;

@@ -3,7 +3,7 @@
 //! Checkpointing rides the lazy reallocation tick (DESIGN.md §10): at most
 //! once per `checkpoint_interval_ns` the monitor serialises its control
 //! plane — cumulative stats, per-VR balancer state, and (when flow-based)
-//! the flow table — and atomically renames it into place. This binary
+//! the flow table — and atomically renames it into place. This figure
 //! measures two things against the batched inline pipeline:
 //!
 //!   * the end-to-end throughput cost of enabling checkpoints at the
@@ -21,7 +21,7 @@ use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use lvrm_bench::{full_scale, kfps, Table};
+use crate::{full_scale, kfps, Table};
 use lvrm_core::clock::{Clock, ManualClock, MonotonicClock};
 use lvrm_core::host::RecordingHost;
 use lvrm_core::topology::{AffinityMode, CoreId, CoreMap, CoreTopology};
@@ -48,7 +48,7 @@ fn temp_path(tag: &str) -> PathBuf {
 /// One inline-batched run; returns (fps, checkpoint writes). The lazy tick
 /// (`maybe_reallocate`) runs every batch in *every* configuration so the
 /// baseline carries the same gate check and only the writes differ.
-fn run(total_frames: u64, checkpoint_interval_ns: Option<u64>) -> (f64, u64) {
+fn run_once(total_frames: u64, checkpoint_interval_ns: Option<u64>) -> (f64, u64) {
     let clock = MonotonicClock::new();
     let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
     let path = temp_path("pipeline");
@@ -134,7 +134,7 @@ fn checkpoint_cost(flows: usize) -> (usize, f64, f64) {
     (bytes, write_us, restore_us)
 }
 
-fn main() {
+pub fn run() {
     let frames: u64 = if full_scale() { 2_000_000 } else { 400_000 };
     let rounds = if full_scale() { 7 } else { TRIALS };
     println!(
@@ -163,7 +163,7 @@ fn main() {
     let mut writes = [0u64; 3];
     for _ in 0..rounds {
         for (i, (_, interval)) in configs.iter().enumerate() {
-            let (fps, w) = run(frames, *interval);
+            let (fps, w) = run_once(frames, *interval);
             if fps > best[i] {
                 best[i] = fps;
             }

@@ -1,11 +1,12 @@
-//! Shared harness for the experiment binaries.
+//! The experiment harness behind `lvrm-exp`.
 //!
-//! Every figure of the paper's Chapter 4 has a binary in `src/bin/` that
+//! Every figure of the paper's Chapter 4 has a module in [`figures`] that
 //! regenerates it: it runs the relevant scenarios, prints the same
 //! rows/series the paper plots, and writes a JSON copy under
-//! `target/experiments/` for EXPERIMENTS.md. `all_experiments` runs the lot.
+//! `target/experiments/` for EXPERIMENTS.md. `lvrm-exp <figure>` runs one,
+//! `lvrm-exp all` runs the lot.
 //!
-//! Scale: binaries default to a **quick** profile sized for a laptop-class
+//! Scale: figures default to a **quick** profile sized for a laptop-class
 //! machine (shorter flows, fewer trials than the paper's 60 s × 10). Set
 //! `LVRM_EXP_FULL=1` for paper-scale runs.
 
@@ -136,7 +137,7 @@ impl Table {
     }
 }
 
-/// Format helpers used across the binaries.
+/// Format helpers used across the figures.
 pub fn kfps(fps: f64) -> String {
     format!("{:.0}", fps / 1e3)
 }
@@ -176,9 +177,9 @@ mod tests {
     }
 }
 
-pub mod trajectory;
+pub mod figures;
 
-/// Scenario-building helpers shared by the experiment binaries.
+/// Scenario-building helpers shared by the figure programs.
 pub mod scenarios {
     use lvrm_core::SocketKind;
     use lvrm_testbed::scenario::{search_achievable, Scenario};
@@ -237,7 +238,7 @@ pub mod scenarios {
     }
 
     /// Achievable throughput (fps) for one condition, via the paper's 2 %
-    /// loss criterion.
+    /// loss rule.
     pub fn achievable(
         mech: ForwardingMech,
         socket: SocketKind,

@@ -441,6 +441,11 @@ pub struct Tee {
     n: usize,
 }
 
+/// Widest `Tee` a configuration may ask for. The graph keeps a hop per
+/// output and every clone of the VR repeats it, so an unchecked width is an
+/// allocation the tenant sizes; real configurations use single digits.
+pub const MAX_TEE_WIDTH: usize = 64;
+
 impl Tee {
     pub fn from_args(args: &[String]) -> Result<Tee, ConfigError> {
         let n = match args {
@@ -450,6 +455,9 @@ impl Tee {
         };
         if n == 0 {
             return cfg_err("Tee width must be positive");
+        }
+        if n > MAX_TEE_WIDTH {
+            return cfg_err(format!("Tee width {n} exceeds the maximum of {MAX_TEE_WIDTH}"));
         }
         Ok(Tee { n })
     }
@@ -693,6 +701,16 @@ mod tests {
         assert_eq!(t.process(&mut udp_frame()), Action::FanOut);
         let mut wire = Tee::from_args(&["1".into()]).unwrap();
         assert_eq!(wire.process(&mut udp_frame()), Action::Emit(0));
+    }
+
+    #[test]
+    fn tee_width_is_bounded() {
+        let width = |n: usize| Tee::from_args(&[n.to_string()]).map(|t| t.n_outputs());
+        assert_eq!(width(MAX_TEE_WIDTH), Ok(MAX_TEE_WIDTH));
+        for n in [MAX_TEE_WIDTH + 1, 4_000_000_000, usize::MAX] {
+            let err = width(n).unwrap_err();
+            assert!(err.0.contains("Tee") && err.0.contains(&n.to_string()), "{err}");
+        }
     }
 
     #[test]

@@ -469,6 +469,14 @@ mod tests {
     }
 
     #[test]
+    fn compile_refuses_a_tee_it_could_not_allocate() {
+        // Used to parse, and `vec![Hop::Unconnected; 4_000_000_000]` aborted
+        // the process: a tenant's configuration took down every VR.
+        let e = compile_err("FromDevice(0) -> Tee(4000000000) -> ToDevice(1);");
+        assert!(e.contains("Tee width 4000000000"), "{e}");
+    }
+
+    #[test]
     fn compile_rejects_cycles() {
         // Each of these used to compile, and the first frame never left `run`.
         let e = compile_err("c :: Counter; FromDevice(0) -> c; c -> c;");

@@ -209,8 +209,9 @@ fn step_fleet(shards: &mut [Option<Shard>], t: u64, traffic: bool, out: &mut Vec
 
 /// The headline acceptance: kill each of the three shards in turn; every
 /// VR of the corpse must land on its rendezvous successor in < 1 s of
-/// simulated time, warm-adopted (books carried over), with all six
-/// identities exact on every survivor after convergence.
+/// simulated time (on this rig's timers exactly 610 or 620 ms),
+/// warm-adopted (books carried over), with all six identities exact on
+/// every survivor after convergence.
 #[test]
 fn killing_any_shard_rehomes_its_vrs_to_the_rendezvous_successor_subsecond() {
     for kind in queue_kinds() {
@@ -276,11 +277,12 @@ fn killing_any_shard_rehomes_its_vrs_to_the_rendezvous_successor_subsecond() {
                 t += STEP_NS;
             }
             let t_rehomed = rehomed_at.unwrap_or_else(|| panic!("{ctx}: VRs never re-homed"));
-            assert!(
-                t_rehomed - t_kill < 1_000_000_000,
-                "{ctx}: re-homing took {} ms, budget is < 1000 ms",
-                (t_rehomed - t_kill) / 1_000_000
-            );
+            // The victim's last advert left 100 ms before the kill, and a
+            // survivor buries it 6 adverts + a seeded 75–125 ms of jitter
+            // after hearing that: 575–625 ms after the kill, on the slower
+            // successor's timer and the 10 ms step.
+            let expect_ms = [610, 610, 620][victim as usize];
+            assert_eq!((t_rehomed - t_kill) / 1_000_000, expect_ms, "{ctx}: re-homing time moved");
 
             // Let the claim/ack exchange and the second survivor's map
             // adoption settle, then audit everything.

@@ -72,6 +72,9 @@ struct Node {
     lvrm: Lvrm<ManualClock>,
     host: RecordingHost,
     vr: VrId,
+    /// Worst `delta_lag()` seen after any step: stream positions sent and
+    /// not yet acknowledged.
+    max_lag: u64,
 }
 
 impl Node {
@@ -83,7 +86,7 @@ impl Node {
         let mut host = RecordingHost::with_heartbeats();
         let vr = lvrm.add_vr("deptA", &subnet(), routed_vr("a"), &mut host);
         assert!(lvrm.attach_ha(link), "config carries ha, attach must succeed");
-        Node { clock, lvrm, host, vr }
+        Node { clock, lvrm, host, vr, max_lag: 0 }
     }
 
     /// One host-loop iteration at absolute time `t`: pump, control, HA
@@ -94,6 +97,7 @@ impl Node {
         self.lvrm.process_control();
         self.lvrm.maybe_reallocate(t, &mut self.host);
         self.lvrm.poll_egress(out);
+        self.max_lag = self.max_lag.max(self.lvrm.ha().expect("ha attached").delta_lag());
     }
 
     fn accepting(&self) -> bool {
@@ -189,9 +193,10 @@ fn elect(a: &mut Node, b: &mut Node, out: &mut Vec<Frame>, ctx: &str) -> u64 {
 }
 
 /// The headline acceptance: kill the active monitor; the standby must be
-/// accepting frames in < 1 s (master-down = 3 adverts + skew, plus one
-/// probation advert), with the master's books — all four identities and
-/// per-flow affinity — intact on the survivor.
+/// accepting frames in < 1 s — on this rig's timers exactly 700 ms
+/// (master-down = 3 adverts + skew, plus one probation advert) — with the
+/// master's books — all four identities and per-flow affinity — intact on
+/// the survivor.
 #[test]
 fn killed_master_promotes_standby_subsecond_with_exact_books() {
     for kind in queue_kinds() {
@@ -228,6 +233,9 @@ fn killed_master_promotes_standby_subsecond_with_exact_books() {
         assert_eq!(shadow, &expected, "{ctx}: shadow drifted from the master's checkpoint");
         let a_stats = a.lvrm.stats();
 
+        // The standby acknowledges every delta before the next one leaves.
+        assert_eq!(a.max_lag, 1, "{ctx}: worst unacknowledged stream lag");
+
         // The kill: the master vanishes mid-epoch (no goodbye advert).
         drop(a);
         let t_kill = t;
@@ -241,11 +249,10 @@ fn killed_master_promotes_standby_subsecond_with_exact_books() {
             }
         }
         let t_accept = promoted_at.unwrap_or_else(|| panic!("{ctx}: standby never took over"));
-        assert!(
-            t_accept - t_kill < 1_000_000_000,
-            "{ctx}: failover took {} ms, budget is < 1000 ms",
-            (t_accept - t_kill) / 1_000_000
-        );
+        // The master's last advert left in the kill step. Master-down is 3
+        // adverts + skew (3 × 150 + 156/256 × 150 = 541.4 ms), noticed on the
+        // next 10 ms step (550), then one 150 ms probation advert.
+        assert_eq!(t_accept - t_kill, 700_000_000, "{ctx}: kill-to-accept time moved");
         assert_eq!(b.role(), Role::Master, "{ctx}");
         // Term 1 was the initial election (A's timeout-promotion); the
         // takeover is election term 2.

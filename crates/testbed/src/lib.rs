@@ -23,7 +23,7 @@
 //! * [`tcp`] — a Reno-style TCP model (slow start, AIMD, fast retransmit,
 //!   RTO, receiver window) plus the FTP workload of Experiments 3c/4;
 //! * [`scenario`] — experiment drivers: fixed-rate runs, achievable-
-//!   throughput search under the paper's 2 % loss criterion, time series;
+//!   throughput search under the paper's 2 % loss rule, time series;
 //! * [`scenarios`] — a declarative scenario DSL on top of [`scenario`]:
 //!   multi-tenant specs composing heavy-tailed flow mixes, diurnal ramps,
 //!   flash crowds and SYN/UDP floods, reporting the monitor's ledger

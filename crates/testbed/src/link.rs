@@ -5,7 +5,7 @@
 //! includes preamble and IFG), then arrives `prop_ns` later. A bounded byte
 //! buffer models the switch queue; frames that would overflow it are
 //! dropped (drop-tail), which is what turns overload into loss for the
-//! achievable-throughput criterion and TCP's congestion signal.
+//! achievable-throughput rule and TCP's congestion signal.
 
 use std::collections::VecDeque;
 

@@ -206,7 +206,7 @@ impl ScenarioResult {
         self.duration_ns - self.warmup_ns
     }
 
-    /// Received / sent, the paper's loss criterion input.
+    /// Received / sent, the paper's loss rule's input.
     pub fn delivery_ratio(&self) -> f64 {
         if self.udp_sent == 0 {
             1.0
@@ -239,7 +239,7 @@ impl ScenarioResult {
 }
 
 /// Binary-search the maximum rate (fps) whose run satisfies the paper's 2 %
-/// criterion: "increasing the sending rate … until the sending rate and the
+/// rule: "increasing the sending rate … until the sending rate and the
 /// receiving rate differ by more than 2 %" (§4.1). `make` builds the
 /// scenario for a candidate aggregate rate.
 pub fn search_achievable(make: impl Fn(f64) -> Scenario, lo0: f64, hi0: f64, iters: u32) -> f64 {

@@ -57,7 +57,7 @@ fn shedding_protects_the_unloaded_vr() {
 
     // The aggressor was shed, not serviced.
     assert!(s.shed_early > 0, "aggressor excess must be shed: {s:?}");
-    // Acceptance criterion: the unloaded VR's goodput stays within 10% of
+    // Acceptance bar: the unloaded VR's goodput stays within 10% of
     // its no-contention baseline.
     assert!(
         cold as f64 >= 0.9 * base_cold as f64,

@@ -4,35 +4,35 @@
 //! single VRI and caps at one core's service rate; replicated dispatch
 //! spreads the same flow over every VRI and goodput scales with the VRI
 //! count. The suite asserts the headline ratios (≥1.7× at 2 VRIs, ≥3× at
-//! 4) and that the ledger stays exact in every run.
+//! 4) — as the exact byte counts behind them, per queue kind — and that the
+//! ledger stays exact in every run.
 
+use lvrm_ipc::QueueKind;
 use lvrm_testbed::scenarios::elephant_flow;
 
 const SEED: u64 = 42;
 
 #[test]
 fn elephant_scales_with_replicated_dispatch() {
-    let pinned = elephant_flow(2, false, SEED).run();
-    let repl2 = elephant_flow(2, true, SEED).run();
-    let repl4 = elephant_flow(4, true, SEED).run();
+    for kind in QueueKind::ALL {
+        let run = |cores: usize, replicated: bool| {
+            let mut spec = elephant_flow(cores, replicated, SEED);
+            spec.queue_kind = kind;
+            let report = spec.run();
+            report.assert_conserved(&format!("(elephant {cores} VRIs, {kind:?})"));
+            report
+        };
+        let (pinned, repl2, repl4) = (run(2, false), run(2, true), run(4, true));
+        assert_eq!(pinned.updates_emitted(), 0, "pinned dispatch replicates nothing");
+        assert!(repl2.updates_emitted() > 0, "replicated dispatch must emit state updates");
+        assert!(repl4.updates_emitted() > 0);
 
-    for (name, r) in [("pinned", &pinned), ("repl2", &repl2), ("repl4", &repl4)] {
-        r.assert_conserved(&format!("(elephant {name})"));
+        // Bytes the one flow delivered inside the window. Simulated time, so
+        // exact: 114.2 Mbps pinned, 1.9864× that on 2 VRIs and 3.7777× on 4
+        // (the bars are ≥ 1.7× and ≥ 3×).
+        let bytes = [&pinned, &repl2, &repl4].map(|r| r.result.tcp_goodput.clone());
+        assert_eq!(bytes, [[14_274_420], [28_354_660], [53_925_100]], "{kind:?}");
     }
-    assert_eq!(pinned.updates_emitted(), 0, "pinned dispatch replicates nothing");
-    assert!(repl2.updates_emitted() > 0, "replicated dispatch must emit state updates");
-    assert!(repl4.updates_emitted() > 0);
-
-    let base = pinned.tcp_mbps();
-    let x2 = repl2.tcp_mbps() / base;
-    let x4 = repl4.tcp_mbps() / base;
-    println!(
-        "elephant goodput: pinned {base:.1} Mbps, repl2 {:.1} ({x2:.2}x), repl4 {:.1} ({x4:.2}x)",
-        repl2.tcp_mbps(),
-        repl4.tcp_mbps()
-    );
-    assert!(x2 >= 1.7, "2-VRI replicated speedup {x2:.2} < 1.7 (base {base:.1} Mbps)");
-    assert!(x4 >= 3.0, "4-VRI replicated speedup {x4:.2} < 3.0 (base {base:.1} Mbps)");
 }
 
 /// Per-VRI dispatched counts for VR `vr0`, from the metrics snapshot
@@ -82,8 +82,10 @@ fn replicated_elephant_spreads_across_vris() {
 /// runtime's host): replicated dispatch spreads one elephant flow across
 /// every live VRI while pinned dispatch rides one, with the global frame
 /// books conserved on both. Ignored by default — it spawns OS threads and
-/// its throughput depends on the box — run with `cargo test -- --ignored`;
-/// the `repl_scaling_threads` bench row records the measured rates.
+/// its throughput depends on the box — run with `cargo test -- --ignored
+/// --nocapture`: the pinned and replicated rates it prints are the only
+/// real-thread reading of the scaling claim (0.99× on a 2-vCPU host,
+/// EXPERIMENTS.md), so the test bounds the spread, not the speed.
 #[test]
 #[ignore = "spawns real VRI threads; run with -- --ignored"]
 fn elephant_spreads_on_real_vri_threads() {
