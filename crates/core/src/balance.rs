@@ -263,9 +263,7 @@ impl<B: LoadBalancer> LoadBalancer for FlowBased<B> {
         out.reserve_exact(self.table.len());
         for (key, vri, last_seen_ns) in self.table.entries() {
             match slot_of.get(vri.0.wrapping_sub(base) as usize) {
-                Some(&slot) if slot != u32::MAX => {
-                    out.push(FlowRecord { key: *key, slot, last_seen_ns })
-                }
+                Some(&slot) if slot != u32::MAX => out.push(FlowRecord { key, slot, last_seen_ns }),
                 _ => {}
             }
         }

@@ -13,6 +13,11 @@
 //! operations take a [`HashedKey`], so burst ingress hashes a frame once,
 //! [prefetches](FlowTable::prefetch) the slot's line, and probes it later.
 //!
+//! A slot is four packed words and slot 0 sits on the first 64-byte boundary
+//! of the allocation, so no slot crosses a cache line wherever the allocator
+//! put the table; a zeroed slot is an empty one, so a table's pages are
+//! faulted in as flows arrive, not when it is built.
+//!
 //! At million-flow scale, lazy probe-time reclamation alone lets dead flows
 //! silt the table up: an expired entry is only noticed when a probe happens
 //! to cross it, so under churn the table fills with corpses and inserts
@@ -21,17 +26,47 @@
 //! 1 s tick drives it), evicting expired entries as it goes. Every pass is
 //! O(budget), never a full-table scan, so the tick cost stays bounded no
 //! matter how large the table is; a full sweep completes across
-//! `capacity / budget` consecutive ticks.
+//! `capacity / budget` consecutive ticks, and a block of slots in which
+//! nothing can have expired (`FlowTable::oldest`) is crossed without a read.
 
+use lvrm_net::flow::Protocol;
 use lvrm_net::{prefetch_read, FlowKey, HashedKey};
 
 use crate::VriId;
 
-#[derive(Clone, Copy)]
-struct Entry {
-    key: FlowKey,
-    vri: VriId,
-    last_seen_ns: u64,
+/// Words per slot: `[src << 32 | dst, OCCUPIED | ports and protocol, VRI,
+/// last_seen_ns]`. All-zero is an empty slot.
+const SLOT_WORDS: usize = 4;
+/// Set in a stored slot's second word (an all-zero 5-tuple is a valid key).
+const OCCUPIED: u64 = 1 << 63;
+/// Slots sharing one entry of `FlowTable::oldest`.
+const BLOCK: usize = 64;
+
+/// A key as its slot stores it. Lossless: `Other(6)` stays distinct from
+/// `Tcp`, as `FlowKey`'s equality has it.
+#[inline]
+fn pack(key: &FlowKey) -> [u64; 2] {
+    let proto = match key.proto {
+        Protocol::Other(p) => 0x100 | u64::from(p),
+        known => u64::from(known.to_ip_proto()),
+    };
+    [
+        u64::from(u32::from(key.src)) << 32 | u64::from(u32::from(key.dst)),
+        OCCUPIED | u64::from(key.src_port) << 25 | u64::from(key.dst_port) << 9 | proto,
+    ]
+}
+
+fn unpack(slot: &[u64; SLOT_WORDS]) -> FlowKey {
+    FlowKey {
+        src: ((slot[0] >> 32) as u32).into(),
+        dst: (slot[0] as u32).into(),
+        src_port: (slot[1] >> 25) as u16,
+        dst_port: (slot[1] >> 9) as u16,
+        proto: match slot[1] & 0x1ff {
+            other if other & 0x100 != 0 => Protocol::Other(other as u8),
+            known => Protocol::from_ip_proto(known as u8),
+        },
+    }
 }
 
 /// Occupancy and churn statistics of one [`FlowTable`], cheap to copy out
@@ -64,7 +99,10 @@ impl FlowTableStats {
 
 /// Fixed-capacity connection-tracking table.
 pub struct FlowTable {
-    slots: Box<[Option<Entry>]>,
+    /// The slots, from `words[base]` on. Zeroed, never resized.
+    words: Vec<u64>,
+    /// Index of slot 0's first word: the first line boundary in `words`.
+    base: usize,
     mask: usize,
     timeout_ns: u64,
     len: usize,
@@ -80,6 +118,14 @@ pub struct FlowTable {
     /// The expired keys of one [`FlowTable::age_step`] window, kept between
     /// calls so the sweep allocates nothing per tick.
     age_expired: Vec<FlowKey>,
+    /// Per block of [`BLOCK`] slots, a lower bound on the oldest
+    /// `last_seen_ns` stored in it (`u64::MAX`: nothing stored). Every write
+    /// of a timestamp lowers its block's bound to it — insert, reclaim, a
+    /// backshift landing — and the sweep re-learns a bound from the survivors
+    /// when it reads a whole block; hits only raise timestamps, so they leave
+    /// it alone. One bound per table would not do: only a full scan could
+    /// re-learn it, so a table older than one timeout would never skip again.
+    oldest: Vec<u64>,
 }
 
 impl FlowTable {
@@ -87,8 +133,14 @@ impl FlowTable {
     /// flows (TCP flows silent that long have effectively closed).
     pub fn new(capacity: usize, timeout_ns: u64) -> FlowTable {
         let cap = capacity.max(16).next_power_of_two();
+        // Seven words of slack let slot 0 start on a 64-byte line wherever the
+        // allocator, which promises 8 bytes, put the block. (Asking it for the
+        // alignment costs resident memory: EXPERIMENTS.md, "Many-tenant burst".)
+        let words = vec![0u64; cap * SLOT_WORDS + 7];
+        let base = (words.as_ptr() as usize).wrapping_neg() % 64 / 8;
         FlowTable {
-            slots: vec![None; cap].into_boxed_slice(),
+            words,
+            base,
             mask: cap - 1,
             timeout_ns,
             len: 0,
@@ -97,6 +149,7 @@ impl FlowTable {
             evictions: 0,
             age_sweep_slots: 0,
             age_expired: Vec::new(),
+            oldest: vec![u64::MAX; cap.div_ceil(BLOCK)],
         }
     }
 
@@ -104,7 +157,7 @@ impl FlowTable {
     pub fn stats(&self) -> FlowTableStats {
         FlowTableStats {
             len: self.len,
-            capacity: self.slots.len(),
+            capacity: self.capacity(),
             evictions: self.evictions,
             overflows: self.overflows,
             age_sweep_slots: self.age_sweep_slots,
@@ -121,11 +174,25 @@ impl FlowTable {
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.mask + 1
     }
 
-    fn expired(&self, e: &Entry, now_ns: u64) -> bool {
-        now_ns.saturating_sub(e.last_seen_ns) > self.timeout_ns
+    fn slot(&self, i: usize) -> &[u64; SLOT_WORDS] {
+        self.words[self.base + i * SLOT_WORDS..].first_chunk().expect("slot inside the table")
+    }
+
+    fn slot_mut(&mut self, i: usize) -> &mut [u64; SLOT_WORDS] {
+        self.words[self.base + i * SLOT_WORDS..].first_chunk_mut().expect("slot inside the table")
+    }
+
+    fn expired(&self, last_seen_ns: u64, now_ns: u64) -> bool {
+        now_ns.saturating_sub(last_seen_ns) > self.timeout_ns
+    }
+
+    /// Record that `last_seen_ns` was written into slot `i`.
+    fn note_stored(&mut self, i: usize, last_seen_ns: u64) {
+        let bound = &mut self.oldest[i / BLOCK];
+        *bound = (*bound).min(last_seen_ns);
     }
 
     /// Look up `key`; on a live hit, refresh its timestamp and return its
@@ -138,28 +205,45 @@ impl FlowTable {
     /// Ask for the cache line of `hash`'s home slot ahead of a probe.
     #[inline]
     pub fn prefetch(&self, hash: u64) {
-        prefetch_read(&self.slots[hash as usize & self.mask]);
+        prefetch_read(self.slot(hash as usize & self.mask));
+    }
+
+    /// The slot holding `key`, probing from `hash`'s home to the chain's end.
+    #[inline]
+    fn position(&self, key: &FlowKey, hash: u64) -> Option<usize> {
+        let mut i = hash as usize & self.mask;
+        if self.slot(i)[1] == 0 {
+            return None; // a first-of-flow lookup, answered before the key is packed
+        }
+        let want = pack(key);
+        for _ in 0..=self.mask {
+            let slot = self.slot(i);
+            if slot[1] == 0 {
+                return None;
+            }
+            if slot[..2] == want {
+                return Some(i);
+            }
+            i = (i + 1) & self.mask;
+        }
+        None
     }
 
     /// [`FlowTable::find_and_touch`] for a key hashed earlier.
     pub fn find_and_touch_hashed(&mut self, flow: &HashedKey, now_ns: u64) -> Option<VriId> {
-        let mut i = flow.hash() as usize & self.mask;
-        for _ in 0..self.slots.len() {
-            match &mut self.slots[i] {
-                None => return None,
-                Some(e) if e.key == *flow.key() => {
-                    if now_ns.saturating_sub(e.last_seen_ns) > self.timeout_ns {
-                        self.remove_at(i);
-                        self.evictions += 1;
-                        return None;
-                    }
-                    e.last_seen_ns = now_ns;
-                    return Some(e.vri);
-                }
-                Some(_) => i = (i + 1) & self.mask,
-            }
+        let i = self.position(flow.key(), flow.hash())?;
+        let &[_, _, vri, seen] = self.slot(i);
+        if self.expired(seen, now_ns) {
+            self.remove_at(i);
+            self.evictions += 1;
+            return None;
         }
-        None
+        self.slot_mut(i)[3] = now_ns;
+        if now_ns < seen {
+            // A clock that stepped back: the one hit that lowers a timestamp.
+            self.note_stored(i, now_ns);
+        }
+        Some(VriId(vri as u32))
     }
 
     /// Insert or update `key -> vri`.
@@ -169,31 +253,44 @@ impl FlowTable {
 
     /// [`FlowTable::insert`] for a key hashed earlier.
     pub fn insert_hashed(&mut self, flow: HashedKey, vri: VriId, now_ns: u64) -> bool {
-        let key = *flow.key();
+        let want = pack(flow.key());
         let mut i = flow.hash() as usize & self.mask;
-        for _ in 0..self.slots.len() {
-            match &mut self.slots[i] {
-                slot @ None => {
-                    *slot = Some(Entry { key, vri, last_seen_ns: now_ns });
-                    self.len += 1;
-                    return true;
-                }
-                Some(e) if e.key == key => {
-                    e.vri = vri;
-                    e.last_seen_ns = now_ns;
-                    return true;
-                }
-                Some(e) if now_ns.saturating_sub(e.last_seen_ns) > self.timeout_ns => {
-                    // Reclaim an expired stranger's slot.
-                    *e = Entry { key, vri, last_seen_ns: now_ns };
-                    self.evictions += 1;
-                    return true;
-                }
-                Some(_) => i = (i + 1) & self.mask,
+        // The first expired stranger on the chain, and the chain's end. The
+        // stranger's slot is taken only once the end shows the key is not
+        // stored further down: taking it at sight stored a live key that sat
+        // behind it a second time.
+        let (mut reclaim, mut end) = (None, None);
+        for _ in 0..=self.mask {
+            let &[addrs, l4, _, seen] = self.slot(i);
+            if [addrs, l4] == want {
+                return self.store(i, want, vri, now_ns);
             }
+            if l4 == 0 {
+                end = Some(i);
+                break;
+            }
+            if reclaim.is_none() && self.expired(seen, now_ns) {
+                reclaim = Some(i);
+            }
+            i = (i + 1) & self.mask;
         }
-        self.overflows += 1;
-        false
+        if let Some(at) = reclaim {
+            self.evictions += 1;
+            self.store(at, want, vri, now_ns)
+        } else if let Some(at) = end {
+            self.len += 1;
+            self.store(at, want, vri, now_ns)
+        } else {
+            self.overflows += 1;
+            false
+        }
+    }
+
+    /// Write slot `i`; `true`, an insert's answer once it has a slot.
+    fn store(&mut self, i: usize, key: [u64; 2], vri: VriId, now_ns: u64) -> bool {
+        *self.slot_mut(i) = [key[0], key[1], u64::from(vri.0), now_ns];
+        self.note_stored(i, now_ns);
+        true
     }
 
     /// Advance the incremental aging sweep: advance the cursor over up to
@@ -212,18 +309,34 @@ impl FlowTable {
     /// a lap over `capacity` slots is guaranteed to evict every entry that
     /// was expired when its slot was swept — even when probe-time lazy
     /// expiry relocates entries across the cursor between windows.
+    /// A stretch whose block's bound (`oldest`) is inside the timeout holds
+    /// nothing expired: the cursor crosses it unread, charged all the same.
     pub fn age_step(&mut self, now_ns: u64, budget: usize) -> usize {
-        let cap = self.slots.len();
+        let cap = self.capacity();
         let budget = budget.min(cap);
         let mut i = self.age_cursor & self.mask;
         let mut expired_keys = std::mem::take(&mut self.age_expired);
-        for _ in 0..budget {
-            if let Some(e) = &self.slots[i] {
-                if self.expired(e, now_ns) {
-                    expired_keys.push(e.key);
+        let mut left = budget;
+        while left > 0 {
+            // The stretch from the cursor to its block's end or the budget's.
+            let block = i / BLOCK;
+            let n = left.min(((block + 1) * BLOCK).min(cap) - i);
+            if self.expired(self.oldest[block], now_ns) {
+                let mut oldest = u64::MAX;
+                for slot in (i..i + n).map(|j| self.slot(j)).filter(|slot| slot[1] != 0) {
+                    if self.expired(slot[3], now_ns) {
+                        expired_keys.push(unpack(slot));
+                    } else {
+                        oldest = oldest.min(slot[3]);
+                    }
+                }
+                if n == BLOCK.min(cap) {
+                    // The whole block was read: what survives is all it holds.
+                    self.oldest[block] = oldest;
                 }
             }
-            i = (i + 1) & self.mask;
+            left -= n;
+            i = (i + n) & self.mask;
         }
         // Commit the window's end before removing: backshift relocations
         // that cross the cursor rewind it from here (see `remove_at`).
@@ -239,11 +352,25 @@ impl FlowTable {
         evicted
     }
 
-    /// Iterate live entries as `(key, vri, last_seen_ns)` — the checkpoint
-    /// export surface. Entries already past `timeout_ns` may still appear
-    /// (they are reclaimed lazily); importers re-apply the timeout anyway.
-    pub fn entries(&self) -> impl Iterator<Item = (&FlowKey, VriId, u64)> + '_ {
-        self.slots.iter().flatten().map(|e| (&e.key, e.vri, e.last_seen_ns))
+    /// Iterate live entries as `(key, vri, last_seen_ns)`, in slot order —
+    /// the checkpoint export surface. Entries already past `timeout_ns` may
+    /// still appear (they are reclaimed lazily); importers re-apply the
+    /// timeout anyway.
+    pub fn entries(&self) -> impl Iterator<Item = (FlowKey, VriId, u64)> + '_ {
+        self.words[self.base..][..self.capacity() * SLOT_WORDS]
+            .chunks_exact(SLOT_WORDS)
+            .filter_map(|w| w.first_chunk())
+            .filter(|slot| slot[1] != 0)
+            .map(|slot| (unpack(slot), VriId(slot[2] as u32), slot[3]))
+    }
+
+    /// Test hook: every block's bound is at or below every timestamp stored
+    /// in the block, the condition the sweep's skip rests on.
+    #[doc(hidden)]
+    pub fn block_bounds_hold(&self) -> bool {
+        (0..self.capacity())
+            .map(|i| (i, self.slot(i)))
+            .all(|(i, s)| s[1] == 0 || self.oldest[i / BLOCK] <= s[3])
     }
 
     /// Remove every entry pointing at `vri` (called when a VRI is killed so
@@ -255,7 +382,7 @@ impl FlowTable {
     /// model-based property test).
     pub fn purge_vri(&mut self, vri: VriId) -> usize {
         let keys: Vec<FlowKey> =
-            self.slots.iter().flatten().filter(|e| e.vri == vri).map(|e| e.key).collect();
+            self.entries().filter(|(_, v, _)| *v == vri).map(|(key, _, _)| key).collect();
         for k in &keys {
             self.remove_key(k);
         }
@@ -264,35 +391,26 @@ impl FlowTable {
 
     /// Remove `key` wherever it currently sits on its probe chain.
     fn remove_key(&mut self, key: &FlowKey) {
-        let mut i = key.hash64() as usize & self.mask;
-        for _ in 0..self.slots.len() {
-            match &self.slots[i] {
-                None => return,
-                Some(e) if e.key == *key => {
-                    self.remove_at(i);
-                    return;
-                }
-                Some(_) => i = (i + 1) & self.mask,
-            }
+        if let Some(i) = self.position(key, key.hash64()) {
+            self.remove_at(i);
         }
     }
 
     /// Tombstone-free removal: delete slot `i` and re-insert the probe chain
     /// behind it (standard linear-probing backshift).
     fn remove_at(&mut self, i: usize) {
-        self.slots[i] = None;
+        *self.slot_mut(i) = [0; SLOT_WORDS];
         self.len -= 1;
         let mut j = (i + 1) & self.mask;
-        while let Some(e) = self.slots[j] {
-            self.slots[j] = None;
-            self.len -= 1;
+        while self.slot(j)[1] != 0 {
             // Re-insert preserves its timestamp.
-            let mut k = e.key.hash64() as usize & self.mask;
-            while self.slots[k].is_some() {
+            let e = std::mem::take(self.slot_mut(j));
+            let mut k = unpack(&e).hash64() as usize & self.mask;
+            while self.slot(k)[1] != 0 {
                 k = (k + 1) & self.mask;
             }
-            self.slots[k] = Some(e);
-            self.len += 1;
+            *self.slot_mut(k) = e;
+            self.note_stored(k, e[3]);
             // Backshift can carry an entry across the aging cursor: from a
             // slot the sweep had yet to visit to one it already passed (a
             // slot freed and refilled within the same budget window). Rewind
@@ -487,20 +605,18 @@ mod tests {
         assert_eq!(t.stats().evictions, 1);
     }
 
+    /// Keys whose home slot in a `cap`-slot table lies in `[lo, hi)`.
+    fn keys_homed_in(cap: usize, lo: usize, hi: usize, want: usize) -> Vec<FlowKey> {
+        let homed = |k: &FlowKey| (lo..hi).contains(&(k.hash64() as usize & (cap - 1)));
+        let out: Vec<FlowKey> = (0..=u8::MAX).map(key).filter(homed).take(want).collect();
+        assert_eq!(out.len(), want, "not enough keys homed there");
+        out
+    }
+
     /// Keys whose home slot in a 16-slot table is 0, for crafting probe
     /// chains with known geometry.
     fn home0_keys(want: usize) -> Vec<FlowKey> {
-        let mut out = Vec::new();
-        for n in 0..=u8::MAX {
-            if key(n).hash64() as usize & 15 == 0 {
-                out.push(key(n));
-                if out.len() == want {
-                    break;
-                }
-            }
-        }
-        assert_eq!(out.len(), want, "not enough colliding keys in search space");
-        out
+        keys_homed_in(16, 0, 1, want)
     }
 
     /// Regression: a probe-time lazy expiry between two budget windows used
@@ -529,7 +645,7 @@ mod tests {
             evicted += t.age_step(200, 2);
         }
         assert!(
-            t.entries().all(|(key, _, _)| *key != x),
+            t.entries().all(|(key, _, _)| key != x),
             "expired entry escaped the sweep via backshift relocation"
         );
         // B and X both expired mid-lap; each evicted exactly once.
@@ -563,5 +679,175 @@ mod tests {
         t.insert(key(1), VriId(5), 10);
         assert_eq!(t.len(), 1);
         assert_eq!(t.find_and_touch(&key(1), 10), Some(VriId(5)));
+    }
+
+    /// Regression: the probe used to take the first expired stranger's slot
+    /// at sight, so re-pinning a live key that sat behind one stored it a
+    /// second time. The shadowed copy later expired untouched and the
+    /// sweep's `remove_key` took the first match — the live one.
+    #[test]
+    fn repinning_a_live_key_behind_an_expired_one_updates_it_in_place() {
+        let k = home0_keys(2);
+        let (x, kk) = (k[0], k[1]);
+        let mut t = FlowTable::new(16, 100);
+        assert!(t.insert(x, VriId(9), 0)); // slot 0, expires at 101
+        assert!(t.insert(kk, VriId(1), 90)); // slot 1, behind it
+        assert!(t.insert(kk, VriId(2), 150)); // X is expired, K is live
+        assert_eq!(t.entries().filter(|(key, _, _)| *key == kk).count(), 1, "stored twice");
+        assert_eq!(t.len(), t.entries().count());
+        assert_eq!(t.find_and_touch(&kk, 150), Some(VriId(2)));
+        // The corpse is still the sweep's to evict, and only the corpse.
+        assert_eq!(t.age_step(150, 16), 1);
+        assert_eq!(t.find_and_touch(&kk, 150), Some(VriId(2)));
+        assert_eq!((t.len(), t.stats().evictions), (1, 1));
+    }
+
+    /// A key the chain does not hold still takes the first expired slot.
+    #[test]
+    fn a_new_key_reclaims_the_first_expired_slot_on_its_chain() {
+        let k = home0_keys(4);
+        let mut t = FlowTable::new(16, 100);
+        assert!(t.insert(k[0], VriId(0), 50)); // live at 120
+        assert!(t.insert(k[1], VriId(0), 0)); // expired at 120
+        assert!(t.insert(k[2], VriId(0), 0)); // expired at 120
+        assert!(t.insert(k[3], VriId(7), 120));
+        let stored: Vec<FlowKey> = t.entries().map(|(key, _, _)| key).collect();
+        assert_eq!(stored, [k[0], k[3], k[2]]);
+        assert_eq!((t.len(), t.stats().evictions), (3, 1));
+    }
+
+    /// Packing is lossless, including the protocol values `from_ip_proto`
+    /// never builds.
+    #[test]
+    fn packed_keys_round_trip() {
+        for proto in [Protocol::Tcp, Protocol::Udp, Protocol::Icmp, Protocol::Other(6)] {
+            let k = FlowKey {
+                src: Ipv4Addr::new(255, 1, 2, 3),
+                dst: Ipv4Addr::new(4, 5, 6, 255),
+                src_port: 0xffff,
+                dst_port: 0x8001,
+                proto,
+            };
+            let [addrs, l4] = pack(&k);
+            assert_eq!(unpack(&[addrs, l4, 0, 0]), k);
+        }
+        let zero = FlowKey { proto: Protocol::Other(0), src_port: 0, dst_port: 0, ..key(0) };
+        assert_ne!(pack(&zero)[1], 0, "a stored slot is never mistaken for an empty one");
+    }
+
+    /// The layout holds wherever the allocator puts the table: built 64 at a
+    /// time so the bases vary, no slot's bytes cross a 64-byte line, and the
+    /// line `prefetch` asks for is the one a probe reads first.
+    #[test]
+    fn no_slot_crosses_a_cache_line_wherever_the_table_lands() {
+        let sizes: &[usize] = if cfg!(miri) { &[16, 256] } else { &[16, 4096, 1 << 17] };
+        for &cap in sizes {
+            let tables: Vec<FlowTable> = (0..64).map(|_| FlowTable::new(cap, 1)).collect();
+            for t in &tables {
+                assert_eq!(t.slot(0).as_ptr() as usize % 64, 0, "slot 0 starts a line");
+                for i in 0..cap {
+                    let first = t.slot(i).as_ptr() as usize;
+                    let last = first + std::mem::size_of::<[u64; SLOT_WORDS]>() - 1;
+                    assert_eq!(first / 64, last / 64, "slot {i} of {cap} straddles");
+                }
+                assert!(t.base + cap * SLOT_WORDS <= t.words.len());
+            }
+        }
+        // `prefetch` has no result to look at; it is handed `slot(home)`, the
+        // words `find_and_touch_hashed` reads first.
+        let mut t = FlowTable::new(4096, u64::MAX);
+        let flow = HashedKey::new(key(1));
+        t.prefetch(flow.hash());
+        t.insert_hashed(flow, VriId(3), 0);
+        assert_eq!(t.slot(flow.hash() as usize & t.mask)[..2], pack(flow.key()));
+    }
+
+    /// The sweep trusts the bound: a block whose bound is inside the timeout
+    /// is not read (shown by lying to it), one whose bound is outside is, and
+    /// a whole-block read re-learns the bound from the survivors.
+    #[test]
+    fn sweep_skips_young_blocks_and_relearns_old_ones() {
+        let mut t = FlowTable::new(256, 100);
+        let old = keys_homed_in(256, 0, 32, 3);
+        t.insert(old[0], VriId(0), 10);
+        t.insert(old[1], VriId(0), 40);
+        t.insert(old[2], VriId(0), 70);
+        let young = keys_homed_in(256, 64, 96, 1)[0];
+        t.insert(young, VriId(0), 60);
+        assert_eq!(t.oldest, [10, 60, u64::MAX, u64::MAX]);
+        // At 120 only the entry stamped 10 is dead; block 0 is read whole.
+        assert_eq!(t.age_step(120, 256), 1);
+        assert_eq!(t.oldest, [40, 60, u64::MAX, u64::MAX]);
+        assert!(t.block_bounds_hold());
+        // Lie: call block 0 young. The sweep must not look inside it.
+        t.oldest[0] = 150;
+        assert_eq!(t.age_step(150, 256), 0, "a block with a young bound was read");
+        assert_eq!(t.len(), 3);
+        t.oldest[0] = 40;
+        assert_eq!(t.age_step(150, 256), 1);
+        assert_eq!(t.oldest[0], 70);
+        // A hit raises a timestamp and leaves the bound alone: the block is
+        // read once more than it needed to be, then skipped again.
+        assert_eq!(t.find_and_touch(&old[2], 160), Some(VriId(0)));
+        assert_eq!(t.oldest[0], 70);
+        assert_eq!(t.age_step(175, 256), 1, "the entry stamped 60 in block 1");
+        assert_eq!(t.oldest[..2], [160, u64::MAX]);
+    }
+
+    /// `import_flow` stores a checkpointed timestamp, possibly far older than
+    /// anything in the block it lands in.
+    #[test]
+    fn an_old_timestamp_imported_into_a_young_block_is_still_swept() {
+        let mut t = FlowTable::new(256, 100);
+        let k = keys_homed_in(256, 64, 120, 2);
+        t.insert(k[0], VriId(1), 1_000);
+        assert_eq!(t.age_step(1_050, 256), 0);
+        assert_eq!(t.oldest[1], 1_000);
+        t.insert(k[1], VriId(2), 20); // restored from a checkpoint
+        assert_eq!(t.oldest[1], 20);
+        assert_eq!(t.age_step(1_050, 256), 1);
+        assert_eq!(t.find_and_touch(&k[0], 1_050), Some(VriId(1)));
+        assert_eq!(t.find_and_touch(&k[1], 1_050), None);
+        assert_eq!(t.stats().evictions, 1);
+    }
+
+    /// Budgets that never cover a whole block still evict everything (the
+    /// bound of a block read in pieces just stays where it was), and the
+    /// sweep is charged `budget + evicted` per call whether it read or
+    /// skipped — in a 16-slot table too, whose only block is short.
+    #[test]
+    fn small_budgets_and_small_tables_sweep_and_charge_exactly() {
+        for cap in [16usize, 256] {
+            let mut t = FlowTable::new(cap, 100);
+            let n = cap / 2;
+            for i in 0..n {
+                // Every other flow is stamped late enough to survive.
+                t.insert(key(i as u8), VriId(0), if i % 2 == 0 { 0 } else { 80 });
+            }
+            let mut charged = 0;
+            for round in 0..4 * cap {
+                // Rounds before `cap` find nothing expired (all skipped once
+                // the bounds say so); later ones evict the early half.
+                let now = if round < cap { 90 } else { 150 };
+                let before = t.stats().age_sweep_slots;
+                let evicted = t.age_step(now, 7);
+                assert_eq!(t.stats().age_sweep_slots - before, 7 + evicted as u64);
+                assert!(t.block_bounds_hold());
+                charged += evicted;
+            }
+            assert_eq!((charged, t.len()), (n.div_ceil(2), n / 2), "cap {cap}");
+            assert!(t.entries().all(|(_, _, seen)| seen == 80));
+        }
+    }
+
+    /// A clock that steps back makes a hit lower a timestamp; the bound
+    /// follows it down.
+    #[test]
+    fn a_hit_under_a_clock_that_stepped_back_lowers_the_bound() {
+        let mut t = FlowTable::new(64, 100);
+        t.insert(key(1), VriId(0), 1_000);
+        assert_eq!(t.find_and_touch(&key(1), 400), Some(VriId(0)));
+        assert!(t.block_bounds_hold());
+        assert_eq!(t.age_step(600, 64), 1);
     }
 }

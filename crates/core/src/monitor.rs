@@ -21,7 +21,7 @@ use std::path::Path;
 
 use lvrm_ipc::channels::{shared_ring, vri_channels_with_ring, ControlEvent};
 use lvrm_ipc::vlink::{VLinkReceiver, VLinkSender};
-use lvrm_ipc::PressureLevel;
+use lvrm_ipc::{PressureLevel, Watermarks};
 use lvrm_metrics::{
     Counter, Gauge, LatencyHistogram, MetricsRegistry, MetricsSnapshot, RateEstimator,
 };
@@ -352,12 +352,12 @@ enum RehomeLoss {
 impl VrState {
     /// Mean of the live VRIs' reported service rates, if any reported.
     fn service_rate_per_vri(&self) -> Option<f64> {
-        let rates: Vec<f64> = self.vris.iter().filter_map(|v| v.reported_service_rate).collect();
-        if rates.is_empty() {
-            None
-        } else {
-            Some(rates.iter().sum::<f64>() / rates.len() as f64)
-        }
+        let (sum, n) = self
+            .vris
+            .iter()
+            .filter_map(|v| v.reported_service_rate)
+            .fold((0.0, 0u32), |(sum, n), rate| (sum + rate, n + 1));
+        (n > 0).then(|| sum / f64::from(n))
     }
 }
 
@@ -844,9 +844,10 @@ impl<C: Clock> Lvrm<C> {
                 None => self.stats.unclassified.inc(),
             }
         }
+        let wm = self.config.watermarks();
         for (vr_idx, bucket) in buckets.iter_mut().enumerate() {
             if !bucket.is_empty() {
-                self.dispatch_bucket(vr_idx, bucket, now);
+                self.dispatch_bucket(vr_idx, bucket, &wm, now);
             }
         }
         self.scratch_vr_buckets = buckets;
@@ -876,8 +877,7 @@ impl<C: Clock> Lvrm<C> {
     /// adds a synthetic +1 to the chosen slot's load so JSQ keeps spreading
     /// frames the estimator has not observed yet (instead of sending the
     /// whole burst to the momentarily-shortest queue).
-    fn dispatch_bucket(&mut self, vr_idx: usize, bucket: &mut VrBucket, now: u64) {
-        let wm = self.config.watermarks();
+    fn dispatch_bucket(&mut self, vr_idx: usize, bucket: &mut VrBucket, wm: &Watermarks, now: u64) {
         let vr = &mut self.vrs[vr_idx];
         // Fleet ownership gate (DESIGN.md §15): frames classified to a VR
         // another shard owns are shed whole, before admission control. They
@@ -903,12 +903,10 @@ impl<C: Clock> Lvrm<C> {
         self.scratch_vris.clear();
         let mut worst_occupancy: f64 = 0.0;
         for v in &mut vr.vris {
-            v.observe_load(now);
-            worst_occupancy = worst_occupancy.max(v.occupancy());
-            self.scratch_loads.push(v.load());
-            // A crashed instance's endpoint detaches before the supervisor
-            // tick notices: stop feeding it between ticks.
-            self.scratch_valid.push(v.accepting() && v.endpoint_attached());
+            let q = v.read_queue(now);
+            worst_occupancy = worst_occupancy.max(q.occupancy);
+            self.scratch_loads.push(q.load);
+            self.scratch_valid.push(q.valid);
             self.scratch_vris.push(v.id);
         }
         // Under the VLink fabric the shared ring *is* the VR's backlog; its
@@ -921,7 +919,7 @@ impl<C: Clock> Lvrm<C> {
         // marks the whole VR (JSQ would have spread the backlog first), and
         // the tracker holds the state until the worst queue drains back
         // below the low mark.
-        vr.pressure.update(worst_occupancy, &wm);
+        vr.pressure.update(worst_occupancy, wm);
 
         // Fair admission under overload: an `Overloaded` VR is held to its
         // weighted share of the burst budget, with deficit-round-robin
@@ -1508,9 +1506,9 @@ impl<C: Clock> Lvrm<C> {
         self.scratch_valid.clear();
         self.scratch_vris.clear();
         for v in &mut vr.vris {
-            v.observe_load(now);
-            self.scratch_loads.push(v.load());
-            self.scratch_valid.push(v.accepting() && v.endpoint_attached());
+            let q = v.read_queue(now);
+            self.scratch_loads.push(q.load);
+            self.scratch_valid.push(q.valid);
             self.scratch_vris.push(v.id);
         }
         while self.scratch_slot_buckets.len() < vr.vris.len() {

@@ -9,7 +9,7 @@
 //!   calls and reports it upstream through the control queue.
 
 use lvrm_ipc::channels::{ControlEvent, VriChannels, VriEndpoint, Work};
-use lvrm_ipc::{Full, PressureLevel, Watermarks};
+use lvrm_ipc::{occupancy, Full, PressureLevel, Watermarks};
 use lvrm_metrics::ServiceRateEstimator;
 use lvrm_net::Frame;
 
@@ -115,6 +115,19 @@ series! {
             ("lvrm_vri_health", "Supervisor health classification (0 live, 1 suspect, 2 dead)."),
         draining: gauge = ("lvrm_vri_draining", "1 while the VRI is in the drain state, else 0."),
     }
+}
+
+/// What one look at a VRI's incoming data queue says
+/// ([`VriAdapter::read_queue`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct QueueReading {
+    /// The load estimate, after observing the depth read.
+    pub load: f64,
+    /// Whether the instance can be dispatched to: room in the queue, and
+    /// somebody on the other end of it.
+    pub valid: bool,
+    /// `len / capacity` of the queue.
+    pub occupancy: f64,
 }
 
 /// LVRM's side of one VRI.
@@ -293,26 +306,28 @@ impl VriAdapter {
         self.estimator.estimate()
     }
 
-    /// Feed the estimator the current queue depth without a dispatch
-    /// (called for every VRI per balancing decision; see
-    /// [`crate::estimate::LoadEstimator::observe`]).
-    pub fn observe_load(&mut self, now_ns: u64) {
-        self.estimator.observe(self.channels.data_tx.len(), now_ns);
-    }
-
-    /// Whether the data queue has room (a "valid" dispatch target).
-    pub fn accepting(&self) -> bool {
-        self.channels.data_tx.len() < self.channels.data_tx.capacity()
+    /// Read the incoming queue's depth once and answer, from that one
+    /// reading, everything a balancing decision asks of this VRI: the
+    /// estimator observes the depth without a dispatch (see
+    /// [`crate::estimate::LoadEstimator::observe`]) and gives its estimate,
+    /// the instance is a valid target if the queue has room and its endpoint
+    /// is still attached (a crashed instance's endpoint detaches before the
+    /// supervisor tick notices: stop feeding it between ticks), and the
+    /// occupancy feeds the VR's pressure tracker.
+    pub fn read_queue(&mut self, now_ns: u64) -> QueueReading {
+        let len = self.channels.data_tx.len();
+        let capacity = self.channels.data_tx.capacity();
+        self.estimator.observe(len, now_ns);
+        QueueReading {
+            load: self.estimator.estimate(),
+            valid: len < capacity && self.endpoint_attached(),
+            occupancy: occupancy(len, capacity),
+        }
     }
 
     /// Instantaneous incoming-queue depth.
     pub fn queue_len(&self) -> usize {
         self.channels.data_tx.len()
-    }
-
-    /// Incoming-queue occupancy fraction (`len / capacity`).
-    pub fn occupancy(&self) -> f64 {
-        self.channels.data_tx.occupancy()
     }
 
     /// Stateless pressure classification of the incoming data queue. The
@@ -331,17 +346,13 @@ impl VriAdapter {
         self.channels.data_rx.len()
     }
 
-    /// Drain frames the VRI forwarded, appending to `out`. Internally pulls
-    /// whole bursts so the consumer index is published once per burst, not
-    /// once per frame.
+    /// Drain frames the VRI forwarded, appending to `out`: one burst, so the
+    /// consumer index is published once, not once per frame.
     pub fn drain_egress(&mut self, out: &mut Vec<Frame>) {
-        loop {
-            let n = self.channels.data_rx.try_recv_batch(out, usize::MAX);
-            self.returned += n as u64;
-            if n == 0 {
-                break;
-            }
-        }
+        // One receive: every queue kind hands over all that was published
+        // when it was called (`queue_properties.rs`); what arrives during it
+        // is the next poll's.
+        self.returned += self.channels.data_rx.try_recv_batch(out, usize::MAX) as u64;
     }
 
     /// Drain control events the VRI emitted.
@@ -580,7 +591,7 @@ mod tests {
     fn backpressure_returns_frame_and_counts() {
         let (mut lvrm, _vri) = pair(1);
         lvrm.dispatch(frame(), 0).unwrap();
-        assert!(!lvrm.accepting());
+        assert!(!lvrm.read_queue(0).valid);
         let refused = lvrm.dispatch(frame(), 1);
         assert!(refused.is_err());
         assert_eq!(lvrm.dispatch_drops, 0, "a refusal is not a drop until the caller gives up");
@@ -607,7 +618,7 @@ mod tests {
         for i in 0..8 {
             lvrm.dispatch(frame(), i).unwrap();
         }
-        assert!((lvrm.occupancy() - 1.0).abs() < 1e-9);
+        assert!((lvrm.read_queue(8).occupancy - 1.0).abs() < 1e-9);
         assert_eq!(lvrm.pressure(&wm), PressureLevel::Overloaded);
         for _ in 0..8 {
             let _ = vri.from_lvrm(100);

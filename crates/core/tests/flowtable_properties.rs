@@ -4,7 +4,7 @@
 //! path — and the full monitor must keep flows pinned to a single VRI even
 //! when the supervisor kills an instance and re-balances its queue.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use lvrm_core::flowtable::FlowTable;
@@ -85,6 +85,7 @@ proptest! {
                 }
                 Op::Advance { by } => now += by as u64,
             }
+            check_invariants(&table);
         }
         // Full sweep: every live model entry must still resolve.
         for (k, (vri, seen)) in &model {
@@ -93,6 +94,66 @@ proptest! {
             }
         }
     }
+}
+
+/// The slot order is wire format: `export_flows` walks `entries()`, so a
+/// checkpoint's bytes depend on which slot every record sits in. Replay one
+/// seeded life of a crowded table — hits, first-of-flow inserts, sweeps, a
+/// VRI purge — and compare what `entries()` yields, in order, against the
+/// digest the `Box<[Option<Entry>]>` table this layout replaced gave for
+/// the same calls (read off that table before it went).
+#[test]
+fn entries_order_is_pinned_for_a_seeded_life() {
+    fn wide_key(n: u16) -> FlowKey {
+        FlowKey {
+            src: Ipv4Addr::new(10, 0, (n >> 8) as u8, n as u8),
+            dst: Ipv4Addr::new(10, 0, 2, 1),
+            src_port: n,
+            dst_port: 80,
+            proto: [Protocol::Tcp, Protocol::Udp, Protocol::Udp][n as usize % 3],
+        }
+    }
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let mut table = FlowTable::new(1024, 5_000);
+    let mut now = 0u64;
+    for _ in 0..40_000 {
+        let r = next();
+        now += r >> 60;
+        match r % 64 {
+            0 => {
+                table.age_step(now, (r >> 8) as usize % 200 + 1);
+            }
+            1 if r >> 8 & 15 == 0 => {
+                table.purge_vri(VriId((r >> 16) as u32 % 4));
+            }
+            _ => {
+                // The balancer's use: follow the flow, or pin it on a miss.
+                let k = wide_key((r >> 8) as u16 % 900);
+                if table.find_and_touch(&k, now).is_none() {
+                    table.insert(k, VriId((r >> 32) as u32 % 4), now);
+                }
+            }
+        }
+    }
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |v: u64| digest = (digest ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+    for (k, vri, seen) in table.entries() {
+        fold(u64::from(u32::from(k.src)));
+        fold(u64::from(k.src_port) << 8 | u64::from(k.proto.to_ip_proto()));
+        fold(u64::from(vri.0));
+        fold(seen);
+    }
+    let stats = table.stats();
+    assert_eq!(
+        (stats.len, stats.evictions, stats.overflows, stats.age_sweep_slots, digest),
+        (548, 14_895, 0, 66_627, 7_938_331_990_297_907_933),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -150,6 +211,13 @@ enum AgeOp {
     PurgeVri {
         vri: u8,
     },
+    /// Re-pin a flow that is live right now to another VRI, as
+    /// `FlowBased::pick_keyed` does when a hit's VRI is no valid target.
+    /// `nth` picks among the live keys.
+    Repin {
+        nth: u8,
+        vri: u8,
+    },
     /// Export the real table, rebuild a fresh one from the checkpoint.
     CheckpointRestore,
     Advance {
@@ -174,11 +242,23 @@ fn age_ops() -> impl Strategy<Value = Vec<AgeOp>> {
             (1u8..65).prop_map(|budget| AgeOp::AgeStep { budget }),
             Just(AgeOp::FullSweep),
             (0u8..6).prop_map(|vri| AgeOp::PurgeVri { vri }),
+            (any::<u8>(), 0u8..6).prop_map(|(nth, vri)| AgeOp::Repin { nth, vri }),
             Just(AgeOp::CheckpointRestore),
             (1u32..8000).prop_map(|by| AgeOp::Advance { by }),
         ],
         0..AGE_STEPS,
     )
+}
+
+/// What must hold of the physical table after every operation: no key is
+/// stored twice, `len()` counts what `entries()` yields, and each block's
+/// aging bound is at or below every timestamp in the block.
+fn check_invariants(table: &FlowTable) {
+    let keys: Vec<FlowKey> = table.entries().map(|(k, _, _)| k).collect();
+    let distinct: HashSet<&FlowKey> = keys.iter().collect();
+    assert_eq!(distinct.len(), keys.len(), "a key is stored twice");
+    assert_eq!(table.len(), keys.len());
+    assert!(table.block_bounds_hold(), "a block's bound is above a timestamp in it");
 }
 
 /// Snapshot the physical table as `key-octet -> vri` (inverse of `key()`).
@@ -237,13 +317,23 @@ proptest! {
                     table.purge_vri(VriId(vri as u32));
                     model.map.retain(|_, (v, _)| *v != VriId(vri as u32));
                 }
+                AgeOp::Repin { nth, vri } => {
+                    let mut live: Vec<u8> =
+                        model.map.keys().copied().filter(|k| model.live(*k, now)).collect();
+                    live.sort_unstable();
+                    if !live.is_empty() {
+                        let k = live[nth as usize % live.len()];
+                        prop_assert!(table.insert(key(k), VriId(vri as u32), now));
+                        model.map.insert(k, (VriId(vri as u32), now));
+                    }
+                }
                 AgeOp::CheckpointRestore => {
                     // The warm-restart surface: export every stored entry
                     // with its timestamp, import into a fresh table. The
                     // aging cursor is NOT checkpointed state — a restored
                     // table restarts its sweep from slot 0 — so
                     // equivalence must hold regardless of cursor position.
-                    let dump: Vec<_> = table.entries().map(|(k, vri, seen)| (*k, vri, seen)).collect();
+                    let dump: Vec<_> = table.entries().collect();
                     let mut restored = FlowTable::new(CAPACITY, TIMEOUT);
                     for (k, vri, seen) in &dump {
                         prop_assert!(restored.insert(*k, *vri, *seen));
@@ -258,7 +348,7 @@ proptest! {
                             .collect::<HashMap<u8, VriId>>()
                     };
                     prop_assert_eq!(
-                        live_of(&mut restored.entries().map(|(k, vri, seen)| (*k, vri, seen))),
+                        live_of(&mut restored.entries()),
                         live_of(&mut dump.iter().copied()),
                         "restore lost live flows"
                     );
@@ -266,6 +356,7 @@ proptest! {
                 }
                 AgeOp::Advance { by } => now += by as u64,
             }
+            check_invariants(&table);
         }
         // Endgame: one complete sweep on both sides must converge them.
         table.age_step(now, CAPACITY);

@@ -49,6 +49,19 @@ impl<T> Drop for Inner<T> {
     }
 }
 
+/// Items in a ring of `slots` slots whose consumer is at `head` and whose
+/// producer is at `tail`, both below `slots`. `slots` is `capacity + 1` and
+/// rarely a power of two, so the wrap is a compare and a subtract where
+/// `(tail + slots - head) % slots` would divide.
+#[inline]
+fn occupied(head: usize, tail: usize, slots: usize) -> usize {
+    if tail >= head {
+        tail - head
+    } else {
+        tail + slots - head
+    }
+}
+
 /// Factory type; split into endpoints with [`LamportQueue::with_capacity`].
 pub struct LamportQueue<T>(std::marker::PhantomData<T>);
 
@@ -128,7 +141,8 @@ impl<T: Send> LamportSender<T> {
         let inner = &*self.inner;
         let slots = inner.buf.len();
         let mut tail = inner.tail.load(Ordering::Relaxed);
-        let free = |head: usize| (head + slots - tail - 1) % slots;
+        // One slot stays empty to tell full from empty.
+        let free = |head: usize| slots - 1 - occupied(head, tail, slots);
         let mut avail = free(self.cached_head);
         if avail < items.len() {
             // Looks too full against the cached head — refresh once per burst.
@@ -152,10 +166,9 @@ impl<T: Send> LamportSender<T> {
     /// Items currently buffered (producer-side estimate, exact for SPSC use).
     #[inline]
     pub fn len(&self) -> usize {
-        let slots = self.inner.buf.len();
         let tail = self.inner.tail.load(Ordering::Relaxed);
         let head = self.inner.head.load(Ordering::Acquire);
-        (tail + slots - head) % slots
+        occupied(head, tail, self.inner.buf.len())
     }
 
     #[inline]
@@ -203,10 +216,10 @@ impl<T: Send> LamportReceiver<T> {
         let inner = &*self.inner;
         let slots = inner.buf.len();
         let mut head = inner.head.load(Ordering::Relaxed);
-        let mut avail = (self.cached_tail + slots - head) % slots;
+        let mut avail = occupied(head, self.cached_tail, slots);
         if avail < max {
             self.cached_tail = inner.tail.load(Ordering::Acquire);
-            avail = (self.cached_tail + slots - head) % slots;
+            avail = occupied(head, self.cached_tail, slots);
         }
         let n = avail.min(max);
         if n == 0 {
@@ -226,10 +239,9 @@ impl<T: Send> LamportReceiver<T> {
     /// Items currently buffered (consumer-side view).
     #[inline]
     pub fn len(&self) -> usize {
-        let slots = self.inner.buf.len();
         let tail = self.inner.tail.load(Ordering::Acquire);
         let head = self.inner.head.load(Ordering::Relaxed);
-        (tail + slots - head) % slots
+        occupied(head, tail, self.inner.buf.len())
     }
 
     #[inline]

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lvrm_ipc::vlink::VLinkQueue;
-use lvrm_ipc::{queue, Full, QueueKind};
+use lvrm_ipc::{queue, Full, LamportQueue, QueueKind};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -185,6 +185,118 @@ proptest! {
         }
         prop_assert_eq!(tx.len(), occupancy);
         prop_assert_eq!(rx.len(), occupancy);
+    }
+}
+
+/// `VriAdapter::drain_egress` and the reap / egress-rescue paths receive
+/// once, with no limit, and take the answer for the queue's whole content.
+/// Single-threaded that is exact for every kind, wherever in the ring the
+/// content sits: one call returns all of it, in order, and leaves nothing.
+#[test]
+fn one_unbounded_receive_returns_everything_published() {
+    for kind in QueueKind::ALL {
+        for cap in [1usize, 2, 3, 31, 64] {
+            let (mut tx, mut rx) = queue::<u64>(kind, cap);
+            let mut out: Vec<u64> = Vec::new();
+            let mut next = 0u64;
+            // Fill levels 0..=cap, each started one slot further round.
+            for fill in (0..=cap).chain((0..=cap).rev()) {
+                let mut burst: Vec<u64> = (next..next + fill as u64).collect();
+                assert_eq!(tx.try_send_batch(&mut burst), fill, "{} cap {cap}", kind.name());
+                out.clear();
+                assert_eq!(rx.try_recv_batch(&mut out, usize::MAX), fill, "{}", kind.name());
+                assert!(out.iter().copied().eq(next..next + fill as u64), "{}", kind.name());
+                assert_eq!(rx.try_recv_batch(&mut out, usize::MAX), 0, "a second receive");
+                next += fill as u64;
+                // Shift the ring position by one for the next level.
+                tx.try_send(u64::MAX).unwrap();
+                assert_eq!(rx.try_recv(), Some(u64::MAX));
+            }
+        }
+    }
+}
+
+/// Across threads the promise is a floor: one unbounded receive returns at
+/// least what the producer had published before it said so. The producer
+/// announces its running total *after* each burst is in; the consumer reads
+/// the announcement, receives once, and must by then hold that many.
+#[test]
+fn one_unbounded_receive_sees_what_was_published_before_the_signal() {
+    const N: usize = if cfg!(miri) { 300 } else { 100_000 };
+    for kind in QueueKind::ALL {
+        let (mut tx, mut rx) = queue::<u64>(kind, 32);
+        let announced = Arc::new(AtomicUsize::new(0));
+        let producer = {
+            let announced = Arc::clone(&announced);
+            std::thread::spawn(move || {
+                let mut pending: Vec<u64> = Vec::new();
+                let (mut next, mut sent) = (0usize, 0usize);
+                while sent < N {
+                    while pending.len() < 11 && next < N {
+                        pending.push(next as u64);
+                        next += 1;
+                    }
+                    sent += tx.try_send_batch(&mut pending);
+                    announced.store(sent, Ordering::Release);
+                }
+            })
+        };
+        let mut out: Vec<u64> = Vec::with_capacity(N);
+        while out.len() < N {
+            let floor = announced.load(Ordering::Acquire);
+            rx.try_recv_batch(&mut out, usize::MAX);
+            assert!(out.len() >= floor, "{}: held {} of {floor} announced", kind.name(), out.len());
+        }
+        producer.join().unwrap();
+        assert!(out.iter().copied().eq(0..N as u64), "{}", kind.name());
+    }
+}
+
+/// The Lamport ring's index arithmetic wraps by compare-and-subtract over
+/// `capacity + 1` slots, which is a power of two only by accident. Both
+/// ends' `len`, the free space a batch send finds and the run a batch receive
+/// finds must match a `VecDeque` at the sizes where a wrap is every
+/// operation (1, 2, 3), at an odd one and at a large one, for at least ten
+/// laps of the ring each.
+#[test]
+fn lamport_len_free_and_batch_sizes_match_the_model_across_wraps() {
+    for cap in [1usize, 2, 3, 31, 1024] {
+        let (mut tx, mut rx) = LamportQueue::<u64>::with_capacity(cap);
+        let mut model: VecDeque<u64> = VecDeque::new();
+        let mut out: Vec<u64> = Vec::new();
+        let mut rng = 0x2545_F491_4F6C_DD1Du64 ^ cap as u64;
+        let mut draw = |below: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 11) as usize % below
+        };
+        let (mut sent, mut steps) = (0u64, 0u32);
+        let laps = if cfg!(miri) { 2 } else { 12 };
+        while sent < laps * (cap as u64 + 1) {
+            let offer = draw(cap + 3);
+            let mut burst: Vec<u64> = (sent..sent + offer as u64).collect();
+            let fits = (cap - model.len()).min(offer);
+            assert_eq!(tx.try_send_batch(&mut burst), fits, "cap {cap} step {steps}");
+            assert_eq!(burst.len(), offer - fits);
+            model.extend(sent..sent + fits as u64);
+            sent += fits as u64;
+            assert_eq!((tx.len(), rx.len()), (model.len(), model.len()), "cap {cap}");
+            assert_eq!(tx.try_send(u64::MAX).is_err(), model.len() == cap, "full means full");
+            if model.len() < cap {
+                model.push_back(u64::MAX);
+            }
+
+            let max = draw(cap + 3);
+            let run = model.len().min(max);
+            out.clear();
+            assert_eq!(rx.try_recv_batch(&mut out, max), run, "cap {cap} step {steps}");
+            assert!(out.iter().eq(model.iter().take(run)), "cap {cap} step {steps}");
+            model.drain(..run);
+            assert_eq!((tx.len(), rx.len()), (model.len(), model.len()), "cap {cap}");
+            assert_eq!(tx.is_empty(), model.is_empty());
+            steps += 1;
+        }
     }
 }
 
