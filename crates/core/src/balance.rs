@@ -10,7 +10,7 @@ use lvrm_net::{FlowKey, Frame, HashedKey, IngressHeaders};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::checkpoint::FlowRecord;
+use crate::checkpoint::FlowSection;
 use crate::flowtable::{FlowTable, FlowTableStats};
 use crate::VriId;
 
@@ -70,7 +70,7 @@ pub trait LoadBalancer: Send {
     /// slot order, each pinned to its VRI's slot in `vris` (an entry whose
     /// VRI is not among them is left out) — the warm-restart export surface.
     /// Stateless policies export nothing.
-    fn export_flows(&self, _vris: &[VriId], _out: &mut Vec<FlowRecord>) {}
+    fn export_flows(&self, _vris: &[VriId], _out: &mut FlowSection) {}
 
     /// Re-learn one flow-affinity entry from a checkpoint. Stateless
     /// policies ignore it.
@@ -247,26 +247,8 @@ impl<B: LoadBalancer> LoadBalancer for FlowBased<B> {
         (self.sticky_hits, self.fresh_picks)
     }
 
-    fn export_flows(&self, vris: &[VriId], out: &mut Vec<FlowRecord>) {
-        // VriId -> slot, indexed by the id less the lowest one: a load per
-        // flow where `BalanceCtx::slot_of` would search. Ids are handed out
-        // in sequence, so the table spans the instances spawned, in any VR,
-        // between this VR's oldest and newest.
-        let base = vris.iter().map(|v| v.0).min().unwrap_or(0);
-        let mut slot_of: Vec<u32> = Vec::new();
-        for (slot, v) in vris.iter().enumerate() {
-            let at = (v.0 - base) as usize;
-            slot_of.resize(slot_of.len().max(at + 1), u32::MAX);
-            slot_of[at] = slot as u32;
-        }
-        // One walk of the table, into room made for all of it at once.
-        out.reserve_exact(self.table.len());
-        for (key, vri, last_seen_ns) in self.table.entries() {
-            match slot_of.get(vri.0.wrapping_sub(base) as usize) {
-                Some(&slot) if slot != u32::MAX => out.push(FlowRecord { key, slot, last_seen_ns }),
-                _ => {}
-            }
-        }
+    fn export_flows(&self, vris: &[VriId], out: &mut FlowSection) {
+        self.table.export(vris, out);
     }
 
     fn import_flow(&mut self, key: FlowKey, vri: VriId, last_seen_ns: u64) {
@@ -427,19 +409,19 @@ mod tests {
         let f = frame(4242);
         let ctx = BalanceCtx { vris: &v, loads: &loads, valid: &valid, now_ns: 5 };
         let first = b.pick(&f, &ctx).unwrap();
-        let mut flows = Vec::new();
+        let mut flows = FlowSection::default();
         b.export_flows(&v, &mut flows);
         assert_eq!(flows.len(), 1);
         // A fresh balancer fed the export sticks to the same VRI.
         let mut b2 = FlowBased::new(RoundRobin::default(), 64, u64::MAX);
-        for f in flows {
+        for f in flows.iter() {
             b2.import_flow(f.key, v[f.slot as usize], f.last_seen_ns);
         }
         let ctx = BalanceCtx { vris: &v, loads: &loads, valid: &valid, now_ns: 6 };
         assert_eq!(b2.pick(&f, &ctx), Some(first));
         assert_eq!(b2.sticky_hits, 1, "imported entry hit, not re-balanced");
         // Stateless policies are no-ops.
-        let mut none = Vec::new();
+        let mut none = FlowSection::default();
         Jsq.export_flows(&v, &mut none);
         assert!(none.is_empty());
     }

@@ -274,6 +274,131 @@ pub struct FlowRecord {
     pub last_seen_ns: u64,
 }
 
+/// Bytes of a flow key and of a flow record on the wire.
+const FLOW_KEY_WIRE: usize = 13;
+const FLOW_RECORD_WIRE: usize = FLOW_KEY_WIRE + 4 + 8;
+
+/// A flow key as it ships: addresses in network order, then the ports
+/// little-endian, then the IP protocol number.
+type KeyWire = [u8; FLOW_KEY_WIRE];
+/// A [`FlowRecord`] as it ships: the key, `slot` and `last_seen_ns`.
+type RecordWire = [u8; FLOW_RECORD_WIRE];
+
+/// The one place a record's bytes are laid out. `addrs` is the source address
+/// above the destination, as a flow-table slot holds them.
+fn record_wire(
+    addrs: u64,
+    (src_port, dst_port, proto): (u16, u16, u8),
+    slot: u32,
+    last_seen_ns: u64,
+) -> RecordWire {
+    let mut b = [0u8; FLOW_RECORD_WIRE];
+    b[..8].copy_from_slice(&addrs.to_be_bytes());
+    b[8..10].copy_from_slice(&src_port.to_le_bytes());
+    b[10..12].copy_from_slice(&dst_port.to_le_bytes());
+    b[12] = proto;
+    b[FLOW_KEY_WIRE..FLOW_KEY_WIRE + 4].copy_from_slice(&slot.to_le_bytes());
+    b[FLOW_KEY_WIRE + 4..].copy_from_slice(&last_seen_ns.to_le_bytes());
+    b
+}
+
+fn key_of(record: &RecordWire) -> &KeyWire {
+    record.first_chunk().expect("a record starts with its key")
+}
+
+fn flow_key_wire(k: &FlowKey) -> KeyWire {
+    *key_of(&FlowRecord { key: *k, slot: 0, last_seen_ns: 0 }.to_wire())
+}
+
+fn flow_key_from_wire(b: &KeyWire) -> FlowKey {
+    FlowKey {
+        src: Ipv4Addr::new(b[0], b[1], b[2], b[3]),
+        dst: Ipv4Addr::new(b[4], b[5], b[6], b[7]),
+        src_port: u16::from_le_bytes([b[8], b[9]]),
+        dst_port: u16::from_le_bytes([b[10], b[11]]),
+        proto: Protocol::from_ip_proto(b[12]),
+    }
+}
+
+impl FlowRecord {
+    fn to_wire(self) -> RecordWire {
+        let k = &self.key;
+        let addrs = u64::from(u32::from(k.src)) << 32 | u64::from(u32::from(k.dst));
+        let l4 = (k.src_port, k.dst_port, k.proto.to_ip_proto());
+        record_wire(addrs, l4, self.slot, self.last_seen_ns)
+    }
+
+    fn from_wire(b: &RecordWire) -> FlowRecord {
+        let (slot, seen) = b[FLOW_KEY_WIRE..].split_at(4);
+        FlowRecord {
+            key: flow_key_from_wire(key_of(b)),
+            slot: u32::from_le_bytes(slot.try_into().expect("4 bytes")),
+            last_seen_ns: u64::from_le_bytes(seen.try_into().expect("8 bytes")),
+        }
+    }
+}
+
+/// One VR's flow-affinity entries, held as the 25-byte records they ship as:
+/// a checkpoint is nearly all flow records, built and sealed once a control
+/// round on the forwarding thread, so the flow table writes them in this form
+/// and the codecs move a section with one copy. [`FlowRecord`] is what
+/// [`FlowSection::push`] takes and [`FlowSection::iter`] yields. Equality is
+/// the wire's: the protocol is its IP number, so `Other(6)` is `Tcp` here as
+/// it is after a decode.
+#[derive(Clone, PartialEq, Eq, Default)]
+pub struct FlowSection {
+    records: Vec<RecordWire>,
+}
+
+impl FlowSection {
+    pub fn from_records(records: &[FlowRecord]) -> FlowSection {
+        FlowSection { records: records.iter().map(|f| f.to_wire()).collect() }
+    }
+
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    pub fn push(&mut self, record: FlowRecord) {
+        self.records.push(record.to_wire());
+    }
+
+    /// The records, in section order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = FlowRecord> + '_ {
+        self.records.iter().map(FlowRecord::from_wire)
+    }
+
+    pub fn to_vec(&self) -> Vec<FlowRecord> {
+        self.iter().collect()
+    }
+
+    /// Room for `n` more records.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.records.reserve(n);
+    }
+
+    /// [`FlowSection::push`] for a flow as a flow-table slot holds it: the
+    /// source address above the destination, then ports and IP protocol.
+    pub(crate) fn push_packed(&mut self, addrs: u64, l4: (u16, u16, u8), slot: u32, seen_ns: u64) {
+        self.records.push(record_wire(addrs, l4, slot, seen_ns));
+    }
+
+    /// The canonical flow order ([`canonical_order`]), in place.
+    fn sort(&mut self) {
+        self.records.sort_unstable_by_key(|r| canonical_order(key_of(r)));
+    }
+}
+
+impl fmt::Debug for FlowSection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Per-VR control-plane state (matched back by `name` on restore).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct VrCheckpoint {
@@ -293,7 +418,7 @@ pub struct VrCheckpoint {
     pub pressure: u8,
     /// Live VRIs at checkpoint time — the restore target instance count.
     pub vri_slots: u32,
-    pub flows: Vec<FlowRecord>,
+    pub flows: FlowSection,
 }
 
 /// The whole control-plane snapshot.
@@ -375,30 +500,6 @@ pub(crate) struct Enc {
     buf: Vec<u8>,
 }
 
-/// Bytes of a flow key and of a flow record on the wire.
-const FLOW_KEY_WIRE: usize = 13;
-const FLOW_RECORD_WIRE: usize = FLOW_KEY_WIRE + 4 + 8;
-
-fn flow_key_wire(k: &FlowKey) -> [u8; FLOW_KEY_WIRE] {
-    let mut b = [0u8; FLOW_KEY_WIRE];
-    b[..4].copy_from_slice(&k.src.octets());
-    b[4..8].copy_from_slice(&k.dst.octets());
-    b[8..10].copy_from_slice(&k.src_port.to_le_bytes());
-    b[10..12].copy_from_slice(&k.dst_port.to_le_bytes());
-    b[12] = k.proto.to_ip_proto();
-    b
-}
-
-fn flow_key_from_wire(b: &[u8; FLOW_KEY_WIRE]) -> FlowKey {
-    FlowKey {
-        src: Ipv4Addr::new(b[0], b[1], b[2], b[3]),
-        dst: Ipv4Addr::new(b[4], b[5], b[6], b[7]),
-        src_port: u16::from_le_bytes([b[8], b[9]]),
-        dst_port: u16::from_le_bytes([b[10], b[11]]),
-        proto: Protocol::from_ip_proto(b[12]),
-    }
-}
-
 impl Enc {
     pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -429,14 +530,14 @@ impl Enc {
             self.u64(v);
         }
     }
-    /// One append per record: a checkpoint is nearly all flow records, and
-    /// field-by-field appends cost a capacity check each.
+    /// One append per record, not one per field.
     fn flow_record(&mut self, f: &FlowRecord) {
-        let mut b = [0u8; FLOW_RECORD_WIRE];
-        b[..FLOW_KEY_WIRE].copy_from_slice(&flow_key_wire(&f.key));
-        b[FLOW_KEY_WIRE..FLOW_KEY_WIRE + 4].copy_from_slice(&f.slot.to_le_bytes());
-        b[FLOW_KEY_WIRE + 4..].copy_from_slice(&f.last_seen_ns.to_le_bytes());
-        self.buf.extend_from_slice(&b);
+        self.buf.extend_from_slice(&f.to_wire());
+    }
+    /// A `u32` record count and the records, in one copy.
+    fn flow_section(&mut self, flows: &FlowSection) {
+        self.u32(flows.len() as u32);
+        self.buf.extend_from_slice(flows.records.as_flattened());
     }
     pub(crate) fn flow_key(&mut self, k: &FlowKey) {
         self.buf.extend_from_slice(&flow_key_wire(k));
@@ -527,12 +628,16 @@ impl<'a> Dec<'a> {
     }
     fn flow_record(&mut self) -> Result<FlowRecord, CheckpointError> {
         let b = self.take(FLOW_RECORD_WIRE)?;
-        let (key, rest) = b.split_at(FLOW_KEY_WIRE);
-        Ok(FlowRecord {
-            key: flow_key_from_wire(key.try_into().expect("13 bytes")),
-            slot: u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")),
-            last_seen_ns: u64::from_le_bytes(rest[4..].try_into().expect("8 bytes")),
-        })
+        Ok(FlowRecord::from_wire(b.try_into().expect("25 bytes")))
+    }
+    /// Inverse of [`Enc::flow_section`]: the count is checked against the
+    /// bytes left before room is made for it, and the records are taken as
+    /// they lie.
+    fn flow_section(&mut self) -> Result<FlowSection, CheckpointError> {
+        let n = self.count(FLOW_RECORD_WIRE, "implausible flow count")?;
+        let mut records = vec![[0u8; FLOW_RECORD_WIRE]; n];
+        records.as_flattened_mut().copy_from_slice(self.take(n * FLOW_RECORD_WIRE)?);
+        Ok(FlowSection { records })
     }
     /// Exact consumption: a body with bytes left over is malformed.
     pub(crate) fn finish(self) -> Result<(), CheckpointError> {
@@ -587,7 +692,7 @@ impl VrCheckpoint {
             quarantined: d.bool()?,
             pressure: d.u8()?,
             vri_slots: d.u32()?,
-            flows: Vec::new(),
+            flows: FlowSection::default(),
         };
         if vr.pressure > 2 {
             return Err(CheckpointError::Malformed("pressure level out of range"));
@@ -612,10 +717,7 @@ impl Checkpoint {
             e.u32(self.vrs.len() as u32);
             for vr in &self.vrs {
                 vr.enc(e);
-                e.u32(vr.flows.len() as u32);
-                for f in &vr.flows {
-                    e.flow_record(f);
-                }
+                e.flow_section(&vr.flows);
             }
         })
     }
@@ -632,11 +734,7 @@ impl Checkpoint {
         let mut vrs = Vec::with_capacity(n_vrs);
         for _ in 0..n_vrs {
             let mut vr = VrCheckpoint::dec(&mut d)?;
-            let n_flows = d.count(FLOW_RECORD_WIRE, "implausible flow count")?;
-            vr.flows.reserve_exact(n_flows);
-            for _ in 0..n_flows {
-                vr.flows.push(d.flow_record()?);
-            }
+            vr.flows = d.flow_section()?;
             vrs.push(vr);
         }
         d.finish()?;
@@ -686,7 +784,7 @@ impl Checkpoint {
     pub fn canonical(&self) -> Checkpoint {
         let mut ck = self.clone();
         for vr in &mut ck.vrs {
-            vr.flows.sort_by_key(|f| canonical_order(&f.key));
+            vr.flows.sort();
         }
         ck
     }
@@ -711,7 +809,7 @@ impl Checkpoint {
             // A shadow is canonical from its first fold on, and sorting a
             // sorted list is one pass of compares; one baselined from a
             // snapshot arrives in the master's table order, once.
-            flows.sort_unstable_by_key(|f| canonical_order(&f.key));
+            flows.sort();
             let mut vr = dv.meta.clone();
             vr.flows = merge_flows(flows, &dv.evictions, &dv.upserts);
             self.vrs.push(vr);
@@ -721,47 +819,47 @@ impl Checkpoint {
 
 /// The canonical flow order: a key's addresses, ports and protocol compared
 /// in that order — the order of its 13 bytes with the ports big-endian.
-fn canonical_order(k: &FlowKey) -> (u32, u32, u16, u16, u8) {
-    (u32::from(k.src), u32::from(k.dst), k.src_port, k.dst_port, k.proto.to_ip_proto())
+fn canonical_order(k: &KeyWire) -> (u64, u16, u16, u8) {
+    let addrs = u64::from_be_bytes(*k.first_chunk().expect("8 of 13 bytes"));
+    (addrs, u16::from_le_bytes([k[8], k[9]]), u16::from_le_bytes([k[10], k[11]]), k[12])
 }
 
 /// One pass over a canonical flow list: drop the evicted keys, replace or
 /// insert the upserts (an upsert wins over an eviction of the same key), keep
 /// the order. A delta is small beside the list, so sorting its two sections
 /// is cheap (the evictions come sorted unless a peer sent them otherwise).
-fn merge_flows(
-    flows: Vec<FlowRecord>,
-    evictions: &[FlowKey],
-    upserts: &[FlowRecord],
-) -> Vec<FlowRecord> {
+fn merge_flows(flows: FlowSection, evictions: &[FlowKey], upserts: &[FlowRecord]) -> FlowSection {
     if evictions.is_empty() && upserts.is_empty() {
         return flows;
     }
-    let mut evictions: Vec<_> = evictions.iter().map(canonical_order).collect();
+    let mut evictions: Vec<_> =
+        evictions.iter().map(|k| canonical_order(&flow_key_wire(k))).collect();
     evictions.sort_unstable();
-    let mut upserts = upserts.to_vec();
-    upserts.sort_by_key(|f| canonical_order(&f.key));
+    let mut upserts = FlowSection::from_records(upserts);
+    // Stable: of two upserts of one key, the later still lands later.
+    upserts.records.sort_by_key(|r| canonical_order(key_of(r)));
     let mut out = Vec::with_capacity(flows.len() + upserts.len());
-    let (mut evicted, mut upserts) = (evictions.iter().peekable(), upserts.iter().peekable());
-    for f in flows {
-        let k = canonical_order(&f.key);
-        while let Some(u) = upserts.next_if(|u| canonical_order(&u.key) < k) {
+    let mut evicted = evictions.iter().peekable();
+    let mut upserts = upserts.records.iter().peekable();
+    for f in flows.records {
+        let k = canonical_order(key_of(&f));
+        while let Some(u) = upserts.next_if(|u| canonical_order(key_of(u)) < k) {
             out.push(*u);
         }
         while evicted.next_if(|e| **e < k).is_some() {}
-        let replaced = upserts.peek().is_some_and(|u| canonical_order(&u.key) == k);
+        let replaced = upserts.peek().is_some_and(|u| canonical_order(key_of(u)) == k);
         if !replaced && evicted.peek() != Some(&&k) {
             out.push(f);
         }
     }
     out.extend(upserts);
-    out
+    FlowSection { records: out }
 }
 
-/// Positions in a flow list by key: a flat open-addressed table of `u32`s
-/// under the flow table's own hash ([`FlowKey::hash64`]), built only when
-/// [`join_flows`]' hint misses. Like the flow table it indexes, it does not
-/// resist keys crafted to collide; it holds no more keys than that table did.
+/// Positions in a flow list by key: a flat open-addressed table of `u32`s,
+/// built only when [`join_flows`]' hint misses. Like the flow table whose
+/// records it indexes, it does not resist keys crafted to collide; it holds
+/// no more keys than that table did.
 struct KeyIndex {
     /// Position + 1, or 0 for an empty slot.
     slots: Vec<u32>,
@@ -769,11 +867,21 @@ struct KeyIndex {
 }
 
 impl KeyIndex {
-    fn new(flows: &[FlowRecord]) -> KeyIndex {
+    /// [`FlowKey::hash64`]'s multipliers over the key's first and last eight
+    /// bytes.
+    fn hash(k: &KeyWire) -> usize {
+        let head = u64::from_le_bytes(*k.first_chunk().expect("8 of 13 bytes"));
+        let tail = u64::from_le_bytes(*k.last_chunk().expect("8 of 13 bytes"));
+        let h = head.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ tail;
+        let h = (h ^ h >> 32).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        (h ^ h >> 32) as usize
+    }
+
+    fn new(flows: &[RecordWire]) -> KeyIndex {
         let mask = (flows.len() * 2).next_power_of_two() - 1;
         let mut slots = vec![0u32; mask + 1];
         for (i, f) in flows.iter().enumerate() {
-            let mut s = f.key.hash64() as usize & mask;
+            let mut s = KeyIndex::hash(key_of(f)) & mask;
             while slots[s] != 0 {
                 s = (s + 1) & mask;
             }
@@ -782,11 +890,11 @@ impl KeyIndex {
         KeyIndex { slots, mask }
     }
 
-    fn find(&self, flows: &[FlowRecord], key: &FlowKey) -> Option<usize> {
-        let mut s = key.hash64() as usize & self.mask;
+    fn find(&self, flows: &[RecordWire], key: &KeyWire) -> Option<usize> {
+        let mut s = KeyIndex::hash(key) & self.mask;
         while self.slots[s] != 0 {
             let i = self.slots[s] as usize - 1;
-            if flows[i].key == *key {
+            if key_of(&flows[i]) == key {
                 return Some(i);
             }
             s = (s + 1) & self.mask;
@@ -801,36 +909,41 @@ impl KeyIndex {
 /// order. Keys are unique within a list (a flow table holds one entry per
 /// key).
 ///
-/// A hinted join. Both lists left the same open-addressed table in slot
-/// order, and between them only the few records of a probe chain an eviction
-/// closed up have changed places, so the record after the last match is
-/// nearly always the next match: compare there first, and index `old` only
-/// once that fails.
-fn join_flows(old: &[FlowRecord], new: &[FlowRecord]) -> (Vec<FlowKey>, Vec<FlowRecord>) {
+/// Two sections with the same bytes differ in nothing, and that is one
+/// `memcmp`. Otherwise a hinted join. Both lists left the same open-addressed
+/// table in slot order, and between them only the few records of a probe
+/// chain an eviction closed up have changed places, so the record after the
+/// last match is nearly always the next match: compare there first, and index
+/// `old` only once that fails.
+fn join_flows(old: &FlowSection, new: &FlowSection) -> (Vec<FlowKey>, Vec<FlowRecord>) {
+    if old == new {
+        return (Vec::new(), Vec::new());
+    }
+    let (old, new) = (&old.records[..], &new.records[..]);
     let mut upserts = Vec::new();
     let mut matched = vec![false; old.len()];
     let mut index = None;
     let mut hint = 0;
     for f in new {
-        let at = match old.get(hint) {
-            Some(o) if o.key == f.key => Some(hint),
-            _ => index.get_or_insert_with(|| KeyIndex::new(old)).find(old, &f.key),
+        let here = old.get(hint);
+        // Most records of most rounds: the same bytes in the same place.
+        let at = if here == Some(f) || here.is_some_and(|o| key_of(o) == key_of(f)) {
+            Some(hint)
+        } else {
+            index.get_or_insert_with(|| KeyIndex::new(old)).find(old, key_of(f))
         };
-        match at {
-            Some(i) => {
-                hint = i + 1;
-                matched[i] = true;
-                if old[i] != *f {
-                    upserts.push(*f);
-                }
-            }
-            None => upserts.push(*f),
+        if let Some(i) = at {
+            hint = i + 1;
+            matched[i] = true;
+        }
+        if at.is_none_or(|i| old[i] != *f) {
+            upserts.push(FlowRecord::from_wire(f));
         }
     }
-    let unmatched = old.iter().zip(&matched).filter(|(_, m)| !**m);
-    let mut evictions: Vec<FlowKey> = unmatched.map(|(o, _)| o.key).collect();
-    evictions.sort_unstable_by_key(canonical_order);
-    (evictions, upserts)
+    let mut evictions: Vec<&KeyWire> =
+        old.iter().zip(&matched).filter(|(_, m)| !**m).map(|(o, _)| key_of(o)).collect();
+    evictions.sort_unstable_by_key(|k| canonical_order(k));
+    (evictions.into_iter().map(flow_key_from_wire).collect(), upserts)
 }
 
 // ---- checkpoint deltas (HA replication stream, DESIGN.md §13) ----------
@@ -883,9 +996,10 @@ impl CheckpointDelta {
     pub fn diff(prev: &Checkpoint, next: &Checkpoint, seq: u64) -> CheckpointDelta {
         let mut vrs = Vec::with_capacity(next.vrs.len());
         for nv in &next.vrs {
-            let old = prev.vrs.iter().find(|v| v.name == nv.name).map_or(&[][..], |v| &v.flows);
+            let none = FlowSection::default();
+            let old = prev.vrs.iter().find(|v| v.name == nv.name).map_or(&none, |v| &v.flows);
             let (evictions, upserts) = join_flows(old, &nv.flows);
-            let meta = VrCheckpoint { flows: Vec::new(), name: nv.name.clone(), ..*nv };
+            let meta = VrCheckpoint { flows: none, name: nv.name.clone(), ..*nv };
             vrs.push(VrDelta { meta, evictions, upserts });
         }
         CheckpointDelta {
@@ -993,7 +1107,7 @@ mod tests {
                     quarantined: false,
                     pressure: 2,
                     vri_slots: 3,
-                    flows: vec![FlowRecord {
+                    flows: FlowSection::from_records(&[FlowRecord {
                         key: FlowKey {
                             src: Ipv4Addr::new(10, 0, 1, 5),
                             dst: Ipv4Addr::new(10, 0, 2, 9),
@@ -1003,7 +1117,7 @@ mod tests {
                         },
                         slot: 1,
                         last_seen_ns: 1234,
-                    }],
+                    }]),
                 },
                 VrCheckpoint { name: "deptB".into(), quarantined: true, ..Default::default() },
             ],
@@ -1116,7 +1230,7 @@ mod tests {
         b.stats.frames_out += 48;
         b.next_vri = 11;
         b.vrs[0].frames_in += 50;
-        b.vrs[0].flows.clear(); // evict the one flow
+        b.vrs[0].flows = FlowSection::default(); // evict the one flow
         b.vrs[0].flows.push(FlowRecord {
             key: FlowKey {
                 src: Ipv4Addr::new(10, 0, 1, 6),

@@ -32,6 +32,7 @@
 use lvrm_net::flow::Protocol;
 use lvrm_net::{prefetch_read, FlowKey, HashedKey};
 
+use crate::checkpoint::FlowSection;
 use crate::VriId;
 
 /// Words per slot: `[src << 32 | dst, OCCUPIED | ports and protocol, VRI,
@@ -362,6 +363,48 @@ impl FlowTable {
             .filter_map(|w| w.first_chunk())
             .filter(|slot| slot[1] != 0)
             .map(|slot| (unpack(slot), VriId(slot[2] as u32), slot[3]))
+    }
+
+    /// Append the stored flows to `out` as checkpoint records, in slot order:
+    /// what [`FlowTable::entries`] yields, each pinned to its VRI's position
+    /// in `vris` (a flow whose VRI is not among them is left out), but from
+    /// the slot's words to the record's bytes with no [`FlowKey`] in between.
+    pub fn export(&self, vris: &[VriId], out: &mut FlowSection) {
+        // VriId -> slot, indexed by the id less the lowest one: a load per
+        // flow where a search of `vris` would be. Ids are handed out in
+        // sequence, so the table spans the instances spawned, in any VR,
+        // between this VR's oldest and newest. Its last entry answers for
+        // every id past it.
+        let base = vris.iter().map(|v| v.0).min().unwrap_or(0);
+        let mut slot_of: Vec<u32> = Vec::new();
+        for (slot, v) in vris.iter().enumerate() {
+            let at = (v.0 - base) as usize;
+            slot_of.resize(slot_of.len().max(at + 1), u32::MAX);
+            slot_of[at] = slot as u32;
+        }
+        slot_of.push(u32::MAX);
+        let unlisted = slot_of.len() - 1;
+        out.reserve(self.len);
+        let words = &self.words[self.base..][..self.capacity() * SLOT_WORDS];
+        for block in words.chunks(BLOCK * SLOT_WORDS) {
+            // In a half-full table "is this slot stored" is a coin toss no
+            // branch predictor calls: gather the answers as bits, then walk
+            // the set ones.
+            let mut stored = 0u64;
+            for (i, w) in block.chunks_exact(SLOT_WORDS).enumerate() {
+                stored |= u64::from(w[1] != 0) << i;
+            }
+            while stored != 0 {
+                let w = &block[stored.trailing_zeros() as usize * SLOT_WORDS..][..SLOT_WORDS];
+                stored &= stored - 1;
+                let slot = slot_of[((w[2] as u32).wrapping_sub(base) as usize).min(unlisted)];
+                if slot != u32::MAX {
+                    // The protocol's low byte is its IP number in either packing.
+                    let l4 = ((w[1] >> 25) as u16, (w[1] >> 9) as u16, w[1] as u8);
+                    out.push_packed(w[0], l4, slot, w[3]);
+                }
+            }
+        }
     }
 
     /// Test hook: every block's bound is at or below every timestamp stored

@@ -53,7 +53,7 @@ pub use alloc::{
 };
 pub use balance::{BalanceCtx, Jsq, LoadBalancer, RandomBalancer, RoundRobin};
 pub use checkpoint::{
-    Checkpoint, CheckpointDelta, CheckpointError, FlowRecord, VrCheckpoint, VrDelta,
+    Checkpoint, CheckpointDelta, CheckpointError, FlowRecord, FlowSection, VrCheckpoint, VrDelta,
 };
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use config::{

@@ -30,7 +30,7 @@ use lvrm_router::{RouteTable, VirtualRouter};
 
 use crate::alloc::{AllocDecision, CoreAllocator, VrLoadView};
 use crate::balance::{BalanceCtx, LoadBalancer};
-use crate::checkpoint::{Checkpoint, CheckpointError, VrCheckpoint};
+use crate::checkpoint::{Checkpoint, CheckpointError, FlowSection, VrCheckpoint};
 use crate::clock::Clock;
 use crate::config::{DispatchMode, LvrmConfig};
 use crate::estimate::PressureTracker;
@@ -2105,7 +2105,7 @@ impl<C: Clock> Lvrm<C> {
         let mut vrs = Vec::with_capacity(self.vrs.len());
         for vr in &self.vrs {
             let live: Vec<VriId> = vr.vris.iter().map(|v| v.id).collect();
-            let mut flows = Vec::new();
+            let mut flows = FlowSection::default();
             vr.balancer.export_flows(&live, &mut flows);
             vrs.push(VrCheckpoint {
                 name: vr.name.clone(),
@@ -2198,7 +2198,7 @@ impl<C: Clock> Lvrm<C> {
         // Restored *after* the population grows back, so the refills above
         // do not absorb the deficit as phantom respawns.
         self.vrs[idx].respawn_deficit = vrck.respawn_deficit as usize;
-        for f in &vrck.flows {
+        for f in vrck.flows.iter() {
             if let Some(v) = self.vrs[idx].vris.get(f.slot as usize) {
                 let vri = v.id;
                 self.vrs[idx].balancer.import_flow(f.key, vri, f.last_seen_ns);

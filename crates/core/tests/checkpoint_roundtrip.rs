@@ -17,9 +17,9 @@ use std::net::Ipv4Addr;
 use lvrm_core::checkpoint::crc32;
 use lvrm_core::{
     decode_batch, encode_batch, AffinityMode, Checkpoint, CheckpointDelta, CheckpointError, CoreId,
-    CoreMap, CoreTopology, FleetMsg, FlowRecord, HaMsg, Lvrm, LvrmConfig, LvrmStats, ManualClock,
-    RecordingHost, ReplicaLedger, ShardEntry, ShardMap, StateUpdate, VrCheckpoint, VrDelta,
-    SHARD_MAP_MAGIC,
+    CoreMap, CoreTopology, FleetMsg, FlowRecord, FlowSection, HaMsg, Lvrm, LvrmConfig, LvrmStats,
+    ManualClock, RecordingHost, ReplicaLedger, ShardEntry, ShardMap, StateUpdate, VrCheckpoint,
+    VrDelta, SHARD_MAP_MAGIC,
 };
 use lvrm_net::flow::Protocol;
 use lvrm_net::{FlowKey, FrameBuilder};
@@ -79,7 +79,7 @@ fn arb_vr() -> impl Strategy<Value = VrCheckpoint> {
                 quarantined: q == 1,
                 pressure: p,
                 vri_slots: vs,
-                flows,
+                flows: FlowSection::from_records(&flows),
             }
         })
 }
@@ -114,8 +114,10 @@ fn arb_clean_checkpoint() -> impl Strategy<Value = Checkpoint> {
     arb_checkpoint().prop_map(|mut ck| {
         for (i, vr) in ck.vrs.iter_mut().enumerate() {
             vr.name = format!("vr{i}");
-            vr.flows.sort_by_key(|f| key_bytes(&f.key));
-            vr.flows.dedup_by_key(|f| key_bytes(&f.key));
+            let mut flows = vr.flows.to_vec();
+            flows.sort_by_key(|f| key_bytes(&f.key));
+            flows.dedup_by_key(|f| key_bytes(&f.key));
+            vr.flows = FlowSection::from_records(&flows);
         }
         ck
     })
@@ -141,14 +143,15 @@ fn mutate(ck: &Checkpoint, seed: u64) -> Checkpoint {
     for vr in &mut out.vrs {
         vr.frames_in = vr.frames_in.wrapping_add(next() % 5_000);
         vr.admitted = vr.admitted.wrapping_add(next() % 5_000);
-        if !vr.flows.is_empty() && next() % 2 == 0 {
-            let victim = (next() as usize) % vr.flows.len();
-            vr.flows.remove(victim);
+        let mut flows = vr.flows.to_vec();
+        if !flows.is_empty() && next() % 2 == 0 {
+            let victim = (next() as usize) % flows.len();
+            flows.remove(victim);
         }
-        if !vr.flows.is_empty() && next() % 2 == 0 {
-            let repin = (next() as usize) % vr.flows.len();
-            vr.flows[repin].slot = (next() % 8) as u32;
-            vr.flows[repin].last_seen_ns = next();
+        if !flows.is_empty() && next() % 2 == 0 {
+            let repin = (next() as usize) % flows.len();
+            flows[repin].slot = (next() % 8) as u32;
+            flows[repin].last_seen_ns = next();
         }
         let fresh = FlowRecord {
             key: lvrm_net::FlowKey {
@@ -161,9 +164,10 @@ fn mutate(ck: &Checkpoint, seed: u64) -> Checkpoint {
             slot: (next() % 8) as u32,
             last_seen_ns: next(),
         };
-        if !vr.flows.iter().any(|f| key_bytes(&f.key) == key_bytes(&fresh.key)) {
-            vr.flows.push(fresh);
+        if !flows.iter().any(|f| key_bytes(&f.key) == key_bytes(&fresh.key)) {
+            flows.push(fresh);
         }
+        vr.flows = FlowSection::from_records(&flows);
     }
     out
 }
@@ -178,7 +182,7 @@ fn model_diff(prev: &Checkpoint, next: &Checkpoint, seq: u64) -> CheckpointDelta
         .vrs
         .iter()
         .map(|nv| {
-            let old: HashMap<[u8; 13], &FlowRecord> = prev
+            let old: HashMap<[u8; 13], FlowRecord> = prev
                 .vrs
                 .iter()
                 .find(|v| v.name == nv.name)
@@ -191,10 +195,10 @@ fn model_diff(prev: &Checkpoint, next: &Checkpoint, seq: u64) -> CheckpointDelta
             let upserts = nv
                 .flows
                 .iter()
-                .filter(|f| old.get(&key_bytes(&f.key)).is_none_or(|o| *o != *f))
-                .copied()
+                .filter(|f| old.get(&key_bytes(&f.key)).is_none_or(|o| o != f))
                 .collect();
-            VrDelta { meta: VrCheckpoint { flows: Vec::new(), ..nv.clone() }, evictions, upserts }
+            let meta = VrCheckpoint { flows: FlowSection::default(), ..nv.clone() };
+            VrDelta { meta, evictions, upserts }
         })
         .collect();
     CheckpointDelta {
@@ -255,7 +259,7 @@ fn perturb(ck: &Checkpoint, seed: u64, shuffle: bool) -> Checkpoint {
     let mut out = mutate(ck, next());
     for vr in &mut out.vrs {
         let mut flows = Vec::new();
-        for f in vr.flows.drain(..) {
+        for f in vr.flows.iter() {
             match next() % 8 {
                 0 => continue,
                 1 => flows.push(FlowRecord { slot: f.slot + 1, ..f }),
@@ -264,13 +268,14 @@ fn perturb(ck: &Checkpoint, seed: u64, shuffle: bool) -> Checkpoint {
                 _ => flows.push(f),
             }
         }
-        vr.flows = flows;
+        vr.flows = FlowSection::from_records(&flows);
     }
     if !out.vrs.is_empty() && next() % 4 == 0 {
         out.vrs.remove(0);
     }
     if next() % 4 == 0 {
-        let flows = (0..next() % LONG_LIST).map(|_| fresh(&mut next)).collect();
+        let flows: Vec<FlowRecord> = (0..next() % LONG_LIST).map(|_| fresh(&mut next)).collect();
+        let flows = FlowSection::from_records(&flows);
         out.vrs.push(VrCheckpoint { name: "added".into(), flows, ..Default::default() });
     }
     if next() % 4 == 0 {
@@ -278,9 +283,11 @@ fn perturb(ck: &Checkpoint, seed: u64, shuffle: bool) -> Checkpoint {
     }
     if shuffle {
         for vr in &mut out.vrs {
-            for i in (1..vr.flows.len()).rev() {
-                vr.flows.swap(i, (next() % (i as u64 + 1)) as usize);
+            let mut flows = vr.flows.to_vec();
+            for i in (1..flows.len()).rev() {
+                flows.swap(i, (next() % (i as u64 + 1)) as usize);
             }
+            vr.flows = FlowSection::from_records(&flows);
         }
     }
     out
@@ -292,7 +299,8 @@ fn arb_long_checkpoint() -> impl Strategy<Value = Checkpoint> {
     (arb_clean_checkpoint(), any::<u64>()).prop_map(|(mut ck, seed)| {
         for (i, vr) in ck.vrs.iter_mut().enumerate() {
             let n = seed.rotate_left(i as u32 * 8) % LONG_LIST;
-            vr.flows.extend((0..n).map(|j| FlowRecord {
+            let mut flows = vr.flows.to_vec();
+            flows.extend((0..n).map(|j| FlowRecord {
                 key: FlowKey {
                     src: Ipv4Addr::from(0xE000_0000 | (j.wrapping_mul(seed | 1) as u32 >> 4)),
                     dst: Ipv4Addr::from(j as u32),
@@ -303,9 +311,10 @@ fn arb_long_checkpoint() -> impl Strategy<Value = Checkpoint> {
                 slot: (j % 4) as u32,
                 last_seen_ns: seed ^ j,
             }));
-            vr.flows.sort_by_key(|f| key_bytes(&f.key));
-            vr.flows.dedup_by_key(|f| key_bytes(&f.key));
-            vr.flows.sort_by_key(|f| f.key.hash64());
+            flows.sort_by_key(|f| key_bytes(&f.key));
+            flows.dedup_by_key(|f| key_bytes(&f.key));
+            flows.sort_by_key(|f| f.key.hash64());
+            vr.flows = FlowSection::from_records(&flows);
         }
         ck
     })

@@ -9,8 +9,8 @@ use std::net::Ipv4Addr;
 
 use lvrm_core::flowtable::FlowTable;
 use lvrm_core::{
-    AffinityMode, AllocatorKind, CoreId, CoreMap, CoreTopology, Lvrm, LvrmConfig, ManualClock,
-    RecordingHost, VriId,
+    AffinityMode, AllocatorKind, CoreId, CoreMap, CoreTopology, FlowRecord, FlowSection, Lvrm,
+    LvrmConfig, ManualClock, RecordingHost, VriId,
 };
 use lvrm_net::flow::{FlowKey, Protocol};
 use lvrm_net::{Frame, FrameBuilder};
@@ -96,8 +96,8 @@ proptest! {
     }
 }
 
-/// The slot order is wire format: `export_flows` walks `entries()`, so a
-/// checkpoint's bytes depend on which slot every record sits in. Replay one
+/// The slot order is wire format: `export` walks the slots `entries()`
+/// walks, so a checkpoint's bytes depend on which slot every record sits in. Replay one
 /// seeded life of a crowded table — hits, first-of-flow inserts, sweeps, a
 /// VRI purge — and compare what `entries()` yields, in order, against the
 /// digest the `Box<[Option<Entry>]>` table this layout replaced gave for
@@ -154,6 +154,100 @@ fn entries_order_is_pinned_for_a_seeded_life() {
         (stats.len, stats.evictions, stats.overflows, stats.age_sweep_slots, digest),
         (548, 14_895, 0, 66_627, 7_938_331_990_297_907_933),
     );
+}
+
+// ---------------------------------------------------------------------------
+// Differential export: slot words straight to wire records vs `entries()`.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 96 }))]
+
+    /// `FlowTable::export` writes a checkpoint's flow section from the slots'
+    /// packed words. The model goes the long way round, as the export did
+    /// before: every entry unpacked into a `FlowKey`, placed by a search of
+    /// the live VRIs, pushed as a `FlowRecord`. Over a seeded life of a
+    /// crowded table — first-of-flow inserts, hits, re-pins, sweeps, purges,
+    /// every protocol shape a key can take, `Other(6)` beside `Tcp` among
+    /// them — and for live sets that leave VRIs out, start above the lowest
+    /// id stored, or are empty, the two sections are the same bytes.
+    #[test]
+    fn export_writes_the_bytes_entries_would_record_by_record(
+        seed in any::<u64>(),
+        live in prop::collection::vec(0u32..9, 0..6),
+        offset in prop_oneof![Just(0u32), Just(0u32), Just(3u32), Just(1_000_000u32)],
+    ) {
+        fn shaped_key(n: u16) -> FlowKey {
+            FlowKey {
+                src: Ipv4Addr::new(10, (n >> 8) as u8, 1, n as u8),
+                dst: Ipv4Addr::new(192, 168, (n % 7) as u8, 255),
+                src_port: n.wrapping_mul(257),
+                dst_port: 0xff00 | n >> 4,
+                proto: match n % 6 {
+                    0 => Protocol::Tcp,
+                    1 => Protocol::Udp,
+                    2 => Protocol::Icmp,
+                    3 => Protocol::Other(6),
+                    4 => Protocol::Other(0),
+                    _ => Protocol::Other(n as u8 | 0x80),
+                },
+            }
+        }
+        // Slot = position in `live`, so the order is kept and a repeat dropped.
+        let mut vris: Vec<VriId> = Vec::new();
+        for id in live {
+            if !vris.contains(&VriId(id + offset)) {
+                vris.push(VriId(id + offset));
+            }
+        }
+        let mut rng = seed | 1;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut table = FlowTable::new(256, 4_000);
+        let mut now = 0u64;
+        let steps = if cfg!(miri) { 300 } else { 3_000 };
+        for step in 0..steps {
+            let r = next();
+            now += r >> 59;
+            match r % 32 {
+                0 => {
+                    table.age_step(now, (r >> 8) as usize % 96 + 1);
+                }
+                1 if r >> 8 & 7 == 0 => {
+                    table.purge_vri(VriId((r >> 16) as u32 % 6));
+                }
+                2 | 3 => {
+                    // Re-pin: wherever the flow is, it now belongs elsewhere.
+                    table.insert(shaped_key((r >> 8) as u16 % 300), VriId((r >> 32) as u32 % 6), now);
+                }
+                _ => {
+                    let k = shaped_key((r >> 8) as u16 % 300);
+                    if table.find_and_touch(&k, now).is_none() {
+                        table.insert(k, VriId((r >> 32) as u32 % 6), now);
+                    }
+                }
+            }
+            if step % 64 != 63 {
+                continue;
+            }
+            // Into a section that already holds a record: export appends.
+            let earlier = FlowRecord { key: shaped_key(3), slot: 7, last_seen_ns: u64::MAX };
+            let mut direct = FlowSection::from_records(&[earlier]);
+            table.export(&vris, &mut direct);
+            let mut model = FlowSection::from_records(&[earlier]);
+            for (key, vri, last_seen_ns) in table.entries() {
+                if let Some(slot) = vris.iter().position(|v| *v == vri) {
+                    model.push(FlowRecord { key, slot: slot as u32, last_seen_ns });
+                }
+            }
+            prop_assert_eq!(&direct, &model, "step {}, live {:?}", step, vris);
+            prop_assert_eq!(direct.len(), model.iter().count());
+        }
+        prop_assert!(table.stats().evictions > 0 || cfg!(miri), "the life evicted nothing");
+    }
 }
 
 // ---------------------------------------------------------------------------

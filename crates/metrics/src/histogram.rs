@@ -15,6 +15,29 @@ const OCTAVES: usize = 40;
 /// sides agree on the bucket layout.
 pub(crate) const NUM_BUCKETS: usize = SUB * OCTAVES;
 
+/// [`LatencyHistogram::percentile_ns`] over bucket counts wherever they lie:
+/// the registry's atomic histogram answers a scrape from its own buckets.
+pub(crate) fn percentile_of(
+    buckets: impl Iterator<Item = u64>,
+    count: u64,
+    min: u64,
+    max: u64,
+    q: f64,
+) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let target = ((q.clamp(0.0, 1.0)) * count as f64).ceil().max(1.0) as u64;
+    let mut seen = 0;
+    for (i, c) in buckets.enumerate() {
+        seen += c;
+        if seen >= target {
+            return LatencyHistogram::value_of(i).clamp(min, max);
+        }
+    }
+    max
+}
+
 /// Fixed-memory latency histogram over `u64` nanosecond samples.
 #[derive(Clone)]
 pub struct LatencyHistogram {
@@ -133,18 +156,7 @@ impl LatencyHistogram {
     /// (possible because a bucket spans many values) would be nonsense — in
     /// particular a single-sample histogram reports the sample exactly.
     pub fn percentile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0)) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Self::value_of(i).clamp(self.min, self.max);
-            }
-        }
-        self.max
+        percentile_of(self.buckets.iter().copied(), self.count, self.min, self.max, q)
     }
 
     /// Merge another histogram into this one (for multi-trial aggregation).

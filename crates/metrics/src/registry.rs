@@ -15,13 +15,12 @@
 //! are bare, histograms are exposed as summaries (fixed quantiles +
 //! `_sum`/`_count`) to keep scrape cardinality bounded.
 
-use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-use crate::histogram::{LatencyHistogram, NUM_BUCKETS};
+use crate::histogram::{percentile_of, LatencyHistogram, NUM_BUCKETS};
 
 /// Oldest events are evicted beyond this many (the log is a ring, not a
 /// database; the structured tick line is the durable record).
@@ -221,6 +220,49 @@ impl Handle {
             Handle::Summary(h) => SeriesValue::Summary(h.snapshot()),
         }
     }
+
+    /// What a scrape prints of the series. A summary is read where it lies:
+    /// [`Handle::read`] would copy all its buckets out (20 KB a series a
+    /// scrape) to print five numbers.
+    fn reading(&self) -> Reading {
+        match self {
+            Handle::Counter(c) => Reading::Counter(c.get()),
+            Handle::Gauge(g) => Reading::Gauge(g.get()),
+            Handle::Summary(h) => {
+                let b = &*h.0;
+                let count = b.count.load(Relaxed);
+                let min = if count == 0 { u64::MAX } else { b.min.load(Relaxed) };
+                let (max, sum) = (b.max.load(Relaxed), b.sum.load(Relaxed));
+                let buckets = || b.buckets.iter().map(|c| c.load(Relaxed));
+                let quantile = |(q, _)| percentile_of(buckets(), count, min, max, q);
+                Reading::Summary(QUANTILES.map(quantile), sum.into(), count)
+            }
+        }
+    }
+}
+
+/// The quantiles a summary prints, and how each is labelled.
+const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")];
+
+/// A series' value as its sample lines print it.
+enum Reading {
+    Counter(u64),
+    Gauge(f64),
+    /// One value per entry of [`QUANTILES`], the samples' sum, their count.
+    Summary([u64; QUANTILES.len()], u128, u64),
+}
+
+impl From<&SeriesValue> for Reading {
+    fn from(value: &SeriesValue) -> Reading {
+        match value {
+            SeriesValue::Counter(v) => Reading::Counter(*v),
+            SeriesValue::Gauge(v) => Reading::Gauge(*v),
+            SeriesValue::Summary(h) => {
+                let (_, count, sum, ..) = h.raw_parts();
+                Reading::Summary(QUANTILES.map(|(q, _)| h.percentile_ns(q)), sum, count)
+            }
+        }
+    }
 }
 
 struct Series {
@@ -368,7 +410,7 @@ impl MetricsRegistry {
         let inner = self.inner.lock().unwrap();
         let mut out = String::with_capacity(16 << 10);
         for f in &inner.families {
-            let series = f.series.iter().map(|s| (s.labels.as_slice(), s.handle.read()));
+            let series = f.series.iter().map(|s| (s.labels.as_slice(), s.handle.reading()));
             write_family(&mut out, &f.name, &f.help, f.kind, series);
         }
         out
@@ -479,7 +521,7 @@ impl MetricsSnapshot {
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(16 << 10);
         for f in &self.families {
-            let series = f.series.iter().map(|s| (s.labels.as_slice(), &s.value));
+            let series = f.series.iter().map(|s| (s.labels.as_slice(), Reading::from(&s.value)));
             write_family(&mut out, &f.name, &f.help, f.kind, series);
         }
         out
@@ -489,33 +531,35 @@ impl MetricsSnapshot {
 /// One family of the exposition: its `# HELP` and `# TYPE` lines, then every
 /// sample of every series, in the order given. The one writer behind both
 /// the registry's and a snapshot's rendering.
-fn write_family<'a, V: Borrow<SeriesValue>>(
+fn write_family<'a>(
     out: &mut String,
     name: &str,
     help: &str,
     kind: MetricKind,
-    series: impl Iterator<Item = (&'a [(String, String)], V)>,
+    series: impl Iterator<Item = (&'a [(String, String)], Reading)>,
 ) {
     let help = Escaped { text: help, quotes: false };
     // Writing into a `String` cannot fail.
     let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {}", kind.as_str());
     for (labels, value) in series {
         let sample = |suffix, quantile| Sample { name, suffix, labels, quantile };
-        let _ = match value.borrow() {
-            SeriesValue::Counter(v) => writeln!(out, "{} {v}", sample("", None)),
+        let _ = match value {
+            Reading::Counter(v) => writeln!(out, "{} {v}", sample("", None)),
             // Integral gauges render without a fractional part (Prometheus
             // accepts either; integral keeps golden files readable).
-            SeriesValue::Gauge(v) if v.fract() == 0.0 && v.abs() < 9.0e15 => {
-                writeln!(out, "{} {}", sample("", None), *v as i64)
+            Reading::Gauge(v) if v.fract() == 0.0 && v.abs() < 9.0e15 => {
+                writeln!(out, "{} {}", sample("", None), v as i64)
             }
-            SeriesValue::Gauge(v) => writeln!(out, "{} {v}", sample("", None)),
-            SeriesValue::Summary(h) => {
-                for (q, qs) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-                    let _ = writeln!(out, "{} {}", sample("", Some(qs)), h.percentile_ns(q));
+            Reading::Gauge(v) => writeln!(out, "{} {v}", sample("", None)),
+            Reading::Summary(quantiles, sum, count) => {
+                for ((_, label), ns) in QUANTILES.iter().zip(quantiles) {
+                    let _ = writeln!(out, "{} {ns}", sample("", Some(label)));
                 }
-                let sum = (h.mean_ns() * h.count() as f64).round() as u128;
+                // Printed as the mean times the count, as it always was.
+                let mean = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
+                let sum = (mean * count as f64).round() as u128;
                 let _ = writeln!(out, "{} {sum}", sample("_sum", None));
-                writeln!(out, "{} {}", sample("_count", None), h.count())
+                writeln!(out, "{} {count}", sample("_count", None))
             }
         };
     }

@@ -14,10 +14,17 @@
 //! monitor moves frames by value through its staging buckets and both queues
 //! (DESIGN.md §5, item 10).
 //!
+//! A block whose last handle drops stays with the thread that dropped it, a
+//! few ([`CACHE_BLOCKS`]) of one size at a time, for the frames it copies
+//! next — the paper's monitor takes frames from preallocated queue slots
+//! (§3.5), and a full-size frame's block is past what the allocator's own
+//! per-thread cache holds.
+//!
 //! All `unsafe` that touches the block lives in this module; nothing outside
 //! it can reach the pointer.
 
 use std::alloc::{self, Layout};
+use std::cell::RefCell;
 use std::ptr::NonNull;
 use std::sync::atomic::{fence, AtomicU32, Ordering};
 
@@ -34,48 +41,156 @@ struct Header {
 /// Offset of the first frame byte inside the block.
 const DATA: usize = std::mem::size_of::<Header>();
 
+/// Blocks a thread keeps at most.
+const CACHE_BLOCKS: usize = 32;
+
+/// The blocks a thread let go of last and has not reused: `blocks[..held]`,
+/// each `size` bytes (header included) from the global allocator and
+/// reachable from here alone. One size, so any of them fits the next frame of
+/// that size exactly and every byte of it is overwritten.
+struct Cache {
+    size: usize,
+    blocks: [*mut Header; CACHE_BLOCKS],
+    held: usize,
+}
+
+thread_local! {
+    static CACHE: RefCell<Cache> = const {
+        RefCell::new(Cache { size: 0, blocks: [std::ptr::null_mut(); CACHE_BLOCKS], held: 0 })
+    };
+}
+
+impl Cache {
+    /// Hand every block held back to the allocator.
+    fn release(&mut self) {
+        for block in &self.blocks[..self.held] {
+            // SAFETY: the cache owns the block, which came from `alloc` with
+            // this layout (`give` files blocks under their own size only).
+            unsafe { alloc::dealloc(block.cast::<u8>(), block_layout(self.size)) };
+        }
+        self.held = 0;
+    }
+}
+
+impl Drop for Cache {
+    /// The thread is exiting.
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+fn block_layout(size: usize) -> Layout {
+    Layout::from_size_align(size, std::mem::align_of::<Header>())
+        .expect("frame block size overflows isize")
+}
+
+/// A block of exactly `size` bytes this thread kept, if it has one. Out of
+/// line, like [`give`]: reached inline, the thread-local access would swell
+/// `Frame`'s drop glue in loops that never free a block (EXPERIMENTS.md,
+/// "Frames from a pool").
+#[inline(never)]
+fn take(size: usize) -> Option<NonNull<Header>> {
+    let taken = CACHE.try_with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if cache.size != size || cache.held == 0 {
+            return None;
+        }
+        cache.held -= 1;
+        NonNull::new(cache.blocks[cache.held])
+    });
+    // `Err`: the thread is past its destructors and keeps nothing any more.
+    taken.ok().flatten()
+}
+
+/// Keep a block whose last handle just dropped for this thread's next frame
+/// of its size, or free it when the cache is full (or gone). A block of
+/// another size than the ones held turns them out first: the cache follows
+/// the size the thread is freeing now.
+///
+/// Every loop that drops frames calls this, nearly never: the block is all it
+/// is passed, and it is `extern "C"` for what that says to the caller — it
+/// cannot unwind (a panic in here aborts, as one in `free` would). Declared
+/// as a Rust function it may, and every drop of a `Vec<Frame>` grows landing
+/// pads and drop guards around a call that was `free` before: 1–2 % of
+/// `flows1m`, which never frees a block (EXPERIMENTS.md, "Frames from a
+/// pool").
+///
+/// # Safety
+/// `block` is a [`FrameBuf`]'s block whose count has just reached zero.
+#[inline(never)]
+unsafe extern "C" fn give(block: NonNull<Header>) {
+    // Orders every other handle's reads (Release decrements) before the
+    // block is rewritten or freed.
+    fence(Ordering::Acquire);
+    // SAFETY: nobody else can reach the block; `len` was written when it was
+    // made, `DATA + len` bytes from `alloc`.
+    let size = DATA + unsafe { (*block.as_ptr()).len } as usize;
+    // A recycled block is overwritten whole before anyone reads it; a debug
+    // build makes a miss visible.
+    #[cfg(debug_assertions)]
+    // SAFETY: the block is `size` writable bytes nobody else can reach.
+    unsafe {
+        block.as_ptr().cast::<u8>().write_bytes(0xDD, size)
+    };
+    let kept = CACHE.try_with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if cache.size != size {
+            cache.release();
+            cache.size = size;
+        }
+        let held = cache.held;
+        if held < CACHE_BLOCKS {
+            cache.blocks[held] = block.as_ptr();
+            cache.held = held + 1;
+        }
+        held < CACHE_BLOCKS
+    });
+    if kept != Ok(true) {
+        // SAFETY: the block came from `alloc` with this layout, see above.
+        unsafe { alloc::dealloc(block.as_ptr().cast::<u8>(), block_layout(size)) };
+    }
+}
+
 /// Immutable-when-shared byte buffer: clones share the block, and
 /// [`FrameBuf::make_mut`] hands out `&mut [u8]` only to a sole owner.
 pub(crate) struct FrameBuf {
-    /// Start of a live block laid out as [`FrameBuf::layout`] says, obtained
-    /// from the global allocator and valid for the whole block (header and
-    /// bytes), until the last handle drops.
+    /// Start of a live block of `DATA + len` bytes laid out as [`block_layout`]
+    /// says, obtained from the global allocator (now, or in an earlier frame's
+    /// life) and valid for the whole block until the last handle drops.
     block: NonNull<Header>,
 }
 
 // SAFETY: the only field is a pointer to a block whose bytes are plain `u8`
 // and whose count is atomic. Handles on several threads only read the bytes;
 // `make_mut` writes them only after observing (Acquire) that no other handle
-// is left, and the block is freed by whichever thread drops the last one,
-// after an Acquire fence that orders every other handle's reads before it.
+// is left, and the block is freed or kept for reuse by whichever thread drops
+// the last one, after an Acquire fence that orders every other handle's reads
+// before it.
 unsafe impl Send for FrameBuf {}
 // SAFETY: `&FrameBuf` allows `as_slice` (shared reads) and `clone` (an atomic
 // increment); every write needs `&mut FrameBuf`.
 unsafe impl Sync for FrameBuf {}
 
 impl FrameBuf {
-    fn layout(len: usize) -> Layout {
-        let size = DATA.checked_add(len).expect("frame block size overflows usize");
-        Layout::from_size_align(size, std::mem::align_of::<Header>())
-            .expect("frame block size overflows isize")
-    }
-
-    /// A fresh block holding a copy of `bytes`: the one allocation a frame
-    /// costs.
+    /// A block holding a copy of `bytes`: one this thread kept, else the one
+    /// allocation a frame costs.
     pub(crate) fn copy_from_slice(bytes: &[u8]) -> FrameBuf {
         let len = u32::try_from(bytes.len()).expect("frame longer than u32::MAX bytes");
-        let layout = FrameBuf::layout(bytes.len());
-        // SAFETY: `layout` is never zero-sized — it includes the header.
-        let raw = unsafe { alloc::alloc(layout) };
-        let Some(block) = NonNull::new(raw.cast::<Header>()) else {
-            alloc::handle_alloc_error(layout)
-        };
-        // SAFETY: `raw` is a fresh allocation of `DATA + len` bytes aligned
-        // for `Header`, so the header write and the `len`-byte copy behind it
-        // are in bounds; `bytes` cannot overlap memory nobody else has yet.
+        let size = DATA.checked_add(bytes.len()).expect("frame block size overflows usize");
+        let block = take(size).unwrap_or_else(|| {
+            let layout = block_layout(size);
+            // SAFETY: `layout` is never zero-sized — it includes the header.
+            let raw = unsafe { alloc::alloc(layout) };
+            NonNull::new(raw.cast::<Header>()).unwrap_or_else(|| alloc::handle_alloc_error(layout))
+        });
+        // SAFETY: the block is `DATA + len` bytes aligned for `Header`, fresh
+        // from the allocator or out of the cache, which holds only blocks of
+        // the size asked for: the header write and the `len`-byte copy behind
+        // it are in bounds, and `bytes` cannot overlap memory nobody else has.
         unsafe {
             block.as_ptr().write(Header { refs: AtomicU32::new(1), len });
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), raw.add(DATA), bytes.len());
+            let data = block.as_ptr().cast::<u8>().add(DATA);
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), data, bytes.len());
         }
         FrameBuf { block }
     }
@@ -140,14 +255,11 @@ impl Clone for FrameBuf {
 impl Drop for FrameBuf {
     fn drop(&mut self) {
         // Release publishes this handle's reads to whoever frees or rewrites
-        // the block (the Acquire below, or the one in `make_mut`).
+        // the block (the Acquire in `give`, or the one in `make_mut`).
         if self.refs().fetch_sub(1, Ordering::Release) != 1 {
             return;
         }
-        fence(Ordering::Acquire);
-        let layout = FrameBuf::layout(self.len());
-        // SAFETY: the last handle is gone, so nobody can reach the block; it
-        // came from `alloc` with this same layout.
-        unsafe { alloc::dealloc(self.block.as_ptr().cast::<u8>(), layout) };
+        // SAFETY: that was the last handle.
+        unsafe { give(self.block) };
     }
 }

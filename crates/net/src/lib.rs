@@ -15,7 +15,6 @@
 //! * [`wire`] — on-the-wire arithmetic (preamble/IFG accounting, serialization
 //!   delay) matching the paper's definition of frame size (84 B minimum frame
 //!   *including* preamble, payload and check sequence, §4.1);
-//! * [`pool`] — an allocation-free frame buffer pool for the hot path;
 //! * [`trace`] — synthetic in-memory frame traces (the paper's "main memory"
 //!   socket-adapter variant, §3.1).
 
@@ -25,7 +24,6 @@ pub mod flow;
 pub mod frame;
 pub mod headers;
 pub mod pcap;
-pub mod pool;
 pub mod prefetch;
 pub mod trace;
 pub mod wire;
@@ -35,7 +33,6 @@ pub use flow::{FlowKey, HashedKey, IngressHeaders, Protocol};
 pub use frame::{Frame, FrameBuilder, FrameError};
 pub use headers::{EtherType, EthernetView, Ipv4View, MacAddr, TcpView, UdpView};
 pub use pcap::{read_pcap, write_pcap, PcapError};
-pub use pool::{FramePool, PooledBuf};
 pub use prefetch::prefetch_read;
 pub use trace::{Trace, TraceSpec};
 pub use wire::{serialization_ns, wire_bytes, GIGABIT, MAX_FRAME_WIRE, MIN_FRAME_WIRE};
