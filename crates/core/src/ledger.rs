@@ -308,8 +308,9 @@ pub struct VriBooks {
 }
 
 impl VriBooks {
-    /// Frames sitting in the data and egress queues. Wrapping, because a
-    /// Relaxed depth counter can read one below zero for an instant.
+    /// Frames sitting in the data and egress queues. Wrapping like every sum
+    /// on the ledger: its counters wrap by design, and books read from a
+    /// snapshot must fail an identity on hostile numbers, not overflow.
     pub fn queued(&self) -> u64 {
         self.data_queued.wrapping_add(self.egress_queued)
     }

@@ -530,7 +530,7 @@ impl<C: Clock> Lvrm<C> {
                 &[
                     ("balancer", config.build_balancer().name()),
                     ("allocator", config.allocator.name()),
-                    ("queue", config.queue_kind.name()),
+                    ("queue", config.queue_kind.as_str()),
                 ],
             )
             .set(1.0);
@@ -1881,9 +1881,9 @@ impl<C: Clock> Lvrm<C> {
     ///
     /// Queue depths are read downstream first — egress, then data, then the
     /// ring — so a frame a VRI thread moves along mid-read is counted once
-    /// or not at all (it shows as `unreturned`), never twice. The sums wrap
-    /// because FastForward's depth is a Relaxed counter that can read one
-    /// below zero for an instant.
+    /// or not at all (it shows as `unreturned`), never twice. Each depth is
+    /// computed from its queue's indices and bounded by capacity; the sums
+    /// wrap only because the ledger's counters wrap by design.
     fn vri_books(&self) -> VriBooks {
         let mut b = VriBooks {
             dispatched: self.stats.retired_dispatched.get(),

@@ -6,8 +6,8 @@
 //! monitor, everything the monitor emits is either on the wire, parked in
 //! the retry queue, or visibly counted in `tx_drops`.
 //!
-//! Set `LVRM_CHAOS_QUEUE` to one of `lamport` / `fastforward` / `mutex` / `vlink` to
-//! restrict the sweep (the CI matrix does this); unset runs all three.
+//! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep;
+//! unset (as CI runs it) runs both.
 
 use std::net::Ipv4Addr;
 

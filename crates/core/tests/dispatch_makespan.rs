@@ -11,8 +11,8 @@
 //! work-stealing claim. Everything runs on the manual clock, so the step
 //! counts are exact on any machine.
 //!
-//! Set `LVRM_CHAOS_QUEUE` to one of `lamport` / `fastforward` / `mutex` /
-//! `vlink` to restrict the sweep; unset runs all.
+//! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep;
+//! unset runs both.
 
 use std::net::Ipv4Addr;
 

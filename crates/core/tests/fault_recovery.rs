@@ -4,8 +4,8 @@
 //! loss, recovery within one supervisor tick, and exact stat conservation
 //! under every `QueueKind`.
 //!
-//! Set `LVRM_CHAOS_QUEUE` to one of `lamport` / `fastforward` / `mutex` / `vlink` to
-//! restrict the sweep (the CI matrix does this); unset runs all four.
+//! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep (CI's
+//! miri leg pins `lamport`); unset runs both.
 //!
 //! Checked throughout, after every queue has been drained: the monitor's
 //! ledger settles (`Ledger::check_settled`, DESIGN.md §9) — global

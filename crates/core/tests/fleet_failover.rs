@@ -8,8 +8,8 @@
 //! yield two shards accepting the same VR, and a shard that loses
 //! directory quorum must keep serving what it owns but never take over.
 //!
-//! Set `LVRM_CHAOS_QUEUE` to one of `lamport` / `fastforward` / `mutex` /
-//! `vlink` to restrict the sweep (the CI matrix does this); unset runs all.
+//! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep;
+//! unset (as CI runs it) runs both.
 
 use std::net::Ipv4Addr;
 

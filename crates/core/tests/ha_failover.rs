@@ -5,8 +5,8 @@
 //! conservation identities exact. A seeded advert-loss/partition storm must
 //! never yield two monitors accepting frames at once.
 //!
-//! Set `LVRM_CHAOS_QUEUE` to one of `lamport` / `fastforward` / `mutex` /
-//! `vlink` to restrict the sweep (the CI matrix does this); unset runs all.
+//! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep;
+//! unset (as CI runs it) runs both.
 
 use std::net::Ipv4Addr;
 

@@ -13,8 +13,8 @@
 //! Rescued egress is excluded by design (counted in `frames_out` at rescue
 //! time, mirrored by the `lvrm_rescued_pending` gauge).
 //!
-//! Set `LVRM_CHAOS_QUEUE` to one of `lamport` / `fastforward` / `mutex` / `vlink` to
-//! restrict the sweep (the CI matrix does this); unset runs all three.
+//! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep;
+//! unset (as CI runs it) runs both.
 
 use std::net::Ipv4Addr;
 

@@ -6,8 +6,8 @@
 //! ledger settles (`Ledger::check_settled`, DESIGN.md §9).
 //!
 //! The `overload_soak` storm (release CI soak leg; `-- --ignored`) sweeps
-//! every `QueueKind` — set `LVRM_CHAOS_QUEUE` to one of `lamport` /
-//! `fastforward` / `mutex` to restrict it, as the CI matrix does.
+//! every `QueueKind` — set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to
+//! restrict it, as the CI soak matrix does.
 
 use std::net::Ipv4Addr;
 

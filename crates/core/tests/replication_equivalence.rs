@@ -14,7 +14,7 @@
 //!     replicating [`RecordingHost`], compared against a pinned single-VRI
 //!     monitor fed the identical frame sequence.
 //!  3. `storm_*` — randomized `FaultPlan` chaos across every `QueueKind`
-//!     (honouring `LVRM_CHAOS_QUEUE` like the rest of the chaos matrix):
+//!     (honouring `LVRM_CHAOS_QUEUE` like the other chaos suites):
 //!     identity (E) must hold on every snapshot, and no replica book may
 //!     ever exceed the injected ground truth (folding is never-twice even
 //!     when batches are replayed, reordered, or half-lost).

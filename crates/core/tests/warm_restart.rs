@@ -5,8 +5,8 @@
 //! the fold charges them to `crash_lost`/`queue_lost`, so the restored
 //! books balance to the frame.
 //!
-//! Set `LVRM_CHAOS_QUEUE` to one of `lamport` / `fastforward` / `mutex` / `vlink` to
-//! restrict the sweep (the CI matrix does this); unset runs all three.
+//! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep (the
+//! CI soak matrix does this for the `--ignored` soak); unset runs both.
 
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
@@ -146,7 +146,7 @@ fn assert_identities(lvrm: &Lvrm<ManualClock>, ctx: &str) {
 #[test]
 fn restart_preserves_affinity_and_all_identities() {
     for kind in queue_kinds() {
-        let path = temp_path(&format!("affinity-{}.ck", kind.name()));
+        let path = temp_path(&format!("affinity-{kind}.ck"));
         let mut out = Vec::new();
 
         // --- first life -------------------------------------------------
@@ -232,7 +232,7 @@ fn restart_preserves_affinity_and_all_identities() {
 #[test]
 fn mid_flight_frames_are_charged_to_the_restart() {
     for kind in queue_kinds() {
-        let path = temp_path(&format!("midflight-{}.ck", kind.name()));
+        let path = temp_path(&format!("midflight-{kind}.ck"));
         let mut out = Vec::new();
 
         let clock_a = ManualClock::new();
@@ -339,7 +339,7 @@ fn periodic_checkpoints_ride_the_lazy_tick() {
 fn chained_restarts_soak() {
     for kind in queue_kinds() {
         for &seed in &[7u64, 42, 1337] {
-            let path = temp_path(&format!("soak-{}-{seed}.ck", kind.name()));
+            let path = temp_path(&format!("soak-{kind}-{seed}.ck"));
             let mut out = Vec::new();
             let mut rng = seed | 1;
             let mut xorshift = move || {

@@ -265,12 +265,14 @@ mod tests {
 
     #[test]
     fn explicit_detach_survives_a_kept_endpoint() {
-        let (mut lvrm, mut vri) = vri_channels::<u64>(QueueKind::Mutex, 8, 4);
-        lvrm.data_tx.try_send(7).unwrap();
-        vri.detach();
-        assert!(!lvrm.endpoint_attached());
-        // The endpoint object is still usable for reaping in-flight frames.
-        assert!(matches!(vri.next_work(), Some(Work::Data(7))));
+        for kind in QueueKind::ALL {
+            let (mut lvrm, mut vri) = vri_channels::<u64>(kind, 8, 4);
+            lvrm.data_tx.try_send(7).unwrap();
+            vri.detach();
+            assert!(!lvrm.endpoint_attached());
+            // The endpoint object is still usable for reaping in-flight frames.
+            assert!(matches!(vri.next_work(), Some(Work::Data(7))), "{kind}");
+        }
     }
 
     #[test]
@@ -286,10 +288,12 @@ mod tests {
 
     #[test]
     fn control_events_flow_upstream() {
-        let (mut lvrm, mut vri) = vri_channels::<u64>(QueueKind::FastForward, 8, 4);
-        vri.ctrl_tx.try_send(ControlEvent::new(3, 0, b"sync".to_vec())).unwrap();
-        let ev = lvrm.ctrl_rx.try_recv().unwrap();
-        assert_eq!(ev.src_vri, 3);
-        assert_eq!(ev.payload, b"sync");
+        for kind in QueueKind::ALL {
+            let (mut lvrm, mut vri) = vri_channels::<u64>(kind, 8, 4);
+            vri.ctrl_tx.try_send(ControlEvent::new(3, 0, b"sync".to_vec())).unwrap();
+            let ev = lvrm.ctrl_rx.try_recv().unwrap();
+            assert_eq!(ev.src_vri, 3, "{kind}");
+            assert_eq!(ev.payload, b"sync", "{kind}");
+        }
     }
 }

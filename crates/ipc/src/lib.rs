@@ -3,17 +3,15 @@
 //! LVRM and each VRI exchange frames and control events through bounded FIFO
 //! queues placed in shared memory. The paper stresses that IPC must be cheap:
 //! its prototype uses **lock-free synchronization** after Lamport's proof that
-//! a single-producer/single-consumer ring buffer is correct without locks,
-//! and cites FastForward-style cache-optimized variants as drop-in upgrades.
+//! a single-producer/single-consumer ring buffer is correct without locks.
 //!
-//! This crate ships three interchangeable SPSC queue implementations:
+//! This crate ships two interchangeable queue implementations:
 //!
-//! * [`LamportQueue`] — the classic ring with shared head/tail indices,
-//!   published with Acquire/Release atomics (the paper's default, \[23\]);
-//! * [`FastForwardQueue`] — a slot-flag ring in which producer and consumer
-//!   never share an index cache line (the paper's cited upgrade \[17\]);
-//! * [`MutexQueue`] — a lock-based baseline used by the ablation benches to
-//!   justify the lock-free choice.
+//! * [`LamportQueue`] — the classic SPSC ring with shared head/tail indices,
+//!   published with Acquire/Release atomics (the paper's queue, \[23\]);
+//! * [`VLinkQueue`] — a Virtual-Link-style bounded MPMC ring, which in
+//!   point-to-point positions behaves like the SPSC ring and under
+//!   `lvrm-core` also backs the per-VR shared ingress ring VRIs steal from.
 //!
 //! Endpoints are **typed**: a queue splits into a [`Sender`] and a
 //! [`Receiver`], each `Send` but deliberately not `Clone`/`Sync`, so the
@@ -28,15 +26,11 @@
 //! any control event available in its incoming control queue").
 
 pub mod channels;
-pub mod fastforward;
 pub mod lamport;
-pub mod mutexq;
 pub mod vlink;
 
 pub use channels::{duplex, Attachment, ControlEvent, VriChannels, VriEndpoint};
-pub use fastforward::FastForwardQueue;
 pub use lamport::LamportQueue;
-pub use mutexq::MutexQueue;
 pub use vlink::{VLinkQueue, VLinkReceiver, VLinkSender};
 
 /// Which queue implementation to instantiate (extensibility dimension §3.5).
@@ -45,12 +39,8 @@ pub enum QueueKind {
     /// Lamport's lock-free SPSC ring (the paper's default).
     #[default]
     Lamport,
-    /// FastForward-style slot-flag ring (cache-optimized variant).
-    FastForward,
-    /// Lock-based baseline.
-    Mutex,
     /// Virtual-Link-style bounded MPMC ring. In point-to-point positions it
-    /// behaves like the SPSC rings; under `lvrm-core` it additionally enables
+    /// behaves like the SPSC ring; under `lvrm-core` it additionally enables
     /// the shared per-VR ingress ring that VRIs steal bursts from.
     VLink,
 }
@@ -73,9 +63,8 @@ impl std::fmt::Display for UnknownQueueKind {
 impl std::error::Error for UnknownQueueKind {}
 
 impl QueueKind {
-    /// All variants, for sweeps and ablations.
-    pub const ALL: [QueueKind; 4] =
-        [QueueKind::Lamport, QueueKind::FastForward, QueueKind::Mutex, QueueKind::VLink];
+    /// All variants, for the suites that sweep every kind.
+    pub const ALL: [QueueKind; 2] = [QueueKind::Lamport, QueueKind::VLink];
 
     /// Canonical name: the single source of truth for every flag, config
     /// directive, env filter, and bench label. [`QueueKind::from_str`] is the
@@ -83,15 +72,8 @@ impl QueueKind {
     pub fn as_str(self) -> &'static str {
         match self {
             QueueKind::Lamport => "lamport",
-            QueueKind::FastForward => "fastforward",
-            QueueKind::Mutex => "mutex",
             QueueKind::VLink => "vlink",
         }
-    }
-
-    /// Human-readable name used in bench output (alias of [`Self::as_str`]).
-    pub fn name(self) -> &'static str {
-        self.as_str()
     }
 }
 
@@ -194,16 +176,12 @@ pub struct Full<T>(pub T);
 /// `&mut self` on [`Sender::try_send`] enforces single-producer use.
 pub enum Sender<T> {
     Lamport(lamport::LamportSender<T>),
-    FastForward(fastforward::FfSender<T>),
-    Mutex(mutexq::MutexSender<T>),
     VLink(vlink::VLinkSender<T>),
 }
 
 /// Receiving endpoint of an SPSC queue.
 pub enum Receiver<T> {
     Lamport(lamport::LamportReceiver<T>),
-    FastForward(fastforward::FfReceiver<T>),
-    Mutex(mutexq::MutexReceiver<T>),
     VLink(vlink::VLinkReceiver<T>),
 }
 
@@ -213,8 +191,6 @@ impl<T: Send> Sender<T> {
     pub fn try_send(&mut self, item: T) -> Result<(), Full<T>> {
         match self {
             Sender::Lamport(s) => s.try_send(item),
-            Sender::FastForward(s) => s.try_send(item),
-            Sender::Mutex(s) => s.try_send(item),
             Sender::VLink(s) => s.try_send(item),
         }
     }
@@ -222,15 +198,12 @@ impl<T: Send> Sender<T> {
     /// Enqueue up to `items.len()` items in one burst, draining the accepted
     /// prefix from `items`. Returns how many were accepted (possibly 0).
     ///
-    /// For the lock-free rings this publishes the producer index (Lamport) or
-    /// adjusts the occupancy counter (FastForward) **once per burst** instead
-    /// of once per item; for the mutex baseline it takes the lock once.
+    /// Lamport publishes its producer index and VLink claims its slots **once
+    /// per burst** instead of once per item.
     #[inline]
     pub fn try_send_batch(&mut self, items: &mut Vec<T>) -> usize {
         match self {
             Sender::Lamport(s) => s.try_send_batch(items),
-            Sender::FastForward(s) => s.try_send_batch(items),
-            Sender::Mutex(s) => s.try_send_batch(items),
             Sender::VLink(s) => s.try_send_batch(items),
         }
     }
@@ -238,14 +211,11 @@ impl<T: Send> Sender<T> {
     /// Current number of queued items, as observable from the producer side.
     ///
     /// The VRI adapter's queue-length load estimator (paper §3.4) reads this
-    /// on every dispatch. For [`FastForwardQueue`] the value is a lower-bound
-    /// estimate maintained without touching consumer state.
+    /// on every dispatch.
     #[inline]
     pub fn len(&self) -> usize {
         match self {
             Sender::Lamport(s) => s.len(),
-            Sender::FastForward(s) => s.len(),
-            Sender::Mutex(s) => s.len(),
             Sender::VLink(s) => s.len(),
         }
     }
@@ -260,8 +230,6 @@ impl<T: Send> Sender<T> {
     pub fn capacity(&self) -> usize {
         match self {
             Sender::Lamport(s) => s.capacity(),
-            Sender::FastForward(s) => s.capacity(),
-            Sender::Mutex(s) => s.capacity(),
             Sender::VLink(s) => s.capacity(),
         }
     }
@@ -285,21 +253,18 @@ impl<T: Send> Receiver<T> {
     pub fn try_recv(&mut self) -> Option<T> {
         match self {
             Receiver::Lamport(r) => r.try_recv(),
-            Receiver::FastForward(r) => r.try_recv(),
-            Receiver::Mutex(r) => r.try_recv(),
             Receiver::VLink(r) => r.try_recv(),
         }
     }
 
     /// Dequeue up to `max` items in one burst, appending them to `out`.
-    /// Returns how many were received (possibly 0). Index/counter publication
-    /// is amortized over the burst, mirroring [`Sender::try_send_batch`].
+    /// Returns how many were received (possibly 0). Index publication (or
+    /// the claim) is amortized over the burst, mirroring
+    /// [`Sender::try_send_batch`].
     #[inline]
     pub fn try_recv_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         match self {
             Receiver::Lamport(r) => r.try_recv_batch(out, max),
-            Receiver::FastForward(r) => r.try_recv_batch(out, max),
-            Receiver::Mutex(r) => r.try_recv_batch(out, max),
             Receiver::VLink(r) => r.try_recv_batch(out, max),
         }
     }
@@ -309,8 +274,6 @@ impl<T: Send> Receiver<T> {
     pub fn len(&self) -> usize {
         match self {
             Receiver::Lamport(r) => r.len(),
-            Receiver::FastForward(r) => r.len(),
-            Receiver::Mutex(r) => r.len(),
             Receiver::VLink(r) => r.len(),
         }
     }
@@ -327,14 +290,6 @@ pub fn queue<T: Send>(kind: QueueKind, capacity: usize) -> (Sender<T>, Receiver<
         QueueKind::Lamport => {
             let (s, r) = lamport::LamportQueue::with_capacity(capacity);
             (Sender::Lamport(s), Receiver::Lamport(r))
-        }
-        QueueKind::FastForward => {
-            let (s, r) = fastforward::FastForwardQueue::with_capacity(capacity);
-            (Sender::FastForward(s), Receiver::FastForward(r))
-        }
-        QueueKind::Mutex => {
-            let (s, r) = mutexq::MutexQueue::with_capacity(capacity);
-            (Sender::Mutex(s), Receiver::Mutex(r))
         }
         QueueKind::VLink => {
             let (s, r) = vlink::VLinkQueue::with_capacity(capacity);
@@ -369,7 +324,7 @@ mod tests {
             tx.try_send(2).unwrap();
             match tx.try_send(3) {
                 Err(Full(v)) => assert_eq!(v, 3),
-                Ok(()) => panic!("{:?} accepted item beyond capacity", kind.name()),
+                Ok(()) => panic!("{kind} accepted item beyond capacity"),
             }
         }
     }
@@ -378,7 +333,7 @@ mod tests {
     fn capacity_reported() {
         for kind in QueueKind::ALL {
             let (tx, _rx) = queue::<u32>(kind, 8);
-            assert!(tx.capacity() >= 8, "{}", kind.name());
+            assert!(tx.capacity() >= 8, "{kind}");
         }
     }
 
@@ -387,14 +342,14 @@ mod tests {
         for kind in QueueKind::ALL {
             let (mut tx, mut rx) = queue::<u32>(kind, 4);
             let mut items: Vec<u32> = (0..6).collect();
-            assert_eq!(tx.try_send_batch(&mut items), 4, "{}", kind.name());
-            assert_eq!(items, vec![4, 5], "{}", kind.name());
+            assert_eq!(tx.try_send_batch(&mut items), 4, "{kind}");
+            assert_eq!(items, vec![4, 5], "{kind}");
             let mut out = Vec::new();
-            assert_eq!(rx.try_recv_batch(&mut out, 10), 4, "{}", kind.name());
-            assert_eq!(out, vec![0, 1, 2, 3], "{}", kind.name());
-            assert_eq!(tx.try_send_batch(&mut items), 2, "{}", kind.name());
-            assert_eq!(rx.try_recv_batch(&mut out, 1), 1, "{}", kind.name());
-            assert_eq!(out.last(), Some(&4), "{}", kind.name());
+            assert_eq!(rx.try_recv_batch(&mut out, 10), 4, "{kind}");
+            assert_eq!(out, vec![0, 1, 2, 3], "{kind}");
+            assert_eq!(tx.try_send_batch(&mut items), 2, "{kind}");
+            assert_eq!(rx.try_recv_batch(&mut out, 1), 1, "{kind}");
+            assert_eq!(out.last(), Some(&4), "{kind}");
         }
     }
 
@@ -426,18 +381,19 @@ mod tests {
         let wm = Watermarks::new(0.25, 0.75);
         for kind in QueueKind::ALL {
             let (mut tx, _rx) = queue::<u32>(kind, 4);
-            assert_eq!(tx.pressure(&wm), PressureLevel::Normal, "{}", kind.name());
+            assert_eq!(tx.pressure(&wm), PressureLevel::Normal, "{kind}");
             for i in 0..4 {
                 tx.try_send(i).unwrap();
             }
-            assert!(tx.occupancy() >= 0.9, "{}", kind.name());
-            assert_eq!(tx.pressure(&wm), PressureLevel::Overloaded, "{}", kind.name());
+            assert!(tx.occupancy() >= 0.9, "{kind}");
+            assert_eq!(tx.pressure(&wm), PressureLevel::Overloaded, "{kind}");
         }
     }
 
     #[test]
     fn kind_names_are_distinct() {
-        let names: std::collections::HashSet<_> = QueueKind::ALL.iter().map(|k| k.name()).collect();
+        let names: std::collections::HashSet<_> =
+            QueueKind::ALL.iter().map(|k| k.as_str()).collect();
         assert_eq!(names.len(), QueueKind::ALL.len());
     }
 

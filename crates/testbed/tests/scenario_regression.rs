@@ -13,9 +13,9 @@
 //! * the PR 3 early-shedding path actually engaged (`shed_early > 0`) —
 //!   a scenario that never sheds would pass the identities vacuously.
 //!
-//! Parameterized over every `QueueKind` (including `vlink`); set
-//! `LVRM_CHAOS_QUEUE` to one of `lamport` / `fastforward` / `mutex` /
-//! `vlink` to pin a single kind (the CI matrix does exactly that).
+//! Parameterized over every `QueueKind`; set `LVRM_CHAOS_QUEUE` to `lamport`
+//! or `vlink` to pin a single kind (the CI soak legs do exactly that for
+//! the `--ignored` census).
 
 use lvrm_ipc::QueueKind;
 use lvrm_testbed::scenarios::{flash_crowd, million_flows, syn_flood};

@@ -54,7 +54,7 @@
 //! flow-based on | off
 //! dispatch   pinned | replicated   # replicated: any-VRI dispatch + LVSU state replication (DESIGN.md §14)
 //! allocator  fixed <cores> | dynamic <fps-per-core> | service-rate <bootstrap-fps>
-//! queue      lamport | fastforward | mutex | vlink
+//! queue      lamport | vlink
 //! ring-capacity <n>      # shared-ring frames under vlink (0 = auto 4x data queue)
 //! batch-size <n>         # frames per ingress/dispatch burst (1 = per-frame)
 //! supervision on | off   # respawn crashed/stalled VRIs (off by default)
@@ -795,7 +795,7 @@ mod tests {
              balancer rr\n\
              flow-based on\n\
              allocator dynamic 60000\n\
-             queue fastforward\n\
+             queue vlink\n\
              batch-size 32\n\
              vr cs   10.0.1.0/24 10.0.2.0/24\n\
              vr math 10.9.1.0/24 10.9.2.0/24\n",
@@ -803,7 +803,7 @@ mod tests {
         .unwrap();
         assert_eq!(c.lvrm.balancer, BalancerKind::RoundRobin);
         assert!(c.lvrm.flow_based);
-        assert_eq!(c.lvrm.queue_kind, QueueKind::FastForward);
+        assert_eq!(c.lvrm.queue_kind, QueueKind::VLink);
         assert_eq!(c.lvrm.batch_size, 32);
         assert!(
             matches!(c.lvrm.allocator, AllocatorKind::DynamicFixed { per_core_rate } if per_core_rate == 60_000.0)
@@ -837,6 +837,10 @@ mod tests {
         assert!(parse_config("supervision maybe\n").is_err());
         assert!(parse_config("fault melt 100 0\n").is_err());
         assert!(parse_config("fault crash soon 0\n").is_err());
+        for gone in ["fastforward", "mutex"] {
+            let e = parse_config(&format!("balancer jsq\nqueue {gone}\n")).unwrap_err();
+            assert!(e.contains("line 2") && e.contains("(expected one of lamport vlink)"), "{e}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! The workspace splits into focused crates, all re-exported here:
 //!
 //! * [`net`] — frames, headers, flows, wire-time arithmetic;
-//! * [`ipc`] — lock-free SPSC queues (Lamport, FastForward-style, mutex
-//!   baseline) and the per-VRI data/control channel bundles;
+//! * [`ipc`] — lock-free queues (Lamport's SPSC ring, a Virtual-Link-style
+//!   MPMC ring) and the per-VRI data/control channel bundles;
 //! * [`metrics`] — EWMA estimators, fairness indexes, latency histograms;
 //! * [`router`] — LPM route tables, map files, the `FastVr` ("C++ VR");
 //! * [`click`] — a miniature Click modular router (the "Click VR");
