@@ -13,10 +13,13 @@
 //! operations take a [`HashedKey`], so burst ingress hashes a frame once,
 //! [prefetches](FlowTable::prefetch) the slot's line, and probes it later.
 //!
-//! A slot is four packed words and slot 0 sits on the first 64-byte boundary
-//! of the allocation, so no slot crosses a cache line wherever the allocator
-//! put the table; a zeroed slot is an empty one, so a table's pages are
-//! faulted in as flows arrive, not when it is built.
+//! A slot is four packed words, and a table's slots are a private anonymous
+//! mapping of their own: slot 0 starts a page, so no slot crosses a cache
+//! line, and the kernel zeroes each page when it is first touched. A zeroed
+//! slot is an empty one, so a table's pages are faulted in as flows arrive,
+//! not when it is built. A table that spans a 2-MiB page starts on a 2-MiB
+//! boundary and asks for 2-MiB pages, so a probe into a table far beyond the
+//! caches costs its miss and seldom a page walk besides.
 //!
 //! At million-flow scale, lazy probe-time reclamation alone lets dead flows
 //! silt the table up: an expired entry is only noticed when a probe happens
@@ -28,6 +31,11 @@
 //! matter how large the table is; a full sweep completes across
 //! `capacity / budget` consecutive ticks, and a block of slots in which
 //! nothing can have expired (`FlowTable::oldest`) is crossed without a read.
+
+use std::alloc::{handle_alloc_error, Layout};
+use std::ffi::{c_int, c_long, c_void};
+use std::ops::{Deref, DerefMut};
+use std::ptr::{self, NonNull};
 
 use lvrm_net::flow::Protocol;
 use lvrm_net::{prefetch_read, FlowKey, HashedKey};
@@ -42,6 +50,114 @@ const SLOT_WORDS: usize = 4;
 const OCCUPIED: u64 = 1 << 63;
 /// Slots sharing one entry of `FlowTable::oldest`.
 const BLOCK: usize = 64;
+/// A transparent huge page. A table at least this large starts on a
+/// multiple of it and asks for such pages.
+const HUGE_PAGE: usize = 2 << 20;
+
+// Linux/glibc values.
+const PROT_READ: c_int = 1;
+const PROT_WRITE: c_int = 2;
+const MAP_PRIVATE: c_int = 2;
+const MAP_ANONYMOUS: c_int = 0x20;
+const MADV_HUGEPAGE: c_int = 14;
+
+extern "C" {
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        offset: c_long,
+    ) -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+}
+
+/// A table's slot words, in a private anonymous mapping that is exactly the
+/// table: zeroed by the kernel a page at a time as it is first touched, and
+/// on 2-MiB pages once it spans one. A smaller table stays on 4-KiB pages: a
+/// huge page it half used would be up to 2 MiB resident for nothing.
+struct Slots {
+    ptr: NonNull<u64>,
+    words: usize,
+}
+
+impl Slots {
+    fn zeroed(words: usize) -> Slots {
+        let layout = Layout::array::<u64>(words).expect("flow table size overflows");
+        let len = layout.size();
+        // Slack to find a 2-MiB boundary in. `len` is a power of two, so a
+        // table that spans a huge page ends on a boundary too.
+        let slack = if len >= HUGE_PAGE { HUGE_PAGE } else { 0 };
+        // SAFETY: a new mapping with no address hint and no file: it
+        // overlaps nothing, and nothing else refers to it.
+        let raw = unsafe {
+            mmap(
+                ptr::null_mut(),
+                len + slack,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if raw.addr() == usize::MAX {
+            handle_alloc_error(layout); // MAP_FAILED
+        }
+        let mut table = raw.cast::<u8>();
+        if slack > 0 {
+            let head = raw.addr().wrapping_neg() % HUGE_PAGE;
+            // SAFETY: `head < slack`, so the table `[raw + head, + len)` lies
+            // in the mapping, and the head before it and the tail after it are
+            // pieces of the mapping that nothing has touched or refers to.
+            // `madvise` is advice: with huge pages off the table stays on
+            // 4-KiB pages, so its answer is not read.
+            unsafe {
+                table = table.add(head);
+                if head > 0 {
+                    munmap(raw, head);
+                }
+                munmap(table.add(len).cast(), slack - head);
+                madvise(table.cast(), len, MADV_HUGEPAGE);
+            }
+        }
+        Slots { ptr: NonNull::new(table.cast()).expect("a mapping is never at 0"), words }
+    }
+}
+
+impl Deref for Slots {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        // SAFETY: `ptr` is `words` words of mapped, readable memory, zero or
+        // written by `deref_mut`, owned by `self` until `drop` unmaps it.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.words) }
+    }
+}
+
+impl DerefMut for Slots {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        // SAFETY: as in `deref`; `&mut self` makes this the only reference.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.words) }
+    }
+}
+
+impl Drop for Slots {
+    fn drop(&mut self) {
+        // SAFETY: the mapping is exactly `words` words from `ptr` (the
+        // kernel rounds the length up to the page it ends in), and no slice
+        // of it outlives `self`.
+        unsafe { munmap(self.ptr.as_ptr().cast(), self.words * size_of::<u64>()) };
+    }
+}
+
+// SAFETY: `Slots` owns its mapping as a `Box<[u64]>` owns its allocation:
+// no other pointer to it exists, so the thread holding `Slots` is the only
+// one that can reach the words.
+unsafe impl Send for Slots {}
+// SAFETY: a shared `&Slots` gives out only `&[u64]`, read-only plain words.
+unsafe impl Sync for Slots {}
 
 /// A key as its slot stores it. Lossless: `Other(6)` stays distinct from
 /// `Tcp`, as `FlowKey`'s equality has it.
@@ -100,10 +216,8 @@ impl FlowTableStats {
 
 /// Fixed-capacity connection-tracking table.
 pub struct FlowTable {
-    /// The slots, from `words[base]` on. Zeroed, never resized.
-    words: Vec<u64>,
-    /// Index of slot 0's first word: the first line boundary in `words`.
-    base: usize,
+    /// The slots, slot `i` at `words[4·i..]`. Never resized.
+    words: Slots,
     mask: usize,
     timeout_ns: u64,
     len: usize,
@@ -134,14 +248,8 @@ impl FlowTable {
     /// flows (TCP flows silent that long have effectively closed).
     pub fn new(capacity: usize, timeout_ns: u64) -> FlowTable {
         let cap = capacity.max(16).next_power_of_two();
-        // Seven words of slack let slot 0 start on a 64-byte line wherever the
-        // allocator, which promises 8 bytes, put the block. (Asking it for the
-        // alignment costs resident memory: EXPERIMENTS.md, "Many-tenant burst".)
-        let words = vec![0u64; cap * SLOT_WORDS + 7];
-        let base = (words.as_ptr() as usize).wrapping_neg() % 64 / 8;
         FlowTable {
-            words,
-            base,
+            words: Slots::zeroed(cap * SLOT_WORDS),
             mask: cap - 1,
             timeout_ns,
             len: 0,
@@ -179,11 +287,11 @@ impl FlowTable {
     }
 
     fn slot(&self, i: usize) -> &[u64; SLOT_WORDS] {
-        self.words[self.base + i * SLOT_WORDS..].first_chunk().expect("slot inside the table")
+        self.words[i * SLOT_WORDS..].first_chunk().expect("slot inside the table")
     }
 
     fn slot_mut(&mut self, i: usize) -> &mut [u64; SLOT_WORDS] {
-        self.words[self.base + i * SLOT_WORDS..].first_chunk_mut().expect("slot inside the table")
+        self.words[i * SLOT_WORDS..].first_chunk_mut().expect("slot inside the table")
     }
 
     fn expired(&self, last_seen_ns: u64, now_ns: u64) -> bool {
@@ -358,7 +466,7 @@ impl FlowTable {
     /// still appear (they are reclaimed lazily); importers re-apply the
     /// timeout anyway.
     pub fn entries(&self) -> impl Iterator<Item = (FlowKey, VriId, u64)> + '_ {
-        self.words[self.base..][..self.capacity() * SLOT_WORDS]
+        self.words
             .chunks_exact(SLOT_WORDS)
             .filter_map(|w| w.first_chunk())
             .filter(|slot| slot[1] != 0)
@@ -385,8 +493,7 @@ impl FlowTable {
         slot_of.push(u32::MAX);
         let unlisted = slot_of.len() - 1;
         out.reserve(self.len);
-        let words = &self.words[self.base..][..self.capacity() * SLOT_WORDS];
-        for block in words.chunks(BLOCK * SLOT_WORDS) {
+        for block in self.words.chunks(BLOCK * SLOT_WORDS) {
             // In a half-full table "is this slot stored" is a coin toss no
             // branch predictor calls: gather the answers as bits, then walk
             // the set ones.
@@ -778,23 +885,27 @@ mod tests {
         assert_ne!(pack(&zero)[1], 0, "a stored slot is never mistaken for an empty one");
     }
 
-    /// The layout holds wherever the allocator puts the table: built 64 at a
-    /// time so the bases vary, no slot's bytes cross a 64-byte line, and the
-    /// line `prefetch` asks for is the one a probe reads first.
+    /// Slot 0 starts a page, so no 32-byte slot crosses a line; a table that
+    /// spans a huge page (2^16 slots is exactly one) starts on a huge-page
+    /// boundary; a fresh table is empty in every slot; and the line
+    /// `prefetch` asks for is the one a probe reads first. Under Miri only
+    /// the tables below a huge page are built: `madvise` and a partial
+    /// `munmap` are outside what it models.
     #[test]
-    fn no_slot_crosses_a_cache_line_wherever_the_table_lands() {
-        let sizes: &[usize] = if cfg!(miri) { &[16, 256] } else { &[16, 4096, 1 << 17] };
+    fn slots_start_a_page_and_a_huge_page_once_they_span_one() {
+        let sizes: &[usize] = if cfg!(miri) { &[16, 4096] } else { &[16, 4096, 1 << 16, 1 << 17] };
         for &cap in sizes {
-            let tables: Vec<FlowTable> = (0..64).map(|_| FlowTable::new(cap, 1)).collect();
-            for t in &tables {
-                assert_eq!(t.slot(0).as_ptr() as usize % 64, 0, "slot 0 starts a line");
-                for i in 0..cap {
-                    let first = t.slot(i).as_ptr() as usize;
-                    let last = first + std::mem::size_of::<[u64; SLOT_WORDS]>() - 1;
-                    assert_eq!(first / 64, last / 64, "slot {i} of {cap} straddles");
-                }
-                assert!(t.base + cap * SLOT_WORDS <= t.words.len());
+            let t = FlowTable::new(cap, 1);
+            let at = t.slot(0).as_ptr().addr();
+            assert_eq!(at % 4096, 0, "slot 0 of {cap} starts a page");
+            let spans_huge_page = cap * SLOT_WORDS * size_of::<u64>() >= HUGE_PAGE;
+            assert_eq!(spans_huge_page, cap >= 1 << 16);
+            if spans_huge_page {
+                assert_eq!(at % HUGE_PAGE, 0, "slot 0 of {cap} starts a huge page");
             }
+            assert_eq!(t.words.len(), cap * SLOT_WORDS);
+            assert!(t.words.iter().all(|&w| w == 0), "a fresh table of {cap} holds something");
+            assert_eq!(t.entries().count(), 0);
         }
         // `prefetch` has no result to look at; it is handed `slot(home)`, the
         // words `find_and_touch_hashed` reads first.

@@ -111,6 +111,11 @@ fn parse_cidr(s: &str) -> Result<(Ipv4Addr, u8), String> {
     Ok((ip, len))
 }
 
+/// A count of milliseconds as nanoseconds, if it is one and they fit.
+fn millis_as_ns(s: &str) -> Option<u64> {
+    s.parse::<u64>().ok()?.checked_mul(1_000_000)
+}
+
 fn parse_config(text: &str) -> Result<DaemonConfig, String> {
     let mut lvrm = LvrmConfig::default();
     let mut vrs = Vec::new();
@@ -172,13 +177,13 @@ fn parse_config(text: &str) -> Result<DaemonConfig, String> {
                 };
             }
             ("fault", [kind, at_ms]) => {
-                let at: u64 = at_ms
-                    .parse()
-                    .map_err(|_| err(&format!("fault needs a millisecond time, got {at_ms:?}")))?;
+                let at = millis_as_ns(at_ms).ok_or_else(|| {
+                    err(&format!("fault needs a millisecond time, got {at_ms:?}"))
+                })?;
                 faults = match *kind {
-                    "adapter-crash" => faults.crash_adapter_at(at * 1_000_000),
-                    "adapter-stall" => faults.stall_adapter_at(at * 1_000_000),
-                    "adapter-resume" => faults.resume_adapter_at(at * 1_000_000),
+                    "adapter-crash" => faults.crash_adapter_at(at),
+                    "adapter-stall" => faults.stall_adapter_at(at),
+                    "adapter-resume" => faults.resume_adapter_at(at),
                     other => return Err(err(&format!("unknown adapter fault kind {other:?}"))),
                 };
             }
@@ -190,15 +195,15 @@ fn parse_config(text: &str) -> Result<DaemonConfig, String> {
                     .ok_or_else(|| err(&format!("adapter-failover needs 0..=8, got {n:?}")))?;
             }
             ("fault", [kind, at_ms, nth]) => {
-                let at: u64 = at_ms
-                    .parse()
-                    .map_err(|_| err(&format!("fault needs a millisecond time, got {at_ms:?}")))?;
+                let at = millis_as_ns(at_ms).ok_or_else(|| {
+                    err(&format!("fault needs a millisecond time, got {at_ms:?}"))
+                })?;
                 let nth: usize = nth
                     .parse()
                     .map_err(|_| err(&format!("fault needs a spawn index, got {nth:?}")))?;
                 faults = match *kind {
-                    "crash" => faults.crash_at(at * 1_000_000, nth),
-                    "stall" => faults.stall_at(at * 1_000_000, nth),
+                    "crash" => faults.crash_at(at, nth),
+                    "stall" => faults.stall_at(at, nth),
                     other => return Err(err(&format!("unknown fault kind {other:?}"))),
                 };
             }
@@ -223,10 +228,9 @@ fn parse_config(text: &str) -> Result<DaemonConfig, String> {
                     high.parse().map_err(|_| err(&format!("bad high watermark {high:?}")))?;
             }
             ("drain-deadline-ms", [n]) => {
-                let ms: u64 = n.parse().map_err(|_| {
+                lvrm.drain_deadline_ns = millis_as_ns(n).ok_or_else(|| {
                     err(&format!("drain-deadline-ms needs milliseconds, got {n:?}"))
                 })?;
-                lvrm.drain_deadline_ns = ms * 1_000_000;
             }
             ("latency-histograms", [v]) => {
                 lvrm.latency_histograms = match *v {
@@ -780,6 +784,98 @@ fn die(msg: &str) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The directive table in this file's header: each line's keyword and
+    /// the argument lists it takes (`a | b` split apart), `#` comments
+    /// dropped.
+    fn directives() -> Vec<(&'static str, Vec<Vec<&'static str>>)> {
+        let table = include_str!("lvrmd.rs")
+            .split("//! Config format")
+            .nth(1)
+            .and_then(|rest| rest.split("//! ```text\n").nth(1))
+            .and_then(|rest| rest.split("//! ```\n").next())
+            .expect("the header has a config format table");
+        table
+            .lines()
+            .filter_map(|line| {
+                let line = line.trim_start_matches("//!").split('#').next()?.trim();
+                let (keyword, args) = line.split_once(char::is_whitespace)?;
+                Some((
+                    keyword,
+                    args.split('|').map(|alt| alt.split_whitespace().collect()).collect(),
+                ))
+            })
+            .collect()
+    }
+
+    /// `|`-separated: what fills the placeholders, and the values that
+    /// break them.
+    const VALUES: &str = "0|1|2|9|32|0.2|0.8|-1|NaN|inf|1e309|4294967296|18446744073709551615|\
+        18446744073709551616|10.0.1.0/24|10.0.2.0/24|0.0.0.0/0|10.0.2.0/33|999.0.0.0/8|10.0.1.0|\
+        /|#|\0|é";
+
+    /// Lines built from the directive table: a keyword and one of its
+    /// argument lists, each `<placeholder>` filled from [`VALUES`], an
+    /// `[optional]` one there or not, one literal in eight swapped for a
+    /// value, and now and then a word too many.
+    fn config_text() -> impl Strategy<Value = String> {
+        let table = directives();
+        let values: Vec<&str> = VALUES.split('|').collect();
+        let line = (any::<usize>(), any::<usize>(), prop::collection::vec(any::<usize>(), 8..9));
+        let lines = prop::collection::vec((line, 0usize..6), 0..6);
+        lines.prop_map(move |lines| {
+            let value = |p: usize| values[p % values.len()];
+            let line = |((d, alt, picks), extra): &((usize, usize, Vec<usize>), usize)| {
+                let (keyword, alts) = &table[d % table.len()];
+                let mut words = vec![*keyword];
+                for (arg, &p) in alts[alt % alts.len()].iter().zip(picks) {
+                    match arg.chars().next() {
+                        Some('<') => words.push(value(p)),
+                        Some('[') if p % 2 == 0 => words.push(value(p / 2)),
+                        Some('[') => {}
+                        _ => words.push(if p % 8 == 0 { value(p / 8) } else { arg }),
+                    }
+                }
+                words.extend(picks.iter().rev().take(extra.saturating_sub(3)).map(|&p| value(p)));
+                words.join(" ")
+            };
+            lines.iter().map(line).collect::<Vec<_>>().join("\n")
+        })
+    }
+
+    #[test]
+    fn the_header_table_is_read_whole() {
+        let table = directives();
+        let keywords: Vec<&str> = table.iter().map(|(keyword, _)| *keyword).collect();
+        for key in ["balancer", "allocator", "ring-capacity", "fault", "adapter-failover", "vr"] {
+            assert!(keywords.contains(&key), "{key} missing from {keywords:?}");
+        }
+        let allocator = table.iter().find(|(keyword, _)| *keyword == "allocator").unwrap();
+        assert_eq!(
+            allocator.1,
+            [
+                ["fixed", "<cores>"],
+                ["dynamic", "<fps-per-core>"],
+                ["service-rate", "<bootstrap-fps>"]
+            ]
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Any text parses to a config that validates, or to an error that
+        /// says it is one — never a panic (an overflowing millisecond count
+        /// once was one).
+        #[test]
+        fn config_parse_never_panics(text in config_text()) {
+            match parse_config(&text) {
+                Ok(c) => prop_assert!(c.lvrm.validate().is_ok() && !c.vrs.is_empty()),
+                Err(e) => prop_assert!(e.starts_with("config"), "{e}"),
+            }
+        }
+    }
 
     #[test]
     fn empty_config_defaults_one_vr() {
@@ -837,6 +933,9 @@ mod tests {
         assert!(parse_config("supervision maybe\n").is_err());
         assert!(parse_config("fault melt 100 0\n").is_err());
         assert!(parse_config("fault crash soon 0\n").is_err());
+        // Milliseconds whose nanoseconds overflow are an error, not a panic.
+        assert!(parse_config("fault adapter-stall 18446744073709551615\n").is_err());
+        assert!(parse_config("drain-deadline-ms 18446744073709551615\n").is_err());
         for gone in ["fastforward", "mutex"] {
             let e = parse_config(&format!("balancer jsq\nqueue {gone}\n")).unwrap_err();
             assert!(e.contains("line 2") && e.contains("(expected one of lamport vlink)"), "{e}");
