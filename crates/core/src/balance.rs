@@ -66,11 +66,14 @@ pub trait LoadBalancer: Send {
         (0, 0)
     }
 
-    /// Append this policy's flow-affinity entries to `out`, in flow-table
-    /// slot order, each pinned to its VRI's slot in `vris` (an entry whose
-    /// VRI is not among them is left out) — the warm-restart export surface.
-    /// Stateless policies export nothing.
-    fn export_flows(&self, _vris: &[VriId], _out: &mut FlowSection) {}
+    /// This policy's flow-affinity entries, in flow-table slot order, each
+    /// pinned to its VRI's slot in `vris` (an entry whose VRI is not among
+    /// them is left out) — the warm-restart export surface. A flow table
+    /// returns its previous section, shared, while nothing it ships has
+    /// changed ([`FlowTable::export`]). Stateless policies export nothing.
+    fn export_flows(&self, _vris: &[VriId]) -> FlowSection {
+        FlowSection::default()
+    }
 
     /// Re-learn one flow-affinity entry from a checkpoint. Stateless
     /// policies ignore it.
@@ -247,8 +250,8 @@ impl<B: LoadBalancer> LoadBalancer for FlowBased<B> {
         (self.sticky_hits, self.fresh_picks)
     }
 
-    fn export_flows(&self, vris: &[VriId], out: &mut FlowSection) {
-        self.table.export(vris, out);
+    fn export_flows(&self, vris: &[VriId]) -> FlowSection {
+        self.table.export(vris)
     }
 
     fn import_flow(&mut self, key: FlowKey, vri: VriId, last_seen_ns: u64) {
@@ -409,8 +412,7 @@ mod tests {
         let f = frame(4242);
         let ctx = BalanceCtx { vris: &v, loads: &loads, valid: &valid, now_ns: 5 };
         let first = b.pick(&f, &ctx).unwrap();
-        let mut flows = FlowSection::default();
-        b.export_flows(&v, &mut flows);
+        let flows = b.export_flows(&v);
         assert_eq!(flows.len(), 1);
         // A fresh balancer fed the export sticks to the same VRI.
         let mut b2 = FlowBased::new(RoundRobin::default(), 64, u64::MAX);
@@ -421,9 +423,7 @@ mod tests {
         assert_eq!(b2.pick(&f, &ctx), Some(first));
         assert_eq!(b2.sticky_hits, 1, "imported entry hit, not re-balanced");
         // Stateless policies are no-ops.
-        let mut none = FlowSection::default();
-        Jsq.export_flows(&v, &mut none);
-        assert!(none.is_empty());
+        assert!(Jsq.export_flows(&v).is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use lvrm_router::{RouteTable, VirtualRouter};
 
 use crate::alloc::{AllocDecision, CoreAllocator, VrLoadView};
 use crate::balance::{BalanceCtx, LoadBalancer};
-use crate::checkpoint::{Checkpoint, CheckpointError, FlowSection, VrCheckpoint};
+use crate::checkpoint::{Checkpoint, CheckpointError, VrCheckpoint};
 use crate::clock::Clock;
 use crate::config::{DispatchMode, LvrmConfig};
 use crate::estimate::PressureTracker;
@@ -2105,8 +2105,7 @@ impl<C: Clock> Lvrm<C> {
         let mut vrs = Vec::with_capacity(self.vrs.len());
         for vr in &self.vrs {
             let live: Vec<VriId> = vr.vris.iter().map(|v| v.id).collect();
-            let mut flows = FlowSection::default();
-            vr.balancer.export_flows(&live, &mut flows);
+            let flows = vr.balancer.export_flows(&live);
             vrs.push(VrCheckpoint {
                 name: vr.name.clone(),
                 frames_in: vr.frames_in,

@@ -641,6 +641,40 @@ proptest! {
         }
     }
 
+    /// A flow table hands consecutive checkpoints the same section while
+    /// nothing it ships has changed, and `diff` passes over a section the
+    /// two checkpoints share without reading it. That shortcut must be
+    /// invisible: with some of the successor's sections shared with `prev`'s
+    /// (or all of them: the successor is `prev`) the delta, and its bytes,
+    /// are the delta of the same successor made of deep copies.
+    #[test]
+    fn diff_over_shared_sections_is_the_diff_over_copies(
+        prev in arb_long_checkpoint(),
+        seed in any::<u64>(),
+        keep in any::<u64>(),
+    ) {
+        let mut shared = perturb(&prev, seed, false);
+        for (i, vr) in shared.vrs.iter_mut().enumerate() {
+            let old = prev.vrs.iter().find(|v| v.name == vr.name);
+            if let Some(old) = old.filter(|_| keep >> (i % 64) & 1 == 1) {
+                vr.flows = old.flows.clone();
+            }
+        }
+        for next in [shared, prev.clone()] {
+            let mut copied = next.clone();
+            for vr in &mut copied.vrs {
+                vr.flows = FlowSection::from_records(&vr.flows.to_vec());
+            }
+            for (vr, copy) in next.vrs.iter().zip(&copied.vrs) {
+                prop_assert!(!vr.flows.shares_records(&copy.flows));
+            }
+            let delta = CheckpointDelta::diff(&prev, &next, 9);
+            let model = CheckpointDelta::diff(&prev, &copied, 9);
+            prop_assert_eq!(&delta, &model);
+            prop_assert_eq!(delta.encode(), model.encode());
+        }
+    }
+
     /// The differential identity the whole replication stream rests on:
     /// folding the chain of diffs over any number of generations
     /// reconstructs the final checkpoint exactly (canonical form).

@@ -165,11 +165,15 @@ proptest! {
     /// `FlowTable::export` writes a checkpoint's flow section from the slots'
     /// packed words. The model goes the long way round, as the export did
     /// before: every entry unpacked into a `FlowKey`, placed by a search of
-    /// the live VRIs, pushed as a `FlowRecord`. Over a seeded life of a
-    /// crowded table — first-of-flow inserts, hits, re-pins, sweeps, purges,
-    /// every protocol shape a key can take, `Other(6)` beside `Tcp` among
-    /// them — and for live sets that leave VRIs out, start above the lowest
-    /// id stored, or are empty, the two sections are the same bytes.
+    /// the live VRIs, pushed as a `FlowRecord` — with its timestamp rounded
+    /// down to the export quantum, `2^⌊log2(4000 / 16)⌋ = 128` ns for this
+    /// table's timeout. The slots keep the exact time (`entries()` yields
+    /// it); only the export rounds, so that a hit inside a quantum leaves
+    /// the exported section as it was. Over a seeded life of a crowded
+    /// table — first-of-flow inserts, hits, re-pins, sweeps, purges, every
+    /// protocol shape a key can take, `Other(6)` beside `Tcp` among them —
+    /// and for live sets that leave VRIs out, start above the lowest id
+    /// stored, or are empty, the two sections are the same bytes.
     #[test]
     fn export_writes_the_bytes_entries_would_record_by_record(
         seed in any::<u64>(),
@@ -233,14 +237,11 @@ proptest! {
             if step % 64 != 63 {
                 continue;
             }
-            // Into a section that already holds a record: export appends.
-            let earlier = FlowRecord { key: shaped_key(3), slot: 7, last_seen_ns: u64::MAX };
-            let mut direct = FlowSection::from_records(&[earlier]);
-            table.export(&vris, &mut direct);
-            let mut model = FlowSection::from_records(&[earlier]);
-            for (key, vri, last_seen_ns) in table.entries() {
+            let direct = table.export(&vris);
+            let mut model = FlowSection::default();
+            for (key, vri, seen) in table.entries() {
                 if let Some(slot) = vris.iter().position(|v| *v == vri) {
-                    model.push(FlowRecord { key, slot: slot as u32, last_seen_ns });
+                    model.push(FlowRecord { key, slot: slot as u32, last_seen_ns: seen / 128 * 128 });
                 }
             }
             prop_assert_eq!(&direct, &model, "step {}, live {:?}", step, vris);
@@ -461,6 +462,115 @@ proptest! {
         // And every survivor still answers with its pinned VRI.
         for (k, (vri, _)) in model.map.clone() {
             prop_assert_eq!(table.find_and_touch(&key(k), now), Some(vri));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The export cache: a section handed out again is the one a walk would make.
+
+#[derive(Clone, Debug)]
+enum CacheOp {
+    Insert {
+        key: u8,
+        vri: u8,
+    },
+    /// A hit, or a lazy expiry if the flow is past the timeout.
+    Hit {
+        key: u8,
+    },
+    AgeStep {
+        budget: u8,
+    },
+    PurgeVri {
+        vri: u8,
+    },
+    /// A checkpointed flow re-learnt with a timestamp `ago` ns old, as
+    /// `FlowBased::import_flow` stores it; some are expired on arrival.
+    Import {
+        key: u8,
+        vri: u8,
+        ago: u16,
+    },
+    /// The VR's live set changes: VRIs 0..6 kept by `mask`, rotated `turn`.
+    Vris {
+        mask: u8,
+        turn: u8,
+    },
+    Forward {
+        by: u16,
+    },
+    /// A clock that stepped back.
+    Back {
+        by: u16,
+    },
+}
+
+fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            3 => (any::<u8>(), 0u8..6).prop_map(|(key, vri)| CacheOp::Insert { key, vri }),
+            6 => any::<u8>().prop_map(|key| CacheOp::Hit { key }),
+            1 => (1u8..65).prop_map(|budget| CacheOp::AgeStep { budget }),
+            1 => (0u8..6).prop_map(|vri| CacheOp::PurgeVri { vri }),
+            1 => (any::<u8>(), 0u8..6, any::<u16>())
+                .prop_map(|(key, vri, ago)| CacheOp::Import { key, vri, ago }),
+            1 => (any::<u8>(), 0u8..6).prop_map(|(mask, turn)| CacheOp::Vris { mask, turn }),
+            3 => (1u16..4096).prop_map(|by| CacheOp::Forward { by }),
+            1 => (1u16..2048).prop_map(|by| CacheOp::Back { by }),
+        ],
+        0..AGE_STEPS,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(AGE_CASES))]
+
+    /// `FlowTable::export` hands back its last section while the table's
+    /// write generation and the VRI list are unchanged. The proof
+    /// obligation: every write that changes what the export ships bumps the
+    /// generation. After every step of a random life — inserts, re-pins,
+    /// hits inside and across quanta, lazy expiry, sweeps, purges, imports of
+    /// old and expired flows, live-set changes, a clock stepping forward
+    /// over quanta and back — the section `export` returns is byte for byte
+    /// the one a fresh walk makes, and two exports with nothing in between
+    /// are one section. The timeout makes the quantum 2^10 ns, so the clock
+    /// steps cross quantum boundaries all the time.
+    #[test]
+    fn cached_export_is_a_fresh_export_after_every_step(script in cache_ops()) {
+        const TIMEOUT: u64 = 16_384;
+        let mut table = FlowTable::new(512, TIMEOUT);
+        let mut vris: Vec<VriId> = (0..6).map(VriId).collect();
+        let mut now: u64 = 50_000;
+        for op in script {
+            match op {
+                CacheOp::Insert { key: k, vri } => {
+                    table.insert(key(k), VriId(vri as u32), now);
+                }
+                CacheOp::Hit { key: k } => {
+                    table.find_and_touch(&key(k), now);
+                }
+                CacheOp::AgeStep { budget } => {
+                    table.age_step(now, budget as usize);
+                }
+                CacheOp::PurgeVri { vri } => {
+                    table.purge_vri(VriId(vri as u32));
+                }
+                CacheOp::Import { key: k, vri, ago } => {
+                    table.insert(key(k), VriId(vri as u32), now.saturating_sub(ago as u64));
+                }
+                CacheOp::Vris { mask, turn } => {
+                    vris = (0..6).filter(|v| mask >> v & 1 == 1).map(VriId).collect();
+                    let turn = turn as usize % vris.len().max(1);
+                    vris.rotate_left(turn);
+                }
+                CacheOp::Forward { by } => now += by as u64,
+                CacheOp::Back { by } => now = now.saturating_sub(by as u64),
+            }
+            let cached = table.export(&vris);
+            prop_assert_eq!(&cached, &table.export_uncached(&vris), "after {:?} at t={}", op, now);
+            prop_assert!(table.export(&vris).shares_records(&cached), "re-exported, not shared");
+            check_invariants(&table);
         }
     }
 }
