@@ -41,8 +41,8 @@ use crate::ledger::{LvrmStats, COUNTERS};
 
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LVCK";
 /// Version 2 appended the three `lvrm_repl_*` replication counters to the
-/// stats vector, so identity (E) survives warm restart and the HA delta
-/// stream like the others. The vector's length and order are the counter
+/// stats vector, so identity (E) survives warm restart and the cluster
+/// state stream like the others. The vector's length and order are the counter
 /// schema's (`ledger.rs`).
 pub const CHECKPOINT_VERSION: u32 = 2;
 
@@ -968,7 +968,7 @@ fn join_flows(old: &FlowSection, new: &FlowSection) -> (Vec<FlowKey>, Vec<FlowRe
     (evictions.into_iter().map(flow_key_from_wire).collect(), upserts)
 }
 
-// ---- checkpoint deltas (HA replication stream, DESIGN.md §13) ----------
+// ---- checkpoint deltas (the cluster state stream, DESIGN.md §13) -------
 
 pub const DELTA_MAGIC: [u8; 4] = *b"LVCD";
 pub const DELTA_VERSION: u32 = 2;

@@ -111,45 +111,51 @@ pub enum EstimatorKind {
     InterArrival,
 }
 
-/// Active/standby HA knobs (DESIGN.md §13, RFC 5798 semantics). Lives in
-/// [`LvrmConfig::ha`]; the transport ([`crate::ha::PeerLink`]) is supplied
-/// separately via `Lvrm::attach_ha` — config carries policy, the host
-/// carries wiring.
+/// Cluster knobs (DESIGN.md §13, §15): this monitor is one shard of an
+/// N-shard fleet and, once a link to its own shard is attached, one node
+/// of that shard's active/standby pair — an HA pair is a one-shard fleet.
+/// Lives in [`LvrmConfig::cluster`]; the links are supplied separately via
+/// `Lvrm::attach_cluster` — config carries policy, the host carries wiring.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HaConfig {
-    /// VRRP priority, 1–254 (0 is the on-wire "resigning" sentinel and 255
-    /// the RFC's address-owner value — both reserved). Higher wins.
-    pub priority: u8,
-    /// Tiebreak for equal priorities (RFC 5798 breaks ties on IP address;
-    /// the testbed has none). Must differ between the two nodes.
+pub struct ClusterConfig {
+    /// This monitor's shard index, `0 <= shard_id < shards`.
+    pub shard_id: u32,
+    /// Fleet size: how many shards partition the VR space.
+    pub shards: u32,
+    /// Names this node: breaks ties between equal priorities (RFC 5798
+    /// breaks them on IP address; the testbed has none) and identifies the
+    /// sender of a state stream. Must differ between the two nodes of a
+    /// pair.
     pub node_id: u64,
-    /// Master heartbeat spacing. The master-down interval is
-    /// `3 × advert + skew`, so the 150 ms default detects a dead master in
-    /// ≈ 540 ms and completes probation well under one second.
+    /// VRRP priority within the shard, 1–254 (0 is the on-wire "resigning"
+    /// sentinel and 255 the RFC's address-owner value — both reserved).
+    /// Higher wins; preemption is always on.
+    pub priority: u8,
+    /// Advert spacing. A partner is down after `3 × advert + skew` (RFC
+    /// 5798 master-down: ≈ 361 ms at the 100 ms default and priority 100)
+    /// and another shard after `6 × advert` plus seeded jitter — twice the
+    /// HA budget, so a pair fails over before the fleet buries its shard.
     pub advert_interval_ns: u64,
-    /// Replication-stream spacing: the master diffs its control plane and
-    /// ships a [`crate::checkpoint::CheckpointDelta`] this often. Rides the
-    /// lazy control tick by default (1 s), tunable down for tighter RPO.
-    pub delta_interval_ns: u64,
-    /// Preemption (RFC 5798 `Preempt_Mode`): a backup that outranks the
-    /// current master lets the master-down timer elect it instead of
-    /// deferring forever.
-    pub preempt: bool,
+    /// State-stream spacing: the shard's master diffs its control plane
+    /// against the last checkpoint it streamed and sends the
+    /// [`crate::checkpoint::CheckpointDelta`] on every link this often.
+    pub stream_interval_ns: u64,
 }
 
-impl Default for HaConfig {
+impl Default for ClusterConfig {
     fn default() -> Self {
-        HaConfig {
-            priority: 100,
+        ClusterConfig {
+            shard_id: 0,
+            shards: 1,
             node_id: 1,
-            advert_interval_ns: 150_000_000,  // 150 ms
-            delta_interval_ns: 1_000_000_000, // 1 s — the lazy control tick
-            preempt: true,
+            priority: 100,
+            advert_interval_ns: 100_000_000, // 100 ms
+            stream_interval_ns: 500_000_000, // 500 ms
         }
     }
 }
 
-impl HaConfig {
+impl ClusterConfig {
     /// RFC 5798 skew time: `(256 − priority) / 256 × advert_interval`.
     /// Higher priority ⇒ shorter skew ⇒ faster takeover.
     pub fn skew_ns(&self) -> u64 {
@@ -160,45 +166,9 @@ impl HaConfig {
     pub fn master_down_ns(&self) -> u64 {
         3 * self.advert_interval_ns + self.skew_ns()
     }
-}
 
-/// Monitor-fleet sharding knobs (DESIGN.md §15). Lives in
-/// [`LvrmConfig::shard`]; the per-peer transports are supplied separately
-/// via `Lvrm::attach_fleet` — config carries topology, the host carries
-/// wiring. Each shard is itself a PR-8 style HA pair (or a solo monitor);
-/// only the shard's accepting node speaks on the fleet directory.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ShardConfig {
-    /// This monitor's shard index, `0 <= shard_id < shards`.
-    pub shard_id: u32,
-    /// Fleet size: how many shards partition the VR space.
-    pub shards: u32,
-    /// Shard-advert spacing on the fleet directory. The per-peer
-    /// shard-down interval is `6 × advert + jitter`: deliberately twice
-    /// the RFC 5798 master-down budget, so an intra-shard HA failover
-    /// (3 × advert + skew) completes before the fleet declares the whole
-    /// shard dead and re-homes its VRs.
-    pub advert_interval_ns: u64,
-    /// Inter-shard state-snapshot spacing: the shard's accepting node
-    /// ships its full checkpoint to every peer this often, so a takeover
-    /// can warm-adopt from the freshest shadow instead of cold-starting.
-    pub snapshot_interval_ns: u64,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig {
-            shard_id: 0,
-            shards: 1,
-            advert_interval_ns: 100_000_000,   // 100 ms
-            snapshot_interval_ns: 500_000_000, // 500 ms
-        }
-    }
-}
-
-impl ShardConfig {
-    /// Base shard-down interval: `6 × advert_interval`. The fleet adds a
-    /// seeded ±25% jitter per peer on top (see `crate::shard`), so
+    /// Base shard-down interval: `6 × advert_interval`. The node adds a
+    /// seeded jitter per peer on top (see `crate::cluster`), so
     /// co-detecting shards do not stampede the takeover path in lockstep.
     pub fn shard_down_ns(&self) -> u64 {
         6 * self.advert_interval_ns
@@ -343,14 +313,10 @@ pub struct LvrmConfig {
     /// How long a refused egress frame waits in the supervisor's retry queue
     /// before it is finally counted dropped.
     pub egress_retry_deadline_ns: u64,
-    /// Active/standby HA election + replication knobs. `None` (the default)
-    /// runs the monitor solo, exactly as before; `Some` arms the election
-    /// state machine once a peer link is attached (`Lvrm::attach_ha`).
-    pub ha: Option<HaConfig>,
-    /// Monitor-fleet sharding knobs. `None` (the default) runs a single
-    /// monitor owning every VR, exactly as before; `Some` arms the shard
-    /// directory once peer links are attached (`Lvrm::attach_fleet`).
-    pub shard: Option<ShardConfig>,
+    /// Cluster knobs: HA pair and shard fleet. `None` (the default) runs a
+    /// single monitor owning every VR; `Some` arms the cluster node once
+    /// links are attached (`Lvrm::attach_cluster`).
+    pub cluster: Option<ClusterConfig>,
 }
 
 /// A statically-invalid [`LvrmConfig`], caught by [`LvrmConfig::validate`]
@@ -375,15 +341,13 @@ pub enum ConfigError {
     CheckpointInterval,
     /// HA priority must be 1–254 (0 and 255 are reserved by RFC 5798).
     HaPriority { priority: u8 },
-    /// HA advert and delta intervals must be nonzero.
-    HaIntervals { advert_ns: u64, delta_ns: u64 },
     /// Replicated dispatch spreads frames regardless of flow key, which
     /// flow-based pinning contradicts: the two cannot both be the default.
     ReplicatedFlowPinned,
     /// The shard topology must satisfy `shard_id < shards` and `shards >= 1`.
     ShardTopology { shard_id: u32, shards: u32 },
-    /// Shard advert and snapshot intervals must be nonzero.
-    ShardIntervals { advert_ns: u64, snapshot_ns: u64 },
+    /// Cluster advert and stream intervals must be nonzero.
+    ClusterIntervals { advert_ns: u64, stream_ns: u64 },
 }
 
 impl fmt::Display for ConfigError {
@@ -414,22 +378,16 @@ impl fmt::Display for ConfigError {
             ConfigError::HaPriority { priority } => {
                 write!(f, "ha priority must be 1-254 (RFC 5798 reserves 0 and 255), got {priority}")
             }
-            ConfigError::HaIntervals { advert_ns, delta_ns } => {
-                write!(
-                    f,
-                    "ha advert and delta intervals must be nonzero, got advert={advert_ns} delta={delta_ns}"
-                )
-            }
             ConfigError::ReplicatedFlowPinned => {
                 write!(f, "replicated dispatch is incompatible with flow_based pinning")
             }
             ConfigError::ShardTopology { shard_id, shards } => {
                 write!(f, "shard topology must satisfy shard_id < shards >= 1, got shard_id={shard_id} shards={shards}")
             }
-            ConfigError::ShardIntervals { advert_ns, snapshot_ns } => {
+            ConfigError::ClusterIntervals { advert_ns, stream_ns } => {
                 write!(
                     f,
-                    "shard advert and snapshot intervals must be nonzero, got advert={advert_ns} snapshot={snapshot_ns}"
+                    "cluster advert and stream intervals must be nonzero, got advert={advert_ns} stream={stream_ns}"
                 )
             }
         }
@@ -483,8 +441,7 @@ impl Default for LvrmConfig {
             adapter_reopen_backoff_ns: 100_000_000, // 100 ms
             adapter_reopen_backoff_max_ns: 10_000_000_000, // 10 s
             egress_retry_deadline_ns: 50_000_000,   // 50 ms
-            ha: None,
-            shard: None,
+            cluster: None,
         }
     }
 }
@@ -528,28 +485,17 @@ impl LvrmConfig {
         if self.dispatch == DispatchMode::Replicated && self.flow_based {
             return Err(ConfigError::ReplicatedFlowPinned);
         }
-        if let Some(ha) = &self.ha {
-            if ha.priority == 0 || ha.priority == 255 {
-                return Err(ConfigError::HaPriority { priority: ha.priority });
+        if let Some(c) = &self.cluster {
+            if c.shards == 0 || c.shard_id >= c.shards {
+                return Err(ConfigError::ShardTopology { shard_id: c.shard_id, shards: c.shards });
             }
-            if ha.advert_interval_ns == 0 || ha.delta_interval_ns == 0 {
-                return Err(ConfigError::HaIntervals {
-                    advert_ns: ha.advert_interval_ns,
-                    delta_ns: ha.delta_interval_ns,
-                });
+            if c.priority == 0 || c.priority == 255 {
+                return Err(ConfigError::HaPriority { priority: c.priority });
             }
-        }
-        if let Some(shard) = &self.shard {
-            if shard.shards == 0 || shard.shard_id >= shard.shards {
-                return Err(ConfigError::ShardTopology {
-                    shard_id: shard.shard_id,
-                    shards: shard.shards,
-                });
-            }
-            if shard.advert_interval_ns == 0 || shard.snapshot_interval_ns == 0 {
-                return Err(ConfigError::ShardIntervals {
-                    advert_ns: shard.advert_interval_ns,
-                    snapshot_ns: shard.snapshot_interval_ns,
+            if c.advert_interval_ns == 0 || c.stream_interval_ns == 0 {
+                return Err(ConfigError::ClusterIntervals {
+                    advert_ns: c.advert_interval_ns,
+                    stream_ns: c.stream_interval_ns,
                 });
             }
         }
@@ -724,40 +670,26 @@ mod tests {
         let c = LvrmConfig { checkpoint_interval_ns: 0, ..base() };
         assert_eq!(c.validate(), Ok(()));
 
+        let cluster = |c: ClusterConfig| LvrmConfig { cluster: Some(c), ..base() };
         for priority in [0u8, 255] {
-            let c = LvrmConfig { ha: Some(HaConfig { priority, ..Default::default() }), ..base() };
+            let c = cluster(ClusterConfig { priority, ..Default::default() });
             assert_eq!(c.validate(), Err(ConfigError::HaPriority { priority }));
         }
-        let c = LvrmConfig {
-            ha: Some(HaConfig { advert_interval_ns: 0, ..Default::default() }),
-            ..base()
-        };
-        assert!(matches!(c.validate(), Err(ConfigError::HaIntervals { advert_ns: 0, .. })));
-        let c = LvrmConfig { ha: Some(HaConfig::default()), ..base() };
+        let c = cluster(ClusterConfig { advert_interval_ns: 0, ..Default::default() });
+        assert!(matches!(c.validate(), Err(ConfigError::ClusterIntervals { advert_ns: 0, .. })));
+        let c = cluster(ClusterConfig { stream_interval_ns: 0, ..Default::default() });
+        assert!(matches!(c.validate(), Err(ConfigError::ClusterIntervals { stream_ns: 0, .. })));
+        let c = cluster(ClusterConfig { shards: 0, ..Default::default() });
+        assert!(matches!(c.validate(), Err(ConfigError::ShardTopology { shards: 0, .. })));
+        let c = cluster(ClusterConfig { shard_id: 3, shards: 3, ..Default::default() });
+        assert!(matches!(c.validate(), Err(ConfigError::ShardTopology { shard_id: 3, .. })));
+        assert_eq!(cluster(ClusterConfig::default()).validate(), Ok(()));
+        let c = cluster(ClusterConfig { shard_id: 1, shards: 3, ..Default::default() });
         assert_eq!(c.validate(), Ok(()));
 
         let c = LvrmConfig { dispatch: DispatchMode::Replicated, flow_based: true, ..base() };
         assert_eq!(c.validate(), Err(ConfigError::ReplicatedFlowPinned));
         let c = LvrmConfig { dispatch: DispatchMode::Replicated, ..base() };
-        assert_eq!(c.validate(), Ok(()));
-
-        let c =
-            LvrmConfig { shard: Some(ShardConfig { shards: 0, ..Default::default() }), ..base() };
-        assert!(matches!(c.validate(), Err(ConfigError::ShardTopology { shards: 0, .. })));
-        let c = LvrmConfig {
-            shard: Some(ShardConfig { shard_id: 3, shards: 3, ..Default::default() }),
-            ..base()
-        };
-        assert!(matches!(c.validate(), Err(ConfigError::ShardTopology { shard_id: 3, .. })));
-        let c = LvrmConfig {
-            shard: Some(ShardConfig { snapshot_interval_ns: 0, ..Default::default() }),
-            ..base()
-        };
-        assert!(matches!(c.validate(), Err(ConfigError::ShardIntervals { snapshot_ns: 0, .. })));
-        let c = LvrmConfig {
-            shard: Some(ShardConfig { shard_id: 1, shards: 3, ..Default::default() }),
-            ..base()
-        };
         assert_eq!(c.validate(), Ok(()));
     }
 

@@ -30,7 +30,7 @@ use lvrm_router::VirtualRouter;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::ha::PeerLink;
+use crate::cluster::PeerLink;
 use crate::host::{RecordingHost, VriHost, VriSpec};
 use crate::socket::{AdapterError, SendRejected, SocketAdapter, SocketKind};
 use crate::{VrId, VriId};
@@ -526,7 +526,7 @@ impl<S: SocketAdapter> SocketAdapter for FaultySocket<S> {
 }
 
 /// Avalanche mixer (splitmix64 finalizer) — the seed-to-jitter hash, and
-/// the per-shard weight mixer behind `shard::rendezvous_owner`.
+/// the per-shard weight mixer behind `cluster::rendezvous_owner`.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -587,35 +587,10 @@ impl LinkFaultWindow {
     }
 }
 
-/// Generate a seeded storm of link fault windows over `(0, horizon_ns]`,
-/// each at most `max_window_ns` long. The cap is the split-brain guard's
-/// operating envelope: outages shorter than the master-down interval while
-/// both monitors live never elect a second accepting master (DESIGN.md
-/// §13) — kill the master separately to exercise real failover.
-pub fn randomized_link_storm(
-    seed: u64,
-    horizon_ns: u64,
-    count: usize,
-    max_window_ns: u64,
-) -> Vec<LinkFaultWindow> {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x11f0_57a9);
-    let mut windows = Vec::with_capacity(count);
-    for _ in 0..count {
-        let from_ns = 1 + rng.gen_range(0..horizon_ns.max(1));
-        let until_ns = from_ns + 1 + rng.gen_range(0..max_window_ns.max(1));
-        windows.push(match rng.gen_range(0..3u8) {
-            0 => LinkFaultWindow::partition(from_ns, until_ns),
-            1 => LinkFaultWindow::loss(from_ns, until_ns, rng.gen_range(100..900)),
-            _ => LinkFaultWindow::delay(from_ns, until_ns, rng.gen_range(0..max_window_ns.max(1))),
-        });
-    }
-    windows
-}
-
-/// Generate a seeded storm for the *fleet* chaos track: like
-/// [`randomized_link_storm`] but with windows laid out sequentially and
-/// separated by quiet gaps of at least `2 × max_window_ns`, so no two
-/// windows coalesce into one outage longer than the cap. Keep
+/// Generate a seeded storm of link fault windows over `(0, horizon_ns)`,
+/// each at most `max_window_ns` long, laid out sequentially and separated
+/// by quiet gaps of at least `2 × max_window_ns`, so no two windows
+/// coalesce into one outage longer than the cap. Keep
 /// `max_window_ns` below `shard_down − 2 × advert` and a storm can degrade
 /// delivery arbitrarily without ever legitimately burying a live shard —
 /// any takeover under such a storm is a split-brain bug, which is exactly
@@ -860,7 +835,7 @@ mod tests {
 
     #[test]
     fn faulty_link_partition_drops_and_heals() {
-        let (a, b) = crate::ha::ChannelLink::pair();
+        let (a, b) = crate::cluster::ChannelLink::pair();
         let mut tx = FaultyLink::new(a, vec![LinkFaultWindow::partition(100, 200)], 7);
         let mut rx = b;
         let mut out = Vec::new();
@@ -875,7 +850,7 @@ mod tests {
 
     #[test]
     fn faulty_link_delay_parks_until_release() {
-        let (a, b) = crate::ha::ChannelLink::pair();
+        let (a, b) = crate::cluster::ChannelLink::pair();
         let mut tx = FaultyLink::new(a, vec![LinkFaultWindow::delay(0, 500, 500)], 7);
         let mut rx = b;
         let mut out = Vec::new();
@@ -892,7 +867,7 @@ mod tests {
     #[test]
     fn faulty_link_loss_is_seeded_and_reproducible() {
         let run = |seed: u64| {
-            let (a, b) = crate::ha::ChannelLink::pair();
+            let (a, b) = crate::cluster::ChannelLink::pair();
             let mut tx = FaultyLink::new(a, vec![LinkFaultWindow::loss(0, 10_000, 500)], seed);
             let mut rx = b;
             for i in 0..100u64 {
@@ -908,19 +883,5 @@ mod tests {
         assert_eq!((d1, &o1), (d2, &o2), "same seed, same stream");
         assert!(d1 > 20 && d1 < 80, "~50% loss, got {d1}");
         assert!(o1 != o3 || d1 != d3, "different seed should diverge");
-    }
-
-    #[test]
-    fn randomized_link_storms_are_reproducible_and_bounded() {
-        let a = randomized_link_storm(9, 10_000_000, 16, 250_000);
-        let b = randomized_link_storm(9, 10_000_000, 16, 250_000);
-        let c = randomized_link_storm(10, 10_000_000, 16, 250_000);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.len(), 16);
-        for w in &a {
-            assert!(w.until_ns > w.from_ns);
-            assert!(w.until_ns - w.from_ns <= 250_001, "window exceeds cap: {w:?}");
-        }
     }
 }

@@ -33,16 +33,15 @@ pub mod alloc;
 pub mod balance;
 pub mod checkpoint;
 pub mod clock;
+pub mod cluster;
 pub mod config;
 pub mod estimate;
 pub mod fault;
 pub mod flowtable;
-pub mod ha;
 pub mod host;
 pub mod ledger;
 pub mod monitor;
 pub mod repl;
-pub mod shard;
 pub mod socket;
 pub mod topology;
 pub mod vri;
@@ -56,16 +55,19 @@ pub use checkpoint::{
     Checkpoint, CheckpointDelta, CheckpointError, FlowRecord, FlowSection, VrCheckpoint, VrDelta,
 };
 pub use clock::{Clock, ManualClock, MonotonicClock};
+pub use cluster::{
+    rendezvous_owner, ChannelLink, ClusterMsg, ClusterNode, PeerLink, Role, Shadow, ShardEntry,
+    ShardMap, CLUSTER_MAGIC,
+};
 pub use config::{
-    AllocatorKind, BalancerKind, DispatchMode, EstimatorKind, HaConfig, LvrmConfig, ShardConfig,
+    AllocatorKind, BalancerKind, ClusterConfig, DispatchMode, EstimatorKind, LvrmConfig,
 };
 pub use fault::{
-    jittered_backoff, randomized_fleet_storm, randomized_link_storm, splitmix64, AdapterFaultEvent,
-    AdapterFaultKind, FaultEvent, FaultInjectable, FaultKind, FaultPlan, FaultyHost, FaultyLink,
-    FaultySocket, LinkFaultKind, LinkFaultWindow,
+    jittered_backoff, randomized_fleet_storm, splitmix64, AdapterFaultEvent, AdapterFaultKind,
+    FaultEvent, FaultInjectable, FaultKind, FaultPlan, FaultyHost, FaultyLink, FaultySocket,
+    LinkFaultKind, LinkFaultWindow,
 };
 pub use flowtable::{FlowTable, FlowTableStats};
-pub use ha::{ChannelLink, HaMsg, HaNode, PeerLink, Role};
 pub use host::{RecordingHost, VriHost, VriSpec};
 pub use ledger::{Ledger, LvrmStats, Violation, VrBooks, VriBooks};
 pub use monitor::Lvrm;
@@ -73,7 +75,6 @@ pub use repl::{
     decode_batch, encode_batch, is_state_update, FlowBook, ReplicaLedger, StateUpdate,
     STATE_UPDATE_MAGIC,
 };
-pub use shard::{rendezvous_owner, FleetMsg, FleetNode, ShardEntry, ShardMap, SHARD_MAP_MAGIC};
 pub use socket::{AdapterError, MemTraceAdapter, SendRejected, SocketAdapter, SocketKind};
 pub use topology::{AffinityMode, CoreId, CoreMap, CoreTopology};
 pub use vri::{LvrmAdapter, VriAdapter, VriHealth, LVRM_CTRL_ID};

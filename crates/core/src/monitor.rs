@@ -32,16 +32,15 @@ use crate::alloc::{AllocDecision, CoreAllocator, VrLoadView};
 use crate::balance::{BalanceCtx, LoadBalancer};
 use crate::checkpoint::{Checkpoint, CheckpointError, VrCheckpoint};
 use crate::clock::Clock;
+use crate::cluster::{ClusterNode, PeerLink, Role, ShardMap};
 use crate::config::{DispatchMode, LvrmConfig};
 use crate::estimate::PressureTracker;
-use crate::ha::{HaNode, PeerLink, Role};
 use crate::host::{VriHost, VriSpec};
 use crate::ledger::{
     series, Ledger, LvrmStats, StatCounters, VrBooks, VriBooks, M_DATA_QUEUED, M_EGRESS_QUEUED,
     M_VRI_DISPATCHED, M_VRI_DROPS, M_VRI_QUEUE_LEN, M_VRI_RETURNED, M_VR_ADMITTED, M_VR_FRAMES_IN,
     M_VR_SHED,
 };
-use crate::shard::{FleetNode, ShardMap};
 use crate::topology::CoreMap;
 use crate::vri::{decode_heartbeat, decode_service_rate, VriAdapter, VriHealth, VriSeries};
 use crate::{VrId, VriId};
@@ -240,7 +239,7 @@ struct VrState {
     /// Always true outside a fleet.
     owned: bool,
     /// The classify subnets this VR was declared with — the shard key the
-    /// fleet partitions by, kept for map construction at `attach_fleet`.
+    /// fleet partitions by, kept for map construction at `attach_cluster`.
     subnets: Vec<(Ipv4Addr, u8)>,
 }
 
@@ -479,14 +478,10 @@ pub struct Lvrm<C: Clock> {
     epoch: u32,
     /// When the last periodic checkpoint was written (monitor clock).
     last_checkpoint_ns: Option<u64>,
-    /// Active/standby HA node (election + replication), when attached.
-    /// Boxed: it carries a `dyn PeerLink` plus stream state, and most
-    /// monitors run solo.
-    ha: Option<Box<HaNode>>,
-    /// Fleet directory node (N-way sharding, DESIGN.md §15), when attached.
-    /// Ticked from the same lazy sub-tick as HA, right after it, so a
-    /// promotion is visible to the directory within the same call.
-    fleet: Option<Box<FleetNode>>,
+    /// Cluster node (HA election, shard directory, state stream; DESIGN.md
+    /// §13, §15), when attached. Boxed: it carries `dyn PeerLink`s plus
+    /// stream state, and most monitors run solo.
+    cluster: Option<Box<ClusterNode>>,
     /// Records relayed by the most recent state-update fan-out — the
     /// sibling-book staleness bound in updates (`lvrm_repl_lag_updates`).
     repl_last_fanout_records: u64,
@@ -557,8 +552,7 @@ impl<C: Clock> Lvrm<C> {
             shutting_down: false,
             epoch: 0,
             last_checkpoint_ns: None,
-            ha: None,
-            fleet: None,
+            cluster: None,
             repl_last_fanout_records: 0,
             repl_last_fanout_ns: 0,
             scratch_loads: Vec::new(),
@@ -1209,20 +1203,13 @@ impl<C: Clock> Lvrm<C> {
     /// to one run per allocation period. Exposed for hosts that want to
     /// drive it on a timer even without traffic.
     pub fn maybe_reallocate(&mut self, now_ns: u64, host: &mut dyn VriHost) {
-        // Fast HA sub-tick: runs on *every* invocation (the host loop), ahead
-        // of the 1 s allocation gate — advert cadence, master-down detection,
-        // and promotion must all be sub-second. Take/put so the node can
-        // borrow the monitor mutably for checkpoint build/apply.
-        if let Some(mut ha) = self.ha.take() {
-            ha.tick(now_ns, self, host);
-            self.ha = Some(ha);
-        }
-        // Fleet directory sub-tick, immediately after HA so a promotion is
-        // visible to the directory within the same invocation (the freshly
-        // promoted master starts adverting for its shard right away).
-        if let Some(mut fleet) = self.fleet.take() {
-            fleet.tick(now_ns, self, host);
-            self.fleet = Some(fleet);
+        // Cluster sub-tick: runs on *every* invocation (the host loop), ahead
+        // of the 1 s allocation gate — advert cadence, down detection,
+        // promotion and takeover must all be sub-second. Take/put so the
+        // node can borrow the monitor mutably for checkpoint build/apply.
+        if let Some(mut cluster) = self.cluster.take() {
+            cluster.tick(now_ns, self, host);
+            self.cluster = Some(cluster);
         }
         if self.shutting_down {
             return; // the only remaining allocation activity is the drain
@@ -2009,39 +1996,17 @@ impl<C: Clock> Lvrm<C> {
         self.epoch
     }
 
-    /// Arm the active/standby HA state machine over `link`, using the
-    /// election knobs in `config.ha`. Returns `false` (and attaches
-    /// nothing) when the config carries no HA section. The node starts as
-    /// `Backup`; with no peer on the link it promotes itself after one
-    /// master-down interval.
-    pub fn attach_ha(&mut self, link: Box<dyn PeerLink>) -> bool {
-        let Some(ha_cfg) = self.config.ha else {
-            return false;
-        };
-        self.ha = Some(Box::new(HaNode::new(ha_cfg, link, &self.registry)));
-        true
-    }
-
-    /// The attached HA node, if any.
-    pub fn ha(&self) -> Option<&HaNode> {
-        self.ha.as_deref()
-    }
-
-    /// Mutable access to the attached HA node (manual failover, tests).
-    pub fn ha_mut(&mut self) -> Option<&mut HaNode> {
-        self.ha.as_deref_mut()
-    }
-
     /// Whether this monitor currently owns the dataplane. Solo monitors
-    /// (no HA attached) always accept; paired monitors accept only as the
-    /// post-probation master. Hosts gate ingress polling on this.
+    /// and shards without a partner always accept; paired monitors accept
+    /// only as the post-probation master. Hosts gate ingress polling on
+    /// this.
     pub fn ha_accepting(&self) -> bool {
-        self.ha.as_ref().is_none_or(|h| h.accepting())
+        self.cluster.as_ref().is_none_or(|c| c.accepting())
     }
 
-    /// Current HA role, when HA is attached.
+    /// Current election role, when a cluster node is attached.
     pub fn ha_role(&self) -> Option<Role> {
-        self.ha.as_ref().map(|h| h.role())
+        self.cluster.as_ref().map(|c| c.role())
     }
 
     /// Periodic checkpoint, gated on `config.checkpoint_interval_ns`. Runs
@@ -2234,7 +2199,7 @@ impl<C: Clock> Lvrm<C> {
         self.epoch
     }
 
-    // ---- fleet (N-way sharding, DESIGN.md §15) -------------------------
+    // ---- cluster (HA pair and shard fleet, DESIGN.md §13, §15) ---------
 
     /// Nanoseconds since the most recent state-update fan-out (0 before the
     /// first, or when replication is idle because nothing emitted).
@@ -2246,17 +2211,20 @@ impl<C: Clock> Lvrm<C> {
         }
     }
 
-    /// Join an N-shard monitor fleet over `links` (`(peer shard id, link)`
-    /// pairs), using the sharding knobs in `config.shard`. Returns `false`
-    /// (and attaches nothing) when the config carries no shard section.
+    /// Join the cluster over `links` (`(peer shard id, link)` pairs), using
+    /// the knobs in `config.cluster`. Returns `false` (and attaches nothing)
+    /// when the config carries no cluster section. A link tagged with this
+    /// monitor's own shard leads to its HA partner: the node then starts as
+    /// `Backup` and, with no partner on the link, promotes itself after one
+    /// master-down interval. Without one it is its shard's master at once.
     ///
     /// Every fleet member declares the same VR universe and calls this with
     /// the same topology, so the version-1 [`ShardMap`] — a rendezvous hash
     /// over the declared VR names — is unanimous without any exchange. VRs
     /// the map assigns elsewhere are immediately disowned: their classified
     /// frames shed at ingress until a takeover re-homes them here.
-    pub fn attach_fleet(&mut self, links: Vec<(u32, Box<dyn PeerLink>)>) -> bool {
-        let Some(shard_cfg) = self.config.shard else {
+    pub fn attach_cluster(&mut self, links: Vec<(u32, Box<dyn PeerLink>)>) -> bool {
+        let Some(cfg) = self.config.cluster else {
             return false;
         };
         let universe: Vec<(String, Ipv4Addr, u8)> = self
@@ -2268,32 +2236,33 @@ impl<C: Clock> Lvrm<C> {
                 (vr.name.clone(), net, prefix)
             })
             .collect();
-        let shards: Vec<u32> = (0..shard_cfg.shards).collect();
+        let shards: Vec<u32> = (0..cfg.shards).collect();
         let map = ShardMap::partition(&universe, &shards);
         for vr in &mut self.vrs {
-            vr.owned = map.owner_of(&vr.name) == Some(shard_cfg.shard_id);
+            vr.owned = map.owner_of(&vr.name) == Some(cfg.shard_id);
         }
-        self.fleet = Some(Box::new(FleetNode::new(shard_cfg, map, links, &self.registry)));
+        let now_ns = self.clock.now_ns();
+        self.cluster = Some(Box::new(ClusterNode::new(cfg, map, links, now_ns, &self.registry)));
         self.registry.push_event(
-            self.clock.now_ns(),
+            now_ns,
             format!(
-                "fleet-attached shard={} shards={} owned={}",
-                shard_cfg.shard_id,
-                shard_cfg.shards,
+                "cluster-attached shard={} shards={} owned={}",
+                cfg.shard_id,
+                cfg.shards,
                 self.owned_vrs()
             ),
         );
         true
     }
 
-    /// The attached fleet directory node, if any.
-    pub fn fleet(&self) -> Option<&FleetNode> {
-        self.fleet.as_deref()
+    /// The attached cluster node, if any.
+    pub fn cluster(&self) -> Option<&ClusterNode> {
+        self.cluster.as_deref()
     }
 
-    /// Mutable access to the attached fleet node (tests, manual rebalance).
-    pub fn fleet_mut(&mut self) -> Option<&mut FleetNode> {
-        self.fleet.as_deref_mut()
+    /// Mutable access to the attached cluster node (manual failover, tests).
+    pub fn cluster_mut(&mut self) -> Option<&mut ClusterNode> {
+        self.cluster.as_deref_mut()
     }
 
     /// VRs this monitor currently owns (all of them outside a fleet). The

@@ -46,8 +46,8 @@ use lvrm_net::FlowKey;
 use crate::checkpoint::{open, seal, CheckpointError, Version};
 
 /// Leading magic of a state-update batch — disjoint from `LVCK`
-/// (checkpoints), `LVCD` (HA deltas), and `LVHA` (HA adverts) so a record
-/// batch can never be mistaken for any of them.
+/// (checkpoints), `LVCD` (deltas), and `LVSM` (cluster messages) so a
+/// record batch can never be mistaken for any of them.
 pub const STATE_UPDATE_MAGIC: [u8; 4] = *b"LVSU";
 pub const STATE_UPDATE_VERSION: u8 = 1;
 

@@ -1,7 +1,7 @@
 //! Property tests for the wire family (DESIGN.md §10, §13–§15): `LVCK`
-//! checkpoints, `LVCD` deltas, `LVHA` pair messages, `LVSU` state-update
-//! batches and `LVSM` fleet messages share one framing (`checkpoint.rs`
-//! `seal`/`open`), so one table-driven set of properties covers all five:
+//! checkpoints, `LVCD` deltas, `LVSU` state-update batches and `LVSM`
+//! cluster messages share one framing (`checkpoint.rs` `seal`/`open`), so
+//! one table-driven set of properties covers all four:
 //! anything a format can encode round-trips bit-exactly, and *no* byte
 //! stream — corrupted, truncated, another format's, or outright garbage —
 //! may ever panic a decoder or be silently accepted. Two differential
@@ -16,10 +16,10 @@ use std::net::Ipv4Addr;
 
 use lvrm_core::checkpoint::crc32;
 use lvrm_core::{
-    decode_batch, encode_batch, AffinityMode, Checkpoint, CheckpointDelta, CheckpointError, CoreId,
-    CoreMap, CoreTopology, FleetMsg, FlowRecord, FlowSection, HaMsg, Lvrm, LvrmConfig, LvrmStats,
-    ManualClock, RecordingHost, ReplicaLedger, ShardEntry, ShardMap, StateUpdate, VrCheckpoint,
-    VrDelta, SHARD_MAP_MAGIC,
+    decode_batch, encode_batch, AffinityMode, Checkpoint, CheckpointDelta, CheckpointError,
+    ClusterMsg, CoreId, CoreMap, CoreTopology, FlowRecord, FlowSection, Lvrm, LvrmConfig,
+    LvrmStats, ManualClock, RecordingHost, ReplicaLedger, ShardEntry, ShardMap, StateUpdate,
+    VrCheckpoint, VrDelta,
 };
 use lvrm_net::flow::Protocol;
 use lvrm_net::{FlowKey, FrameBuilder};
@@ -331,7 +331,7 @@ fn promising(mut bytes: Vec<u8>, back: usize, n: &[u8]) -> Vec<u8> {
     bytes
 }
 
-// ---- LVSU, LVHA and LVSM payloads ---------------------------------------
+// ---- LVSU and LVSM payloads ---------------------------------------------
 
 fn arb_update_key() -> impl Strategy<Value = FlowKey> {
     (any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>(), any::<u8>()).prop_map(
@@ -373,62 +373,43 @@ fn arb_shard_map() -> impl Strategy<Value = ShardMap> {
         .prop_map(|(version, entries)| ShardMap { version, entries })
 }
 
-/// Any pair message, every kind.
-fn arb_ha_msg() -> impl Strategy<Value = HaMsg> {
+/// Any cluster message, every kind.
+fn arb_cluster_msg() -> impl Strategy<Value = ClusterMsg> {
     let blob = || prop::collection::vec(any::<u8>(), 0..64);
     prop_oneof![
-        (any::<u64>(), any::<u64>(), any::<u8>(), any::<u32>(), any::<u64>()).prop_map(
-            |(term, node_id, priority, epoch, seq)| HaMsg::Advert {
-                term,
-                node_id,
-                priority,
-                epoch,
-                seq
-            }
-        ),
-        (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(term, acked_seq, shadow_epoch)| {
-            HaMsg::Ack { term, acked_seq, shadow_epoch }
+        (any::<u64>(), any::<u64>(), any::<u32>(), any::<u8>(), any::<u32>(), any::<u32>())
+            .prop_map(|(term, node_id, shard_id, priority, epoch, map_version)| {
+                ClusterMsg::Advert { term, node_id, shard_id, priority, epoch, map_version }
+            }),
+        any::<u64>().prop_map(|acked_seq| ClusterMsg::Ack { acked_seq }),
+        (any::<u64>(), any::<u64>(), blob()).prop_map(|(node_id, term, bytes)| ClusterMsg::Delta {
+            node_id,
+            term,
+            bytes
         }),
-        blob().prop_map(|bytes| HaMsg::Delta { bytes }),
-        (any::<u64>(), blob()).prop_map(|(seq, bytes)| HaMsg::Snapshot { seq, bytes }),
-        any::<u64>().prop_map(|have_seq| HaMsg::SyncReq { have_seq }),
-    ]
-}
-
-/// Any fleet message, every kind.
-fn arb_fleet_msg() -> impl Strategy<Value = FleetMsg> {
-    let claim = || (any::<u32>(), any::<u32>(), any::<u32>());
-    prop_oneof![
-        (any::<u64>(), any::<u32>(), any::<u32>(), any::<u32>()).prop_map(
-            |(term, shard_id, epoch, map_version)| FleetMsg::Advert {
-                term,
-                shard_id,
-                epoch,
-                map_version
-            }
+        (any::<u64>(), any::<u64>(), any::<u64>(), blob()).prop_map(
+            |(node_id, term, seq, bytes)| ClusterMsg::Snapshot { node_id, term, seq, bytes }
         ),
-        (any::<u32>(), arb_shard_map()).prop_map(|(from, map)| FleetMsg::Map { from, map }),
-        (any::<u32>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..64))
-            .prop_map(|(shard_id, seq, bytes)| FleetMsg::Snapshot { shard_id, seq, bytes }),
-        claim().prop_map(|(dead, epoch, from)| FleetMsg::Claim { dead, epoch, from }),
-        claim().prop_map(|(dead, epoch, from)| FleetMsg::ClaimAck { dead, epoch, from }),
+        Just(ClusterMsg::SyncReq),
+        (any::<u32>(), arb_shard_map()).prop_map(|(from, map)| ClusterMsg::Map { from, map }),
+        any::<u32>().prop_map(|dead| ClusterMsg::Claim { dead }),
+        (any::<u32>(), any::<u32>()).prop_map(|(dead, from)| ClusterMsg::ClaimAck { dead, from }),
     ]
 }
 
 // ---- the wire family as one table --------------------------------------
 
-/// One well-formed message of any of the five formats.
+/// One well-formed message of any of the four formats.
 #[derive(Clone, Debug, PartialEq)]
 enum Wire {
     Checkpoint(Checkpoint),
     Delta(CheckpointDelta),
-    Ha(HaMsg),
     Updates(u32, Vec<StateUpdate>),
-    Fleet(FleetMsg),
+    Cluster(ClusterMsg),
 }
 
 /// The family's magics, indexed like [`Wire::format`].
-const MAGICS: [&[u8; 4]; 5] = [b"LVCK", b"LVCD", b"LVHA", b"LVSU", b"LVSM"];
+const MAGICS: [&[u8; 4]; 4] = [b"LVCK", b"LVCD", b"LVSU", b"LVSM"];
 
 impl Wire {
     /// Index into the format table.
@@ -436,9 +417,8 @@ impl Wire {
         match self {
             Wire::Checkpoint(_) => 0,
             Wire::Delta(_) => 1,
-            Wire::Ha(_) => 2,
-            Wire::Updates(..) => 3,
-            Wire::Fleet(_) => 4,
+            Wire::Updates(..) => 2,
+            Wire::Cluster(_) => 3,
         }
     }
 
@@ -446,9 +426,8 @@ impl Wire {
         match self {
             Wire::Checkpoint(ck) => ck.encode(),
             Wire::Delta(d) => d.encode(),
-            Wire::Ha(m) => m.encode(),
             Wire::Updates(origin, updates) => encode_batch(*origin, updates),
-            Wire::Fleet(m) => m.encode(),
+            Wire::Cluster(m) => m.encode(),
         }
     }
 
@@ -457,33 +436,30 @@ impl Wire {
         Ok(match format {
             0 => Wire::Checkpoint(Checkpoint::decode(bytes)?),
             1 => Wire::Delta(CheckpointDelta::decode(bytes)?),
-            2 => Wire::Ha(HaMsg::decode(bytes)?),
-            3 => {
+            2 => {
                 let (origin, updates) = decode_batch(bytes)?;
                 Wire::Updates(origin, updates)
             }
-            _ => Wire::Fleet(FleetMsg::decode(bytes)?),
+            _ => Wire::Cluster(ClusterMsg::decode(bytes)?),
         })
     }
 }
 
 /// One message of each format per case, so every property below runs
-/// against all five.
-fn arb_family() -> impl Strategy<Value = [Wire; 5]> {
+/// against all four.
+fn arb_family() -> impl Strategy<Value = [Wire; 4]> {
     (
         (arb_checkpoint(), arb_clean_checkpoint(), any::<u64>(), any::<u64>()),
-        arb_ha_msg(),
         (any::<u32>(), arb_update_batch()),
-        arb_fleet_msg(),
+        arb_cluster_msg(),
     )
-        .prop_map(|((ck, prev, seed, seq), ha, (origin, updates), fleet)| {
+        .prop_map(|((ck, prev, seed, seq), (origin, updates), cluster)| {
             let delta = CheckpointDelta::diff(&prev, &mutate(&prev, seed), seq);
             [
                 Wire::Checkpoint(ck),
                 Wire::Delta(delta),
-                Wire::Ha(ha),
                 Wire::Updates(origin, updates),
-                Wire::Fleet(fleet),
+                Wire::Cluster(cluster),
             ]
         })
 }
@@ -494,8 +470,7 @@ proptest! {
     /// Encode → decode is the identity for every well-formed message of
     /// every format, and each begins with its own magic. An LVSU batch's
     /// length is exactly the documented fixed-size framing (no hidden
-    /// variability to desync a reader on); a fleet map also survives the
-    /// standalone `ShardMap` entry points.
+    /// variability to desync a reader on).
     #[test]
     fn encode_decode_is_identity(family in arb_family()) {
         for msg in family {
@@ -503,15 +478,8 @@ proptest! {
             prop_assert_eq!(&bytes[..4], MAGICS[msg.format()].as_slice());
             let back = Wire::decode(msg.format(), &bytes).expect("well-formed message must decode");
             prop_assert_eq!(&back, &msg);
-            match &msg {
-                Wire::Updates(_, updates) => {
-                    prop_assert_eq!(bytes.len(), 15 + 45 * updates.len())
-                }
-                Wire::Fleet(FleetMsg::Map { map, .. }) => {
-                    prop_assert_eq!(&map.encode()[..4], SHARD_MAP_MAGIC.as_slice());
-                    prop_assert_eq!(&ShardMap::decode(&map.encode()).expect("map frame"), map);
-                }
-                _ => {}
+            if let Wire::Updates(_, updates) = &msg {
+                prop_assert_eq!(bytes.len(), 15 + 45 * updates.len())
             }
         }
     }
@@ -578,7 +546,7 @@ proptest! {
         }
     }
 
-    /// The five magics are mutually disjoint: no format's well-formed bytes
+    /// The four magics are mutually disjoint: no format's well-formed bytes
     /// decode as any other, so a mis-routed payload can never be restored,
     /// folded or gossiped as the wrong kind.
     #[test]
@@ -596,23 +564,21 @@ proptest! {
         }
     }
 
-    /// A CRC-valid pair or fleet frame of a kind the protocol does not
-    /// define is rejected — in particular it is not taken for a `SyncReq`,
-    /// which would make a master re-baseline with a full snapshot.
+    /// A CRC-valid cluster frame of a kind the protocol does not define is
+    /// rejected — in particular it is not taken for a `SyncReq`, which
+    /// would make a master re-baseline with a full snapshot.
     #[test]
-    fn unknown_message_kinds_are_rejected(kind in 5u8..=255, payload in any::<u64>()) {
-        for (format, magic) in [(2, b"LVHA"), (4, b"LVSM")] {
-            let mut bytes = magic.to_vec();
-            bytes.push(1); // version
-            bytes.push(kind);
-            bytes.extend_from_slice(&payload.to_le_bytes());
-            let crc = crc32(&bytes).to_le_bytes();
-            bytes.extend_from_slice(&crc);
-            prop_assert!(
-                matches!(Wire::decode(format, &bytes), Err(CheckpointError::Malformed(_))),
-                "kind {} accepted as a {} message", kind, String::from_utf8_lossy(magic)
-            );
-        }
+    fn unknown_message_kinds_are_rejected(kind in 8u8..=255, payload in any::<u64>()) {
+        let mut bytes = b"LVSM".to_vec();
+        bytes.push(2); // version
+        bytes.push(kind);
+        bytes.extend_from_slice(&payload.to_le_bytes());
+        let crc = crc32(&bytes).to_le_bytes();
+        bytes.extend_from_slice(&crc);
+        prop_assert!(
+            matches!(Wire::decode(3, &bytes), Err(CheckpointError::Malformed(_))),
+            "kind {} accepted as a cluster message", kind
+        );
     }
 
     /// The hinted join is the hash-map diff: for a successor the table
@@ -756,14 +722,25 @@ proptest! {
     }
 }
 
+/// Hex to bytes, whitespace ignored.
+fn unhex(hex: &str) -> Vec<u8> {
+    let hex: String = hex.split_whitespace().collect();
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
+        .collect()
+}
+
 /// Bytes encoded at the parent of the commit that introduced the shared
 /// framing (`seal`/`open`, `VrCheckpoint::{enc, dec}`) and the counter
-/// schema: one message per format, the checkpoint's 22 counters the first
-/// 22 primes so a transposed pair would show. Each must decode and
-/// re-encode to the same bytes — the refactor moved no byte.
+/// schema — the checkpoint's 22 counters the first 22 primes so a
+/// transposed pair would show — and, for `LVSM`, its version-2 cluster
+/// advert `(term 2, node 7, shard 1, priority 200, epoch 3, map version 4)`.
+/// Each must decode and re-encode to the same bytes — the refactor moved no
+/// byte.
 #[test]
 fn parent_commit_bytes_decode_and_reencode_identically() {
-    const FIXTURES: [&str; 5] = [
+    const FIXTURES: [&str; 4] = [
         "4c56434b020000000300000015cd5b070000000002000000000000000300000000000000050000000000\
          000007000000000000000b000000000000000d0000000000000011000000000000001300000000000000\
          17000000000000001d000000000000001f00000000000000250000000000000029000000000000002b00\
@@ -786,18 +763,13 @@ fn parent_commit_bytes_decode_and_reencode_identically() {
          002e16000000000000050000006465707442000000000000000000000000000000000000000000000000\
          000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
          0000000000000100000000000000000000000000bddef403",
-        "4c5648410103120000000000000003000000090807ab4b8be8",
         "4c565355010700000002000a0001010a000209a10f50000601000000000000000300000000000000c000\
          000000000000e8030000000000000a0001020a000209a20f500011020000000000000001000000000000\
          004000000000000000d00700000000000055cdd352",
-        "4c56534d01010100000003000000010000000001000a180200000005000000646570743176ca726f",
+        "4c56534d02000200000000000000070000000000000001000000c803000000040000002806acef",
     ];
     for (format, hex) in FIXTURES.iter().enumerate() {
-        let hex: String = hex.split_whitespace().collect();
-        let bytes: Vec<u8> = (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
-            .collect();
+        let bytes = unhex(hex);
         let msg = Wire::decode(format, &bytes)
             .unwrap_or_else(|e| panic!("parent-commit bytes of format {format} rejected: {e}"));
         assert_eq!(msg.encode(), bytes, "format {format} re-encodes differently");
@@ -810,6 +782,29 @@ fn parent_commit_bytes_decode_and_reencode_identically() {
             assert_eq!((ck.stats.quarantined_drops, ck.stats.shed_early), (31, 47));
         }
     }
+}
+
+/// The retired wire formats, as the parent of the single cluster protocol
+/// encoded them: an `LVHA` pair message (the HA-only format) and an `LVSM`
+/// version-1 fleet map. No decoder may accept either, so a node speaking
+/// them is rejected like any corrupt peer.
+#[test]
+fn retired_cluster_formats_are_rejected() {
+    let retired = [
+        "4c5648410103120000000000000003000000090807ab4b8be8",
+        "4c56534d01010100000003000000010000000001000a180200000005000000646570743176ca726f",
+    ];
+    for hex in retired {
+        let bytes = unhex(hex);
+        for (format, magic) in MAGICS.iter().enumerate() {
+            assert!(
+                Wire::decode(format, &bytes).is_err(),
+                "retired bytes {hex} accepted as {}",
+                String::from_utf8_lossy(*magic)
+            );
+        }
+    }
+    assert!(matches!(ClusterMsg::decode(&unhex(retired[1])), Err(CheckpointError::BadVersion(1))));
 }
 
 /// Every way a length splits: the byte tail, the eight-byte table loop, and
@@ -861,10 +856,10 @@ fn counts_beyond_the_bytes_left_are_refused_before_allocation() {
         ] {
             refused(CheckpointDelta::decode(&bytes), what, n);
         }
-        // `LVSM`: a map of no entries, standalone and as the fleet message.
-        let map = promising(ShardMap { version: 1, entries: Vec::new() }.encode(), 0, le);
-        refused(ShardMap::decode(&map), "implausible shard-map entry count", n);
-        refused(FleetMsg::decode(&map), "implausible shard-map entry count", n);
+        // `LVSM`: a map of no entries.
+        let map = ShardMap { version: 1, entries: Vec::new() };
+        let map = promising(ClusterMsg::Map { from: 0, map }.encode(), 0, le);
+        refused(ClusterMsg::decode(&map), "implausible shard-map entry count", n);
     }
     // `LVSU` counts in a `u16`: 15 bytes that used to reserve room for 65 535
     // updates.

@@ -1,5 +1,6 @@
-//! Active/standby HA acceptance suite (DESIGN.md §13): pair two monitors
-//! over an in-process peer link, elect the higher-priority one, stream
+//! Active/standby HA acceptance suite (DESIGN.md §13): pair two monitors —
+//! a one-shard cluster, each node's link tagged with its own shard — over
+//! an in-process peer link, elect the higher-priority one, stream
 //! checkpoint deltas, then kill the master — the standby must promote from
 //! its shadow in under a second with flow affinity and all four
 //! conservation identities exact. A seeded advert-loss/partition storm must
@@ -11,8 +12,9 @@
 use std::net::Ipv4Addr;
 
 use lvrm_core::{
-    AffinityMode, AllocatorKind, ChannelLink, CoreId, CoreMap, CoreTopology, FaultyLink, HaConfig,
-    LinkFaultWindow, Lvrm, LvrmConfig, ManualClock, PeerLink, RecordingHost, Role, VrId,
+    AffinityMode, AllocatorKind, ChannelLink, ClusterConfig, CoreId, CoreMap, CoreTopology,
+    FaultyLink, LinkFaultWindow, Lvrm, LvrmConfig, ManualClock, PeerLink, RecordingHost, Role,
+    VrId,
 };
 use lvrm_ipc::QueueKind;
 use lvrm_net::{Frame, FrameBuilder};
@@ -21,7 +23,7 @@ use lvrm_router::VirtualRouter;
 /// Host-loop cadence: well under the advert interval, so election timers
 /// are observed with ~7% granularity.
 const STEP_NS: u64 = 10_000_000; // 10 ms
-const ADVERT_NS: u64 = 150_000_000; // 150 ms (the HaConfig default)
+const ADVERT_NS: u64 = 150_000_000; // 150 ms
 const DELTA_NS: u64 = 200_000_000; // stream every 200 ms in tests
 const FLOWS: usize = 8;
 
@@ -38,12 +40,12 @@ fn ha_config(kind: QueueKind, priority: u8, node_id: u64) -> LvrmConfig {
         allocator: AllocatorKind::Fixed { cores: 2 },
         supervision: true,
         flow_based: true,
-        ha: Some(HaConfig {
+        cluster: Some(ClusterConfig {
             priority,
             node_id,
             advert_interval_ns: ADVERT_NS,
-            delta_interval_ns: DELTA_NS,
-            preempt: true,
+            stream_interval_ns: DELTA_NS,
+            ..Default::default()
         }),
         ..Default::default()
     }
@@ -85,7 +87,10 @@ impl Node {
         let mut lvrm = Lvrm::new(ha_config(kind, priority, node_id), cores, clock.clone());
         let mut host = RecordingHost::with_heartbeats();
         let vr = lvrm.add_vr("deptA", &subnet(), routed_vr("a"), &mut host);
-        assert!(lvrm.attach_ha(link), "config carries ha, attach must succeed");
+        assert!(
+            lvrm.attach_cluster(vec![(0, link)]),
+            "config carries a cluster, attach must succeed"
+        );
         Node { clock, lvrm, host, vr, max_lag: 0 }
     }
 
@@ -97,7 +102,7 @@ impl Node {
         self.lvrm.process_control();
         self.lvrm.maybe_reallocate(t, &mut self.host);
         self.lvrm.poll_egress(out);
-        self.max_lag = self.max_lag.max(self.lvrm.ha().expect("ha attached").delta_lag());
+        self.max_lag = self.max_lag.max(self.lvrm.cluster().expect("attached").delta_lag());
     }
 
     fn accepting(&self) -> bool {
@@ -229,8 +234,9 @@ fn killed_master_promotes_standby_subsecond_with_exact_books() {
         a.lvrm.maybe_reallocate(t, &mut a.host); // streams at exactly t
         a.lvrm.poll_egress(&mut out);
         b.step(t, &mut out); // folds the delta (or snapshot), acks
-        let shadow = b.lvrm.ha().expect("attached").shadow().expect("{ctx}: shadow baselined");
-        assert_eq!(shadow, &expected, "{ctx}: shadow drifted from the master's checkpoint");
+        let shadow =
+            b.lvrm.cluster().expect("attached").shadow(0).expect("{ctx}: shadow baselined");
+        assert_eq!(shadow.ck, expected, "{ctx}: shadow drifted from the master's checkpoint");
         let a_stats = a.lvrm.stats();
 
         // The standby acknowledges every delta before the next one leaves.
@@ -256,7 +262,7 @@ fn killed_master_promotes_standby_subsecond_with_exact_books() {
         assert_eq!(b.role(), Role::Master, "{ctx}");
         // Term 1 was the initial election (A's timeout-promotion); the
         // takeover is election term 2.
-        assert_eq!(b.lvrm.ha().expect("attached").term(), 2, "{ctx}: takeover bumps the term");
+        assert_eq!(b.lvrm.cluster().expect("attached").term(), 2, "{ctx}: takeover bumps the term");
 
         // The survivor's books are the master's books: counters resumed,
         // identities exact, flows pinned to their old slots.
@@ -310,7 +316,7 @@ fn graceful_handoff_transfers_mastership_without_overlap() {
         a.drain(&mut out);
 
         let t_handoff = t;
-        a.lvrm.ha_mut().expect("attached").request_handoff(t_handoff);
+        assert!(a.lvrm.cluster_mut().expect("attached").request_handoff(t_handoff), "{ctx}");
         assert!(!a.accepting(), "{ctx}: resigned master stops accepting at once");
         assert_eq!(a.role(), Role::Draining, "{ctx}");
 
@@ -431,7 +437,7 @@ fn partition_storm_never_yields_two_accepting_masters() {
     }
 }
 
-/// Seeded 50% loss on the *state stream only* (HaMsg kind byte at wire
+/// Seeded 50% loss on the *state stream only* (ClusterMsg kind byte at wire
 /// offset 5; adverts are kind 0 and sail through): the resync regression
 /// below targets the Delta/Snapshot/SyncReq exchange, and dropping
 /// adverts too would simply re-test the election envelope.
@@ -470,7 +476,7 @@ impl<L: PeerLink> PeerLink for StreamLossLink<L> {
 }
 
 /// Wire tap for the resync regression below: counts standby-side SyncReq
-/// sends and Snapshot receipts by the HaMsg kind byte (offset 5 on the
+/// sends and Snapshot receipts by the ClusterMsg kind byte (offset 5 on the
 /// wire), then forwards to the (lossy) inner link untouched.
 struct CountingLink<L> {
     inner: L,
@@ -565,10 +571,11 @@ fn lossy_link_resync_is_rate_limited_and_still_converges() {
         let mut master_books = a.lvrm.build_checkpoint(t2).canonical();
         let mut shadow = b
             .lvrm
-            .ha()
+            .cluster()
             .expect("attached")
-            .shadow()
+            .shadow(0)
             .unwrap_or_else(|| panic!("{ctx}: standby never built a shadow"))
+            .ck
             .canonical();
         // The shadow's build stamp is the last stream tick, not "now".
         master_books.ts_ns = 0;

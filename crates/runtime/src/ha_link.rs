@@ -1,24 +1,25 @@
-//! UDP transport for the HA peer link.
+//! UDP transport for cluster links (DESIGN.md §13, §15).
 //!
-//! [`UdpPeerLink`] carries [`lvrm_core::ha::HaMsg`] wire bytes between two
-//! `lvrmd` processes over a pair of non-blocking UDP sockets — the natural
-//! transport for VRRP-style adverts, which are *designed* to tolerate loss
-//! (the master-down timer absorbs up to two missed adverts; checkpoint
-//! deltas ride the same lossy channel and resynchronize via `SyncReq`).
+//! [`UdpPeerLink`] carries [`lvrm_core::ClusterMsg`] wire bytes between two
+//! `lvrmd` processes over a pair of non-blocking UDP sockets — one link per
+//! peer: the HA partner (`--ha-bind/--ha-peer`) and each other shard
+//! (`--fleet-peer`). UDP suits the protocol, which is *designed* to
+//! tolerate loss: a down deadline absorbs missed adverts, and the state
+//! stream resynchronizes via `SyncReq`.
 //!
 //! UDP caps a datagram well below a worst-case `Snapshot`, so every message
 //! travels as one or more fragments under an 8-byte header
 //! `(msg_id u32, frag_idx u16, frag_total u16)`, little-endian. The
 //! receiver reassembles by `msg_id` and delivers only complete messages;
 //! partially received messages are abandoned when newer traffic arrives
-//! (bounded buffer), which degrades to exactly the loss the HA protocol
+//! (bounded buffer), which degrades to exactly the loss the protocol
 //! already tolerates.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 
-use lvrm_core::ha::PeerLink;
+use lvrm_core::PeerLink;
 
 /// Payload bytes per fragment (header excluded); comfortably under the
 /// 65 507-byte UDP maximum with headroom for odd MTUs.
@@ -148,8 +149,8 @@ impl PeerLink for UdpPeerLink {
 }
 
 /// One `--fleet-peer` argument: `<shard>,<bind ip:port>,<peer ip:port>`.
-/// A fleet member carries one such spec per remote shard (DESIGN.md §15);
-/// parsing is here so the daemon and tests share it.
+/// A fleet member carries one such spec per remote shard (DESIGN.md §15)
+/// and opens a [`UdpPeerLink`] for each.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FleetPeerSpec {
     pub shard: u32,
@@ -172,24 +173,6 @@ impl std::str::FromStr for FleetPeerSpec {
             return Err(format!("empty addr in fleet peer spec {s:?}"));
         }
         Ok(FleetPeerSpec { shard, bind, peer })
-    }
-}
-
-/// Fan-out of the UDP peer link to N fleet peers: one bound socket per
-/// remote shard, each aimed at that shard's fleet port. The directory
-/// wants per-peer links (`Lvrm::attach_fleet` takes `(shard, link)`
-/// pairs), so this is a constructor, not a mux: it opens every link and
-/// hands them over, failing atomically if any bind/resolve fails.
-pub struct UdpFanout;
-
-impl UdpFanout {
-    pub fn connect(specs: &[FleetPeerSpec]) -> std::io::Result<Vec<(u32, Box<dyn PeerLink>)>> {
-        let mut links: Vec<(u32, Box<dyn PeerLink>)> = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let link = UdpPeerLink::connect(&spec.bind, &spec.peer)?;
-            links.push((spec.shard, Box::new(link)));
-        }
-        Ok(links)
     }
 }
 
@@ -263,21 +246,5 @@ mod tests {
         assert!("x,127.0.0.1:1,127.0.0.1:2".parse::<FleetPeerSpec>().is_err());
         assert!("1,127.0.0.1:1".parse::<FleetPeerSpec>().is_err());
         assert!("1,,127.0.0.1:2".parse::<FleetPeerSpec>().is_err());
-    }
-
-    #[test]
-    fn udp_fanout_opens_one_link_per_peer() {
-        // Reserve two ephemeral bind points, then fan out to (fake) peers.
-        let a = UdpSocket::bind("127.0.0.1:0").expect("bind a");
-        let b = UdpSocket::bind("127.0.0.1:0").expect("bind b");
-        let (aa, ba) = (a.local_addr().unwrap(), b.local_addr().unwrap());
-        drop(a);
-        drop(b);
-        let specs = vec![
-            FleetPeerSpec { shard: 1, bind: aa.to_string(), peer: "127.0.0.1:9".into() },
-            FleetPeerSpec { shard: 2, bind: ba.to_string(), peer: "127.0.0.1:9".into() },
-        ];
-        let links = UdpFanout::connect(&specs).expect("fanout binds");
-        assert_eq!(links.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![1, 2]);
     }
 }

@@ -25,7 +25,7 @@ pub mod signal;
 pub mod threads;
 pub mod udp_adapter;
 
-pub use ha_link::{FleetPeerSpec, UdpFanout, UdpPeerLink};
+pub use ha_link::{FleetPeerSpec, UdpPeerLink};
 pub use metrics_server::MetricsServer;
 pub use msglat::{measure_control_latency, MsgLatencyReport};
 pub use pipeline::{

@@ -29,23 +29,28 @@
 //! supervisor state survive, under an incremented restore epoch. SIGHUP
 //! forces an immediate checkpoint and prints a conservation report.
 //!
-//! `--ha-bind`/`--ha-peer` pair two daemons into an active/standby set
-//! (DESIGN.md §13): VRRP-style adverts elect the higher `--ha-priority`
-//! monitor as master, the master streams checkpoint deltas over the same
-//! UDP link, and the standby — which does not accept dataplane frames —
-//! promotes from its shadow checkpoint within ~3 advert intervals of the
-//! master dying. SIGUSR1 on the master performs a graceful handoff
-//! (priority-0 resign, sub-advert-interval takeover).
+//! The cluster flags attach one cluster node (DESIGN.md §13, §15) with one
+//! UDP link per peer; `--advert-interval` sets its advert spacing (100 ms
+//! by default) with either flag group.
 //!
-//! `--shard-id`/`--shards` join an N-shard monitor fleet (DESIGN.md §15):
-//! every member declares the same VR universe (the config's `vr` lines),
-//! serves only the share the rendezvous partition assigns to its shard id,
-//! and gossips the directory with each `--fleet-peer <shard>,<bind>,<peer>`
-//! over UDP. Frames classified to an unowned VR are shed (counted, never
-//! silent). A shard that dies is detected in ~6 advert intervals and its
-//! VRs re-home to their rendezvous successors, warm-adopted from the
-//! inter-shard snapshot stream. Composes with `--ha-bind/--ha-peer`: a
-//! shard may itself be an active/standby pair.
+//! `--ha-bind`/`--ha-peer` open a link to this shard's partner, pairing
+//! two daemons into an active/standby set: VRRP-style adverts elect the
+//! higher `--ha-priority` monitor as master, the master streams checkpoint
+//! deltas over the link, and the standby — which does not accept dataplane
+//! frames — promotes from its shadow checkpoint once the master has been
+//! silent for 3 advert intervals + skew (≈ 361 ms at priority 100), and
+//! accepts one probation advert later. SIGUSR1 on the master performs a
+//! graceful handoff (priority-0 resign, sub-advert-interval takeover).
+//!
+//! `--shard-id`/`--shards` join an N-shard monitor fleet: every member
+//! declares the same VR universe (the config's `vr` lines), serves only the
+//! share the rendezvous partition assigns to its shard id, and talks to
+//! each other shard over a `--fleet-peer <shard>,<bind>,<peer>` link.
+//! Frames classified to an unowned VR are shed (counted, never silent). A
+//! shard silent for 6 advert intervals + 75–125 ms of jitter is buried and
+//! its VRs re-home to their rendezvous successors, warm-adopted from its
+//! state stream. Without `--shard-id`/`--shards` an HA pair is shard 0 of
+//! 1; with them, a shard may itself be an active/standby pair.
 //!
 //! Config format (one directive per line, `#` comments):
 //!
@@ -78,9 +83,10 @@
 use std::net::Ipv4Addr;
 
 use lvrm::core::config::{AllocatorKind, BalancerKind};
-use lvrm::core::{FaultPlan, FaultyHost};
+use lvrm::core::{FaultPlan, FaultyHost, PeerLink};
 use lvrm::prelude::*;
 use lvrm::router::Route;
+use lvrm::runtime::{FleetPeerSpec, UdpPeerLink};
 
 #[derive(Debug)]
 struct VrDecl {
@@ -287,19 +293,12 @@ fn build_router(decl: &VrDecl) -> Box<dyn VirtualRouter> {
     Box::new(FastVr::new(&decl.name, routes))
 }
 
-/// HA pairing options from the command line (present iff `--ha-peer`).
-struct HaCli {
-    bind: String,
-    peer: String,
-}
-
 fn run(
     config: DaemonConfig,
     duration_s: u64,
     rate_fps: f64,
     metrics_addr: Option<&str>,
-    ha: Option<HaCli>,
-    fleet_peers: Vec<lvrm::runtime::FleetPeerSpec>,
+    cluster_links: Vec<FleetPeerSpec>,
 ) {
     use lvrm::core::{FaultySocket, SocketAdapter, SupervisedAdapter};
 
@@ -331,39 +330,34 @@ fn run(
     lvrm::runtime::signal::install_shutdown_handlers();
     lvrm::runtime::signal::install_checkpoint_handler();
     lvrm::runtime::signal::install_handoff_handler();
-    if let Some(opts) = ha.as_ref() {
-        let link = lvrm::runtime::UdpPeerLink::connect(&opts.bind, &opts.peer)
-            .unwrap_or_else(|e| die(&format!("cannot open HA link {:?}: {e}", opts.bind)));
-        if !lvrm.attach_ha(Box::new(link)) {
-            die("--ha-peer given but the HA config was rejected");
+    if let Some(cc) = lvrm.config().cluster {
+        let links: Vec<(u32, Box<dyn PeerLink>)> = cluster_links
+            .iter()
+            .map(|spec| {
+                let link = UdpPeerLink::connect(&spec.bind, &spec.peer).unwrap_or_else(|e| {
+                    die(&format!("cannot open cluster link {:?}: {e}", spec.bind))
+                });
+                (spec.shard, Box::new(link) as Box<dyn PeerLink>)
+            })
+            .collect();
+        assert!(lvrm.attach_cluster(links), "the config carries a cluster section");
+        let advert_ms = cc.advert_interval_ns / 1_000_000;
+        if let Some(partner) = cluster_links.iter().find(|spec| spec.shard == cc.shard_id) {
+            println!(
+                "HA: node {} priority {} advertising every {advert_ms} ms ({} -> {}); starting as backup",
+                cc.node_id, cc.priority, partner.bind, partner.peer
+            );
         }
-        let hc = lvrm.config().ha.expect("attach_ha succeeded");
         println!(
-            "HA: node {} priority {} advertising every {} ms ({} -> {}); starting as backup",
-            hc.node_id,
-            hc.priority,
-            hc.advert_interval_ns / 1_000_000,
-            opts.bind,
-            opts.peer
-        );
-    }
-    if let Some(sc) = lvrm.config().shard {
-        let links = lvrm::runtime::UdpFanout::connect(&fleet_peers)
-            .unwrap_or_else(|e| die(&format!("cannot open fleet links: {e}")));
-        if !lvrm.attach_fleet(links) {
-            die("--shard-id/--shards given but the fleet config was rejected");
-        }
-        let owned = lvrm.owned_vrs();
-        println!(
-            "fleet: shard {}/{} serving {owned} of {} declared VRs, advert every {} ms",
-            sc.shard_id,
-            sc.shards,
-            config.vrs.len(),
-            sc.advert_interval_ns / 1_000_000
+            "fleet: shard {}/{} serving {} of {} declared VRs, advert every {advert_ms} ms",
+            cc.shard_id,
+            cc.shards,
+            lvrm.owned_vrs(),
+            config.vrs.len()
         );
     }
     for (d, id) in config.vrs.iter().zip(&vr_ids) {
-        let owned = lvrm.config().shard.is_none() || lvrm.vr_owned_by_name(&d.name);
+        let owned = lvrm.vr_owned_by_name(&d.name);
         println!(
             "hosted {} ({} -> {}), {} VRI(s){}",
             d.name,
@@ -484,12 +478,11 @@ fn run(
         }
         // SIGUSR1: graceful mastership handoff (priority-0 resign).
         if lvrm::runtime::signal::take_handoff_request() {
-            match lvrm.ha_mut() {
-                Some(node) => {
-                    node.request_handoff(clock.now_ns());
-                    println!("SIGUSR1: resigning mastership (handoff to peer)");
-                }
-                None => println!("SIGUSR1: no HA peer configured"),
+            let now = clock.now_ns();
+            if lvrm.cluster_mut().is_some_and(|node| node.request_handoff(now)) {
+                println!("SIGUSR1: resigning mastership (handoff to peer)");
+            } else {
+                println!("SIGUSR1: not an HA master; nothing to hand off");
             }
         }
         // SIGHUP: checkpoint now and report conservation, without stopping.
@@ -577,10 +570,10 @@ fn main() {
     let mut ha_peer: Option<String> = None;
     let mut ha_priority: Option<u8> = None;
     let mut ha_node_id: Option<u64> = None;
-    let mut advert_interval_ms: Option<u64> = None;
+    let mut advert_interval_ns: Option<u64> = None;
     let mut shard_id: Option<u32> = None;
     let mut shards: Option<u32> = None;
-    let mut fleet_peers: Vec<lvrm::runtime::FleetPeerSpec> = Vec::new();
+    let mut fleet_peers: Vec<FleetPeerSpec> = Vec::new();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -663,10 +656,10 @@ fn main() {
                 i += 2;
             }
             "--advert-interval" => {
-                advert_interval_ms = Some(
+                advert_interval_ns = Some(
                     args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|ms| *ms > 0)
+                        .and_then(|s| millis_as_ns(s))
+                        .filter(|ns| *ns > 0)
                         .unwrap_or_else(|| die("--advert-interval needs whole milliseconds >= 1")),
                 );
                 i += 2;
@@ -728,52 +721,41 @@ fn main() {
     if let Some(s) = checkpoint_interval_s {
         config.lvrm.checkpoint_interval_ns = s * 1_000_000_000;
     }
-    let ha = match (ha_bind, ha_peer) {
-        (Some(bind), Some(peer)) => {
-            let mut hc = lvrm::core::HaConfig::default();
-            if let Some(p) = ha_priority {
-                hc.priority = p;
-            }
-            if let Some(id) = ha_node_id {
-                hc.node_id = id;
-            }
-            if let Some(ms) = advert_interval_ms {
-                hc.advert_interval_ns = ms * 1_000_000;
-            }
-            config.lvrm.ha = Some(hc);
-            config.lvrm.validate().unwrap_or_else(|e| die(&format!("HA config: {e}")));
-            Some(HaCli { bind, peer })
-        }
-        (None, None) => {
-            if ha_priority.is_some() || ha_node_id.is_some() || advert_interval_ms.is_some() {
-                die("--ha-priority/--ha-node-id/--advert-interval need --ha-bind and --ha-peer");
-            }
-            None
-        }
-        _ => die("--ha-bind and --ha-peer must be given together"),
+    let sharded = shard_id.is_some();
+    let (shard_id, shards) = match (shard_id, shards) {
+        (Some(id), Some(n)) if id < n => (id, n),
+        (None, None) => (0, 1),
+        _ => die("--shard-id and --shards must be given together, with --shard-id < --shards"),
     };
-    match (shard_id, shards) {
-        (Some(id), Some(n)) => {
-            if id >= n {
-                die("--shard-id must be < --shards");
-            }
-            for spec in &fleet_peers {
-                if spec.shard == id || spec.shard >= n {
-                    die("--fleet-peer shard ids must name *other* members of the fleet");
-                }
-            }
-            config.lvrm.shard =
-                Some(lvrm::core::ShardConfig { shard_id: id, shards: n, ..Default::default() });
-            config.lvrm.validate().unwrap_or_else(|e| die(&format!("fleet config: {e}")));
-        }
-        (None, None) => {
-            if !fleet_peers.is_empty() {
-                die("--fleet-peer needs --shard-id and --shards");
-            }
-        }
-        _ => die("--shard-id and --shards must be given together"),
+    if fleet_peers.iter().any(|spec| spec.shard == shard_id || spec.shard >= shards) {
+        die("--fleet-peer shard ids must name *other* members of the --shard-id/--shards fleet");
     }
-    run(config, duration_s, rate_fps, metrics_addr.as_deref(), ha, fleet_peers);
+    // The partner link is tagged with this node's own shard: an HA pair
+    // without fleet flags is shard 0 of 1.
+    let mut cluster_links = fleet_peers;
+    match (ha_bind, ha_peer) {
+        (Some(bind), Some(peer)) => {
+            cluster_links.push(FleetPeerSpec { shard: shard_id, bind, peer })
+        }
+        (None, None) if ha_priority.is_none() && ha_node_id.is_none() => {}
+        (None, None) => die("--ha-priority/--ha-node-id need --ha-bind and --ha-peer"),
+        _ => die("--ha-bind and --ha-peer must be given together"),
+    }
+    if sharded || !cluster_links.is_empty() {
+        let d = lvrm::core::ClusterConfig::default();
+        config.lvrm.cluster = Some(lvrm::core::ClusterConfig {
+            shard_id,
+            shards,
+            node_id: ha_node_id.unwrap_or(d.node_id),
+            priority: ha_priority.unwrap_or(d.priority),
+            advert_interval_ns: advert_interval_ns.unwrap_or(d.advert_interval_ns),
+            stream_interval_ns: d.stream_interval_ns,
+        });
+        config.lvrm.validate().unwrap_or_else(|e| die(&format!("cluster config: {e}")));
+    } else if advert_interval_ns.is_some() {
+        die("--advert-interval needs --ha-bind/--ha-peer or --shard-id/--shards");
+    }
+    run(config, duration_s, rate_fps, metrics_addr.as_deref(), cluster_links);
 }
 
 fn die(msg: &str) -> ! {
