@@ -66,8 +66,8 @@ impl AdapterState {
     }
 }
 
-/// Thresholds and deadlines for one supervised adapter, usually built from
-/// [`crate::config::LvrmConfig::adapter_supervisor`].
+/// Thresholds and deadlines for one supervised adapter. `Default` holds the
+/// production values; tests build their own.
 #[derive(Clone, Copy, Debug)]
 pub struct AdapterSupervisorConfig {
     /// Consecutive faults before the adapter is marked `Degraded`.

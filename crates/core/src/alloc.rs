@@ -102,21 +102,12 @@ impl CoreAllocator for FixedAllocator {
 pub struct DynamicFixedThreshold {
     /// Assumed per-core service capacity, frames/second.
     pub per_core_rate: f64,
-    /// Hysteresis margin in (0, 1]: shrink only when the arrival rate is
-    /// below `(c-1) × rate × margin`, damping oscillation at the boundary.
-    pub shrink_margin: f64,
 }
 
 impl DynamicFixedThreshold {
     pub fn new(per_core_rate: f64) -> DynamicFixedThreshold {
         assert!(per_core_rate > 0.0);
-        DynamicFixedThreshold { per_core_rate, shrink_margin: 1.0 }
-    }
-
-    pub fn with_shrink_margin(mut self, margin: f64) -> DynamicFixedThreshold {
-        assert!(margin > 0.0 && margin <= 1.0);
-        self.shrink_margin = margin;
-        self
+        DynamicFixedThreshold { per_core_rate }
     }
 
     fn threshold(&self, vris: usize) -> f64 {
@@ -138,7 +129,7 @@ impl CoreAllocator for DynamicFixedThreshold {
         }
         // Fig. 3.2 shrink guard first: "arrival <= threshold(service w/ 1
         // less VRIs)" — but never below one VRI.
-        if c > 1 && vr.arrival_rate <= self.threshold(c - 1) * self.shrink_margin {
+        if c > 1 && vr.arrival_rate <= self.threshold(c - 1) {
             return AllocDecision::Shrink;
         }
         // Grow guard: "threshold(service rate) <= arrival".
@@ -161,20 +152,12 @@ impl CoreAllocator for DynamicFixedThreshold {
 pub struct DynamicServiceRate {
     /// Used until the service-rate estimator produces a value.
     pub bootstrap_rate: f64,
-    /// Shrink hysteresis, as in [`DynamicFixedThreshold`].
-    pub shrink_margin: f64,
 }
 
 impl DynamicServiceRate {
     pub fn new(bootstrap_rate: f64) -> DynamicServiceRate {
         assert!(bootstrap_rate > 0.0);
-        DynamicServiceRate { bootstrap_rate, shrink_margin: 1.0 }
-    }
-
-    pub fn with_shrink_margin(mut self, margin: f64) -> DynamicServiceRate {
-        assert!(margin > 0.0 && margin <= 1.0);
-        self.shrink_margin = margin;
-        self
+        DynamicServiceRate { bootstrap_rate }
     }
 }
 
@@ -195,7 +178,7 @@ impl CoreAllocator for DynamicServiceRate {
         }
         // "If the traffic load of VR is lower than the service rate with one
         // less VRIs of VR, then VR monitor deallocates a CPU core."
-        if c > 1 && vr.arrival_rate <= per_vri * (c - 1) as f64 * self.shrink_margin {
+        if c > 1 && vr.arrival_rate <= per_vri * (c - 1) as f64 {
             return AllocDecision::Shrink;
         }
         // "If the current traffic load of the VR is above the current
@@ -256,17 +239,6 @@ mod tests {
         let mut a = DynamicFixedThreshold::new(60_000.0);
         assert_eq!(a.decide(&view(0.0, 1)), AllocDecision::Hold);
         assert_eq!(a.decide(&view(0.0, 0)), AllocDecision::Grow);
-    }
-
-    #[test]
-    fn shrink_margin_damps_boundary_oscillation() {
-        let mut tight = DynamicFixedThreshold::new(60_000.0);
-        let mut damped = DynamicFixedThreshold::new(60_000.0).with_shrink_margin(0.9);
-        // At exactly the (c-1) threshold, the un-damped policy shrinks...
-        assert_eq!(tight.decide(&view(60_000.0, 2)), AllocDecision::Shrink);
-        // ...while the damped one waits for a clearer signal.
-        assert_eq!(damped.decide(&view(60_000.0, 2)), AllocDecision::Hold);
-        assert_eq!(damped.decide(&view(50_000.0, 2)), AllocDecision::Shrink);
     }
 
     #[test]

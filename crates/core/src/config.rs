@@ -1,4 +1,8 @@
-//! LVRM configuration: one knob per extensibility dimension.
+//! LVRM configuration: the paper's policy dimensions (balancer, allocator,
+//! estimator, IPC queue, allocation period) and the values some caller —
+//! `lvrmd`, the runtime, the testbed, the benchmark — actually sets. A
+//! default nobody overrides is a named constant next to the code that
+//! reads it, not a field here.
 
 use std::fmt;
 
@@ -6,7 +10,8 @@ use lvrm_ipc::{QueueKind, Watermarks};
 
 use crate::alloc::{CoreAllocator, DynamicFixedThreshold, DynamicServiceRate, FixedAllocator};
 use crate::balance::{FlowBased, Jsq, LoadBalancer, RandomBalancer, RoundRobin};
-use crate::estimate::{EwmaInterArrival, EwmaQueueLength, LoadEstimator};
+use crate::estimate::{EwmaInterArrival, EwmaQueueLength, LoadEstimator, ESTIMATOR_WEIGHT};
+use crate::monitor::MAX_VRIS_PER_VR;
 use crate::topology::AffinityMode;
 
 /// Which load-balancing policy to run (paper §3.3).
@@ -194,7 +199,8 @@ pub struct LvrmConfig {
     /// Capacity of the per-VR shared ingress ring under the VLink fabric
     /// (`queue_kind = vlink`, frame-based balancing), frames. `0` sizes it
     /// automatically at 4 × `data_queue_capacity` so a VR-wide burst never
-    /// outruns what its per-VRI queues could have absorbed combined.
+    /// outruns what its per-VRI queues could have absorbed combined; at most
+    /// `MAX_VRIS_PER_VR × data_queue_capacity`, all of those queues together.
     pub shared_ring_capacity: usize,
     /// Load-balancing policy.
     pub balancer: BalancerKind,
@@ -217,19 +223,10 @@ pub struct LvrmConfig {
     pub allocator: AllocatorKind,
     /// Per-VRI load estimator.
     pub estimator: EstimatorKind,
-    /// EWMA history weight for the load estimator (Fig. 3.4's `weight`).
-    pub estimator_weight: f64,
     /// Minimum spacing between core reallocation passes — the paper's
     /// 1-second period ("we set the period to be 1 second, while this
     /// parameter is tunable", §3.2).
     pub allocation_period_ns: u64,
-    /// Window of the per-VR arrival-rate estimator.
-    pub arrival_window_ns: u64,
-    /// EWMA history weight of the per-VR arrival-rate estimator.
-    pub arrival_weight: f64,
-    /// Upper bound on VRIs per VR (beyond physical cores throughput drops —
-    /// Experiment 2b — so LVRM "seeks to limit the number of cores").
-    pub max_vris_per_vr: usize,
     /// Core-affinity policy (§3.2's sibling-first heuristic by default).
     pub affinity: AffinityMode,
     /// Ingress/dispatch/egress burst size for the batched dataplane. Frames
@@ -255,16 +252,8 @@ pub struct LvrmConfig {
     /// A VRI silent for this long is declared dead and recovered. Must
     /// comfortably exceed the adapters' 100 ms heartbeat period.
     pub dead_after_ns: u64,
-    /// Base respawn backoff after the *second* consecutive crash (the first
-    /// respawn is immediate so a one-off crash recovers within one tick).
-    pub respawn_backoff_ns: u64,
-    /// Cap on the exponential respawn backoff.
-    pub respawn_backoff_max_ns: u64,
     /// Quarantine a VR after this many consecutive crashes (0 = never).
     pub quarantine_after: u32,
-    /// A VR that stays healthy this long after a crash gets its
-    /// consecutive-crash streak reset.
-    pub crash_streak_reset_ns: u64,
     /// Low occupancy watermark on the per-VRI data queues, as a fraction of
     /// capacity. A VR's pressure state only returns to `Normal` once every
     /// queue has drained back to this mark (hysteresis).
@@ -277,20 +266,11 @@ pub struct LvrmConfig {
     /// bursts). Off by default: without it dispatch degrades to pure
     /// tail-drop at whichever queue fills first, as before.
     pub overload_shedding: bool,
-    /// Default admission weight given to a VR at `add_vr` (tunable per VR via
-    /// `Lvrm::set_vr_weight`). An overloaded VR's per-burst admission quota is
-    /// `batch_size × weight / Σ weights`.
-    pub shed_weight: f64,
     /// How long a shrink victim may keep servicing its parked frames before
     /// it is forcibly retired and the leftovers re-homed through the
     /// balancer. `0` retires immediately (still re-homing, never silently
     /// discarding).
     pub drain_deadline_ns: u64,
-    /// Control-plane starvation bound: after this many consecutive data
-    /// bursts without a control-relay pass, `ingress_batch` runs
-    /// `process_control` itself. The paper gives control events strict
-    /// priority inside a VRI; this makes the monitor side enforceable too.
-    pub ctrl_starvation_bursts: u32,
     /// Record per-VR dispatch→departure latency histograms in `poll_egress`
     /// (one clock read per call plus ~5 relaxed atomic ops per frame). On by
     /// default; the overhead experiment in EXPERIMENTS.md toggles this.
@@ -300,19 +280,6 @@ pub struct LvrmConfig {
     pub checkpoint_path: Option<std::path::PathBuf>,
     /// Minimum spacing between periodic checkpoint writes.
     pub checkpoint_interval_ns: u64,
-    /// Consecutive adapter faults before the supervised socket adapter is
-    /// marked `Degraded`.
-    pub adapter_error_threshold: u32,
-    /// Consecutive adapter faults before it is declared `Dead` (reopen /
-    /// failover). Must be ≥ `adapter_error_threshold`.
-    pub adapter_dead_threshold: u32,
-    /// Base backoff between reopen attempts on a dead adapter.
-    pub adapter_reopen_backoff_ns: u64,
-    /// Cap on the exponential reopen backoff.
-    pub adapter_reopen_backoff_max_ns: u64,
-    /// How long a refused egress frame waits in the supervisor's retry queue
-    /// before it is finally counted dropped.
-    pub egress_retry_deadline_ns: u64,
     /// Cluster knobs: HA pair and shard fleet. `None` (the default) runs a
     /// single monitor owning every VR; `Some` arms the cluster node once
     /// links are attached (`Lvrm::attach_cluster`).
@@ -330,13 +297,14 @@ pub enum ConfigError {
     QueueCapacity { data: usize, ctrl: usize },
     /// The dataplane burst size must be at least 1.
     BatchSize,
-    /// The default shed weight must be positive and finite, so that every
-    /// VR's quota share is well-defined (weights sum > 0).
-    ShedWeight { weight: f64 },
-    /// The control starvation bound must be at least 1 burst.
-    CtrlStarvationBursts,
-    /// Adapter supervision thresholds must satisfy `1 <= error <= dead`.
-    AdapterThresholds { error: u32, dead: u32 },
+    /// The allocation policy's constructor would refuse this payload: a
+    /// fixed allocation needs at least one core, a dynamic one a finite
+    /// positive rate.
+    Allocator { kind: AllocatorKind },
+    /// Under the VLink fabric the shared ring may hold at most what all of
+    /// a VR's per-VRI queues could together (`MAX_VRIS_PER_VR ×
+    /// data_queue_capacity`).
+    SharedRingCapacity { capacity: usize, max: usize },
     /// The checkpoint interval must be nonzero when a checkpoint path is set.
     CheckpointInterval,
     /// HA priority must be 1–254 (0 and 255 are reserved by RFC 5798).
@@ -360,17 +328,15 @@ impl fmt::Display for ConfigError {
                 write!(f, "queue capacities must be nonzero, got data={data} ctrl={ctrl}")
             }
             ConfigError::BatchSize => write!(f, "batch size must be at least 1"),
-            ConfigError::ShedWeight { weight } => {
-                write!(f, "shed weight must be positive and finite, got {weight}")
+            ConfigError::Allocator { kind } => {
+                let needs = match kind {
+                    AllocatorKind::Fixed { .. } => "at least one core",
+                    _ => "a finite positive rate",
+                };
+                write!(f, "allocator {} needs {needs}, got {kind:?}", kind.name())
             }
-            ConfigError::CtrlStarvationBursts => {
-                write!(f, "control starvation bound must be at least 1 burst")
-            }
-            ConfigError::AdapterThresholds { error, dead } => {
-                write!(
-                    f,
-                    "adapter thresholds must satisfy 1 <= error <= dead, got error={error} dead={dead}"
-                )
+            ConfigError::SharedRingCapacity { capacity, max } => {
+                write!(f, "shared ring capacity must be at most {max} frames, got {capacity}")
             }
             ConfigError::CheckpointInterval => {
                 write!(f, "checkpoint interval must be nonzero when a checkpoint path is set")
@@ -411,36 +377,22 @@ impl Default for LvrmConfig {
             flow_age_budget: 0,              // auto
             allocator: AllocatorKind::default(),
             estimator: EstimatorKind::QueueLength,
-            estimator_weight: 7.0,
             allocation_period_ns: 1_000_000_000, // 1 s
-            arrival_window_ns: 100_000_000,      // 100 ms
-            arrival_weight: 1.0,
-            max_vris_per_vr: 64,
             affinity: AffinityMode::SiblingFirst,
             batch_size: 1,
             max_queue_memory_bytes: 0,
             seed: 0x1a2b3c4d,
             supervision: false,
-            suspect_after_ns: 300_000_000,          // 300 ms
-            dead_after_ns: 1_000_000_000,           // 1 s
-            respawn_backoff_ns: 1_000_000_000,      // 1 s
-            respawn_backoff_max_ns: 30_000_000_000, // 30 s
+            suspect_after_ns: 300_000_000, // 300 ms
+            dead_after_ns: 1_000_000_000,  // 1 s
             quarantine_after: 5,
-            crash_streak_reset_ns: 10_000_000_000, // 10 s
             low_watermark: 0.25,
             high_watermark: 0.75,
             overload_shedding: false,
-            shed_weight: 1.0,
             drain_deadline_ns: 500_000_000, // 500 ms
-            ctrl_starvation_bursts: 64,
             latency_histograms: true,
             checkpoint_path: None,
             checkpoint_interval_ns: 1_000_000_000, // 1 s
-            adapter_error_threshold: 3,
-            adapter_dead_threshold: 8,
-            adapter_reopen_backoff_ns: 100_000_000, // 100 ms
-            adapter_reopen_backoff_max_ns: 10_000_000_000, // 10 s
-            egress_retry_deadline_ns: 50_000_000,   // 50 ms
             cluster: None,
         }
     }
@@ -465,18 +417,21 @@ impl LvrmConfig {
         if !(low.is_finite() && high.is_finite() && 0.0 < low && low < high && high <= 1.0) {
             return Err(ConfigError::Watermarks { low, high });
         }
-        if !(self.shed_weight.is_finite() && self.shed_weight > 0.0) {
-            return Err(ConfigError::ShedWeight { weight: self.shed_weight });
+        let allocator_ok = match self.allocator {
+            AllocatorKind::Fixed { cores } => cores > 0,
+            AllocatorKind::DynamicFixed { per_core_rate: rate }
+            | AllocatorKind::DynamicServiceRate { bootstrap_rate: rate } => {
+                rate.is_finite() && rate > 0.0
+            }
+        };
+        if !allocator_ok {
+            return Err(ConfigError::Allocator { kind: self.allocator });
         }
-        if self.ctrl_starvation_bursts == 0 {
-            return Err(ConfigError::CtrlStarvationBursts);
-        }
-        if self.adapter_error_threshold == 0
-            || self.adapter_dead_threshold < self.adapter_error_threshold
-        {
-            return Err(ConfigError::AdapterThresholds {
-                error: self.adapter_error_threshold,
-                dead: self.adapter_dead_threshold,
+        let max = MAX_VRIS_PER_VR.saturating_mul(self.data_queue_capacity);
+        if self.vlink_fabric() && self.effective_shared_ring_capacity() > max {
+            return Err(ConfigError::SharedRingCapacity {
+                capacity: self.effective_shared_ring_capacity(),
+                max,
             });
         }
         if self.checkpoint_path.is_some() && self.checkpoint_interval_ns == 0 {
@@ -500,18 +455,6 @@ impl LvrmConfig {
             }
         }
         Ok(())
-    }
-
-    /// The adapter-supervision knobs bundled for
-    /// [`crate::adapter::SupervisedAdapter`].
-    pub fn adapter_supervisor(&self) -> crate::adapter::AdapterSupervisorConfig {
-        crate::adapter::AdapterSupervisorConfig {
-            error_threshold: self.adapter_error_threshold,
-            dead_threshold: self.adapter_dead_threshold,
-            reopen_backoff_ns: self.adapter_reopen_backoff_ns,
-            reopen_backoff_max_ns: self.adapter_reopen_backoff_max_ns,
-            egress_retry_deadline_ns: self.egress_retry_deadline_ns,
-        }
     }
 
     /// The configured data-queue watermarks.
@@ -592,8 +535,8 @@ impl LvrmConfig {
     /// Instantiate the configured load estimator.
     pub fn build_estimator(&self) -> Box<dyn LoadEstimator> {
         match self.estimator {
-            EstimatorKind::QueueLength => Box::new(EwmaQueueLength::new(self.estimator_weight)),
-            EstimatorKind::InterArrival => Box::new(EwmaInterArrival::new(self.estimator_weight)),
+            EstimatorKind::QueueLength => Box::new(EwmaQueueLength::new(ESTIMATOR_WEIGHT)),
+            EstimatorKind::InterArrival => Box::new(EwmaInterArrival::new(ESTIMATOR_WEIGHT)),
         }
     }
 }
@@ -647,18 +590,42 @@ mod tests {
             );
         }
 
-        for w in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let c = LvrmConfig { shed_weight: w, ..base() };
-            assert!(matches!(c.validate(), Err(ConfigError::ShedWeight { .. })), "weight {w}");
+        // Each payload the allocator's constructor would refuse.
+        let nan = f64::NAN;
+        for kind in [
+            AllocatorKind::Fixed { cores: 0 },
+            AllocatorKind::DynamicFixed { per_core_rate: 0.0 },
+            AllocatorKind::DynamicFixed { per_core_rate: -1.0 },
+            AllocatorKind::DynamicFixed { per_core_rate: nan },
+            AllocatorKind::DynamicFixed { per_core_rate: f64::INFINITY },
+            AllocatorKind::DynamicServiceRate { bootstrap_rate: 0.0 },
+            AllocatorKind::DynamicServiceRate { bootstrap_rate: nan },
+        ] {
+            let c = LvrmConfig { allocator: kind, ..base() };
+            assert!(matches!(c.validate(), Err(ConfigError::Allocator { .. })), "{kind:?}");
         }
+        let c = LvrmConfig { allocator: AllocatorKind::Fixed { cores: 1 }, ..base() };
+        assert_eq!(c.validate(), Ok(()));
 
-        let c = LvrmConfig { ctrl_starvation_bursts: 0, ..base() };
-        assert_eq!(c.validate(), Err(ConfigError::CtrlStarvationBursts));
-
-        let c = LvrmConfig { adapter_error_threshold: 0, ..base() };
-        assert!(matches!(c.validate(), Err(ConfigError::AdapterThresholds { error: 0, .. })));
-        let c = LvrmConfig { adapter_error_threshold: 5, adapter_dead_threshold: 4, ..base() };
-        assert!(matches!(c.validate(), Err(ConfigError::AdapterThresholds { .. })));
+        // The shared ring may hold what all of a VR's per-VRI queues could.
+        let max = MAX_VRIS_PER_VR * base().data_queue_capacity;
+        let vlink = |ring: usize| LvrmConfig {
+            queue_kind: QueueKind::VLink,
+            shared_ring_capacity: ring,
+            ..base()
+        };
+        assert_eq!(
+            vlink(max + 1).validate(),
+            Err(ConfigError::SharedRingCapacity { capacity: max + 1, max })
+        );
+        assert!(matches!(
+            vlink(usize::MAX).validate(),
+            Err(ConfigError::SharedRingCapacity { .. })
+        ));
+        assert_eq!(vlink(max).validate(), Ok(()));
+        assert_eq!(vlink(0).validate(), Ok(()), "the auto size fits");
+        // A ring that is never built (per-VRI queues) is not checked.
+        assert_eq!(LvrmConfig { shared_ring_capacity: usize::MAX, ..base() }.validate(), Ok(()));
 
         let c = LvrmConfig {
             checkpoint_path: Some("lvrm.ck".into()),
@@ -714,19 +681,6 @@ mod tests {
             "jsq",
             "a replicated VR must spread frames regardless of flow key"
         );
-    }
-
-    #[test]
-    fn adapter_supervisor_mirrors_knobs() {
-        let c = LvrmConfig {
-            adapter_error_threshold: 2,
-            adapter_dead_threshold: 9,
-            ..Default::default()
-        };
-        let s = c.adapter_supervisor();
-        assert_eq!(s.error_threshold, 2);
-        assert_eq!(s.dead_threshold, 9);
-        assert_eq!(s.egress_retry_deadline_ns, c.egress_retry_deadline_ns);
     }
 
     #[test]

@@ -9,6 +9,9 @@
 use lvrm_ipc::{PressureLevel, Watermarks};
 use lvrm_metrics::Ewma;
 
+/// EWMA history weight of the per-VRI load estimator (Fig. 3.4's `weight`).
+pub(crate) const ESTIMATOR_WEIGHT: f64 = 7.0;
+
 /// Estimates one VRI's load; consulted by the load balancer on every
 /// dispatch ("estimate: called upon receipt of a packet").
 pub trait LoadEstimator: Send {

@@ -45,6 +45,34 @@ use crate::topology::CoreMap;
 use crate::vri::{decode_heartbeat, decode_service_rate, VriAdapter, VriHealth, VriSeries};
 use crate::{VrId, VriId};
 
+/// Upper bound on VRIs per VR (beyond physical cores throughput drops —
+/// Experiment 2b — so LVRM "seeks to limit the number of cores").
+pub const MAX_VRIS_PER_VR: usize = 64;
+
+/// Window and EWMA history weight of each VR's arrival-rate estimator.
+const ARRIVAL_WINDOW_NS: u64 = 100_000_000; // 100 ms
+const ARRIVAL_WEIGHT: f64 = 1.0;
+
+/// Admission weight a VR starts with under overload shedding
+/// ([`Lvrm::set_vr_weight`] changes it per VR).
+const INITIAL_SHED_WEIGHT: f64 = 1.0;
+
+/// Control-plane starvation bound: after this many consecutive data bursts
+/// without a control-relay pass, `ingress_batch` runs `process_control`
+/// itself. The paper gives control events strict priority inside a VRI;
+/// this makes the monitor side enforceable too.
+pub const CTRL_STARVATION_BURSTS: u32 = 64;
+
+/// Supervisor respawn backoff: the base after the *second* consecutive
+/// crash (the first respawn is immediate so a one-off crash recovers within
+/// one tick), doubling per crash up to the cap.
+const RESPAWN_BACKOFF_NS: u64 = 1_000_000_000; // 1 s
+const RESPAWN_BACKOFF_MAX_NS: u64 = 30_000_000_000; // 30 s
+
+/// A VR that stays healthy this long after a crash gets its
+/// consecutive-crash streak reset.
+const CRASH_STREAK_RESET_NS: u64 = 10_000_000_000; // 10 s
+
 /// A grow/shrink event, kept for the reaction-time analysis (Fig. 4.11).
 #[derive(Clone, Copy, Debug)]
 pub struct ReallocEvent {
@@ -191,7 +219,7 @@ struct VrState {
     pub frames_in: u64,
     pub frames_out: u64,
     /// Consecutive supervisor-observed crashes (resets after a healthy
-    /// stretch of `crash_streak_reset_ns`).
+    /// stretch of [`CRASH_STREAK_RESET_NS`]).
     crash_streak: u32,
     /// When the last crash was observed.
     last_crash_ns: u64,
@@ -469,7 +497,7 @@ pub struct Lvrm<C: Clock> {
     /// VRIs in the drain state across all VRs (O(1) fast-path check).
     draining_count: usize,
     /// Data bursts processed since the last control-relay pass (starvation
-    /// guard: see `config.ctrl_starvation_bursts`).
+    /// guard: see [`CTRL_STARVATION_BURSTS`]).
     bursts_since_ctrl: u32,
     /// Graceful shutdown begun: ingress quiesced, every VRI draining.
     shutting_down: bool,
@@ -602,26 +630,12 @@ impl<C: Clock> Lvrm<C> {
 
     /// Register a VR with its source subnets and router implementation, and
     /// spawn its first VRI ("LVRM initially allocates one CPU core for the
-    /// VR", §4.3). Allocator defaults to the config's; per-VR overrides are
-    /// possible via [`Lvrm::add_vr_with_allocator`].
+    /// VR", §4.3), under the config's allocation policy.
     pub fn add_vr(
         &mut self,
         name: impl Into<String>,
         subnets: &[(Ipv4Addr, u8)],
         router: Box<dyn VirtualRouter>,
-        host: &mut dyn VriHost,
-    ) -> VrId {
-        let allocator = self.config.build_allocator();
-        self.add_vr_with_allocator(name, subnets, router, allocator, host)
-    }
-
-    /// As [`Lvrm::add_vr`], with an explicit allocation policy for this VR.
-    pub fn add_vr_with_allocator(
-        &mut self,
-        name: impl Into<String>,
-        subnets: &[(Ipv4Addr, u8)],
-        router: Box<dyn VirtualRouter>,
-        allocator: Box<dyn CoreAllocator>,
         host: &mut dyn VriHost,
     ) -> VrId {
         let id = VrId(self.vrs.len() as u32);
@@ -649,8 +663,8 @@ impl<C: Clock> Lvrm<C> {
             vris: Vec::new(),
             balancer,
             dispatch: self.config.dispatch,
-            allocator,
-            arrival: RateEstimator::new(self.config.arrival_window_ns, self.config.arrival_weight),
+            allocator: self.config.build_allocator(),
+            arrival: RateEstimator::new(ARRIVAL_WINDOW_NS, ARRIVAL_WEIGHT),
             frames_in: 0,
             frames_out: 0,
             crash_streak: 0,
@@ -658,7 +672,7 @@ impl<C: Clock> Lvrm<C> {
             backoff_until_ns: 0,
             respawn_deficit: 0,
             quarantined: false,
-            weight: self.config.shed_weight,
+            weight: INITIAL_SHED_WEIGHT,
             pressure: PressureTracker::default(),
             admitted: 0,
             shed: 0,
@@ -671,7 +685,7 @@ impl<C: Clock> Lvrm<C> {
             owned: true,
             subnets: subnets.to_vec(),
         });
-        self.set_weight(id.0 as usize, self.config.shed_weight);
+        self.set_weight(id.0 as usize, INITIAL_SHED_WEIGHT);
         let now = self.clock.now_ns();
         self.grow_vr(id.0 as usize, now, host);
         // "The VR monitor pre-assigns a fixed set of cores to a VR when the
@@ -701,8 +715,8 @@ impl<C: Clock> Lvrm<C> {
         &self.vrs[vr.0 as usize].name
     }
 
-    /// Set `vr`'s admission weight for overload shedding (defaults to
-    /// `config.shed_weight`). While overloaded, the VR's per-burst admission
+    /// Set `vr`'s admission weight for overload shedding (starts at
+    /// `INITIAL_SHED_WEIGHT`, 1). While overloaded, the VR's per-burst admission
     /// quota is `batch_size × weight / Σ weights`.
     pub fn set_vr_weight(&mut self, vr: VrId, weight: f64) {
         assert!(weight.is_finite() && weight > 0.0, "shed weight must be positive and finite");
@@ -855,7 +869,7 @@ impl<C: Clock> Lvrm<C> {
         // priority inside a VRI; this bounds the monitor side too, even for
         // hosts that only call `process_control` opportunistically.
         self.bursts_since_ctrl = self.bursts_since_ctrl.saturating_add(1);
-        if self.bursts_since_ctrl >= self.config.ctrl_starvation_bursts {
+        if self.bursts_since_ctrl >= CTRL_STARVATION_BURSTS {
             self.process_control();
         }
 
@@ -1318,8 +1332,7 @@ impl<C: Clock> Lvrm<C> {
             // A healthy stretch forgives past crashes.
             if self.vrs[idx].crash_streak > 0
                 && !self.vrs[idx].quarantined
-                && now_ns.saturating_sub(self.vrs[idx].last_crash_ns)
-                    > self.config.crash_streak_reset_ns
+                && now_ns.saturating_sub(self.vrs[idx].last_crash_ns) > CRASH_STREAK_RESET_NS
             {
                 self.vrs[idx].crash_streak = 0;
             }
@@ -1436,11 +1449,8 @@ impl<C: Clock> Lvrm<C> {
             0
         } else {
             let doublings = (vr.crash_streak - 2).min(20);
-            let clamped = self
-                .config
-                .respawn_backoff_ns
-                .saturating_mul(1u64 << doublings)
-                .min(self.config.respawn_backoff_max_ns);
+            let clamped =
+                RESPAWN_BACKOFF_NS.saturating_mul(1u64 << doublings).min(RESPAWN_BACKOFF_MAX_NS);
             crate::fault::jittered_backoff(clamped, vr.id.0 as u64, vr.crash_streak as u64)
         };
         vr.backoff_until_ns = now_ns.saturating_add(backoff);
@@ -1595,7 +1605,7 @@ impl<C: Clock> Lvrm<C> {
     /// "Create VRI adapter" (Fig. 3.2): queues into shared memory, bind to a
     /// core, add to the VRI list.
     fn grow_vr(&mut self, idx: usize, now_ns: u64, host: &mut dyn VriHost) -> bool {
-        if self.vrs[idx].vris.len() >= self.config.max_vris_per_vr {
+        if self.vrs[idx].vris.len() >= MAX_VRIS_PER_VR {
             return false;
         }
         if self.config.max_queue_memory_bytes > 0 {

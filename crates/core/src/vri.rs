@@ -368,6 +368,10 @@ impl VriAdapter {
     }
 }
 
+/// How often a VRI emits a heartbeat upstream; the supervisor's
+/// `dead_after_ns` must comfortably exceed it.
+const HEARTBEAT_PERIOD_NS: u64 = 100_000_000; // 100 ms
+
 /// The VRI's side of the wire (the paper's "LVRM adapter for VRI", §3.6).
 pub struct LvrmAdapter {
     id: VriId,
@@ -376,7 +380,6 @@ pub struct LvrmAdapter {
     report_period_ns: u64,
     last_report_ns: u64,
     estimate_service_rate: bool,
-    heartbeat_period_ns: u64,
     last_heartbeat_ns: u64,
     heartbeats: bool,
 }
@@ -395,7 +398,6 @@ impl LvrmAdapter {
             report_period_ns: 100_000_000, // report every 100 ms
             last_report_ns: 0,
             estimate_service_rate: true,
-            heartbeat_period_ns: 100_000_000, // beat every 100 ms
             last_heartbeat_ns: 0,
             heartbeats: true,
         }
@@ -404,12 +406,6 @@ impl LvrmAdapter {
     /// Disable service-rate estimation/reporting (fixed-threshold setups).
     pub fn without_service_estimation(mut self) -> LvrmAdapter {
         self.estimate_service_rate = false;
-        self
-    }
-
-    /// Override the heartbeat period (default 100 ms).
-    pub fn with_heartbeat_period(mut self, period_ns: u64) -> LvrmAdapter {
-        self.heartbeat_period_ns = period_ns;
         self
     }
 
@@ -433,7 +429,7 @@ impl LvrmAdapter {
         if !self.heartbeats {
             return;
         }
-        if now_ns.saturating_sub(self.last_heartbeat_ns) >= self.heartbeat_period_ns {
+        if now_ns.saturating_sub(self.last_heartbeat_ns) >= HEARTBEAT_PERIOD_NS {
             let _ = self.endpoint.ctrl_tx.try_send(encode_heartbeat(self.id));
             self.last_heartbeat_ns = now_ns;
         }

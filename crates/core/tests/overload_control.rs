@@ -12,6 +12,7 @@
 use std::net::Ipv4Addr;
 
 use lvrm_core::alloc::AllocDecision;
+use lvrm_core::monitor::CTRL_STARVATION_BURSTS;
 use lvrm_core::{
     AffinityMode, AllocatorKind, Clock, CoreId, CoreMap, CoreTopology, Lvrm, LvrmConfig,
     ManualClock, RecordingHost, VriId,
@@ -178,16 +179,12 @@ fn shedding_off_degrades_to_tail_drop() {
 // ---------------------------------------------------------------------------
 
 /// A saturated ingress path must not defer control relay forever: after
-/// `ctrl_starvation_bursts` data bursts without a relay pass, `ingress_batch`
+/// `CTRL_STARVATION_BURSTS` data bursts without a relay pass, `ingress_batch`
 /// runs `process_control` itself — and the bound resets afterwards.
 #[test]
 fn starvation_guard_bounds_control_relay_deferral() {
     let clock = ManualClock::new();
-    let config = LvrmConfig {
-        allocator: AllocatorKind::Fixed { cores: 2 },
-        ctrl_starvation_bursts: 4,
-        ..Default::default()
-    };
+    let config = LvrmConfig { allocator: AllocatorKind::Fixed { cores: 2 }, ..Default::default() };
     let mut lvrm = new_lvrm(clock, config);
     let mut host = RecordingHost::default();
     lvrm.add_vr("a", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], routed_vr("a"), &mut host);
@@ -195,14 +192,18 @@ fn starvation_guard_bounds_control_relay_deferral() {
 
     for round in 1..=2u64 {
         assert!(send_ctrl(&mut host, src, dst));
-        // Three bursts: below the bound, the event stays parked.
-        for _ in 0..3 {
+        // One burst short of the bound, the event stays parked.
+        for _ in 1..CTRL_STARVATION_BURSTS {
             lvrm.ingress(frame_from([10, 0, 1, 1]), &mut host);
         }
         assert_eq!(lvrm.stats().control_relayed, round - 1, "relay deferred below the bound");
-        // The fourth consecutive burst trips the guard.
+        // The bound's consecutive burst trips the guard.
         lvrm.ingress(frame_from([10, 0, 1, 1]), &mut host);
-        assert_eq!(lvrm.stats().control_relayed, round, "burst {round}×4 must force a relay pass");
+        assert_eq!(
+            lvrm.stats().control_relayed,
+            round,
+            "burst {round}×{CTRL_STARVATION_BURSTS} must force a relay pass"
+        );
     }
     assert_eq!(lvrm.stats().control_drops, 0);
 }

@@ -60,7 +60,7 @@
 //! dispatch   pinned | replicated   # replicated: any-VRI dispatch + LVSU state replication (DESIGN.md §14)
 //! allocator  fixed <cores> | dynamic <fps-per-core> | service-rate <bootstrap-fps>
 //! queue      lamport | vlink
-//! ring-capacity <n>      # shared-ring frames under vlink (0 = auto 4x data queue)
+//! ring-capacity <n>      # shared-ring frames under vlink (0 = auto 4x, max 64x data queue)
 //! batch-size <n>         # frames per ingress/dispatch burst (1 = per-frame)
 //! supervision on | off   # respawn crashed/stalled VRIs (off by default)
 //! shedding   on | off    # fair per-VR early shedding under overload
@@ -300,7 +300,7 @@ fn run(
     metrics_addr: Option<&str>,
     cluster_links: Vec<FleetPeerSpec>,
 ) {
-    use lvrm::core::{FaultySocket, SocketAdapter, SupervisedAdapter};
+    use lvrm::core::{AdapterSupervisorConfig, FaultySocket, SocketAdapter, SupervisedAdapter};
 
     let clock = MonotonicClock::new();
     let n = lvrm::runtime::affinity::available_cores().max(1) as u16;
@@ -399,7 +399,7 @@ fn run(
         chain.push(Box::new(near));
         standby_far_ends.push(far);
     }
-    let mut nic = SupervisedAdapter::with_chain(chain, lvrm.config().adapter_supervisor());
+    let mut nic = SupervisedAdapter::with_chain(chain, AdapterSupervisorConfig::default());
     let gen_specs: Vec<(Ipv4Addr, Ipv4Addr)> = config
         .vrs
         .iter()
@@ -766,6 +766,7 @@ fn die(msg: &str) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lvrm::core::monitor::MAX_VRIS_PER_VR;
     use proptest::prelude::*;
 
     /// The directive table in this file's header: each line's keyword and
@@ -847,14 +848,26 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
-        /// Any text parses to a config that validates, or to an error that
-        /// says it is one — never a panic (an overflowing millisecond count
-        /// once was one).
+        /// Any text parses to a config that validates and builds, or to an
+        /// error that says it is one — never a panic (an overflowing
+        /// millisecond count once was one, and so were a zero-core or NaN
+        /// allocator and a ring too large to allocate). Each line is tried
+        /// alone too: one bad line sinks a whole text, so most lines only
+        /// reach `validate` and the builders on their own.
         #[test]
         fn config_parse_never_panics(text in config_text()) {
-            match parse_config(&text) {
-                Ok(c) => prop_assert!(c.lvrm.validate().is_ok() && !c.vrs.is_empty()),
-                Err(e) => prop_assert!(e.starts_with("config"), "{e}"),
+            for text in std::iter::once(text.as_str()).chain(text.lines()) {
+                match parse_config(text) {
+                    Ok(c) => {
+                        prop_assert!(c.lvrm.validate().is_ok() && !c.vrs.is_empty());
+                        c.lvrm.build_allocator();
+                        if c.lvrm.vlink_fabric() {
+                            let max = MAX_VRIS_PER_VR * c.lvrm.data_queue_capacity;
+                            prop_assert!(c.lvrm.effective_shared_ring_capacity() <= max);
+                        }
+                    }
+                    Err(e) => prop_assert!(e.starts_with("config"), "{e}"),
+                }
             }
         }
     }
@@ -957,6 +970,20 @@ mod tests {
         assert!(e.contains("watermark"), "{e}");
         let e = parse_config("batch-size 1\nwatermarks 0 0.5\n").unwrap_err();
         assert!(e.contains("watermark"), "{e}");
+        // Payloads an allocator's constructor refuses, and rings too large
+        // to allocate: each once panicked or aborted the daemon.
+        for text in [
+            "allocator fixed 0\n",
+            "allocator dynamic -1\n",
+            "allocator dynamic NaN\n",
+            "allocator service-rate 0\n",
+            "queue vlink\nring-capacity 18446744073709551615\n",
+            "queue vlink\nring-capacity 4294967296\n",
+        ] {
+            let e = parse_config(text).unwrap_err();
+            assert!(e.starts_with("config: "), "{text:?}: {e}");
+        }
+        assert!(parse_config("queue vlink\nring-capacity 65536\n").is_ok());
     }
 
     #[test]
