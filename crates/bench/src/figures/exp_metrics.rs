@@ -22,8 +22,8 @@ use crate::{full_scale, kfps, Table};
 use lvrm_core::clock::{Clock, MonotonicClock};
 use lvrm_core::host::RecordingHost;
 use lvrm_core::topology::{AffinityMode, CoreId, CoreMap, CoreTopology};
-use lvrm_core::{Lvrm, LvrmConfig, MemTraceAdapter, SocketAdapter};
-use lvrm_net::{Frame, Trace, TraceSpec};
+use lvrm_core::{Lvrm, LvrmConfig, MemTraceAdapter};
+use lvrm_net::{Trace, TraceSpec};
 
 const BATCH: usize = 32;
 const WIRE_SIZE: usize = 84;
@@ -47,24 +47,14 @@ fn run_once(total_frames: u64, histograms: bool, scrape: bool) -> (f64, u64) {
     let _ = lvrm.add_vr("vr0", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], routed_vr(), &mut host);
     let trace = Trace::generate(&TraceSpec::new(WIRE_SIZE, 64));
     let mut adapter = MemTraceAdapter::new(trace, total_frames);
-    let mut ingress: Vec<Frame> = Vec::with_capacity(BATCH);
-    let mut egress: Vec<Frame> = Vec::with_capacity(64);
     let mut forwarded = 0u64;
     let mut since_scrape = 0u64;
     let mut scrape_bytes = 0usize;
     let t0 = clock.now_ns();
-    while adapter.poll_batch(&mut ingress, BATCH).unwrap_or(0) > 0 {
-        let now = clock.now_ns();
-        for f in ingress.iter_mut() {
-            f.ts_ns = now;
-        }
-        since_scrape += ingress.len() as u64;
-        lvrm.ingress_batch(&mut ingress, &mut host);
-        host.pump();
-        egress.clear();
-        lvrm.poll_egress(&mut egress);
-        forwarded += egress.len() as u64;
-        let _ = adapter.send_batch(&mut egress);
+    while !adapter.exhausted() {
+        let n = lvrm.run_burst(&mut adapter, &mut host) as u64;
+        forwarded += n;
+        since_scrape += n;
         if scrape && since_scrape >= SCRAPE_EVERY {
             since_scrape = 0;
             scrape_bytes = lvrm.render_prometheus().len();

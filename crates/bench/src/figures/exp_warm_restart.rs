@@ -25,8 +25,8 @@ use crate::{full_scale, kfps, Table};
 use lvrm_core::clock::{Clock, ManualClock, MonotonicClock};
 use lvrm_core::host::RecordingHost;
 use lvrm_core::topology::{AffinityMode, CoreId, CoreMap, CoreTopology};
-use lvrm_core::{Lvrm, LvrmConfig, MemTraceAdapter, SocketAdapter};
-use lvrm_net::{Frame, Trace, TraceSpec};
+use lvrm_core::{Lvrm, LvrmConfig, MemTraceAdapter};
+use lvrm_net::{Trace, TraceSpec};
 
 const BATCH: usize = 32;
 const WIRE_SIZE: usize = 84;
@@ -45,9 +45,9 @@ fn temp_path(tag: &str) -> PathBuf {
     dir.join(format!("{tag}-{}.ck", std::process::id()))
 }
 
-/// One inline-batched run; returns (fps, checkpoint writes). The lazy tick
-/// (`maybe_reallocate`) runs every batch in *every* configuration so the
-/// baseline carries the same gate check and only the writes differ.
+/// One inline-batched run; returns (fps, checkpoint writes). Every
+/// configuration runs the same burst (`Lvrm::run_burst`, lazy tick
+/// included), so only the writes differ.
 fn run_once(total_frames: u64, checkpoint_interval_ns: Option<u64>) -> (f64, u64) {
     let clock = MonotonicClock::new();
     let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
@@ -63,22 +63,10 @@ fn run_once(total_frames: u64, checkpoint_interval_ns: Option<u64>) -> (f64, u64
     let _ = lvrm.add_vr("vr0", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], routed_vr(), &mut host);
     let trace = Trace::generate(&TraceSpec::new(WIRE_SIZE, 64));
     let mut adapter = MemTraceAdapter::new(trace, total_frames);
-    let mut ingress: Vec<Frame> = Vec::with_capacity(BATCH);
-    let mut egress: Vec<Frame> = Vec::with_capacity(64);
     let mut forwarded = 0u64;
     let t0 = clock.now_ns();
-    while adapter.poll_batch(&mut ingress, BATCH).unwrap_or(0) > 0 {
-        let now = clock.now_ns();
-        for f in ingress.iter_mut() {
-            f.ts_ns = now;
-        }
-        lvrm.ingress_batch(&mut ingress, &mut host);
-        host.pump();
-        lvrm.maybe_reallocate(clock.now_ns(), &mut host);
-        egress.clear();
-        lvrm.poll_egress(&mut egress);
-        forwarded += egress.len() as u64;
-        let _ = adapter.send_batch(&mut egress);
+    while !adapter.exhausted() {
+        forwarded += lvrm.run_burst(&mut adapter, &mut host) as u64;
     }
     let elapsed_ns = clock.now_ns() - t0;
     let writes = lvrm.metrics_snapshot().counter("lvrm_checkpoint_writes_total", &[]).unwrap_or(0);
@@ -103,13 +91,10 @@ fn checkpoint_cost(flows: usize) -> (usize, f64, f64) {
     let mut host = RecordingHost::default();
     let _ = lvrm.add_vr("vr0", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], routed_vr(), &mut host);
     // Touch every flow once so the table holds `flows` live entries.
-    let mut trace = Trace::generate(&TraceSpec::new(WIRE_SIZE, flows));
-    let mut egress: Vec<Frame> = Vec::with_capacity(64);
-    for _ in 0..flows {
-        lvrm.ingress(trace.next_frame(), &mut host);
-        host.pump();
-        egress.clear();
-        lvrm.poll_egress(&mut egress);
+    let trace = Trace::generate(&TraceSpec::new(WIRE_SIZE, flows));
+    let mut adapter = MemTraceAdapter::new(trace, flows as u64);
+    while !adapter.exhausted() {
+        lvrm.run_burst(&mut adapter, &mut host);
     }
     let path = temp_path(&format!("flows-{flows}"));
     let mut write_us = f64::INFINITY;

@@ -182,6 +182,9 @@ pub mod figures;
 /// Scenario-building helpers shared by the figure programs.
 pub mod scenarios {
     use lvrm_core::SocketKind;
+    use lvrm_runtime::pipeline::{
+        run_lvrm_only_batched, run_lvrm_only_inline_batched, PipelineReport, PipelineVr,
+    };
     use lvrm_testbed::scenario::{search_achievable, Scenario};
     use lvrm_testbed::{ForwardingMech, HypervisorKind, VrSpec, VrType};
 
@@ -253,6 +256,41 @@ pub mod scenarios {
             hi,
             iters,
         )
+    }
+
+    /// Every cell of the LVRM-only figures (1c, 1d): each VR kind, monitor
+    /// burst (the paper's 1 and the benchmark's 32, `BURST` in
+    /// `benchmark/src/spec.rs`) and frame size, run threaded and inline on
+    /// `frames` frames. `row` gets the leading cells (vr, mode, batch, frame
+    /// size), the frame size and the report.
+    pub fn pipeline_cells(
+        figure: &str,
+        frames: u64,
+        mut row: impl FnMut(Vec<String>, usize, &PipelineReport),
+    ) {
+        for vr in [PipelineVr::Cpp, PipelineVr::Click] {
+            for batch in [1, 32] {
+                for size in frame_sizes() {
+                    eprintln!("[{figure}] {vr:?} batch {batch} {size}B ...");
+                    // Threaded: the paper's architecture verbatim
+                    // (timeslice-bound on few-core hosts). Inline: the VRI
+                    // serviced on the monitor's thread — the per-frame
+                    // software cost, the honest bound.
+                    for (mode, r) in [
+                        ("threaded", run_lvrm_only_batched(vr, size, frames, 1, batch)),
+                        ("inline", run_lvrm_only_inline_batched(vr, size, frames, batch)),
+                    ] {
+                        let lead = vec![
+                            format!("{vr:?}"),
+                            mode.into(),
+                            batch.to_string(),
+                            size.to_string(),
+                        ];
+                        row(lead, size, &r);
+                    }
+                }
+            }
+        }
     }
 
     /// The frame-size sweep the figures use (quick profile trims it).

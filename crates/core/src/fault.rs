@@ -246,11 +246,12 @@ impl FaultInjectable for RecordingHost {
 /// A [`VriHost`] wrapper that fires a [`FaultPlan`] as time advances.
 ///
 /// Spawns pass through and are recorded in order, so plan entries addressed
-/// by spawn index resolve to concrete [`VriId`]s at fire time. Call
-/// [`apply`] with the current timestamp from the driving loop; due events
-/// fire in schedule order. Events targeting a spawn index that has not
-/// happened yet are dropped (counted in `skipped`). The adapter track is
-/// ignored here — hand the same plan to [`FaultySocket::with_plan`].
+/// by spawn index resolve to concrete [`VriId`]s at fire time. [`apply`]
+/// fires the events due by a timestamp, in schedule order; `advance` (what
+/// [`crate::Lvrm::run_burst`] calls) applies and then advances the wrapped
+/// host. Events targeting a spawn index that has not happened yet are
+/// dropped (counted in `skipped`). The adapter track is ignored here — hand
+/// the same plan to [`FaultySocket::with_plan`].
 ///
 /// [`apply`]: FaultyHost::apply
 pub struct FaultyHost<H> {
@@ -314,7 +315,7 @@ impl<H: VriHost + FaultInjectable> FaultyHost<H> {
     }
 }
 
-impl<H: VriHost> VriHost for FaultyHost<H> {
+impl<H: VriHost + FaultInjectable> VriHost for FaultyHost<H> {
     fn spawn_vri(
         &mut self,
         spec: VriSpec,
@@ -331,6 +332,12 @@ impl<H: VriHost> VriHost for FaultyHost<H> {
 
     fn reap_endpoint(&mut self, vri: VriId) -> Option<VriEndpoint<Frame>> {
         self.inner.reap_endpoint(vri)
+    }
+
+    /// Fire the events due by `now_ns`, then advance the wrapped host.
+    fn advance(&mut self, now_ns: u64) {
+        self.apply(now_ns);
+        self.inner.advance(now_ns);
     }
 }
 

@@ -54,6 +54,13 @@ pub trait VriHost {
         let _ = vri;
         None
     }
+
+    /// Advance host time; [`crate::Lvrm::run_burst`] calls it once a burst.
+    /// Fault-injection wrappers fire their planned events and a host that
+    /// runs its VRIs on the caller's thread services them; a host whose
+    /// VRIs run on their own threads has nothing to do. The host-side
+    /// mirror of [`crate::SocketAdapter::advance`].
+    fn advance(&mut self, _now_ns: u64) {}
 }
 
 /// A no-op host for unit tests: records spawn/kill calls.
@@ -118,6 +125,11 @@ impl VriHost for RecordingHost {
     fn reap_endpoint(&mut self, vri: VriId) -> Option<VriEndpoint<Frame>> {
         let pos = self.reapable.iter().position(|(id, _)| *id == vri)?;
         Some(self.reapable.remove(pos).1)
+    }
+
+    /// The inline runtime's turn: one [`RecordingHost::pump`].
+    fn advance(&mut self, _now_ns: u64) {
+        self.pump();
     }
 }
 

@@ -3,14 +3,14 @@
 //! [`Lvrm`] is the top of the hierarchy: it owns the VR monitor (core
 //! allocation across VRs, §3.2), one VRI-monitor state per VR (spawn/kill of
 //! instances plus load balancing, §3.3), and the per-VRI adapters (§3.4).
-//! The workflow per §2.1:
+//! The workflow per §2.1, one pass of which is [`Lvrm::run_burst`]:
 //!
-//! 1. the host polls the socket adapter and feeds frames to [`Lvrm::ingress`];
+//! 1. poll the socket adapter and feed the burst to [`Lvrm::ingress_batch`];
 //! 2. LVRM classifies the frame to a VR by its **source IP subnet**,
 //!    balances it to one of the VR's VRIs and pushes it into that VRI's
 //!    incoming data queue;
 //! 3. the VRI processes the frame and pushes it into its outgoing queue;
-//! 4. the host collects [`Lvrm::poll_egress`] and transmits.
+//! 4. collect [`Lvrm::poll_egress`] and transmit through the adapter.
 //!
 //! Core reallocation runs lazily: every ingress checks whether the 1-second
 //! period has elapsed ("called upon receipt of a packet after 1 s or more
@@ -41,6 +41,7 @@ use crate::ledger::{
     M_VRI_DISPATCHED, M_VRI_DROPS, M_VRI_QUEUE_LEN, M_VRI_RETURNED, M_VR_ADMITTED, M_VR_FRAMES_IN,
     M_VR_SHED,
 };
+use crate::socket::SocketAdapter;
 use crate::topology::CoreMap;
 use crate::vri::{decode_heartbeat, decode_service_rate, VriAdapter, VriHealth, VriSeries};
 use crate::{VrId, VriId};
@@ -522,6 +523,10 @@ pub struct Lvrm<C: Clock> {
     scratch_ctrl: Vec<ControlEvent>,
     /// Single-frame burst buffer backing [`Lvrm::ingress`].
     scratch_single: Vec<Frame>,
+    /// [`Lvrm::run_burst`]'s ingress burst, and its egress: frames an
+    /// adapter refused stay here and go out first on the next burst.
+    scratch_ingress: Vec<Frame>,
+    scratch_egress: Vec<Frame>,
     /// Per-VR buckets for [`Lvrm::ingress_batch`], indexed by VR.
     scratch_vr_buckets: Vec<VrBucket>,
     /// Per-VRI-slot frame buckets within one VR's burst.
@@ -588,6 +593,8 @@ impl<C: Clock> Lvrm<C> {
             scratch_vris: Vec::new(),
             scratch_ctrl: Vec::new(),
             scratch_single: Vec::new(),
+            scratch_ingress: Vec::new(),
+            scratch_egress: Vec::new(),
             scratch_vr_buckets: Vec::new(),
             scratch_slot_buckets: Vec::new(),
             scratch_cores: Vec::new(),
@@ -1047,6 +1054,49 @@ impl<C: Clock> Lvrm<C> {
         let n = out.len() - before;
         self.stats.frames_out.add(n as u64);
         out.len() - start
+    }
+
+    /// One pass of the monitor loop (§3, Fig. 3.1): the burst `lvrmd` runs
+    /// and every caller runs, so the order lives here and nowhere else.
+    ///
+    /// 1. Unless a cluster peer owns the dataplane ([`Lvrm::ha_accepting`]),
+    ///    poll up to `config.batch_size` frames from `nic`, stamp them with
+    ///    one reading of the monitor's clock and [`Lvrm::ingress_batch`]
+    ///    them.
+    /// 2. Advance host time, then adapter time ([`VriHost::advance`],
+    ///    [`SocketAdapter::advance`]): planned faults fire, an inline host
+    ///    services its VRIs, the adapter supervisor reopens and retries.
+    /// 3. Relay control ([`Lvrm::process_control`]) and run the lazy tick
+    ///    ([`Lvrm::maybe_reallocate`]: cluster sub-tick, supervisor,
+    ///    allocator, checkpoint).
+    /// 4. Collect egress ([`Lvrm::poll_egress`]) and send it through `nic`.
+    ///    Frames the adapter refuses are kept and go out first on the next
+    ///    burst.
+    ///
+    /// Returns how many frames were collected this burst. Callers keep only
+    /// their clock, their stop condition and their own I/O.
+    pub fn run_burst(&mut self, nic: &mut dyn SocketAdapter, host: &mut dyn VriHost) -> usize {
+        let mut ingress = std::mem::take(&mut self.scratch_ingress);
+        if self.ha_accepting()
+            && nic.poll_batch(&mut ingress, self.config.batch_size).unwrap_or(0) > 0
+        {
+            let ts = self.clock.now_ns();
+            for f in ingress.iter_mut() {
+                f.ts_ns = ts;
+            }
+            self.ingress_batch(&mut ingress, host);
+        }
+        self.scratch_ingress = ingress;
+        let now = self.clock.now_ns();
+        host.advance(now);
+        nic.advance(now);
+        self.process_control();
+        self.maybe_reallocate(now, host);
+        let mut egress = std::mem::take(&mut self.scratch_egress);
+        let collected = self.poll_egress(&mut egress);
+        let _ = nic.send_batch(&mut egress);
+        self.scratch_egress = egress;
+        collected
     }
 
     /// Structured point-in-time view of every VR and VRI (for dashboards,
@@ -1837,9 +1887,9 @@ impl<C: Clock> Lvrm<C> {
     /// Begin (idempotently) and advance a graceful shutdown: every VRI of
     /// every VR moves to the drain state, new ingress is quiesced (counted
     /// as `shed_early`), and each call sweeps the drains. Returns `true`
-    /// once every VRI has been retired — hosts loop, pumping vehicles and
-    /// collecting egress, until then (or until their own deadline, passed
-    /// here as each drain's forcible-retirement instant).
+    /// once every VRI has been retired — hosts keep running
+    /// [`Lvrm::run_burst`] until then (`deadline_ns` is each drain's
+    /// forcible-retirement instant).
     pub fn shutdown(&mut self, deadline_ns: u64, host: &mut dyn VriHost) -> bool {
         let now = self.clock.now_ns();
         if !self.shutting_down {

@@ -7,6 +7,7 @@
 //! "LVRM only" experiments — 1c (throughput from a RAM trace), 1d
 //! (per-frame latency) and 1e (control-message-passing latency) — are
 //! *measured*, not simulated, by the drivers in [`pipeline`] and [`msglat`].
+//! Both run the burst `lvrmd` runs, [`lvrm_core::Lvrm::run_burst`].
 //!
 //! [`affinity`] wraps `sched_setaffinity`; on machines with too few cores
 //! (or non-Linux hosts) pinning degrades gracefully to unpinned threads.
@@ -28,10 +29,7 @@ pub mod udp_adapter;
 pub use ha_link::{FleetPeerSpec, UdpPeerLink};
 pub use metrics_server::MetricsServer;
 pub use msglat::{measure_control_latency, MsgLatencyReport};
-pub use pipeline::{
-    run_lvrm_only, run_lvrm_only_batched, run_lvrm_only_inline, run_lvrm_only_inline_batched,
-    PipelineReport,
-};
+pub use pipeline::{run_lvrm_only_batched, run_lvrm_only_inline_batched, PipelineReport};
 pub use ring_adapter::RingAdapter;
 pub use threads::{CtrlRole, ThreadHost};
 pub use udp_adapter::UdpAdapter;

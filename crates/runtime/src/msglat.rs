@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use lvrm_core::clock::{Clock, MonotonicClock};
 use lvrm_core::topology::{AffinityMode, CoreId, CoreMap, CoreTopology};
-use lvrm_core::{Lvrm, LvrmConfig};
+use lvrm_core::{Lvrm, LvrmConfig, MemTraceAdapter, SocketAdapter};
 use lvrm_metrics::LatencyHistogram;
 use lvrm_net::{Trace, TraceSpec};
 use parking_lot::Mutex;
@@ -26,7 +26,7 @@ pub struct MsgLatencyReport {
     pub latency: LatencyHistogram,
     /// Control events dropped by the relay.
     pub control_drops: u64,
-    /// Data frames pushed during the run (0 in the no-load setting).
+    /// Data frames offered during the run (0 in the no-load setting).
     pub data_frames: u64,
 }
 
@@ -73,29 +73,27 @@ pub fn measure_control_latency(
     lvrm.maybe_reallocate(clock.now_ns() + 2_000_000_000, &mut host);
     assert_eq!(lvrm.vri_count(vr), 2, "experiment needs two VRIs");
 
-    let mut trace = Trace::generate(&TraceSpec::new(84, 16));
-    let mut egress = Vec::new();
-    let mut data_frames = 0u64;
+    // Full load floods the VRIs with minimum-size frames from RAM; no load
+    // offers none, and the loop only relays control.
+    let budget = if full_load { u64::MAX } else { 0 };
+    let mut adapter = MemTraceAdapter::new(Trace::generate(&TraceSpec::new(84, 16)), budget);
     let deadline = clock.now_ns() + duration_ms * 1_000_000;
     while clock.now_ns() < deadline {
-        if full_load {
-            let mut f = trace.next_frame();
-            f.ts_ns = clock.now_ns();
-            lvrm.ingress(f, &mut host);
-            data_frames += 1;
-        }
-        // The LVRM main loop relays control events between the VRIs.
-        lvrm.process_control();
-        egress.clear();
-        lvrm.poll_egress(&mut egress);
+        lvrm.run_burst(&mut adapter, &mut host);
         if !full_load {
             std::hint::spin_loop();
         }
     }
     host.shutdown();
+    let ledger = lvrm.ledger();
+    assert!(ledger.check().is_ok(), "{ledger}");
     let latency =
         Arc::try_unwrap(sink).map(|m| m.into_inner()).unwrap_or_else(|arc| arc.lock().clone());
-    MsgLatencyReport { latency, control_drops: lvrm.stats().control_drops, data_frames }
+    MsgLatencyReport {
+        latency,
+        control_drops: ledger.stats.control_drops,
+        data_frames: adapter.rx_count(),
+    }
 }
 
 #[cfg(test)]

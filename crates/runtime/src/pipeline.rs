@@ -9,12 +9,14 @@
 //! with real queues and the real monitor.
 
 use std::net::Ipv4Addr;
+use std::time::Instant;
 
 use lvrm_core::clock::{Clock, MonotonicClock};
+use lvrm_core::host::RecordingHost;
 use lvrm_core::topology::{AffinityMode, CoreId, CoreMap, CoreTopology};
-use lvrm_core::{Lvrm, LvrmConfig, MemTraceAdapter, SocketAdapter};
+use lvrm_core::{Lvrm, LvrmConfig, MemTraceAdapter, VriHost};
 use lvrm_metrics::LatencyHistogram;
-use lvrm_net::{Frame, Trace, TraceSpec};
+use lvrm_net::{Trace, TraceSpec};
 use lvrm_router::VirtualRouter;
 
 use crate::threads::ThreadHost;
@@ -32,10 +34,12 @@ pub struct PipelineReport {
     /// Frames pushed through the pipeline.
     pub frames: u64,
     pub elapsed_ns: u64,
-    /// Ingress-to-egress latency per frame.
+    /// Per-frame latency from the burst's ingress stamp to its collection:
+    /// the monitor's own dispatch→departure histogram.
     pub latency: LatencyHistogram,
-    /// Frames dropped because a VRI queue was full (backpressure) or the
-    /// VR had no usable VRI.
+    /// Frames the monitor's books lost other than `unclassified`: a full
+    /// VRI queue (backpressure), no usable VRI, or any other loss-side
+    /// counter.
     pub dropped: u64,
     /// Frames whose source matched no VR subnet (not a queue drop — kept
     /// separate so backpressure numbers stay meaningful).
@@ -65,24 +69,10 @@ fn build_vr(kind: PipelineVr) -> Box<dyn VirtualRouter> {
     }
 }
 
-/// Run the LVRM-only pipeline: replay `total_frames` frames of `wire_size`
-/// bytes from RAM through LVRM and `vris` VRI thread(s), discarding at the
-/// output. Returns measured throughput and latency. Per-frame dataplane
-/// (batch size 1); see [`run_lvrm_only_batched`].
-pub fn run_lvrm_only(
-    vr: PipelineVr,
-    wire_size: usize,
-    total_frames: u64,
-    vris: usize,
-) -> PipelineReport {
-    run_lvrm_only_batched(vr, wire_size, total_frames, vris, 1)
-}
-
-/// As [`run_lvrm_only`], with an explicit dataplane burst size: the main
-/// loop polls up to `batch_size` frames from RAM, pushes them through
-/// [`Lvrm::ingress_batch`], and the VRI threads service their queues in
-/// bursts of the same size. `batch_size == 1` is the classic per-frame
-/// pipeline.
+/// Run the LVRM-only pipeline on real threads: replay `total_frames` frames
+/// of `wire_size` bytes from RAM through LVRM and `vris` VRI thread(s),
+/// discarding at the output. `batch_size` is the monitor's poll budget and
+/// the VRI threads' service burst; the paper's loop is 1.
 pub fn run_lvrm_only_batched(
     vr: PipelineVr,
     wire_size: usize,
@@ -116,108 +106,74 @@ pub fn run_lvrm_only_batched(
         lvrm.maybe_reallocate(clock.now_ns() + 2_000_000_000, &mut host);
     }
     assert_eq!(lvrm.vri_count(vr_id), vris.min(n_cores as usize), "VRIs spawned");
-
-    let trace = Trace::generate(&TraceSpec::new(wire_size, 64));
-    let mut adapter = MemTraceAdapter::new(trace, total_frames);
-    let mut latency = LatencyHistogram::new();
-    let mut ingress: Vec<Frame> = Vec::with_capacity(batch_size);
-    let mut egress: Vec<Frame> = Vec::with_capacity(1024);
-    let mut forwarded = 0u64;
-    let t0 = clock.now_ns();
-    let drops_before = lvrm.stats().dispatch_drops + lvrm.stats().no_vri_drops;
-    let unclassified_before = lvrm.stats().unclassified;
-
-    // The LVRM main loop: poll RAM -> ingress -> collect -> discard,
-    // a burst at a time.
-    let mut last_drops = drops_before;
-    while forwarded < total_frames {
-        if adapter.poll_batch(&mut ingress, batch_size).unwrap_or(0) > 0 {
-            let now = clock.now_ns();
-            for f in ingress.iter_mut() {
-                f.ts_ns = now;
-            }
-            lvrm.ingress_batch(&mut ingress, &mut host);
-        }
-        egress.clear();
-        lvrm.poll_egress(&mut egress);
-        let now = clock.now_ns();
-        for f in egress.iter() {
-            latency.record(now.saturating_sub(f.ts_ns));
-        }
-        forwarded += egress.len() as u64;
-        let _ = adapter.send_batch(&mut egress); // discard never fails
-                                                 // Backpressure means the VRI threads are starved for CPU (on boxes
-                                                 // with fewer cores than VRIs); yield our timeslice to them instead
-                                                 // of spinning the queue full.
-        let drops_now = lvrm.stats().dispatch_drops + lvrm.stats().no_vri_drops;
-        if drops_now > last_drops {
-            last_drops = drops_now;
-            std::thread::yield_now();
-        }
-        let lost = (drops_now - drops_before) + (lvrm.stats().unclassified - unclassified_before);
-        if adapter.exhausted() && forwarded + lost >= total_frames {
-            break;
-        }
-    }
-    let elapsed_ns = clock.now_ns() - t0;
+    let report = replay(&mut lvrm, &mut host, wire_size, total_frames);
     host.shutdown();
-    let dropped = lvrm.stats().dispatch_drops + lvrm.stats().no_vri_drops - drops_before;
-    let unclassified = lvrm.stats().unclassified - unclassified_before;
-    PipelineReport { frames: forwarded, elapsed_ns, latency, dropped, unclassified }
+    report
 }
 
 /// Run the LVRM-only pipeline with the VRI serviced *inline* on the calling
 /// thread (no VRI threads at all). On machines with fewer cores than the
 /// paper's eight this is the honest measure of the per-frame software cost:
 /// no scheduler timeslices, just the monitor + queues + router path.
-pub fn run_lvrm_only_inline(vr: PipelineVr, wire_size: usize, total_frames: u64) -> PipelineReport {
-    run_lvrm_only_inline_batched(vr, wire_size, total_frames, 1)
-}
-
-/// As [`run_lvrm_only_inline`], with an explicit dataplane burst size.
 pub fn run_lvrm_only_inline_batched(
     vr: PipelineVr,
     wire_size: usize,
     total_frames: u64,
     batch_size: usize,
 ) -> PipelineReport {
-    use lvrm_core::host::RecordingHost;
-    let batch_size = batch_size.max(1);
-    let clock = MonotonicClock::new();
     let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
-    let config = LvrmConfig { batch_size, ..LvrmConfig::default() };
-    let mut lvrm = Lvrm::new(config, cores, clock.clone());
+    let config = LvrmConfig { batch_size: batch_size.max(1), ..LvrmConfig::default() };
+    let mut lvrm = Lvrm::new(config, cores, MonotonicClock::new());
     let mut host = RecordingHost::default();
     let _ = lvrm.add_vr("vr0", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], build_vr(vr), &mut host);
-    let trace = Trace::generate(&TraceSpec::new(wire_size, 64));
-    let mut adapter = MemTraceAdapter::new(trace, total_frames);
-    let mut latency = LatencyHistogram::new();
-    let mut ingress: Vec<Frame> = Vec::with_capacity(batch_size);
-    let mut egress: Vec<Frame> = Vec::with_capacity(64);
-    let mut forwarded = 0u64;
-    let t0 = clock.now_ns();
-    while adapter.poll_batch(&mut ingress, batch_size).unwrap_or(0) > 0 {
-        let now = clock.now_ns();
-        for f in ingress.iter_mut() {
-            f.ts_ns = now;
+    replay(&mut lvrm, &mut host, wire_size, total_frames)
+}
+
+/// The one pipeline loop: [`Lvrm::run_burst`] over a RAM trace until every
+/// frame has left the monitor's books, forwarded or lost. Whatever differs
+/// between runs (host, topology, queue depth) was set up before the call.
+/// Panics if the books do not balance at the end.
+fn replay<C: Clock>(
+    lvrm: &mut Lvrm<C>,
+    host: &mut dyn VriHost,
+    wire_size: usize,
+    total_frames: u64,
+) -> PipelineReport {
+    let mut adapter =
+        MemTraceAdapter::new(Trace::generate(&TraceSpec::new(wire_size, 64)), total_frames);
+    let start = Instant::now();
+    let mut frames = 0u64;
+    let mut last_loss = 0u64;
+    loop {
+        frames += lvrm.run_burst(&mut adapter, host) as u64;
+        let loss = lvrm.stats().loss();
+        // Losses here are queue refusals: the VRI threads are starved for
+        // CPU (fewer cores than VRIs), so yield our timeslice to them
+        // instead of spinning the queue full.
+        if loss > last_loss {
+            last_loss = loss;
+            std::thread::yield_now();
         }
-        lvrm.ingress_batch(&mut ingress, &mut host);
-        host.pump();
-        egress.clear();
-        lvrm.poll_egress(&mut egress);
-        let now = clock.now_ns();
-        for f in egress.iter() {
-            latency.record(now.saturating_sub(f.ts_ns));
+        if adapter.exhausted() && frames + loss >= total_frames {
+            break;
         }
-        forwarded += egress.len() as u64;
-        let _ = adapter.send_batch(&mut egress);
     }
-    let elapsed_ns = clock.now_ns() - t0;
-    // Account drops from the monitor's own counters: `total - forwarded`
-    // would silently fold unclassified frames into backpressure drops.
-    let dropped = lvrm.stats().dispatch_drops + lvrm.stats().no_vri_drops;
-    let unclassified = lvrm.stats().unclassified;
-    PipelineReport { frames: forwarded, elapsed_ns, latency, dropped, unclassified }
+    let elapsed_ns = start.elapsed().as_nanos() as u64;
+    let ledger = lvrm.ledger();
+    assert!(ledger.check().is_ok(), "{ledger}");
+    let stats = &ledger.stats;
+    let latency = lvrm
+        .metrics_snapshot()
+        .summary("lvrm_vr_latency_ns", &[("vr", "vr0")])
+        .cloned()
+        .unwrap_or_default();
+    PipelineReport {
+        frames,
+        elapsed_ns,
+        latency,
+        dropped: stats.loss() - stats.unclassified,
+        unclassified: stats.unclassified,
+    }
 }
 
 #[cfg(test)]
@@ -230,7 +186,7 @@ mod tests {
 
     #[test]
     fn cpp_pipeline_conserves_frames() {
-        let r = run_lvrm_only(PipelineVr::Cpp, 84, 20_000, 1);
+        let r = run_lvrm_only_batched(PipelineVr::Cpp, 84, 20_000, 1, 1);
         assert_eq!(r.frames + r.dropped, 20_000, "every frame forwarded or counted dropped");
         assert_eq!(r.unclassified, 0, "trace frames all match the VR subnet");
         assert!(r.frames > 0, "at least some frames must flow");
@@ -258,14 +214,14 @@ mod tests {
 
     #[test]
     fn click_pipeline_conserves_frames() {
-        let r = run_lvrm_only(PipelineVr::Click, 84, 20_000, 1);
+        let r = run_lvrm_only_batched(PipelineVr::Click, 84, 20_000, 1, 1);
         assert_eq!(r.frames + r.dropped, 20_000);
         assert!(r.frames > 0);
     }
 
     #[test]
     fn inline_pipeline_is_fast_and_lossless() {
-        let r = run_lvrm_only_inline(PipelineVr::Cpp, 84, 50_000);
+        let r = run_lvrm_only_inline_batched(PipelineVr::Cpp, 84, 50_000, 1);
         assert_eq!(r.frames, 50_000);
         assert_eq!(r.dropped, 0);
         assert_eq!(r.unclassified, 0);
@@ -275,7 +231,7 @@ mod tests {
 
     #[test]
     fn larger_frames_do_not_panic() {
-        let r = run_lvrm_only(PipelineVr::Cpp, 1538, 5_000, 1);
+        let r = run_lvrm_only_batched(PipelineVr::Cpp, 1538, 5_000, 1, 1);
         assert_eq!(r.frames + r.dropped, 5_000);
         assert!(r.gbps(1538) > 0.0);
     }

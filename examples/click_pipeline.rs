@@ -12,6 +12,7 @@ use std::net::Ipv4Addr;
 use lvrm::click::ClickVr;
 use lvrm::core::host::RecordingHost;
 use lvrm::prelude::*;
+use lvrm::runtime::RingAdapter;
 
 const CONFIG: &str = "
 // Campus edge pipeline: validate, classify, route, count.
@@ -43,21 +44,24 @@ fn main() {
     let mut host = RecordingHost::default();
     let vr = lvrm.add_vr("edge", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], Box::new(click), &mut host);
 
-    // Mixed traffic: UDP to 10.0.2.x, TCP to 10.0.3.x, and some ARP noise.
+    // Mixed traffic: UDP to 10.0.2.x, TCP to 10.0.3.x, offered through a
+    // PF_RING-style ring pair standing in for the NIC.
+    let mut frames = Vec::new();
     let mut b = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 9));
     for i in 0..600u16 {
-        lvrm.ingress(b.udp(1000 + i, 53, &[0u8; 30]), &mut host);
+        frames.push(b.udp(1000 + i, 53, &[0u8; 30]));
     }
     let mut b2 = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 6), Ipv4Addr::new(10, 0, 3, 9));
     for i in 0..400u32 {
-        lvrm.ingress(
-            b2.tcp(2000 + i as u16, 80, i * 1460, 0, 0x10, 0xffff, &[0u8; 100]),
-            &mut host,
-        );
+        frames.push(b2.tcp(2000 + i as u16, 80, i * 1460, 0, 0x10, 0xffff, &[0u8; 100]));
     }
-    host.pump();
+    let (mut nic, mut wire) = RingAdapter::pair(1024);
+    wire.send_batch(&mut frames).expect("the ring holds the traffic");
+    while nic.rx_pending() > 0 {
+        lvrm.run_burst(&mut nic, &mut host);
+    }
     let mut out = Vec::new();
-    lvrm.poll_egress(&mut out);
+    wire.poll_batch(&mut out, usize::MAX).expect("egress ring");
 
     let to_if1 = out.iter().filter(|f| f.egress_if == 1).count();
     let to_if2 = out.iter().filter(|f| f.egress_if == 2).count();

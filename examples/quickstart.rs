@@ -9,13 +9,26 @@ use std::net::Ipv4Addr;
 
 use lvrm::core::host::RecordingHost;
 use lvrm::prelude::*;
+use lvrm::runtime::RingAdapter;
+
+const FRAMES: usize = 10_000;
 
 fn main() {
+    // The same relay at the paper's per-frame loop and at 32 frames a burst
+    // (one classify pass, one load-view refresh and one bulk enqueue per VRI,
+    // DESIGN.md §6).
+    for batch_size in [1, 32] {
+        relay(batch_size);
+    }
+}
+
+fn relay(batch_size: usize) {
     // LVRM runs on core 0 of the paper's dual quad-core gateway; VRIs get
     // sibling cores first.
     let clock = MonotonicClock::new();
     let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
-    let mut lvrm = Lvrm::new(LvrmConfig::default(), cores, clock);
+    let config = LvrmConfig { batch_size, ..LvrmConfig::default() };
+    let mut lvrm = Lvrm::new(config, cores, clock);
 
     // One VR, owning subnet 10.0.1.0/24, routing everything toward
     // interface 1 via a static map file (paper §3.7).
@@ -25,36 +38,28 @@ fn main() {
          0.0.0.0/0    1\n",
     )
     .expect("valid map file");
-    let mut host = RecordingHost::default();
+    let mut host = RecordingHost::default(); // single-threaded "runtime"
     let vr = lvrm.add_vr(
         "dept-a",
         &[(Ipv4Addr::new(10, 0, 1, 0), 24)],
         Box::new(FastVr::new("dept-a", routes)),
         &mut host,
     );
-    println!("registered {} ({} VRI)", lvrm.vr_name(vr), lvrm.vri_count(vr));
+    println!("registered {} ({} VRI), burst {batch_size}", lvrm.vr_name(vr), lvrm.vri_count(vr));
 
-    // Replay a small in-memory trace (the paper's main-memory adapter).
+    // A PF_RING-style ring pair stands in for the NIC: a small in-memory
+    // trace goes in at the wire end, and forwarded frames come back out.
+    let (mut nic, mut wire) = RingAdapter::pair(16_384);
     let mut trace = Trace::generate(&TraceSpec::new(84, 32));
+    let mut frames: Vec<Frame> = (0..FRAMES).map(|_| trace.next_frame()).collect();
+    wire.send_batch(&mut frames).expect("the ring holds the trace");
+    // The monitor loop: each burst polls, dispatches, services the VRI,
+    // relays control, ticks and sends egress (`Lvrm::run_burst`).
+    while nic.rx_pending() > 0 {
+        lvrm.run_burst(&mut nic, &mut host);
+    }
     let mut out = Vec::new();
-    for _ in 0..10_000 {
-        lvrm.ingress(trace.next_frame(), &mut host);
-        host.pump(); // single-threaded "runtime" for the example
-        lvrm.poll_egress(&mut out); // drain as we go, like the real loop
-    }
-
-    // The same relay, burst-oriented: 32 frames share one classify pass,
-    // one load-view refresh, and one bulk enqueue per VRI (DESIGN.md §6).
-    let mut burst = Vec::with_capacity(32);
-    for _ in 0..(10_000 / 32) {
-        burst.clear();
-        for _ in 0..32 {
-            burst.push(trace.next_frame());
-        }
-        lvrm.ingress_batch(&mut burst, &mut host);
-        host.pump();
-        lvrm.poll_egress(&mut out);
-    }
+    wire.poll_batch(&mut out, usize::MAX).expect("egress ring");
 
     let (vr_in, vr_out) = lvrm.vr_frame_counts(vr);
     println!("frames in        : {}", lvrm.stats().frames_in);
@@ -65,5 +70,5 @@ fn main() {
         "egress interface of first frame: {}",
         out.first().map(|f| f.egress_if).unwrap_or(u16::MAX)
     );
-    assert_eq!(out.len(), 10_000 + (10_000 / 32) * 32);
+    assert_eq!(out.len(), FRAMES);
 }

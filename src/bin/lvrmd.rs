@@ -441,36 +441,13 @@ fn run(
     });
 
     let t_end = std::time::Instant::now() + std::time::Duration::from_secs(duration_s);
-    let mut ingress: Vec<Frame> = Vec::with_capacity(batch_size);
-    let mut egress = Vec::new();
     let mut last_out = 0u64;
     while std::time::Instant::now() < t_end && !lvrm::runtime::signal::requested() {
-        // Burst dataplane: one poll, one classify/dispatch pass, one send
-        // per batch (batch-size 1 degenerates to the per-frame loop). The
-        // supervisor absorbs adapter faults: a degraded or dead NIC reads
-        // as idle here while reopen/failover runs underneath. An HA standby
-        // (or a master still in promotion probation) leaves the NIC alone —
-        // frames belong to the accepting master.
-        if lvrm.ha_accepting() && nic.poll_batch(&mut ingress, batch_size).unwrap_or(0) > 0 {
-            let ts = clock.now_ns();
-            for f in ingress.iter_mut() {
-                f.ts_ns = ts;
-                f.ingress_if = 0;
-            }
-            lvrm.ingress_batch(&mut ingress, &mut host);
-            ingress.clear();
-        }
-        host.apply(clock.now_ns());
-        // Supervisor time: injected adapter faults fire, due reopens run,
-        // the egress retry queue flushes.
-        nic.tick(clock.now_ns());
-        lvrm.process_control();
-        lvrm.maybe_reallocate(clock.now_ns(), &mut host);
-        egress.clear();
-        lvrm.poll_egress(&mut egress);
-        // Back out the ring (the self-test peer counts them); refusals are
-        // parked in the supervisor's retry queue, not dropped.
-        let _ = nic.send_batch(&mut egress);
+        // One burst of the monitor loop (`Lvrm::run_burst`). The supervisor
+        // absorbs adapter faults: a degraded or dead NIC reads as idle while
+        // reopen/failover runs underneath, and egress it refuses is parked
+        // in its retry queue. An HA standby leaves the NIC alone.
+        lvrm.run_burst(&mut nic, &mut host);
         // Scrapes are served from the same loop: one non-blocking poll per
         // iteration, rendering the exposition only when a request completed.
         if let Some(srv) = metrics.as_mut() {
@@ -519,22 +496,20 @@ fn run(
 
     // Graceful drain: ingress is quiesced, every VRI empties its queue and
     // retires; the deadline bounds how long a wedged instance can hold the
-    // exit. Egress keeps flowing out the ring the whole time.
+    // exit. Bursts go on until the last VRI has retired and the NIC ring
+    // reads empty (or, should a peer keep sending, the deadline passes):
+    // egress keeps flowing out, and what is left in the ring is read and
+    // counted as `shed_early`.
     println!("\n{}: draining...", if interrupted { "signal" } else { "duration elapsed" });
     let deadline = clock.now_ns().saturating_add(drain_deadline_ns.max(1_000_000));
-    let t_drain_end = std::time::Instant::now()
-        + std::time::Duration::from_nanos(drain_deadline_ns + 500_000_000);
-    while !lvrm.shutdown(deadline, &mut host) && std::time::Instant::now() < t_drain_end {
-        egress.clear();
-        lvrm.poll_egress(&mut egress);
-        let _ = nic.send_batch(&mut egress);
-        nic.tick(clock.now_ns());
-        std::hint::spin_loop();
+    loop {
+        let drained = lvrm.shutdown(deadline, &mut host);
+        let read = nic.rx_count();
+        lvrm.run_burst(&mut nic, &mut host);
+        if drained && (nic.rx_count() == read || clock.now_ns() >= deadline) {
+            break;
+        }
     }
-    egress.clear();
-    lvrm.poll_egress(&mut egress);
-    let _ = nic.send_batch(&mut egress);
-    nic.tick(clock.now_ns());
     host.inner.shutdown();
     // A final checkpoint captures the drained state for the next start.
     if let Some(path) = ckpt_path.as_ref() {

@@ -46,15 +46,15 @@
 //!     &mut host,
 //! );
 //!
-//! // Push a frame through: classify -> balance -> VRI -> egress.
+//! // A ring pair stands in for the NIC. One burst of the monitor loop
+//! // polls it, classifies, balances, services the VRI and sends egress.
+//! let (mut nic, mut wire) = lvrm::runtime::RingAdapter::pair(64);
 //! let frame = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 9))
 //!     .udp(5000, 6000, b"payload");
-//! lvrm.ingress(frame, &mut host);
-//! host.pump();
-//! let mut out = Vec::new();
-//! lvrm.poll_egress(&mut out);
-//! assert_eq!(out.len(), 1);
-//! assert_eq!(out[0].egress_if, 1);
+//! wire.send(frame).unwrap();
+//! assert_eq!(lvrm.run_burst(&mut nic, &mut host), 1);
+//! let out = wire.poll().unwrap();
+//! assert_eq!(out.egress_if, 1);
 //! assert_eq!(lvrm.vri_count(vr), 1);
 //! ```
 
