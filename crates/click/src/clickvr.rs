@@ -15,6 +15,9 @@ pub struct ClickVr {
     graph: ElementGraph,
     dummy_load_ns: u64,
     nominal_cost_ns: u64,
+    /// The copy of the offered frame the graph runs on, kept from one frame
+    /// to the next so its buffer is rewritten where it lies.
+    copy: Option<Frame>,
     /// Frames dropped by the pipeline.
     pub dropped: u64,
 }
@@ -32,6 +35,7 @@ impl ClickVr {
             graph,
             dummy_load_ns: 0,
             nominal_cost_ns,
+            copy: None,
             dropped: 0,
         })
     }
@@ -66,13 +70,22 @@ impl VirtualRouter for ClickVr {
     }
 
     fn process(&mut self, frame: &mut Frame) -> RouterAction {
-        // The graph runs on a clone and only the egress decision is copied
-        // back. The clone shares the bytes, so an element that rewrites a
-        // header (`DecIPTTL`) first moves it to a private copy — one
-        // allocation and all 1518 bytes of a full-size frame — and that copy
-        // is dropped with the clone: the frame the VR returns is relayed
-        // unchanged. ROADMAP 1c flips this to `run(frame)`.
-        let fate = self.graph.run(&mut frame.clone());
+        // The graph runs on a copy this instance keeps, and only the egress
+        // decision is carried back: the frame the VR returns is relayed
+        // unchanged. A copy of the same length that is still the instance's
+        // own is overwritten in place (no allocation, no refcount traffic on
+        // the offered buffer); any other length takes a new one. ROADMAP 2a
+        // flips this to `run(frame)`.
+        let copy = match &mut self.copy {
+            Some(copy) if copy.len() == frame.len() => {
+                copy.modify_bytes(|b| b.copy_from_slice(frame.bytes()));
+                copy
+            }
+            slot => slot.insert(Frame::new(frame.bytes())),
+        };
+        (copy.ts_ns, copy.ingress_if, copy.egress_if) =
+            (frame.ts_ns, frame.ingress_if, frame.egress_if);
+        let fate = self.graph.run(copy);
         match fate {
             PacketFate::Forwarded { iface } => {
                 frame.egress_if = iface;
@@ -100,6 +113,7 @@ impl VirtualRouter for ClickVr {
             graph: self.graph.clone_fresh(),
             dummy_load_ns: self.dummy_load_ns,
             nominal_cost_ns: self.nominal_cost_ns,
+            copy: None,
             dropped: 0,
         })
     }
@@ -112,6 +126,7 @@ impl VirtualRouter for ClickVr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::parse_config;
     use lvrm_net::FrameBuilder;
     use std::net::Ipv4Addr;
 
@@ -164,5 +179,78 @@ mod tests {
         // A cycle is refused here, before there is a VR to spawn or hang.
         let e = ClickVr::from_config("x", "c :: Counter; FromDevice(0) -> c -> c;").err().unwrap();
         assert!(e.0.contains("cycle"), "{e}");
+    }
+
+    /// `ClickVr` runs the graph on a copy it keeps and rewrites in place, and
+    /// must decide exactly as the graph does on a fresh clone of each frame:
+    /// the same fate, the same count at every element, the same traversals.
+    /// The frames change length from one to the next (so the kept copy is
+    /// sometimes rewritten, sometimes replaced), carry TTL 0, 1 or 2, a bad
+    /// header checksum now and then and destinations no route covers; the
+    /// configurations rewrite before they check, rewrite twice, and fan out.
+    /// What the VR hands back is the offered frame, byte for byte, with only
+    /// `egress_if` stamped on a forward.
+    #[test]
+    fn kept_copy_decides_as_a_clone_would() {
+        let configs = [
+            "FromDevice(0) -> dec :: DecIPTTL -> chk :: CheckIPHeader \
+             -> rt :: LookupIPRoute(10.0.2.0/24 0, 10.0.3.0/24 1); \
+             rt[0] -> ToDevice(1); rt[1] -> ToDevice(2); dec[1] -> Discard; chk[1] -> Discard;",
+            "FromDevice(0) -> t :: Tee(2); \
+             t[0] -> d1 :: DecIPTTL -> d2 :: DecIPTTL -> ToDevice(1); \
+             t[1] -> chk :: CheckIPHeader -> d3 :: DecIPTTL -> rt :: LookupIPRoute(10.0.2.0/24 0); \
+             rt[0] -> ToDevice(2); d3[1] -> Discard;",
+            "FromDevice(0) -> CheckIPHeader -> DecIPTTL -> CheckIPHeader -> Counter \
+             -> rt :: LookupIPRoute(10.0.0.0/16 0); rt[0] -> ToDevice(1);",
+        ];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as usize % n
+        };
+        for config in configs {
+            let ast = parse_config(config).unwrap();
+            let mut vr = ClickVr::from_config("click", config).unwrap();
+            let mut reference = ElementGraph::compile(&ast).unwrap();
+            for n in 0..if cfg!(miri) { 24 } else { 400 } {
+                let dst = [[10, 0, 2, 9], [10, 0, 3, 1], [10, 0, 7, 7], [8, 8, 8, 8]][next(4)];
+                let ttl = next(3) as u8;
+                let payload = vec![0x5A; [0, 26, 27, 80, 1400, 1472][next(6)]];
+                let mut offered = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), dst.into())
+                    .ttl(ttl)
+                    .udp(1, 2, &payload);
+                if next(4) == 0 {
+                    offered.modify_bytes(|b| b[14 + 10] ^= 0x5A);
+                }
+                (offered.ts_ns, offered.egress_if) = (n as u64, [Frame::NO_IF, 3][next(2)]);
+                let fate = reference.run(&mut offered.clone());
+
+                let mut relayed = offered.clone();
+                let action = vr.process(&mut relayed);
+                let egress = match fate {
+                    PacketFate::Forwarded { iface } => {
+                        assert_eq!(action, RouterAction::Forward { iface }, "{config}\n{n}");
+                        iface
+                    }
+                    PacketFate::Dropped => {
+                        assert_eq!(action, RouterAction::Drop, "{config}\n{n}");
+                        offered.egress_if
+                    }
+                };
+                assert_eq!(relayed.bytes(), offered.bytes(), "{config}\nframe {n}");
+                assert_eq!(
+                    (relayed.egress_if, relayed.ingress_if, relayed.ts_ns),
+                    (egress, offered.ingress_if, offered.ts_ns)
+                );
+                assert_eq!(vr.graph().traversals(), reference.traversals(), "{config}\n{n}");
+                for decl in &ast.decls {
+                    let name = &decl.name;
+                    let count = vr.graph().element_count(name);
+                    assert_eq!(count, reference.element_count(name), "{name} of {config}\n{n}");
+                }
+            }
+        }
     }
 }

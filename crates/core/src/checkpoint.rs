@@ -32,7 +32,7 @@ use std::fmt;
 use std::io;
 use std::net::Ipv4Addr;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lvrm_net::flow::Protocol;
 use lvrm_net::FlowKey;
@@ -105,9 +105,18 @@ impl From<io::Error> for CheckpointError {
 // x^D mod P: two 64×64 multiplies and an XOR carry 16 bytes over any
 // distance. Four registers leapfrog 64 bytes a step; no table, no dependent
 // load. The polynomial, and with it every sealed byte, is the same.
+//
+// And where the bytes' CRC is known already: `crc32_combine` joins the CRCs
+// of two byte strings into the CRC of the pair, by one multiplication modulo
+// P. A sealed checkpoint is nearly all flow sections, and a section keeps the
+// CRC of its records, so a clean round seals without reading them.
 
 /// The generator polynomial, bit-reflected (x^0 is the top bit).
 const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Bytes one step of the folded loop consumes. A shorter input (a 15-byte
+/// `LVSU`, an advert) has nothing to fold and goes through the tables.
+pub const FOLD_BLOCK: usize = 64;
 
 const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
@@ -166,11 +175,7 @@ fn crc32_sliced(mut c: u32, data: &[u8]) -> u32 {
 mod clmul {
     use std::arch::x86_64::*;
 
-    use super::{crc32_sliced, CRC_POLY};
-
-    /// Bytes one step of the folded loop consumes. A shorter input (a 15-byte
-    /// `LVSU`, an advert) has nothing to fold and goes through the tables.
-    pub(super) const FOLD_BLOCK: usize = 64;
+    use super::{crc32_sliced, CRC_POLY, FOLD_BLOCK};
 
     /// The multiplier that carries 64 bits of the message `bits` places on:
     /// x^bits mod P, bit-reflected. A carry-less product of two reflected
@@ -259,12 +264,62 @@ mod clmul {
 
 /// CRC-32/IEEE over `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_extend(0, data)
+}
+
+/// The CRC-32 of some bytes and then `data`, from `crc`, the CRC-32 of those
+/// bytes.
+fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if data.len() >= clmul::FOLD_BLOCK && std::arch::is_x86_feature_detected!("pclmulqdq") {
+    if data.len() >= FOLD_BLOCK && std::arch::is_x86_feature_detected!("pclmulqdq") {
         // SAFETY: the CPU was just asked, and has `pclmulqdq`.
-        return !unsafe { clmul::crc32_folded(!0, data) };
+        return !unsafe { clmul::crc32_folded(!crc, data) };
     }
-    !crc32_sliced(!0, data)
+    !crc32_sliced(!crc, data)
+}
+
+/// `a · b mod P`, both operands and the product bit-reflected.
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31; // x^0
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        bit >>= 1;
+        b = if b & 1 != 0 { CRC_POLY ^ (b >> 1) } else { b >> 1 };
+    }
+    product
+}
+
+/// `X_POW_2K[k]` is x^(2^k) mod P: x, then each the square of the last.
+const X_POW_2K: [u32; 64] = {
+    let mut t = [0u32; 64];
+    t[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 64 {
+        t[k] = mul_mod_p(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
+
+/// The CRC-32 of `a` and then `b`, from the CRC-32 of each and `b`'s length:
+/// `a`'s CRC carried over `len_b` bytes, x^(8·len_b) mod P, one product per
+/// set bit of `8·len_b`, then `b`'s added. The inversions at either end of
+/// the two CRCs cancel, as in zlib's `crc32_combine`.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    let mut bits = len_b as u64 * 8;
+    let mut shift = 1u32 << 31; // x^0
+    let mut k = 0;
+    while bits != 0 {
+        if bits & 1 != 0 {
+            shift = mul_mod_p(X_POW_2K[k], shift);
+        }
+        bits >>= 1;
+        k += 1;
+    }
+    mul_mod_p(shift, crc_a) ^ crc_b
 }
 
 /// One flow-affinity entry: `key` was pinned to slot `slot` of its VR.
@@ -359,11 +414,31 @@ impl FlowRecord {
 /// still holds them. A flow table hands every checkpoint the same section
 /// until something it ships changes, so consecutive checkpoints share their
 /// unchanged sections and a diff passes over them without a read
-/// ([`FlowSection::shares_records`]).
+/// ([`FlowSection::shares_records`]). The shared records also keep their
+/// CRC-32 once a seal has computed it, so the next checkpoint that ships
+/// them is sealed without reading them again.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct FlowSection {
-    records: Arc<Vec<RecordWire>>,
+    records: Arc<Records>,
 }
+
+/// A section's records, and their CRC-32 once it is known.
+#[derive(Clone, Default)]
+struct Records {
+    wire: Vec<RecordWire>,
+    /// Cleared by the one way to write `wire`, [`FlowSection::records_mut`].
+    crc: OnceLock<u32>,
+}
+
+/// The records' equality: the cached CRC is not part of the value. (`Eq`
+/// lets `Arc` answer for one allocation by pointer.)
+impl PartialEq for Records {
+    fn eq(&self, other: &Records) -> bool {
+        self.wire == other.wire
+    }
+}
+
+impl Eq for Records {}
 
 impl FlowSection {
     pub fn from_records(records: &[FlowRecord]) -> FlowSection {
@@ -372,7 +447,21 @@ impl FlowSection {
 
     /// A section of records already in their wire form.
     pub(crate) fn from_wire(records: Vec<RecordWire>) -> FlowSection {
-        FlowSection { records: Arc::new(records) }
+        FlowSection { records: Arc::new(Records { wire: records, crc: OnceLock::new() }) }
+    }
+
+    /// The records for writing: copied first if another section still holds
+    /// them, and their cached CRC dropped. Every write goes through here.
+    fn records_mut(&mut self) -> &mut Vec<RecordWire> {
+        let records = Arc::make_mut(&mut self.records);
+        records.crc.take();
+        &mut records.wire
+    }
+
+    /// The CRC-32 of the records' bytes, computed by the first caller and
+    /// kept with the records until they are written.
+    fn crc(&self) -> u32 {
+        *self.records.crc.get_or_init(|| crc32(self.records.wire.as_flattened()))
     }
 
     /// Whether the two sections hold the very same records, not copies: if
@@ -382,20 +471,20 @@ impl FlowSection {
     }
 
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records.wire.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records.wire.is_empty()
     }
 
     pub fn push(&mut self, record: FlowRecord) {
-        Arc::make_mut(&mut self.records).push(record.to_wire());
+        self.records_mut().push(record.to_wire());
     }
 
     /// The records, in section order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = FlowRecord> + '_ {
-        self.records.iter().map(FlowRecord::from_wire)
+        self.records.wire.iter().map(FlowRecord::from_wire)
     }
 
     pub fn to_vec(&self) -> Vec<FlowRecord> {
@@ -406,8 +495,8 @@ impl FlowSection {
     /// already in that order is left as it is, shared or not.
     fn sort(&mut self) {
         let order = |r: &RecordWire| canonical_order(key_of(r));
-        if !self.records.is_sorted_by_key(order) {
-            Arc::make_mut(&mut self.records).sort_unstable_by_key(order);
+        if !self.records.wire.is_sorted_by_key(order) {
+            self.records_mut().sort_unstable_by_key(order);
         }
     }
 }
@@ -463,21 +552,24 @@ pub(crate) enum Version {
 /// Frame one message of the wire family: `magic | version | body | crc32`,
 /// the CRC-32 covering every byte before it. `len` sizes the buffer: the
 /// whole message's length, trailer included, where the caller can say (the
-/// buffer is then allocated once), else a start.
+/// buffer is then allocated once), else a start. Only the bytes between flow
+/// sections pass through the CRC register: each section joins the CRC by its
+/// own ([`Enc::flow_section`]).
 pub(crate) fn seal(
     magic: [u8; 4],
     version: Version,
     len: usize,
     body: impl FnOnce(&mut Enc),
 ) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::with_capacity(len) };
+    let mut e = Enc { buf: Vec::with_capacity(len), crc: 0, crc_at: 0 };
     e.buf.extend_from_slice(&magic);
     match version {
         Version::U32(v) => e.u32(v),
         Version::U8(v) => e.u8(v),
     }
     body(&mut e);
-    let crc = crc32(&e.buf);
+    let crc = crc32_extend(e.crc, &e.buf[e.crc_at..]);
+    debug_assert_eq!(crc, crc32(&e.buf), "a section's cached CRC is stale");
     e.u32(crc);
     e.buf
 }
@@ -517,6 +609,9 @@ pub(crate) fn open(
 
 pub(crate) struct Enc {
     buf: Vec<u8>,
+    /// The CRC-32 of `buf[..crc_at]`.
+    crc: u32,
+    crc_at: usize,
 }
 
 impl Enc {
@@ -553,10 +648,15 @@ impl Enc {
     fn flow_record(&mut self, f: &FlowRecord) {
         self.buf.extend_from_slice(&f.to_wire());
     }
-    /// A `u32` record count and the records, in one copy.
+    /// A `u32` record count and the records, in one copy. The records join
+    /// the message's CRC by their own ([`crc32_combine`]), not byte by byte.
     fn flow_section(&mut self, flows: &FlowSection) {
         self.u32(flows.len() as u32);
-        self.buf.extend_from_slice(flows.records.as_flattened());
+        let records = flows.records.wire.as_flattened();
+        let before = crc32_extend(self.crc, &self.buf[self.crc_at..]);
+        self.crc = crc32_combine(before, flows.crc(), records.len());
+        self.buf.extend_from_slice(records);
+        self.crc_at = self.buf.len();
     }
     pub(crate) fn flow_key(&mut self, k: &FlowKey) {
         self.buf.extend_from_slice(&flow_key_wire(k));
@@ -861,7 +961,7 @@ fn merge_flows(flows: FlowSection, evictions: &[FlowKey], upserts: &[FlowRecord]
     let mut evicted = evictions.iter().peekable();
     let mut upserts = upserts.iter().peekable();
     // The list may be shared with the snapshot it came from: read, not taken.
-    for &f in flows.records.iter() {
+    for &f in flows.records.wire.iter() {
         let k = canonical_order(key_of(&f));
         while let Some(u) = upserts.next_if(|u| canonical_order(key_of(u)) < k) {
             out.push(*u);
@@ -941,7 +1041,7 @@ fn join_flows(old: &FlowSection, new: &FlowSection) -> (Vec<FlowKey>, Vec<FlowRe
     if old == new {
         return (Vec::new(), Vec::new());
     }
-    let (old, new) = (&old.records[..], &new.records[..]);
+    let (old, new) = (&old.records.wire[..], &new.records.wire[..]);
     let mut upserts = Vec::new();
     let mut matched = vec![false; old.len()];
     let mut index = None;

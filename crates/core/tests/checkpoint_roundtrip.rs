@@ -7,14 +7,16 @@
 //! may ever panic a decoder or be silently accepted. Two differential
 //! properties hold the fast paths to the slow ones they replaced, kept here
 //! as models: the hinted-join `CheckpointDelta::diff` against the hash-map
-//! diff, and the sliced `crc32` against the bit-at-a-time definition. The
+//! diff, the sliced `crc32` against the bit-at-a-time definition, and a
+//! seal that joins each flow section's kept CRC (`crc32_combine`) against
+//! the same checkpoint built from deep copies. The
 //! final tests close the loop at the monitor level: a rejected checkpoint must leave the
 //! monitor cold-started but fully functional, with the rejection visible in
 //! `lvrm_checkpoint_rejected_total` and the event stream.
 
 use std::net::Ipv4Addr;
 
-use lvrm_core::checkpoint::crc32;
+use lvrm_core::checkpoint::{crc32, crc32_combine, FOLD_BLOCK};
 use lvrm_core::{
     decode_batch, encode_batch, AffinityMode, Checkpoint, CheckpointDelta, CheckpointError,
     ClusterMsg, CoreId, CoreMap, CoreTopology, FlowRecord, FlowSection, Lvrm, LvrmConfig,
@@ -719,6 +721,89 @@ proptest! {
             .collect();
         let data = &bytes[skip..];
         prop_assert_eq!(crc32(data), model_crc32(data));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// The CRC of bytes cut into parts is the CRCs of the parts joined in
+    /// order, whatever the cuts: empty parts, parts shorter than a step of
+    /// the folded loop and parts of several steps.
+    #[test]
+    fn crc32_combine_joins_the_crcs_of_any_parts(
+        seed in any::<u64>(),
+        parts in prop::collection::vec((0usize..3, 0usize..4 * FOLD_BLOCK), 0..6),
+    ) {
+        let mut x = seed | 1;
+        let mut byte = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        };
+        let mut all = Vec::new();
+        let mut joined = crc32(&[]);
+        for (kind, len) in parts {
+            let len = match kind {
+                0 => 0,
+                1 => len % FOLD_BLOCK,
+                _ => FOLD_BLOCK + len,
+            };
+            let part: Vec<u8> = (0..len).map(|_| byte()).collect();
+            joined = crc32_combine(joined, crc32(&part), part.len());
+            all.extend(part);
+            prop_assert_eq!(joined, model_crc32(&all), "after a part of {} bytes", len);
+        }
+        for cut in [0, all.len() / 3, all.len()] {
+            let (a, b) = all.split_at(cut);
+            prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), crc32(&all));
+        }
+    }
+
+    /// A flow section keeps its records' CRC once a seal has computed it,
+    /// and shares it with every checkpoint that shares the records. Every
+    /// write drops it: seal, then push into, sort, or fold a delta into
+    /// sections the sealed checkpoint shares, and seal again. The bytes are
+    /// the bytes of the same checkpoint built from deep copies, they decode
+    /// to it, and the checkpoint that still holds the old records seals as
+    /// it did.
+    #[test]
+    fn a_write_to_a_sealed_section_drops_its_crc(
+        base in arb_long_checkpoint(),
+        seeds in prop::collection::vec(any::<u64>(), 1..8),
+    ) {
+        let sealed = base.encode();
+        let mut current = base.clone();
+        for &seed in &seeds {
+            let before = current.clone();
+            let before_bytes = before.encode();
+            match seed % 3 {
+                0 => {
+                    let n = current.vrs.len().max(1);
+                    if let Some(vr) = current.vrs.get_mut(seed as usize / 3 % n) {
+                        let records = mutate(&before, seed).vrs[0].flows.to_vec();
+                        if let Some(&record) = records.last() {
+                            vr.flows.push(record);
+                        }
+                    }
+                }
+                1 => current = current.canonical(),
+                _ => {
+                    let delta = CheckpointDelta::diff(&current, &mutate(&current, seed), 1);
+                    current.fold(&delta);
+                }
+            }
+            let bytes = current.encode();
+            let mut deep = current.clone();
+            for vr in &mut deep.vrs {
+                vr.flows = FlowSection::from_records(&vr.flows.to_vec());
+            }
+            prop_assert_eq!(&bytes, &deep.encode(), "step {}", seed % 3);
+            prop_assert_eq!(&Checkpoint::decode(&bytes).expect("decodes"), &current);
+            prop_assert_eq!(before.encode(), before_bytes);
+        }
+        prop_assert_eq!(base.encode(), sealed);
     }
 }
 

@@ -41,7 +41,7 @@ fn frame(subnet_c: u8, last: u8, ts_ns: u64) -> Frame {
 /// A small deterministic run exercising every family the monitor registers:
 /// two VRs, classified + unclassified traffic, latency samples, a full
 /// drain, and one reallocation tick.
-fn render_fixture() -> String {
+fn fixture() -> Lvrm<ManualClock> {
     let clock = ManualClock::new();
     let config = LvrmConfig {
         queue_kind: QueueKind::Lamport,
@@ -77,7 +77,11 @@ fn render_fixture() -> String {
             break;
         }
     }
-    lvrm.render_prometheus()
+    lvrm
+}
+
+fn render_fixture() -> String {
+    fixture().render_prometheus()
 }
 
 /// Replace each sample line's value with `V`, keeping names, labels, and
@@ -115,6 +119,17 @@ fn exposition_structure_matches_golden() {
         "Prometheus exposition structure changed. If intentional, re-bless with \
          LVRM_BLESS=1 cargo test -p lvrm-core --test prometheus_golden"
     );
+}
+
+/// A scrape renders from the live registry, with each line's text kept from
+/// registration; a snapshot renders the same lines as it goes. Both must
+/// give the same bytes, values included.
+#[test]
+fn live_render_is_the_snapshots_render() {
+    let lvrm = fixture();
+    let live = lvrm.render_prometheus();
+    assert_eq!(live, lvrm.metrics_snapshot().render_prometheus());
+    assert!(live.contains("lvrm_vr_latency_ns_sum{vr=\"deptA\"} "), "{live}");
 }
 
 /// The fixture must actually move frames — otherwise the golden quietly

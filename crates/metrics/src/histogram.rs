@@ -15,27 +15,54 @@ const OCTAVES: usize = 40;
 /// sides agree on the bucket layout.
 pub(crate) const NUM_BUCKETS: usize = SUB * OCTAVES;
 
-/// [`LatencyHistogram::percentile_ns`] over bucket counts wherever they lie:
-/// the registry's atomic histogram answers a scrape from its own buckets.
-pub(crate) fn percentile_of(
-    buckets: impl Iterator<Item = u64>,
+/// Buckets [`percentiles_of`] sums before it compares: a run of them that
+/// stays below the next target costs one compare, not one a bucket.
+const STRIDE: usize = 16;
+
+/// [`LatencyHistogram::percentile_ns`] at each of `qs`, ascending, over
+/// bucket counts wherever they lie (`load` reads one), in one walk of the
+/// buckets: the registry's atomic histogram answers a scrape from its own.
+///
+/// Total over any reading, including one torn by a concurrent `record`
+/// (which bumps `count` before `min` and `max`): a bucket's value is bounded
+/// by `max` after `min`, never by `Ord::clamp`, which panics when
+/// `min > max`.
+pub(crate) fn percentiles_of<T, const N: usize>(
+    buckets: &[T],
+    load: impl Fn(&T) -> u64,
     count: u64,
     min: u64,
     max: u64,
-    q: f64,
-) -> u64 {
+    qs: [f64; N],
+) -> [u64; N] {
+    debug_assert!(qs.is_sorted(), "quantiles ascend: {qs:?}");
     if count == 0 {
-        return 0;
+        return [0; N];
     }
-    let target = ((q.clamp(0.0, 1.0)) * count as f64).ceil().max(1.0) as u64;
-    let mut seen = 0;
-    for (i, c) in buckets.enumerate() {
-        seen += c;
-        if seen >= target {
-            return LatencyHistogram::value_of(i).clamp(min, max);
+    let targets = qs.map(|q| ((q.clamp(0.0, 1.0)) * count as f64).ceil().max(1.0) as u64);
+    let mut out = [max; N];
+    let mut next = 0;
+    let mut seen = 0u64;
+    for (at, stride) in buckets.chunks(STRIDE).enumerate() {
+        // Wrapping: only a torn reading could overflow, and then the stride
+        // is walked bucket by bucket below.
+        let sum = stride.iter().map(&load).fold(0u64, u64::wrapping_add);
+        if seen.saturating_add(sum) < targets[next] {
+            seen += sum;
+            continue;
+        }
+        for (i, bucket) in stride.iter().enumerate() {
+            seen = seen.saturating_add(load(bucket));
+            while next < N && seen >= targets[next] {
+                out[next] = LatencyHistogram::value_of(at * STRIDE + i).max(min).min(max);
+                next += 1;
+            }
+        }
+        if next == N {
+            break;
         }
     }
-    max
+    out
 }
 
 /// Fixed-memory latency histogram over `u64` nanosecond samples.
@@ -156,7 +183,9 @@ impl LatencyHistogram {
     /// (possible because a bucket spans many values) would be nonsense — in
     /// particular a single-sample histogram reports the sample exactly.
     pub fn percentile_ns(&self, q: f64) -> u64 {
-        percentile_of(self.buckets.iter().copied(), self.count, self.min, self.max, q)
+        let (buckets, count, min, max) = (&self.buckets[..], self.count, self.min, self.max);
+        let [p] = percentiles_of(buckets, |c| *c, count, min, max, [q]);
+        p
     }
 
     /// Merge another histogram into this one (for multi-trial aggregation).
@@ -278,5 +307,28 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.count(), 1);
         assert_eq!(h.max_ns(), u64::MAX);
+    }
+
+    /// One walk for several quantiles lands where one walk per quantile does,
+    /// including past the last sample (`max`) and on an empty histogram.
+    #[test]
+    fn one_walk_finds_every_quantile() {
+        let mut h = LatencyHistogram::new();
+        let qs = [0.0, 0.5, 0.9, 0.99, 0.999, 1.0];
+        let walk = |h: &LatencyHistogram| {
+            let (buckets, count, _, min, max) = h.raw_parts();
+            percentiles_of(&buckets[..], |c| *c, count, min, max, qs)
+        };
+        assert_eq!(walk(&h), [0; 6]);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for n in 0..2_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            h.record(x >> (n % 48 + 16));
+            if n % 97 == 0 {
+                assert_eq!(walk(&h), qs.map(|q| h.percentile_ns(q)), "after {n} samples");
+            }
+        }
     }
 }

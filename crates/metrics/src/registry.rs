@@ -17,10 +17,11 @@
 
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::{Arc, Mutex};
 
-use crate::histogram::{percentile_of, LatencyHistogram, NUM_BUCKETS};
+use crate::histogram::{percentiles_of, LatencyHistogram, NUM_BUCKETS};
 
 /// Oldest events are evicted beyond this many (the log is a ring, not a
 /// database; the structured tick line is the durable record).
@@ -146,9 +147,10 @@ impl SharedHistogram {
         b.sum.store(sum as u64, Relaxed);
         b.min.store(min, Relaxed);
         b.max.store(max, Relaxed);
-        // Count last: `snapshot` keys emptiness off it, so a racing reader
-        // never sees a non-empty count with stale bounds.
-        b.count.store(count, Relaxed);
+        // Count last, and `Release`: a reader that loads it with `Acquire`
+        // (`snapshot`, a scrape) and finds it non-empty also sees the bounds
+        // and buckets stored above.
+        b.count.store(count, Release);
     }
 
     /// Point-in-time copy as a plain [`LatencyHistogram`]. Not atomic across
@@ -156,11 +158,11 @@ impl SharedHistogram {
     /// for observability; quiesced histograms snapshot exactly.
     pub fn snapshot(&self) -> LatencyHistogram {
         let b = &*self.0;
+        let count = b.count.load(Acquire);
         let mut buckets = Box::new([0u64; NUM_BUCKETS]);
         for (dst, src) in buckets.iter_mut().zip(b.buckets.iter()) {
             *dst = src.load(Relaxed);
         }
-        let count = b.count.load(Relaxed);
         let min = if count == 0 { u64::MAX } else { b.min.load(Relaxed) };
         LatencyHistogram::from_raw(
             buckets,
@@ -230,18 +232,19 @@ impl Handle {
             Handle::Gauge(g) => Reading::Gauge(g.get()),
             Handle::Summary(h) => {
                 let b = &*h.0;
-                let count = b.count.load(Relaxed);
+                let count = b.count.load(Acquire);
                 let min = if count == 0 { u64::MAX } else { b.min.load(Relaxed) };
                 let (max, sum) = (b.max.load(Relaxed), b.sum.load(Relaxed));
-                let buckets = || b.buckets.iter().map(|c| c.load(Relaxed));
-                let quantile = |(q, _)| percentile_of(buckets(), count, min, max, q);
-                Reading::Summary(QUANTILES.map(quantile), sum.into(), count)
+                let load = |c: &AtomicU64| c.load(Relaxed);
+                let qs = QUANTILES.map(|(q, _)| q);
+                let quantiles = percentiles_of(&b.buckets[..], load, count, min, max, qs);
+                Reading::Summary(quantiles, sum.into(), count)
             }
         }
     }
 }
 
-/// The quantiles a summary prints, and how each is labelled.
+/// The quantiles a summary prints, ascending, and how each is labelled.
 const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")];
 
 /// A series' value as its sample lines print it.
@@ -258,8 +261,10 @@ impl From<&SeriesValue> for Reading {
             SeriesValue::Counter(v) => Reading::Counter(*v),
             SeriesValue::Gauge(v) => Reading::Gauge(*v),
             SeriesValue::Summary(h) => {
-                let (_, count, sum, ..) = h.raw_parts();
-                Reading::Summary(QUANTILES.map(|(q, _)| h.percentile_ns(q)), sum, count)
+                let (buckets, count, sum, min, max) = h.raw_parts();
+                let qs = QUANTILES.map(|(q, _)| q);
+                let quantiles = percentiles_of(&buckets[..], |c| *c, count, min, max, qs);
+                Reading::Summary(quantiles, sum, count)
             }
         }
     }
@@ -269,12 +274,17 @@ struct Series {
     /// Sorted by key at registration; lookup and rendering preserve this.
     labels: Vec<(String, String)>,
     handle: Handle,
+    /// Each sample line up to its value, built at registration
+    /// ([`sample_prefixes`]): a scrape appends the values.
+    prefixes: Box<[String]>,
 }
 
 struct Family {
     name: String,
     help: String,
     kind: MetricKind,
+    /// The `# HELP` and `# TYPE` lines, built at registration.
+    header: String,
     /// Sorted by labels: a new series is inserted in place.
     series: Vec<Series>,
 }
@@ -341,8 +351,13 @@ impl MetricsRegistry {
         let at = match inner.families.binary_search_by(|f| f.name.as_str().cmp(name)) {
             Ok(at) => at,
             Err(at) => {
-                let family =
-                    Family { name: name.to_string(), help: help.to_string(), kind, series: vec![] };
+                let family = Family {
+                    name: name.to_string(),
+                    help: help.to_string(),
+                    kind,
+                    header: family_header(name, help, kind),
+                    series: vec![],
+                };
                 inner.families.insert(at, family);
                 at
             }
@@ -361,7 +376,8 @@ impl MetricsRegistry {
                     MetricKind::Gauge => Handle::Gauge(Gauge::new()),
                     MetricKind::Summary => Handle::Summary(SharedHistogram::new()),
                 };
-                family.series.insert(at, Series { labels, handle: handle.clone() });
+                let prefixes = sample_prefixes(name, kind, &labels).into_boxed_slice();
+                family.series.insert(at, Series { labels, handle: handle.clone(), prefixes });
                 handle
             }
         }
@@ -410,8 +426,10 @@ impl MetricsRegistry {
         let inner = self.inner.lock().unwrap();
         let mut out = String::with_capacity(16 << 10);
         for f in &inner.families {
-            let series = f.series.iter().map(|s| (s.labels.as_slice(), s.handle.reading()));
-            write_family(&mut out, &f.name, &f.help, f.kind, series);
+            out.push_str(&f.header);
+            for s in &f.series {
+                write_samples(&mut out, &s.prefixes, s.handle.reading());
+            }
         }
         out
     }
@@ -521,48 +539,72 @@ impl MetricsSnapshot {
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(16 << 10);
         for f in &self.families {
-            let series = f.series.iter().map(|s| (s.labels.as_slice(), Reading::from(&s.value)));
-            write_family(&mut out, &f.name, &f.help, f.kind, series);
+            out.push_str(&family_header(&f.name, &f.help, f.kind));
+            for s in &f.series {
+                let prefixes = sample_prefixes(&f.name, f.kind, &s.labels);
+                write_samples(&mut out, &prefixes, Reading::from(&s.value));
+            }
         }
         out
     }
 }
 
-/// One family of the exposition: its `# HELP` and `# TYPE` lines, then every
-/// sample of every series, in the order given. The one writer behind both
-/// the registry's and a snapshot's rendering.
-fn write_family<'a>(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    kind: MetricKind,
-    series: impl Iterator<Item = (&'a [(String, String)], Reading)>,
-) {
+/// A family's `# HELP` and `# TYPE` lines.
+fn family_header(name: &str, help: &str, kind: MetricKind) -> String {
     let help = Escaped { text: help, quotes: false };
-    // Writing into a `String` cannot fail.
-    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {}", kind.as_str());
-    for (labels, value) in series {
-        let sample = |suffix, quantile| Sample { name, suffix, labels, quantile };
-        let _ = match value {
-            Reading::Counter(v) => writeln!(out, "{} {v}", sample("", None)),
-            // Integral gauges render without a fractional part (Prometheus
-            // accepts either; integral keeps golden files readable).
-            Reading::Gauge(v) if v.fract() == 0.0 && v.abs() < 9.0e15 => {
-                writeln!(out, "{} {}", sample("", None), v as i64)
-            }
-            Reading::Gauge(v) => writeln!(out, "{} {v}", sample("", None)),
-            Reading::Summary(quantiles, sum, count) => {
-                for ((_, label), ns) in QUANTILES.iter().zip(quantiles) {
-                    let _ = writeln!(out, "{} {ns}", sample("", Some(label)));
-                }
-                // Printed as the mean times the count, as it always was.
-                let mean = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
-                let sum = (mean * count as f64).round() as u128;
-                let _ = writeln!(out, "{} {sum}", sample("_sum", None));
-                writeln!(out, "{} {count}", sample("_count", None))
-            }
-        };
+    format!("# HELP {name} {help}\n# TYPE {name} {}\n", kind.as_str())
+}
+
+/// Each sample line of one series up to its value, the space included: the
+/// bare name for a counter or a gauge; for a summary one line per entry of
+/// [`QUANTILES`], then `_sum`, then `_count`. The registry builds them when
+/// the series is registered, a snapshot as it renders; [`write_samples`]
+/// completes them either way, so a line has one definition.
+fn sample_prefixes(name: &str, kind: MetricKind, labels: &[(String, String)]) -> Vec<String> {
+    let sample = |suffix, quantile| format!("{} ", Sample { name, suffix, labels, quantile });
+    match kind {
+        MetricKind::Counter | MetricKind::Gauge => vec![sample("", None)],
+        MetricKind::Summary => QUANTILES
+            .iter()
+            .map(|(_, label)| sample("", Some(label)))
+            .chain([sample("_sum", None), sample("_count", None)])
+            .collect(),
     }
+}
+
+/// One series' sample lines: each prefix of [`sample_prefixes`], its value
+/// and a newline. The one value writer behind both the registry's and a
+/// snapshot's rendering.
+fn write_samples(out: &mut String, prefixes: &[String], value: Reading) {
+    let mut prefixes = prefixes.iter();
+    let mut prefix = || prefixes.next().expect("a prefix for every sample line");
+    match value {
+        Reading::Counter(v) => line(out, prefix(), v),
+        // Integral gauges render without a fractional part (Prometheus
+        // accepts either; integral keeps golden files readable), non-finite
+        // ones as text format 0.0.4 spells them: a parser refuses Rust's `inf`.
+        Reading::Gauge(v) if v.is_nan() => line(out, prefix(), "NaN"),
+        Reading::Gauge(v) if v.is_infinite() => {
+            line(out, prefix(), if v > 0.0 { "+Inf" } else { "-Inf" })
+        }
+        Reading::Gauge(v) if v.fract() == 0.0 && v.abs() < 9.0e15 => line(out, prefix(), v as i64),
+        Reading::Gauge(v) => line(out, prefix(), v),
+        Reading::Summary(quantiles, sum, count) => {
+            for ns in quantiles {
+                line(out, prefix(), ns);
+            }
+            // The exact sum: no trip through `f64`, which holds integers
+            // exactly only below 2^53.
+            line(out, prefix(), sum);
+            line(out, prefix(), count);
+        }
+    }
+}
+
+/// One sample line: its prefix, its value, a newline.
+fn line(out: &mut String, prefix: &str, v: impl fmt::Display) {
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(out, "{prefix}{v}");
 }
 
 /// A sample line up to its value: `name_suffix{label="v",quantile="q"}`.
@@ -813,5 +855,68 @@ mod tests {
         assert!(text.contains("lat_ns{vr=\"a\",quantile=\"0.5\"} 10\n"), "{text}");
         assert!(text.contains("lat_ns_sum{vr=\"a\"} 20\n"), "{text}");
         assert!(text.contains("lat_ns_count{vr=\"a\"} 2\n"), "{text}");
+    }
+
+    /// Both renderings of `reg`, checked equal.
+    fn render_both(reg: &MetricsRegistry) -> String {
+        let text = reg.render_prometheus();
+        assert_eq!(text, reg.snapshot().render_prometheus());
+        text
+    }
+
+    /// `record` bumps the bucket and the count before the bounds, so a
+    /// scrape racing it may read one sample in a bucket with `min` still
+    /// `u64::MAX` and `max` still 0. Both renderings must print something
+    /// for it, not panic.
+    #[test]
+    fn a_summary_read_mid_record_renders() {
+        let reg = MetricsRegistry::new();
+        let h = reg.summary("torn_ns", "h", &[]);
+        let b = &*h.0;
+        b.buckets[LatencyHistogram::index_of(1_000)].store(1, Relaxed);
+        b.count.store(1, Relaxed);
+        b.sum.store(1_000, Relaxed);
+        assert_eq!((b.min.load(Relaxed), b.max.load(Relaxed)), (u64::MAX, 0));
+        let text = render_both(&reg);
+        assert!(text.contains("torn_ns{quantile=\"0.5\"} 0\n"), "{text}");
+        assert!(text.contains("torn_ns_count 1\n"), "{text}");
+    }
+
+    /// `_sum` is the exact integer, also where an `f64` would round it: two
+    /// samples of 2^53 + 1 sum to 2^54 + 2, which an `f64` holds as 2^54.
+    #[test]
+    fn summary_sum_prints_exactly() {
+        let reg = MetricsRegistry::new();
+        let mut local = LatencyHistogram::new();
+        local.record((1 << 53) + 1);
+        local.record((1 << 53) + 1);
+        reg.summary("big_ns", "h", &[]).store(&local);
+        let text = render_both(&reg);
+        assert!(text.contains("big_ns_sum 18014398509481986\n"), "{text}");
+        assert!(text.contains("big_ns_count 2\n"), "{text}");
+    }
+
+    /// Non-finite gauges spell as text format 0.0.4 has them; Rust's `inf`
+    /// is not a value a Prometheus parser takes.
+    #[test]
+    fn non_finite_gauges_print_as_the_exposition_spells_them() {
+        let reg = MetricsRegistry::new();
+        reg.gauge("g", "h", &[("v", "inf")]).set(f64::INFINITY);
+        reg.gauge("g", "h", &[("v", "minus")]).set(f64::NEG_INFINITY);
+        reg.gauge("g", "h", &[("v", "nan")]).set(f64::NAN);
+        reg.gauge("g", "h", &[("v", "neg")]).set(-3.0);
+        reg.gauge("g", "h", &[("v", "zero")]).set(-0.0);
+        let text = render_both(&reg);
+        let samples: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(
+            samples,
+            [
+                "g{v=\"inf\"} +Inf",
+                "g{v=\"minus\"} -Inf",
+                "g{v=\"nan\"} NaN",
+                "g{v=\"neg\"} -3",
+                "g{v=\"zero\"} 0",
+            ]
+        );
     }
 }

@@ -1,6 +1,8 @@
 //! Property tests on the metric invariants Chapter 4 relies on.
 
-use lvrm_metrics::{jain_index, max_min_fairness, Ewma, LatencyHistogram, Summary};
+use lvrm_metrics::{
+    jain_index, max_min_fairness, Ewma, LatencyHistogram, MetricKind, MetricsRegistry, Summary,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -79,5 +81,107 @@ proptest! {
         let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
         prop_assert!((s.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
         prop_assert!((s.stddev() - var.sqrt()).abs() < 1e-5 * var.sqrt().max(1.0));
+    }
+}
+
+/// A xorshift stream: each case draws a whole registry from one seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() >> 11) as usize % n
+    }
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len())]
+    }
+}
+
+/// Label values and help texts that need escaping, and some that do not.
+const TEXTS: [&str; 7] = ["a", "vri10", "", "back\\slash", "say \"hi\"", "two\nlines", "\\\"\n"];
+
+/// Gauge values on every branch of the spelling: integral, fractional,
+/// negative, both zeros, either side of the 9e15 edge, non-finite.
+const GAUGES: [f64; 14] = [
+    42.0,
+    0.25,
+    -7.5,
+    -3.0,
+    0.0,
+    -0.0,
+    9.0e15,
+    -9.0e15,
+    8_999_999_999_999_998.0,
+    1e300,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    f64::MIN_POSITIVE,
+];
+
+/// Register a random registry and set every series.
+fn arb_registry(rng: &mut Rng) -> MetricsRegistry {
+    let reg = MetricsRegistry::new();
+    let kinds = [MetricKind::Counter, MetricKind::Gauge, MetricKind::Summary];
+    for family in 0..1 + rng.below(5) {
+        let kind = rng.pick(&kinds);
+        let name = format!("m{}_{}", rng.below(8), family);
+        let help = rng.pick(&TEXTS);
+        for _ in 0..1 + rng.below(4) {
+            let keys = ["vr", "vri", "z"];
+            let labels: Vec<(&str, &str)> =
+                keys[..rng.below(4)].iter().map(|k| (*k, rng.pick(&TEXTS))).collect();
+            match kind {
+                MetricKind::Counter => {
+                    let any = rng.next();
+                    let v = rng.pick(&[0, 1, u64::MAX, any]);
+                    reg.counter(&name, help, &labels).store(v);
+                }
+                MetricKind::Gauge => reg.gauge(&name, help, &labels).set(rng.pick(&GAUGES)),
+                MetricKind::Summary => {
+                    let h = reg.summary(&name, help, &labels);
+                    let mut local = LatencyHistogram::new();
+                    let many = 2 + rng.below(300);
+                    for _ in 0..rng.pick(&[0, 1, many]) {
+                        local.record(rng.next() >> rng.below(64));
+                    }
+                    // Half mirrored whole, half recorded into the atomics.
+                    if rng.below(2) == 0 {
+                        h.store(&local);
+                    } else {
+                        for _ in 0..local.count() {
+                            h.record(rng.next() >> (8 + rng.below(56)));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    reg
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 256 }))]
+
+    /// A scrape renders from the registry, appending values to line text it
+    /// kept from registration; a snapshot renders the same lines as it goes.
+    /// Over any registry the two give the same bytes.
+    #[test]
+    fn registry_render_is_the_snapshots_render(seed in any::<u64>()) {
+        let reg = arb_registry(&mut Rng(seed | 1));
+        let live = reg.render_prometheus();
+        let snap = reg.snapshot();
+        prop_assert_eq!(&live, &snap.render_prometheus());
+        let samples = snap.families.iter().map(|f| match f.kind {
+            MetricKind::Summary => 5 * f.series.len(),
+            _ => f.series.len(),
+        });
+        let lines = 2 * snap.families.len() + samples.sum::<usize>();
+        prop_assert_eq!(live.lines().count(), lines, "{}", live);
     }
 }

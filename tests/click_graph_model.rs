@@ -454,9 +454,9 @@ fn the_allocator_calls_of_a_tenant() {
     let pool = full_size_frame();
     let ttl = pool.ipv4().unwrap().ttl();
 
-    // The VR runs the graph on a clone, which always shares the buffer:
-    // DecIPTTL's write copies it, whoever else holds the frame. The first
-    // copy allocates its block; dropped, the block waits for the next.
+    // The VR runs the graph on a copy of the offered frame that it keeps:
+    // the first frame allocates the copy's block, and every later frame of
+    // the same length is copied into it where it lies.
     for round in 0..4 {
         let mut offered = pool.clone();
         let allocs = allocs_during(|| {
@@ -466,8 +466,8 @@ fn the_allocator_calls_of_a_tenant() {
         assert_eq!(offered.bytes(), pool.bytes());
     }
 
-    // A frame built here takes the waiting block, so the VR's copy of it
-    // needs a second one — once: from then on the thread holds two.
+    // A frame built here needs a block of its own — once: from then on the
+    // block of the frame the round before built waits in the thread's cache.
     for round in 0..3 {
         let mut offered = pool.clone();
         let allocs = allocs_during(|| {
@@ -488,7 +488,7 @@ fn the_allocator_calls_of_a_tenant() {
     assert_eq!((shared.ipv4().unwrap().ttl(), pool.ipv4().unwrap().ttl()), (ttl - 1, ttl));
 
     // ...and one held alone is rewritten where it lies, pool or no pool.
-    // This is what ROADMAP 1c inherits when `ClickVr` stops cloning.
+    // This is what ROADMAP 2a inherits when `ClickVr` stops copying.
     let mut unique = Frame::new(pool.bytes());
     let at = unique.bytes().as_ptr();
     let allocs = allocs_during(|| {
