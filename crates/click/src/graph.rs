@@ -115,11 +115,6 @@ impl ElementGraph {
         Ok(ElementGraph { elements, names, hops, entries, traversals: 0 })
     }
 
-    /// Interfaces with a `FromDevice` entry point.
-    pub fn entry_ifaces(&self) -> impl Iterator<Item = u16> + '_ {
-        self.entries.keys().copied()
-    }
-
     /// Number of elements in the graph.
     pub fn len(&self) -> usize {
         self.elements.len()

@@ -112,16 +112,6 @@ impl FaultPlan {
         self.push(at_ns, FaultKind::Stall { nth_spawn: nth })
     }
 
-    /// Resume the `nth`-spawned VRI at `at_ns`.
-    pub fn resume_at(self, at_ns: u64, nth: usize) -> FaultPlan {
-        self.push(at_ns, FaultKind::Resume { nth_spawn: nth })
-    }
-
-    /// Toggle control-queue loss for the `nth`-spawned VRI at `at_ns`.
-    pub fn ctrl_loss_at(self, at_ns: u64, nth: usize, on: bool) -> FaultPlan {
-        self.push(at_ns, FaultKind::CtrlLoss { nth_spawn: nth, on })
-    }
-
     /// Schedule an arbitrary adapter fault.
     pub fn push_adapter(mut self, at_ns: u64, kind: AdapterFaultKind) -> FaultPlan {
         self.adapter_events.push(AdapterFaultEvent { at_ns, kind });
@@ -442,14 +432,6 @@ impl<S> FaultySocket<S> {
         fired
     }
 
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
-    pub fn is_stalled(&self) -> bool {
-        self.stalled
-    }
-
     fn down_error(&self) -> Option<AdapterError> {
         if self.crashed {
             Some(AdapterError::Fatal)
@@ -739,7 +721,7 @@ mod tests {
         spawn(&mut host, 11);
         assert_eq!(host.apply(50), 0, "nothing due yet");
         assert_eq!(host.apply(150), 1, "crash fires");
-        assert!(host.inner.endpoints.iter().all(|(id, _, _)| *id != VriId(10)));
+        assert!(host.inner.vris.iter().all(|svc| svc.id() != VriId(10)));
         assert_eq!(host.apply(300), 1, "stall fires");
         assert!(host.inner.stalled.contains(&VriId(11)));
         assert_eq!(host.injected, 2);

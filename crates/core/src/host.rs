@@ -5,18 +5,20 @@
 //! becomes a running entity is host-specific: the discrete-event testbed
 //! registers a simulated process on a simulated core, while the real runtime
 //! spawns an OS thread and (best-effort) pins it. LVRM only needs the verbs
-//! below.
+//! below. What a running VRI does is not the host's business either: the
+//! runtime's threads and [`RecordingHost`] both step a
+//! [`crate::vri::VriService`], the one VRI burst.
 
 use std::collections::{HashMap, HashSet};
 
-use lvrm_ipc::channels::ControlEvent;
-use lvrm_ipc::{Full, VriEndpoint};
-use lvrm_net::{FlowKey, Frame};
+use lvrm_ipc::VriEndpoint;
+use lvrm_net::Frame;
 use lvrm_router::VirtualRouter;
 
+use crate::clock::Clock;
 use crate::repl::ReplicaLedger;
 use crate::topology::CoreId;
-use crate::vri::{encode_heartbeat, LVRM_CTRL_ID};
+use crate::vri::{encode_heartbeat, CtrlRole, LvrmAdapter, VriService};
 use crate::{VrId, VriId};
 
 /// Everything a host needs to start one VRI.
@@ -63,13 +65,15 @@ pub trait VriHost {
     fn advance(&mut self, _now_ns: u64) {}
 }
 
-/// A no-op host for unit tests: records spawn/kill calls.
+/// An inline host for tests: records spawn/kill calls and runs every VRI
+/// on the caller's thread, one [`VriService`] per VRI.
 #[derive(Default)]
 pub struct RecordingHost {
     pub spawned: Vec<VriSpec>,
     pub killed: Vec<(VrId, VriId)>,
-    /// Endpoints of live VRIs, so tests can drive them manually.
-    pub endpoints: Vec<(VriId, VriEndpoint<Frame>, Box<dyn VirtualRouter>)>,
+    /// Live VRIs, through which tests can also drive an endpoint or router
+    /// by hand.
+    pub vris: Vec<VriService>,
     /// Endpoints of killed or crashed VRIs, awaiting `reap_endpoint`.
     pub reapable: Vec<(VriId, VriEndpoint<Frame>)>,
     /// VRIs wedged by fault injection: `pump` skips them entirely, so they
@@ -78,28 +82,34 @@ pub struct RecordingHost {
     /// VRIs whose upstream control path is lossy: serviced normally, but no
     /// heartbeat is emitted for them.
     pub ctrl_mute: HashSet<VriId>,
-    /// Emit one heartbeat per serviced endpoint per `pump` call (tests
-    /// control beat cadence by how often they pump). Off by default so
-    /// existing control-plane tests see no extra events.
+    /// Emit one heartbeat per serviced VRI per `pump` call (tests control
+    /// beat cadence by how often they pump). Off by default so existing
+    /// control-plane tests see no extra events.
     pub heartbeats: bool,
-    /// Routed frames a full egress queue refused, at most one per VRI: the
-    /// instance retries it (and pulls no new work) until LVRM makes room
-    /// via `poll_egress`, the way a real VRI blocks in `toLVRM()`.
-    pub egress_backlog: Vec<(VriId, Frame)>,
-    /// State-compute replication: when set, every serviced frame is recorded
-    /// in the VRI's [`ReplicaLedger`], LVSU batches arriving on the control
-    /// queue are folded into it, and pending deltas are flushed to LVRM at
-    /// the end of each `pump` pass.
+    /// State-compute replication: when set, each VRI's steps keep its
+    /// [`ReplicaLedger`] in `ledgers`.
     pub replicate: bool,
-    /// Per-VRI replica ledgers (lazily created on first serviced frame or
-    /// folded batch). Tests inspect these to check replica convergence.
+    /// Per-VRI replica ledgers, created on a VRI's first `pump` under
+    /// `replicate` and kept after it dies. Tests inspect these to check
+    /// replica convergence.
     pub ledgers: HashMap<VriId, ReplicaLedger>,
-    /// Monotonic pump counter used as the `last_seen_ns` stamp for observed
-    /// flows; the recording host has no clock of its own.
+    /// Monotonic pump counter, the clock the VRIs' steps read: it stamps
+    /// `last_seen_ns` of observed flows.
     pub pump_ticks: u64,
 }
 
+/// The recording host's clock: its pump counter.
+struct PumpTicks(u64);
+
+impl Clock for PumpTicks {
+    fn now_ns(&self) -> u64 {
+        self.0
+    }
+}
+
 impl VriHost for RecordingHost {
+    /// One frame a step, so at most one frame per VRI waits on a full
+    /// egress queue. No service-rate reports, and beats only from `pump`.
     fn spawn_vri(
         &mut self,
         spec: VriSpec,
@@ -107,19 +117,16 @@ impl VriHost for RecordingHost {
         router: Box<dyn VirtualRouter>,
     ) {
         self.spawned.push(spec);
-        self.endpoints.push((spec.vri, endpoint, router));
+        let mut adapter = LvrmAdapter::new(spec.vri, endpoint).without_service_estimation();
+        adapter.set_heartbeats(false);
+        self.vris.push(VriService::new(adapter, router, CtrlRole::None, 1));
         self.stalled.remove(&spec.vri);
         self.ctrl_mute.remove(&spec.vri);
     }
 
     fn kill_vri(&mut self, vr: VrId, vri: VriId) {
         self.killed.push((vr, vri));
-        if let Some(pos) = self.endpoints.iter().position(|(id, _, _)| *id == vri) {
-            let (_, mut endpoint, _) = self.endpoints.remove(pos);
-            self.flush_backlog(vri, &mut endpoint);
-            endpoint.detach();
-            self.reapable.push((vri, endpoint));
-        }
+        self.detach(vri);
     }
 
     fn reap_endpoint(&mut self, vri: VriId) -> Option<VriEndpoint<Frame>> {
@@ -135,86 +142,40 @@ impl VriHost for RecordingHost {
 
 impl RecordingHost {
     /// A recording host that emits heartbeats from `pump` (one per serviced
-    /// endpoint per call), for supervision tests.
+    /// VRI per call), for supervision tests.
     pub fn with_heartbeats() -> RecordingHost {
         RecordingHost { heartbeats: true, ..Default::default() }
     }
 
     /// A recording host whose VRIs keep replica ledgers: serviced frames are
-    /// observed per flow, LVSU batches folded, and deltas flushed upstream
-    /// each `pump`. For state-compute replication tests.
+    /// observed per flow, LVSU batches folded, and deltas flushed upstream.
+    /// For state-compute replication tests.
     pub fn with_replication() -> RecordingHost {
         RecordingHost { replicate: true, ..Default::default() }
     }
 
-    /// Run every live VRI's loop once: drain control then data, process each
-    /// frame through the router, and push forwarded frames back. Returns the
-    /// number of frames processed. This makes the recording host a complete
-    /// single-threaded in-process "runtime" for integration tests.
+    /// Step every live, unstalled VRI until a step pulls nothing, after its
+    /// heartbeat under `heartbeats` unless it is muted. Returns the number
+    /// of frames processed.
     pub fn pump(&mut self) -> usize {
-        use lvrm_ipc::channels::Work;
-        let mut processed = 0;
         self.pump_ticks += 1;
-        let now_ns = self.pump_ticks;
-        for (vri, endpoint, router) in &mut self.endpoints {
-            if self.stalled.contains(vri) {
+        let clock = PumpTicks(self.pump_ticks);
+        let mut processed = 0;
+        for svc in &mut self.vris {
+            let vri = svc.id();
+            if self.stalled.contains(&vri) {
                 continue;
             }
-            if self.heartbeats && !self.ctrl_mute.contains(vri) {
-                let _ = endpoint.ctrl_tx.try_send(encode_heartbeat(*vri));
+            if self.heartbeats && !self.ctrl_mute.contains(&vri) {
+                let _ = svc.adapter_mut().send_control(encode_heartbeat(vri));
             }
-            // A frame refused by a full egress queue goes first; while it
-            // waits the instance pulls no new work. Matters under `vlink`,
-            // where a ring steal is not bounded by the p2p queue depth.
-            if let Some(pos) = self.egress_backlog.iter().position(|(id, _)| id == vri) {
-                let (_, frame) = self.egress_backlog.remove(pos);
-                if let Err(Full(frame)) = endpoint.data_tx.try_send(frame) {
-                    self.egress_backlog.push((*vri, frame));
-                    continue;
-                }
-            }
-            while let Some(work) = endpoint.next_work() {
-                match work {
-                    Work::Control(ev) => {
-                        if self.replicate && crate::repl::is_state_update(&ev.payload) {
-                            if let Ok((origin, updates)) = crate::repl::decode_batch(&ev.payload) {
-                                self.ledgers
-                                    .entry(*vri)
-                                    .or_insert_with(|| ReplicaLedger::new(vri.0))
-                                    .fold_batch(origin, &updates);
-                            }
-                        }
-                    }
-                    Work::Data(mut frame) => {
-                        processed += 1;
-                        if self.replicate {
-                            if let Some(key) = FlowKey::from_frame(&frame) {
-                                self.ledgers
-                                    .entry(*vri)
-                                    .or_insert_with(|| ReplicaLedger::new(vri.0))
-                                    .observe(key, frame.len() as u64, now_ns);
-                            }
-                        }
-                        if let lvrm_router::RouterAction::Forward { .. } =
-                            router.process(&mut frame)
-                        {
-                            if let Err(Full(frame)) = endpoint.data_tx.try_send(frame) {
-                                self.egress_backlog.push((*vri, frame));
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            // Flush this pass's per-flow deltas upstream. A full control
-            // queue silently drops the batch: LVRM only charges identity E
-            // on receipt, so nothing is ever double-counted.
-            if self.replicate {
-                if let Some(ledger) = self.ledgers.get_mut(vri) {
-                    if let Some(buf) = ledger.flush() {
-                        let _ =
-                            endpoint.ctrl_tx.try_send(ControlEvent::new(vri.0, LVRM_CTRL_ID, buf));
-                    }
+            let mut ledger = self
+                .replicate
+                .then(|| self.ledgers.entry(vri).or_insert_with(|| ReplicaLedger::new(vri.0)));
+            loop {
+                match svc.step(&clock, ledger.as_deref_mut()) {
+                    0 => break,
+                    n => processed += n,
                 }
             }
         }
@@ -226,12 +187,7 @@ impl RecordingHost {
     /// drain its in-flight frames. Unlike `kill_vri` this is not monitor
     /// work — nothing is recorded in `killed`.
     pub fn crash_vri(&mut self, vri: VriId) {
-        if let Some(pos) = self.endpoints.iter().position(|(id, _, _)| *id == vri) {
-            let (_, mut endpoint, _) = self.endpoints.remove(pos);
-            self.flush_backlog(vri, &mut endpoint);
-            endpoint.detach();
-            self.reapable.push((vri, endpoint));
-        }
+        self.detach(vri);
         // Un-flushed per-flow deltas die with the process; they were never
         // emitted, so identity E is untouched. Books stay for inspection.
         if let Some(ledger) = self.ledgers.get_mut(&vri) {
@@ -239,13 +195,13 @@ impl RecordingHost {
         }
     }
 
-    /// Push the VRI's parked egress frame (if any) out before its endpoint
-    /// goes away; there is at most one, and if the queue is still full it
-    /// dies with the process like any other in-flight frame.
-    fn flush_backlog(&mut self, vri: VriId, endpoint: &mut VriEndpoint<Frame>) {
-        if let Some(pos) = self.egress_backlog.iter().position(|(id, _)| *id == vri) {
-            let (_, frame) = self.egress_backlog.remove(pos);
-            let _ = endpoint.data_tx.try_send(frame);
+    /// End a live VRI: its held frame gets one last try, then its endpoint
+    /// detaches and waits to be reaped.
+    fn detach(&mut self, vri: VriId) {
+        if let Some(pos) = self.vris.iter().position(|svc| svc.id() == vri) {
+            let endpoint = self.vris.remove(pos).into_endpoint();
+            endpoint.detach();
+            self.reapable.push((vri, endpoint));
         }
     }
 }
@@ -273,7 +229,7 @@ mod tests {
         let spec = VriSpec { vr: VrId(0), vri: VriId(1), core: CoreId(2) };
         host.spawn_vri(spec, endpoint, Box::new(vr));
         assert_eq!(host.spawned.len(), 1);
-        assert_eq!(host.endpoints.len(), 1);
+        assert_eq!(host.vris.len(), 1);
 
         // No routes: frames are dropped, not returned.
         chans.data_tx.try_send(frame()).unwrap();
@@ -281,7 +237,7 @@ mod tests {
         assert!(chans.data_rx.try_recv().is_none());
 
         host.kill_vri(VrId(0), VriId(1));
-        assert!(host.endpoints.is_empty());
+        assert!(host.vris.is_empty());
         assert!(!chans.endpoint_attached(), "kill detaches the endpoint");
     }
 

@@ -609,10 +609,6 @@ impl<C: Clock> Lvrm<C> {
         &self.cores
     }
 
-    pub fn num_vrs(&self) -> usize {
-        self.vrs.len()
-    }
-
     /// VRIs currently live for `vr`.
     pub fn vri_count(&self, vr: VrId) -> usize {
         self.vrs.get(vr.0 as usize).map_or(0, |s| s.vris.len())
@@ -621,11 +617,6 @@ impl<C: Clock> Lvrm<C> {
     /// Per-VR (frames_in, frames_out).
     pub fn vr_frame_counts(&self, vr: VrId) -> (u64, u64) {
         self.vrs.get(vr.0 as usize).map_or((0, 0), |s| (s.frames_in, s.frames_out))
-    }
-
-    /// Smoothed arrival rate of `vr`, frames/second.
-    pub fn vr_arrival_rate(&self, vr: VrId) -> f64 {
-        self.vrs.get(vr.0 as usize).map_or(0.0, |s| s.arrival.rate_per_sec())
     }
 
     /// Per-VRI dispatch counts of `vr` (for balance analysis).
@@ -757,11 +748,6 @@ impl<C: Clock> Lvrm<C> {
             self.clock.now_ns(),
             format!("vr-dispatch vr={} mode={}", state.name, mode.name()),
         );
-    }
-
-    /// Current dispatch mode of `vr`.
-    pub fn vr_dispatch(&self, vr: VrId) -> DispatchMode {
-        self.vrs.get(vr.0 as usize).map_or(self.config.dispatch, |s| s.dispatch)
     }
 
     /// Watermark pressure state of `vr` as of its last dispatched burst.
@@ -2869,7 +2855,7 @@ mod tests {
         let mut host = RecordingHost::default();
         let vr = lvrm.add_vr("deptA", &[subnet(10, 0, 1)], routed_vr("a"), &mut host);
         // Inject a synthetic report through the VRI's control channel.
-        let (_, endpoint, _) = &mut host.endpoints[0];
+        let endpoint = host.vris[0].endpoint_mut();
         let vri_id = host.spawned[0].vri;
         endpoint.ctrl_tx.try_send(crate::vri::encode_service_rate(vri_id, 42_000.0)).unwrap();
         lvrm.process_control();

@@ -7,14 +7,21 @@
 //!   the `fromLVRM()`/`toLVRM()` API, and — when dynamic thresholds are on —
 //!   estimates the VRI's service rate from the gaps between `from_lvrm`
 //!   calls and reports it upstream through the control queue.
+//! * [`VriService`] is the one VRI burst every host runs over an
+//!   `LvrmAdapter`: control first, then a routed data burst, then `toLVRM()`.
+
+use std::sync::{Arc, Mutex};
 
 use lvrm_ipc::channels::{ControlEvent, VriChannels, VriEndpoint, Work};
 use lvrm_ipc::{occupancy, Full, PressureLevel, Watermarks};
-use lvrm_metrics::ServiceRateEstimator;
-use lvrm_net::Frame;
+use lvrm_metrics::{LatencyHistogram, ServiceRateEstimator};
+use lvrm_net::{FlowKey, Frame};
+use lvrm_router::{RouterAction, VirtualRouter};
 
+use crate::clock::Clock;
 use crate::estimate::LoadEstimator;
 use crate::ledger::{series, M_VRI_DISPATCHED, M_VRI_DROPS, M_VRI_QUEUE_LEN, M_VRI_RETURNED};
+use crate::repl::{decode_batch, is_state_update, ReplicaLedger};
 use crate::topology::CoreId;
 use crate::VriId;
 
@@ -550,9 +557,182 @@ impl LvrmAdapter {
     }
 }
 
+/// Spin for approximately `ns` nanoseconds (the experiments' synthetic
+/// per-frame "dummy processing load"; busy-wait like the paper's prototype,
+/// not sleep, so the core genuinely burns).
+#[inline]
+pub fn spin_for_ns(ns: u64) {
+    if ns == 0 {
+        return;
+    }
+    let start = std::time::Instant::now();
+    while (start.elapsed().as_nanos() as u64) < ns {
+        std::hint::spin_loop();
+    }
+}
+
+/// What a VRI does with control events other than `LVSU` batches
+/// (Experiment 1e roles).
+pub enum CtrlRole {
+    /// Ignore them (default).
+    None,
+    /// Every `period_ns`, emit a control event of `payload` bytes to `dst`,
+    /// timestamped for latency measurement.
+    Emitter { dst: VriId, payload: usize, period_ns: u64 },
+    /// Record one-way latency of received control events into the shared
+    /// histogram.
+    Recorder { sink: Arc<Mutex<LatencyHistogram>> },
+}
+
+/// The one VRI burst (the paper's VRI loop, §3.6) and what one burst hands
+/// the next. A host owns only the loop around [`VriService::step`]: the
+/// runtime's threads call it back to back, the recording host until a step
+/// pulls nothing.
+pub struct VriService {
+    adapter: LvrmAdapter,
+    router: Box<dyn VirtualRouter>,
+    role: CtrlRole,
+    next_emit_ns: u64,
+    batch: usize,
+    /// The VR's synthetic per-frame load (Experiment 2), busy-waited.
+    dummy_ns: u64,
+    /// Frames the previous step pulled: in service until this one reads
+    /// the clock.
+    in_service: u64,
+    ctrl: Vec<ControlEvent>,
+    data: Vec<Frame>,
+    /// Routed frames the egress queue refused. They go first, and while any
+    /// wait the VRI pulls no new work, the way a VRI blocks in `toLVRM()`.
+    held: Vec<Frame>,
+}
+
+impl VriService {
+    /// Serve `router` over `adapter`, pulling up to `batch` (>= 1) data
+    /// frames a step.
+    pub fn new(
+        adapter: LvrmAdapter,
+        router: Box<dyn VirtualRouter>,
+        role: CtrlRole,
+        batch: usize,
+    ) -> VriService {
+        let batch = batch.max(1);
+        VriService {
+            adapter,
+            dummy_ns: router.dummy_load_ns(),
+            router,
+            role,
+            next_emit_ns: 0,
+            batch,
+            in_service: 0,
+            ctrl: Vec::new(),
+            data: Vec::with_capacity(batch),
+            held: Vec::with_capacity(batch),
+        }
+    }
+
+    pub fn id(&self) -> VriId {
+        self.adapter.id()
+    }
+
+    pub fn adapter_mut(&mut self) -> &mut LvrmAdapter {
+        &mut self.adapter
+    }
+
+    /// The queue endpoint, for tests that play the VRI's side by hand.
+    pub fn endpoint_mut(&mut self) -> &mut VriEndpoint<Frame> {
+        &mut self.adapter.endpoint
+    }
+
+    pub fn router_mut(&mut self) -> &mut dyn VirtualRouter {
+        self.router.as_mut()
+    }
+
+    /// Give the held frames one last try, then hand back the queue endpoint
+    /// so the supervisor can reap what is still in flight. A frame the
+    /// egress queue still refuses dies with the VRI.
+    pub fn into_endpoint(mut self) -> VriEndpoint<Frame> {
+        self.adapter.to_lvrm_batch(&mut self.held);
+        self.adapter.into_endpoint()
+    }
+
+    /// One burst: `fromLVRM()` (control before data), route, `toLVRM()`.
+    ///
+    /// Held frames go out first; if the egress queue still refuses them the
+    /// step returns at once. Otherwise one clock reading closes the previous
+    /// burst's service interval, all pending control is drained (`LVSU`
+    /// batches fold into `ledger`, the rest go to the role), and up to
+    /// `batch` data frames are pulled with one index publication. Each frame
+    /// gets the VR's dummy load, a ledger observation and the router; the
+    /// ledger's deltas are flushed upstream and the forwarded frames go back
+    /// in one `to_lvrm_batch`, whatever is refused held for the next step.
+    ///
+    /// Returns the data frames pulled: 0 when the VRI is idle or blocked.
+    pub fn step<C: Clock>(&mut self, clock: &C, mut ledger: Option<&mut ReplicaLedger>) -> usize {
+        if !self.held.is_empty() {
+            self.adapter.to_lvrm_batch(&mut self.held);
+            if !self.held.is_empty() {
+                return 0;
+            }
+        }
+        let now = clock.now_ns();
+        self.adapter.note_departures(now, self.in_service);
+        // Emitter role: originate a timestamped control event.
+        if let CtrlRole::Emitter { dst, payload, period_ns } = &self.role {
+            if now >= self.next_emit_ns {
+                let mut ev = ControlEvent::new(self.id().0, dst.0, vec![0u8; *payload]);
+                ev.ts_ns = clock.now_ns();
+                let _ = self.adapter.send_control(ev);
+                self.next_emit_ns = now + period_ns;
+            }
+        }
+        let n = self.adapter.from_lvrm_batch(&mut self.ctrl, &mut self.data, self.batch, now);
+        self.in_service = n as u64;
+        // Events drained in one pass arrived by one instant: read it once.
+        let mut received_ns = None;
+        for ev in self.ctrl.drain(..) {
+            if let Some(ledger) = ledger.as_mut() {
+                if is_state_update(&ev.payload) {
+                    if let Ok((origin, updates)) = decode_batch(&ev.payload) {
+                        ledger.fold_batch(origin, &updates);
+                    }
+                    continue;
+                }
+            }
+            if let CtrlRole::Recorder { sink } = &self.role {
+                let received_ns = *received_ns.get_or_insert_with(|| clock.now_ns());
+                sink.lock().unwrap().record(received_ns.saturating_sub(ev.ts_ns));
+            }
+        }
+        if n == 0 {
+            return 0;
+        }
+        for mut frame in self.data.drain(..) {
+            spin_for_ns(self.dummy_ns);
+            if let Some(ledger) = ledger.as_mut() {
+                if let Some(key) = FlowKey::from_frame(&frame) {
+                    // `last_seen_ns` is a max-merge, so the burst can share
+                    // the reading it was pulled at.
+                    ledger.observe(key, frame.len() as u64, now);
+                }
+            }
+            if let RouterAction::Forward { .. } = self.router.process(&mut frame) {
+                self.held.push(frame);
+            }
+        }
+        // A full control queue drops the batch: LVRM charges identity E on
+        // receipt, so nothing is double-counted.
+        if let Some(buf) = ledger.and_then(|ledger| ledger.flush()) {
+            let _ = self.adapter.send_control(ControlEvent::new(self.id().0, LVRM_CTRL_ID, buf));
+        }
+        self.adapter.to_lvrm_batch(&mut self.held);
+        n
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::ManualClock;
     use crate::estimate::EwmaQueueLength;
     use lvrm_ipc::channels::vri_channels;
     use lvrm_ipc::QueueKind;
@@ -561,6 +741,147 @@ mod tests {
 
     fn frame() -> Frame {
         FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 1), Ipv4Addr::new(10, 0, 2, 1)).udp(1, 2, &[])
+    }
+
+    fn frame_from(port: u16) -> Frame {
+        FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 1)).udp(port, 2, &[])
+    }
+
+    fn routed_vr() -> Box<dyn VirtualRouter> {
+        let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
+        Box::new(lvrm_router::FastVr::new("t", routes))
+    }
+
+    /// Counts its readings; each one moves time on by a microsecond.
+    #[derive(Default)]
+    struct CountingClock {
+        reads: std::cell::Cell<u64>,
+    }
+
+    impl Clock for CountingClock {
+        fn now_ns(&self) -> u64 {
+            self.reads.set(self.reads.get() + 1);
+            self.reads.get() * 1_000
+        }
+    }
+
+    #[test]
+    fn an_iteration_reads_the_clock_at_most_twice_whatever_the_burst() {
+        let recorder = Arc::new(Mutex::new(LatencyHistogram::new()));
+        for burst in [1usize, 32, 256] {
+            for replicate in [false, true] {
+                let (mut chans, endpoint) = vri_channels::<Frame>(QueueKind::Lamport, 256, 8);
+                let mut processed = 0u64;
+                let role = CtrlRole::Recorder { sink: Arc::clone(&recorder) };
+                let adapter = LvrmAdapter::new(VriId(3), endpoint);
+                let mut svc = VriService::new(adapter, routed_vr(), role, burst);
+                let mut ledger = replicate.then(|| ReplicaLedger::new(3));
+                let clock = CountingClock::default();
+                let mut out = Vec::new();
+                for round in 1..=3u64 {
+                    let mut frames: Vec<Frame> = (0..burst as u16)
+                        .map(|port| {
+                            FrameBuilder::new(
+                                Ipv4Addr::new(10, 0, 1, 5),
+                                Ipv4Addr::new(10, 0, 2, 1),
+                            )
+                            .udp(port, 2, &[0u8; 10])
+                        })
+                        .collect();
+                    assert_eq!(chans.data_tx.try_send_batch(&mut frames), burst);
+                    // Three control events for the recorder ride along.
+                    for _ in 0..3 {
+                        chans.ctrl_tx.try_send(ControlEvent::new(9, 3, vec![0; 4])).unwrap();
+                    }
+                    let before = clock.reads.get();
+                    processed += svc.step(&clock, ledger.as_mut()) as u64;
+                    let reads = clock.reads.get() - before;
+                    assert!(reads <= 2, "burst {burst}, replicate {replicate}: {reads} reads");
+                    assert_eq!(processed, round * burst as u64);
+                    while let Some(f) = chans.data_rx.try_recv() {
+                        out.push(f);
+                    }
+                    assert_eq!(out.len() as u64, round * burst as u64);
+                    // An empty poll costs no more.
+                    let before = clock.reads.get();
+                    assert_eq!(svc.step(&clock, ledger.as_mut()), 0);
+                    assert!(clock.reads.get() - before <= 2);
+                }
+                assert!(out.iter().all(|f| f.egress_if == 1));
+                // The bursts after the first closed a service interval each.
+                assert!(svc.adapter.service_rate().is_some());
+            }
+        }
+        assert_eq!(recorder.lock().unwrap().count(), 3 * 3 * 3 * 2);
+    }
+
+    /// Forwards everything out of interface 1, stamping each frame's
+    /// `ts_ns` with how many control events the recorder had seen by then.
+    struct Probe {
+        recorder: Arc<Mutex<LatencyHistogram>>,
+    }
+
+    impl VirtualRouter for Probe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+        fn process(&mut self, frame: &mut Frame) -> RouterAction {
+            frame.ts_ns = self.recorder.lock().unwrap().count();
+            frame.egress_if = 1;
+            RouterAction::Forward { iface: 1 }
+        }
+        fn nominal_cost_ns(&self) -> u64 {
+            0
+        }
+        fn spawn_instance(&self) -> Box<dyn VirtualRouter> {
+            Box::new(Probe { recorder: Arc::clone(&self.recorder) })
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_step_serves_control_first_and_holds_what_a_full_egress_queue_refuses() {
+        let recorder = Arc::new(Mutex::new(LatencyHistogram::new()));
+        let (mut chans, endpoint) = vri_channels::<Frame>(QueueKind::Lamport, 4, 8);
+        let router = Box::new(Probe { recorder: Arc::clone(&recorder) });
+        let role = CtrlRole::Recorder { sink: Arc::clone(&recorder) };
+        let mut svc = VriService::new(LvrmAdapter::new(VriId(3), endpoint), router, role, 4);
+        let clock = ManualClock::new();
+        let mut next_port = 0u16;
+        let mut offer = |chans: &mut VriChannels<Frame>| {
+            for _ in 0..4 {
+                chans.data_tx.try_send(frame_from(next_port)).unwrap();
+                next_port += 1;
+            }
+        };
+        let mut out = Vec::new();
+
+        // A control event queued behind a burst is served before it.
+        offer(&mut chans);
+        chans.ctrl_tx.try_send(ControlEvent::new(9, 3, vec![0; 4])).unwrap();
+        assert_eq!(svc.step(&clock, None), 4);
+        assert_eq!(chans.data_rx.len(), 4, "the burst went out whole");
+        // The egress queue is full: the next burst is routed and held.
+        offer(&mut chans);
+        assert_eq!(svc.step(&clock, None), 4);
+        assert_eq!(svc.held.len(), 4);
+        // While it waits, the VRI pulls nothing more.
+        offer(&mut chans);
+        assert_eq!(svc.step(&clock, None), 0);
+        assert_eq!(svc.endpoint_mut().data_rx.len(), 4, "the data queue did not drop");
+        assert_eq!(svc.held.len(), 4);
+        // Once the monitor drains, the held frames leave first, in order.
+        chans.data_rx.try_recv_batch(&mut out, usize::MAX);
+        assert_eq!(svc.step(&clock, None), 4, "held burst out, the next one pulled and held");
+        chans.data_rx.try_recv_batch(&mut out, usize::MAX);
+        assert_eq!(svc.step(&clock, None), 0, "held burst out, nothing left to pull");
+        chans.data_rx.try_recv_batch(&mut out, usize::MAX);
+        let ports: Vec<u16> =
+            out.iter().map(|f| FlowKey::from_frame(f).unwrap().src_port).collect();
+        assert_eq!(ports, (0..12).collect::<Vec<u16>>());
+        assert!(out.iter().all(|f| f.ts_ns == 1), "every frame routed after the event");
     }
 
     fn pair(cap: usize) -> (VriAdapter, LvrmAdapter) {

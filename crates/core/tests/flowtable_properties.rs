@@ -639,7 +639,8 @@ proptest! {
         // Read every live instance's incoming queue and map flow -> VRIs.
         let mut seen: HashMap<u8, Vec<VriId>> = HashMap::new();
         let mut drained = 0u64;
-        for (vri, endpoint, _) in &mut host.endpoints {
+        for svc in &mut host.vris {
+            let (vri, endpoint) = (&svc.id(), svc.endpoint_mut());
             let mut frames = Vec::new();
             while endpoint.data_rx.try_recv_batch(&mut frames, usize::MAX) > 0 {}
             drained += frames.len() as u64;

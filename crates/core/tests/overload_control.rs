@@ -73,10 +73,13 @@ fn drain(lvrm: &mut Lvrm<ManualClock>, host: &mut RecordingHost, out: &mut Vec<F
 /// Push one application-level control event from `src` into its endpoint's
 /// outgoing control queue, addressed to `dst`.
 fn send_ctrl(host: &mut RecordingHost, src: VriId, dst: VriId) -> bool {
-    let Some((_, endpoint, _)) = host.endpoints.iter_mut().find(|(id, _, _)| *id == src) else {
+    let Some(svc) = host.vris.iter_mut().find(|svc| svc.id() == src) else {
         return false;
     };
-    endpoint.ctrl_tx.try_send(ControlEvent::new(src.0, dst.0, b"app-event".to_vec())).is_ok()
+    svc.endpoint_mut()
+        .ctrl_tx
+        .try_send(ControlEvent::new(src.0, dst.0, b"app-event".to_vec()))
+        .is_ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -188,7 +191,7 @@ fn starvation_guard_bounds_control_relay_deferral() {
     let mut lvrm = new_lvrm(clock, config);
     let mut host = RecordingHost::default();
     lvrm.add_vr("a", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], routed_vr("a"), &mut host);
-    let (src, dst) = (host.endpoints[0].0, host.endpoints[1].0);
+    let (src, dst) = (host.vris[0].id(), host.vris[1].id());
 
     for round in 1..=2u64 {
         assert!(send_ctrl(&mut host, src, dst));
@@ -222,7 +225,7 @@ fn control_drops_reconcile_against_emitted_events() {
     let mut lvrm = new_lvrm(clock, config);
     let mut host = RecordingHost::default();
     lvrm.add_vr("a", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], routed_vr("a"), &mut host);
-    let (src, dst) = (host.endpoints[0].0, host.endpoints[1].0);
+    let (src, dst) = (host.vris[0].id(), host.vris[1].id());
 
     // Three rounds of 8; the destination VRI never services its control
     // queue, so round 1 fills it and rounds 2-3 drop at relay time.
@@ -345,7 +348,7 @@ fn stalled_drain_is_bounded_by_the_deadline_and_rehomes() {
 
     // Wedge the newest VRI (the next shrink victim) and park a burst across
     // the VR — JSQ spreads it, so the victim holds some of it.
-    let victim = host.endpoints.last().expect("live endpoints").0;
+    let victim = host.vris.last().expect("live endpoints").id();
     host.stalled.insert(victim);
     now += 1_000_000;
     clock.set_ns(now);
@@ -494,10 +497,10 @@ fn storm(kind: QueueKind, seed: u64) -> u64 {
             host.pump();
             lvrm.poll_egress(&mut out);
         }
-        if lcg(&mut rng).is_multiple_of(8) && host.endpoints.len() >= 2 {
-            let i = (lcg(&mut rng) as usize) % host.endpoints.len();
-            let j = (lcg(&mut rng) as usize) % host.endpoints.len();
-            let (src, dst) = (host.endpoints[i].0, host.endpoints[j].0);
+        if lcg(&mut rng).is_multiple_of(8) && host.vris.len() >= 2 {
+            let i = (lcg(&mut rng) as usize) % host.vris.len();
+            let j = (lcg(&mut rng) as usize) % host.vris.len();
+            let (src, dst) = (host.vris[i].id(), host.vris[j].id());
             send_ctrl(&mut host, src, dst);
         }
         if lcg(&mut rng).is_multiple_of(16) {

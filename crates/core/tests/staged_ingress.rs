@@ -119,8 +119,8 @@ fn vri_ids(host: &RecordingHost) -> Vec<Vec<VriId>> {
 
 /// Empty one VRI's incoming queue, returning the `ts_ns` of what was in it.
 fn drain_vri(host: &mut RecordingHost, vri: VriId, max: usize) -> Vec<u64> {
-    let (_, endpoint, _) =
-        host.endpoints.iter_mut().find(|(id, _, _)| *id == vri).expect("live VRI");
+    let endpoint =
+        host.vris.iter_mut().find(|svc| svc.id() == vri).expect("live VRI").endpoint_mut();
     let mut got = Vec::new();
     endpoint.steal_batch(&mut got, max);
     got.iter().map(|f| f.ts_ns).collect()

@@ -524,11 +524,6 @@ impl MetricsSnapshot {
         self.find(name, labels)?.as_gauge()
     }
 
-    /// Sum of a gauge family across all its series (0 when absent).
-    pub fn gauge_sum(&self, name: &str) -> f64 {
-        self.family(name).map(|f| f.series.iter().filter_map(|s| s.as_gauge()).sum()).unwrap_or(0.0)
-    }
-
     /// Latency summary for an exact (name, labels) series.
     pub fn summary(&self, name: &str, labels: &[(&str, &str)]) -> Option<&LatencyHistogram> {
         self.find(name, labels)?.as_summary()

@@ -26,7 +26,6 @@ pub struct FastVr {
     name: String,
     routes: Arc<RouteTable>,
     dummy_load_ns: u64,
-    nominal_cost_ns: u64,
     /// Frames processed by this instance (observability for the examples).
     pub processed: u64,
     /// Frames dropped for lack of a route.
@@ -40,7 +39,6 @@ impl FastVr {
             name: name.into(),
             routes: Arc::new(routes),
             dummy_load_ns: 0,
-            nominal_cost_ns: CPP_VR_COST_NS,
             processed: 0,
             no_route: 0,
         }
@@ -50,12 +48,6 @@ impl FastVr {
     /// ns — "a dummy processing load of 1/60 ms").
     pub fn with_dummy_load_ns(mut self, ns: u64) -> FastVr {
         self.dummy_load_ns = ns;
-        self
-    }
-
-    /// Override the nominal cost used by the simulator's calibration.
-    pub fn with_nominal_cost_ns(mut self, ns: u64) -> FastVr {
-        self.nominal_cost_ns = ns;
         self
     }
 
@@ -93,7 +85,7 @@ impl VirtualRouter for FastVr {
     }
 
     fn nominal_cost_ns(&self) -> u64 {
-        self.nominal_cost_ns
+        CPP_VR_COST_NS
     }
 
     fn spawn_instance(&self) -> Box<dyn VirtualRouter> {
@@ -101,7 +93,6 @@ impl VirtualRouter for FastVr {
             name: self.name.clone(),
             routes: Arc::clone(&self.routes),
             dummy_load_ns: self.dummy_load_ns,
-            nominal_cost_ns: self.nominal_cost_ns,
             processed: 0,
             no_route: 0,
         })

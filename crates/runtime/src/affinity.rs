@@ -44,19 +44,7 @@ pub fn current_core() -> Option<usize> {
     None
 }
 
-/// Spin for approximately `ns` nanoseconds (the experiments' synthetic
-/// per-frame "dummy processing load"; busy-wait like the paper's prototype,
-/// not sleep, so the core genuinely burns).
-#[inline]
-pub fn spin_for_ns(ns: u64) {
-    if ns == 0 {
-        return;
-    }
-    let start = std::time::Instant::now();
-    while (start.elapsed().as_nanos() as u64) < ns {
-        std::hint::spin_loop();
-    }
-}
+pub use lvrm_core::vri::spin_for_ns;
 
 #[cfg(test)]
 mod tests {

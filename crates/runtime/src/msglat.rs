@@ -7,14 +7,13 @@
 //! usually mid-frame when the event arrives).
 
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use lvrm_core::clock::{Clock, MonotonicClock};
 use lvrm_core::topology::{AffinityMode, CoreId, CoreMap, CoreTopology};
 use lvrm_core::{Lvrm, LvrmConfig, MemTraceAdapter, SocketAdapter};
 use lvrm_metrics::LatencyHistogram;
 use lvrm_net::{Trace, TraceSpec};
-use parking_lot::Mutex;
 
 use crate::affinity::available_cores;
 use crate::threads::{CtrlRole, ThreadHost};
@@ -87,8 +86,7 @@ pub fn measure_control_latency(
     host.shutdown();
     let ledger = lvrm.ledger();
     assert!(ledger.check().is_ok(), "{ledger}");
-    let latency =
-        Arc::try_unwrap(sink).map(|m| m.into_inner()).unwrap_or_else(|arc| arc.lock().clone());
+    let latency = sink.lock().unwrap().clone();
     MsgLatencyReport {
         latency,
         control_drops: ledger.stats.control_drops,

@@ -3,38 +3,26 @@
 //! The paper forks a process per VRI and binds it to its core; we spawn a
 //! thread per VRI (see DESIGN.md's substitution table — the isolation the
 //! experiments rely on is *core* isolation, which threads give us equally).
-//! Each thread runs the canonical VRI loop: `fromLVRM()` (control before
-//! data), optional synthetic per-frame load, route, `toLVRM()`.
+//! Each thread pins itself and calls [`VriService::step`], the VRI burst
+//! every host runs, until the host calls it off.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lvrm_core::clock::{Clock, MonotonicClock};
+use lvrm_core::clock::MonotonicClock;
 use lvrm_core::fault::FaultInjectable;
 use lvrm_core::host::{VriHost, VriSpec};
-use lvrm_core::repl::{decode_batch, is_state_update, ReplicaLedger};
-use lvrm_core::vri::{LvrmAdapter, LVRM_CTRL_ID};
+use lvrm_core::repl::ReplicaLedger;
+pub use lvrm_core::vri::CtrlRole;
+use lvrm_core::vri::{LvrmAdapter, VriService};
 use lvrm_core::{VrId, VriId};
-use lvrm_ipc::channels::ControlEvent;
 use lvrm_ipc::VriEndpoint;
-use lvrm_net::{FlowKey, Frame};
-use lvrm_router::{RouterAction, VirtualRouter};
+use lvrm_net::Frame;
+use lvrm_router::VirtualRouter;
 use parking_lot::Mutex;
 
-use crate::affinity::{pin_to_core, spin_for_ns};
-
-/// What a VRI does with control events (Experiment 1e roles).
-pub enum CtrlRole {
-    /// Ignore control events (default).
-    None,
-    /// Every `period_ns`, emit a control event of `payload` bytes to `dst`,
-    /// timestamped for latency measurement.
-    Emitter { dst: VriId, payload: usize, period_ns: u64 },
-    /// Record one-way latency of received control events into the shared
-    /// histogram.
-    Recorder { sink: Arc<Mutex<lvrm_metrics::LatencyHistogram>> },
-}
+use crate::affinity::pin_to_core;
 
 /// What the host tells a VRI thread, and how fault injection reaches it.
 #[derive(Default)]
@@ -59,131 +47,6 @@ struct VriThread {
     vri: VriId,
     flags: Arc<Flags>,
     handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// The canonical VRI loop's state: what one iteration hands to the next.
-struct VriService {
-    vri: VriId,
-    adapter: LvrmAdapter,
-    router: Box<dyn VirtualRouter>,
-    role: CtrlRole,
-    next_emit_ns: u64,
-    /// Per-flow books of a replicated-dispatch VRI.
-    ledger: Option<ReplicaLedger>,
-    batch: usize,
-    /// The VR's synthetic per-frame load (Experiment 2), busy-waited.
-    dummy_ns: u64,
-    /// Frames the previous iteration pulled: in service until this one
-    /// reads the clock.
-    in_service: u64,
-    ctrl: Vec<ControlEvent>,
-    data: Vec<Frame>,
-    outq: Vec<Frame>,
-    processed: Arc<AtomicU64>,
-}
-
-impl VriService {
-    fn new(
-        vri: VriId,
-        endpoint: VriEndpoint<Frame>,
-        router: Box<dyn VirtualRouter>,
-        role: CtrlRole,
-        batch: usize,
-        replicate: bool,
-        processed: Arc<AtomicU64>,
-    ) -> VriService {
-        VriService {
-            vri,
-            adapter: LvrmAdapter::new(vri, endpoint),
-            dummy_ns: router.dummy_load_ns(),
-            router,
-            role,
-            next_emit_ns: 0,
-            ledger: replicate.then(|| ReplicaLedger::new(vri.0)),
-            batch,
-            in_service: 0,
-            ctrl: Vec::new(),
-            data: Vec::with_capacity(batch),
-            outq: Vec::with_capacity(batch),
-            processed,
-        }
-    }
-
-    /// One iteration: `fromLVRM()` (control before data), route the burst,
-    /// `toLVRM()`. The books are kept per burst — one clock reading stamps
-    /// the whole burst and closes the previous one's service interval, one
-    /// add counts it — so a frame costs the VR's work and nothing else.
-    /// Returns `false` when the host called the VRI off mid-return.
-    fn iterate<C: Clock>(&mut self, clock: &C, flags: &Flags) -> bool {
-        let now = clock.now_ns();
-        self.adapter.note_departures(now, self.in_service);
-        // Emitter role: originate a timestamped control event.
-        if let CtrlRole::Emitter { dst, payload, period_ns } = &self.role {
-            if now >= self.next_emit_ns {
-                let mut ev = ControlEvent::new(self.vri.0, dst.0, vec![0u8; *payload]);
-                ev.ts_ns = clock.now_ns();
-                let _ = self.adapter.send_control(ev);
-                self.next_emit_ns = now + period_ns;
-            }
-        }
-        // Control first (strict priority, §2.1), then a data burst pulled
-        // with one index publication.
-        let n = self.adapter.from_lvrm_batch(&mut self.ctrl, &mut self.data, self.batch, now);
-        self.in_service = n as u64;
-        // Events drained in one pass arrived by one instant: read it once.
-        let mut received_ns = None;
-        for ev in self.ctrl.drain(..) {
-            if let Some(ledger) = self.ledger.as_mut() {
-                if is_state_update(&ev.payload) {
-                    if let Ok((origin, updates)) = decode_batch(&ev.payload) {
-                        ledger.fold_batch(origin, &updates);
-                    }
-                    continue;
-                }
-            }
-            if let CtrlRole::Recorder { sink } = &self.role {
-                let received_ns = *received_ns.get_or_insert_with(|| clock.now_ns());
-                sink.lock().record(received_ns.saturating_sub(ev.ts_ns));
-            }
-        }
-        if n == 0 {
-            std::hint::spin_loop();
-            return true;
-        }
-        for mut frame in self.data.drain(..) {
-            spin_for_ns(self.dummy_ns);
-            if let Some(ledger) = self.ledger.as_mut() {
-                if let Some(key) = FlowKey::from_frame(&frame) {
-                    // `last_seen_ns` is a max-merge, so the burst can share
-                    // the reading it was pulled at.
-                    ledger.observe(key, frame.len() as u64, now);
-                }
-            }
-            if let RouterAction::Forward { .. } = self.router.process(&mut frame) {
-                self.outq.push(frame);
-            }
-        }
-        self.processed.fetch_add(n as u64, Ordering::Relaxed);
-        // Flush this burst's per-flow deltas upstream. A full control queue
-        // drops the batch: LVRM charges identity E on receipt, so nothing is
-        // double-counted.
-        if let Some(ledger) = self.ledger.as_mut() {
-            if let Some(buf) = ledger.flush() {
-                let _ = self.adapter.send_control(ControlEvent::new(self.vri.0, LVRM_CTRL_ID, buf));
-            }
-        }
-        // Bulk return; retry until the outgoing queue accepts everything
-        // (LVRM drains it continuously).
-        while !self.outq.is_empty() {
-            if self.adapter.to_lvrm_batch(&mut self.outq) == 0 {
-                if flags.exiting() {
-                    return false;
-                }
-                std::hint::spin_loop();
-            }
-        }
-        true
-    }
 }
 
 /// Spawns one thread per VRI. Roles for Experiment 1e are assigned to VRIs
@@ -301,8 +164,8 @@ impl VriHost for ThreadHost {
                 // Keep a detach handle outside the adapter so the endpoint
                 // can be stashed for reaping *before* the flag flips.
                 let attachment = endpoint.attachment();
-                let mut svc =
-                    VriService::new(vri, endpoint, router, role, batch, replicate, processed);
+                let mut svc = VriService::new(LvrmAdapter::new(vri, endpoint), router, role, batch);
+                let mut ledger = replicate.then(|| ReplicaLedger::new(vri.0));
                 // The service loop runs under `catch_unwind` so a panicking
                 // router ends this VRI like a crash — endpoint reapable,
                 // supervisor respawns — instead of poisoning the process.
@@ -314,15 +177,18 @@ impl VriHost for ThreadHost {
                             std::hint::spin_loop();
                             continue;
                         }
-                        svc.adapter.set_heartbeats(!flags.ctrl_loss.load(Ordering::Acquire));
-                        if !svc.iterate(&clock, &flags) {
-                            break;
+                        svc.adapter_mut().set_heartbeats(!flags.ctrl_loss.load(Ordering::Acquire));
+                        match svc.step(&clock, ledger.as_mut()) {
+                            0 => std::hint::spin_loop(),
+                            n => {
+                                processed.fetch_add(n as u64, Ordering::Relaxed);
+                            }
                         }
                     }
                 }));
                 // Stash-then-detach: whoever observes the detached endpoint
                 // can already reap the in-flight frames.
-                reaped.lock().push((vri, svc.adapter.into_endpoint()));
+                reaped.lock().push((vri, svc.into_endpoint()));
                 attachment.detach();
             })
             .expect("thread spawn");
@@ -375,6 +241,7 @@ impl FaultInjectable for ThreadHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lvrm_core::clock::Clock;
     use lvrm_core::topology::{AffinityMode, CoreId, CoreMap, CoreTopology};
     use lvrm_core::{Lvrm, LvrmConfig};
     use lvrm_net::FrameBuilder;
@@ -383,78 +250,6 @@ mod tests {
     fn routed_vr() -> Box<dyn VirtualRouter> {
         let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
         Box::new(lvrm_router::FastVr::new("t", routes))
-    }
-
-    /// Counts its readings; each one moves time on by a microsecond.
-    #[derive(Default)]
-    struct CountingClock {
-        reads: std::cell::Cell<u64>,
-    }
-
-    impl Clock for CountingClock {
-        fn now_ns(&self) -> u64 {
-            self.reads.set(self.reads.get() + 1);
-            self.reads.get() * 1_000
-        }
-    }
-
-    #[test]
-    fn an_iteration_reads_the_clock_at_most_twice_whatever_the_burst() {
-        use lvrm_ipc::channels::vri_channels;
-        use lvrm_ipc::QueueKind;
-
-        let recorder = Arc::new(Mutex::new(lvrm_metrics::LatencyHistogram::new()));
-        for burst in [1usize, 32, 256] {
-            for replicate in [false, true] {
-                let (mut chans, endpoint) = vri_channels::<Frame>(QueueKind::Lamport, 256, 8);
-                let processed = Arc::new(AtomicU64::new(0));
-                let role = CtrlRole::Recorder { sink: Arc::clone(&recorder) };
-                let mut svc = VriService::new(
-                    VriId(3),
-                    endpoint,
-                    routed_vr(),
-                    role,
-                    burst,
-                    replicate,
-                    Arc::clone(&processed),
-                );
-                let (clock, flags) = (CountingClock::default(), Flags::default());
-                let mut out = Vec::new();
-                for round in 1..=3u64 {
-                    let mut frames: Vec<Frame> = (0..burst as u16)
-                        .map(|port| {
-                            FrameBuilder::new(
-                                Ipv4Addr::new(10, 0, 1, 5),
-                                Ipv4Addr::new(10, 0, 2, 1),
-                            )
-                            .udp(port, 2, &[0u8; 10])
-                        })
-                        .collect();
-                    assert_eq!(chans.data_tx.try_send_batch(&mut frames), burst);
-                    // Three control events for the recorder ride along.
-                    for _ in 0..3 {
-                        chans.ctrl_tx.try_send(ControlEvent::new(9, 3, vec![0; 4])).unwrap();
-                    }
-                    let before = clock.reads.get();
-                    assert!(svc.iterate(&clock, &flags));
-                    let reads = clock.reads.get() - before;
-                    assert!(reads <= 2, "burst {burst}, replicate {replicate}: {reads} reads");
-                    assert_eq!(processed.load(Ordering::Relaxed), round * burst as u64);
-                    while let Some(f) = chans.data_rx.try_recv() {
-                        out.push(f);
-                    }
-                    assert_eq!(out.len() as u64, round * burst as u64);
-                    // An empty poll costs no more.
-                    let before = clock.reads.get();
-                    assert!(svc.iterate(&clock, &flags));
-                    assert!(clock.reads.get() - before <= 2);
-                }
-                assert!(out.iter().all(|f| f.egress_if == 1));
-                // The bursts after the first closed a service interval each.
-                assert!(svc.adapter.service_rate().is_some());
-            }
-        }
-        assert_eq!(recorder.lock().count(), 3 * 3 * 3 * 2);
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl Link {
         Some((t, f))
     }
 
-    /// Frames currently queued or in flight.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// Loss fraction so far.
     pub fn loss_ratio(&self) -> f64 {
         if self.offered == 0 {

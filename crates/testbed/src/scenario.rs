@@ -220,13 +220,6 @@ impl ScenarioResult {
         self.udp_received as f64 * 1e9 / self.window_ns() as f64
     }
 
-    /// Per-UDP-flow delivered rates (fps), sorted by flow key for stability.
-    pub fn per_flow_fps(&self) -> Vec<f64> {
-        let mut keys: Vec<_> = self.udp_flows.keys().copied().collect();
-        keys.sort_unstable();
-        keys.iter().map(|k| self.udp_flows[k].0 as f64 * 1e9 / self.window_ns() as f64).collect()
-    }
-
     /// Per-TCP-flow goodput rates, Mbps.
     pub fn tcp_goodput_mbps(&self) -> Vec<f64> {
         self.tcp_goodput.iter().map(|b| *b as f64 * 8.0 / self.window_ns() as f64 * 1e3).collect()

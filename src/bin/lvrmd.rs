@@ -86,7 +86,7 @@ use lvrm::core::config::{AllocatorKind, BalancerKind};
 use lvrm::core::{FaultPlan, FaultyHost, PeerLink};
 use lvrm::prelude::*;
 use lvrm::router::Route;
-use lvrm::runtime::{FleetPeerSpec, UdpPeerLink};
+use lvrm::runtime::{FleetPeerSpec, ThreadHost, UdpPeerLink};
 
 #[derive(Debug)]
 struct VrDecl {
@@ -293,6 +293,16 @@ fn build_router(decl: &VrDecl) -> Box<dyn VirtualRouter> {
     Box::new(FastVr::new(&decl.name, routes))
 }
 
+/// The host `run` starts VRIs on: one thread per VRI pulling the monitor's
+/// burst size, with replica ledgers when the VRs dispatch replicated.
+fn vri_host(config: &LvrmConfig, clock: MonotonicClock) -> ThreadHost {
+    let host = ThreadHost::new(clock).with_batch_size(config.batch_size.max(1));
+    match config.dispatch {
+        DispatchMode::Replicated => host.with_replication(),
+        DispatchMode::Pinned => host,
+    }
+}
+
 fn run(
     config: DaemonConfig,
     duration_s: u64,
@@ -309,14 +319,11 @@ fn run(
         CoreId(0),
         if n > 1 { AffinityMode::SiblingFirst } else { AffinityMode::Same },
     );
-    let batch_size = config.lvrm.batch_size.max(1);
     let drain_deadline_ns = config.lvrm.drain_deadline_ns;
+    let vri_host = vri_host(&config.lvrm, clock.clone());
     let mut lvrm = Lvrm::new(config.lvrm, cores, clock.clone());
     // The host is always wrapped for fault injection; an empty plan is free.
-    let mut host = FaultyHost::new(
-        lvrm::runtime::ThreadHost::new(clock.clone()).with_batch_size(batch_size),
-        config.faults.clone(),
-    );
+    let mut host = FaultyHost::new(vri_host, config.faults.clone());
     let vr_ids: Vec<VrId> = config
         .vrs
         .iter()
@@ -890,6 +897,36 @@ mod tests {
         // Semantic clash: replicated dispatch defeats flow affinity.
         let e = parse_config("flow-based on\ndispatch replicated\n").unwrap_err();
         assert!(e.contains("flow"), "{e}");
+    }
+
+    /// `dispatch replicated` promises LVSU state replication: a VRI on the
+    /// host `run` builds keeps a replica ledger and flushes it upstream.
+    #[test]
+    fn replicated_dispatch_starts_vris_that_send_state_updates() {
+        use lvrm::core::host::{VriHost, VriSpec};
+        use std::time::{Duration, Instant};
+
+        let config = parse_config("dispatch replicated\n").unwrap();
+        let mut host = vri_host(&config.lvrm, MonotonicClock::new());
+        let (mut chans, endpoint) =
+            lvrm::ipc::channels::vri_channels::<Frame>(QueueKind::Lamport, 64, 64);
+        let spec = VriSpec { vr: VrId(0), vri: VriId(0), core: CoreId(0) };
+        host.spawn_vri(spec, endpoint, build_router(&config.vrs[0]));
+        for port in 0..16 {
+            let frame = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 1))
+                .udp(port, 2, &[]);
+            chans.data_tx.try_send(frame).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut replicated = false;
+        while !replicated && Instant::now() < deadline {
+            match chans.ctrl_rx.try_recv() {
+                Some(ev) => replicated = lvrm::core::is_state_update(&ev.payload),
+                None => std::thread::yield_now(),
+            }
+        }
+        host.shutdown();
+        assert!(replicated, "no LVSU batch reached the monitor's side within 10 s");
     }
 
     #[test]

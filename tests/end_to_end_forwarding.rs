@@ -56,7 +56,11 @@ fn threaded_runtime_forwards_and_reports_service_rate() {
     let mut out = Vec::new();
     let t0 = std::time::Instant::now();
     let mut sent = 0u64;
-    while out.len() < 2_000 && t0.elapsed().as_secs() < 30 {
+    // Done once every frame has been sent and has left the books,
+    // forwarded or lost.
+    while !(sent == 2_000 && out.len() as u64 + lvrm.stats().loss() == sent)
+        && t0.elapsed().as_secs() < 30
+    {
         if sent < 2_000 {
             lvrm.ingress(trace.next_frame(), &mut host);
             sent += 1;

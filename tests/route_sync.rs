@@ -27,7 +27,7 @@ fn route_update_propagates_between_vris() {
         &mut host,
     );
     assert_eq!(lvrm.vri_count(vr), 2, "fixed allocator pre-assigns both VRIs");
-    assert_eq!(host.endpoints.len(), 2);
+    assert_eq!(host.vris.len(), 2);
 
     // Neither instance can route 10.0.2.0/24 yet.
     let frame = || {
@@ -49,19 +49,26 @@ fn route_update_propagates_between_vris() {
     let (vri0, vri1) = (host.spawned[0].vri, host.spawned[1].vri);
     // Apply locally at VRI 0 and emit the announcement upstream.
     {
-        let (_, endpoint0, router0) = &mut host.endpoints[0];
-        let dyn0 =
-            router0.as_any_mut().downcast_mut::<DynamicVr>().expect("hosted router is a DynamicVr");
+        let svc0 = &mut host.vris[0];
+        let dyn0 = svc0
+            .router_mut()
+            .as_any_mut()
+            .downcast_mut::<DynamicVr>()
+            .expect("hosted router is a DynamicVr");
         dyn0.apply(&update);
-        endpoint0.ctrl_tx.try_send(ControlEvent::new(vri0.0, vri1.0, update.to_bytes())).unwrap();
+        svc0.endpoint_mut()
+            .ctrl_tx
+            .try_send(ControlEvent::new(vri0.0, vri1.0, update.to_bytes()))
+            .unwrap();
     }
     // LVRM relays the event to VRI 1, which applies it.
     lvrm.process_control();
     {
-        let (_, endpoint1, router1) = &mut host.endpoints[1];
-        match endpoint1.next_work() {
+        let svc1 = &mut host.vris[1];
+        match svc1.endpoint_mut().next_work() {
             Some(Work::Control(ev)) => {
-                let dyn1 = router1
+                let dyn1 = svc1
+                    .router_mut()
                     .as_any_mut()
                     .downcast_mut::<DynamicVr>()
                     .expect("hosted router is a DynamicVr");

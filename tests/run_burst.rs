@@ -183,7 +183,7 @@ fn a_standby_leaves_the_adapter_unread_and_runs_the_rest() {
     assert!(!lvrm.ha_accepting());
     host.stalled.clear();
     // VRI 0 sends VRI 1 a control event.
-    let (_, endpoint, _) = &mut host.endpoints[0];
+    let endpoint = host.vris[0].endpoint_mut();
     endpoint.ctrl_tx.try_send(ControlEvent::new(0, 1, b"route update".to_vec())).unwrap();
 
     clock.set_ns(STEP_NS);
@@ -215,7 +215,7 @@ fn a_planned_crash_fires_in_the_first_burst_due() {
         lvrm.run_burst(&mut nic, &mut host);
         let due = now >= CRASH_NS;
         assert_eq!(host.injected, u64::from(due), "burst at {now} ns");
-        assert_eq!(host.inner.endpoints.is_empty(), due, "burst at {now} ns");
+        assert_eq!(host.inner.vris.is_empty(), due, "burst at {now} ns");
     }
 }
 
