@@ -11,6 +11,7 @@ use lvrm_ipc::{QueueKind, Watermarks};
 use crate::alloc::{CoreAllocator, DynamicFixedThreshold, DynamicServiceRate, FixedAllocator};
 use crate::balance::{FlowBased, Jsq, LoadBalancer, RandomBalancer, RoundRobin};
 use crate::estimate::{EwmaInterArrival, EwmaQueueLength, LoadEstimator, ESTIMATOR_WEIGHT};
+use crate::flowtable::FlowTable;
 use crate::monitor::MAX_VRIS_PER_VR;
 use crate::topology::AffinityMode;
 
@@ -316,6 +317,9 @@ pub enum ConfigError {
     ShardTopology { shard_id: u32, shards: u32 },
     /// Cluster advert and stream intervals must be nonzero.
     ClusterIntervals { advert_ns: u64, stream_ns: u64 },
+    /// A flow table may have at most `FlowTable::MAX_CAPACITY` (2^31)
+    /// slots, 64 GiB of them; a larger one would fail to map.
+    FlowTableCapacity { capacity: usize, max: usize },
 }
 
 impl fmt::Display for ConfigError {
@@ -355,6 +359,9 @@ impl fmt::Display for ConfigError {
                     f,
                     "cluster advert and stream intervals must be nonzero, got advert={advert_ns} stream={stream_ns}"
                 )
+            }
+            ConfigError::FlowTableCapacity { capacity, max } => {
+                write!(f, "flow table capacity must be at most {max} slots, got {capacity}")
             }
         }
     }
@@ -439,6 +446,10 @@ impl LvrmConfig {
         }
         if self.dispatch == DispatchMode::Replicated && self.flow_based {
             return Err(ConfigError::ReplicatedFlowPinned);
+        }
+        let max = FlowTable::MAX_CAPACITY;
+        if self.flow_based && self.flow_table_capacity > max {
+            return Err(ConfigError::FlowTableCapacity { capacity: self.flow_table_capacity, max });
         }
         if let Some(c) = &self.cluster {
             if c.shards == 0 || c.shard_id >= c.shards {
@@ -658,6 +669,29 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::ReplicatedFlowPinned));
         let c = LvrmConfig { dispatch: DispatchMode::Replicated, ..base() };
         assert_eq!(c.validate(), Ok(()));
+    }
+
+    /// A flow table of more than 2^31 slots is refused here instead of
+    /// aborting when it is built.
+    #[test]
+    fn validate_refuses_a_flow_table_above_2_to_the_31_slots() {
+        let max = FlowTable::MAX_CAPACITY;
+        let flows = |capacity: usize| LvrmConfig {
+            flow_based: true,
+            flow_table_capacity: capacity,
+            ..Default::default()
+        };
+        assert_eq!(
+            flows(max + 1).validate(),
+            Err(ConfigError::FlowTableCapacity { capacity: max + 1, max })
+        );
+        assert!(matches!(flows(usize::MAX).validate(), Err(ConfigError::FlowTableCapacity { .. })));
+        assert_eq!(flows(max).validate(), Ok(()));
+        // A table that is never built (frame-based balancing) is not checked.
+        let c = LvrmConfig { flow_table_capacity: usize::MAX, ..Default::default() };
+        assert_eq!(c.validate(), Ok(()));
+        let e = ConfigError::FlowTableCapacity { capacity: max + 1, max };
+        assert!(e.to_string().contains("at most 2147483648 slots, got 2147483649"));
     }
 
     #[test]

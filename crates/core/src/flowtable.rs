@@ -31,6 +31,9 @@
 //! matter how large the table is; a full sweep completes across
 //! `capacity / budget` consecutive ticks, and a block of slots in which
 //! nothing can have expired (`FlowTable::oldest`) is crossed without a read.
+//! A block the sweep must read is read only where it stores a flow: each
+//! block keeps a bitmap of its stored slots (`FlowTable::occupied`), and the
+//! sweep prefetches and checks the set bits alone, never an empty slot.
 //!
 //! The checkpoint export is incremental in the same spirit. A table ships
 //! each flow's `last_seen_ns` rounded down to an *export quantum*, a power
@@ -59,7 +62,9 @@ use crate::checkpoint::{record_wire, FlowSection};
 use crate::VriId;
 
 /// Words per slot: `[src << 32 | dst, OCCUPIED | ports and protocol, VRI,
-/// last_seen_ns]`. All-zero is an empty slot.
+/// last_seen_ns]`. All-zero is an empty slot, and word 2's upper half is
+/// always clear. A block's stored slots are also the set bits of its
+/// `FlowTable::occupied`.
 const SLOT_WORDS: usize = 4;
 /// Set in a stored slot's second word (an all-zero 5-tuple is a valid key).
 const OCCUPIED: u64 = 1 << 63;
@@ -201,6 +206,16 @@ fn unpack(slot: &[u64; SLOT_WORDS]) -> FlowKey {
     }
 }
 
+/// The positions of `bits`' set bits, lowest first.
+#[inline]
+fn set_bits(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let at = (bits != 0).then(|| bits.trailing_zeros() as usize);
+        bits &= bits.wrapping_sub(1);
+        at
+    })
+}
+
 /// Occupancy and churn statistics of one [`FlowTable`], cheap to copy out
 /// (published as per-VR metrics and in `VrSnapshot`s).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -214,7 +229,9 @@ pub struct FlowTableStats {
     /// Insertions refused because the probe chain was full.
     pub overflows: u64,
     /// Slots visited by [`FlowTable::age_step`] so far (proof the tick work
-    /// is bounded: grows by at most the configured budget per tick).
+    /// is bounded: grows by at most the configured budget per tick). This is
+    /// the range the cursor crossed plus one per eviction, not the slots
+    /// read: a skipped block and an empty slot count all the same.
     pub age_sweep_slots: u64,
 }
 
@@ -232,7 +249,7 @@ impl FlowTableStats {
 /// Fixed-capacity connection-tracking table.
 ///
 /// `repr(C)`: the fields a probe reads come first, in declaration order, so
-/// a hit reads the first 48 bytes of the table and an insert the first 72,
+/// a hit reads the first 48 bytes of the table and an insert the first 104,
 /// wherever the compiler's own order would have put the fields added since.
 #[repr(C)]
 pub struct FlowTable {
@@ -256,6 +273,10 @@ pub struct FlowTable {
     /// it alone. One bound per table would not do: only a full scan could
     /// re-learn it, so a table older than one timeout would never skip again.
     oldest: Vec<u64>,
+    /// Per block of [`BLOCK`] slots, bit `i` set exactly when the block's
+    /// slot `i` is stored: set by a store, cleared by a removal, moved with
+    /// an entry the backshift moves. The sweep and the export walk it.
+    occupied: Vec<u64>,
     /// Insertions refused because the table was full (observability).
     pub overflows: u64,
     /// Next slot the incremental aging sweep will visit.
@@ -285,9 +306,19 @@ struct Exported {
 }
 
 impl FlowTable {
-    /// `capacity` rounds up to a power of two; `timeout_ns` expires idle
-    /// flows (TCP flows silent that long have effectively closed).
+    /// The most slots a table may have: 2^31 slots are 64 GiB of slot
+    /// words. A larger request is refused before anything is mapped, not
+    /// left to fail in the mapping.
+    pub const MAX_CAPACITY: usize = 1 << 31;
+
+    /// `capacity` rounds up to a power of two, at most
+    /// [`FlowTable::MAX_CAPACITY`]; `timeout_ns` expires idle flows (TCP
+    /// flows silent that long have effectively closed).
     pub fn new(capacity: usize, timeout_ns: u64) -> FlowTable {
+        assert!(
+            capacity <= Self::MAX_CAPACITY,
+            "flow table capacity {capacity} is above the limit of 2^31 slots"
+        );
         let cap = capacity.max(16).next_power_of_two();
         FlowTable {
             words: Slots::zeroed(cap * SLOT_WORDS),
@@ -297,6 +328,7 @@ impl FlowTable {
             sub_quantum: (1 << (timeout_ns / 16).max(1).ilog2()) - 1,
             len: 0,
             oldest: vec![u64::MAX; cap.div_ceil(BLOCK)],
+            occupied: vec![0; cap.div_ceil(BLOCK)],
             overflows: 0,
             age_cursor: 0,
             evictions: 0,
@@ -346,6 +378,13 @@ impl FlowTable {
     fn note_stored(&mut self, i: usize, last_seen_ns: u64) {
         let bound = &mut self.oldest[i / BLOCK];
         *bound = (*bound).min(last_seen_ns);
+    }
+
+    /// Set or clear slot `i`'s bit in its block's `occupied`.
+    fn mark(&mut self, i: usize, stored: bool) {
+        let bits = &mut self.occupied[i / BLOCK];
+        let bit = 1 << (i % BLOCK);
+        *bits = if stored { *bits | bit } else { *bits & !bit };
     }
 
     /// Look up `key`; on a live hit, refresh its timestamp and return its
@@ -452,6 +491,7 @@ impl FlowTable {
     fn store(&mut self, i: usize, key: [u64; 2], vri: VriId, now_ns: u64) -> bool {
         *self.slot_mut(i) = [key[0], key[1], u64::from(vri.0), now_ns];
         self.note_stored(i, now_ns);
+        self.mark(i, true);
         self.generation += 1;
         true
     }
@@ -474,6 +514,8 @@ impl FlowTable {
     /// expiry relocates entries across the cursor between windows.
     /// A stretch whose block's bound (`oldest`) is inside the timeout holds
     /// nothing expired: the cursor crosses it unread, charged all the same.
+    /// In a stretch it must read, the sweep reads only the slots its block's
+    /// `occupied` bits say are stored, their lines prefetched first.
     pub fn age_step(&mut self, now_ns: u64, budget: usize) -> usize {
         let cap = self.capacity();
         let budget = budget.min(cap);
@@ -485,8 +527,13 @@ impl FlowTable {
             let block = i / BLOCK;
             let n = left.min(((block + 1) * BLOCK).min(cap) - i);
             if self.expired(self.oldest[block], now_ns) {
+                let first = block * BLOCK;
+                let stored = self.occupied[block] & u64::MAX >> (BLOCK - n) << (i - first);
+                for b in set_bits(stored) {
+                    prefetch_read(self.slot(first + b));
+                }
                 let mut oldest = u64::MAX;
-                for slot in (i..i + n).map(|j| self.slot(j)).filter(|slot| slot[1] != 0) {
+                for slot in set_bits(stored).map(|b| self.slot(first + b)) {
                     if self.expired(slot[3], now_ns) {
                         expired_keys.push(unpack(slot));
                     } else {
@@ -577,17 +624,11 @@ impl FlowTable {
         slot_of.push(u32::MAX);
         let unlisted = slot_of.len() - 1;
         let mut out = Vec::with_capacity(self.len);
-        for block in self.words.chunks(BLOCK * SLOT_WORDS) {
+        for (block, &stored) in self.words.chunks(BLOCK * SLOT_WORDS).zip(&self.occupied) {
             // In a half-full table "is this slot stored" is a coin toss no
-            // branch predictor calls: gather the answers as bits, then walk
-            // the set ones.
-            let mut stored = 0u64;
-            for (i, w) in block.chunks_exact(SLOT_WORDS).enumerate() {
-                stored |= u64::from(w[1] != 0) << i;
-            }
-            while stored != 0 {
-                let w = &block[stored.trailing_zeros() as usize * SLOT_WORDS..][..SLOT_WORDS];
-                stored &= stored - 1;
+            // branch predictor calls: walk the block's set bits instead.
+            for b in set_bits(stored) {
+                let w = &block[b * SLOT_WORDS..][..SLOT_WORDS];
                 let slot = slot_of[((w[2] as u32).wrapping_sub(base) as usize).min(unlisted)];
                 if slot != u32::MAX {
                     // The protocol's low byte is its IP number in either packing.
@@ -606,6 +647,17 @@ impl FlowTable {
         (0..self.capacity())
             .map(|i| (i, self.slot(i)))
             .all(|(i, s)| s[1] == 0 || self.oldest[i / BLOCK] <= s[3])
+    }
+
+    /// Test hook: in every slot, the `occupied` bit is set exactly when the
+    /// slot is stored, and word 2 holds no more than a VRI (its upper half,
+    /// bit 63 among it, is clear).
+    #[doc(hidden)]
+    pub fn occupancy_bits_hold(&self) -> bool {
+        (0..self.capacity()).map(|i| (i, self.slot(i))).all(|(i, s)| {
+            let bit = self.occupied[i / BLOCK] >> (i % BLOCK) & 1 == 1;
+            bit == (s[1] != 0) && s[2] >> 32 == 0
+        })
     }
 
     /// Remove every entry pointing at `vri` (called when a VRI is killed so
@@ -635,6 +687,7 @@ impl FlowTable {
     /// behind it (standard linear-probing backshift).
     fn remove_at(&mut self, i: usize) {
         *self.slot_mut(i) = [0; SLOT_WORDS];
+        self.mark(i, false);
         self.len -= 1;
         // Covers the backshift below too: it moves records only here.
         self.generation += 1;
@@ -642,11 +695,13 @@ impl FlowTable {
         while self.slot(j)[1] != 0 {
             // Re-insert preserves its timestamp.
             let e = std::mem::take(self.slot_mut(j));
+            self.mark(j, false);
             let mut k = unpack(&e).hash64() as usize & self.mask;
             while self.slot(k)[1] != 0 {
                 k = (k + 1) & self.mask;
             }
             *self.slot_mut(k) = e;
+            self.mark(k, true);
             self.note_stored(k, e[3]);
             // Backshift can carry an entry across the aging cursor: from a
             // slot the sweep had yet to visit to one it already passed (a
@@ -1108,6 +1163,37 @@ mod tests {
         t.find_and_touch(&key(1), 2_000); // a clock that stepped back
         assert_eq!(seen(&t.export(&v)), [(0, 1_024)]);
         assert_eq!(seen(&t.export(&[VriId(4), VriId(3)])), [(1, 1_024)]);
+    }
+
+    /// A capacity above 2^31 slots is refused before anything is mapped.
+    #[test]
+    #[should_panic(expected = "above the limit of 2^31 slots")]
+    fn a_capacity_above_2_to_the_31_is_refused() {
+        FlowTable::new(FlowTable::MAX_CAPACITY + 1, 100);
+    }
+
+    /// Stores, sweeps, purges and backshifts keep the `occupied` bits in
+    /// step with the slots, on a chain that wraps the table's end.
+    #[test]
+    fn occupancy_bits_follow_every_write() {
+        let k = keys_homed_in(16, 15, 16, 4);
+        let mut t = FlowTable::new(16, 100);
+        for (n, key) in k.iter().enumerate() {
+            assert!(t.insert(*key, VriId(n as u32), n as u64 * 10));
+            assert!(t.occupancy_bits_hold());
+        }
+        // The chain is slots 15, 0, 1, 2.
+        assert_eq!(t.occupied, [0b1000_0000_0000_0111]);
+        // At 105 only the flow stamped 0, at slot 15, is dead; the rest move up.
+        assert_eq!(t.age_step(105, 16), 1);
+        assert!(t.occupancy_bits_hold());
+        assert_eq!(t.occupied, [0b1000_0000_0000_0011]);
+        assert_eq!(t.entries().map(|(key, _, _)| key).collect::<Vec<_>>(), [k[2], k[3], k[1]]);
+        assert_eq!(t.purge_vri(VriId(2)), 1);
+        assert!(t.occupancy_bits_hold());
+        assert_eq!(t.occupied, [0b1000_0000_0000_0001]);
+        assert_eq!(t.find_and_touch(&k[3], 105), Some(VriId(3)));
+        assert_eq!(t.find_and_touch(&k[1], 105), Some(VriId(1)));
     }
 
     /// A clock that steps back makes a hit lower a timestamp; the bound

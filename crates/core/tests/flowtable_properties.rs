@@ -346,14 +346,16 @@ fn age_ops() -> impl Strategy<Value = Vec<AgeOp>> {
 }
 
 /// What must hold of the physical table after every operation: no key is
-/// stored twice, `len()` counts what `entries()` yields, and each block's
-/// aging bound is at or below every timestamp in the block.
+/// stored twice, `len()` counts what `entries()` yields, each block's aging
+/// bound is at or below every timestamp in the block, and every slot's
+/// occupancy bit agrees with what it stores.
 fn check_invariants(table: &FlowTable) {
     let keys: Vec<FlowKey> = table.entries().map(|(k, _, _)| k).collect();
     let distinct: HashSet<&FlowKey> = keys.iter().collect();
     assert_eq!(distinct.len(), keys.len(), "a key is stored twice");
     assert_eq!(table.len(), keys.len());
     assert!(table.block_bounds_hold(), "a block's bound is above a timestamp in it");
+    assert!(table.occupancy_bits_hold(), "a slot's occupancy bit is wrong");
 }
 
 /// Snapshot the physical table as `key-octet -> vri` (inverse of `key()`).
