@@ -5,7 +5,7 @@ use lvrm_router::{RouterAction, VirtualRouter};
 
 use crate::config::parse_config;
 use crate::graph::{ElementGraph, PacketFate};
-use crate::{ConfigError, CLICK_PER_ELEMENT_COST_NS, CLICK_VR_BASE_COST_NS};
+use crate::{ConfigError, CLICK_PER_ELEMENT_COST_NS, CLICK_VR_BASE_COST_NS, HEADER_SPAN};
 
 /// The paper's *Click VR*: a configuration-script-driven modular router.
 pub struct ClickVr {
@@ -16,7 +16,8 @@ pub struct ClickVr {
     dummy_load_ns: u64,
     nominal_cost_ns: u64,
     /// The copy of the offered frame the graph runs on, kept from one frame
-    /// to the next so its buffer is rewritten where it lies.
+    /// to the next so its buffer is rewritten where it lies: its first
+    /// [`HEADER_SPAN`] bytes are the last frame's.
     copy: Option<Frame>,
     /// Frames dropped by the pipeline.
     pub dropped: u64,
@@ -72,13 +73,15 @@ impl VirtualRouter for ClickVr {
     fn process(&mut self, frame: &mut Frame) -> RouterAction {
         // The graph runs on a copy this instance keeps, and only the egress
         // decision is carried back: the frame the VR returns is relayed
-        // unchanged. A copy of the same length that is still the instance's
-        // own is overwritten in place (no allocation, no refcount traffic on
-        // the offered buffer); any other length takes a new one. ROADMAP 2a
-        // flips this to `run(frame)`.
+        // unchanged. A copy of the same length gets the frame's header span
+        // written over it where it lies (no allocation, no refcount traffic
+        // on the offered buffer); past the span it keeps an earlier frame's
+        // bytes, which no element reads. Any other length takes a new copy.
+        // ROADMAP 2a flips this to `run(frame)`.
         let copy = match &mut self.copy {
             Some(copy) if copy.len() == frame.len() => {
-                copy.modify_bytes(|b| b.copy_from_slice(frame.bytes()));
+                let span = frame.len().min(HEADER_SPAN);
+                copy.modify_bytes(|b| b[..span].copy_from_slice(&frame.bytes()[..span]));
                 copy
             }
             slot => slot.insert(Frame::new(frame.bytes())),
@@ -127,8 +130,24 @@ impl VirtualRouter for ClickVr {
 mod tests {
     use super::*;
     use crate::config::parse_config;
+    use lvrm_net::headers::internet_checksum;
     use lvrm_net::FrameBuilder;
     use std::net::Ipv4Addr;
+
+    /// `frame` with `options` (whole 32-bit words) between its IPv4 header and
+    /// its payload: IHL, total length and header checksum made good.
+    fn with_options(frame: &Frame, options: &[u8]) -> Frame {
+        let (head, rest) = frame.bytes().split_at(14 + 20);
+        let mut bytes = [head, options, rest].concat();
+        let ip = &mut bytes[14..14 + 20 + options.len()];
+        ip[0] = 0x45 + (options.len() / 4) as u8;
+        let total = u16::from_be_bytes([ip[2], ip[3]]) + options.len() as u16;
+        ip[2..4].copy_from_slice(&total.to_be_bytes());
+        ip[10..12].fill(0);
+        let checksum = internet_checksum(ip);
+        ip[10..12].copy_from_slice(&checksum.to_be_bytes());
+        Frame::new(&bytes)
+    }
 
     fn frame() -> Frame {
         FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), Ipv4Addr::new(10, 0, 2, 9))
@@ -184,12 +203,14 @@ mod tests {
     /// `ClickVr` runs the graph on a copy it keeps and rewrites in place, and
     /// must decide exactly as the graph does on a fresh clone of each frame:
     /// the same fate, the same count at every element, the same traversals.
-    /// The frames change length from one to the next (so the kept copy is
-    /// sometimes rewritten, sometimes replaced), carry TTL 0, 1 or 2, a bad
-    /// header checksum now and then and destinations no route covers; the
-    /// configurations rewrite before they check, rewrite twice, and fan out.
-    /// What the VR hands back is the offered frame, byte for byte, with only
-    /// `egress_if` stamped on a forward.
+    /// The frames keep a length for a run of frames and then change it (so
+    /// the kept copy is sometimes rewritten, sometimes replaced), carry TTL
+    /// 0, 1 or 2, IPv4 options of random bytes (IHL 5 to 15, so the checksum
+    /// reaches the last byte of the header span), a bad header checksum now
+    /// and then — in the checksum field or in an option — and destinations no
+    /// route covers; the configurations rewrite before they check, rewrite
+    /// twice, and fan out. What the VR hands back is the offered frame, byte
+    /// for byte, with only `egress_if` stamped on a forward.
     #[test]
     fn kept_copy_decides_as_a_clone_would() {
         let configs = [
@@ -214,15 +235,29 @@ mod tests {
             let ast = parse_config(config).unwrap();
             let mut vr = ClickVr::from_config("click", config).unwrap();
             let mut reference = ElementGraph::compile(&ast).unwrap();
+            // (payload bytes, option words), drawn afresh every other frame.
+            let mut shape = (0, 0);
             for n in 0..if cfg!(miri) { 24 } else { 400 } {
+                if next(2) == 0 {
+                    let words = [0, 1 + next(10)][next(2)];
+                    shape = ([0, 26, 27, 80, 1400, 1472][next(6)], words);
+                }
+                let (payload_len, words) = shape;
                 let dst = [[10, 0, 2, 9], [10, 0, 3, 1], [10, 0, 7, 7], [8, 8, 8, 8]][next(4)];
                 let ttl = next(3) as u8;
-                let payload = vec![0x5A; [0, 26, 27, 80, 1400, 1472][next(6)]];
-                let mut offered = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), dst.into())
+                let payload = vec![0x5A; payload_len];
+                let built = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 5), dst.into())
                     .ttl(ttl)
                     .udp(1, 2, &payload);
-                if next(4) == 0 {
-                    offered.modify_bytes(|b| b[14 + 10] ^= 0x5A);
+                let options: Vec<u8> = (0..4 * words).map(|_| next(256) as u8).collect();
+                let mut offered = with_options(&built, &options);
+                let broken = match next(8) {
+                    0 | 1 => Some(14 + 10),
+                    2 if words > 0 => Some(14 + 20 + next(4 * words)),
+                    _ => None,
+                };
+                if let Some(at) = broken {
+                    offered.modify_bytes(|b| b[at] ^= 0x5A);
                 }
                 (offered.ts_ns, offered.egress_if) = (n as u64, [Frame::NO_IF, 3][next(2)]);
                 let fate = reference.run(&mut offered.clone());

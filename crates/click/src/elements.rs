@@ -53,6 +53,10 @@ pub trait Element: Send {
     /// Process `frame` in place. Writes go through [`Frame::modify_bytes`],
     /// so a buffer shared with another holder (a `Tee` sibling, a replayed
     /// trace) is copied first and one held alone is rewritten where it lies.
+    ///
+    /// An element reads and writes only `frame.bytes()[..HEADER_SPAN]`
+    /// ([`crate::HEADER_SPAN`]) and may read `frame.len()`: `ClickVr` copies
+    /// no more than that into the frame its graph runs on.
     fn process(&mut self, frame: &mut Frame) -> Action;
 
     /// Duplicate this element's *configuration* for a new VRI instance
@@ -221,8 +225,9 @@ impl Element for CheckIPHeader {
 /// Decrements the IPv4 TTL (fixing the checksum incrementally per RFC 1141).
 /// Expired frames (TTL would hit 0) exit port 1 when connected, else drop.
 /// The write is copy-on-write ([`Frame::modify_bytes`]): three bytes in place
-/// when the frame owns its buffer, one allocation and a copy of the whole
-/// frame when it shares it — as every frame `ClickVr` runs does.
+/// when the frame owns its buffer, as the copy `ClickVr` keeps does; one
+/// allocation and a copy of the whole frame when it shares it, as a `Tee`
+/// branch does.
 #[derive(Default)]
 pub struct DecIpTtl {
     pub expired: u64,

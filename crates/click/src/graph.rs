@@ -36,8 +36,9 @@ pub struct ElementGraph {
     names: Vec<String>,
     /// `hops[e][out_port]`: the successor table.
     hops: Vec<Box<[Hop]>>,
-    /// `FromDevice` elements by interface, the graph's entry points.
-    entries: HashMap<u16, usize>,
+    /// `(interface, FromDevice element)` in declaration order: the graph's
+    /// entry points.
+    entries: Vec<(u16, usize)>,
     /// Total element traversals (for cost accounting / statistics).
     traversals: u64,
 }
@@ -50,18 +51,19 @@ impl ElementGraph {
         let mut elements = Vec::with_capacity(ast.decls.len());
         let mut names = Vec::with_capacity(ast.decls.len());
         let mut index = HashMap::new();
-        let mut entries = HashMap::new();
+        let mut entries = Vec::new();
         for (i, decl) in ast.decls.iter().enumerate() {
             let el = build_element(decl)?;
             if decl.class == "FromDevice" {
                 let iface: u16 = decl.args[0]
                     .parse()
                     .map_err(|_| ConfigError(format!("bad FromDevice iface {:?}", decl.args[0])))?;
-                if entries.insert(iface, i).is_some() {
+                if entries.iter().any(|&(claimed, _)| claimed == iface) {
                     return Err(ConfigError(format!(
                         "two FromDevice elements claim interface {iface}"
                     )));
                 }
+                entries.push((iface, i));
             }
             index.insert(decl.name.clone(), i);
             names.push(decl.name.clone());
@@ -135,11 +137,11 @@ impl ElementGraph {
         Some(self.elements[i].count())
     }
 
-    /// Inject `frame` at the `FromDevice` for its ingress interface (or the
-    /// sole entry point if that interface has none) and run the pipeline to
-    /// quiescence, the frame staying where it is. Returns its fate; when
-    /// forwarded, `frame` is what the `ToDevice` saw — rewritten by the
-    /// elements on the way, `egress_if` stamped.
+    /// Inject `frame` at the `FromDevice` for its ingress interface — the
+    /// first `FromDevice` declared when none claims that interface — and run
+    /// the pipeline to quiescence, the frame staying where it is. Returns its
+    /// fate; when forwarded, `frame` is what the `ToDevice` saw — rewritten
+    /// by the elements on the way, `egress_if` stamped.
     pub fn run(&mut self, frame: &mut Frame) -> PacketFate {
         self.run_tapped(frame, &mut |_, _| {})
     }
@@ -152,12 +154,12 @@ impl ElementGraph {
         frame: &mut Frame,
         tap: &mut impl FnMut(&str, &Frame),
     ) -> PacketFate {
-        let entry = self
+        // compile() guarantees an entry point.
+        let &(_, entry) = self
             .entries
-            .get(&frame.ingress_if)
-            .or_else(|| self.entries.values().next())
-            .copied()
-            .expect("compile() guarantees an entry point");
+            .iter()
+            .find(|&&(iface, _)| iface == frame.ingress_if)
+            .unwrap_or(&self.entries[0]);
         self.follow(Hop::Element(entry), frame, tap)
     }
 
@@ -379,6 +381,24 @@ mod tests {
         let mut f = udp([10, 0, 1, 5], [10, 0, 2, 9]);
         f.ingress_if = 1;
         assert_eq!(g.run(&mut f), PacketFate::Forwarded { iface: 0 });
+    }
+
+    #[test]
+    fn an_unclaimed_interface_enters_at_the_first_declared_from_device() {
+        // Fresh compiles: an entry order drawn per compile (a hash map's)
+        // would send a frame no FromDevice claims down either branch.
+        for _ in 0..64 {
+            let mut g = compile(
+                "FromDevice(0) -> a :: Counter -> ToDevice(1);\n\
+                 FromDevice(1) -> b :: Counter -> ToDevice(2);",
+            );
+            let mut f = udp([10, 0, 1, 5], [10, 0, 2, 9]);
+            f.ingress_if = 7;
+            assert_eq!(g.run(&mut f), PacketFate::Forwarded { iface: 1 });
+            assert_eq!((g.element_count("a"), g.element_count("b")), (Some(1), Some(0)));
+        }
+        let e = compile_err("FromDevice(3) -> ToDevice(1); FromDevice(3) -> ToDevice(2);");
+        assert!(e.contains("two FromDevice elements claim interface 3"), "{e}");
     }
 
     #[test]

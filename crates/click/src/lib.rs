@@ -33,6 +33,11 @@ pub use clickvr::ClickVr;
 pub use config::{parse_config, ConfigError};
 pub use graph::{ElementGraph, PacketFate};
 
+/// The bytes of a frame an element may read or write: the Ethernet header
+/// and the longest IPv4 header (IHL 15). Past them an element sees only the
+/// frame's length ([`elements::Element::process`]).
+pub const HEADER_SPAN: usize = 14 + 60;
+
 /// Default nominal per-frame cost of the Click VR in the testbed's cost
 /// model. Click's element indirection makes it markedly heavier than the
 /// C++ VR — calibrated against Fig. 4.5's gap between the two.

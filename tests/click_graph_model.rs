@@ -7,15 +7,17 @@
 //! the bytes and `egress_if` every terminal saw. And the in-place walk is
 //! held to what it is for: no allocator call beyond the first block of a size
 //! a thread copies into — a shared buffer costs a copy, into a block the
-//! thread kept. CI runs this file under Miri as well — the elements
-//! write through `Frame::modify_bytes` on buffers that may be unique or
-//! shared with a `Tee` sibling.
+//! thread kept. And every element class keeps the contract `ClickVr`'s kept
+//! copy rests on: no byte past `HEADER_SPAN` changes what a graph does. CI
+//! runs this file under Miri as well — the elements write through
+//! `Frame::modify_bytes` on buffers that may be unique or shared with a `Tee`
+//! sibling.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
-use lvrm::click::{parse_config, ClickVr, ElementGraph, PacketFate};
+use lvrm::click::{parse_config, ClickVr, ElementGraph, PacketFate, HEADER_SPAN};
 use lvrm::net::headers::{internet_checksum, IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP};
 use lvrm::prelude::*;
 use lvrm::router::{Route, RouterAction};
@@ -211,8 +213,24 @@ fn config_text(nodes: &[Node]) -> String {
 
 // ---- frames ---------------------------------------------------------------
 
-/// Frames a router should forward and frames it should refuse.
-fn arb_frame(rng: &mut Rng) -> Frame {
+/// `frame` with `options` (whole 32-bit words) between its IPv4 header and
+/// its payload: IHL, total length and header checksum made good.
+fn with_options(frame: &Frame, options: &[u8]) -> Frame {
+    let (head, rest) = frame.bytes().split_at(14 + 20);
+    let mut bytes = [head, options, rest].concat();
+    let ip = &mut bytes[14..14 + 20 + options.len()];
+    ip[0] = 0x45 + (options.len() / 4) as u8;
+    let total = u16::from_be_bytes([ip[2], ip[3]]) + options.len() as u16;
+    ip[2..4].copy_from_slice(&total.to_be_bytes());
+    ip[10..12].fill(0);
+    let checksum = internet_checksum(ip);
+    ip[10..12].copy_from_slice(&checksum.to_be_bytes());
+    Frame::new(&bytes)
+}
+
+/// Frames a router should forward and frames it should refuse, with
+/// `option_words` words of IPv4 options of random bytes.
+fn arb_frame(rng: &mut Rng, option_words: usize) -> Frame {
     let dst = [
         Ipv4Addr::new(10, 0, 2, 9),
         Ipv4Addr::new(10, 0, 3, 1),
@@ -226,6 +244,10 @@ fn arb_frame(rng: &mut Rng) -> Frame {
         0 => b.tcp(1, 2, 0, 0, 0x02, 100, &payload),
         _ => b.udp(1, 2, &payload),
     };
+    if option_words > 0 {
+        let options: Vec<u8> = (0..4 * option_words).map(|_| rng.next() as u8).collect();
+        frame = with_options(&frame, &options);
+    }
     match rng.below(8) {
         // Bad header checksum.
         0 => frame.modify_bytes(|b| b[14 + 10] ^= 0x5A),
@@ -372,7 +394,7 @@ proptest! {
         let mut model = Model::new(&nodes);
 
         for n in 0..1 + rng.below(6) {
-            let offered = arb_frame(&mut rng);
+            let offered = arb_frame(&mut rng, 0);
             let bytes = offered.bytes().to_vec();
             let mut expected = Seen::new();
             let fate = model.run(offered.clone(), &mut expected);
@@ -419,6 +441,62 @@ proptest! {
     }
 }
 
+// ---- the header span -------------------------------------------------------
+
+/// What a terminal saw of a frame inside the header span.
+fn seen_in_span(seen: &mut Seen) -> impl FnMut(&str, &Frame) + '_ {
+    move |name: &str, f: &Frame| {
+        seen.push((name.to_string(), f.bytes()[..f.len().min(HEADER_SPAN)].to_vec(), f.egress_if))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 6 } else { 512 }))]
+
+    /// The contract `ClickVr`'s kept copy rests on: an element reads and
+    /// writes only the first `HEADER_SPAN` bytes and the length. A frame and
+    /// the same frame with every byte past the span changed, through two
+    /// compiles of the same random configuration, must meet the same fate,
+    /// leave the same counts and traversals, and show every terminal the same
+    /// span and `egress_if`. Half the frames carry IPv4 options (IHL 6 to 15),
+    /// which push the transport header partly or wholly past the span.
+    #[test]
+    fn bytes_past_the_header_span_decide_nothing(seed in any::<u64>()) {
+        let mut rng = Rng(seed | 1);
+        let nodes = arb_config(&mut rng);
+        let text = config_text(&nodes);
+        let ast = parse_config(&text).expect("parses");
+        let mut graphs = [(); 2].map(|_| {
+            ElementGraph::compile(&ast).unwrap_or_else(|e| panic!("{e}\n{text}"))
+        });
+
+        for n in 0..1 + rng.below(6) {
+            let words = [0, 1 + rng.below(10)][rng.below(2)];
+            let mut frame = arb_frame(&mut rng, words);
+            let mut bytes = frame.bytes().to_vec();
+            for b in bytes.iter_mut().skip(HEADER_SPAN) {
+                *b ^= 1 + rng.below(255) as u8;
+            }
+            let mut scrambled = Frame::new(&bytes);
+            (scrambled.ts_ns, scrambled.ingress_if) = (frame.ts_ns, frame.ingress_if);
+
+            let (mut seen, mut seen_scrambled) = (Seen::new(), Seen::new());
+            let [a, b] = &mut graphs;
+            let fate = a.run_tapped(&mut frame, &mut seen_in_span(&mut seen));
+            let got = b.run_tapped(&mut scrambled, &mut seen_in_span(&mut seen_scrambled));
+            prop_assert_eq!(got, fate, "fate of frame {} through\n{}", n, text);
+            prop_assert_eq!(seen_scrambled, seen, "what the terminals saw, frame {} through\n{}", n, text);
+        }
+
+        let [a, b] = &graphs;
+        prop_assert_eq!(b.traversals(), a.traversals(), "traversals through\n{}", text);
+        for i in 0..nodes.len() {
+            let name = format!("n{i}");
+            prop_assert_eq!(b.element_count(&name), a.element_count(&name), "{} of\n{}", name, text);
+        }
+    }
+}
+
 // ---- what the in-place walk costs ------------------------------------------
 
 /// The benchmark's `ctrl_click1518` tenant: five elements, 256 routes.
@@ -456,7 +534,7 @@ fn the_allocator_calls_of_a_tenant() {
 
     // The VR runs the graph on a copy of the offered frame that it keeps:
     // the first frame allocates the copy's block, and every later frame of
-    // the same length is copied into it where it lies.
+    // the same length has its header span copied into it where it lies.
     for round in 0..4 {
         let mut offered = pool.clone();
         let allocs = allocs_during(|| {
