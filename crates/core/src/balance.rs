@@ -31,6 +31,33 @@ impl BalanceCtx<'_> {
     }
 }
 
+/// One VR's burst as its balancer sees it: the slots of a [`BalanceCtx`],
+/// and the key each frame was staged with (none at all when the VR's
+/// balancer keeps no flow table). `loads` is the burst's to spend: a pick
+/// adds 1 to its slot's load for the picks after it, so a burst spreads
+/// over frames the estimator has not seen yet.
+pub struct BurstCtx<'a> {
+    pub flows: &'a [Option<HashedKey>],
+    pub vris: &'a [VriId],
+    pub loads: &'a mut [f64],
+    pub valid: &'a [bool],
+    pub now_ns: u64,
+}
+
+impl BurstCtx<'_> {
+    /// [`LoadBalancer::pick_burst`] as one `B::pick_keyed` a frame.
+    fn pick_each<B: LoadBalancer + ?Sized>(self, balancer: &mut B, picks: &mut [Option<usize>]) {
+        let BurstCtx { flows, vris, loads, valid, now_ns } = self;
+        for (i, pick) in picks.iter_mut().enumerate() {
+            let ctx = BalanceCtx { vris, loads, valid, now_ns };
+            *pick = balancer.pick_keyed(flows.get(i).copied().flatten(), &ctx);
+            if let Some(slot) = *pick {
+                loads[slot] += 1.0;
+            }
+        }
+    }
+}
+
 /// A load-balancing policy. A pick returns the slot index to dispatch to.
 pub trait LoadBalancer: Send {
     /// Pick a slot for a frame staged earlier: `flow` is what
@@ -41,9 +68,9 @@ pub trait LoadBalancer: Send {
     /// that tracks flows reads the 5-tuple, hashes it once, asks for the
     /// cache line the pick will probe, and returns the hashed key for
     /// [`LoadBalancer::pick_keyed`]; `None` for a frame with no 5-tuple.
-    /// Stateless policies need none of that and return `None`, so a
-    /// frame-based VR pays for no transport parse and no hash. Burst ingress
-    /// stages a whole burst, then picks.
+    /// Stateless policies need none of that and return `None`; burst ingress
+    /// does not even ask them, so a frame-based VR pays for no transport
+    /// parse, no hash and no call. It stages a whole burst, then picks.
     fn stage(&self, _headers: &IngressHeaders<'_>) -> Option<HashedKey> {
         None
     }
@@ -52,6 +79,13 @@ pub trait LoadBalancer: Send {
     fn pick(&mut self, frame: &Frame, ctx: &BalanceCtx<'_>) -> Option<usize> {
         let flow = IngressHeaders::parse(frame.bytes()).and_then(|h| self.stage(&h));
         self.pick_keyed(flow, ctx)
+    }
+
+    /// Pick a slot for each frame of one VR's burst, in order: `picks[i]`
+    /// answers frame `i` as one [`LoadBalancer::pick_keyed`] a frame would,
+    /// for one call through a `dyn` balancer.
+    fn pick_burst(&mut self, burst: BurstCtx<'_>, picks: &mut [Option<usize>]) {
+        burst.pick_each(self, picks);
     }
 
     /// Forget any affinity to a VRI that was destroyed.
@@ -92,11 +126,6 @@ pub trait LoadBalancer: Send {
     }
 }
 
-/// First valid slot helper shared by the policies.
-fn first_valid(ctx: &BalanceCtx<'_>) -> Option<usize> {
-    ctx.valid.iter().position(|v| *v)
-}
-
 /// Join-the-shortest-queue: the slot with the smallest estimated load
 /// (Fig. 3.3 `JSQ`). Ties go to the lowest slot, matching the pseudocode's
 /// strict `<` scan.
@@ -117,6 +146,15 @@ impl LoadBalancer for Jsq {
             }
         }
         best
+    }
+
+    /// With at most one valid slot every frame gets the same answer, so
+    /// only a burst with a choice is scanned frame by frame.
+    fn pick_burst(&mut self, burst: BurstCtx<'_>, picks: &mut [Option<usize>]) {
+        match burst.valid.iter().filter(|ok| **ok).count() {
+            0 | 1 => picks.fill(burst.valid.iter().position(|ok| *ok)),
+            _ => burst.pick_each(self, picks),
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -267,12 +305,6 @@ impl<B: LoadBalancer> LoadBalancer for FlowBased<B> {
     }
 }
 
-/// Fallback used when a VR currently has zero usable VRIs: `None` from any
-/// policy. Kept as a helper so callers share the drop accounting.
-pub fn no_valid_slot(ctx: &BalanceCtx<'_>) -> bool {
-    first_valid(ctx).is_none()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,7 +389,6 @@ mod tests {
         assert!(Jsq.pick(&frame(1), &ctx).is_none());
         assert!(RoundRobin::default().pick(&frame(1), &ctx).is_none());
         assert!(RandomBalancer::new(1).pick(&frame(1), &ctx).is_none());
-        assert!(no_valid_slot(&ctx));
     }
 
     #[test]
@@ -430,5 +461,90 @@ mod tests {
     fn names_reflect_mode() {
         assert_eq!(Jsq.name(), "jsq");
         assert_eq!(FlowBased::new(Jsq, 16, 1).name(), "flow-jsq");
+    }
+
+    /// Every policy, stateless and flow-based, each built afresh.
+    fn policies(seed: u64) -> Vec<Box<dyn LoadBalancer>> {
+        vec![
+            Box::new(Jsq),
+            Box::new(RoundRobin::default()),
+            Box::new(RandomBalancer::new(seed)),
+            Box::new(FlowBased::new(Jsq, 64, u64::MAX)),
+            Box::new(FlowBased::new(RoundRobin::default(), 64, u64::MAX)),
+            Box::new(FlowBased::new(RandomBalancer::new(seed), 64, u64::MAX)),
+        ]
+    }
+
+    /// Flow `i` of a handful, so bursts revisit flows.
+    fn key(i: u8) -> HashedKey {
+        HashedKey::new(FlowKey {
+            src: Ipv4Addr::new(10, 0, 1, i),
+            dst: Ipv4Addr::new(10, 0, 2, 9),
+            src_port: 1000 + u16::from(i),
+            dst_port: 80,
+            proto: lvrm_net::Protocol::Udp,
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A burst picked in one call gets, frame for frame, the slots that
+        /// one `pick_keyed` a frame gets with `loads[slot] += 1.0` between
+        /// them, and leaves the flow table as that sequence leaves it. Slot
+        /// sets change between bursts, so a pinned VRI can go missing.
+        #[test]
+        fn pick_burst_is_sequential_pick_keyed(
+            seed in any::<u64>(),
+            bursts in prop::collection::vec(
+                (
+                    prop::collection::vec((0.0f64..8.0, any::<bool>()), 0..7),
+                    prop::collection::vec(0u8..14, 0..65),
+                ),
+                1..4,
+            ),
+        ) {
+            let all_vris = vris(7);
+            for (mut one, mut each) in policies(seed).into_iter().zip(policies(seed)) {
+                for (t, (slots, frames)) in bursts.iter().enumerate() {
+                    let v = vris(slots.len() as u32);
+                    let valid: Vec<bool> = slots.iter().map(|s| s.1).collect();
+                    let start: Vec<f64> = slots.iter().map(|s| s.0).collect();
+                    // Indices 12 and 13 are frames without a 5-tuple. Only a
+                    // policy with a flow table is handed keys, as in ingress.
+                    let flows: Vec<Option<HashedKey>> = match one.flow_table_stats() {
+                        Some(_) => frames.iter().map(|&i| (i < 12).then(|| key(i))).collect(),
+                        None => Vec::new(),
+                    };
+                    let now_ns = t as u64;
+
+                    let mut loads = start.clone();
+                    let mut want = Vec::new();
+                    for i in 0..frames.len() {
+                        let ctx = BalanceCtx { vris: &v, loads: &loads, valid: &valid, now_ns };
+                        let pick = each.pick_keyed(flows.get(i).copied().flatten(), &ctx);
+                        if let Some(slot) = pick {
+                            loads[slot] += 1.0;
+                        }
+                        want.push(pick);
+                    }
+
+                    let mut loads = start.clone();
+                    let mut picks = vec![None; frames.len()];
+                    let burst =
+                        BurstCtx { flows: &flows, vris: &v, loads: &mut loads, valid: &valid, now_ns };
+                    one.pick_burst(burst, &mut picks);
+                    prop_assert_eq!(&picks, &want, "{} burst {}", one.name(), t);
+                }
+                prop_assert_eq!(one.flow_stats(), each.flow_stats(), "{}", one.name());
+                prop_assert!(
+                    one.export_flows(&all_vris) == each.export_flows(&all_vris),
+                    "{}: flow tables differ",
+                    one.name()
+                );
+            }
+        }
     }
 }

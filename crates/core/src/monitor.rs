@@ -29,7 +29,7 @@ use lvrm_net::{prefetch_read, Frame, HashedKey, IngressHeaders};
 use lvrm_router::{RouteTable, VirtualRouter};
 
 use crate::alloc::{AllocDecision, CoreAllocator, VrLoadView};
-use crate::balance::{BalanceCtx, LoadBalancer};
+use crate::balance::{BalanceCtx, BurstCtx, LoadBalancer};
 use crate::checkpoint::{Checkpoint, CheckpointError, VrCheckpoint};
 use crate::clock::Clock;
 use crate::cluster::{ClusterNode, PeerLink, Role, ShardMap};
@@ -209,6 +209,9 @@ struct VrState {
     /// Live instances, in allocation order.
     vris: Vec<VriAdapter>,
     balancer: Box<dyn LoadBalancer>,
+    /// The balancer keeps a flow table, so ingress stages this VR's frames
+    /// for it. Learnt whenever the balancer is built.
+    stages: bool,
     /// How ingress spreads this VR's frames: `Pinned` keeps per-flow
     /// affinity (possibly flow-based); `Replicated` spreads every frame
     /// across all VRIs regardless of flow key — the replicas reconverge
@@ -332,9 +335,10 @@ struct DrainingVri {
 }
 
 /// One VR's share of an ingress burst: the frames classified to it and, in
-/// step, the key its balancer staged for each. Frames and keys enter and
-/// leave together, so a bucket that is shortened or skipped can never pair a
-/// frame with its neighbour's key.
+/// step, the key its balancer staged for each (no keys at all when the VR's
+/// balancer stages nothing). Frames and keys enter and leave together, so a
+/// bucket that is shortened or skipped can never pair a frame with its
+/// neighbour's key.
 #[derive(Default)]
 struct VrBucket {
     frames: Vec<Frame>,
@@ -342,11 +346,6 @@ struct VrBucket {
 }
 
 impl VrBucket {
-    fn push(&mut self, frame: Frame, flow: Option<HashedKey>) {
-        self.frames.push(frame);
-        self.flows.push(flow);
-    }
-
     fn len(&self) -> usize {
         self.frames.len()
     }
@@ -363,6 +362,19 @@ impl VrBucket {
     fn clear(&mut self) {
         self.frames.clear();
         self.flows.clear();
+    }
+}
+
+/// Enqueue `frames` on `vri` with one bulk send, leaving `frames` empty.
+/// What does not fit is dropped, and recorded in the refusing adapter too
+/// so the aggregate stays the sum of the adapters'.
+fn dispatch_or_drop(vri: &mut VriAdapter, frames: &mut Vec<Frame>, now: u64, drops: &Counter) {
+    vri.dispatch_batch(frames, now);
+    let leftover = frames.len() as u64;
+    if leftover > 0 {
+        vri.note_discarded(leftover);
+        drops.add(leftover);
+        frames.clear();
     }
 }
 
@@ -520,6 +532,8 @@ pub struct Lvrm<C: Clock> {
     scratch_loads: Vec<f64>,
     scratch_valid: Vec<bool>,
     scratch_vris: Vec<VriId>,
+    /// One VR bucket's picks, a slot (or none) a frame.
+    scratch_picks: Vec<Option<usize>>,
     scratch_ctrl: Vec<ControlEvent>,
     /// Single-frame burst buffer backing [`Lvrm::ingress`].
     scratch_single: Vec<Frame>,
@@ -529,7 +543,8 @@ pub struct Lvrm<C: Clock> {
     scratch_egress: Vec<Frame>,
     /// Per-VR buckets for [`Lvrm::ingress_batch`], indexed by VR.
     scratch_vr_buckets: Vec<VrBucket>,
-    /// Per-VRI-slot frame buckets within one VR's burst.
+    /// Per-VRI-slot frame buckets within one VR's burst, one per slot a VR
+    /// can have.
     scratch_slot_buckets: Vec<Vec<Frame>>,
     /// A VR's current core set, for NUMA-aware placement in `grow_vr`.
     scratch_cores: Vec<crate::topology::CoreId>,
@@ -591,12 +606,13 @@ impl<C: Clock> Lvrm<C> {
             scratch_loads: Vec::new(),
             scratch_valid: Vec::new(),
             scratch_vris: Vec::new(),
+            scratch_picks: Vec::new(),
             scratch_ctrl: Vec::new(),
             scratch_single: Vec::new(),
             scratch_ingress: Vec::new(),
             scratch_egress: Vec::new(),
             scratch_vr_buckets: Vec::new(),
-            scratch_slot_buckets: Vec::new(),
+            scratch_slot_buckets: std::iter::repeat_with(Vec::new).take(MAX_VRIS_PER_VR).collect(),
             scratch_cores: Vec::new(),
         }
     }
@@ -648,8 +664,8 @@ impl<C: Clock> Lvrm<C> {
         let name: String = name.into();
         let balancer = self.config.build_balancer();
         let series = VrSeries::register(&self.registry, &[("vr", &name)]);
-        let flow_series = (balancer.flow_table_stats().is_some())
-            .then(|| FlowSeries::register(&self.registry, &[("vr", &name)]));
+        let stages = balancer.flow_table_stats().is_some();
+        let flow_series = stages.then(|| FlowSeries::register(&self.registry, &[("vr", &name)]));
         let ring = self.config.vlink_fabric().then(|| {
             VrRing::new(self.config.effective_shared_ring_capacity(), &self.registry, &name)
         });
@@ -660,6 +676,7 @@ impl<C: Clock> Lvrm<C> {
             router_template: router,
             vris: Vec::new(),
             balancer,
+            stages,
             dispatch: self.config.dispatch,
             allocator: self.config.build_allocator(),
             arrival: RateEstimator::new(ARRIVAL_WINDOW_NS, ARRIVAL_WEIGHT),
@@ -741,7 +758,8 @@ impl<C: Clock> Lvrm<C> {
         }
         state.dispatch = mode;
         state.balancer = self.config.build_balancer_for(mode);
-        if state.flow_series.is_none() && state.balancer.flow_table_stats().is_some() {
+        state.stages = state.balancer.flow_table_stats().is_some();
+        if state.flow_series.is_none() && state.stages {
             state.flow_series = Some(FlowSeries::register(&self.registry, &[("vr", &state.name)]));
         }
         self.registry.push_event(
@@ -782,13 +800,14 @@ impl<C: Clock> Lvrm<C> {
     ///
     /// 1. ask for every frame's header line (the frames of a burst are
     ///    independent, so their cache misses can overlap);
-    /// 2. parse each frame's headers **once**, classify its source to a VR,
-    ///    let that VR's balancer stage it (a flow-tracking one hashes the
-    ///    5-tuple and asks for the line the hash selects in its flow table),
-    ///    and bucket the frame with its key;
-    /// 3. per VR: refresh the load view once, balance frame by frame against
-    ///    it with the stored keys, and push each VRI's share with one bulk
-    ///    enqueue (one queue-index publication per VRI per burst).
+    /// 2. parse each frame's headers **once**, classify its source to a VR
+    ///    and move the frame into that VR's bucket; a VR whose balancer keeps
+    ///    a flow table also has it staged (the 5-tuple hashed, the line the
+    ///    hash selects in the table asked for) and buckets its key beside it;
+    /// 3. per VR: refresh the load view once, pick every frame's VRI with one
+    ///    [`LoadBalancer::pick_burst`] call, and enqueue with one bulk send
+    ///    per VRI (one queue-index publication per VRI per burst): the
+    ///    bucket itself when every pick names one VRI, else a run per VRI.
     ///
     /// A serial classify → track → balance chain per frame pays each miss in
     /// turn; cut into stages over a batch, the misses of one stage are all
@@ -838,8 +857,11 @@ impl<C: Clock> Lvrm<C> {
                 .and_then(|h| Some((usize::from(self.classifier.lookup(h.src())?.iface), h)));
             match owner {
                 Some((vr_idx, h)) => {
-                    let flow = self.vrs[vr_idx].balancer.stage(&h);
-                    buckets[vr_idx].push(frame, flow);
+                    let (vr, bucket) = (&self.vrs[vr_idx], &mut buckets[vr_idx]);
+                    if vr.stages {
+                        bucket.flows.push(vr.balancer.stage(&h));
+                    }
+                    bucket.frames.push(frame);
                     any_classified = true;
                 }
                 None => self.stats.unclassified.inc(),
@@ -951,8 +973,7 @@ impl<C: Clock> Lvrm<C> {
         // attached instance the frames drop here just as `balancer.pick`
         // would have refused them.
         if let Some(ring) = vr.ring.as_mut() {
-            let has_target = self.scratch_valid.iter().any(|&ok| ok);
-            if has_target {
+            if self.scratch_valid.contains(&true) {
                 let sent = ring.tx.try_send_batch(&mut bucket.frames) as u64;
                 ring.enqueued += sent;
                 let leftover = bucket.len() as u64;
@@ -969,41 +990,38 @@ impl<C: Clock> Lvrm<C> {
             return;
         }
 
-        while self.scratch_slot_buckets.len() < vr.vris.len() {
-            self.scratch_slot_buckets.push(Vec::new());
-        }
-        for (frame, flow) in bucket.frames.drain(..).zip(bucket.flows.drain(..)) {
-            let ctx = BalanceCtx {
-                vris: &self.scratch_vris,
-                loads: &self.scratch_loads,
-                valid: &self.scratch_valid,
-                now_ns: now,
-            };
-            match vr.balancer.pick_keyed(flow, &ctx) {
-                Some(slot) => {
-                    self.scratch_slot_buckets[slot].push(frame);
-                    self.scratch_loads[slot] += 1.0;
+        self.scratch_picks.clear();
+        self.scratch_picks.resize(bucket.len(), None);
+        let burst = BurstCtx {
+            flows: &bucket.flows,
+            vris: &self.scratch_vris,
+            loads: &mut self.scratch_loads,
+            valid: &self.scratch_valid,
+            now_ns: now,
+        };
+        vr.balancer.pick_burst(burst, &mut self.scratch_picks);
+        let drops = &self.stats.dispatch_drops;
+        match self.scratch_picks.split_first() {
+            // Every pick names one VRI: the bucket goes to it as it is.
+            Some((&Some(slot), rest)) if rest.iter().all(|&pick| pick == Some(slot)) => {
+                dispatch_or_drop(&mut vr.vris[slot], &mut bucket.frames, now, drops);
+            }
+            _ => {
+                for (frame, pick) in bucket.frames.drain(..).zip(&self.scratch_picks) {
+                    match *pick {
+                        Some(slot) => self.scratch_slot_buckets[slot].push(frame),
+                        None if vr.quarantined => self.stats.quarantined_drops.inc(),
+                        None => self.stats.no_vri_drops.inc(),
+                    }
                 }
-                None if vr.quarantined => self.stats.quarantined_drops.inc(),
-                None => self.stats.no_vri_drops.inc(),
+                for (vri, sb) in vr.vris.iter_mut().zip(&mut self.scratch_slot_buckets) {
+                    if !sb.is_empty() {
+                        dispatch_or_drop(vri, sb, now, drops);
+                    }
+                }
             }
         }
-        for (slot, sb) in self.scratch_slot_buckets.iter_mut().enumerate().take(vr.vris.len()) {
-            if sb.is_empty() {
-                continue;
-            }
-            vr.vris[slot].dispatch_batch(sb, now);
-            // Whatever the bulk enqueue could not fit is dropped, exactly as
-            // the per-frame path drops on a full queue. The discard is
-            // recorded in the refusing adapter too, keeping the aggregate
-            // equal to the per-adapter sums.
-            let leftover = sb.len() as u64;
-            if leftover > 0 {
-                vr.vris[slot].note_discarded(leftover);
-                self.stats.dispatch_drops.add(leftover);
-            }
-            sb.clear();
-        }
+        bucket.clear();
     }
 
     /// Steps 3–4: collect frames the VRIs forwarded, appending to `out`.
@@ -1543,9 +1561,6 @@ impl<C: Clock> Lvrm<C> {
             self.scratch_loads.push(q.load);
             self.scratch_valid.push(q.valid);
             self.scratch_vris.push(v.id);
-        }
-        while self.scratch_slot_buckets.len() < vr.vris.len() {
-            self.scratch_slot_buckets.push(Vec::new());
         }
         for frame in frames.drain(..) {
             let ctx = BalanceCtx {

@@ -9,10 +9,10 @@
 //! staged: each frame parsed on its own at the moment it is balanced.
 //! Flow-based round-robin makes its answer a pure function of arrival order.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use lvrm_core::config::BalancerKind;
+use lvrm_core::config::{BalancerKind, DispatchMode};
 use lvrm_core::{
     AffinityMode, AllocatorKind, CoreId, CoreMap, CoreTopology, Lvrm, LvrmConfig, ManualClock,
     RecordingHost, VrId, VriId,
@@ -20,6 +20,7 @@ use lvrm_core::{
 use lvrm_ipc::QueueKind;
 use lvrm_net::{FlowKey, Frame, FrameBuilder};
 use lvrm_router::VirtualRouter;
+use proptest::prelude::*;
 
 const BURST: usize = 32;
 const VRIS: usize = 2;
@@ -49,6 +50,8 @@ enum Kind {
     Keyless { vr: usize },
     /// Matches no VR.
     Stranger,
+    /// Cut inside the IPv4 header: no source to classify by.
+    Runt,
 }
 
 /// Frames are told apart afterwards by `ts_ns`, which the queues carry.
@@ -68,6 +71,11 @@ fn build(kind: Kind, seq: u64) -> Frame {
             Ipv4Addr::new(10, 9, 9, 9),
         )
         .udp(1, 2, &[]),
+        Kind::Runt => {
+            let whole = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 1), Ipv4Addr::new(10, 9, 9, 9))
+                .udp(1, 2, &[]);
+            Frame::new(&whole.bytes()[..24])
+        }
     };
     f.ts_ns = seq;
     f
@@ -317,5 +325,312 @@ fn vlink_ring_handover_keeps_books_and_order() {
         let (frames_in, _) = lvrm.vr_frame_counts(VrId(v as u32));
         let (admitted, shed) = lvrm.vr_admission_counts(VrId(v as u32));
         assert_eq!((frames_in, shed), (admitted, 0), "vr {v}: the ring sheds nothing early");
+    }
+}
+
+// Whole-burst equivalence over random bursts.
+
+/// Per-VRI data queue capacity in the random-burst property: small, so
+/// queues fill within two bursts.
+const QUEUE: usize = 8;
+/// Shared ring capacity under the VLink fabric.
+const RING: usize = 16;
+/// a and c balance by flow, b frame by frame (its balancer keeps no flow
+/// table), c is unowned in some bursts, d is quarantined before any burst.
+const TENANTS: [&str; 4] = ["a", "b", "c", "d"];
+const QUARANTINED: usize = 3;
+/// Quarantine ticks land on multiples of this, so the burst phase's clock
+/// reading is its own export quantum's floor.
+const TICK_NS: u64 = 1 << 31;
+
+/// Four VRs of two VRIs each, d crash-looped into quarantine. Under the
+/// VLink fabric every VR takes its frames through a shared ring (and
+/// balances by frame: the fabric excludes flow tables); otherwise b is
+/// switched to replicated dispatch, whose balancer keeps no flow table.
+fn quarantined_four(ring: bool, shedding: bool) -> (Lvrm<ManualClock>, RecordingHost, u64) {
+    let clock = ManualClock::new();
+    let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
+    let config = LvrmConfig {
+        allocator: AllocatorKind::Fixed { cores: VRIS },
+        balancer: BalancerKind::RoundRobin,
+        flow_based: !ring,
+        queue_kind: if ring { QueueKind::VLink } else { QueueKind::Lamport },
+        shared_ring_capacity: RING,
+        data_queue_capacity: QUEUE,
+        batch_size: BURST,
+        overload_shedding: shedding,
+        supervision: true,
+        quarantine_after: 2,
+        // Only detach-detection: nothing here sends heartbeats.
+        dead_after_ns: 1_000_000_000_000,
+        suspect_after_ns: 500_000_000_000,
+        ..LvrmConfig::default()
+    };
+    let mut lvrm = Lvrm::new(config, cores, clock.clone());
+    let mut host = RecordingHost::default();
+    for (i, name) in TENANTS.iter().enumerate() {
+        let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
+        let router: Box<dyn VirtualRouter> = Box::new(lvrm_router::FastVr::new(*name, routes));
+        lvrm.add_vr(*name, &[(Ipv4Addr::new(10, 0, i as u8 + 1, 0), 24)], router, &mut host);
+    }
+    if !ring {
+        lvrm.set_vr_dispatch(VrId(1), DispatchMode::Replicated);
+    }
+    let mut t = 0;
+    while !lvrm.vr_quarantined(VrId(QUARANTINED as u32)) {
+        assert!(t < 16 * TICK_NS, "d never reached quarantine");
+        for vri in live_vris(&lvrm, QUARANTINED) {
+            host.crash_vri(vri);
+        }
+        t += TICK_NS;
+        clock.set_ns(t);
+        lvrm.maybe_reallocate(t, &mut host);
+    }
+    assert!(live_vris(&lvrm, QUARANTINED).is_empty());
+    (lvrm, host, t)
+}
+
+/// VR `vr`'s live VRIs in slot order.
+fn live_vris(lvrm: &Lvrm<ManualClock>, vr: usize) -> Vec<VriId> {
+    lvrm.snapshot()[vr].vris.iter().filter(|v| !v.draining).map(|v| v.id).collect()
+}
+
+/// One VR of the frame-at-a-time reference for random bursts: round-robin
+/// over the slots valid at the start of the burst, flow-pinned or not.
+struct RefVr {
+    flow_based: bool,
+    quarantined: bool,
+    cursor: usize,
+    pinned: HashMap<FlowKey, usize>,
+    /// Per slot (one shared ring under the fabric): `ts_ns` of what waits.
+    queues: Vec<VecDeque<u64>>,
+    dispatched: Vec<u64>,
+    discarded: Vec<u64>,
+    frames_in: u64,
+    admitted: u64,
+    shed: u64,
+}
+
+impl RefVr {
+    fn round_robin(&mut self, valid: &[bool]) -> Option<usize> {
+        let n = valid.len();
+        let slot = (1..=n).map(|step| (self.cursor + step) % n).find(|&i| valid[i])?;
+        self.cursor = slot;
+        Some(slot)
+    }
+
+    /// `FlowBased::pick_keyed` (or the bare policy) for one frame.
+    fn pick(&mut self, frame: &Frame, valid: &[bool]) -> Option<usize> {
+        let key = FlowKey::from_frame(frame).filter(|_| self.flow_based);
+        if let Some(&slot) = key.as_ref().and_then(|k| self.pinned.get(k)) {
+            if valid[slot] {
+                return Some(slot);
+            }
+        }
+        let slot = self.round_robin(valid)?;
+        if let Some(key) = key {
+            self.pinned.insert(key, slot);
+        }
+        Some(slot)
+    }
+}
+
+/// Monitor-wide books the reference keeps, on top of the set-up's.
+#[derive(Default)]
+struct RefBooks {
+    frames_in: u64,
+    unclassified: u64,
+    shed_early: u64,
+    dispatch_drops: u64,
+    no_vri_drops: u64,
+    quarantined_drops: u64,
+}
+
+/// The frame-at-a-time dispatch of one VR's admitted frames, as the
+/// monitor did it before a bucket was picked in one call: each frame picked
+/// on its own against the validity read at the start of the burst, then
+/// each queue takes what fits, in order.
+fn reference_dispatch(m: &mut RefVr, books: &mut RefBooks, admitted: &[&Frame], ring: bool) {
+    if m.quarantined {
+        books.quarantined_drops += admitted.len() as u64;
+        return;
+    }
+    let mut runs: Vec<Vec<u64>> = vec![Vec::new(); m.queues.len()];
+    if ring {
+        runs[0] = admitted.iter().map(|f| f.ts_ns).collect();
+    } else {
+        let valid: Vec<bool> = m.queues.iter().map(|q| q.len() < QUEUE).collect();
+        for f in admitted {
+            match m.pick(f, &valid) {
+                Some(slot) => runs[slot].push(f.ts_ns),
+                None => books.no_vri_drops += 1,
+            }
+        }
+    }
+    let capacity = if ring { RING } else { QUEUE };
+    for (slot, run) in runs.into_iter().enumerate() {
+        let fits = run.len().min(capacity - m.queues[slot].len());
+        m.queues[slot].extend(&run[..fits]);
+        let refused = (run.len() - fits) as u64;
+        books.dispatch_drops += refused;
+        if !ring {
+            m.dispatched[slot] += fits as u64;
+            m.discarded[slot] += refused;
+        }
+    }
+}
+
+/// A random frame: mostly flows of the four VRs, some cut inside the UDP
+/// header (classified, no 5-tuple), some from no VR's subnet, some cut
+/// inside the IPv4 header (unparseable, so unclassified too).
+fn random_kind() -> impl Strategy<Value = Kind> {
+    (0u8..12, 0usize..TENANTS.len(), 0u16..6).prop_map(|(sel, vr, flow)| match sel {
+        0 => Kind::Stranger,
+        1 => Kind::Runt,
+        2 => Kind::Keyless { vr },
+        _ => Kind::Flow { vr, flow },
+    })
+}
+
+/// How many frames a VRI takes after a burst: none half the time, so
+/// queues fill up and stay full for a while.
+fn share() -> impl Strategy<Value = usize> {
+    (any::<bool>(), 0..RING + 1).prop_map(|(idle, n)| if idle { 0 } else { n })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random bursts interleaving four VRs through every path a bucket can
+    /// take: unowned (c, in some bursts), overloaded and shedding (when on),
+    /// no valid VRI (d, quarantined, or both queues full), a queue that is
+    /// full or fills mid-burst, the VLink ring. After each burst every `LvrmStats` counter, each VR's books,
+    /// each VRI's counts and received sequence match the frame-at-a-time
+    /// reference; at the end so do the flow tables.
+    #[test]
+    fn random_bursts_dispatch_as_frame_at_a_time(
+        ring in any::<bool>(),
+        shedding in any::<bool>(),
+        bursts in prop::collection::vec(
+            (
+                prop::collection::vec(random_kind(), 0..BURST + 1),
+                any::<bool>(),
+                prop::collection::vec(share(), 6..7),
+            ),
+            1..14,
+        ),
+    ) {
+        let (mut lvrm, mut host, now) = quarantined_four(ring, shedding);
+        let ids: Vec<Vec<VriId>> = (0..TENANTS.len()).map(|v| live_vris(&lvrm, v)).collect();
+        let mut model: Vec<RefVr> = (0..TENANTS.len())
+            .map(|v| RefVr {
+                flow_based: !ring && v != 1,
+                quarantined: v == QUARANTINED,
+                cursor: 0,
+                pinned: HashMap::new(),
+                queues: vec![VecDeque::new(); if ring { 1 } else { ids[v].len() }],
+                dispatched: vec![0; ids[v].len()],
+                discarded: vec![0; ids[v].len()],
+                frames_in: 0,
+                admitted: 0,
+                shed: 0,
+            })
+            .collect();
+        let baseline = lvrm.stats();
+        let mut books = RefBooks::default();
+        let mut seq = 0u64;
+
+        for (burst, (kinds, c_owned, drains)) in bursts.iter().enumerate() {
+            lvrm.set_vr_owned_by_name("c", *c_owned);
+            let mut frames: Vec<Frame> = kinds
+                .iter()
+                .map(|&k| {
+                    seq += 1;
+                    build(k, seq)
+                })
+                .collect();
+            let offered = frames.clone();
+            let before: Vec<(u64, u64)> =
+                (0..TENANTS.len()).map(|v| lvrm.vr_admission_counts(VrId(v as u32))).collect();
+            lvrm.ingress_batch(&mut frames, &mut host);
+            prop_assert!(frames.is_empty());
+
+            books.frames_in += offered.len() as u64;
+            books.unclassified +=
+                kinds.iter().filter(|k| matches!(k, Kind::Stranger | Kind::Runt)).count() as u64;
+            for (v, m) in model.iter_mut().enumerate() {
+                let bucket: Vec<&Frame> = offered
+                    .iter()
+                    .zip(kinds)
+                    .filter(
+                        |(_, k)| matches!(k, Kind::Flow { vr, .. } | Kind::Keyless { vr } if *vr == v),
+                    )
+                    .map(|(f, _)| f)
+                    .collect();
+                // How many the monitor admitted is its word (the shedding
+                // arithmetic is not under test); which ones, and where they
+                // went, is the reference's. Shedding keeps the bucket's head.
+                let newly = (lvrm.vr_admission_counts(VrId(v as u32)).0 - before[v].0) as usize;
+                if v == 2 && !c_owned {
+                    prop_assert_eq!(newly, 0, "an unowned VR admits nothing");
+                }
+                prop_assert!(newly <= bucket.len());
+                m.frames_in += bucket.len() as u64;
+                m.admitted += newly as u64;
+                m.shed += (bucket.len() - newly) as u64;
+                books.shed_early += (bucket.len() - newly) as u64;
+                reference_dispatch(m, &mut books, &bucket[..newly], ring);
+            }
+
+            let mut want = baseline.clone();
+            want.frames_in += books.frames_in;
+            want.unclassified += books.unclassified;
+            want.shed_early += books.shed_early;
+            want.dispatch_drops += books.dispatch_drops;
+            want.no_vri_drops += books.no_vri_drops;
+            want.quarantined_drops += books.quarantined_drops;
+            prop_assert_eq!(lvrm.stats(), want, "burst {}: stats", burst);
+            let snapshot = lvrm.snapshot();
+            for (v, m) in model.iter().enumerate() {
+                let s = &snapshot[v];
+                prop_assert_eq!((s.frames_in, s.admitted, s.shed), (m.frames_in, m.admitted, m.shed));
+                let counts: Vec<(u64, u64)> =
+                    s.vris.iter().map(|vri| (vri.dispatched, vri.dispatch_drops)).collect();
+                let model_counts: Vec<(u64, u64)> = if ring {
+                    vec![(0, 0); ids[v].len()]
+                } else {
+                    m.dispatched.iter().copied().zip(m.discarded.iter().copied()).collect()
+                };
+                prop_assert_eq!(counts, model_counts, "burst {}: vr {} per-VRI counts", burst, v);
+            }
+
+            // The VRIs of a, b and c take up to their drawn share each.
+            for v in 0..QUARANTINED {
+                for (slot, &vri) in ids[v].iter().enumerate() {
+                    let max = drains[v * VRIS + slot];
+                    let queue = &mut model[v].queues[if ring { 0 } else { slot }];
+                    let want: Vec<u64> = queue.drain(..max.min(queue.len())).collect();
+                    let got = drain_vri(&mut host, vri, max);
+                    prop_assert_eq!(got, want, "burst {}: vr {} slot {}", burst, v, slot);
+                }
+            }
+        }
+
+        let ck = lvrm.build_checkpoint(now);
+        for (v, m) in model.iter_mut().enumerate() {
+            // Under the fabric the VR's first VRI steals the whole ring.
+            for (queue, &vri) in m.queues.iter_mut().zip(&ids[v]) {
+                let rest: Vec<u64> = queue.drain(..).collect();
+                prop_assert_eq!(drain_vri(&mut host, vri, usize::MAX), rest, "vr {} rest", v);
+            }
+            let exported: HashMap<FlowKey, (usize, u64)> = ck.vrs[v]
+                .flows
+                .iter()
+                .map(|f| (f.key, (f.slot as usize, f.last_seen_ns)))
+                .collect();
+            let pinned: HashMap<FlowKey, (usize, u64)> =
+                m.pinned.iter().map(|(k, &slot)| (*k, (slot, now))).collect();
+            prop_assert_eq!(exported, pinned, "vr {} flow table", v);
+        }
     }
 }
