@@ -704,16 +704,18 @@ impl ClusterNode {
         }
 
         // Death scan: a shard silent past its deadline leaves the directory.
-        // Skipped entirely without quorum — a minority must not declare the
-        // majority dead and absorb the fleet.
+        // A shard not heard from yet gets its deadline from this scan, so
+        // one that died before its first advert reached us (or before we
+        // restarted) is buried too. Skipped entirely without quorum — a
+        // minority must not declare the majority dead and absorb the fleet.
         if self.quorum_ok {
-            for shard in 0..self.cfg.shards {
+            let me = self.cfg.shard_id;
+            for shard in (0..self.cfg.shards).filter(|&s| s != me) {
+                if self.peers[shard as usize].down_at_ns == 0 {
+                    self.rearm(now_ns, shard);
+                }
                 let p = &self.peers[shard as usize];
-                if shard != self.cfg.shard_id
-                    && p.alive
-                    && p.last_rx_ns > 0
-                    && now_ns >= p.down_at_ns
-                {
+                if p.alive && now_ns >= p.down_at_ns {
                     self.on_shard_dead(now_ns, shard, lvrm, host);
                 }
             }
@@ -1026,6 +1028,7 @@ impl ClusterNode {
         match self.peers[self.cfg.shard_id as usize].shadow.take() {
             Some(shadow) => {
                 let epoch = lvrm.apply_checkpoint(&shadow.ck, now_ns, host);
+                lvrm.carry_live_dataplane();
                 self.registry.push_event(
                     now_ns,
                     format!(

@@ -158,30 +158,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Generate `count` adapter faults uniformly over `(0, horizon_ns]`
-    /// from `seed`. Crashes and stalls are always paired with later
-    /// relief (reopen is the supervisor's job, resume is scheduled here for
-    /// stalls), so a randomized storm never wedges a run forever.
-    pub fn randomized_adapter(seed: u64, horizon_ns: u64, count: usize) -> FaultPlan {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xada9_7e5f);
-        let mut plan = FaultPlan::new();
-        for _ in 0..count {
-            let at_ns = 1 + rng.gen_range(0..horizon_ns.max(1));
-            match rng.gen_range(0..3u8) {
-                0 => plan = plan.crash_adapter_at(at_ns),
-                1 => {
-                    let relief = at_ns + 1 + rng.gen_range(0..horizon_ns.max(1) / 2);
-                    plan = plan.stall_adapter_at(at_ns).resume_adapter_at(relief);
-                }
-                _ => {
-                    let len = 1 + rng.gen_range(0..16u64);
-                    plan = plan.adapter_error_burst_at(at_ns, len);
-                }
-            }
-        }
-        plan
-    }
-
     /// The scheduled VRI events, in insertion order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -341,8 +317,8 @@ impl<H: VriHost + FaultInjectable> VriHost for FaultyHost<H> {
 /// * **refused sends** — windows of send *attempts*, addressed by attempt
 ///   index, handed back intact in a [`SendRejected`];
 /// * **crash/stall** — flipped by the plan's adapter track via
-///   [`apply`](FaultySocket::apply) (or the `crashed_from_start` /
-///   `stalled_from_start` builders); cleared by
+///   [`apply`](FaultySocket::apply) (or the `crashed_from_start`
+///   builder); cleared by
 ///   [`reopen`](SocketAdapter::reopen), modeling a NIC restart.
 pub struct FaultySocket<S> {
     pub inner: S,
@@ -405,12 +381,6 @@ impl<S> FaultySocket<S> {
     /// Begin life crashed (every op fails `Fatal` until reopened).
     pub fn crashed_from_start(mut self) -> FaultySocket<S> {
         self.crashed = true;
-        self
-    }
-
-    /// Begin life stalled (every op fails `Stalled` until resumed/reopened).
-    pub fn stalled_from_start(mut self) -> FaultySocket<S> {
-        self.stalled = true;
         self
     }
 
@@ -576,39 +546,6 @@ impl LinkFaultWindow {
     }
 }
 
-/// Generate a seeded storm of link fault windows over `(0, horizon_ns)`,
-/// each at most `max_window_ns` long, laid out sequentially and separated
-/// by quiet gaps of at least `2 × max_window_ns`, so no two windows
-/// coalesce into one outage longer than the cap. Keep
-/// `max_window_ns` below `shard_down − 2 × advert` and a storm can degrade
-/// delivery arbitrarily without ever legitimately burying a live shard —
-/// any takeover under such a storm is a split-brain bug, which is exactly
-/// what the fleet suite asserts.
-pub fn randomized_fleet_storm(
-    seed: u64,
-    horizon_ns: u64,
-    count: usize,
-    max_window_ns: u64,
-) -> Vec<LinkFaultWindow> {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xf1ee_707a);
-    let mut windows = Vec::with_capacity(count);
-    let mut cursor = 1u64;
-    for _ in 0..count {
-        let from_ns = cursor + rng.gen_range(0..max_window_ns.max(1));
-        let until_ns = from_ns + 1 + rng.gen_range(0..max_window_ns.max(1));
-        if until_ns >= horizon_ns {
-            break;
-        }
-        windows.push(match rng.gen_range(0..3u8) {
-            0 => LinkFaultWindow::partition(from_ns, until_ns),
-            1 => LinkFaultWindow::loss(from_ns, until_ns, rng.gen_range(100..900)),
-            _ => LinkFaultWindow::delay(from_ns, until_ns, rng.gen_range(0..max_window_ns.max(1))),
-        });
-        cursor = until_ns + 2 * max_window_ns.max(1);
-    }
-    windows
-}
-
 /// A [`PeerLink`] wrapper firing [`LinkFaultWindow`]s as simulated time
 /// advances: sends inside a partition window vanish, loss windows drop
 /// probabilistically (seeded), delay windows park messages until their
@@ -743,9 +680,6 @@ mod tests {
         assert_eq!(a.events(), b.events());
         let c = FaultPlan::randomized(43, 1_000_000, 16, 4);
         assert_ne!(a.events(), c.events(), "different seed, different plan");
-        let d = FaultPlan::randomized_adapter(42, 1_000_000, 8);
-        let e = FaultPlan::randomized_adapter(42, 1_000_000, 8);
-        assert_eq!(d.adapter_events(), e.adapter_events());
     }
 
     #[test]

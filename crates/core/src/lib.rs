@@ -63,9 +63,8 @@ pub use config::{
     AllocatorKind, BalancerKind, ClusterConfig, DispatchMode, EstimatorKind, LvrmConfig,
 };
 pub use fault::{
-    jittered_backoff, randomized_fleet_storm, splitmix64, AdapterFaultEvent, AdapterFaultKind,
-    FaultEvent, FaultInjectable, FaultKind, FaultPlan, FaultyHost, FaultyLink, FaultySocket,
-    LinkFaultKind, LinkFaultWindow,
+    jittered_backoff, splitmix64, AdapterFaultEvent, AdapterFaultKind, FaultEvent, FaultInjectable,
+    FaultKind, FaultPlan, FaultyHost, FaultyLink, FaultySocket, LinkFaultKind, LinkFaultWindow,
 };
 pub use flowtable::{FlowTable, FlowTableStats};
 pub use host::{RecordingHost, VriHost, VriSpec};

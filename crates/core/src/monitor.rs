@@ -365,6 +365,25 @@ impl VrBucket {
     }
 }
 
+/// Charge `n` frames of `vr` that no instance took, by cause. A quarantined
+/// VR's go to `quarantined_drops`. If an instance is attached, every
+/// attached queue was full: a dispatch drop, noted on `full`, the first
+/// attached instance (JSQ's pick among equally full queues), so identity
+/// (D) stays exact. With none attached they are `no_vri_drops`.
+fn charge_unplaced(stats: &StatCounters, vr: &mut VrState, full: Option<usize>, n: u64) {
+    if n == 0 {
+        return;
+    }
+    match full {
+        _ if vr.quarantined => stats.quarantined_drops.add(n),
+        Some(slot) => {
+            vr.vris[slot].note_discarded(n);
+            stats.dispatch_drops.add(n);
+        }
+        None => stats.no_vri_drops.add(n),
+    }
+}
+
 /// Enqueue `frames` on `vri` with one bulk send, leaving `frames` empty.
 /// What does not fit is dropped, and recorded in the refusing adapter too
 /// so the aggregate stays the sum of the adapters'.
@@ -925,9 +944,12 @@ impl<C: Clock> Lvrm<C> {
         self.scratch_valid.clear();
         self.scratch_vris.clear();
         let mut worst_occupancy: f64 = 0.0;
-        for v in &mut vr.vris {
+        // Where a frame no valid instance takes is charged (`charge_unplaced`).
+        let mut full = None;
+        for (slot, v) in vr.vris.iter_mut().enumerate() {
             let q = v.read_queue(now);
             worst_occupancy = worst_occupancy.max(q.occupancy);
+            full = full.or(q.attached.then_some(slot));
             self.scratch_loads.push(q.load);
             self.scratch_valid.push(q.valid);
             self.scratch_vris.push(v.id);
@@ -968,12 +990,12 @@ impl<C: Clock> Lvrm<C> {
         // VLink work-stealing fabric: publish the whole bucket into the VR's
         // shared ring with one bulk operation instead of JSQ-spreading it
         // across per-VRI queues — the VRIs steal bursts at their own pace, so
-        // a burst never serializes behind the slowest instance. The classic
-        // no-eligible-VRI outcomes are mirrored exactly: with no accepting,
-        // attached instance the frames drop here just as `balancer.pick`
-        // would have refused them.
+        // a burst never serializes behind the slowest instance. With no
+        // attached instance the frames drop here, labelled as
+        // `balancer.pick`'s refusals would be; what a full ring refuses is a
+        // dispatch drop on the ring's series.
         if let Some(ring) = vr.ring.as_mut() {
-            if self.scratch_valid.contains(&true) {
+            if full.is_some() {
                 let sent = ring.tx.try_send_batch(&mut bucket.frames) as u64;
                 ring.enqueued += sent;
                 let leftover = bucket.len() as u64;
@@ -981,10 +1003,8 @@ impl<C: Clock> Lvrm<C> {
                     ring.drops += leftover;
                     self.stats.dispatch_drops.add(leftover);
                 }
-            } else if vr.quarantined {
-                self.stats.quarantined_drops.add(bucket.len() as u64);
             } else {
-                self.stats.no_vri_drops.add(bucket.len() as u64);
+                charge_unplaced(&self.stats, vr, None, bucket.len() as u64);
             }
             bucket.clear();
             return;
@@ -1007,13 +1027,14 @@ impl<C: Clock> Lvrm<C> {
                 dispatch_or_drop(&mut vr.vris[slot], &mut bucket.frames, now, drops);
             }
             _ => {
+                let mut unplaced = 0;
                 for (frame, pick) in bucket.frames.drain(..).zip(&self.scratch_picks) {
                     match *pick {
                         Some(slot) => self.scratch_slot_buckets[slot].push(frame),
-                        None if vr.quarantined => self.stats.quarantined_drops.inc(),
-                        None => self.stats.no_vri_drops.inc(),
+                        None => unplaced += 1,
                     }
                 }
+                charge_unplaced(&self.stats, vr, full, unplaced);
                 for (vri, sb) in vr.vris.iter_mut().zip(&mut self.scratch_slot_buckets) {
                     if !sb.is_empty() {
                         dispatch_or_drop(vri, sb, now, drops);
@@ -1556,12 +1577,15 @@ impl<C: Clock> Lvrm<C> {
         self.scratch_loads.clear();
         self.scratch_valid.clear();
         self.scratch_vris.clear();
-        for v in &mut vr.vris {
+        let mut full = None;
+        for (slot, v) in vr.vris.iter_mut().enumerate() {
             let q = v.read_queue(now);
+            full = full.or(q.attached.then_some(slot));
             self.scratch_loads.push(q.load);
             self.scratch_valid.push(q.valid);
             self.scratch_vris.push(v.id);
         }
+        let mut unplaced = 0;
         for frame in frames.drain(..) {
             let ctx = BalanceCtx {
                 vris: &self.scratch_vris,
@@ -1574,12 +1598,12 @@ impl<C: Clock> Lvrm<C> {
                     self.scratch_slot_buckets[slot].push(frame);
                     self.scratch_loads[slot] += 1.0;
                 }
-                None => match loss {
-                    RehomeLoss::Crash if vr.quarantined => self.stats.quarantined_drops.inc(),
-                    RehomeLoss::Crash => self.stats.no_vri_drops.inc(),
-                    RehomeLoss::Shrink => self.stats.shrink_lost.inc(),
-                },
+                None => unplaced += 1,
             }
+        }
+        match loss {
+            RehomeLoss::Crash => charge_unplaced(&self.stats, vr, full, unplaced),
+            RehomeLoss::Shrink => self.stats.shrink_lost.add(unplaced),
         }
         for (slot, sb) in self.scratch_slot_buckets.iter_mut().enumerate().take(vr.vris.len()) {
             if sb.is_empty() {
@@ -2258,6 +2282,30 @@ impl<C: Clock> Lvrm<C> {
             format!("monitor-restored epoch={} checkpoint_ts_ns={}", self.epoch, ck.ts_ns),
         );
         self.epoch
+    }
+
+    /// After [`Lvrm::apply_checkpoint`] on a monitor that already ran (an HA
+    /// node promoted from its shadow): its VRIs' counters belong to the
+    /// books just replaced, so they restart from what the VRIs still hold,
+    /// and what they hold joins the new books as admitted. It entered this
+    /// dataplane and leaves through it.
+    pub(crate) fn carry_live_dataplane(&mut self) {
+        for vr in &mut self.vrs {
+            let mut held = vr.ring.as_ref().map_or(0, |ring| ring.enqueued);
+            let ringed = vr.ring.is_some();
+            for v in vr.vris.iter_mut().chain(vr.draining.iter_mut().map(|d| &mut d.adapter)) {
+                let own = v.dispatched.wrapping_sub(v.returned);
+                held = held.wrapping_add(own);
+                // Under the fabric the ring dispatches and the VRIs return,
+                // so only the ring's series can carry what the VR holds.
+                (v.dispatched, v.returned, v.dispatch_drops) = (if ringed { 0 } else { own }, 0, 0);
+            }
+            if let Some(ring) = vr.ring.as_mut() {
+                (ring.enqueued, ring.drops) = (held, 0);
+            }
+            (vr.frames_in, vr.admitted) = (vr.frames_in + held, vr.admitted + held);
+            self.stats.frames_in.add(held);
+        }
     }
 
     // ---- cluster (HA pair and shard fleet, DESIGN.md §13, §15) ---------

@@ -133,6 +133,10 @@ pub struct QueueReading {
     /// Whether the instance can be dispatched to: room in the queue, and
     /// somebody on the other end of it.
     pub valid: bool,
+    /// Whether somebody is on the other end of the queue, room or not: a
+    /// frame no valid instance takes is a dispatch drop when one is, and a
+    /// missing-VRI drop when none is.
+    pub attached: bool,
     /// `len / capacity` of the queue.
     pub occupancy: f64,
 }
@@ -325,9 +329,11 @@ impl VriAdapter {
         let len = self.channels.data_tx.len();
         let capacity = self.channels.data_tx.capacity();
         self.estimator.observe(len, now_ns);
+        let attached = self.endpoint_attached();
         QueueReading {
             load: self.estimator.estimate(),
-            valid: len < capacity && self.endpoint_attached(),
+            valid: len < capacity && attached,
+            attached,
             occupancy: occupancy(len, capacity),
         }
     }

@@ -9,47 +9,19 @@
 //! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep;
 //! unset (as CI runs it) runs both.
 
-use std::net::Ipv4Addr;
-
 use lvrm_core::{
-    AdapterError, AdapterState, AdapterSupervisorConfig, AffinityMode, AllocatorKind, CoreId,
-    CoreMap, CoreTopology, FaultPlan, FaultySocket, Lvrm, LvrmConfig, ManualClock, MemTraceAdapter,
-    RecordingHost, SendRejected, SocketAdapter, SocketKind, SupervisedAdapter,
+    AdapterError, AdapterState, AdapterSupervisorConfig, FaultPlan, FaultySocket, Lvrm,
+    ManualClock, MemTraceAdapter, RecordingHost, SendRejected, SocketAdapter, SocketKind,
+    SupervisedAdapter,
 };
-use lvrm_ipc::QueueKind;
 use lvrm_net::{Frame, Trace, TraceSpec};
+
+mod common;
+use common::{chaos_config, new_lvrm, queue_kinds, routed_vr, subnet};
 
 const BATCH: usize = 32;
 const STEP_NS: u64 = 100_000_000; // 100 ms
 const STEPS: u64 = if cfg!(miri) { 20 } else { 60 };
-const SEEDS: &[u64] = if cfg!(miri) { &[7] } else { &[7, 42, 1337] };
-
-fn queue_kinds() -> Vec<QueueKind> {
-    match std::env::var("LVRM_CHAOS_QUEUE") {
-        Ok(want) => vec![want.parse::<QueueKind>().expect("LVRM_CHAOS_QUEUE")],
-        Err(_) => QueueKind::ALL.to_vec(),
-    }
-}
-
-fn chaos_config(kind: QueueKind) -> LvrmConfig {
-    LvrmConfig {
-        queue_kind: kind,
-        allocator: AllocatorKind::Fixed { cores: 2 },
-        supervision: true,
-        ..Default::default()
-    }
-}
-
-fn new_lvrm(clock: ManualClock, config: LvrmConfig) -> Lvrm<ManualClock> {
-    let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
-    Lvrm::new(config, cores, clock)
-}
-
-/// Every classified frame must come back out, so the VR routes everything.
-fn routed_vr(name: &str) -> Box<dyn lvrm_router::VirtualRouter> {
-    let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
-    Box::new(lvrm_router::FastVr::new(name, routes))
-}
 
 /// Trace whose frames land in the test VR's 10.0.1.0/24 subnet (the
 /// `TraceSpec` default source range).
@@ -134,10 +106,6 @@ fn assert_no_unaccounted(lvrm: &Lvrm<ManualClock>, nic: &SupervisedAdapter, ctx:
     assert_eq!(nic.retry_pending(), 0, "{ctx}: retry queue must be drained");
     let ledger = lvrm.ledger();
     assert_eq!(ledger.check_settled(), Ok(()), "{ctx}: {ledger}");
-}
-
-fn subnet() -> [(Ipv4Addr, u8); 1] {
-    [(Ipv4Addr::new(10, 0, 1, 0), 24)]
 }
 
 /// The acceptance scenario: the NIC crashes mid-burst. The supervisor must
@@ -370,36 +338,5 @@ fn refused_egress_is_retried_not_dropped() {
 
         assert_eq!(nic.egress_retries, 3, "{kind:?}: each refused frame is later delivered");
         assert_no_unaccounted(&lvrm, &nic, "egress retry");
-    }
-}
-
-/// Seeded randomized adapter storms: any mix of crash/stall/resume/burst
-/// events must leave the pipeline healthy and fully accounted.
-#[test]
-fn randomized_adapter_chaos_conserves_every_frame() {
-    for kind in queue_kinds() {
-        for &seed in SEEDS {
-            let horizon = (STEPS / 2) * STEP_NS;
-            let clock = ManualClock::new();
-            let mut lvrm = new_lvrm(clock.clone(), chaos_config(kind));
-            let mut host = RecordingHost::with_heartbeats();
-            lvrm.add_vr("deptA", &subnet(), routed_vr("a"), &mut host);
-
-            let plan = FaultPlan::randomized_adapter(seed, horizon, 6);
-            let faulty = FaultySocket::with_plan(mem(1_000_000), &plan);
-            let mut nic = SupervisedAdapter::new(Box::new(faulty), sup_cfg());
-
-            for s in 0..=STEPS {
-                step(s * STEP_NS, &clock, &mut lvrm, &mut host, &mut nic);
-            }
-            settle(STEPS * STEP_NS, &clock, &mut lvrm, &mut host, &mut nic);
-
-            assert_eq!(
-                nic.state(),
-                AdapterState::Healthy,
-                "{kind:?} seed {seed}: storms within the horizon must heal"
-            );
-            assert_no_unaccounted(&lvrm, &nic, &format!("storm kind={kind:?} seed={seed}"));
-        }
     }
 }

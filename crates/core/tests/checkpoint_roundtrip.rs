@@ -18,14 +18,16 @@ use std::net::Ipv4Addr;
 
 use lvrm_core::checkpoint::{crc32, crc32_combine, FOLD_BLOCK};
 use lvrm_core::{
-    decode_batch, encode_batch, AffinityMode, Checkpoint, CheckpointDelta, CheckpointError,
-    ClusterMsg, CoreId, CoreMap, CoreTopology, FlowRecord, FlowSection, Lvrm, LvrmConfig,
-    LvrmStats, ManualClock, RecordingHost, ReplicaLedger, ShardEntry, ShardMap, StateUpdate,
-    VrCheckpoint, VrDelta,
+    decode_batch, encode_batch, Checkpoint, CheckpointDelta, CheckpointError, ClusterMsg,
+    FlowRecord, FlowSection, LvrmConfig, LvrmStats, ManualClock, RecordingHost, ReplicaLedger,
+    ShardEntry, ShardMap, StateUpdate, VrCheckpoint, VrDelta,
 };
 use lvrm_net::flow::Protocol;
 use lvrm_net::{FlowKey, FrameBuilder};
 use proptest::prelude::*;
+
+mod common;
+use common::{new_lvrm, routed_vr, subnet, temp_path};
 
 const CASES: u32 = if cfg!(miri) { 8 } else { 128 };
 
@@ -957,17 +959,6 @@ fn counts_beyond_the_bytes_left_are_refused_before_allocation() {
 
 // ---- monitor-level rejection: corrupt checkpoint => cold start ---------
 
-fn new_lvrm(clock: ManualClock) -> Lvrm<ManualClock> {
-    let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
-    Lvrm::new(LvrmConfig::default(), cores, clock)
-}
-
-fn temp_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("lvrm-ck-roundtrip");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{name}-{}", std::process::id()))
-}
-
 /// The fallback guarantee: a corrupt checkpoint file must not panic or
 /// wedge the monitor — it logs `checkpoint_rejected`, bumps the counter,
 /// and the caller proceeds with a perfectly functional cold start.
@@ -977,15 +968,9 @@ fn corrupt_checkpoint_falls_back_to_cold_start() {
     std::fs::write(&path, b"LVCKthis is not a checkpoint at all").unwrap();
 
     let clock = ManualClock::new();
-    let mut lvrm = new_lvrm(clock.clone());
+    let mut lvrm = new_lvrm(clock.clone(), LvrmConfig::default());
     let mut host = RecordingHost::default();
-    let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
-    lvrm.add_vr(
-        "deptA",
-        &[(Ipv4Addr::new(10, 0, 1, 0), 24)],
-        Box::new(lvrm_router::FastVr::new("deptA", routes)),
-        &mut host,
-    );
+    lvrm.add_vr("deptA", &subnet(), routed_vr("deptA"), &mut host);
 
     assert!(lvrm.restore_from(&path, &mut host).is_err(), "corrupt blob must be rejected");
     assert_eq!(lvrm.epoch(), 0, "a rejected restore stays in the cold-start epoch");
@@ -1019,15 +1004,9 @@ fn corrupt_checkpoint_falls_back_to_cold_start() {
 fn truncated_checkpoint_is_rejected_at_restore() {
     let path = temp_path("truncated.ck");
     let clock = ManualClock::new();
-    let mut lvrm = new_lvrm(clock.clone());
+    let mut lvrm = new_lvrm(clock.clone(), LvrmConfig::default());
     let mut host = RecordingHost::default();
-    let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
-    lvrm.add_vr(
-        "deptA",
-        &[(Ipv4Addr::new(10, 0, 1, 0), 24)],
-        Box::new(lvrm_router::FastVr::new("deptA", routes)),
-        &mut host,
-    );
+    lvrm.add_vr("deptA", &subnet(), routed_vr("deptA"), &mut host);
     assert!(lvrm.checkpoint_to(&path, 1_000), "baseline checkpoint must write");
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
@@ -1042,7 +1021,7 @@ fn truncated_checkpoint_is_rejected_at_restore() {
 #[test]
 fn unwritable_checkpoint_path_is_nonfatal() {
     let clock = ManualClock::new();
-    let mut lvrm = new_lvrm(clock.clone());
+    let mut lvrm = new_lvrm(clock.clone(), LvrmConfig::default());
     let path = std::path::Path::new("/nonexistent-lvrm-dir/deep/ck.bin");
     assert!(!lvrm.checkpoint_to(path, 1_000), "write into a missing dir must fail");
     assert_eq!(

@@ -25,6 +25,9 @@ use lvrm_ipc::{QueueKind, VriEndpoint};
 use lvrm_net::{Frame, FrameBuilder};
 use lvrm_router::{RouterAction, VirtualRouter};
 
+mod common;
+use common::queue_kinds;
+
 const VRIS: usize = 3;
 /// Frames one healthy VRI services per simulated millisecond step.
 const FAST_QUOTA: usize = 40;
@@ -38,13 +41,6 @@ const CYCLE_FRAMES: usize = VRIS * 232;
 const CYCLES: u64 = 5;
 /// A recurring flow mix that spreads evenly over the instances.
 const FLOWS: u32 = 96;
-
-fn queue_kinds() -> Vec<QueueKind> {
-    match std::env::var("LVRM_CHAOS_QUEUE") {
-        Ok(want) => vec![want.parse::<QueueKind>().expect("LVRM_CHAOS_QUEUE")],
-        Err(_) => QueueKind::ALL.to_vec(),
-    }
-}
 
 /// A host whose instances service a fixed frame quota per simulated step:
 /// the deterministic stand-in for "this VRI's core is N× slower".

@@ -3,13 +3,12 @@
 //! Killing any one shard must re-home all of its VRs to their rendezvous
 //! successors in under a second of simulated time, with all five
 //! conservation identities plus the sixth fleet identity
-//! (`vrs_owned_total == vrs_declared`) exact after convergence. Seeded
-//! partition storms bounded below the shard-down interval must never
-//! yield two shards accepting the same VR, and a shard that loses
-//! directory quorum must keep serving what it owns but never take over. A
-//! shard that is itself an HA pair fails over invisibly to the directory,
-//! and its peers fold the promoted standby's stream only from a snapshot
-//! of that standby.
+//! (`vrs_owned_total == vrs_declared`) exact after convergence. A shard
+//! that loses directory quorum must keep serving what it owns but never
+//! take over. A shard that is itself an HA pair fails over invisibly to
+//! the directory, and its peers fold the promoted standby's stream only
+//! from a snapshot of that standby. Link weather is the whole-monitor
+//! property's (`tests/whole_monitor.rs`).
 //!
 //! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep;
 //! unset (as CI runs it) runs both.
@@ -19,26 +18,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use lvrm_core::{
-    randomized_fleet_storm, rendezvous_owner, AffinityMode, AllocatorKind, ChannelLink,
-    ClusterConfig, ClusterMsg, CoreId, CoreMap, CoreTopology, FaultyLink, Ledger, LinkFaultWindow,
-    Lvrm, LvrmConfig, ManualClock, PeerLink, RecordingHost, Role, Violation,
+    rendezvous_owner, AffinityMode, AllocatorKind, ChannelLink, ClusterConfig, ClusterMsg, CoreId,
+    CoreMap, CoreTopology, Ledger, Lvrm, LvrmConfig, ManualClock, PeerLink, RecordingHost, Role,
 };
 use lvrm_ipc::QueueKind;
 use lvrm_net::{Frame, FrameBuilder};
-use lvrm_router::VirtualRouter;
+
+mod common;
+use common::{assert_settled, drain, queue_kinds, routed_vr};
 
 const STEP_NS: u64 = 10_000_000; // 10 ms host loop
 const ADVERT_NS: u64 = 100_000_000; // 100 ms fleet adverts
 const STREAM_NS: u64 = 200_000_000; // 200 ms state stream
 const VRS: u32 = 6;
 const SHARDS: u32 = 3;
-
-fn queue_kinds() -> Vec<QueueKind> {
-    match std::env::var("LVRM_CHAOS_QUEUE") {
-        Ok(want) => vec![want.parse::<QueueKind>().expect("LVRM_CHAOS_QUEUE")],
-        Err(_) => QueueKind::ALL.to_vec(),
-    }
-}
 
 fn vr_name(i: u32) -> String {
     format!("dept{}", i + 1)
@@ -51,11 +44,6 @@ fn vr_subnet(i: u32) -> [(Ipv4Addr, u8); 1] {
 fn vr_frame(i: u32, salt: u8) -> Frame {
     FrameBuilder::new(Ipv4Addr::new(10, 0, 1 + i as u8, 20 + salt), Ipv4Addr::new(10, 0, 100, 1))
         .udp(4000 + salt as u16, 80, &[])
-}
-
-fn routed_vr(name: &str) -> Box<dyn VirtualRouter> {
-    let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
-    Box::new(lvrm_router::FastVr::new(name, routes))
 }
 
 fn fleet_config(kind: QueueKind, shard_id: u32) -> LvrmConfig {
@@ -110,17 +98,6 @@ impl Shard {
         self.lvrm.poll_egress(out);
     }
 
-    fn drain(&mut self, out: &mut Vec<Frame>) {
-        loop {
-            let processed = self.host.pump();
-            self.lvrm.process_control();
-            let egress = self.lvrm.poll_egress(out);
-            if processed == 0 && egress == 0 {
-                break;
-            }
-        }
-    }
-
     fn owns(&self, vr: u32) -> bool {
         self.lvrm.vr_owned_by_name(&vr_name(vr))
     }
@@ -128,14 +105,6 @@ impl Shard {
     fn epoch(&self) -> u32 {
         self.lvrm.cluster().expect("cluster attached").epoch()
     }
-}
-
-/// A drained monitor's ledger (`lvrm_core::ledger`, DESIGN.md §9): every
-/// identity, nothing queued, and — every VR here forwards every frame —
-/// nothing unreturned.
-fn assert_identities(lvrm: &Lvrm<ManualClock>, ctx: &str) {
-    let ledger = lvrm.ledger();
-    assert_eq!(ledger.check_settled(), Ok(()), "{ctx}: {ledger}");
 }
 
 fn ledgers(shards: &[&Shard]) -> Vec<Ledger> {
@@ -150,16 +119,6 @@ fn assert_fleet_identity(shards: &[&Shard], ctx: &str) {
     assert_eq!(total as u32, VRS, "{ctx}: vrs_owned_total != vrs_declared");
 }
 
-/// No VR accepted by more than one shard — the storm-safe half of the
-/// fleet identity (a VR may be transiently unowned mid-takeover, never
-/// multiply owned; `check_fleet` reports a doubly-owned VR first).
-fn assert_one_owner_at_most(shards: &[&Shard], ctx: &str) {
-    match Ledger::check_fleet(&ledgers(shards)) {
-        Ok(()) | Err(Violation::Ownership { owners: 0, .. }) => {}
-        Err(v) => panic!("{ctx}: {v}"),
-    }
-}
-
 /// Build the 3-shard full mesh over [`ChannelLink`]s: returns per-shard
 /// link vectors `(peer shard id, link)`.
 fn mesh3() -> [Vec<(u32, Box<dyn PeerLink>)>; 3] {
@@ -170,22 +129,6 @@ fn mesh3() -> [Vec<(u32, Box<dyn PeerLink>)>; 3] {
         vec![(1, Box::new(l01) as Box<dyn PeerLink>), (2, Box::new(l02))],
         vec![(0, Box::new(l10) as Box<dyn PeerLink>), (2, Box::new(l12))],
         vec![(0, Box::new(l20) as Box<dyn PeerLink>), (1, Box::new(l21))],
-    ]
-}
-
-/// Same mesh, every end wrapped in a [`FaultyLink`] sharing one storm
-/// schedule but with per-end drop seeds.
-fn mesh3_faulty(windows: &[LinkFaultWindow], seed: u64) -> [Vec<(u32, Box<dyn PeerLink>)>; 3] {
-    let (l01, l10) = ChannelLink::pair();
-    let (l02, l20) = ChannelLink::pair();
-    let (l12, l21) = ChannelLink::pair();
-    let f = |link: ChannelLink, salt: u64| -> Box<dyn PeerLink> {
-        Box::new(FaultyLink::new(link, windows.to_vec(), seed ^ salt))
-    };
-    [
-        vec![(1, f(l01, 0x01)), (2, f(l02, 0x02))],
-        vec![(0, f(l10, 0x10)), (2, f(l12, 0x12))],
-        vec![(0, f(l20, 0x20)), (1, f(l21, 0x21))],
     ]
 }
 
@@ -295,13 +238,13 @@ fn killing_any_shard_rehomes_its_vrs_to_the_rendezvous_successor_subsecond() {
                 t += STEP_NS;
             }
             for s in shards.iter_mut().flatten() {
-                s.drain(&mut out);
+                drain(&mut s.lvrm, &mut s.host, &mut out);
             }
             let live: Vec<&Shard> = shards.iter().flatten().collect();
             assert_fleet_identity(&live, &format!("{ctx} post-takeover"));
             for s in &live {
                 assert!(s.epoch() > 1, "{ctx}: takeover must bump the directory epoch");
-                assert_identities(&s.lvrm, &format!("{ctx} shard {}", s.id));
+                assert_settled(&s.lvrm, &format!("{ctx} shard {}", s.id));
                 assert!(
                     s.lvrm.cluster().unwrap().has_quorum(),
                     "{ctx}: majority survivors keep quorum"
@@ -396,58 +339,9 @@ fn takeover_without_a_shadow_cold_adopts() {
     let live: Vec<&Shard> = shards.iter().flatten().collect();
     assert_fleet_identity(&live, &ctx);
     for s in &live {
-        assert_identities(&s.lvrm, &format!("{ctx} shard {}", s.id));
+        assert_settled(&s.lvrm, &format!("{ctx} shard {}", s.id));
     }
     let _ = victim;
-}
-
-/// Seeded fleet storms (all shards alive throughout): outage windows are
-/// bounded below the shard-down interval, so the directory must ride them
-/// out — no takeover, no epoch change, and never two shards accepting the
-/// same VR at any step. Deterministic per (seed × QueueKind).
-#[test]
-fn fleet_storm_never_yields_two_owners_for_a_vr() {
-    for kind in queue_kinds() {
-        for &seed in &[7u64, 42, 1337] {
-            let ctx = format!("fleet-storm {kind:?} seed {seed}");
-            // Windows <= 250 ms with >= 500 ms of clean air between them:
-            // worst advert silence ~ 350 ms, well under the 600 ms (+ jitter)
-            // shard-down interval — the fleet's documented operating
-            // envelope (DESIGN.md §15).
-            let horizon = 6_000_000_000u64;
-            let windows = randomized_fleet_storm(seed, horizon, 8, 250_000_000);
-            assert!(!windows.is_empty(), "{ctx}: storm schedule must be non-trivial");
-
-            let links = mesh3_faulty(&windows, seed);
-            let mut shards: Vec<Option<Shard>> = links
-                .into_iter()
-                .enumerate()
-                .map(|(id, l)| Some(Shard::new(kind, id as u32, l)))
-                .collect();
-            let mut out = Vec::new();
-
-            let mut t = 0;
-            while t < horizon {
-                step_fleet(&mut shards, t, true, &mut out);
-                let live: Vec<&Shard> = shards.iter().flatten().collect();
-                assert_one_owner_at_most(&live, &format!("{ctx} t={t}"));
-                t += STEP_NS;
-            }
-            for s in shards.iter_mut().flatten() {
-                s.drain(&mut out);
-            }
-            let live: Vec<&Shard> = shards.iter().flatten().collect();
-            assert_fleet_identity(&live, &format!("{ctx} post-storm"));
-            for s in &live {
-                assert_eq!(
-                    s.epoch(),
-                    1,
-                    "{ctx}: a bounded storm must never bury a live shard (false takeover)"
-                );
-                assert_identities(&s.lvrm, &format!("{ctx} shard {}", s.id));
-            }
-        }
-    }
 }
 
 /// Quorum loss (CAP stance): with 2 of 3 shards dead, the lone survivor
@@ -480,7 +374,7 @@ fn minority_survivor_serves_owned_vrs_but_never_absorbs_the_fleet() {
         t += STEP_NS;
     }
     let s = shards[survivor].as_mut().unwrap();
-    s.drain(&mut out);
+    drain(&mut s.lvrm, &mut s.host, &mut out);
     assert!(
         !s.lvrm.cluster().unwrap().has_quorum(),
         "{ctx}: minority survivor must report quorum loss"
@@ -500,12 +394,12 @@ fn minority_survivor_serves_owned_vrs_but_never_absorbs_the_fleet() {
     for salt in 0..4u8 {
         s.lvrm.ingress(vr_frame(owned_vr, salt), &mut s.host);
     }
-    s.drain(&mut out);
+    drain(&mut s.lvrm, &mut s.host, &mut out);
     assert!(
         s.lvrm.stats().frames_out > before,
         "{ctx}: owned VRs must keep serving without quorum"
     );
-    assert_identities(&s.lvrm, &ctx);
+    assert_settled(&s.lvrm, &ctx);
 }
 
 /// The fleet with shard 0 as an HA pair: `[master0, backup0, shard1,
@@ -691,7 +585,7 @@ fn peers_fold_a_promoted_standby_only_from_its_own_snapshot() {
         t += STEP_NS;
     }
     for s in nodes.iter_mut().flatten() {
-        s.drain(&mut out);
+        drain(&mut s.lvrm, &mut s.host, &mut out);
     }
     let t_settled = t + 2 * STREAM_NS;
     while t < t_settled {
@@ -735,12 +629,12 @@ fn peers_fold_a_promoted_standby_only_from_its_own_snapshot() {
         t += STEP_NS;
     }
     for s in nodes.iter_mut().flatten() {
-        s.drain(&mut out);
+        drain(&mut s.lvrm, &mut s.host, &mut out);
     }
     let live: Vec<&Shard> = nodes.iter().flatten().collect();
     assert_fleet_identity(&live, &format!("{ctx} post-takeover"));
     for s in &live {
-        assert_identities(&s.lvrm, &format!("{ctx} shard {}", s.id));
+        assert_settled(&s.lvrm, &format!("{ctx} shard {}", s.id));
     }
     for (name, victim_in) in &victim_books {
         let successor = rendezvous_owner(name, &survivors).unwrap();

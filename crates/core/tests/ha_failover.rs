@@ -3,22 +3,21 @@
 //! an in-process peer link, elect the higher-priority one, stream
 //! checkpoint deltas, then kill the master — the standby must promote from
 //! its shadow in under a second with flow affinity and all four
-//! conservation identities exact. A seeded advert-loss/partition storm must
-//! never yield two monitors accepting frames at once.
+//! conservation identities exact. Link weather is the whole-monitor
+//! property's (`tests/whole_monitor.rs`).
 //!
 //! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep;
 //! unset (as CI runs it) runs both.
 
-use std::net::Ipv4Addr;
-
 use lvrm_core::{
-    AffinityMode, AllocatorKind, ChannelLink, ClusterConfig, CoreId, CoreMap, CoreTopology,
-    FaultyLink, LinkFaultWindow, Lvrm, LvrmConfig, ManualClock, PeerLink, RecordingHost, Role,
-    VrId,
+    AffinityMode, AllocatorKind, ChannelLink, ClusterConfig, CoreId, CoreMap, CoreTopology, Lvrm,
+    LvrmConfig, ManualClock, PeerLink, RecordingHost, Role, VrId,
 };
 use lvrm_ipc::QueueKind;
-use lvrm_net::{Frame, FrameBuilder};
-use lvrm_router::VirtualRouter;
+use lvrm_net::Frame;
+
+mod common;
+use common::{assert_settled, drain, flow_frame, queue_kinds, routed_vr, subnet};
 
 /// Host-loop cadence: well under the advert interval, so election timers
 /// are observed with ~7% granularity.
@@ -26,13 +25,6 @@ const STEP_NS: u64 = 10_000_000; // 10 ms
 const ADVERT_NS: u64 = 150_000_000; // 150 ms
 const DELTA_NS: u64 = 200_000_000; // stream every 200 ms in tests
 const FLOWS: usize = 8;
-
-fn queue_kinds() -> Vec<QueueKind> {
-    match std::env::var("LVRM_CHAOS_QUEUE") {
-        Ok(want) => vec![want.parse::<QueueKind>().expect("LVRM_CHAOS_QUEUE")],
-        Err(_) => QueueKind::ALL.to_vec(),
-    }
-}
 
 fn ha_config(kind: QueueKind, priority: u8, node_id: u64) -> LvrmConfig {
     LvrmConfig {
@@ -49,23 +41,6 @@ fn ha_config(kind: QueueKind, priority: u8, node_id: u64) -> LvrmConfig {
         }),
         ..Default::default()
     }
-}
-
-fn routed_vr(name: &str) -> Box<dyn VirtualRouter> {
-    let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
-    Box::new(lvrm_router::FastVr::new(name, routes))
-}
-
-fn subnet() -> [(Ipv4Addr, u8); 1] {
-    [(Ipv4Addr::new(10, 0, 1, 0), 24)]
-}
-
-fn flow_frame(i: usize) -> Frame {
-    FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 20 + i as u8), Ipv4Addr::new(10, 0, 2, 1)).udp(
-        4000 + i as u16,
-        80,
-        &[],
-    )
 }
 
 /// One monitor of the pair, with its own clock/host, HA-attached.
@@ -113,21 +88,10 @@ impl Node {
         self.lvrm.ha_role().expect("ha attached")
     }
 
-    fn drain(&mut self, out: &mut Vec<Frame>) {
-        loop {
-            let processed = self.host.pump();
-            self.lvrm.process_control();
-            let egress = self.lvrm.poll_egress(out);
-            if processed == 0 && egress == 0 {
-                break;
-            }
-        }
-    }
-
     fn probe_slot(&mut self, i: usize, out: &mut Vec<Frame>) -> usize {
         let before = self.lvrm.vri_dispatch_counts(self.vr);
         self.lvrm.ingress(flow_frame(i), &mut self.host);
-        self.drain(out);
+        drain(&mut self.lvrm, &mut self.host, out);
         let after = self.lvrm.vri_dispatch_counts(self.vr);
         let hits: Vec<usize> = after
             .iter()
@@ -139,14 +103,6 @@ impl Node {
         assert_eq!(hits.len(), 1, "exactly one slot must serve flow {i}, got {hits:?}");
         hits[0]
     }
-}
-
-/// A drained monitor's ledger (`lvrm_core::ledger`, DESIGN.md §9): every
-/// identity, nothing queued, and — every VR here forwards every frame —
-/// nothing unreturned.
-fn assert_identities(lvrm: &Lvrm<ManualClock>, ctx: &str) {
-    let ledger = lvrm.ledger();
-    assert_eq!(ledger.check_settled(), Ok(()), "{ctx}: {ledger}");
 }
 
 /// Step both nodes forward to `t_end`, feeding `flows_per_step` frames to
@@ -216,7 +172,7 @@ fn killed_master_promotes_standby_subsecond_with_exact_books() {
         // Warm the master: traffic over the flow population, spread across
         // both slots, then drain so the books are quiescent.
         t = run_pair(&mut a, &mut b, t, t + 60 * STEP_NS, FLOWS, &mut out, &ctx);
-        a.drain(&mut out);
+        drain(&mut a.lvrm, &mut a.host, &mut out);
         let slots_pre: Vec<usize> = (0..FLOWS).map(|i| a.probe_slot(i, &mut out)).collect();
         assert!(
             slots_pre.iter().any(|&s| s != slots_pre[0]),
@@ -269,7 +225,7 @@ fn killed_master_promotes_standby_subsecond_with_exact_books() {
         let s_b = b.lvrm.stats();
         assert_eq!(s_b.frames_in, a_stats.frames_in, "{ctx}: counters resume, not reset");
         assert_eq!(s_b.crash_lost, a_stats.crash_lost, "{ctx}");
-        assert_identities(&b.lvrm, &format!("post-promotion {ctx}"));
+        assert_settled(&b.lvrm, &format!("post-promotion {ctx}"));
         let slots_post: Vec<usize> = (0..FLOWS).map(|i| b.probe_slot(i, &mut out)).collect();
         assert_eq!(slots_pre, slots_post, "{ctx}: flow affinity must survive the failover");
 
@@ -283,9 +239,9 @@ fn killed_master_promotes_standby_subsecond_with_exact_books() {
             }
             b.step(t, &mut out);
         }
-        b.drain(&mut out);
+        drain(&mut b.lvrm, &mut b.host, &mut out);
         assert!(b.lvrm.stats().frames_in > before, "{ctx}: promoted master serves traffic");
-        assert_identities(&b.lvrm, &format!("post-promotion traffic {ctx}"));
+        assert_settled(&b.lvrm, &format!("post-promotion traffic {ctx}"));
 
         // Failover metrics surfaced.
         b.lvrm.refresh_registry();
@@ -313,7 +269,7 @@ fn graceful_handoff_transfers_mastership_without_overlap() {
 
         let mut t = elect(&mut a, &mut b, &mut out, &ctx);
         t = run_pair(&mut a, &mut b, t, t + 30 * STEP_NS, FLOWS, &mut out, &ctx);
-        a.drain(&mut out);
+        drain(&mut a.lvrm, &mut a.host, &mut out);
 
         let t_handoff = t;
         assert!(a.lvrm.cluster_mut().expect("attached").request_handoff(t_handoff), "{ctx}");
@@ -362,78 +318,6 @@ fn graceful_handoff_transfers_mastership_without_overlap() {
         }
         assert!(a.accepting(), "{ctx}: resigned node must still cover a real death");
         assert!(t - t_kill < 1_000_000_000, "{ctx}: recovery took {} ms", (t - t_kill) / 1_000_000);
-    }
-}
-
-/// Seeded advert-loss/partition storms (both monitors alive throughout):
-/// outage windows are bounded below the master-down interval, so the
-/// election must ride them out — never two accepting monitors, and the
-/// rightful master still owns the dataplane when the weather clears. Then
-/// the master is killed for real and the standby must still take over.
-/// Deterministic for each (seed × QueueKind).
-#[test]
-fn partition_storm_never_yields_two_accepting_masters() {
-    for kind in queue_kinds() {
-        for &seed in &[7u64, 42, 1337] {
-            let ctx = format!("storm {kind:?} seed {seed}");
-            // Bounded storm schedule: windows <= 300 ms separated by
-            // >= 450 ms of clean air. Worst-case advert silence is then
-            // window + one interval ~ 450 ms < master-down (541 ms at
-            // priority 100), which is the documented operating envelope
-            // of the split-brain guard (DESIGN.md §13).
-            let mut rng = seed | 1;
-            let mut xorshift = move || {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
-            let mut windows = Vec::new();
-            let mut from = 1_500_000_000u64; // let the election settle first
-            for _ in 0..8 {
-                let len = 50_000_000 + xorshift() % 250_000_000; // 50..300 ms
-                let until = from + len;
-                windows.push(match xorshift() % 3 {
-                    0 => LinkFaultWindow::partition(from, until),
-                    1 => LinkFaultWindow::loss(from, until, 600),
-                    _ => LinkFaultWindow::delay(from, until, 30_000_000),
-                });
-                from = until + 450_000_000 + xorshift() % 200_000_000;
-            }
-            let horizon = from + 500_000_000;
-
-            let (la, lb) = ChannelLink::pair();
-            let fa = FaultyLink::new(la, windows.clone(), seed);
-            let fb = FaultyLink::new(lb, windows, seed ^ 0xdead);
-            let mut a = Node::new(kind, 200, 1, Box::new(fa));
-            let mut b = Node::new(kind, 100, 2, Box::new(fb));
-            let mut out = Vec::new();
-
-            let t = elect(&mut a, &mut b, &mut out, &ctx);
-            let t = run_pair(&mut a, &mut b, t, horizon, 4, &mut out, &ctx);
-            assert!(a.accepting(), "{ctx}: master must hold through the storm");
-            assert_eq!(b.role(), Role::Backup, "{ctx}: standby must ride it out");
-
-            // Now a real failure: the master dies. The standby takes over
-            // even after all that weather.
-            drop(a);
-            let mut t2 = t;
-            while t2 < t + 2_000_000_000 {
-                t2 += STEP_NS;
-                b.step(t2, &mut out);
-                if b.accepting() {
-                    break;
-                }
-            }
-            assert!(b.accepting(), "{ctx}: standby must promote after the real kill");
-            assert!(
-                t2 - t < 1_000_000_000,
-                "{ctx}: post-storm failover took {} ms",
-                (t2 - t) / 1_000_000
-            );
-            b.drain(&mut out);
-            assert_identities(&b.lvrm, &ctx);
-        }
     }
 }
 
@@ -560,7 +444,7 @@ fn lossy_link_resync_is_rate_limited_and_still_converges() {
 
         // Convergence: the shadow equals the master's books exactly, so a
         // kill right now promotes with zero divergence.
-        a.drain(&mut out);
+        drain(&mut a.lvrm, &mut a.host, &mut out);
         let mut t2 = t;
         // One more delta interval of clean air to flush the stream tail.
         while t2 < t + 2 * DELTA_NS {
@@ -581,7 +465,7 @@ fn lossy_link_resync_is_rate_limited_and_still_converges() {
         master_books.ts_ns = 0;
         shadow.ts_ns = 0;
         assert_eq!(master_books, shadow, "{ctx}: shadow must converge after the storm");
-        assert_identities(&a.lvrm, &ctx);
-        assert_identities(&b.lvrm, &ctx);
+        assert_settled(&a.lvrm, &ctx);
+        assert_settled(&b.lvrm, &ctx);
     }
 }

@@ -1,46 +1,21 @@
 //! Overload control & graceful degradation: watermark pressure, fair
-//! weighted shedding, the control-plane starvation guard, hitless drain on
-//! shrink, and clean shutdown — all against the manual clock, no sleeps.
-//!
-//! Every test that finishes with drained queues asserts that the monitor's
-//! ledger settles (`Ledger::check_settled`, DESIGN.md §9).
-//!
-//! The `overload_soak` storm (release CI soak leg; `-- --ignored`) sweeps
-//! every `QueueKind` — set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to
-//! restrict it, as the CI soak matrix does.
+//! weighted shedding, the control-plane starvation guard and hitless drain
+//! on shrink, against the manual clock. Every test that finishes with
+//! drained queues asserts that the ledger settles (DESIGN.md §9). Clean
+//! shutdown is a check of `tests/whole_monitor.rs`, which ends every case
+//! with one.
 
 use std::net::Ipv4Addr;
 
 use lvrm_core::alloc::AllocDecision;
 use lvrm_core::monitor::CTRL_STARVATION_BURSTS;
-use lvrm_core::{
-    AffinityMode, AllocatorKind, Clock, CoreId, CoreMap, CoreTopology, Lvrm, LvrmConfig,
-    ManualClock, RecordingHost, VriId,
-};
+use lvrm_core::{AllocatorKind, LvrmConfig, ManualClock, RecordingHost, VriId};
 use lvrm_ipc::channels::ControlEvent;
-use lvrm_ipc::{PressureLevel, QueueKind};
+use lvrm_ipc::PressureLevel;
 use lvrm_net::{Frame, FrameBuilder};
-use lvrm_router::VirtualRouter;
 
-const SEEDS: &[u64] = &[7, 42, 1337];
-
-fn queue_kinds() -> Vec<QueueKind> {
-    match std::env::var("LVRM_CHAOS_QUEUE") {
-        Ok(want) => vec![want.parse::<QueueKind>().expect("LVRM_CHAOS_QUEUE")],
-        Err(_) => QueueKind::ALL.to_vec(),
-    }
-}
-
-fn new_lvrm(clock: ManualClock, config: LvrmConfig) -> Lvrm<ManualClock> {
-    let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
-    Lvrm::new(config, cores, clock)
-}
-
-/// Every classified frame must come back out, so the VR routes everything.
-fn routed_vr(name: &str) -> Box<dyn VirtualRouter> {
-    let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
-    Box::new(lvrm_router::FastVr::new(name, routes))
-}
+mod common;
+use common::{assert_settled, drain, new_lvrm, routed_vr};
 
 fn frame_from(src: [u8; 4]) -> Frame {
     FrameBuilder::new(Ipv4Addr::from(src), Ipv4Addr::new(10, 0, 2, 1)).udp(1, 2, &[])
@@ -48,26 +23,6 @@ fn frame_from(src: [u8; 4]) -> Frame {
 
 fn burst_from(subnet_third: u8, n: usize) -> Vec<Frame> {
     (0..n).map(|i| frame_from([10, 0, subnet_third, (i % 250) as u8 + 1])).collect()
-}
-
-/// A drained monitor's ledger (`lvrm_core::ledger`, DESIGN.md §9): every
-/// identity, nothing queued, and — every VR here forwards every frame —
-/// nothing unreturned.
-fn assert_settled(lvrm: &Lvrm<ManualClock>) {
-    let ledger = lvrm.ledger();
-    assert_eq!(ledger.check_settled(), Ok(()), "{ledger}");
-}
-
-/// Pump/relay/collect until nothing moves (no simulated time advances).
-fn drain(lvrm: &mut Lvrm<ManualClock>, host: &mut RecordingHost, out: &mut Vec<Frame>) {
-    loop {
-        let processed = host.pump();
-        lvrm.process_control();
-        let egress = lvrm.poll_egress(out);
-        if processed == 0 && egress == 0 {
-            break;
-        }
-    }
 }
 
 /// Push one application-level control event from `src` into its endpoint's
@@ -142,7 +97,7 @@ fn overloaded_vrs_are_held_to_their_weighted_quota() {
     lvrm.ingress_batch(&mut burst_from(1, 1), &mut host);
     assert_eq!(lvrm.vr_pressure(a), PressureLevel::Normal, "drained VR recovers");
     drain(&mut lvrm, &mut host, &mut out);
-    assert_settled(&lvrm);
+    assert_settled(&lvrm, "settled");
 }
 
 /// With shedding off (the default), the same overload degrades to pure
@@ -174,7 +129,7 @@ fn shedding_off_degrades_to_tail_drop() {
     assert!(tail_dropped > 0, "overload tail-drops: {:?}", lvrm.stats());
     let mut out = Vec::new();
     drain(&mut lvrm, &mut host, &mut out);
-    assert_settled(&lvrm);
+    assert_settled(&lvrm, "settled");
 }
 
 // ---------------------------------------------------------------------------
@@ -315,7 +270,7 @@ fn shrink_drains_hitlessly_with_zero_loss() {
     assert_eq!(lvrm.stats().shrink_lost, 0, "happy-path drain loses nothing: {:?}", lvrm.stats());
 
     drain(&mut lvrm, &mut host, &mut out);
-    assert_settled(&lvrm);
+    assert_settled(&lvrm, "settled");
     assert_eq!(lvrm.stats().frames_in, lvrm.stats().frames_out, "every frame forwarded");
 }
 
@@ -393,156 +348,5 @@ fn stalled_drain_is_bounded_by_the_deadline_and_rehomes() {
     );
 
     drain(&mut lvrm, &mut host, &mut out);
-    assert_settled(&lvrm);
-}
-
-// ---------------------------------------------------------------------------
-// Clean shutdown
-// ---------------------------------------------------------------------------
-
-/// Shutdown is the drain machinery applied to everything at once: in-flight
-/// frames still come out (including egress rescued at retirement), late
-/// arrivals are quiesced into `shed_early`, and the final books balance
-/// exactly — the property `lvrmd` prints on SIGTERM.
-#[test]
-fn shutdown_drains_everything_and_conserves() {
-    let clock = ManualClock::new();
-    let config = LvrmConfig { allocator: AllocatorKind::Fixed { cores: 2 }, ..Default::default() };
-    let mut lvrm = new_lvrm(clock.clone(), config);
-    let mut host = RecordingHost::default();
-    lvrm.add_vr("a", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], routed_vr("a"), &mut host);
-
-    lvrm.ingress_batch(&mut burst_from(1, 100), &mut host);
-    host.pump(); // forwarded frames now sit in the egress queues, uncollected
-
-    let deadline = clock.now_ns() + 1_000_000_000;
-    let mut rounds = 0;
-    while !lvrm.shutdown(deadline, &mut host) {
-        host.pump();
-        rounds += 1;
-        assert!(rounds < 100, "shutdown must converge");
-    }
-    assert!(lvrm.shutdown_complete());
-    assert!(lvrm.is_shutting_down());
-    assert_eq!(host.killed.len(), 2, "every VRI retired");
-    assert_eq!(lvrm.stats().shrink_lost, 0, "drained shutdown loses nothing: {:?}", lvrm.stats());
-
-    // Rescued egress frames are delivered by the next collection pass.
-    let mut out = Vec::new();
-    lvrm.poll_egress(&mut out);
-    assert_eq!(out.len(), 100, "every forwarded frame is recovered");
-    assert_eq!(lvrm.stats().frames_out, 100);
-
-    // Late arrivals are quiesced, counted, and conserved.
-    lvrm.ingress_batch(&mut burst_from(1, 3), &mut host);
-    assert_eq!(lvrm.stats().shed_early, 3, "post-shutdown ingress is shed, not lost");
-    assert_settled(&lvrm);
-
-    // Idempotent: a second call is a completed no-op.
-    assert!(lvrm.shutdown(deadline, &mut host));
-}
-
-// ---------------------------------------------------------------------------
-// Randomized overload storm (release soak; CI runs with -- --ignored)
-// ---------------------------------------------------------------------------
-
-fn lcg(state: &mut u64) -> u64 {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-    *state >> 33
-}
-
-/// One seeded storm: bursty two-VR overload with weighted shedding, random
-/// pump/collect/control interleavings, dynamic grow/shrink (so drains fire
-/// mid-storm), ended by a deadline-bounded shutdown. Terminates with the
-/// exact conservation and drop identities. Returns the frames shed.
-fn storm(kind: QueueKind, seed: u64) -> u64 {
-    let clock = ManualClock::new();
-    let config = LvrmConfig {
-        queue_kind: kind,
-        data_queue_capacity: 64,
-        ctrl_queue_capacity: 8,
-        batch_size: 8,
-        overload_shedding: true,
-        allocator: AllocatorKind::DynamicFixed { per_core_rate: 50_000.0 },
-        ..Default::default()
-    };
-    config.validate().expect("storm config is valid");
-    let mut lvrm = new_lvrm(clock.clone(), config);
-    let mut host = RecordingHost::default();
-    let mut out = Vec::new();
-    let a = lvrm.add_vr("hot", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], routed_vr("hot"), &mut host);
-    let b = lvrm.add_vr("cold", &[(Ipv4Addr::new(10, 0, 3, 0), 24)], routed_vr("cold"), &mut host);
-    lvrm.set_vr_weight(a, 1.0);
-    lvrm.set_vr_weight(b, 3.0);
-
-    let mut rng = seed;
-    let mut now = 0u64;
-    for _ in 0..1500 {
-        now += 200_000 + lcg(&mut rng) % 2_000_000;
-        clock.set_ns(now);
-        let third = if lcg(&mut rng).is_multiple_of(4) { 3 } else { 1 }; // hot VR dominates
-        let n = (lcg(&mut rng) % 64) as usize;
-        if n > 0 {
-            lvrm.ingress_batch(&mut burst_from(third, n), &mut host);
-        }
-        if lcg(&mut rng).is_multiple_of(16) {
-            lvrm.ingress(frame_from([192, 168, 0, 1]), &mut host); // unclassified
-        }
-        if lcg(&mut rng).is_multiple_of(2) {
-            // Pump and collect as a pair: the recording host's egress queues
-            // are only `data_queue_capacity` deep, so servicing a full
-            // inbound queue into an uncollected outbound one would overflow
-            // silently inside the host — a harness artifact, not a monitor
-            // loss. Collecting right after keeps them empty at pump time.
-            host.pump();
-            lvrm.poll_egress(&mut out);
-        }
-        if lcg(&mut rng).is_multiple_of(8) && host.vris.len() >= 2 {
-            let i = (lcg(&mut rng) as usize) % host.vris.len();
-            let j = (lcg(&mut rng) as usize) % host.vris.len();
-            let (src, dst) = (host.vris[i].id(), host.vris[j].id());
-            send_ctrl(&mut host, src, dst);
-        }
-        if lcg(&mut rng).is_multiple_of(16) {
-            lvrm.process_control();
-        }
-    }
-
-    // Deadline-bounded shutdown: pump while draining; once the clock passes
-    // the deadline, wedge-proof forcible retirement finishes the job.
-    let deadline = now + 5_000_000;
-    let mut rounds = 0;
-    loop {
-        now += 1_000_000;
-        clock.set_ns(now);
-        if lvrm.shutdown(deadline, &mut host) {
-            break;
-        }
-        host.pump();
-        lvrm.poll_egress(&mut out);
-        rounds += 1;
-        assert!(rounds < 64, "shutdown must terminate via the deadline");
-    }
-    drain(&mut lvrm, &mut host, &mut out);
-
-    assert_settled(&lvrm);
-    for v in &lvrm.snapshot() {
-        assert_eq!(v.frames_in, v.admitted + v.shed, "per-VR admission identity: {v}");
-        assert!(v.vris.is_empty(), "no VRI survives shutdown: {v}");
-    }
-    let relayed = lvrm.stats().control_relayed + lvrm.stats().control_drops;
-    assert!(relayed > 0 || lvrm.stats().frames_in == 0, "control plane exercised");
-    lvrm.stats().shed_early
-}
-
-#[test]
-#[ignore = "release soak leg: cargo test --release -p lvrm-core --test overload_control -- --ignored"]
-fn overload_soak() {
-    let mut total_shed = 0u64;
-    for kind in queue_kinds() {
-        for &seed in SEEDS {
-            total_shed += storm(kind, seed);
-        }
-    }
-    assert!(total_shed > 0, "the storm must provoke weighted shedding somewhere");
+    assert_settled(&lvrm, "settled");
 }

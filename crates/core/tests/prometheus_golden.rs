@@ -22,14 +22,11 @@ use lvrm_core::{
 };
 use lvrm_ipc::QueueKind;
 use lvrm_net::{Frame, FrameBuilder};
-use lvrm_router::VirtualRouter;
+
+mod common;
+use common::routed_vr;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/prometheus.txt");
-
-fn routed_vr(name: &str) -> Box<dyn VirtualRouter> {
-    let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
-    Box::new(lvrm_router::FastVr::new(name, routes))
-}
 
 fn frame(subnet_c: u8, last: u8, ts_ns: u64) -> Frame {
     let mut f = FrameBuilder::new(Ipv4Addr::new(10, 0, subnet_c, last), Ipv4Addr::new(10, 0, 2, 1))

@@ -23,16 +23,17 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use lvrm_core::{
-    decode_batch, AffinityMode, AllocatorKind, CoreId, CoreMap, CoreTopology, DispatchMode,
-    FaultPlan, FaultyHost, FlowBook, Lvrm, LvrmConfig, ManualClock, RecordingHost, ReplicaLedger,
-    StateUpdate,
+    decode_batch, AllocatorKind, DispatchMode, FaultPlan, FaultyHost, FlowBook, LvrmConfig,
+    ManualClock, RecordingHost, ReplicaLedger, StateUpdate,
 };
 use lvrm_ipc::QueueKind;
 use lvrm_metrics::MetricsSnapshot;
 use lvrm_net::flow::Protocol;
 use lvrm_net::{FlowKey, Frame, FrameBuilder};
-use lvrm_router::VirtualRouter;
 use proptest::prelude::*;
+
+mod common;
+use common::{new_lvrm, queue_kinds, routed_vr};
 
 const CASES: u32 = if cfg!(miri) { 4 } else { 64 };
 const MODEL_OPS: usize = if cfg!(miri) { 40 } else { 400 };
@@ -245,23 +246,6 @@ proptest! {
 }
 
 // ---- layers 2 & 3: the real monitor ------------------------------------
-
-fn queue_kinds() -> Vec<QueueKind> {
-    match std::env::var("LVRM_CHAOS_QUEUE") {
-        Ok(want) => vec![want.parse::<QueueKind>().expect("LVRM_CHAOS_QUEUE")],
-        Err(_) => QueueKind::ALL.to_vec(),
-    }
-}
-
-fn new_lvrm(clock: ManualClock, config: LvrmConfig) -> Lvrm<ManualClock> {
-    let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
-    Lvrm::new(config, cores, clock)
-}
-
-fn routed_vr(name: &str) -> Box<dyn VirtualRouter> {
-    let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
-    Box::new(lvrm_router::FastVr::new(name, routes))
-}
 
 fn flow_frame(flow: u8, payload: usize) -> Frame {
     FrameBuilder::new(Ipv4Addr::new(10, 0, 1, flow), Ipv4Addr::new(10, 0, 2, 1)).udp(

@@ -22,19 +22,19 @@ use lvrm_net::{FlowKey, Frame, FrameBuilder};
 use lvrm_router::VirtualRouter;
 use proptest::prelude::*;
 
+mod common;
+use common::{new_lvrm, routed_vr};
+
 const BURST: usize = 32;
 const VRIS: usize = 2;
 const NAMES: [&str; 3] = ["a", "b", "c"];
 
-fn new_lvrm(config: LvrmConfig) -> (Lvrm<ManualClock>, RecordingHost) {
-    let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
-    let mut lvrm = Lvrm::new(config, cores, ManualClock::new());
+fn three_vrs(config: LvrmConfig) -> (Lvrm<ManualClock>, RecordingHost) {
+    let mut lvrm = new_lvrm(ManualClock::new(), config);
     let mut host = RecordingHost::default();
     for (i, name) in NAMES.iter().enumerate() {
-        let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
-        let router: Box<dyn VirtualRouter> = Box::new(lvrm_router::FastVr::new(*name, routes));
-        let id =
-            lvrm.add_vr(*name, &[(Ipv4Addr::new(10, 0, i as u8 + 1, 0), 24)], router, &mut host);
+        let subnet = [(Ipv4Addr::new(10, 0, i as u8 + 1, 0), 24)];
+        let id = lvrm.add_vr(*name, &subnet, routed_vr(name), &mut host);
         assert_eq!(lvrm.vri_count(id), VRIS, "fixed allocation spawns every VRI up front");
     }
     (lvrm, host)
@@ -164,7 +164,7 @@ fn plan(burst: usize, b_frames: usize) -> Vec<Kind> {
 
 #[test]
 fn shortened_and_skipped_buckets_keep_frames_beside_their_own_keys() {
-    let (mut lvrm, mut host) = new_lvrm(LvrmConfig {
+    let (mut lvrm, mut host) = three_vrs(LvrmConfig {
         allocator: AllocatorKind::Fixed { cores: VRIS },
         balancer: BalancerKind::RoundRobin,
         flow_based: true,
@@ -277,7 +277,7 @@ fn vlink_ring_handover_keeps_books_and_order() {
     // Frame-based VLink: a VR's bucket goes into its shared ring whole, or
     // as much of it as fits. A 32-slot ring under 24-frame buckets refuses
     // a tail on the second burst.
-    let (mut lvrm, mut host) = new_lvrm(LvrmConfig {
+    let (mut lvrm, mut host) = three_vrs(LvrmConfig {
         allocator: AllocatorKind::Fixed { cores: VRIS },
         queue_kind: QueueKind::VLink,
         shared_ring_capacity: 32,
@@ -463,7 +463,12 @@ fn reference_dispatch(m: &mut RefVr, books: &mut RefBooks, admitted: &[&Frame], 
         for f in admitted {
             match m.pick(f, &valid) {
                 Some(slot) => runs[slot].push(f.ts_ns),
-                None => books.no_vri_drops += 1,
+                // Every VRI here is attached: a frame no queue has room for
+                // is a dispatch drop, noted on the first slot.
+                None => {
+                    books.dispatch_drops += 1;
+                    m.discarded[0] += 1;
+                }
             }
         }
     }

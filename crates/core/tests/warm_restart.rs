@@ -5,30 +5,23 @@
 //! the fold charges them to `crash_lost`/`queue_lost`, so the restored
 //! books balance to the frame.
 //!
-//! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep (the
-//! CI soak matrix does this for the `--ignored` soak); unset runs both.
+//! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep;
+//! unset runs both.
 
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
 
-use lvrm_core::{
-    AffinityMode, AllocatorKind, Checkpoint, CoreId, CoreMap, CoreTopology, Lvrm, LvrmConfig,
-    ManualClock, RecordingHost, VrId,
-};
+use lvrm_core::{AllocatorKind, Checkpoint, Lvrm, LvrmConfig, ManualClock, RecordingHost, VrId};
 use lvrm_ipc::QueueKind;
-use lvrm_net::{Frame, FrameBuilder};
-use lvrm_router::VirtualRouter;
+use lvrm_net::Frame;
+
+mod common;
+use common::{
+    assert_settled, drain, flow_frame, new_lvrm, queue_kinds, routed_vr, subnet, temp_path,
+};
 
 const STEP_NS: u64 = 100_000_000; // 100 ms
 const WARMUP_STEPS: u64 = if cfg!(miri) { 10 } else { 30 };
 const FLOWS: usize = 8;
-
-fn queue_kinds() -> Vec<QueueKind> {
-    match std::env::var("LVRM_CHAOS_QUEUE") {
-        Ok(want) => vec![want.parse::<QueueKind>().expect("LVRM_CHAOS_QUEUE")],
-        Err(_) => QueueKind::ALL.to_vec(),
-    }
-}
 
 fn restart_config(kind: QueueKind) -> LvrmConfig {
     LvrmConfig {
@@ -38,48 +31,6 @@ fn restart_config(kind: QueueKind) -> LvrmConfig {
         // Affinity is the point of this suite: flows must stay pinned.
         flow_based: true,
         ..Default::default()
-    }
-}
-
-fn new_lvrm(clock: ManualClock, config: LvrmConfig) -> Lvrm<ManualClock> {
-    let cores = CoreMap::new(CoreTopology::dual_quad_xeon(), CoreId(0), AffinityMode::SiblingFirst);
-    Lvrm::new(config, cores, clock)
-}
-
-fn routed_vr(name: &str) -> Box<dyn VirtualRouter> {
-    let routes = lvrm_router::parse_map_file("0.0.0.0/0 1\n").unwrap();
-    Box::new(lvrm_router::FastVr::new(name, routes))
-}
-
-fn subnet() -> [(Ipv4Addr, u8); 1] {
-    [(Ipv4Addr::new(10, 0, 1, 0), 24)]
-}
-
-/// Flow `i` of the test population: distinct 5-tuples, all in the VR's
-/// subnet, stable across the restart.
-fn flow_frame(i: usize) -> Frame {
-    FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 20 + i as u8), Ipv4Addr::new(10, 0, 2, 1)).udp(
-        4000 + i as u16,
-        80,
-        &[],
-    )
-}
-
-fn temp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("lvrm-warm-restart");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}-{}", std::process::id()))
-}
-
-/// Pump/relay/collect until nothing moves.
-fn drain(lvrm: &mut Lvrm<ManualClock>, host: &mut RecordingHost, out: &mut Vec<Frame>) {
-    loop {
-        let processed = host.pump();
-        lvrm.process_control();
-        let egress = lvrm.poll_egress(out);
-        if processed == 0 && egress == 0 {
-            break;
-        }
     }
 }
 
@@ -132,14 +83,6 @@ fn probe_slot(
     hits[0]
 }
 
-/// A drained monitor's ledger (`lvrm_core::ledger`, DESIGN.md §9): every
-/// identity, nothing queued, and — every VR here forwards every frame —
-/// nothing unreturned.
-fn assert_identities(lvrm: &Lvrm<ManualClock>, ctx: &str) {
-    let ledger = lvrm.ledger();
-    assert_eq!(ledger.check_settled(), Ok(()), "{ctx}: {ledger}");
-}
-
 /// The acceptance scenario: warm up, checkpoint, kill, restore — flow
 /// affinity and every identity must survive into the new epoch, and the
 /// counters must resume rather than reset.
@@ -183,7 +126,7 @@ fn restart_preserves_affinity_and_all_identities() {
 
         // Identities hold the instant the restore lands, before any new
         // traffic: the fold already accounted the previous life.
-        assert_identities(&lvrm_b, &format!("post-restore {kind:?}"));
+        assert_settled(&lvrm_b, &format!("post-restore {kind:?}"));
         let s_b = lvrm_b.stats();
         assert_eq!(s_b.frames_in, ck.stats.frames_in, "{kind:?}: counters resume, not reset");
         assert_eq!(s_b.crash_lost, ck.stats.crash_lost, "{kind:?}");
@@ -220,7 +163,7 @@ fn restart_preserves_affinity_and_all_identities() {
             sent_before + 10 * FLOWS as u64,
             "{kind:?}: new-epoch ingress accumulates on the restored baseline"
         );
-        assert_identities(&lvrm_b, &format!("post-restore traffic {kind:?}"));
+        assert_settled(&lvrm_b, &format!("post-restore traffic {kind:?}"));
 
         std::fs::remove_file(&path).ok();
     }
@@ -262,7 +205,7 @@ fn mid_flight_frames_are_charged_to_the_restart() {
         lvrm_b.add_vr("deptA", &subnet(), routed_vr("a"), &mut host_b);
         lvrm_b.restore_from(&path, &mut host_b).expect("restore must succeed");
 
-        assert_identities(&lvrm_b, &format!("mid-flight restore {kind:?}"));
+        assert_settled(&lvrm_b, &format!("mid-flight restore {kind:?}"));
         assert_eq!(lvrm_b.stats().crash_lost, stranded, "{kind:?}");
 
         std::fs::remove_file(&path).ok();
@@ -329,64 +272,4 @@ fn periodic_checkpoints_ride_the_lazy_tick() {
     let ck = Checkpoint::load(&path).expect("the blob on disk always decodes");
     assert_eq!(ck.epoch, 0);
     std::fs::remove_file(&path).ok();
-}
-
-/// Soak: several consecutive restart generations under randomized traffic
-/// volumes. Every generation must restore, bump the epoch by one, keep
-/// affinity, and keep all identities. Run with `--ignored` (CI soak leg).
-#[test]
-#[ignore = "soak: run explicitly with --ignored"]
-fn chained_restarts_soak() {
-    for kind in queue_kinds() {
-        for &seed in &[7u64, 42, 1337] {
-            let path = temp_path(&format!("soak-{kind}-{seed}.ck"));
-            let mut out = Vec::new();
-            let mut rng = seed | 1;
-            let mut xorshift = move || {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
-
-            let mut t0 = 0u64;
-            let mut prev_frames_in = 0u64;
-            let mut slots_prev: Option<Vec<usize>> = None;
-            for generation in 0u32..4 {
-                let clock = ManualClock::new();
-                clock.set_ns(t0);
-                let mut lvrm = new_lvrm(clock.clone(), restart_config(kind));
-                let mut host = RecordingHost::with_heartbeats();
-                let vr = lvrm.add_vr("deptA", &subnet(), routed_vr("a"), &mut host);
-
-                if generation > 0 {
-                    let epoch = lvrm.restore_from(&path, &mut host).expect("soak restore");
-                    assert_eq!(epoch, generation, "{kind:?} seed {seed}");
-                    assert!(
-                        lvrm.stats().frames_in >= prev_frames_in,
-                        "{kind:?} seed {seed}: counters must never regress across restarts"
-                    );
-                }
-
-                let steps = 10 + xorshift() % 30;
-                run_traffic(&mut lvrm, &clock, &mut host, t0 + STEP_NS, steps, &mut out);
-                assert_identities(&lvrm, &format!("soak gen {generation} {kind:?} seed {seed}"));
-
-                let slots: Vec<usize> =
-                    (0..FLOWS).map(|i| probe_slot(&mut lvrm, &mut host, vr, i, &mut out)).collect();
-                if let Some(prev) = &slots_prev {
-                    assert_eq!(
-                        prev, &slots,
-                        "{kind:?} seed {seed} gen {generation}: affinity drifted"
-                    );
-                }
-                slots_prev = Some(slots);
-
-                t0 += (steps + 2) * STEP_NS;
-                assert!(lvrm.checkpoint_to(&path, t0), "soak checkpoint");
-                prev_frames_in = lvrm.stats().frames_in;
-            }
-            std::fs::remove_file(&path).ok();
-        }
-    }
 }

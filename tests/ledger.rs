@@ -67,7 +67,8 @@ fn worked_monitor() -> (Lvrm<ManualClock>, RecordingHost) {
     let mut lvrm = new_lvrm(clock.clone(), config);
     let mut host = RecordingHost::with_heartbeats();
     lvrm.add_vr("deptA", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], routed_vr("a"), &mut host);
-    lvrm.add_vr("deptB", &[(Ipv4Addr::new(10, 0, 3, 0), 24)], routed_vr("b"), &mut host);
+    let dept_b =
+        lvrm.add_vr("deptB", &[(Ipv4Addr::new(10, 0, 3, 0), 24)], routed_vr("b"), &mut host);
     lvrm.maybe_reallocate(0, &mut host); // Fixed{2}: the second VRI of each VR
     let mut out = Vec::new();
 
@@ -81,7 +82,8 @@ fn worked_monitor() -> (Lvrm<ManualClock>, RecordingHost) {
     // Nobody pumps. One burst larger than deptB's two 16-deep queues
     // overflows them (tail drops). deptA fills in steps of 6 + 6: its third
     // burst finds the VR Overloaded and is held to its quota (shed), and
-    // once both queues are full the rest is refused (no VRI with room).
+    // once both queues are full the rest is refused (dispatch drops: both
+    // VRIs are still attached).
     lvrm.ingress_batch(&mut burst(3, 40), &mut host);
     for _ in 0..5 {
         lvrm.ingress_batch(&mut burst(1, 12), &mut host);
@@ -100,6 +102,14 @@ fn worked_monitor() -> (Lvrm<ManualClock>, RecordingHost) {
     assert_books(&lvrm, "after the reap");
 
     drain(&mut lvrm, &mut host, &mut out);
+
+    // Both of deptB's VRIs die, and before any tick notices, a burst for
+    // deptB finds no VRI attached at all (no VRI).
+    for spec in host.spawned.clone().iter().filter(|spec| spec.vr == dept_b) {
+        host.crash_vri(spec.vri);
+    }
+    lvrm.ingress_batch(&mut burst(3, 4), &mut host);
+    assert_books(&lvrm, "deptB has no VRI");
     let s = lvrm.stats();
     for (what, n) in [
         ("unclassified", s.unclassified),
