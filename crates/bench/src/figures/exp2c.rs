@@ -102,9 +102,9 @@ fn real_reaction_latency() {
         // feeding synthetic arrival counts through direct reallocation).
         t += 2_000_000_000;
         let before = lvrm.realloc_log.len();
-        lvrm.force_resize_for_bench(vr, 2, t, &mut host);
+        lvrm.resize_vr(vr, 2, t, &mut host);
         t += 2_000_000_000;
-        lvrm.force_resize_for_bench(vr, 1, t, &mut host);
+        lvrm.resize_vr(vr, 1, t, &mut host);
         for e in &lvrm.realloc_log[before..] {
             match e.decision {
                 AllocDecision::Grow => grow.add(e.latency_ns as f64),

@@ -397,15 +397,18 @@ fn dispatch_or_drop(vri: &mut VriAdapter, frames: &mut Vec<Frame>, now: u64, dro
     }
 }
 
-/// Which counter is charged for frames that cannot be rehomed after a VRI
-/// departs (see [`Lvrm::rehome`]).
+/// Why a VRI leaves the monitor. It names what [`Lvrm::depart`] charges for
+/// the frames the host could not hand back and what [`Lvrm::rehome`]
+/// charges for the frames no survivor takes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum RehomeLoss {
-    /// Involuntary departure: survivors refusing a frame is an ordinary
-    /// dispatch drop; no survivor at all follows the usual drop taxonomy.
+enum Departure {
+    /// Involuntary: lost frames are `crash_lost`, survivors refusing a frame
+    /// is an ordinary dispatch drop, and no survivor at all follows the
+    /// usual drop taxonomy.
     Crash,
-    /// Voluntary retirement: un-rehomeable frames are `shrink_lost` only.
-    Shrink,
+    /// Voluntary (shrink, drain, shutdown): such frames are `shrink_lost`
+    /// only.
+    Retire,
 }
 
 impl VrState {
@@ -1347,7 +1350,7 @@ impl<C: Clock> Lvrm<C> {
                     self.grow_vr(idx, now_ns, host);
                 }
                 AllocDecision::Shrink => {
-                    self.shrink_vr(idx, now_ns, host);
+                    self.shrink_vr(idx, false, now_ns, host);
                 }
                 AllocDecision::Hold => {}
             }
@@ -1452,23 +1455,78 @@ impl<C: Clock> Lvrm<C> {
                 }
             }
 
-            if !reclaimed.is_empty() {
-                self.rehome(idx, &mut reclaimed, now_ns, RehomeLoss::Crash);
-            }
+            self.rehome(idx, &mut reclaimed, now_ns, Departure::Crash);
         }
     }
 
-    /// Tear down one dead VRI: kill its vehicle, rescue its egress frames,
-    /// reclaim its in-flight inbound frames (appended to `reclaimed`), fold
-    /// its counters, release its core, and update the VR's crash records.
+    /// Tear down one dead VRI ([`Lvrm::depart`], its in-flight inbound frames
+    /// appended to `reclaimed`) and update the VR's crash records.
     fn reap_dead_vri(
         &mut self,
         idx: usize,
-        mut adapter: VriAdapter,
+        adapter: VriAdapter,
         now_ns: u64,
         host: &mut dyn VriHost,
         reclaimed: &mut Vec<Frame>,
     ) {
+        let vri = adapter.id;
+        let vr = &mut self.vrs[idx];
+        vr.balancer.purge_vri(vri);
+        vr.crash_streak += 1;
+        vr.last_crash_ns = now_ns;
+        vr.respawn_deficit += 1;
+        // First crash respawns immediately; from the second on, exponential
+        // backoff doubling per crash, bounded, with ±25% jitter keyed by VR
+        // id so VRs that crashed together don't respawn in lockstep.
+        let backoff = if vr.crash_streak <= 1 {
+            0
+        } else {
+            let doublings = (vr.crash_streak - 2).min(20);
+            let clamped =
+                RESPAWN_BACKOFF_NS.saturating_mul(1u64 << doublings).min(RESPAWN_BACKOFF_MAX_NS);
+            crate::fault::jittered_backoff(clamped, vr.id.0 as u64, vr.crash_streak as u64)
+        };
+        vr.backoff_until_ns = now_ns.saturating_add(backoff);
+        // Decided before the teardown: a quarantined VR gets no respawn, so
+        // its teardown reconciles the frames parked in its shared ring.
+        let quarantine = self.config.quarantine_after > 0
+            && vr.crash_streak >= self.config.quarantine_after
+            && !vr.quarantined;
+        vr.quarantined |= quarantine;
+        let (got, lost) = self.depart(idx, adapter, Departure::Crash, now_ns, host, reclaimed);
+        self.stats.vri_deaths.inc();
+        let vr = &self.vrs[idx];
+        self.supervision_log.push(SupervisionEvent {
+            ts_ns: now_ns,
+            vr: vr.id,
+            vri,
+            action: SupervisionAction::Died { reclaimed: got, lost },
+        });
+        if quarantine {
+            self.registry.push_event(now_ns, format!("vr-quarantined vr={} vri={vri}", vr.name));
+            self.supervision_log.push(SupervisionEvent {
+                ts_ns: now_ns,
+                vr: vr.id,
+                vri,
+                action: SupervisionAction::Quarantined,
+            });
+        }
+    }
+
+    /// "Destroy VRI adapter" (Fig. 3.2), the one way a VRI leaves: kill its
+    /// vehicle, rescue its forwarded frames, reclaim its parked inbound
+    /// frames (appended to `reclaimed`), charge what the host could not hand
+    /// back by `why`, fold its counters into the retired sums and release
+    /// its core. Returns `(reclaimed, lost)`.
+    fn depart(
+        &mut self,
+        idx: usize,
+        mut adapter: VriAdapter,
+        why: Departure,
+        now_ns: u64,
+        host: &mut dyn VriHost,
+        reclaimed: &mut Vec<Frame>,
+    ) -> (u64, u64) {
         let vri = adapter.id;
         // Kill first: a vehicle on its own thread keeps servicing until it is
         // joined, and frames it takes after the depth is read would be
@@ -1485,94 +1543,61 @@ impl<C: Clock> Lvrm<C> {
 
         // Frames still queued toward the instance: drain them back through
         // the balancer if the host can hand the endpoint over, else they
-        // died with the process.
+        // died with the vehicle.
         let before = reclaimed.len();
         if let Some(mut endpoint) = host.reap_endpoint(vri) {
             while endpoint.data_rx.try_recv_batch(reclaimed, usize::MAX) > 0 {}
         }
         let got = (reclaimed.len() - before) as u64;
         let lost = queued.saturating_sub(got);
-        self.stats.crash_lost.add(lost);
+        let (charged, verb) = match why {
+            Departure::Crash => (&self.stats.crash_lost, "died"),
+            Departure::Retire => (&self.stats.shrink_lost, "retired"),
+        };
+        charged.add(lost);
         self.stats.reclaimed.add(got);
         self.stats.queue_lost.add(lost);
-
         self.stats.retired_dispatch_drops.add(adapter.dispatch_drops);
         self.stats.retired_dispatched.add(adapter.dispatched);
         self.stats.retired_returned.add(adapter.returned);
-        self.stats.vri_deaths.inc();
         // Both drains are done: freeze the per-instance series at their
         // final values (returned includes the rescued egress above).
         adapter.publish_final();
+        let name = &self.vrs[idx].name;
         self.registry.push_event(
             now_ns,
-            format!(
-                "vri-died vr={} vri={} reclaimed={} lost={}",
-                self.vrs[idx].name, vri, got, lost
-            ),
+            format!("vri-{verb} vr={name} vri={vri} reclaimed={got} lost={lost}"),
         );
-        self.vrs[idx].balancer.purge_vri(vri);
         self.cores.release(adapter.core);
-
-        let vr = &mut self.vrs[idx];
-        vr.crash_streak += 1;
-        vr.last_crash_ns = now_ns;
-        vr.respawn_deficit += 1;
-        // First crash respawns immediately; from the second on, exponential
-        // backoff doubling per crash, bounded, with ±25% jitter keyed by VR
-        // id so VRs that crashed together don't respawn in lockstep.
-        let backoff = if vr.crash_streak <= 1 {
-            0
-        } else {
-            let doublings = (vr.crash_streak - 2).min(20);
-            let clamped =
-                RESPAWN_BACKOFF_NS.saturating_mul(1u64 << doublings).min(RESPAWN_BACKOFF_MAX_NS);
-            crate::fault::jittered_backoff(clamped, vr.id.0 as u64, vr.crash_streak as u64)
-        };
-        vr.backoff_until_ns = now_ns.saturating_add(backoff);
-        self.supervision_log.push(SupervisionEvent {
-            ts_ns: now_ns,
-            vr: vr.id,
-            vri,
-            action: SupervisionAction::Died { reclaimed: got, lost },
-        });
-        if self.config.quarantine_after > 0
-            && vr.crash_streak >= self.config.quarantine_after
-            && !vr.quarantined
+        // With the VR's last instance gone and no respawn coming (the
+        // shutdown's retirements, or a quarantined VR), nothing will ever
+        // steal from its shared ring: reconcile the parked frames now rather
+        // than letting the queued gauge carry them forever. A VR that *will*
+        // respawn keeps its ring intact — the replacement steals the
+        // backlog, the fabric's "dead VRI loses nothing still queued".
+        let vr = &self.vrs[idx];
+        if vr.vris.is_empty()
+            && vr.draining.is_empty()
+            && (why == Departure::Retire || vr.quarantined)
         {
-            vr.quarantined = true;
-            self.registry.push_event(now_ns, format!("vr-quarantined vr={} vri={vri}", vr.name));
-            self.supervision_log.push(SupervisionEvent {
-                ts_ns: now_ns,
-                vr: vr.id,
-                vri,
-                action: SupervisionAction::Quarantined,
-            });
+            self.drain_stranded_ring(idx, now_ns, why);
         }
-        // A quarantined VR gets no respawn, so with no instance left nothing
-        // will ever steal from its shared ring: reconcile the parked frames
-        // through the crash taxonomy (quarantined_drops, as rehome charges
-        // for a quarantined VR with no survivors). A VR that *will* respawn
-        // keeps its ring intact — the replacement instance steals the
-        // backlog, which is exactly the "dead VRI loses nothing still
-        // queued" property of the fabric.
-        if self.vrs[idx].quarantined
-            && self.vrs[idx].vris.is_empty()
-            && self.vrs[idx].draining.is_empty()
-        {
-            self.drain_stranded_ring(idx, now_ns, RehomeLoss::Crash);
-        }
+        (got, lost)
     }
 
     /// Re-balance frames reclaimed from a departed VRI across the VR's
     /// survivors. Unlike [`Lvrm::dispatch_bucket`] this records neither
     /// `frames_in` nor arrivals — the frames were admitted once already.
     ///
-    /// `loss` names the counter charged for frames that cannot be rehomed.
+    /// `why` names the counter charged for frames that cannot be rehomed.
     /// A crash charges the usual drop taxonomy (the survivors refusing a
-    /// frame is an ordinary dispatch drop); a shrink charges `shrink_lost`
-    /// only, *without* `note_discarded`, so the per-adapter dispatch-drop
-    /// identity is untouched by voluntary retirement.
-    fn rehome(&mut self, vr_idx: usize, frames: &mut Vec<Frame>, now: u64, loss: RehomeLoss) {
+    /// frame is an ordinary dispatch drop); a retirement charges
+    /// `shrink_lost` only, *without* `note_discarded`, so the per-adapter
+    /// dispatch-drop identity is untouched by voluntary retirement.
+    fn rehome(&mut self, vr_idx: usize, frames: &mut Vec<Frame>, now: u64, why: Departure) {
+        if frames.is_empty() {
+            return;
+        }
         let vr = &mut self.vrs[vr_idx];
         self.scratch_loads.clear();
         self.scratch_valid.clear();
@@ -1601,9 +1626,9 @@ impl<C: Clock> Lvrm<C> {
                 None => unplaced += 1,
             }
         }
-        match loss {
-            RehomeLoss::Crash => charge_unplaced(&self.stats, vr, full, unplaced),
-            RehomeLoss::Shrink => self.stats.shrink_lost.add(unplaced),
+        match why {
+            Departure::Crash => charge_unplaced(&self.stats, vr, full, unplaced),
+            Departure::Retire => self.stats.shrink_lost.add(unplaced),
         }
         for (slot, sb) in self.scratch_slot_buckets.iter_mut().enumerate().take(vr.vris.len()) {
             if sb.is_empty() {
@@ -1613,59 +1638,34 @@ impl<C: Clock> Lvrm<C> {
             self.stats.redispatched.add(accepted as u64);
             let leftover = sb.len() as u64;
             if leftover > 0 {
-                match loss {
-                    RehomeLoss::Crash => {
+                match why {
+                    Departure::Crash => {
                         vr.vris[slot].note_discarded(leftover);
                         self.stats.dispatch_drops.add(leftover);
                     }
-                    RehomeLoss::Shrink => self.stats.shrink_lost.add(leftover),
+                    Departure::Retire => self.stats.shrink_lost.add(leftover),
                 }
             }
             sb.clear();
         }
     }
 
-    /// Bench/ops hook: resize `vr` to exactly `target` VRIs right now,
-    /// bypassing the load estimators but going through the production
-    /// grow/shrink paths — reaction latencies are recorded in
-    /// [`Lvrm::realloc_log`] as usual. Used by the Fig. 4.11 reaction-time
-    /// measurement and by operators who want manual scaling.
-    pub fn force_resize_for_bench(
-        &mut self,
-        vr: VrId,
-        target: usize,
-        now_ns: u64,
-        host: &mut dyn VriHost,
-    ) {
+    /// Resize `vr` to `target` VRIs right now (never below one), bypassing
+    /// the load estimators but going through the production grow/shrink
+    /// paths — reaction latencies are recorded in [`Lvrm::realloc_log`] as
+    /// usual. Manual resize is explicit operator intent, so the VR's own
+    /// drains are settled first (their cores and queue-memory budget come
+    /// free) and its shrink victims retire at once; other VRs' drains run
+    /// on. Used by the Fig. 4.11 reaction-time measurement, by restore and
+    /// cold adoption, and by operators who want manual scaling.
+    pub fn resize_vr(&mut self, vr: VrId, target: usize, now_ns: u64, host: &mut dyn VriHost) {
         let idx = vr.0 as usize;
-        // Manual resize is explicit operator intent: settle pending drains
-        // first so their cores and queue-memory budget are actually free,
-        // and the instance count lands exactly on `target`.
-        self.force_retire_drains(now_ns, host);
-        while self.vrs[idx].vris.len() < target {
-            if !self.grow_vr(idx, now_ns, host) {
-                break;
-            }
+        while let Some(d) = self.vrs[idx].draining.pop() {
+            self.draining_count -= 1;
+            self.retire_vri(idx, d.adapter, now_ns, host);
         }
-        while self.vrs[idx].vris.len() > target.max(1) {
-            if !self.shrink_vr(idx, now_ns, host) {
-                break;
-            }
-            // The forced path does not wait out the drain either.
-            self.force_retire_drains(now_ns, host);
-        }
-    }
-
-    /// Retire every draining VRI right now, deadline or not (forced-resize
-    /// path). Parked frames are still rehomed; only un-rehomeable ones are
-    /// `shrink_lost`.
-    fn force_retire_drains(&mut self, now_ns: u64, host: &mut dyn VriHost) {
-        for idx in 0..self.vrs.len() {
-            while let Some(d) = self.vrs[idx].draining.pop() {
-                self.draining_count -= 1;
-                self.retire_vri(idx, d.adapter, now_ns, host);
-            }
-        }
+        while self.vrs[idx].vris.len() < target && self.grow_vr(idx, now_ns, host) {}
+        while self.vrs[idx].vris.len() > target.max(1) && self.shrink_vr(idx, true, now_ns, host) {}
     }
 
     /// Estimated queue memory one VRI's channel fabric reserves: two data
@@ -1767,9 +1767,10 @@ impl<C: Clock> Lvrm<C> {
     /// servicing parked frames until the queue empties, the endpoint
     /// detaches, or `config.drain_deadline_ns` elapses — only then is it
     /// retired ([`Lvrm::retire_vri`]). The most recently added VRI goes
-    /// first so sibling cores are surrendered last. With a zero deadline the
-    /// victim is retired immediately (still rehoming its parked frames).
-    fn shrink_vr(&mut self, idx: usize, now_ns: u64, host: &mut dyn VriHost) -> bool {
+    /// first so sibling cores are surrendered last. With `retire` or a zero
+    /// deadline the victim is retired in this call (still rehoming its
+    /// parked frames), and the logged reaction latency covers it.
+    fn shrink_vr(&mut self, idx: usize, retire: bool, now_ns: u64, host: &mut dyn VriHost) -> bool {
         if self.vrs[idx].vris.len() <= 1 && !self.shutting_down {
             return false; // a live VR keeps at least one instance
         }
@@ -1789,6 +1790,13 @@ impl<C: Clock> Lvrm<C> {
                 self.vrs[idx].vris.len()
             ),
         );
+        if retire || self.config.drain_deadline_ns == 0 {
+            self.retire_vri(idx, adapter, now_ns, host);
+        } else {
+            let deadline_ns = now_ns.saturating_add(self.config.drain_deadline_ns);
+            self.vrs[idx].draining.push(DrainingVri { adapter, deadline_ns });
+            self.draining_count += 1;
+        }
         let latency = self.clock.now_ns().saturating_sub(t0);
         self.realloc_log.push(ReallocEvent {
             ts_ns: now_ns,
@@ -1797,77 +1805,26 @@ impl<C: Clock> Lvrm<C> {
             latency_ns: latency,
             vris_after: self.vrs[idx].vris.len(),
         });
-        if self.config.drain_deadline_ns == 0 {
-            self.retire_vri(idx, adapter, now_ns, host);
-        } else {
-            let deadline_ns = now_ns.saturating_add(self.config.drain_deadline_ns);
-            self.vrs[idx].draining.push(DrainingVri { adapter, deadline_ns });
-            self.draining_count += 1;
-        }
         true
     }
 
-    /// Final teardown of a drained (or deadline-expired) VRI: kill the
-    /// vehicle, rescue forwarded frames, reclaim parked inbound frames and
-    /// rehome them across the survivors. Only frames neither rescued nor
-    /// rehomed count as `shrink_lost` — on the happy path (queue drained
-    /// empty) that is zero.
-    fn retire_vri(
-        &mut self,
-        idx: usize,
-        mut adapter: VriAdapter,
-        now_ns: u64,
-        host: &mut dyn VriHost,
-    ) {
-        let vri = adapter.id;
-        // Kill before reading the depth, as in `reap_dead_vri`.
-        host.kill_vri(self.vrs[idx].id, vri);
-        let queued = adapter.queue_len() as u64;
-
-        let mut rescued = Vec::new();
-        adapter.drain_egress(&mut rescued);
-        self.vrs[idx].frames_out += rescued.len() as u64;
-        self.stats.frames_out.add(rescued.len() as u64);
-        self.rescued_egress.append(&mut rescued);
-
-        let mut reclaimed: Vec<Frame> = Vec::new();
-        if let Some(mut endpoint) = host.reap_endpoint(vri) {
-            while endpoint.data_rx.try_recv_batch(&mut reclaimed, usize::MAX) > 0 {}
-        }
-        let got = reclaimed.len() as u64;
-        let lost = queued.saturating_sub(got);
-        self.stats.shrink_lost.add(lost);
-        self.stats.reclaimed.add(got);
-        self.stats.queue_lost.add(lost);
-        self.stats.retired_dispatch_drops.add(adapter.dispatch_drops);
-        self.stats.retired_dispatched.add(adapter.dispatched);
-        self.stats.retired_returned.add(adapter.returned);
-        // Both drains are done: freeze the per-instance series.
-        adapter.publish_final();
-        self.registry.push_event(
-            now_ns,
-            format!("vri-retired vr={} vri={vri} reclaimed={got} lost={lost}", self.vrs[idx].name),
-        );
-        self.cores.release(adapter.core);
-        if !reclaimed.is_empty() {
-            self.rehome(idx, &mut reclaimed, now_ns, RehomeLoss::Shrink);
-        }
-        // Shutdown path: the VR's last instance is gone, so frames still
-        // parked in the shared ring have no stealer left. Reconcile them
-        // through the voluntary-retirement taxonomy now rather than letting
-        // the queued gauge carry them forever.
-        if self.vrs[idx].vris.is_empty() && self.vrs[idx].draining.is_empty() {
-            self.drain_stranded_ring(idx, now_ns, RehomeLoss::Shrink);
-        }
+    /// Retire a drained (or deadline-expired) VRI ([`Lvrm::depart`]) and
+    /// rehome its reclaimed frames across the survivors. Only frames
+    /// neither rescued nor rehomed count as `shrink_lost` — on the happy
+    /// path (queue drained empty) that is zero.
+    fn retire_vri(&mut self, idx: usize, adapter: VriAdapter, now_ns: u64, host: &mut dyn VriHost) {
+        let mut reclaimed = Vec::new();
+        self.depart(idx, adapter, Departure::Retire, now_ns, host, &mut reclaimed);
+        self.rehome(idx, &mut reclaimed, now_ns, Departure::Retire);
     }
 
     /// Empty a VR's shared ring once no instance remains to steal from it,
     /// keeping the conservation identities intact: drained frames count as
     /// `reclaimed` (they left the queued gauge alive) and then run through
     /// [`Lvrm::rehome`], which — with no survivors — charges them to the
-    /// taxonomy `loss` names. A no-op for VRs without a ring or with the
+    /// taxonomy `why` names. A no-op for VRs without a ring or with the
     /// ring already empty.
-    fn drain_stranded_ring(&mut self, idx: usize, now_ns: u64, loss: RehomeLoss) {
+    fn drain_stranded_ring(&mut self, idx: usize, now_ns: u64, why: Departure) {
         let Some(ring) = self.vrs[idx].ring.as_ref() else {
             return;
         };
@@ -1880,7 +1837,7 @@ impl<C: Clock> Lvrm<C> {
         self.stats.reclaimed.add(got);
         self.registry
             .push_event(now_ns, format!("ring-drained vr={} frames={got}", self.vrs[idx].name));
-        self.rehome(idx, &mut frames, now_ns, loss);
+        self.rehome(idx, &mut frames, now_ns, why);
     }
 
     /// Sweep the drain lists and retire every VRI whose queue has emptied,
@@ -2237,12 +2194,9 @@ impl<C: Clock> Lvrm<C> {
             _ => PressureLevel::Overloaded,
         });
         self.set_weight(idx, vrck.weight);
-        if !self.vrs[idx].quarantined {
-            while self.vrs[idx].vris.len() < vrck.vri_slots as usize {
-                if !self.grow_vr(idx, now_ns, host) {
-                    break; // fewer cores or less memory than the checkpoint had
-                }
-            }
+        if !vrck.quarantined {
+            // Fewer cores or less memory than the checkpoint had leave it short.
+            self.resize_vr(self.vrs[idx].id, vrck.vri_slots as usize, now_ns, host);
         }
         // Restored *after* the population grows back, so the refills above
         // do not absorb the deficit as phantom respawns.
@@ -2266,15 +2220,11 @@ impl<C: Clock> Lvrm<C> {
         now_ns: u64,
         host: &mut dyn VriHost,
     ) -> u32 {
+        let matched = self.retire_surplus(ck.vrs.iter(), "checkpoint", now_ns, host);
         self.stats.store(&ck.stats);
         self.next_vri = self.next_vri.max(ck.next_vri);
         self.epoch = ck.epoch.wrapping_add(1);
-        for vrck in &ck.vrs {
-            let Some(idx) = self.vrs.iter().position(|v| v.name == vrck.name) else {
-                self.registry
-                    .push_event(now_ns, format!("checkpoint-vr-unmatched vr={}", vrck.name));
-                continue;
-            };
+        for (idx, vrck) in matched {
             self.restore_vr(idx, vrck, false, now_ns, host);
         }
         self.registry.push_event(
@@ -2282,6 +2232,35 @@ impl<C: Clock> Lvrm<C> {
             format!("monitor-restored epoch={} checkpoint_ts_ns={}", self.epoch, ck.ts_ns),
         );
         self.epoch
+    }
+
+    /// Match checkpointed VRs to live ones by name (logging each with no
+    /// live counterpart as `{what}-vr-unmatched`) and retire what each
+    /// matched VR holds above its checkpointed population, at least one
+    /// VRI, with its drains. This runs before any VR grows back, so the
+    /// cores are free, and before the caller imports books: a VRI retired
+    /// afterwards would fold counters the imported books no longer hold.
+    /// A quarantined VR is neither shrunk nor grown.
+    fn retire_surplus<'a>(
+        &mut self,
+        vrcks: impl Iterator<Item = &'a VrCheckpoint>,
+        what: &str,
+        now_ns: u64,
+        host: &mut dyn VriHost,
+    ) -> Vec<(usize, &'a VrCheckpoint)> {
+        let mut matched = Vec::new();
+        for vrck in vrcks {
+            let Some(idx) = self.vrs.iter().position(|v| v.name == vrck.name) else {
+                self.registry.push_event(now_ns, format!("{what}-vr-unmatched vr={}", vrck.name));
+                continue;
+            };
+            if !vrck.quarantined {
+                let keep = self.vrs[idx].vris.len().min(vrck.vri_slots as usize);
+                self.resize_vr(self.vrs[idx].id, keep, now_ns, host);
+            }
+            matched.push((idx, vrck));
+        }
+        matched
     }
 
     /// After [`Lvrm::apply_checkpoint`] on a monitor that already ran (an HA
@@ -2406,8 +2385,8 @@ impl<C: Clock> Lvrm<C> {
             return;
         };
         self.vrs[idx].owned = true;
-        if self.vrs[idx].vris.is_empty() && !self.vrs[idx].quarantined {
-            self.grow_vr(idx, now_ns, host);
+        if !self.vrs[idx].quarantined {
+            self.resize_vr(self.vrs[idx].id, self.vrs[idx].vris.len().max(1), now_ns, host);
         }
     }
 
@@ -2430,20 +2409,14 @@ impl<C: Clock> Lvrm<C> {
         now_ns: u64,
         host: &mut dyn VriHost,
     ) -> usize {
+        let mine = ck.vrs.iter().filter(|v| names.contains(&v.name));
+        let matched = self.retire_surplus(mine, "takeover", now_ns, host);
         if fold_global {
             self.stats.add(&ck.stats);
         }
-        let mut warm = 0usize;
-        for vrck in &ck.vrs {
-            if !names.contains(&vrck.name) {
-                continue;
-            }
-            let Some(idx) = self.vrs.iter().position(|v| v.name == vrck.name) else {
-                self.registry.push_event(now_ns, format!("takeover-vr-unmatched vr={}", vrck.name));
-                continue;
-            };
+        let warm = matched.len();
+        for (idx, vrck) in matched {
             self.restore_vr(idx, vrck, true, now_ns, host);
-            warm += 1;
         }
         self.registry.push_event(
             now_ns,
@@ -2723,6 +2696,53 @@ mod tests {
         let grows = lvrm.realloc_log.iter().filter(|e| e.decision == AllocDecision::Grow).count();
         assert_eq!(grows, 3, "initial + two growth events");
         assert_eq!(lvrm.realloc_log.last().unwrap().vris_after, 3);
+    }
+
+    const KILL_NS: u64 = 7_000;
+
+    /// A host whose every `kill_vri` takes [`KILL_NS`] of the monitor's clock.
+    struct SlowKill(RecordingHost, ManualClock);
+
+    impl VriHost for SlowKill {
+        fn spawn_vri(
+            &mut self,
+            spec: VriSpec,
+            endpoint: lvrm_ipc::VriEndpoint<Frame>,
+            router: Box<dyn VirtualRouter>,
+        ) {
+            self.0.spawn_vri(spec, endpoint, router);
+        }
+
+        fn kill_vri(&mut self, vr: VrId, vri: VriId) {
+            self.1.advance_ns(KILL_NS);
+            self.0.kill_vri(vr, vri);
+        }
+    }
+
+    /// Fig. 4.11's deallocation latency covers the kill whenever the shrink
+    /// retires its victim in the same call: a manual resize, or an
+    /// allocator shrink with a zero drain deadline. A hitless drain's victim
+    /// is retired later, outside the reaction.
+    #[test]
+    fn shrink_latency_covers_a_retirement_in_the_same_call() {
+        for (drain_deadline_ns, idle_shrink_ns) in [(0, KILL_NS), (500_000_000, 0)] {
+            let clock = ManualClock::new();
+            let allocator = AllocatorKind::Fixed { cores: 1 };
+            let config = LvrmConfig { allocator, drain_deadline_ns, ..Default::default() };
+            let mut lvrm = new_lvrm(clock.clone(), config);
+            let mut host = SlowKill(RecordingHost::default(), clock.clone());
+            let vr = lvrm.add_vr("deptA", &[subnet(10, 0, 1)], routed_vr("a"), &mut host);
+            lvrm.resize_vr(vr, 3, 0, &mut host);
+            lvrm.resize_vr(vr, 2, 0, &mut host);
+            let e = lvrm.realloc_log.last().unwrap();
+            assert_eq!((e.decision, e.latency_ns), (AllocDecision::Shrink, KILL_NS), "resize");
+            // The fixed-1 allocator gives the second core back on its tick.
+            clock.advance_ns(1_000_000_000);
+            lvrm.maybe_reallocate(clock.now_ns(), &mut host);
+            let e = lvrm.realloc_log.last().unwrap();
+            assert_eq!((e.decision, e.vris_after), (AllocDecision::Shrink, 1));
+            assert_eq!(e.latency_ns, idle_shrink_ns, "drain deadline {drain_deadline_ns}");
+        }
     }
 
     #[test]

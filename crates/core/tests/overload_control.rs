@@ -9,7 +9,7 @@ use std::net::Ipv4Addr;
 
 use lvrm_core::alloc::AllocDecision;
 use lvrm_core::monitor::CTRL_STARVATION_BURSTS;
-use lvrm_core::{AllocatorKind, LvrmConfig, ManualClock, RecordingHost, VriId};
+use lvrm_core::{AllocatorKind, Lvrm, LvrmConfig, ManualClock, RecordingHost, VrId, VriId};
 use lvrm_ipc::channels::ControlEvent;
 use lvrm_ipc::PressureLevel;
 use lvrm_net::{Frame, FrameBuilder};
@@ -208,30 +208,29 @@ fn control_drops_reconcile_against_emitted_events() {
 // Hitless drain on shrink
 // ---------------------------------------------------------------------------
 
-/// Drive a dynamic VR up under load, then idle it down. The shrink victim
-/// leaves the balance set at once but is NOT killed: it keeps servicing its
-/// parked frames and is only retired once its queue empties — `shrink_lost`
-/// stays zero and every frame comes out.
-#[test]
-fn shrink_drains_hitlessly_with_zero_loss() {
-    let clock = ManualClock::new();
+/// Drive a dynamic VR up under load, then idle it down without pumping
+/// until a shrink victim drains with frames parked in its queue. Returns
+/// the monitor, the VR, its peak size and the time reached.
+fn start_a_drain(
+    clock: &ManualClock,
+    host: &mut RecordingHost,
+    out: &mut Vec<Frame>,
+) -> (Lvrm<ManualClock>, VrId, usize, u64) {
     let config = LvrmConfig {
         allocator: AllocatorKind::DynamicFixed { per_core_rate: 1000.0 },
         ..Default::default()
     };
     let mut lvrm = new_lvrm(clock.clone(), config);
-    let mut host = RecordingHost::default();
-    let mut out = Vec::new();
-    let vr = lvrm.add_vr("a", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], routed_vr("a"), &mut host);
+    let vr = lvrm.add_vr("a", &[(Ipv4Addr::new(10, 0, 1, 0), 24)], routed_vr("a"), host);
 
     // Grow: ~3000 fps for 3 simulated seconds, serviced and collected.
     let mut now = 0u64;
     for _ in 0..9000 {
         now += 333_333;
         clock.set_ns(now);
-        lvrm.ingress(frame_from([10, 0, 1, 5]), &mut host);
+        lvrm.ingress(frame_from([10, 0, 1, 5]), host);
         host.pump();
-        lvrm.poll_egress(&mut out);
+        lvrm.poll_egress(out);
     }
     let peak = lvrm.vri_count(vr);
     assert!(peak >= 3, "load must grow the VR first, got {peak}");
@@ -242,13 +241,25 @@ fn shrink_drains_hitlessly_with_zero_loss() {
     for _ in 0..60 {
         now += 100_000_000;
         clock.set_ns(now);
-        lvrm.ingress(frame_from([10, 0, 1, 5]), &mut host);
+        lvrm.ingress(frame_from([10, 0, 1, 5]), host);
         if lvrm.vr_draining_count(vr) == 1 {
             observed_drain = true;
             break;
         }
     }
     assert!(observed_drain, "idling must put a shrink victim into the drain state");
+    (lvrm, vr, peak, now)
+}
+
+/// The shrink victim leaves the balance set at once but is NOT killed: it
+/// keeps servicing its parked frames and is only retired once its queue
+/// empties — `shrink_lost` stays zero and every frame comes out.
+#[test]
+fn shrink_drains_hitlessly_with_zero_loss() {
+    let clock = ManualClock::new();
+    let mut host = RecordingHost::default();
+    let mut out = Vec::new();
+    let (mut lvrm, vr, peak, mut now) = start_a_drain(&clock, &mut host, &mut out);
     assert!(lvrm.vri_count(vr) < peak, "the victim left the balance set");
     assert!(host.killed.is_empty(), "hitless: nothing killed while draining");
     let draining: Vec<_> =
@@ -272,6 +283,31 @@ fn shrink_drains_hitlessly_with_zero_loss() {
     drain(&mut lvrm, &mut host, &mut out);
     assert_settled(&lvrm, "settled");
     assert_eq!(lvrm.stats().frames_in, lvrm.stats().frames_out, "every frame forwarded");
+}
+
+/// Resizing one VR by hand settles that VR's drains only: another VR's
+/// hitless drain runs on, and still loses nothing.
+#[test]
+fn manual_resize_leaves_another_vrs_drain_alone() {
+    let clock = ManualClock::new();
+    let mut host = RecordingHost::default();
+    let mut out = Vec::new();
+    let (mut lvrm, a, _, mut now) = start_a_drain(&clock, &mut host, &mut out);
+    let b = lvrm.add_vr("b", &[(Ipv4Addr::new(10, 0, 3, 0), 24)], routed_vr("b"), &mut host);
+    lvrm.resize_vr(b, 2, now, &mut host);
+    assert_eq!(lvrm.vri_count(b), 2);
+    assert_eq!(lvrm.vr_draining_count(a), 1, "a's drain runs on");
+    assert!(host.killed.is_empty(), "nothing was retired");
+    assert_eq!(lvrm.stats().shrink_lost, 0);
+
+    host.pump();
+    now += 1_000_000;
+    clock.set_ns(now);
+    lvrm.poll_drains(now, &mut host);
+    assert_eq!(lvrm.vr_draining_count(a), 0, "the drained victim retires");
+    assert_eq!(lvrm.stats().shrink_lost, 0, "and loses nothing: {:?}", lvrm.stats());
+    drain(&mut lvrm, &mut host, &mut out);
+    assert_settled(&lvrm, "settled");
 }
 
 /// A wedged shrink victim cannot drain; the deadline bounds how long it may

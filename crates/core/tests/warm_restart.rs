@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 
 use lvrm_core::{AllocatorKind, Checkpoint, Lvrm, LvrmConfig, ManualClock, RecordingHost, VrId};
 use lvrm_ipc::QueueKind;
-use lvrm_net::Frame;
+use lvrm_net::{Frame, FrameBuilder};
 
 mod common;
 use common::{
@@ -272,4 +272,69 @@ fn periodic_checkpoints_ride_the_lazy_tick() {
     let ck = Checkpoint::load(&path).expect("the blob on disk always decodes");
     assert_eq!(ck.epoch, 0);
     std::fs::remove_file(&path).ok();
+}
+
+/// A VR resized by hand below its allocator's start size comes back at the
+/// size it had, and the VRs after it still find their cores: a restore
+/// retires each VR's surplus before any VR grows. Fixed-2 VRs resized to
+/// 1/3/3 fill the 7 free cores; a fresh monitor starts them at 2/2/2.
+#[test]
+fn restore_gives_every_vr_its_checkpointed_size() {
+    let config = LvrmConfig {
+        allocator: AllocatorKind::Fixed { cores: 2 },
+        flow_based: true,
+        ..Default::default()
+    };
+    let start = |clock: &ManualClock, host: &mut RecordingHost| {
+        let mut lvrm = new_lvrm(clock.clone(), config.clone());
+        let vrs: Vec<VrId> = [1u8, 3, 5]
+            .iter()
+            .map(|&c| {
+                let name = format!("vr{c}");
+                lvrm.add_vr(&name, &[(Ipv4Addr::new(10, 0, c, 0), 24)], routed_vr(&name), host)
+            })
+            .collect();
+        // Spend the first allocation tick, so the fixed-2 allocator leaves
+        // the sizes below alone for the rest of its period.
+        lvrm.maybe_reallocate(0, host);
+        (lvrm, vrs)
+    };
+    let sizes = |lvrm: &Lvrm<ManualClock>, vrs: &[VrId]| -> Vec<usize> {
+        vrs.iter().map(|&vr| lvrm.vri_count(vr)).collect()
+    };
+    // Flow `i` of the third VR.
+    let flow = |i: u8| {
+        let src = Ipv4Addr::new(10, 0, 5, 20 + i);
+        FrameBuilder::new(src, Ipv4Addr::new(10, 0, 6, 1)).udp(4000, 80, &[])
+    };
+    let mut out = Vec::new();
+
+    let (clock_a, mut host_a) = (ManualClock::new(), RecordingHost::default());
+    let (mut lvrm_a, vrs) = start(&clock_a, &mut host_a);
+    assert_eq!(sizes(&lvrm_a, &vrs), [2, 2, 2]);
+    for (&vr, n) in vrs.iter().zip([1, 3, 3]) {
+        lvrm_a.resize_vr(vr, n, 0, &mut host_a);
+    }
+    assert_eq!(sizes(&lvrm_a, &vrs), [1, 3, 3]);
+    // Pin flows to the third VR until one sits on its slot 2.
+    let pinned = (0..8u8)
+        .find(|&i| {
+            let before = lvrm_a.vri_dispatch_counts(vrs[2]);
+            lvrm_a.ingress(flow(i), &mut host_a);
+            drain(&mut lvrm_a, &mut host_a, &mut out);
+            lvrm_a.vri_dispatch_counts(vrs[2])[2] > before[2]
+        })
+        .expect("some flow lands on slot 2");
+    let ck = lvrm_a.build_checkpoint(0);
+
+    let (clock_b, mut host_b) = (ManualClock::new(), RecordingHost::default());
+    let (mut lvrm_b, vrs) = start(&clock_b, &mut host_b);
+    lvrm_b.apply_checkpoint(&ck, 0, &mut host_b);
+    assert_eq!(sizes(&lvrm_b, &vrs), [1, 3, 3], "each VR restored to its checkpointed size");
+    let before = lvrm_b.vri_dispatch_counts(vrs[2]);
+    lvrm_b.ingress(flow(pinned), &mut host_b);
+    drain(&mut lvrm_b, &mut host_b, &mut out);
+    let after = lvrm_b.vri_dispatch_counts(vrs[2]);
+    assert_eq!(after[2], before[2] + 1, "the pinned flow lands on slot 2 again: {after:?}");
+    assert_settled(&lvrm_b, "after the restore");
 }

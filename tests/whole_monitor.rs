@@ -536,16 +536,15 @@ fn books(case: &Case, node: &Node, now: u64, ctx: &str) {
 
     let ck = lvrm.build_checkpoint(now);
     assert_eq!(Checkpoint::decode(&ck.encode()).unwrap(), ck, "{ctx}: the wire round-trips");
-    // Restored into a monitor that starts each VR at one VRI, so the cores
-    // the checkpoint's population used are free. A restore bumps the epoch,
-    // spawns fresh VRI ids and grows each VR back to its population; a
-    // quarantined VR is not grown, and the flows pinned to the slots it
-    // does not get are dropped.
+    // Restored into a fresh monitor of the case's own config. A restore
+    // bumps the epoch, spawns fresh VRI ids and sizes each VR to its
+    // population, at least one VRI: the surplus its allocator started with
+    // is retired before any VR grows, so the cores the checkpoint's
+    // population used are free. A quarantined VR is neither grown nor
+    // shrunk, and the flows pinned to the slots it does not get are dropped.
     let (clock, mut host) = (ManualClock::new(), RecordingHost::default());
     host.replicate = case.replicated;
-    let mut one = case.clone();
-    one.config.allocator = AllocatorKind::Fixed { cores: 1 };
-    let mut fresh = monitor(&one, None, &clock, &mut host);
+    let mut fresh = monitor(case, None, &clock, &mut host);
     fresh.apply_checkpoint(&ck, now, &mut host);
     let mut again = fresh.build_checkpoint(now);
     (again.epoch, again.next_vri) = (ck.epoch, ck.next_vri);
@@ -553,7 +552,8 @@ fn books(case: &Case, node: &Node, now: u64, ctx: &str) {
         if was.quarantined {
             vr.flows = was.flows.clone();
         } else {
-            assert!(vr.vri_slots >= was.vri_slots, "{ctx}: {} lost VRIs in a restore", vr.name);
+            let want = was.vri_slots.max(1);
+            assert_eq!(vr.vri_slots, want, "{ctx}: {} restored to its population", vr.name);
         }
         vr.vri_slots = was.vri_slots;
     }
@@ -657,7 +657,7 @@ fn run_case(case: &Case, cov: &mut Coverage) {
             }
             Kind::Reallocate(vr, vris) => {
                 if let Some(lvrm) = node.lvrm.as_mut() {
-                    lvrm.force_resize_for_bench(VrId(vr.into()), vris.into(), now, &mut node.host);
+                    lvrm.resize_vr(VrId(vr.into()), vris.into(), now, &mut node.host);
                 }
             }
             Kind::Checkpoint => {
