@@ -75,7 +75,10 @@ pub trait LoadBalancer: Send {
         None
     }
 
-    /// Pick a slot for `frame` on its own: parse, stage, pick.
+    /// Pick a slot for `frame` on its own: parse, stage, pick. The monitor
+    /// places every frame through [`LoadBalancer::pick_burst`] and never
+    /// calls this; it serves callers that hold one bare frame, such as the
+    /// `core.balance.pick_ns` probe in `benchmark/`.
     fn pick(&mut self, frame: &Frame, ctx: &BalanceCtx<'_>) -> Option<usize> {
         let flow = IngressHeaders::parse(frame.bytes()).and_then(|h| self.stage(&h));
         self.pick_keyed(flow, ctx)

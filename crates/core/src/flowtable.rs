@@ -508,7 +508,7 @@ impl FlowTable {
     /// window first and removed afterwards, so every slot in the window is
     /// examined exactly once and each expired entry is evicted exactly once
     /// (a positional evict-as-you-go sweep would re-examine slots the
-    /// backshift refills). Combined with the cursor rewind in [`remove_at`],
+    /// backshift refills). Combined with the cursor rewind in `remove_at`,
     /// a lap over `capacity` slots is guaranteed to evict every entry that
     /// was expired when its slot was swept — even when probe-time lazy
     /// expiry relocates entries across the cursor between windows.

@@ -54,6 +54,8 @@ pub(crate) const M_VR_ADMITTED: (&str, &str) =
     ("lvrm_vr_admitted_total", "Frames admitted past ingress classification.");
 pub(crate) const M_VR_SHED: (&str, &str) =
     ("lvrm_vr_shed_total", "Frames shed at ingress classification (over admission quota).");
+pub(crate) const M_VR_OWNED: (&str, &str) =
+    ("lvrm_vr_owned", "1 while this shard serves the VR, else 0 (cluster members only).");
 pub(crate) const M_VRI_DISPATCHED: (&str, &str) =
     ("lvrm_vri_dispatched_total", "Frames accepted into the VRI's incoming data queue.");
 pub(crate) const M_VRI_RETURNED: (&str, &str) =
@@ -289,8 +291,7 @@ pub struct VrBooks {
     pub frames_in: u64,
     pub admitted: u64,
     pub shed: u64,
-    /// Whether this monitor serves the VR (always true outside a fleet, and
-    /// in a ledger read from a scrape, which does not carry ownership).
+    /// Whether this monitor serves the VR (always true outside a fleet).
     pub owned: bool,
 }
 
@@ -403,7 +404,9 @@ impl Ledger {
                     frames_in: series.as_counter().unwrap_or(0),
                     admitted: of(M_VR_ADMITTED.0),
                     shed: of(M_VR_SHED.0),
-                    owned: true,
+                    // Registered by cluster members only: without it, every
+                    // VR is owned.
+                    owned: snap.gauge(M_VR_OWNED.0, &[("vr", name)]).is_none_or(|g| g > 0.0),
                 }
             })
             .collect();

@@ -29,7 +29,7 @@ use lvrm_net::{prefetch_read, Frame, HashedKey, IngressHeaders};
 use lvrm_router::{RouteTable, VirtualRouter};
 
 use crate::alloc::{AllocDecision, CoreAllocator, VrLoadView};
-use crate::balance::{BalanceCtx, BurstCtx, LoadBalancer};
+use crate::balance::{BurstCtx, LoadBalancer};
 use crate::checkpoint::{Checkpoint, CheckpointError, VrCheckpoint};
 use crate::clock::Clock;
 use crate::cluster::{ClusterNode, PeerLink, Role, ShardMap};
@@ -39,7 +39,7 @@ use crate::host::{VriHost, VriSpec};
 use crate::ledger::{
     series, Ledger, LvrmStats, StatCounters, VrBooks, VriBooks, M_DATA_QUEUED, M_EGRESS_QUEUED,
     M_VRI_DISPATCHED, M_VRI_DROPS, M_VRI_QUEUE_LEN, M_VRI_RETURNED, M_VR_ADMITTED, M_VR_FRAMES_IN,
-    M_VR_SHED,
+    M_VR_OWNED, M_VR_SHED,
 };
 use crate::socket::SocketAdapter;
 use crate::topology::CoreMap;
@@ -270,6 +270,8 @@ struct VrState {
     /// book as `frames_in + shed`, so the identities are unconditional).
     /// Always true outside a fleet.
     owned: bool,
+    /// `owned` in the registry, for a monitor with a cluster section.
+    owned_gauge: Option<Gauge>,
     /// The classify subnets this VR was declared with — the shard key the
     /// fleet partitions by, kept for map construction at `attach_cluster`.
     subnets: Vec<(Ipv4Addr, u8)>,
@@ -384,31 +386,52 @@ fn charge_unplaced(stats: &StatCounters, vr: &mut VrState, full: Option<usize>, 
     }
 }
 
-/// Enqueue `frames` on `vri` with one bulk send, leaving `frames` empty.
-/// What does not fit is dropped, and recorded in the refusing adapter too
-/// so the aggregate stays the sum of the adapters'.
-fn dispatch_or_drop(vri: &mut VriAdapter, frames: &mut Vec<Frame>, now: u64, drops: &Counter) {
-    vri.dispatch_batch(frames, now);
-    let leftover = frames.len() as u64;
-    if leftover > 0 {
-        vri.note_discarded(leftover);
-        drops.add(leftover);
-        frames.clear();
-    }
+/// How frames that end short of a VRI are booked: by [`Lvrm::depart`] for
+/// what a departed VRI's host could not hand back, and by [`Lvrm::place`]
+/// for what no instance takes or a queue refuses.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Charge {
+    /// Ingress and a crashed VRI: the drop taxonomy. What died with the
+    /// vehicle is `crash_lost`, a frame no valid instance takes is charged
+    /// by [`charge_unplaced`], a queue refusing a frame is a dispatch drop
+    /// on that VRI.
+    Drops,
+    /// A voluntary retirement (shrink, drain, shutdown): `shrink_lost` only,
+    /// with no per-VRI drop, so retiring leaves the per-adapter
+    /// dispatch-drop identity untouched.
+    ShrinkLost,
 }
 
-/// Why a VRI leaves the monitor. It names what [`Lvrm::depart`] charges for
-/// the frames the host could not hand back and what [`Lvrm::rehome`]
-/// charges for the frames no survivor takes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Departure {
-    /// Involuntary: lost frames are `crash_lost`, survivors refusing a frame
-    /// is an ordinary dispatch drop, and no survivor at all follows the
-    /// usual drop taxonomy.
-    Crash,
-    /// Voluntary (shrink, drain, shutdown): such frames are `shrink_lost`
-    /// only.
-    Retire,
+/// One VR's queues as a placement sees them, read once: the parallel slot
+/// arrays a [`BurstCtx`] takes, and where an unplaced frame is charged.
+#[derive(Default)]
+struct QueueView {
+    vris: Vec<VriId>,
+    loads: Vec<f64>,
+    valid: Vec<bool>,
+    /// The first attached slot, where [`charge_unplaced`] notes a frame no
+    /// valid instance takes; `None` with no instance attached.
+    full: Option<usize>,
+}
+
+impl QueueView {
+    /// One [`VriAdapter::read_queue`] a VRI. Returns the worst occupancy.
+    fn read(&mut self, vris: &mut [VriAdapter], now: u64) -> f64 {
+        self.vris.clear();
+        self.loads.clear();
+        self.valid.clear();
+        self.full = None;
+        let mut worst: f64 = 0.0;
+        for (slot, v) in vris.iter_mut().enumerate() {
+            let q = v.read_queue(now);
+            worst = worst.max(q.occupancy);
+            self.full = self.full.or(q.attached.then_some(slot));
+            self.vris.push(v.id);
+            self.loads.push(q.load);
+            self.valid.push(q.valid);
+        }
+        worst
+    }
 }
 
 impl VrState {
@@ -551,9 +574,8 @@ pub struct Lvrm<C: Clock> {
     /// When that fan-out happened (monitor clock), 0 before the first one.
     repl_last_fanout_ns: u64,
     // Scratch buffers reused across calls (no hot-path allocation).
-    scratch_loads: Vec<f64>,
-    scratch_valid: Vec<bool>,
-    scratch_vris: Vec<VriId>,
+    /// The queue view [`Lvrm::place`] picks over.
+    scratch_view: QueueView,
     /// One VR bucket's picks, a slot (or none) a frame.
     scratch_picks: Vec<Option<usize>>,
     scratch_ctrl: Vec<ControlEvent>,
@@ -625,9 +647,7 @@ impl<C: Clock> Lvrm<C> {
             cluster: None,
             repl_last_fanout_records: 0,
             repl_last_fanout_ns: 0,
-            scratch_loads: Vec::new(),
-            scratch_valid: Vec::new(),
-            scratch_vris: Vec::new(),
+            scratch_view: QueueView::default(),
             scratch_picks: Vec::new(),
             scratch_ctrl: Vec::new(),
             scratch_single: Vec::new(),
@@ -688,6 +708,9 @@ impl<C: Clock> Lvrm<C> {
         let series = VrSeries::register(&self.registry, &[("vr", &name)]);
         let stages = balancer.flow_table_stats().is_some();
         let flow_series = stages.then(|| FlowSeries::register(&self.registry, &[("vr", &name)]));
+        let cluster = self.config.cluster.is_some();
+        let owned_gauge =
+            cluster.then(|| self.registry.gauge(M_VR_OWNED.0, M_VR_OWNED.1, &[("vr", &name)]));
         let ring = self.config.vlink_fabric().then(|| {
             VrRing::new(self.config.effective_shared_ring_capacity(), &self.registry, &name)
         });
@@ -720,6 +743,7 @@ impl<C: Clock> Lvrm<C> {
             flow_series,
             ring,
             owned: true,
+            owned_gauge,
             subnets: subnets.to_vec(),
         });
         self.set_weight(id.0 as usize, INITIAL_SHED_WEIGHT);
@@ -917,11 +941,11 @@ impl<C: Clock> Lvrm<C> {
         }
     }
 
-    /// Balance and dispatch one VR's share of a burst, leaving `bucket`
-    /// empty. The load view is refreshed once; within the burst, each pick
-    /// adds a synthetic +1 to the chosen slot's load so JSQ keeps spreading
-    /// frames the estimator has not observed yet (instead of sending the
-    /// whole burst to the momentarily-shortest queue).
+    /// Admit one VR's share of a burst and place it ([`Lvrm::place`]),
+    /// leaving `bucket` empty: the ownership gate, the arrival record, the
+    /// pressure refresh and fair admission run on the queue view the
+    /// placement then picks over, and under VLink the bucket goes to the
+    /// VR's shared ring instead.
     fn dispatch_bucket(&mut self, vr_idx: usize, bucket: &mut VrBucket, wm: &Watermarks, now: u64) {
         let vr = &mut self.vrs[vr_idx];
         // Fleet ownership gate (DESIGN.md §15): frames classified to a VR
@@ -943,20 +967,7 @@ impl<C: Clock> Lvrm<C> {
         // cores that would relieve the overload.
         vr.arrival.record_n(now, bucket.len() as u64);
 
-        self.scratch_loads.clear();
-        self.scratch_valid.clear();
-        self.scratch_vris.clear();
-        let mut worst_occupancy: f64 = 0.0;
-        // Where a frame no valid instance takes is charged (`charge_unplaced`).
-        let mut full = None;
-        for (slot, v) in vr.vris.iter_mut().enumerate() {
-            let q = v.read_queue(now);
-            worst_occupancy = worst_occupancy.max(q.occupancy);
-            full = full.or(q.attached.then_some(slot));
-            self.scratch_loads.push(q.load);
-            self.scratch_valid.push(q.valid);
-            self.scratch_vris.push(v.id);
-        }
+        let mut worst_occupancy = self.scratch_view.read(&mut vr.vris, now);
         // Under the VLink fabric the shared ring *is* the VR's backlog; its
         // occupancy joins the pressure reading so overload control fires on
         // exactly the queue the frames actually sit in.
@@ -994,11 +1005,11 @@ impl<C: Clock> Lvrm<C> {
         // shared ring with one bulk operation instead of JSQ-spreading it
         // across per-VRI queues — the VRIs steal bursts at their own pace, so
         // a burst never serializes behind the slowest instance. With no
-        // attached instance the frames drop here, labelled as
-        // `balancer.pick`'s refusals would be; what a full ring refuses is a
-        // dispatch drop on the ring's series.
+        // attached instance the frames drop here, labelled as a placement's
+        // unplaced frames would be; what a full ring refuses is a dispatch
+        // drop on the ring's series.
         if let Some(ring) = vr.ring.as_mut() {
-            if full.is_some() {
+            if self.scratch_view.full.is_some() {
                 let sent = ring.tx.try_send_batch(&mut bucket.frames) as u64;
                 ring.enqueued += sent;
                 let leftover = bucket.len() as u64;
@@ -1012,22 +1023,53 @@ impl<C: Clock> Lvrm<C> {
             bucket.clear();
             return;
         }
+        self.place(vr_idx, bucket, now, Charge::Drops);
+    }
 
+    /// Place one VR's bucket on its VRIs over the queue view just read
+    /// ([`QueueView::read`]), leaving `bucket` empty: the one way a frame
+    /// reaches a VRI queue, for ingress ([`Lvrm::dispatch_bucket`]) and for
+    /// reclaimed frames ([`Lvrm::rehome`]) alike. Every frame's VRI is
+    /// picked with one [`LoadBalancer::pick_burst`] call, each pick adding a
+    /// synthetic +1 to its slot's load so JSQ keeps spreading frames the
+    /// estimator has not observed yet (instead of sending the whole burst
+    /// to the momentarily-shortest queue). Then one bulk send per VRI: the
+    /// bucket itself when every pick names one VRI, else a run per VRI.
+    /// Frames no instance takes or a queue refuses are booked by `charge`.
+    /// Returns how many frames the queues accepted.
+    fn place(&mut self, vr_idx: usize, bucket: &mut VrBucket, now: u64, charge: Charge) -> u64 {
+        let (vr, view, stats) = (&mut self.vrs[vr_idx], &mut self.scratch_view, &self.stats);
         self.scratch_picks.clear();
         self.scratch_picks.resize(bucket.len(), None);
         let burst = BurstCtx {
             flows: &bucket.flows,
-            vris: &self.scratch_vris,
-            loads: &mut self.scratch_loads,
-            valid: &self.scratch_valid,
+            vris: &view.vris,
+            loads: &mut view.loads,
+            valid: &view.valid,
             now_ns: now,
         };
         vr.balancer.pick_burst(burst, &mut self.scratch_picks);
-        let drops = &self.stats.dispatch_drops;
-        match self.scratch_picks.split_first() {
+        // One bulk send, leaving `run` empty; what does not fit is booked.
+        let send = |vri: &mut VriAdapter, run: &mut Vec<Frame>| {
+            let accepted = vri.dispatch_batch(run, now) as u64;
+            let refused = run.len() as u64;
+            match charge {
+                _ if refused == 0 => {}
+                // Recorded in the refusing adapter too, so the aggregate
+                // stays the sum of the adapters'.
+                Charge::Drops => {
+                    vri.note_discarded(refused);
+                    stats.dispatch_drops.add(refused);
+                }
+                Charge::ShrinkLost => stats.shrink_lost.add(refused),
+            }
+            run.clear();
+            accepted
+        };
+        let accepted = match self.scratch_picks.split_first() {
             // Every pick names one VRI: the bucket goes to it as it is.
             Some((&Some(slot), rest)) if rest.iter().all(|&pick| pick == Some(slot)) => {
-                dispatch_or_drop(&mut vr.vris[slot], &mut bucket.frames, now, drops);
+                send(&mut vr.vris[slot], &mut bucket.frames)
             }
             _ => {
                 let mut unplaced = 0;
@@ -1037,15 +1079,16 @@ impl<C: Clock> Lvrm<C> {
                         None => unplaced += 1,
                     }
                 }
-                charge_unplaced(&self.stats, vr, full, unplaced);
-                for (vri, sb) in vr.vris.iter_mut().zip(&mut self.scratch_slot_buckets) {
-                    if !sb.is_empty() {
-                        dispatch_or_drop(vri, sb, now, drops);
-                    }
+                match charge {
+                    Charge::Drops => charge_unplaced(stats, vr, view.full, unplaced),
+                    Charge::ShrinkLost => stats.shrink_lost.add(unplaced),
                 }
+                let runs = vr.vris.iter_mut().zip(&mut self.scratch_slot_buckets);
+                runs.filter(|(_, run)| !run.is_empty()).map(|(vri, run)| send(vri, run)).sum()
             }
-        }
+        };
         bucket.clear();
+        accepted
     }
 
     /// Steps 3–4: collect frames the VRIs forwarded, appending to `out`.
@@ -1405,7 +1448,6 @@ impl<C: Clock> Lvrm<C> {
         }
         let suspect_after = self.config.suspect_after_ns;
         let dead_after = self.config.dead_after_ns;
-        let mut reclaimed: Vec<Frame> = Vec::new();
         for idx in 0..self.vrs.len() {
             // A healthy stretch forgives past crashes.
             if self.vrs[idx].crash_streak > 0
@@ -1415,7 +1457,7 @@ impl<C: Clock> Lvrm<C> {
                 self.vrs[idx].crash_streak = 0;
             }
 
-            reclaimed.clear();
+            let mut reclaimed = Vec::new();
             let mut slot = 0;
             while slot < self.vrs[idx].vris.len() {
                 let prev = self.vrs[idx].vris[slot].health;
@@ -1455,7 +1497,7 @@ impl<C: Clock> Lvrm<C> {
                 }
             }
 
-            self.rehome(idx, &mut reclaimed, now_ns, Departure::Crash);
+            self.rehome(idx, reclaimed, now_ns, Charge::Drops);
         }
     }
 
@@ -1493,7 +1535,7 @@ impl<C: Clock> Lvrm<C> {
             && vr.crash_streak >= self.config.quarantine_after
             && !vr.quarantined;
         vr.quarantined |= quarantine;
-        let (got, lost) = self.depart(idx, adapter, Departure::Crash, now_ns, host, reclaimed);
+        let (got, lost) = self.depart(idx, adapter, Charge::Drops, now_ns, host, reclaimed);
         self.stats.vri_deaths.inc();
         let vr = &self.vrs[idx];
         self.supervision_log.push(SupervisionEvent {
@@ -1516,13 +1558,13 @@ impl<C: Clock> Lvrm<C> {
     /// "Destroy VRI adapter" (Fig. 3.2), the one way a VRI leaves: kill its
     /// vehicle, rescue its forwarded frames, reclaim its parked inbound
     /// frames (appended to `reclaimed`), charge what the host could not hand
-    /// back by `why`, fold its counters into the retired sums and release
+    /// back by `charge`, fold its counters into the retired sums and release
     /// its core. Returns `(reclaimed, lost)`.
     fn depart(
         &mut self,
         idx: usize,
         mut adapter: VriAdapter,
-        why: Departure,
+        charge: Charge,
         now_ns: u64,
         host: &mut dyn VriHost,
         reclaimed: &mut Vec<Frame>,
@@ -1550,9 +1592,9 @@ impl<C: Clock> Lvrm<C> {
         }
         let got = (reclaimed.len() - before) as u64;
         let lost = queued.saturating_sub(got);
-        let (charged, verb) = match why {
-            Departure::Crash => (&self.stats.crash_lost, "died"),
-            Departure::Retire => (&self.stats.shrink_lost, "retired"),
+        let (charged, verb) = match charge {
+            Charge::Drops => (&self.stats.crash_lost, "died"),
+            Charge::ShrinkLost => (&self.stats.shrink_lost, "retired"),
         };
         charged.add(lost);
         self.stats.reclaimed.add(got);
@@ -1578,76 +1620,34 @@ impl<C: Clock> Lvrm<C> {
         let vr = &self.vrs[idx];
         if vr.vris.is_empty()
             && vr.draining.is_empty()
-            && (why == Departure::Retire || vr.quarantined)
+            && (charge == Charge::ShrinkLost || vr.quarantined)
         {
-            self.drain_stranded_ring(idx, now_ns, why);
+            self.drain_stranded_ring(idx, now_ns, charge);
         }
         (got, lost)
     }
 
-    /// Re-balance frames reclaimed from a departed VRI across the VR's
-    /// survivors. Unlike [`Lvrm::dispatch_bucket`] this records neither
-    /// `frames_in` nor arrivals — the frames were admitted once already.
-    ///
-    /// `why` names the counter charged for frames that cannot be rehomed.
-    /// A crash charges the usual drop taxonomy (the survivors refusing a
-    /// frame is an ordinary dispatch drop); a retirement charges
-    /// `shrink_lost` only, *without* `note_discarded`, so the per-adapter
-    /// dispatch-drop identity is untouched by voluntary retirement.
-    fn rehome(&mut self, vr_idx: usize, frames: &mut Vec<Frame>, now: u64, why: Departure) {
+    /// Re-place frames reclaimed from a departed VRI on the VR's survivors,
+    /// with the reading and placement ingress uses ([`Lvrm::place`]), point
+    /// to point even under VLink. Unlike [`Lvrm::dispatch_bucket`] this
+    /// records neither `frames_in` nor arrivals — the frames were admitted
+    /// once already — and what the survivors accept is `redispatched`.
+    /// `charge` books the frames that cannot be rehomed.
+    fn rehome(&mut self, vr_idx: usize, frames: Vec<Frame>, now: u64, charge: Charge) {
         if frames.is_empty() {
             return;
         }
         let vr = &mut self.vrs[vr_idx];
-        self.scratch_loads.clear();
-        self.scratch_valid.clear();
-        self.scratch_vris.clear();
-        let mut full = None;
-        for (slot, v) in vr.vris.iter_mut().enumerate() {
-            let q = v.read_queue(now);
-            full = full.or(q.attached.then_some(slot));
-            self.scratch_loads.push(q.load);
-            self.scratch_valid.push(q.valid);
-            self.scratch_vris.push(v.id);
+        let mut bucket = VrBucket { frames, flows: Vec::new() };
+        if vr.stages {
+            // Ingress's staging step, on headers parsed again here.
+            let stage =
+                |f: &Frame| IngressHeaders::parse(f.bytes()).and_then(|h| vr.balancer.stage(&h));
+            bucket.flows.extend(bucket.frames.iter().map(stage));
         }
-        let mut unplaced = 0;
-        for frame in frames.drain(..) {
-            let ctx = BalanceCtx {
-                vris: &self.scratch_vris,
-                loads: &self.scratch_loads,
-                valid: &self.scratch_valid,
-                now_ns: now,
-            };
-            match vr.balancer.pick(&frame, &ctx) {
-                Some(slot) => {
-                    self.scratch_slot_buckets[slot].push(frame);
-                    self.scratch_loads[slot] += 1.0;
-                }
-                None => unplaced += 1,
-            }
-        }
-        match why {
-            Departure::Crash => charge_unplaced(&self.stats, vr, full, unplaced),
-            Departure::Retire => self.stats.shrink_lost.add(unplaced),
-        }
-        for (slot, sb) in self.scratch_slot_buckets.iter_mut().enumerate().take(vr.vris.len()) {
-            if sb.is_empty() {
-                continue;
-            }
-            let accepted = vr.vris[slot].dispatch_batch(sb, now);
-            self.stats.redispatched.add(accepted as u64);
-            let leftover = sb.len() as u64;
-            if leftover > 0 {
-                match why {
-                    Departure::Crash => {
-                        vr.vris[slot].note_discarded(leftover);
-                        self.stats.dispatch_drops.add(leftover);
-                    }
-                    Departure::Retire => self.stats.shrink_lost.add(leftover),
-                }
-            }
-            sb.clear();
-        }
+        self.scratch_view.read(&mut vr.vris, now);
+        let accepted = self.place(vr_idx, &mut bucket, now, charge);
+        self.stats.redispatched.add(accepted);
     }
 
     /// Resize `vr` to `target` VRIs right now (never below one), bypassing
@@ -1814,17 +1814,17 @@ impl<C: Clock> Lvrm<C> {
     /// path (queue drained empty) that is zero.
     fn retire_vri(&mut self, idx: usize, adapter: VriAdapter, now_ns: u64, host: &mut dyn VriHost) {
         let mut reclaimed = Vec::new();
-        self.depart(idx, adapter, Departure::Retire, now_ns, host, &mut reclaimed);
-        self.rehome(idx, &mut reclaimed, now_ns, Departure::Retire);
+        self.depart(idx, adapter, Charge::ShrinkLost, now_ns, host, &mut reclaimed);
+        self.rehome(idx, reclaimed, now_ns, Charge::ShrinkLost);
     }
 
     /// Empty a VR's shared ring once no instance remains to steal from it,
     /// keeping the conservation identities intact: drained frames count as
     /// `reclaimed` (they left the queued gauge alive) and then run through
     /// [`Lvrm::rehome`], which — with no survivors — charges them to the
-    /// taxonomy `why` names. A no-op for VRs without a ring or with the
+    /// taxonomy `charge` names. A no-op for VRs without a ring or with the
     /// ring already empty.
-    fn drain_stranded_ring(&mut self, idx: usize, now_ns: u64, why: Departure) {
+    fn drain_stranded_ring(&mut self, idx: usize, now_ns: u64, charge: Charge) {
         let Some(ring) = self.vrs[idx].ring.as_ref() else {
             return;
         };
@@ -1837,7 +1837,7 @@ impl<C: Clock> Lvrm<C> {
         self.stats.reclaimed.add(got);
         self.registry
             .push_event(now_ns, format!("ring-drained vr={} frames={got}", self.vrs[idx].name));
-        self.rehome(idx, &mut frames, now_ns, why);
+        self.rehome(idx, frames, now_ns, charge);
     }
 
     /// Sweep the drain lists and retire every VRI whose queue has emptied,
@@ -1988,6 +1988,9 @@ impl<C: Clock> Lvrm<C> {
             s.draining.set(vr.draining.len() as f64);
             s.arrival_fps.set(vr.arrival.rate_per_sec());
             s.quarantined.set(if vr.quarantined { 1.0 } else { 0.0 });
+            if let Some(g) = &vr.owned_gauge {
+                g.set(if vr.owned { 1.0 } else { 0.0 });
+            }
             for v in &vr.vris {
                 v.publish(false);
             }

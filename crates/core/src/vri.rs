@@ -256,37 +256,17 @@ impl VriAdapter {
         self.health
     }
 
-    /// Push one frame toward the VRI and update the load estimate with the
-    /// observed queue depth ("when the VRI adapter forwards a data frame to
-    /// the VRI, it measures the load by observing the current queue length",
-    /// §3.4). Returns the frame on backpressure.
-    ///
-    /// A refusal is *not* a drop yet — the caller still owns the frame and
-    /// may retry it elsewhere. When it gives up, it must report the discard
-    /// via [`note_discarded`] so per-adapter and monitor totals agree
-    /// (counting on refusal double-counted retried frames).
-    ///
-    /// [`note_discarded`]: VriAdapter::note_discarded
-    pub fn dispatch(&mut self, frame: Frame, now_ns: u64) -> Result<(), Frame> {
-        match self.channels.data_tx.try_send(frame) {
-            Ok(()) => {
-                self.dispatched += 1;
-                let depth = self.channels.data_tx.len();
-                self.queue_watermark = self.queue_watermark.max(depth as u64);
-                self.estimator.on_dispatch(depth, now_ns);
-                Ok(())
-            }
-            Err(Full(frame)) => Err(frame),
-        }
-    }
-
     /// Push a burst of frames toward the VRI with one queue-index
-    /// publication, draining the accepted prefix from `frames`. The load
-    /// estimator sees the post-burst queue depth once (the batched
-    /// equivalent of §3.4's observe-on-dispatch); frames that did not fit
-    /// stay in `frames` — the caller decides whether to retry them or
-    /// discard them (reporting the latter via [`note_discarded`]). Returns
-    /// how many were accepted.
+    /// publication, draining the accepted prefix from `frames`, and update
+    /// the load estimate with the queue depth after the burst, observed once
+    /// ("when the VRI adapter forwards a data frame to the VRI, it measures
+    /// the load by observing the current queue length", §3.4). Returns how
+    /// many were accepted.
+    ///
+    /// A refusal is *not* a drop yet: frames that did not fit stay in
+    /// `frames`, and the caller decides whether to retry them elsewhere or
+    /// discard them. When it gives up, it must report the discard via
+    /// [`note_discarded`] so per-adapter and monitor totals agree.
     ///
     /// [`note_discarded`]: VriAdapter::note_discarded
     pub fn dispatch_batch(&mut self, frames: &mut Vec<Frame>, now_ns: u64) -> usize {
@@ -897,10 +877,20 @@ mod tests {
         (adapter, LvrmAdapter::new(VriId(7), endpoint))
     }
 
+    /// One frame through [`VriAdapter::dispatch_batch`], handed back if
+    /// the queue refuses it.
+    fn dispatch_one(lvrm: &mut VriAdapter, now_ns: u64) -> Result<(), Frame> {
+        let mut one = vec![frame()];
+        match lvrm.dispatch_batch(&mut one, now_ns) {
+            1 => Ok(()),
+            _ => Err(one.pop().expect("the refused frame")),
+        }
+    }
+
     #[test]
     fn dispatch_roundtrip_through_vri() {
         let (mut lvrm, mut vri) = pair(8);
-        lvrm.dispatch(frame(), 0).unwrap();
+        dispatch_one(&mut lvrm, 0).unwrap();
         let Some(Work::Data(f)) = vri.from_lvrm(10) else { panic!("expected data") };
         vri.to_lvrm(f).unwrap();
         let mut out = Vec::new();
@@ -913,9 +903,9 @@ mod tests {
     #[test]
     fn backpressure_returns_frame_and_counts() {
         let (mut lvrm, _vri) = pair(1);
-        lvrm.dispatch(frame(), 0).unwrap();
+        dispatch_one(&mut lvrm, 0).unwrap();
         assert!(!lvrm.read_queue(0).valid);
-        let refused = lvrm.dispatch(frame(), 1);
+        let refused = dispatch_one(&mut lvrm, 1);
         assert!(refused.is_err());
         assert_eq!(lvrm.dispatch_drops, 0, "a refusal is not a drop until the caller gives up");
         lvrm.note_discarded(1);
@@ -927,7 +917,7 @@ mod tests {
         let (mut lvrm, _vri) = pair(16);
         assert_eq!(lvrm.load(), 0.0);
         for i in 0..8 {
-            lvrm.dispatch(frame(), i).unwrap();
+            dispatch_one(&mut lvrm, i).unwrap();
         }
         assert!(lvrm.load() > 1.0, "load {}", lvrm.load());
         assert_eq!(lvrm.queue_len(), 8);
@@ -939,7 +929,7 @@ mod tests {
         let (mut lvrm, mut vri) = pair(8);
         assert_eq!(lvrm.pressure(&wm), PressureLevel::Normal);
         for i in 0..8 {
-            lvrm.dispatch(frame(), i).unwrap();
+            dispatch_one(&mut lvrm, i).unwrap();
         }
         assert!((lvrm.read_queue(8).occupancy - 1.0).abs() < 1e-9);
         assert_eq!(lvrm.pressure(&wm), PressureLevel::Overloaded);
@@ -955,14 +945,14 @@ mod tests {
         // Feed frames and have the VRI consume them with 20 us gaps => 50 Kfps.
         let mut now = 0u64;
         for _ in 0..32 {
-            lvrm.dispatch(frame(), now).unwrap();
+            dispatch_one(&mut lvrm, now).unwrap();
         }
         for _ in 0..32 {
             now += 20_000;
             let _ = vri.from_lvrm(now);
         }
         // Force a report past the period boundary.
-        lvrm.dispatch(frame(), now).unwrap();
+        dispatch_one(&mut lvrm, now).unwrap();
         now += 200_000_000;
         let _ = vri.from_lvrm(now);
         let mut evs = Vec::new();
@@ -1002,7 +992,7 @@ mod tests {
     #[test]
     fn batch_from_lvrm_delivers_control_first() {
         let (mut lvrm, mut vri) = pair(8);
-        lvrm.dispatch(frame(), 0).unwrap();
+        dispatch_one(&mut lvrm, 0).unwrap();
         lvrm.relay_control(ControlEvent::new(9, 7, b"cfg".to_vec())).unwrap();
         let mut ctrl = Vec::new();
         let mut data = Vec::new();
@@ -1018,7 +1008,7 @@ mod tests {
         let mut data = Vec::new();
         let mut now = 0u64;
         for _ in 0..32 {
-            lvrm.dispatch(frame(), now).unwrap();
+            dispatch_one(&mut lvrm, now).unwrap();
         }
         vri.from_lvrm_batch(&mut ctrl, &mut data, 64, now);
         for f in data.drain(..) {
@@ -1027,7 +1017,7 @@ mod tests {
             vri.to_lvrm(f).unwrap();
         }
         // Push past the report period so a report is emitted.
-        lvrm.dispatch(frame(), now).unwrap();
+        dispatch_one(&mut lvrm, now).unwrap();
         vri.from_lvrm_batch(&mut ctrl, &mut data, 64, now);
         now += 200_000_000;
         vri.note_departure(now);
@@ -1049,7 +1039,7 @@ mod tests {
         let (mut now, mut in_service) = (0u64, 0u64);
         let mut evs = Vec::new();
         for _ in 0..12_000 {
-            lvrm.dispatch(frame(), now).unwrap();
+            dispatch_one(&mut lvrm, now).unwrap();
             for _ in 0..2 {
                 vri.note_departures(now, in_service);
                 in_service = vri.from_lvrm_batch(&mut ctrl, &mut data, 32, now) as u64;
@@ -1085,7 +1075,7 @@ mod tests {
         lvrm.drain_control(&mut evs);
         assert_eq!(evs.len(), 1);
         // LVRM -> VRI (priority over data).
-        lvrm.dispatch(frame(), 0).unwrap();
+        dispatch_one(&mut lvrm, 0).unwrap();
         lvrm.relay_control(ControlEvent::new(9, 7, b"ack".to_vec())).unwrap();
         assert!(matches!(vri.from_lvrm(1), Some(Work::Control(_))));
         assert!(matches!(vri.from_lvrm(2), Some(Work::Data(_))));

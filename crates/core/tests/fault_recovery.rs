@@ -577,3 +577,64 @@ fn event_log_records_lifecycle_with_monotonic_timestamps() {
         );
     }
 }
+
+/// What a departed VRI's reclaimed frames cost when the survivor's queue is
+/// full. After a crash the survivor refusing them is an ordinary dispatch
+/// drop, charged to that VRI and to the aggregate; after a retirement they
+/// are `shrink_lost` and nothing else. Under VLink ingress parks the burst
+/// in the shared ring, which outlives either departure, so neither has
+/// anything to rehome or charge.
+#[test]
+fn a_full_survivor_refuses_rehomed_frames_by_departure() {
+    for kind in queue_kinds() {
+        let vlink = kind == QueueKind::VLink;
+        let config = LvrmConfig {
+            data_queue_capacity: 8,
+            dead_after_ns: 1_000_000_000_000,
+            suspect_after_ns: 500_000_000_000,
+            ..chaos_config(kind)
+        };
+        let fill = |lvrm: &mut Lvrm<ManualClock>, host: &mut RecordingHost| {
+            let mut burst: Vec<Frame> = (0..16).map(|i| frame(i as u8 + 1)).collect();
+            lvrm.ingress_batch(&mut burst, host);
+            assert_eq!(lvrm.stats().dispatch_drops, 0, "{kind:?}: both queues fill, no more");
+        };
+        let survivor_drops = |lvrm: &Lvrm<ManualClock>| {
+            let vris = &lvrm.snapshot()[0].vris;
+            assert_eq!(vris.len(), 1, "{kind:?}: the survivor is all there is");
+            vris[0].dispatch_drops
+        };
+
+        // Crash. A first crash respawns at once; a second within the streak
+        // waits out a backoff, so the full survivor is the only target.
+        let mut lvrm = new_lvrm(ManualClock::new(), config.clone());
+        let mut host = RecordingHost::default();
+        lvrm.add_vr("deptA", &subnet(), routed_vr("a"), &mut host);
+        host.crash_vri(host.spawned[0].vri);
+        lvrm.supervise(1, &mut host);
+        fill(&mut lvrm, &mut host);
+        host.crash_vri(host.spawned.last().unwrap().vri);
+        lvrm.supervise(2, &mut host);
+        let s = lvrm.stats();
+        let refused = if vlink { 0 } else { 8 };
+        assert_eq!((s.vri_deaths, s.respawns), (2, 1), "{kind:?}");
+        assert_eq!((s.reclaimed, s.redispatched), (refused, 0), "{kind:?}");
+        assert_eq!(s.dispatch_drops, refused, "{kind:?}: refused by the survivor");
+        assert_eq!(survivor_drops(&lvrm), refused, "{kind:?}: on the survivor's books");
+        assert_eq!(s.shrink_lost, 0, "{kind:?}");
+        assert_eq!(lvrm.ledger().check(), Ok(()), "{kind:?}: {}", lvrm.ledger());
+
+        // Retirement, in the same state.
+        let mut lvrm = new_lvrm(ManualClock::new(), config);
+        let mut host = RecordingHost::default();
+        let vr = lvrm.add_vr("deptA", &subnet(), routed_vr("a"), &mut host);
+        fill(&mut lvrm, &mut host);
+        lvrm.resize_vr(vr, 1, 1, &mut host);
+        let s = lvrm.stats();
+        assert_eq!((s.reclaimed, s.redispatched), (refused, 0), "{kind:?}");
+        assert_eq!(s.shrink_lost, refused, "{kind:?}: a retirement's refusals");
+        assert_eq!(s.dispatch_drops, 0, "{kind:?}: and no dispatch drop");
+        assert_eq!(survivor_drops(&lvrm), 0, "{kind:?}: on no VRI's books");
+        assert_eq!(lvrm.ledger().check(), Ok(()), "{kind:?}: {}", lvrm.ledger());
+    }
+}

@@ -67,8 +67,10 @@ impl QueueKind {
     pub const ALL: [QueueKind; 2] = [QueueKind::Lamport, QueueKind::VLink];
 
     /// Canonical name: the single source of truth for every flag, config
-    /// directive, env filter, and bench label. [`QueueKind::from_str`] is the
+    /// directive, env filter, and bench label. The [`FromStr`] impl is the
     /// inverse; `QueueKind::ALL` round-trips through the pair.
+    ///
+    /// [`FromStr`]: std::str::FromStr
     pub fn as_str(self) -> &'static str {
         match self {
             QueueKind::Lamport => "lamport",

@@ -12,8 +12,8 @@
 //! The protocol support is deliberately tiny: any complete HTTP/1.x request
 //! gets a `200` with `text/plain; version=0.0.4` and the connection is
 //! closed (`Connection: close`), which every Prometheus-compatible scraper
-//! and `curl` handles. Requests bigger than [`MAX_REQUEST_BYTES`] or older
-//! than [`CONN_TTL_POLLS`] polls are dropped — a scrape endpoint has no
+//! and `curl` handles. Requests bigger than `MAX_REQUEST_BYTES` or older
+//! than `CONN_TTL_POLLS` polls are dropped — a scrape endpoint has no
 //! business buffering unbounded input from the network.
 
 use std::io::{ErrorKind, Read, Write};

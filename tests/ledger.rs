@@ -8,7 +8,7 @@ use std::net::Ipv4Addr;
 
 use lvrm::core::host::RecordingHost;
 use lvrm::core::ledger::{Side, SCHEMA};
-use lvrm::core::{Checkpoint, Ledger, Violation, VrCheckpoint};
+use lvrm::core::{Checkpoint, ClusterConfig, Ledger, Violation, VrCheckpoint};
 use lvrm::prelude::*;
 
 /// One allocation period (and so one supervisor tick) past the start.
@@ -239,6 +239,23 @@ fn a_vr_that_drops_frames_leaves_them_unreturned_not_violated() {
     assert!(ledger.to_string().ends_with("+ unreturned 2 [balanced]"), "{ledger}");
     // The per-tick debug assertion lives with a dropping VR.
     lvrm.maybe_reallocate(T_TICK, &mut host);
+}
+
+/// A fleet shard's scrape says which VRs it serves: a VR the shard map
+/// assigns to another shard reads unowned there, as in the live books.
+#[test]
+fn a_fleet_shard_scrapes_the_vrs_it_does_not_own_as_unowned() {
+    let cluster = ClusterConfig { shard_id: 0, shards: 2, ..Default::default() };
+    let config = LvrmConfig { cluster: Some(cluster), ..Default::default() };
+    let mut lvrm = new_lvrm(ManualClock::new(), config);
+    let mut host = RecordingHost::default();
+    for (third, name) in [(1, "deptA"), (2, "deptB"), (3, "deptC"), (4, "deptD")] {
+        lvrm.add_vr(name, &[(Ipv4Addr::new(10, 0, third, 0), 24)], routed_vr(name), &mut host);
+    }
+    assert!(lvrm.attach_cluster(Vec::new()));
+    let ledger = assert_books(&lvrm, "shard 0 of 2");
+    let owned = ledger.vrs.iter().filter(|vr| vr.owned).count();
+    assert!((1..4).contains(&owned), "the map splits the VRs between the shards: {ledger:?}");
 }
 
 /// The "eight of nine lists" regression: a checkpoint whose 22 counters are
