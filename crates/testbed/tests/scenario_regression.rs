@@ -1,8 +1,8 @@
 //! End-to-end scenario regression suite over the declarative DSL.
 //!
 //! Runs the canned flash-crowd and SYN-flood scenarios (the adversarial
-//! half of the fixed bench set) on the full simulated testbed with the
-//! real LVRM monitor, and asserts:
+//! half of the fixed bench set) and the diurnal ramp on the full simulated
+//! testbed with the real LVRM monitor, and asserts:
 //!
 //! * the ledger (`lvrm_core::Ledger`, identities A–E) is exact on the final
 //!   metrics snapshot (post-drain, so the queued gauges are zero and the
@@ -18,7 +18,7 @@
 //! the `--ignored` census).
 
 use lvrm_ipc::QueueKind;
-use lvrm_testbed::scenarios::{flash_crowd, million_flows, syn_flood};
+use lvrm_testbed::scenarios::{diurnal, flash_crowd, million_flows, syn_flood};
 
 fn queue_kinds() -> Vec<QueueKind> {
     match std::env::var("LVRM_CHAOS_QUEUE") {
@@ -69,6 +69,23 @@ fn syn_flood_is_shed_and_victim_goodput_holds() {
         // no UDP data at all).
         assert_eq!(report.tenants[1].sent, 0, "flood frames counted as data {ctx}");
         assert_eq!(report.tenants[1].received, 0, "flood frames reached goodput {ctx}");
+    }
+}
+
+#[test]
+fn diurnal_ramps_deliver_pinned_books() {
+    for qk in queue_kinds() {
+        let mut spec = diurnal(0xD1CE);
+        spec.queue_kind = qk;
+        let report = spec.run();
+        let ctx = format!("(diurnal, {qk:?})");
+
+        report.assert_conserved(&ctx);
+        // Seeded and simulated, so exact: both phase-shifted staircases
+        // stay under the two VRIs' service rate, and the day tenant gains
+        // one frame sent before the window opened.
+        let books: Vec<(u64, u64)> = report.tenants.iter().map(|t| (t.sent, t.received)).collect();
+        assert_eq!(books, [(48_020, 48_021), (24_991, 24_991)], "per-tenant books {ctx}");
     }
 }
 
