@@ -119,8 +119,8 @@ impl LoadEstimator for EwmaInterArrival {
 /// Hysteretic pressure state machine over queue occupancy (overload control,
 /// DESIGN.md §8).
 ///
-/// [`Watermarks::classify`] alone would flap between `Pressured` and
-/// `Overloaded` while a queue hovers near the high mark; this tracker makes
+/// A stateless threshold on occupancy alone would flap between `Pressured`
+/// and `Overloaded` while a queue hovers near the high mark; this tracker makes
 /// the signal sticky: once `Overloaded`, a VR stays so until occupancy falls
 /// back to the *low* mark, so shedding decisions don't oscillate burst to
 /// burst.

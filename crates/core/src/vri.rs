@@ -13,7 +13,7 @@
 use std::sync::{Arc, Mutex};
 
 use lvrm_ipc::channels::{ControlEvent, VriChannels, VriEndpoint, Work};
-use lvrm_ipc::{occupancy, Full, PressureLevel, Watermarks};
+use lvrm_ipc::{occupancy, Full};
 use lvrm_metrics::{LatencyHistogram, ServiceRateEstimator};
 use lvrm_net::{FlowKey, Frame};
 use lvrm_router::{RouterAction, VirtualRouter};
@@ -321,12 +321,6 @@ impl VriAdapter {
     /// Instantaneous incoming-queue depth.
     pub fn queue_len(&self) -> usize {
         self.channels.data_tx.len()
-    }
-
-    /// Stateless pressure classification of the incoming data queue. The
-    /// monitor folds this through a per-VR `PressureTracker` for hysteresis.
-    pub fn pressure(&self, wm: &Watermarks) -> PressureLevel {
-        self.channels.data_tx.pressure(wm)
     }
 
     /// Whether forwarded frames are waiting in the outgoing data queue.
@@ -921,22 +915,6 @@ mod tests {
         }
         assert!(lvrm.load() > 1.0, "load {}", lvrm.load());
         assert_eq!(lvrm.queue_len(), 8);
-    }
-
-    #[test]
-    fn adapter_pressure_tracks_queue_occupancy() {
-        let wm = Watermarks::new(0.25, 0.75);
-        let (mut lvrm, mut vri) = pair(8);
-        assert_eq!(lvrm.pressure(&wm), PressureLevel::Normal);
-        for i in 0..8 {
-            dispatch_one(&mut lvrm, i).unwrap();
-        }
-        assert!((lvrm.read_queue(8).occupancy - 1.0).abs() < 1e-9);
-        assert_eq!(lvrm.pressure(&wm), PressureLevel::Overloaded);
-        for _ in 0..8 {
-            let _ = vri.from_lvrm(100);
-        }
-        assert_eq!(lvrm.pressure(&wm), PressureLevel::Normal, "drained queue relaxes");
     }
 
     #[test]

@@ -123,10 +123,10 @@ impl PressureLevel {
 
 /// High/low occupancy watermarks, as fractions of queue capacity.
 ///
-/// `classify` is stateless; the hysteresis between the two marks lives in the
-/// caller's state machine (see `lvrm-core`'s `PressureTracker`): a queue only
-/// leaves `Overloaded` once it drains back below `low`, so the band between
-/// the marks absorbs occupancy jitter instead of flapping the signal.
+/// The marks are read by `lvrm-core`'s `PressureTracker`, whose state
+/// machine holds the hysteresis between them: a queue only leaves
+/// `Overloaded` once it drains back below `low`, so the band between the
+/// marks absorbs occupancy jitter instead of flapping the signal.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Watermarks {
     /// Fraction of capacity at or below which the queue is `Normal`.
@@ -138,18 +138,6 @@ pub struct Watermarks {
 impl Watermarks {
     pub const fn new(low: f64, high: f64) -> Watermarks {
         Watermarks { low, high }
-    }
-
-    /// Stateless classification of `len` queued items out of `capacity`.
-    pub fn classify(&self, len: usize, capacity: usize) -> PressureLevel {
-        let occ = occupancy(len, capacity);
-        if occ >= self.high {
-            PressureLevel::Overloaded
-        } else if occ > self.low {
-            PressureLevel::Pressured
-        } else {
-            PressureLevel::Normal
-        }
     }
 }
 
@@ -240,12 +228,6 @@ impl<T: Send> Sender<T> {
     #[inline]
     pub fn occupancy(&self) -> f64 {
         occupancy(self.len(), self.capacity())
-    }
-
-    /// Stateless pressure classification of this queue under `wm`.
-    #[inline]
-    pub fn pressure(&self, wm: &Watermarks) -> PressureLevel {
-        wm.classify(self.len(), self.capacity())
     }
 }
 
@@ -356,18 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn watermarks_classify_by_occupancy() {
-        let wm = Watermarks::new(0.25, 0.75);
-        assert_eq!(wm.classify(0, 100), PressureLevel::Normal);
-        assert_eq!(wm.classify(25, 100), PressureLevel::Normal, "low mark inclusive");
-        assert_eq!(wm.classify(26, 100), PressureLevel::Pressured);
-        assert_eq!(wm.classify(74, 100), PressureLevel::Pressured);
-        assert_eq!(wm.classify(75, 100), PressureLevel::Overloaded, "high mark inclusive");
-        assert_eq!(wm.classify(100, 100), PressureLevel::Overloaded);
-        assert_eq!(wm.classify(10, 0), PressureLevel::Normal, "zero capacity never signals");
-    }
-
-    #[test]
     fn pressure_levels_order_for_max_aggregation() {
         assert!(PressureLevel::Normal < PressureLevel::Pressured);
         assert!(PressureLevel::Pressured < PressureLevel::Overloaded);
@@ -379,16 +349,14 @@ mod tests {
     }
 
     #[test]
-    fn sender_reports_occupancy_and_pressure() {
-        let wm = Watermarks::new(0.25, 0.75);
+    fn sender_reports_occupancy() {
         for kind in QueueKind::ALL {
             let (mut tx, _rx) = queue::<u32>(kind, 4);
-            assert_eq!(tx.pressure(&wm), PressureLevel::Normal, "{kind}");
+            assert_eq!(tx.occupancy(), 0.0, "{kind}");
             for i in 0..4 {
                 tx.try_send(i).unwrap();
             }
             assert!(tx.occupancy() >= 0.9, "{kind}");
-            assert_eq!(tx.pressure(&wm), PressureLevel::Overloaded, "{kind}");
         }
     }
 

@@ -28,9 +28,9 @@ pub enum Event {
     Sample,
     /// One-shot snapshot at the warmup boundary (does not reschedule).
     WarmupSnapshot,
-    /// A scheduled fault from the scenario's `FaultPlan` fires (index into
-    /// the plan's event list).
-    Fault { idx: usize },
+    /// Faults of the scenario's `FaultPlan` fall due: the LVRM host fires
+    /// every one scheduled by now.
+    Fault,
     /// End of the run.
     Stop,
 }

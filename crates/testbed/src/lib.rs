@@ -22,12 +22,13 @@
 //!   (Experiments 2c–2e) and ping probes (RTT measurements);
 //! * [`tcp`] — a Reno-style TCP model (slow start, AIMD, fast retransmit,
 //!   RTO, receiver window) plus the FTP workload of Experiments 3c/4;
-//! * [`scenario`] — experiment drivers: fixed-rate runs, achievable-
-//!   throughput search under the paper's 2 % loss rule, time series;
-//! * [`scenarios`] — a declarative scenario DSL on top of [`scenario`]:
-//!   multi-tenant specs composing heavy-tailed flow mixes, diurnal ramps,
-//!   flash crowds and SYN/UDP floods, reporting the monitor's ledger
-//!   and per-tenant goodput as structured results.
+//! * [`scenario`] — the one scenario model and its drivers: fixed-rate
+//!   runs, achievable-throughput search under the paper's 2 % loss rule,
+//!   time series, and a result that reads the monitor's ledger, per-VR
+//!   goodput and flow-table occupancy;
+//! * [`scenarios`] — the canned multi-tenant [`Scenario`]s: heavy-tailed
+//!   flow mixes, diurnal ramps, flash crowds, SYN/UDP floods and an
+//!   elephant flow.
 //!
 //! Everything is seeded and deterministic: the same scenario produces the
 //! same figures bit-for-bit.
@@ -48,5 +49,4 @@ pub use engine::EventQueue;
 pub use gateway::{ForwardingMech, HypervisorKind};
 pub use gateway::{VrSpec, VrType};
 pub use scenario::{Scenario, ScenarioResult};
-pub use scenarios::{shard_split, ScenarioReport, ScenarioSpec, TenantSpec, WorkloadSpec};
 pub use traffic::RateSchedule;

@@ -7,15 +7,59 @@
 //! hypervisor-hosted, or the real LVRM monitor on simulated cores), a
 //! 1-Gbps pipe out, and receiver hosts — plus the reverse path for ACKs and
 //! ping replies.
+//!
+//! Two weighted tenants, a steady one and a bursty heavy-tailed one, run
+//! against the real monitor; the result reads the monitor's ledger
+//! (DESIGN.md §9) and per-VR goodput. The canned set in
+//! [`crate::scenarios`] is built the same way.
+//!
+//! ```no_run
+//! use lvrm_testbed::scenario::{Scenario, SourceSpec};
+//! use lvrm_testbed::traffic::{RateSchedule, SourceKind};
+//! use lvrm_testbed::{ForwardingMech, VrSpec, VrType};
+//!
+//! let mut sc = Scenario::new(ForwardingMech::Lvrm);
+//! sc.lvrm.flow_based = true;
+//! sc.drain_shutdown = true;
+//! let cpp = VrType::Cpp { dummy_load_ns: 0 };
+//! sc.vrs = vec![
+//!     VrSpec::numbered(0, cpp).with_shed_weight(9.0),
+//!     VrSpec::numbered(1, cpp).with_shed_weight(1.0),
+//! ];
+//! sc.sources = vec![
+//!     SourceSpec {
+//!         vr: 0,
+//!         host: 1,
+//!         kind: SourceKind::UdpCbr { wire_size: 256, flows: 8 },
+//!         schedule: RateSchedule::constant(30_000.0),
+//!     },
+//!     SourceSpec {
+//!         vr: 1,
+//!         host: 1,
+//!         kind: SourceKind::UdpMix { wire_size: 256, flows: 500, alpha: 1.3, seed: 42 },
+//!         schedule: RateSchedule::constant(50_000.0),
+//!     },
+//! ];
+//! let r = sc.run();
+//! r.assert_conserved("(two tenants)");
+//! println!("steady goodput {:.2}%", 100.0 * r.goodput(0));
+//!
+//! // A canned scenario is a `Scenario` too: change any knob, then run it.
+//! let mut crowd = lvrm_testbed::scenarios::flash_crowd(0xF1A5);
+//! crowd.lvrm.queue_kind = lvrm_ipc::QueueKind::VLink;
+//! println!("{} frames shed early", crowd.run().shed_early());
+//! ```
 
 use std::collections::HashMap;
 
 use lvrm_core::clock::{Clock, ManualClock};
-use lvrm_core::fault::{FaultKind, FaultPlan};
+use lvrm_core::fault::{FaultPlan, FaultyHost};
 use lvrm_core::monitor::{ReallocEvent, SupervisionEvent};
 use lvrm_core::topology::{CoreId, CoreMap, CoreTopology};
 use lvrm_core::vri::LVRM_CTRL_ID;
-use lvrm_core::{DispatchMode, Lvrm, LvrmConfig, ReplicaLedger, SocketKind, VrId};
+use lvrm_core::{
+    DispatchMode, FlowTableStats, Ledger, Lvrm, LvrmConfig, ReplicaLedger, SocketKind, VrId,
+};
 use lvrm_ipc::channels::ControlEvent;
 use lvrm_metrics::LatencyHistogram;
 use lvrm_net::headers::{IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP};
@@ -229,6 +273,65 @@ impl ScenarioResult {
     pub fn tcp_aggregate_mbps(&self) -> f64 {
         self.tcp_goodput_mbps().iter().sum()
     }
+
+    /// VR `vr`'s UDP data received / sent inside the window (1.0 when
+    /// idle).
+    pub fn goodput(&self, vr: usize) -> f64 {
+        match self.per_vr_sent[vr] {
+            0 => 1.0,
+            sent => self.per_vr_received[vr] as f64 / sent as f64,
+        }
+    }
+
+    /// The monitor's books at the end of the run, read from the final
+    /// scrape (LVRM only).
+    pub fn ledger(&self) -> Ledger {
+        Ledger::from_snapshot(self.metrics.as_ref().expect("the LVRM mechanism exports metrics"))
+    }
+
+    /// Whether the final ledger checks out with nothing unreturned: a
+    /// scenario whose VRs forward every frame on the simulated host must
+    /// close (B) and (C) exactly.
+    pub fn conserved(&self) -> bool {
+        let ledger = self.ledger();
+        ledger.check().is_ok() && ledger.unreturned() == 0
+    }
+
+    /// Panic with the ledger (its last word names a violated identity)
+    /// unless [`ScenarioResult::conserved`].
+    pub fn assert_conserved(&self, ctx: &str) {
+        assert!(self.conserved(), "{ctx}: {}", self.ledger());
+    }
+
+    /// Concurrently tracked flows at end of run (pre-drain), summed over
+    /// the VRs' flow tables.
+    pub fn tracked_flows(&self) -> u64 {
+        self.vr_snapshots.iter().filter_map(|v| v.flow).map(|f| f.len as u64).sum()
+    }
+
+    /// Aggregate flow-table stats (evictions, overflows, sweep slots).
+    pub fn flow_stats(&self) -> FlowTableStats {
+        let mut agg = FlowTableStats::default();
+        for f in self.vr_snapshots.iter().filter_map(|v| v.flow) {
+            agg.len += f.len;
+            agg.capacity += f.capacity;
+            agg.evictions += f.evictions;
+            agg.overflows += f.overflows;
+            agg.age_sweep_slots += f.age_sweep_slots;
+        }
+        agg
+    }
+
+    /// Frames shed at ingress (the overload path, DESIGN.md §8).
+    pub fn shed_early(&self) -> u64 {
+        self.lvrm_stats.as_ref().map_or(0, |s| s.shed_early)
+    }
+
+    /// State updates emitted toward sibling replicas (identity E's
+    /// left-hand side).
+    pub fn updates_emitted(&self) -> u64 {
+        self.lvrm_stats.as_ref().map_or(0, |s| s.updates_emitted)
+    }
 }
 
 /// Binary-search the maximum rate (fps) whose run satisfies the paper's 2 %
@@ -261,13 +364,12 @@ pub fn search_achievable(make: impl Fn(f64) -> Scenario, lo0: f64, hi0: f64, ite
 #[allow(clippy::large_enum_variant)] // one Mech per World; size is irrelevant
 enum Mech {
     /// Kernel-path forwarding (native or hypervisor-hosted guest).
-    Kernel {
-        route: lvrm_router::RouteTable,
-        hypervisor: Option<HypervisorKind>,
-    },
+    Kernel { route: lvrm_router::RouteTable, hypervisor: Option<HypervisorKind> },
     Lvrm {
         lvrm: Lvrm<ManualClock>,
-        host: SimHost,
+        /// Fires the scenario's fault plan; spawn order is the slot order,
+        /// since slots are only ever appended.
+        host: FaultyHost<SimHost>,
         clock: ManualClock,
         vr_ids: Vec<VrId>,
     },
@@ -327,7 +429,7 @@ impl<'s> World<'s> {
                 let cores =
                     CoreMap::new(CoreTopology::dual_quad_xeon(), lvrm_core, sc.lvrm.affinity);
                 let mut lvrm = Lvrm::new(sc.lvrm.clone(), cores, clock.clone());
-                let mut host = SimHost::default();
+                let mut host = FaultyHost::new(SimHost::default(), sc.faults.clone());
                 let vr_ids: Vec<_> = sc
                     .vrs
                     .iter()
@@ -422,8 +524,8 @@ impl<'s> World<'s> {
         for (i, spec) in self.sc.tcp_flows.iter().enumerate() {
             self.q.schedule(spec.start_ns, Event::TcpKick { flow: i });
         }
-        for (idx, ev) in self.sc.faults.events().iter().enumerate() {
-            self.q.schedule(ev.at_ns, Event::Fault { idx });
+        for ev in self.sc.faults.events() {
+            self.q.schedule(ev.at_ns, Event::Fault);
         }
         // Warmup boundary snapshot (always) + optional periodic samples.
         self.q.schedule(self.sc.warmup_ns, Event::WarmupSnapshot);
@@ -443,7 +545,11 @@ impl<'s> World<'s> {
                 Event::TcpTimeout { flow, epoch } => self.on_tcp_timeout(flow, epoch, now),
                 Event::Sample => self.on_sample(now),
                 Event::WarmupSnapshot => self.take_warmup_snapshot(now),
-                Event::Fault { idx } => self.on_fault(idx, now),
+                Event::Fault => {
+                    if let Mech::Lvrm { host, .. } = &mut self.mech {
+                        host.apply(now);
+                    }
+                }
             }
         }
         self.finish()
@@ -696,7 +802,7 @@ impl<'s> World<'s> {
     fn core_residents(&self, core: CoreId) -> u64 {
         let vris_here = match &self.mech {
             Mech::Lvrm { host, .. } => {
-                host.slots.iter().filter(|s| s.alive && s.spec.core == core).count() as u64
+                host.inner.slots.iter().filter(|s| s.alive && s.spec.core == core).count() as u64
             }
             _ => 0,
         };
@@ -713,6 +819,7 @@ impl<'s> World<'s> {
         match &self.mech {
             Mech::Lvrm { host, .. } => {
                 let live: Vec<u64> = host
+                    .inner
                     .slots
                     .iter()
                     .filter(|s| s.alive)
@@ -835,6 +942,7 @@ impl<'s> World<'s> {
         let mut to_schedule = Vec::new();
         {
             let Mech::Lvrm { host, .. } = &mut self.mech else { return t };
+            let host = &mut host.inner;
             for idx in std::mem::take(&mut host.newly_spawned) {
                 t = self.cpu.charge(self.lvrm_core, t, spawn_cost, CpuBucket::System);
                 host.slots[idx].active_after_ns = t;
@@ -856,7 +964,7 @@ impl<'s> World<'s> {
         let mut wake = Vec::new();
         {
             let Mech::Lvrm { host, .. } = &mut self.mech else { return };
-            for (i, slot) in host.slots.iter_mut().enumerate() {
+            for (i, slot) in host.inner.slots.iter_mut().enumerate() {
                 if slot.alive
                     && !slot.stalled
                     && !slot.poll_scheduled
@@ -882,30 +990,6 @@ impl<'s> World<'s> {
         }
     }
 
-    // ------------------------------------------------------------ faults
-
-    /// Fire one scheduled fault. Spawn order in the simulation is the slot
-    /// index (slots are only ever appended), so the plan's `nth_spawn`
-    /// addressing resolves directly.
-    fn on_fault(&mut self, idx: usize, _now: u64) {
-        use lvrm_core::fault::FaultInjectable;
-        let Some(ev) = self.sc.faults.events().get(idx).copied() else { return };
-        let Mech::Lvrm { host, .. } = &mut self.mech else { return };
-        let nth = match ev.kind {
-            FaultKind::Crash { nth_spawn }
-            | FaultKind::Stall { nth_spawn }
-            | FaultKind::Resume { nth_spawn }
-            | FaultKind::CtrlLoss { nth_spawn, .. } => nth_spawn,
-        };
-        let Some(vri) = host.slots.get(nth).map(|s| s.spec.vri) else { return };
-        match ev.kind {
-            FaultKind::Crash { .. } => host.inject_crash(vri),
-            FaultKind::Stall { .. } => host.inject_stall(vri, true),
-            FaultKind::Resume { .. } => host.inject_stall(vri, false),
-            FaultKind::CtrlLoss { on, .. } => host.inject_ctrl_loss(vri, on),
-        }
-    }
-
     // ------------------------------------------------------------ VRIs
 
     /// Whether VR spec `k` runs replicated dispatch (per-VR override first,
@@ -918,7 +1002,7 @@ impl<'s> World<'s> {
         let unpinned = self.sc.lvrm.affinity == lvrm_core::topology::AffinityMode::Default;
         let contention = {
             let core = match &self.mech {
-                Mech::Lvrm { host, .. } => host.slots.get(slot).map(|s| s.spec.core),
+                Mech::Lvrm { host, .. } => host.inner.slots.get(slot).map(|s| s.spec.core),
                 _ => None,
             };
             core.map_or(1, |c| self.core_residents(c))
@@ -927,9 +1011,11 @@ impl<'s> World<'s> {
         // per-byte service cost and whether this slot keeps a state ledger.
         let (per_byte, replicated) = {
             let vr_idx = match &self.mech {
-                Mech::Lvrm { host, vr_ids, .. } => {
-                    host.slots.get(slot).and_then(|s| vr_ids.iter().position(|id| *id == s.spec.vr))
-                }
+                Mech::Lvrm { host, vr_ids, .. } => host
+                    .inner
+                    .slots
+                    .get(slot)
+                    .and_then(|s| vr_ids.iter().position(|id| *id == s.spec.vr)),
                 _ => None,
             };
             match vr_idx {
@@ -942,7 +1028,7 @@ impl<'s> World<'s> {
         let more;
         {
             let Mech::Lvrm { host, .. } = &mut self.mech else { return };
-            let Some(s) = host.slots.get_mut(slot) else { return };
+            let Some(s) = host.inner.slots.get_mut(slot) else { return };
             if !s.alive || s.stalled || s.adapter.is_none() {
                 // A stalled slot neither services nor heartbeats; it gets
                 // re-woken by `schedule_vri_polls` once un-stalled.
@@ -1123,7 +1209,7 @@ impl<'s> World<'s> {
                 let deadline = clock.now_ns() + 1_000_000_000;
                 let mut rounds = 0;
                 while !lvrm.shutdown(deadline, host) {
-                    pump_slots(host, clock.now_ns());
+                    pump_slots(&mut host.inner, clock.now_ns());
                     rounds += 1;
                     assert!(rounds < 1000, "scenario shutdown drain must converge");
                 }

@@ -54,6 +54,17 @@ impl RateSchedule {
         RateSchedule { segments }
     }
 
+    /// A day/night ramp: an 8-step staircase from `trough_fps` up to
+    /// `peak_fps` and back down over one `period_ns`, then `trough_fps`
+    /// for good. A trough above the peak inverts the phase.
+    pub fn diurnal(trough_fps: f64, peak_fps: f64, period_ns: u64) -> RateSchedule {
+        const STEPS: u64 = 8;
+        let dwell = period_ns / (2 * STEPS);
+        let level = |k: u64| trough_fps + k as f64 / (STEPS - 1) as f64 * (peak_fps - trough_fps);
+        let ks = (0..STEPS).chain((0..STEPS).rev());
+        RateSchedule { segments: ks.zip(0..).map(|(k, i)| (i * dwell, level(k))).collect() }
+    }
+
     /// Shift the whole schedule later by `delay_ns` (staggered starts,
     /// Experiment 2d).
     pub fn delayed(mut self, delay_ns: u64) -> RateSchedule {
@@ -337,6 +348,14 @@ mod tests {
         assert_eq!(s.rate_at(30_000_000_000), 300_000.0);
         assert_eq!(s.rate_at(50_000_000_000), 60_000.0);
         assert_eq!(s.last_change_ns(), 50_000_000_000);
+    }
+
+    #[test]
+    fn diurnal_schedule_ramps_up_and_down() {
+        let sched = RateSchedule::diurnal(100.0, 900.0, 160);
+        assert_eq!(sched.rate_at(0), 100.0);
+        assert!(sched.rate_at(75) > 800.0, "peak near mid-period");
+        assert_eq!(sched.rate_at(10_000), 100.0, "back to trough");
     }
 
     #[test]

@@ -16,11 +16,11 @@ const SEED: u64 = 42;
 fn elephant_scales_with_replicated_dispatch() {
     for kind in QueueKind::ALL {
         let run = |cores: usize, replicated: bool| {
-            let mut spec = elephant_flow(cores, replicated, SEED);
-            spec.queue_kind = kind;
-            let report = spec.run();
-            report.assert_conserved(&format!("(elephant {cores} VRIs, {kind:?})"));
-            report
+            let mut sc = elephant_flow(cores, replicated, SEED);
+            sc.lvrm.queue_kind = kind;
+            let r = sc.run();
+            r.assert_conserved(&format!("(elephant {cores} VRIs, {kind:?})"));
+            r
         };
         let (pinned, repl2, repl4) = (run(2, false), run(2, true), run(4, true));
         assert_eq!(pinned.updates_emitted(), 0, "pinned dispatch replicates nothing");
@@ -30,7 +30,7 @@ fn elephant_scales_with_replicated_dispatch() {
         // Bytes the one flow delivered inside the window. Simulated time, so
         // exact: 114.2 Mbps pinned, 1.9864× that on 2 VRIs and 3.7777× on 4
         // (the bars are ≥ 1.7× and ≥ 3×).
-        let bytes = [&pinned, &repl2, &repl4].map(|r| r.result.tcp_goodput.clone());
+        let bytes = [&pinned, &repl2, &repl4].map(|r| r.tcp_goodput.clone());
         assert_eq!(bytes, [[14_274_420], [28_354_660], [53_925_100]], "{kind:?}");
     }
 }
@@ -38,8 +38,8 @@ fn elephant_scales_with_replicated_dispatch() {
 /// Per-VRI dispatched counts for VR `vr0`, from the metrics snapshot
 /// (the live per-VRI lists are empty after the shutdown drain; the
 /// per-series counters survive retirement).
-fn vr0_dispatches(report: &lvrm_testbed::scenarios::ScenarioReport) -> Vec<u64> {
-    let snap = report.result.metrics.as_ref().expect("LVRM runs export metrics");
+fn vr0_dispatches(r: &lvrm_testbed::ScenarioResult) -> Vec<u64> {
+    let snap = r.metrics.as_ref().expect("LVRM runs export metrics");
     let fam = snap.family("lvrm_vri_dispatched_total").expect("dispatched family exists");
     fam.series
         .iter()
@@ -75,7 +75,7 @@ fn replicated_elephant_spreads_across_vris() {
     let max = dispatches.iter().copied().max().unwrap_or(0);
     assert!(total > 0);
     assert!((max as f64) < 0.5 * total as f64, "replicated elephant not spread: {dispatches:?}");
-    assert!(!repl4.result.repl_trace.is_empty(), "replicated run records an update trace");
+    assert!(!repl4.repl_trace.is_empty(), "replicated run records an update trace");
 }
 
 /// The same claim on *real* VRI threads (spawned via `ThreadHost`, the

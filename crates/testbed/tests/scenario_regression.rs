@@ -1,4 +1,4 @@
-//! End-to-end scenario regression suite over the declarative DSL.
+//! End-to-end scenario regression suite over the canned scenarios.
 //!
 //! Runs the canned flash-crowd and SYN-flood scenarios (the adversarial
 //! half of the fixed bench set) and the diurnal ramp on the full simulated
@@ -30,61 +30,62 @@ fn queue_kinds() -> Vec<QueueKind> {
 #[test]
 fn flash_crowd_sheds_surge_and_preserves_weighted_goodput() {
     for qk in queue_kinds() {
-        let mut spec = flash_crowd(0xF1A5);
-        spec.queue_kind = qk;
-        let report = spec.run();
+        let mut sc = flash_crowd(0xF1A5);
+        sc.lvrm.queue_kind = qk;
+        let r = sc.run();
         let ctx = format!("(flash crowd, {qk:?})");
 
-        report.assert_conserved(&ctx);
-        assert!(report.shed_early() > 0, "surge never engaged shedding {ctx}");
+        r.assert_conserved(&ctx);
+        assert!(r.shed_early() > 0, "surge never engaged shedding {ctx}");
 
         // Seeded and simulated, so exact. The weight-9 steady tenant rides
         // the surge out whole (one frame sent before the window opened lands
         // inside it: 100.0042 %); the weight-1 crowd is clipped to 14.9 %.
-        let steady = &report.tenants[0];
-        let crowd = &report.tenants[1];
-        assert_eq!((steady.sent, steady.received), (24_000, 24_001), "steady tenant {ctx}");
-        assert_eq!((crowd.sent, crowd.received), (225_064, 33_462), "surge tenant {ctx}");
+        let steady = (r.per_vr_sent[0], r.per_vr_received[0]);
+        let crowd = (r.per_vr_sent[1], r.per_vr_received[1]);
+        assert_eq!(steady, (24_000, 24_001), "steady tenant {ctx}");
+        assert_eq!(crowd, (225_064, 33_462), "surge tenant {ctx}");
     }
 }
 
 #[test]
 fn syn_flood_is_shed_and_victim_goodput_holds() {
     for qk in queue_kinds() {
-        let mut spec = syn_flood(0x5EED);
-        spec.queue_kind = qk;
-        let report = spec.run();
+        let mut sc = syn_flood(0x5EED);
+        sc.lvrm.queue_kind = qk;
+        let r = sc.run();
         let ctx = format!("(syn flood, {qk:?})");
 
-        report.assert_conserved(&ctx);
-        assert!(report.shed_early() > 0, "flood never engaged shedding {ctx}");
-        assert!(report.result.flood_sent > 0, "attacker emitted nothing {ctx}");
+        r.assert_conserved(&ctx);
+        assert!(r.shed_early() > 0, "flood never engaged shedding {ctx}");
+        assert!(r.flood_sent > 0, "attacker emitted nothing {ctx}");
 
         // Seeded and simulated, so exact: the weight-9 victim loses two
         // frames of 24 000 to the flood (99.9917 %).
-        let victim = &report.tenants[0];
-        assert_eq!((victim.sent, victim.received), (24_000, 23_998), "victim {ctx}");
+        let victim = (r.per_vr_sent[0], r.per_vr_received[0]);
+        assert_eq!(victim, (24_000, 23_998), "victim {ctx}");
         // Flood frames are not data: the receiver-side accounting must not
         // credit any of them as tenant goodput (the attacker tenant sends
         // no UDP data at all).
-        assert_eq!(report.tenants[1].sent, 0, "flood frames counted as data {ctx}");
-        assert_eq!(report.tenants[1].received, 0, "flood frames reached goodput {ctx}");
+        assert_eq!(r.per_vr_sent[1], 0, "flood frames counted as data {ctx}");
+        assert_eq!(r.per_vr_received[1], 0, "flood frames reached goodput {ctx}");
     }
 }
 
 #[test]
 fn diurnal_ramps_deliver_pinned_books() {
     for qk in queue_kinds() {
-        let mut spec = diurnal(0xD1CE);
-        spec.queue_kind = qk;
-        let report = spec.run();
+        let mut sc = diurnal(0xD1CE);
+        sc.lvrm.queue_kind = qk;
+        let r = sc.run();
         let ctx = format!("(diurnal, {qk:?})");
 
-        report.assert_conserved(&ctx);
+        r.assert_conserved(&ctx);
         // Seeded and simulated, so exact: both phase-shifted staircases
         // stay under the two VRIs' service rate, and the day tenant gains
         // one frame sent before the window opened.
-        let books: Vec<(u64, u64)> = report.tenants.iter().map(|t| (t.sent, t.received)).collect();
+        let books: Vec<(u64, u64)> =
+            r.per_vr_sent.iter().copied().zip(r.per_vr_received.iter().copied()).collect();
         assert_eq!(books, [(48_020, 48_021), (24_991, 24_991)], "per-tenant books {ctx}");
     }
 }
@@ -97,15 +98,15 @@ fn diurnal_ramps_deliver_pinned_books() {
 #[ignore = "million-flow census needs a release build (~2s simulated, minutes in debug)"]
 fn million_flow_census_tracks_and_conserves() {
     for qk in queue_kinds() {
-        let mut spec = million_flows(1_000_000, 0x0131);
-        spec.queue_kind = qk;
-        let report = spec.run();
+        let mut sc = million_flows(1_000_000, 0x0131);
+        sc.lvrm.queue_kind = qk;
+        let r = sc.run();
         let ctx = format!("(million flows, {qk:?})");
-        report.assert_conserved(&ctx);
-        assert_eq!(report.tracked_flows(), 1_000_000, "every flow tracked, none twice {ctx}");
-        let fs = report.flow_stats();
+        r.assert_conserved(&ctx);
+        assert_eq!(r.tracked_flows(), 1_000_000, "every flow tracked, none twice {ctx}");
+        let fs = r.flow_stats();
         assert_eq!(fs.overflows, 0, "flow table must absorb the census without overflow {ctx}");
-        let census = &report.tenants[0];
-        assert_eq!((census.sent, census.received), (2_501_000, 2_501_001), "goodput {ctx}");
+        let census = (r.per_vr_sent[0], r.per_vr_received[0]);
+        assert_eq!(census, (2_501_000, 2_501_001), "goodput {ctx}");
     }
 }
