@@ -37,6 +37,15 @@ use crate::socket::{AdapterError, SendRejected, SocketAdapter, SocketKind};
 /// instants (no thundering-herd reopens against a shared NIC/driver).
 static NEXT_JITTER_SALT: AtomicU64 = AtomicU64::new(1);
 
+/// (name, help) of the supervision counters [`SupervisedAdapter::publish`]
+/// stores into; the monitor registers the same families at zero.
+pub(crate) const M_ADAPTER_REOPENS: (&str, &str) =
+    ("lvrm_adapter_reopens_total", "Successful reopens of a dead socket adapter.");
+pub(crate) const M_ADAPTER_FAILOVERS: (&str, &str) =
+    ("lvrm_adapter_failovers_total", "Failovers to a standby socket adapter.");
+pub(crate) const M_EGRESS_RETRIES: (&str, &str) =
+    ("lvrm_egress_retries_total", "Refused egress frames later delivered from the retry queue.");
+
 /// Supervisor health classification of the active adapter.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AdapterState {
@@ -304,20 +313,9 @@ impl SupervisedAdapter {
     /// the monitor's metric names (registry handles dedup by name, so these
     /// land in the same families [`crate::monitor::Lvrm`] registers).
     pub fn publish(&self, reg: &MetricsRegistry) {
-        reg.counter(
-            "lvrm_adapter_reopens_total",
-            "Successful reopens of a dead socket adapter.",
-            &[],
-        )
-        .store(self.reopens);
-        reg.counter("lvrm_adapter_failovers_total", "Failovers to a standby socket adapter.", &[])
-            .store(self.failovers);
-        reg.counter(
-            "lvrm_egress_retries_total",
-            "Refused egress frames later delivered from the retry queue.",
-            &[],
-        )
-        .store(self.egress_retries);
+        reg.counter(M_ADAPTER_REOPENS.0, M_ADAPTER_REOPENS.1, &[]).store(self.reopens);
+        reg.counter(M_ADAPTER_FAILOVERS.0, M_ADAPTER_FAILOVERS.1, &[]).store(self.failovers);
+        reg.counter(M_EGRESS_RETRIES.0, M_EGRESS_RETRIES.1, &[]).store(self.egress_retries);
         reg.gauge(
             "lvrm_adapter_state",
             "Supervised adapter state (0 healthy, 1 degraded, 2 dead).",

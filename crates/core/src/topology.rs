@@ -244,13 +244,6 @@ impl CoreMap {
             None => false,
         }
     }
-
-    /// The allocated core a shrink should give back first: the most recently
-    /// allocated (reverse of allocation preference, so sibling cores are the
-    /// last to go).
-    pub fn release_candidate(&self) -> Option<CoreId> {
-        self.in_use.last().copied()
-    }
 }
 
 #[cfg(test)]
@@ -299,7 +292,6 @@ mod tests {
         let mut m = xeon_map(AffinityMode::SiblingFirst);
         let a = m.allocate().unwrap();
         let b = m.allocate().unwrap();
-        assert_eq!(m.release_candidate(), Some(b));
         assert!(m.release(b));
         assert!(!m.release(b), "double release rejected");
         let c = m.allocate().unwrap();

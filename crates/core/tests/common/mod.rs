@@ -5,9 +5,10 @@
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
+use lvrm_core::monitor::VrSnapshot;
 use lvrm_core::{
     AffinityMode, AllocatorKind, CoreId, CoreMap, CoreTopology, Lvrm, LvrmConfig, ManualClock,
-    RecordingHost,
+    RecordingHost, VrId,
 };
 use lvrm_ipc::QueueKind;
 use lvrm_net::{Frame, FrameBuilder};
@@ -56,6 +57,17 @@ pub fn flow_frame(i: usize) -> Frame {
         80,
         &[],
     )
+}
+
+/// `vr`'s row of the monitor's snapshot.
+pub fn vr_snapshot(lvrm: &Lvrm<ManualClock>, vr: VrId) -> VrSnapshot {
+    lvrm.snapshot().swap_remove(vr.0 as usize)
+}
+
+/// Dispatch counts of `vr`'s live (not draining) VRIs, in slot order.
+pub fn dispatch_counts(lvrm: &Lvrm<ManualClock>, vr: VrId) -> Vec<u64> {
+    let vris = vr_snapshot(lvrm, vr).vris;
+    vris.iter().filter(|v| !v.draining).map(|v| v.dispatched).collect()
 }
 
 /// A drained monitor's ledger (`lvrm_core::ledger`, DESIGN.md §9): every

@@ -24,7 +24,9 @@ use lvrm_net::{Frame, FrameBuilder};
 use lvrm_router::VirtualRouter;
 
 mod common;
-use common::{assert_settled, chaos_config, drain, new_lvrm, queue_kinds, routed_vr, subnet};
+use common::{
+    assert_settled, chaos_config, drain, new_lvrm, queue_kinds, routed_vr, subnet, vr_snapshot,
+};
 
 /// Frames parked on VRIs when a fault fires (smaller under Miri: the
 /// interpreter runs the same paths, just fewer times around them).
@@ -273,7 +275,7 @@ fn crash_loop_quarantines_vr_and_counts_its_drops() {
         lvrm.ingress_batch(&mut burst, &mut host);
         host.crash_vri(host.spawned.last().unwrap().vri);
         tick(&mut lvrm, &mut host, &mut t);
-        assert!(lvrm.vr_quarantined(vr), "{kind:?}");
+        assert!(vr_snapshot(&lvrm, vr).quarantined, "{kind:?}");
         assert_eq!(lvrm.stats().vri_deaths, 3, "{kind:?}");
         // Classic kinds lost round 1's frames to re-dispatch and round 2's to
         // the backoff; the ring kept both, so quarantine drains all 20.

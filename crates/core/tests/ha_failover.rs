@@ -17,7 +17,7 @@ use lvrm_ipc::QueueKind;
 use lvrm_net::Frame;
 
 mod common;
-use common::{assert_settled, drain, flow_frame, queue_kinds, routed_vr, subnet};
+use common::{assert_settled, dispatch_counts, drain, flow_frame, queue_kinds, routed_vr, subnet};
 
 /// Host-loop cadence: well under the advert interval, so election timers
 /// are observed with ~7% granularity.
@@ -89,10 +89,10 @@ impl Node {
     }
 
     fn probe_slot(&mut self, i: usize, out: &mut Vec<Frame>) -> usize {
-        let before = self.lvrm.vri_dispatch_counts(self.vr);
+        let before = dispatch_counts(&self.lvrm, self.vr);
         self.lvrm.ingress(flow_frame(i), &mut self.host);
         drain(&mut self.lvrm, &mut self.host, out);
-        let after = self.lvrm.vri_dispatch_counts(self.vr);
+        let after = dispatch_counts(&self.lvrm, self.vr);
         let hits: Vec<usize> = after
             .iter()
             .zip(&before)

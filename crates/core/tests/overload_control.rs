@@ -15,7 +15,18 @@ use lvrm_ipc::PressureLevel;
 use lvrm_net::{Frame, FrameBuilder};
 
 mod common;
-use common::{assert_settled, drain, new_lvrm, routed_vr};
+use common::{assert_settled, drain, new_lvrm, routed_vr, vr_snapshot};
+
+/// `vr`'s (admitted, shed) admission counters.
+fn admission(lvrm: &Lvrm<ManualClock>, vr: VrId) -> (u64, u64) {
+    let s = vr_snapshot(lvrm, vr);
+    (s.admitted, s.shed)
+}
+
+/// VRIs of `vr` in the drain state.
+fn draining_count(lvrm: &Lvrm<ManualClock>, vr: VrId) -> usize {
+    vr_snapshot(lvrm, vr).vris.iter().filter(|v| v.draining).count()
+}
 
 fn frame_from(src: [u8; 4]) -> Frame {
     FrameBuilder::new(Ipv4Addr::from(src), Ipv4Addr::new(10, 0, 2, 1)).udp(1, 2, &[])
@@ -65,9 +76,9 @@ fn overloaded_vrs_are_held_to_their_weighted_quota() {
     // Burst 1 per VR: queues are empty, pressure Normal, everything admits.
     lvrm.ingress_batch(&mut burst_from(1, 16), &mut host);
     lvrm.ingress_batch(&mut burst_from(3, 16), &mut host);
-    assert_eq!(lvrm.vr_pressure(a), PressureLevel::Normal);
-    assert_eq!(lvrm.vr_admission_counts(a), (16, 0));
-    assert_eq!(lvrm.vr_admission_counts(b), (16, 0));
+    assert_eq!(vr_snapshot(&lvrm, a).pressure, PressureLevel::Normal);
+    assert_eq!(admission(&lvrm, a), (16, 0));
+    assert_eq!(admission(&lvrm, b), (16, 0));
     assert_eq!(lvrm.stats().shed_early, 0);
 
     // Bursts 2 and 3: nothing was pumped, so every data queue sits at its
@@ -77,10 +88,10 @@ fn overloaded_vrs_are_held_to_their_weighted_quota() {
         lvrm.ingress_batch(&mut burst_from(1, 16), &mut host);
         lvrm.ingress_batch(&mut burst_from(3, 16), &mut host);
     }
-    assert_eq!(lvrm.vr_pressure(a), PressureLevel::Overloaded);
-    assert_eq!(lvrm.vr_pressure(b), PressureLevel::Overloaded);
-    assert_eq!(lvrm.vr_admission_counts(a), (16 + 12 + 12, 4 + 4), "weight-3 quota is 12 of 16");
-    assert_eq!(lvrm.vr_admission_counts(b), (16 + 4 + 4, 12 + 12), "weight-1 quota is 4 of 16");
+    assert_eq!(vr_snapshot(&lvrm, a).pressure, PressureLevel::Overloaded);
+    assert_eq!(vr_snapshot(&lvrm, b).pressure, PressureLevel::Overloaded);
+    assert_eq!(admission(&lvrm, a), (16 + 12 + 12, 4 + 4), "weight-3 quota is 12 of 16");
+    assert_eq!(admission(&lvrm, b), (16 + 4 + 4, 12 + 12), "weight-1 quota is 4 of 16");
 
     // Per-VR shed sums to the aggregate, and frames_in == admitted + shed.
     let snaps = lvrm.snapshot();
@@ -95,7 +106,7 @@ fn overloaded_vrs_are_held_to_their_weighted_quota() {
     let mut out = Vec::new();
     drain(&mut lvrm, &mut host, &mut out);
     lvrm.ingress_batch(&mut burst_from(1, 1), &mut host);
-    assert_eq!(lvrm.vr_pressure(a), PressureLevel::Normal, "drained VR recovers");
+    assert_eq!(vr_snapshot(&lvrm, a).pressure, PressureLevel::Normal, "drained VR recovers");
     drain(&mut lvrm, &mut host, &mut out);
     assert_settled(&lvrm, "settled");
 }
@@ -119,9 +130,9 @@ fn shedding_off_degrades_to_tail_drop() {
         lvrm.ingress_batch(&mut burst_from(1, 16), &mut host);
     }
     // The pressure signal still reports the overload even when unused.
-    assert_eq!(lvrm.vr_pressure(a), PressureLevel::Overloaded);
+    assert_eq!(vr_snapshot(&lvrm, a).pressure, PressureLevel::Overloaded);
     assert_eq!(lvrm.stats().shed_early, 0);
-    assert_eq!(lvrm.vr_admission_counts(a), (48, 0));
+    assert_eq!(admission(&lvrm, a), (48, 0));
     // With the one VRI's queue full the balancer has no valid target, so the
     // excess tail-drops as `no_vri_drops` (a partially-full fleet would show
     // `dispatch_drops` instead) — either way, a named counter, not silence.
@@ -242,7 +253,7 @@ fn start_a_drain(
         now += 100_000_000;
         clock.set_ns(now);
         lvrm.ingress(frame_from([10, 0, 1, 5]), host);
-        if lvrm.vr_draining_count(vr) == 1 {
+        if draining_count(&lvrm, vr) == 1 {
             observed_drain = true;
             break;
         }
@@ -276,7 +287,7 @@ fn shrink_drains_hitlessly_with_zero_loss() {
     now += 1_000_000;
     clock.set_ns(now);
     lvrm.poll_drains(now, &mut host);
-    assert_eq!(lvrm.vr_draining_count(vr), 0, "drained victim retires");
+    assert_eq!(draining_count(&lvrm, vr), 0, "drained victim retires");
     assert_eq!(host.killed.len(), 1, "retirement is the only kill");
     assert_eq!(lvrm.stats().shrink_lost, 0, "happy-path drain loses nothing: {:?}", lvrm.stats());
 
@@ -296,7 +307,7 @@ fn manual_resize_leaves_another_vrs_drain_alone() {
     let b = lvrm.add_vr("b", &[(Ipv4Addr::new(10, 0, 3, 0), 24)], routed_vr("b"), &mut host);
     lvrm.resize_vr(b, 2, now, &mut host);
     assert_eq!(lvrm.vri_count(b), 2);
-    assert_eq!(lvrm.vr_draining_count(a), 1, "a's drain runs on");
+    assert_eq!(draining_count(&lvrm, a), 1, "a's drain runs on");
     assert!(host.killed.is_empty(), "nothing was retired");
     assert_eq!(lvrm.stats().shrink_lost, 0);
 
@@ -304,7 +315,7 @@ fn manual_resize_leaves_another_vrs_drain_alone() {
     now += 1_000_000;
     clock.set_ns(now);
     lvrm.poll_drains(now, &mut host);
-    assert_eq!(lvrm.vr_draining_count(a), 0, "the drained victim retires");
+    assert_eq!(draining_count(&lvrm, a), 0, "the drained victim retires");
     assert_eq!(lvrm.stats().shrink_lost, 0, "and loses nothing: {:?}", lvrm.stats());
     drain(&mut lvrm, &mut host, &mut out);
     assert_settled(&lvrm, "settled");
@@ -350,7 +361,7 @@ fn stalled_drain_is_bounded_by_the_deadline_and_rehomes() {
         now += 100_000_000;
         clock.set_ns(now);
         lvrm.ingress(frame_from([10, 0, 1, 5]), &mut host);
-        if lvrm.vr_draining_count(vr) == 1 {
+        if draining_count(&lvrm, vr) == 1 {
             observed_drain = true;
             break;
         }
@@ -368,13 +379,13 @@ fn stalled_drain_is_bounded_by_the_deadline_and_rehomes() {
 
     // Within the deadline the wedged victim is left alone...
     lvrm.poll_drains(now, &mut host);
-    assert_eq!(lvrm.vr_draining_count(vr), 1, "no retirement before the deadline");
+    assert_eq!(draining_count(&lvrm, vr), 1, "no retirement before the deadline");
 
     // ...but not past it.
     now += deadline_ns + 100_000_000;
     clock.set_ns(now);
     lvrm.poll_drains(now, &mut host);
-    assert_eq!(lvrm.vr_draining_count(vr), 0);
+    assert_eq!(draining_count(&lvrm, vr), 0);
     assert!(host.killed.iter().any(|(_, id)| *id == victim), "deadline retires the victim");
     assert_eq!(lvrm.stats().shrink_lost, 0, "reaped endpoint loses nothing: {:?}", lvrm.stats());
     assert!(

@@ -23,7 +23,7 @@ use lvrm_router::VirtualRouter;
 use proptest::prelude::*;
 
 mod common;
-use common::{new_lvrm, routed_vr};
+use common::{dispatch_counts, new_lvrm, routed_vr, vr_snapshot};
 
 const BURST: usize = 32;
 const VRIS: usize = 2;
@@ -197,7 +197,7 @@ fn shortened_and_skipped_buckets_keep_frames_beside_their_own_keys() {
             .collect();
         let offered = frames.clone();
         let before: Vec<(u64, u64)> =
-            (0..NAMES.len()).map(|v| lvrm.vr_admission_counts(VrId(v as u32))).collect();
+            lvrm.snapshot().iter().map(|vr| (vr.admitted, vr.shed)).collect();
         lvrm.ingress_batch(&mut frames, &mut host);
         assert!(frames.is_empty());
 
@@ -205,7 +205,8 @@ fn shortened_and_skipped_buckets_keep_frames_beside_their_own_keys() {
         // admitted (the shedding arithmetic is not under test) and checks
         // *which* they were and where each one went.
         for (v, m) in model.iter_mut().enumerate() {
-            let (admitted, shed) = lvrm.vr_admission_counts(VrId(v as u32));
+            let snap = vr_snapshot(&lvrm, VrId(v as u32));
+            let (admitted, shed) = (snap.admitted, snap.shed);
             let bucket: Vec<&Frame> = offered
                 .iter()
                 .zip(&kinds)
@@ -261,9 +262,10 @@ fn shortened_and_skipped_buckets_keep_frames_beside_their_own_keys() {
     let ck = lvrm.build_checkpoint(0);
     for (v, m) in model.iter().enumerate() {
         let id = VrId(v as u32);
-        assert_eq!(lvrm.vr_frame_counts(id).0, m.frames_in, "vr {v} frames_in");
-        assert_eq!(lvrm.vr_admission_counts(id).0, m.admitted, "vr {v} admitted");
-        assert_eq!(lvrm.vri_dispatch_counts(id), m.dispatched, "vr {v} per-VRI dispatch counts");
+        let snap = vr_snapshot(&lvrm, id);
+        assert_eq!(snap.frames_in, m.frames_in, "vr {v} frames_in");
+        assert_eq!(snap.admitted, m.admitted, "vr {v} admitted");
+        assert_eq!(dispatch_counts(&lvrm, id), m.dispatched, "vr {v} per-VRI dispatch counts");
         // The flow table itself: every flow is pinned where its first frame
         // went, and no other key is in there.
         let pinned: HashMap<FlowKey, usize> =
@@ -322,8 +324,8 @@ fn vlink_ring_handover_keeps_books_and_order() {
     assert_eq!(stats.dispatch_drops, refused);
     assert_eq!(stats.frames_in, 4 * BURST as u64);
     for v in 0..NAMES.len() {
-        let (frames_in, _) = lvrm.vr_frame_counts(VrId(v as u32));
-        let (admitted, shed) = lvrm.vr_admission_counts(VrId(v as u32));
+        let snap = vr_snapshot(&lvrm, VrId(v as u32));
+        let (frames_in, admitted, shed) = (snap.frames_in, snap.admitted, snap.shed);
         assert_eq!((frames_in, shed), (admitted, 0), "vr {v}: the ring sheds nothing early");
     }
 }
@@ -377,7 +379,7 @@ fn quarantined_four(ring: bool, shedding: bool) -> (Lvrm<ManualClock>, Recording
         lvrm.set_vr_dispatch(VrId(1), DispatchMode::Replicated);
     }
     let mut t = 0;
-    while !lvrm.vr_quarantined(VrId(QUARANTINED as u32)) {
+    while !vr_snapshot(&lvrm, VrId(QUARANTINED as u32)).quarantined {
         assert!(t < 16 * TICK_NS, "d never reached quarantine");
         for vri in live_vris(&lvrm, QUARANTINED) {
             host.crash_vri(vri);
@@ -556,7 +558,7 @@ proptest! {
                 .collect();
             let offered = frames.clone();
             let before: Vec<(u64, u64)> =
-                (0..TENANTS.len()).map(|v| lvrm.vr_admission_counts(VrId(v as u32))).collect();
+                lvrm.snapshot().iter().map(|vr| (vr.admitted, vr.shed)).collect();
             lvrm.ingress_batch(&mut frames, &mut host);
             prop_assert!(frames.is_empty());
 
@@ -575,7 +577,7 @@ proptest! {
                 // How many the monitor admitted is its word (the shedding
                 // arithmetic is not under test); which ones, and where they
                 // went, is the reference's. Shedding keeps the bucket's head.
-                let newly = (lvrm.vr_admission_counts(VrId(v as u32)).0 - before[v].0) as usize;
+                let newly = (vr_snapshot(&lvrm, VrId(v as u32)).admitted - before[v].0) as usize;
                 if v == 2 && !c_owned {
                     prop_assert_eq!(newly, 0, "an unowned VR admits nothing");
                 }

@@ -16,7 +16,8 @@ use lvrm_net::{Frame, FrameBuilder};
 
 mod common;
 use common::{
-    assert_settled, drain, flow_frame, new_lvrm, queue_kinds, routed_vr, subnet, temp_path,
+    assert_settled, dispatch_counts, drain, flow_frame, new_lvrm, queue_kinds, routed_vr, subnet,
+    temp_path,
 };
 
 const STEP_NS: u64 = 100_000_000; // 100 ms
@@ -67,10 +68,10 @@ fn probe_slot(
     i: usize,
     out: &mut Vec<Frame>,
 ) -> usize {
-    let before = lvrm.vri_dispatch_counts(vr);
+    let before = dispatch_counts(lvrm, vr);
     lvrm.ingress(flow_frame(i), host);
     drain(lvrm, host, out);
-    let after = lvrm.vri_dispatch_counts(vr);
+    let after = dispatch_counts(lvrm, vr);
     assert_eq!(before.len(), after.len(), "probe must not resize the VR");
     let hits: Vec<usize> = after
         .iter()
@@ -319,10 +320,10 @@ fn restore_gives_every_vr_its_checkpointed_size() {
     // Pin flows to the third VR until one sits on its slot 2.
     let pinned = (0..8u8)
         .find(|&i| {
-            let before = lvrm_a.vri_dispatch_counts(vrs[2]);
+            let before = dispatch_counts(&lvrm_a, vrs[2]);
             lvrm_a.ingress(flow(i), &mut host_a);
             drain(&mut lvrm_a, &mut host_a, &mut out);
-            lvrm_a.vri_dispatch_counts(vrs[2])[2] > before[2]
+            dispatch_counts(&lvrm_a, vrs[2])[2] > before[2]
         })
         .expect("some flow lands on slot 2");
     let ck = lvrm_a.build_checkpoint(0);
@@ -331,10 +332,10 @@ fn restore_gives_every_vr_its_checkpointed_size() {
     let (mut lvrm_b, vrs) = start(&clock_b, &mut host_b);
     lvrm_b.apply_checkpoint(&ck, 0, &mut host_b);
     assert_eq!(sizes(&lvrm_b, &vrs), [1, 3, 3], "each VR restored to its checkpointed size");
-    let before = lvrm_b.vri_dispatch_counts(vrs[2]);
+    let before = dispatch_counts(&lvrm_b, vrs[2]);
     lvrm_b.ingress(flow(pinned), &mut host_b);
     drain(&mut lvrm_b, &mut host_b, &mut out);
-    let after = lvrm_b.vri_dispatch_counts(vrs[2]);
+    let after = dispatch_counts(&lvrm_b, vrs[2]);
     assert_eq!(after[2], before[2] + 1, "the pinned flow lands on slot 2 again: {after:?}");
     assert_settled(&lvrm_b, "after the restore");
 }

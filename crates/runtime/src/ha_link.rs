@@ -110,8 +110,10 @@ impl PeerLink for UdpPeerLink {
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(_) => return,
             };
-            // Only the configured peer may drive the election.
-            if from.ip() != self.peer.ip() || n < FRAG_HEADER {
+            // Only the configured peer may drive the election: the whole
+            // address, since the far end sends from the socket it binds and
+            // any other process on the peer's host shares its IP.
+            if from != self.peer || n < FRAG_HEADER {
                 continue;
             }
             let d = &self.recv_buf[..n];
@@ -230,6 +232,22 @@ mod tests {
         assert_eq!(recv_until(&mut b, 1), vec![b"ping".to_vec()]);
         b.send(0, b"pong");
         assert_eq!(recv_until(&mut a, 1), vec![b"pong".to_vec()]);
+    }
+
+    #[test]
+    fn datagrams_from_another_port_of_the_peer_host_are_dropped() {
+        let (mut a, mut b) = pair();
+        // A well-formed one-fragment message from a third socket on the
+        // peer's IP: msg_id 7, fragment 0 of 1.
+        let intruder = UdpSocket::bind("127.0.0.1:0").expect("bind intruder");
+        let mut forged = Vec::new();
+        forged.extend_from_slice(&7u32.to_le_bytes());
+        forged.extend_from_slice(&0u16.to_le_bytes());
+        forged.extend_from_slice(&1u16.to_le_bytes());
+        forged.extend_from_slice(b"forged advert");
+        intruder.send_to(&forged, b.local_addr().unwrap()).expect("send forged");
+        a.send(0, b"advert");
+        assert_eq!(recv_until(&mut b, 2), vec![b"advert".to_vec()]);
     }
 
     #[test]

@@ -1219,13 +1219,21 @@ impl<'s> World<'s> {
             }
         }
         let (realloc, per_vri, lvrm_stats, supervision, metrics) = match &self.mech {
-            Mech::Lvrm { lvrm, vr_ids, .. } => (
-                lvrm.realloc_log.clone(),
-                vr_ids.iter().map(|id| lvrm.vri_dispatch_counts(*id)).collect(),
-                Some(lvrm.stats()),
-                lvrm.supervision_log.clone(),
-                Some(lvrm.metrics_snapshot()),
-            ),
+            Mech::Lvrm { lvrm, vr_ids, .. } => {
+                // Each VR's live VRIs, in allocation order.
+                let vrs = lvrm.snapshot();
+                let live = |id: &VrId| {
+                    let vris = vrs[id.0 as usize].vris.iter().filter(|v| !v.draining);
+                    vris.map(|v| v.dispatched).collect()
+                };
+                (
+                    lvrm.realloc_log.clone(),
+                    vr_ids.iter().map(live).collect(),
+                    Some(lvrm.stats()),
+                    lvrm.supervision_log.clone(),
+                    Some(lvrm.metrics_snapshot()),
+                )
+            }
             _ => (Vec::new(), Vec::new(), None, Vec::new(), None),
         };
         ScenarioResult {

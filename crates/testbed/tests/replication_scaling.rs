@@ -126,7 +126,7 @@ fn elephant_spreads_on_real_vri_threads() {
         for _ in 1..VRIS {
             lvrm.maybe_reallocate(clock.now_ns() + 2_000_000_000, &mut host);
         }
-        assert_eq!(lvrm.vri_dispatch_counts(vr).len(), VRIS, "all VRIs spawned");
+        assert_eq!(lvrm.vri_count(vr), VRIS, "all VRIs spawned");
 
         // One elephant: every frame the same 5-tuple.
         let frame = FrameBuilder::new(Ipv4Addr::new(10, 0, 1, 20), Ipv4Addr::new(10, 0, 2, 1))
@@ -152,7 +152,9 @@ fn elephant_spreads_on_real_vri_threads() {
             std::thread::yield_now();
         }
         let elapsed_ns = clock.now_ns() - t0;
-        let dispatches = lvrm.vri_dispatch_counts(vr);
+        let vris = &lvrm.snapshot()[vr.0 as usize].vris;
+        let dispatches: Vec<u64> =
+            vris.iter().filter(|v| !v.draining).map(|v| v.dispatched).collect();
         let ledger = lvrm.ledger();
         assert_eq!(ledger.check_settled(), Ok(()), "on real threads ({mode:?}): {ledger}");
         host.shutdown();

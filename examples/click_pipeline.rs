@@ -66,7 +66,8 @@ fn main() {
     let to_if1 = out.iter().filter(|f| f.egress_if == 1).count();
     let to_if2 = out.iter().filter(|f| f.egress_if == 2).count();
     println!("forwarded {} frames: {to_if1} out if1 (UDP), {to_if2} out if2 (TCP)", out.len());
-    let (vr_in, vr_out) = lvrm.vr_frame_counts(vr);
+    let snap = &lvrm.snapshot()[vr.0 as usize];
+    let (vr_in, vr_out) = (snap.frames_in, snap.frames_out);
     println!("VR processed {vr_in} frames, returned {vr_out}");
     assert_eq!(to_if1, 600);
     assert_eq!(to_if2, 400);

@@ -45,7 +45,8 @@ fn relay(batch_size: usize) {
         Box::new(FastVr::new("dept-a", routes)),
         &mut host,
     );
-    println!("registered {} ({} VRI), burst {batch_size}", lvrm.vr_name(vr), lvrm.vri_count(vr));
+    let name = &lvrm.snapshot()[vr.0 as usize].name;
+    println!("registered {name} ({} VRI), burst {batch_size}", lvrm.vri_count(vr));
 
     // A PF_RING-style ring pair stands in for the NIC: a small in-memory
     // trace goes in at the wire end, and forwarded frames come back out.
@@ -61,7 +62,8 @@ fn relay(batch_size: usize) {
     let mut out = Vec::new();
     wire.poll_batch(&mut out, usize::MAX).expect("egress ring");
 
-    let (vr_in, vr_out) = lvrm.vr_frame_counts(vr);
+    let snap = &lvrm.snapshot()[vr.0 as usize];
+    let (vr_in, vr_out) = (snap.frames_in, snap.frames_out);
     println!("frames in        : {}", lvrm.stats().frames_in);
     println!("frames forwarded : {} (VR saw {vr_in}, returned {vr_out})", out.len());
     println!("unclassified     : {}", lvrm.stats().unclassified);

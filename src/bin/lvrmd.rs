@@ -560,7 +560,8 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--config" => {
-                config_path = args.get(i + 1).cloned();
+                config_path =
+                    Some(args.get(i + 1).cloned().unwrap_or_else(|| die("--config needs a file")));
                 i += 2;
             }
             "--duration" => {
@@ -574,7 +575,8 @@ fn main() {
                 rate_fps = args
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--rate needs fps"));
+                    .filter(|r: &f64| (1.0..=1e9).contains(r))
+                    .unwrap_or_else(|| die("--rate needs fps in 1..=1e9"));
                 i += 2;
             }
             "--dispatch" => {

@@ -37,8 +37,11 @@ fn multi_vr_classification_and_forwarding() {
         lvrm.poll_egress(&mut out);
     }
     assert_eq!(out.len(), 200);
-    assert_eq!(lvrm.vr_frame_counts(a), (100, 100));
-    assert_eq!(lvrm.vr_frame_counts(b), (100, 100));
+    let vrs = lvrm.snapshot();
+    for vr in [a, b] {
+        let s = &vrs[vr.0 as usize];
+        assert_eq!((s.frames_in, s.frames_out), (100, 100), "{}", s.name);
+    }
     assert_eq!(lvrm.stats().unclassified, 0);
     assert!(out.iter().all(|f| f.egress_if == 1));
 }
@@ -96,5 +99,5 @@ fn unroutable_frames_are_dropped_not_misdelivered() {
     host.pump();
     lvrm.poll_egress(&mut out);
     assert!(out.is_empty());
-    assert_eq!(lvrm.vr_frame_counts(vr).0, 1, "the VR did see the frame");
+    assert_eq!(lvrm.snapshot()[vr.0 as usize].frames_in, 1, "the VR did see the frame");
 }

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use lvrm::core::host::RecordingHost;
-use lvrm::core::monitor::SupervisionAction;
+use lvrm::core::monitor::{SupervisionAction, VrSnapshot};
 use lvrm::core::{
     ChannelLink, Checkpoint, ClusterConfig, FaultKind, FaultPlan, FaultyHost, FaultyLink,
     FaultySocket, Ledger, LinkFaultKind, LinkFaultWindow, PeerLink, VriHost,
@@ -454,9 +454,11 @@ fn burst(node: &mut Node) {
     let ctx = format!("node {} at {} ms", node.i, node.clock.now_ns() / 1_000_000);
     let (lvrm, host, nic) = (node.lvrm.as_mut().unwrap(), &mut node.host, &mut node.nic);
     let (accepting, polled, rx) = (lvrm.ha_accepting(), nic.inner.rx_count(), nic.rx_count());
-    let vr = |vr: u8| VrId(vr.into());
+    let admitted = |lvrm: &Lvrm<ManualClock>| -> Vec<u64> {
+        lvrm.snapshot().iter().map(|vr| vr.admitted).collect()
+    };
     let owned: Vec<bool> = (0..VRS).map(|v| lvrm.vr_owned_by_name(&vr_name(v))).collect();
-    let admitted: Vec<u64> = (0..VRS).map(|v| lvrm.vr_admission_counts(vr(v)).0).collect();
+    let admitted_before = admitted(lvrm);
     let (before, attached_before) = (lvrm.stats(), attached(lvrm, host));
     let (cluster_before, logged) = (cluster_state(lvrm), logged_deaths(lvrm));
 
@@ -493,8 +495,9 @@ fn burst(node: &mut Node) {
         node.imported = true;
         return;
     }
+    let admitted_after = admitted(lvrm);
     for v in 0..VRS {
-        let moved = lvrm.vr_admission_counts(vr(v)).0 != admitted[usize::from(v)];
+        let moved = admitted_after[usize::from(v)] != admitted_before[usize::from(v)];
         let owner = owned[usize::from(v)] || lvrm.vr_owned_by_name(&vr_name(v));
         assert!(!moved || owner, "{ctx}: dept{v} admitted frames where it is not owned");
     }
@@ -664,8 +667,8 @@ fn run_case(case: &Case, cov: &mut Coverage) {
             }
             Kind::Restart => {
                 overloaded |= node.lvrm.as_ref().is_some_and(|l| {
-                    let pressed = |vr: u8| l.vr_pressure(VrId(vr.into())) != PressureLevel::Normal;
-                    l.stats().dispatch_drops > drops[i] || (0..VRS).any(pressed)
+                    let pressed = |vr: &VrSnapshot| vr.pressure != PressureLevel::Normal;
+                    l.stats().dispatch_drops > drops[i] || l.snapshot().iter().any(pressed)
                 });
                 node.start(case, &starts, now);
             }
